@@ -16,23 +16,20 @@
 # 5. a fixed-seed chaos smoke campaign: 20 generated failure scenarios
 #    under the runtime invariant oracles on 2 workers (exit 1 + minimal
 #    reproducer if any oracle fires; see DESIGN.md §9),
-# 6. the Fig. 4 bench smoke run: `repro bench-fig4 --quick` must produce
-#    a BENCH_fig4.json at the repo root that passes the schema check
-#    (`xtask check-bench`) — timings are machine-dependent and never
-#    asserted, only the schema (see EXPERIMENTS.md),
-# 7. the engine-matrix determinism gate: `repro fig4` replayed under all
-#    four scheduler x SPF-engine combinations must print byte-identical
-#    results (the pluggable hot-loop seams may not change observable
-#    behaviour; see DESIGN.md §10),
-# 8. the fast-reroute chaos gate: the same fixed-seed campaign under
+# 6. the repo benchmark's own gate: `bench/run.sh --smoke` (offline
+#    build, the API-allowlist grep, then all four BENCHMARK.json workloads
+#    at shortened horizons — every pass must reproduce the product's own
+#    results) and the benchmark's unit tests; timings are never asserted
+#    here (see bench/README.md),
+# 7. the fast-reroute chaos gate: the same fixed-seed campaign under
 #    `--recovery frr` (single-failure preset, tightened blackhole bound —
 #    detection + FIB update, no SPF terms; see DESIGN.md §11) must report
 #    zero violations and be byte-identical across worker counts,
-# 9. the quality-observer gate: a fixed-seed campaign with `--quality`
+# 8. the quality-observer gate: a fixed-seed campaign with `--quality`
 #    (per-FIB-epoch congestion scoring; see DESIGN.md §12) must render
 #    byte-identical traces on 1 and 4 workers — the fixed-point scores
 #    may not depend on scheduling,
-# 10. the parallelism-safety audit: `xtask audit` statically proves the
+# 9. the parallelism-safety audit: `xtask audit` statically proves the
 #    sweep/chaos pipeline worker-count-invariant — every spawn site's
 #    capture set is reported, the JSON report is well-formed and
 #    byte-stable, and the gate fails on any unwaivered parallelism
@@ -61,22 +58,9 @@ cargo run -q --release -p f2tree-experiments --bin repro -- fig7 --workers 2
 echo "==> repro chaos --seed 20150701 --campaigns 20 --workers 2 (invariant-oracle smoke test)"
 cargo run -q --release -p f2tree-experiments --bin repro -- chaos --seed 20150701 --campaigns 20 --workers 2
 
-echo "==> repro bench-fig4 --quick (hot-path bench produces a schema-valid report)"
-cargo run -q --release -p f2tree-experiments --bin repro -- bench-fig4 --quick
-test -f BENCH_fig4.json
-cargo run -q --release -p xtask -- check-bench BENCH_fig4.json
-
-echo "==> repro fig4 under all scheduler x spf-engine combos (byte-identity gate)"
-for sched in heap calendar; do
-    for spf in full incremental; do
-        cargo run -q --release -p f2tree-experiments --bin repro -- \
-            fig4 --workers 2 --scheduler "$sched" --spf "$spf" \
-            > "target/fig4-$sched-$spf.txt"
-    done
-done
-cmp target/fig4-heap-full.txt target/fig4-heap-incremental.txt
-cmp target/fig4-heap-full.txt target/fig4-calendar-full.txt
-cmp target/fig4-heap-full.txt target/fig4-calendar-incremental.txt
+echo "==> bench/run.sh --smoke + bench unit tests (the repo benchmark builds, runs and checks itself)"
+bench/run.sh --smoke --out target/bench-smoke
+cargo test -q --offline --manifest-path bench/Cargo.toml
 
 echo "==> repro chaos --recovery frr (tightened-bound gate, worker-invariant)"
 for workers in 1 2; do

@@ -1,7 +1,7 @@
 //! Emulation parameters (paper §IV "Emulation environment").
 
-use dcn_routing::{RecoveryMode, RouterConfig, SpfEngineKind};
-use dcn_sim::{timers, LinkSpec, SchedulerKind, SimDuration};
+use dcn_routing::{RecoveryMode, RouterConfig};
+use dcn_sim::{timers, LinkSpec, SimDuration};
 use dcn_transport::TcpConfig;
 
 /// Which control plane runs the network (paper §V "Centralized Routing
@@ -83,10 +83,6 @@ pub struct EmuConfig {
     pub(crate) across_links_passive: bool,
     /// Distributed (default) or centralized control plane.
     pub(crate) control_plane: ControlPlaneMode,
-    /// Which event-scheduler implementation drives the network's hot
-    /// loop (binary heap by default; calendar queue as the timing-wheel
-    /// alternative). Any kind must replay identical traces.
-    pub(crate) scheduler: SchedulerKind,
 }
 
 impl Default for EmuConfig {
@@ -103,7 +99,6 @@ impl Default for EmuConfig {
             tcp: TcpConfig::default(),
             across_links_passive: true,
             control_plane: ControlPlaneMode::Distributed,
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -169,11 +164,6 @@ impl EmuConfig {
     /// Distributed or centralized control plane.
     pub fn control_plane(&self) -> ControlPlaneMode {
         self.control_plane
-    }
-
-    /// Which event-scheduler implementation drives the hot loop.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
     }
 
     /// Which recovery discipline bridges detection and reconvergence.
@@ -257,20 +247,6 @@ impl EmuConfigBuilder {
         self
     }
 
-    /// Selects the event-scheduler implementation (determinism law: any
-    /// kind replays byte-identical traces).
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.config.scheduler = kind;
-        self
-    }
-
-    /// Selects the SPF engine every router runs (convenience for
-    /// `router(RouterConfig { spf_engine, .. })`).
-    pub fn spf_engine(mut self, kind: SpfEngineKind) -> Self {
-        self.config.router.spf_engine = kind;
-        self
-    }
-
     /// Selects the recovery discipline: wait for OSPF, the design's
     /// static backups (default), or the precomputed fast-reroute map
     /// (which [`crate::Network::new`] builds and installs per router).
@@ -312,8 +288,6 @@ mod tests {
             .across_links_passive(false)
             .lsa_packet_bytes(200)
             .control_plane(ControlPlaneMode::centralized_default())
-            .scheduler(SchedulerKind::Calendar)
-            .spf_engine(SpfEngineKind::Incremental)
             .build();
         assert_eq!(config.detection_delay().as_millis(), 10);
         assert!(!config.across_links_passive());
@@ -322,22 +296,13 @@ mod tests {
             config.control_plane(),
             ControlPlaneMode::centralized_default()
         );
-        assert_eq!(config.scheduler(), SchedulerKind::Calendar);
-        assert_eq!(config.router().spf_engine, SpfEngineKind::Incremental);
         // Untouched fields keep their defaults.
         assert_eq!(config.header_bytes(), EmuConfig::default().header_bytes());
     }
 
     #[test]
-    fn engine_seams_default_to_the_historical_implementations() {
-        let c = EmuConfig::default();
-        assert_eq!(c.scheduler(), SchedulerKind::Heap);
-        assert_eq!(c.router().spf_engine, SpfEngineKind::Full);
-        assert_eq!(c.recovery(), RecoveryMode::F2TreeRewiring);
-    }
-
-    #[test]
     fn recovery_setter_reaches_the_router_config() {
+        assert_eq!(EmuConfig::default().recovery(), RecoveryMode::F2TreeRewiring);
         let c = EmuConfig::builder()
             .recovery(RecoveryMode::PrecomputedFrr)
             .build();

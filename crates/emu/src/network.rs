@@ -20,9 +20,7 @@ use dcn_routing::{
     Adjacency, FibDelta, Lsa, Lsdb, NextHop, RecoveryMode, Route, RouteOrigin, RouterAction,
     RouterProcess,
 };
-use dcn_sim::{
-    AnyScheduler, Direction, EventScheduler, LinkState, Packet, SimTime, TransmitVerdict,
-};
+use dcn_sim::{Direction, EventQueue, LinkState, Packet, SimTime, TransmitVerdict};
 use dcn_transport::{
     TcpAck, TcpApp, TcpReceiver, TcpSegment, TcpSender, TcpSenderOutput, UdpDatagram, UdpSource,
 };
@@ -183,7 +181,7 @@ pub struct Network {
     topo: Topology,
     plan: AddressPlan,
     config: EmuConfig,
-    queue: AnyScheduler<Event>,
+    queue: EventQueue<Event>,
     links: Vec<LinkState>,
     routers: Vec<Option<RouterProcess>>,
     host_uplink: Vec<Option<(LinkId, NodeId)>>,
@@ -311,7 +309,7 @@ impl Network {
         Ok(Network {
             topo,
             plan,
-            queue: AnyScheduler::new(config.scheduler()),
+            queue: EventQueue::new(),
             config,
             links: (0..n_links).map(|_| LinkState::new()).collect(),
             routers,

@@ -9,13 +9,13 @@
 //! `DCN_WORKERS` env var, else all cores — the output is byte-identical
 //! for every value).
 //!
-//! `--scheduler` and `--spf` select the event-scheduler and SPF-engine
-//! implementations the condition sweeps (fig4/fig5) run under. The
-//! determinism law (DESIGN.md) makes every combination's output
-//! byte-identical — CI's engine-matrix gate replays fig4 under all four
-//! and compares. `--recovery` selects the recovery discipline; unlike
-//! the engine seams it **changes the numbers** (it is the independent
-//! variable of the `recovery` comparison target).
+//! `--recovery` selects the recovery discipline the condition sweeps
+//! (fig4/fig5) run under — the independent variable of the `recovery`
+//! comparison target.
+//!
+//! Anything the parser does not recognize — an unknown flag or target, a
+//! non-numeric `--seed`, an uncreatable `--out` — is rejected with a
+//! one-line message on stderr and exit status 2 before any work starts.
 //!
 //! `repro chaos` runs a deterministic failure-injection campaign under
 //! the `dcn-chaos` invariant oracles instead of the paper artifacts:
@@ -27,24 +27,16 @@
 //! offending scenario is shrunk to a minimal reproducer, printed (and
 //! written to `--out DIR` as a replayable `.scenario` file), and the exit
 //! status is 1.
-//!
-//! `repro bench-fig4` times the Fig. 4 sweep single-threaded (events/sec
-//! through the event loop, SPF recompute wall time, peak queue depth,
-//! peak RSS) and writes `BENCH_fig4.json` — to `--out DIR` when given,
-//! else the current directory. `--quick` shrinks the horizon 5x. The
-//! schema is documented in `EXPERIMENTS.md` and validated by
-//! `cargo run -p xtask -- check-bench BENCH_fig4.json`.
 
-use std::path::{Path, PathBuf};
+use std::fmt;
+use std::path::PathBuf;
 
 use dcn_chaos::{run_chaos, run_scenario, shrink_scenario, ChaosConfig};
 
 use dcn_failure::Condition;
-use dcn_routing::{RecoveryMode, SpfEngineKind};
-use dcn_sim::SchedulerKind;
+use dcn_routing::RecoveryMode;
 use dcn_sweep::Workers;
 use f2tree_experiments::artifacts;
-use f2tree_experiments::bench::{render_bench_json, run_bench_fig4};
 use f2tree_experiments::conditions::{
     format_fig4, format_table4, run_condition, run_fig4_sweep, ConditionConfig,
 };
@@ -73,7 +65,6 @@ repro — regenerate the paper's tables and figures
 usage:
   repro [FLAGS] [TARGET ...]
   repro chaos [--seed N] [--campaigns M] [--recovery MODE] [--quality] [--workers W] [--out DIR]
-  repro bench-fig4 [--quick] [--out DIR] [--scheduler K] [--spf E]
 
 targets (default: everything except fig6seeds):
   table1 table2 table3 table4   paper tables (fig2 = alias of table3)
@@ -87,16 +78,13 @@ targets (default: everything except fig6seeds):
                                 beyond-paper extensions
   fig6seeds                     opt-in: 20-seed Fig. 6 workload stats
   chaos                         invariant-oracle failure campaigns
-  bench-fig4                    hot-path wall-clock benchmark
   all                           everything except fig6seeds
 
 flags:
-  --quick                shrink fig6 workload 10x / bench horizon 5x
+  --quick                shrink fig6 workload 10x
   --out DIR              also write CSV/JSON artifacts into DIR
   --workers N            sweep worker count (positive integer;
                          output is byte-identical for every N)
-  --scheduler VALUE      event scheduler: heap | calendar
-  --spf VALUE            SPF engine: full | incremental (alias: ispf)
   --recovery VALUE       recovery mode: ospf | f2tree | frr (alias: lfa)
   --seed N               chaos: master seed (default 20150701)
   --campaigns M          chaos: scenario count (default 200)
@@ -109,8 +97,145 @@ flags:
 const TARGETS: &[&str] = &[
     "table1", "table2", "table3", "fig2", "table4", "fig4", "fig5", "fig6", "fig6seeds", "fig7",
     "recovery", "quality", "bisection", "aspen", "c7x", "ablation", "centralized", "summary",
-    "unidirectional", "chaos", "bench-fig4", "all",
+    "unidirectional", "chaos", "all",
 ];
+
+/// Every recognized flag (the did-you-mean candidates for a typo).
+const FLAGS: &[&str] = &[
+    "--quick", "--out", "--workers", "--recovery", "--seed", "--campaigns", "--quality", "--help",
+];
+
+/// Accepted `--recovery` values.
+const RECOVERY_VALUES: &[&str] = &["ospf", "f2tree", "frr", "lfa"];
+
+/// A rejected command line: one line on stderr, exit status 2.
+#[derive(Debug)]
+enum CliError {
+    UnknownFlag(String),
+    UnknownTarget(String),
+    MissingValue(&'static str),
+    BadNumber {
+        flag: &'static str,
+        wants: &'static str,
+        value: String,
+    },
+    BadChoice {
+        flag: &'static str,
+        accepted: &'static [&'static str],
+        value: String,
+    },
+    OutDir(PathBuf, std::io::Error),
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let hint = |f: &mut fmt::Formatter<'_>, input: &str, candidates: &[&str], or_else| {
+            match did_you_mean(input, candidates) {
+                Some(hint) => write!(f, "; did you mean '{hint}'?"),
+                None => f.write_str(or_else),
+            }
+        };
+        const SEE_HELP: &str = " (run with --help for the list)";
+        match self {
+            CliError::UnknownFlag(flag) => {
+                write!(f, "unknown flag '{flag}'")?;
+                hint(f, flag, FLAGS, SEE_HELP)
+            }
+            CliError::UnknownTarget(target) => {
+                write!(f, "unknown target '{target}'")?;
+                hint(f, target, TARGETS, SEE_HELP)
+            }
+            CliError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            CliError::BadNumber { flag, wants, value } => {
+                write!(f, "{flag} takes {wants}, got '{value}'")
+            }
+            CliError::BadChoice {
+                flag,
+                accepted,
+                value,
+            } => {
+                write!(
+                    f,
+                    "{flag}: unknown value '{value}' (accepted: {})",
+                    accepted.join(", ")
+                )?;
+                hint(f, value, accepted, "")
+            }
+            CliError::OutDir(dir, e) => {
+                write!(f, "--out: cannot create directory '{}': {e}", dir.display())
+            }
+        }
+    }
+}
+
+/// The parsed command line.
+struct Cli {
+    quick: bool,
+    quality: bool,
+    out_dir: Option<PathBuf>,
+    workers: Workers,
+    recovery: RecoveryMode,
+    seed: Option<u64>,
+    campaigns: Option<usize>,
+    targets: Vec<&'static str>,
+}
+
+/// Parses every argument strictly: nothing is skipped or defaulted over.
+fn parse_cli(args: &[String]) -> Result<Cli, CliError> {
+    fn number<T: std::str::FromStr>(flag: &'static str, value: &str) -> Result<T, CliError> {
+        value.parse().map_err(|_| CliError::BadNumber {
+            flag,
+            wants: "a non-negative integer",
+            value: value.to_string(),
+        })
+    }
+    let mut cli = Cli {
+        quick: false,
+        quality: false,
+        out_dir: None,
+        workers: Workers::auto(),
+        recovery: RecoveryMode::default(),
+        seed: None,
+        campaigns: None,
+        targets: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = |flag| it.next().ok_or(CliError::MissingValue(flag));
+        match arg.as_str() {
+            "--quick" => cli.quick = true,
+            "--quality" => cli.quality = true,
+            "--out" => cli.out_dir = Some(PathBuf::from(value("--out")?)),
+            "--workers" => {
+                let v = value("--workers")?;
+                cli.workers = Workers::parse(v).ok_or_else(|| CliError::BadNumber {
+                    flag: "--workers",
+                    wants: "a positive integer",
+                    value: v.clone(),
+                })?;
+            }
+            "--recovery" => {
+                let v = value("--recovery")?;
+                cli.recovery = RecoveryMode::parse(v).ok_or_else(|| CliError::BadChoice {
+                    flag: "--recovery",
+                    accepted: RECOVERY_VALUES,
+                    value: v.clone(),
+                })?;
+            }
+            "--seed" => cli.seed = Some(number("--seed", value("--seed")?)?),
+            "--campaigns" => cli.campaigns = Some(number("--campaigns", value("--campaigns")?)?),
+            flag if flag.starts_with('-') => return Err(CliError::UnknownFlag(arg.clone())),
+            word => match TARGETS.iter().find(|t| **t == word) {
+                Some(target) => cli.targets.push(target),
+                None => return Err(CliError::UnknownTarget(arg.clone())),
+            },
+        }
+    }
+    if let Some(dir) = &cli.out_dir {
+        std::fs::create_dir_all(dir).map_err(|e| CliError::OutDir(dir.clone(), e))?;
+    }
+    Ok(cli)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -118,90 +243,18 @@ fn main() {
         print!("{USAGE}");
         return;
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).expect("create --out directory");
-    }
-    let workers: Workers = match flag_value(&args, "--workers") {
-        None => Workers::auto(),
-        Some(v) => Workers::parse(v).unwrap_or_else(|| {
-            eprintln!("error: --workers takes a positive integer, got '{v}'");
-            std::process::exit(2);
-        }),
-    };
-    let scheduler = parse_choice(
-        &args,
-        "--scheduler",
-        &["heap", "calendar"],
-        SchedulerKind::parse,
-    )
-    .unwrap_or_default();
-    let spf_engine = parse_choice(
-        &args,
-        "--spf",
-        &["full", "incremental", "ispf"],
-        SpfEngineKind::parse,
-    )
-    .unwrap_or_default();
-    let recovery = parse_choice(
-        &args,
-        "--recovery",
-        &["ospf", "f2tree", "frr", "lfa"],
-        RecoveryMode::parse,
-    )
-    .unwrap_or_default();
+    let cli = parse_cli(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let condition_cfg = ConditionConfig {
-        scheduler,
-        spf_engine,
-        recovery,
+        recovery: cli.recovery,
         ..ConditionConfig::default()
     };
-    let mut skip_next = false;
-    let targets: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--out"
-                || *a == "--workers"
-                || *a == "--seed"
-                || *a == "--campaigns"
-                || *a == "--scheduler"
-                || *a == "--spf"
-                || *a == "--recovery"
-            {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(String::as_str)
-        .collect();
-
-    for target in &targets {
-        if !TARGETS.contains(target) {
-            eprint!("error: unknown target '{target}'");
-            match did_you_mean(target, TARGETS) {
-                Some(hint) => eprintln!("; did you mean '{hint}'?"),
-                None => eprintln!(" (run with --help for the list)"),
-            }
-            std::process::exit(2);
-        }
-    }
+    let targets = &cli.targets;
 
     if targets.contains(&"chaos") {
-        run_chaos_cli(&args, recovery, workers, out_dir.as_deref());
-        return;
-    }
-    if targets.contains(&"bench-fig4") {
-        run_bench_cli(&condition_cfg, quick, out_dir.as_deref());
+        run_chaos_cli(&cli);
         return;
     }
 
@@ -231,7 +284,7 @@ fn main() {
             println!("  {:<9} TCP |{}|", r.design.to_string(), sparkline_values(&r.tcp_throughput_mbps));
         }
         println!();
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = &cli.out_dir {
             artifacts::export_fig2(dir, &results, cfg.bin_ms).expect("write fig2 csv");
         }
     }
@@ -240,9 +293,9 @@ fn main() {
     }
     if want("fig4") {
         let cfg = condition_cfg;
-        let results = run_fig4_sweep(&cfg, workers);
+        let results = run_fig4_sweep(&cfg, cli.workers);
         println!("{}", format_fig4(&results));
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = &cli.out_dir {
             artifacts::export_fig4(dir, &results).expect("write fig4 csv");
         }
     }
@@ -268,12 +321,12 @@ fn main() {
             results.push(r);
         }
         println!();
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = &cli.out_dir {
             artifacts::export_fig5(dir, &results).expect("write fig5 csv");
         }
     }
     if want("recovery") {
-        let results = run_recovery_sweep(&condition_cfg, workers);
+        let results = run_recovery_sweep(&condition_cfg, cli.workers);
         println!("{}", format_recovery(&results));
         println!("frr beats ospf on: {}", frr_wins(&results).join(" "));
         println!(
@@ -286,32 +339,32 @@ fn main() {
         );
     }
     if want("quality") {
-        let results = run_quality_sweep(&condition_cfg, workers);
+        let results = run_quality_sweep(&condition_cfg, cli.workers);
         println!("{}", format_quality(&results));
     }
     if want("fig6") {
-        let cfg = if quick {
+        let cfg = if cli.quick {
             WorkloadConfig::quick()
         } else {
             WorkloadConfig::default()
         };
         let results = run_fig6(&cfg);
         println!("{}", format_fig6(&results));
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = &cli.out_dir {
             artifacts::export_fig6(dir, &results).expect("write fig6 csv");
         }
     }
     if want("fig6seeds") {
-        let base = if quick {
+        let base = if cli.quick {
             WorkloadConfig::quick()
         } else {
             WorkloadConfig::default()
         };
-        let stats = run_fig6_multiseed_sweep(&base, &[20150701, 42, 7, 1234, 99], workers);
+        let stats = run_fig6_multiseed_sweep(&base, &[20150701, 42, 7, 1234, 99], cli.workers);
         println!("{}", format_fig6_stats(&stats));
     }
     if want("fig7") {
-        println!("{}", format_fig7(&run_fig7_sweep(&Fig7Config::default(), workers)));
+        println!("{}", format_fig7(&run_fig7_sweep(&Fig7Config::default(), cli.workers)));
     }
     if want("bisection") {
         println!(
@@ -347,74 +400,6 @@ fn main() {
     }
 }
 
-/// The `repro bench-fig4` subcommand: wall-clock hot-path evidence,
-/// written as schema-stable JSON for `xtask check-bench`.
-fn run_bench_cli(base: &ConditionConfig, quick: bool, out_dir: Option<&Path>) {
-    let mut cfg = *base;
-    if quick {
-        cfg.horizon_ms /= 5;
-    }
-    let result = run_bench_fig4(&cfg);
-    let json = render_bench_json(&result);
-    let path = out_dir
-        .unwrap_or_else(|| Path::new("."))
-        .join("BENCH_fig4.json");
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("bench-fig4: failed to write {}: {e}", path.display());
-        std::process::exit(2);
-    }
-    println!(
-        "bench-fig4: {} cells, {} events in {:.2}s ({:.0} events/sec)",
-        result.cells, result.events_total, result.wall_seconds, result.events_per_sec
-    );
-    println!(
-        "bench-fig4: SPF over {} LSAs: mean {:.1}us, min {:.1}us ({} runs)",
-        result.spf.lsdb_nodes, result.spf.mean_us, result.spf.min_us, result.spf.runs
-    );
-    println!("bench-fig4: peak queue depth {}", result.peak_queue_depth);
-    println!("wrote {}", path.display());
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-}
-
-/// The value following `flag`, if the flag is present.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-/// Parses an enumerated flag value, exiting with the accepted list and a
-/// did-you-mean hint on anything unknown.
-fn parse_choice<T>(
-    args: &[String],
-    flag: &str,
-    accepted: &[&str],
-    parse: impl Fn(&str) -> Option<T>,
-) -> Option<T> {
-    let value = flag_value(args, flag)?;
-    match parse(value) {
-        Some(parsed) => Some(parsed),
-        None => {
-            eprint!(
-                "error: {flag}: unknown value '{value}' (accepted: {})",
-                accepted.join(", ")
-            );
-            match did_you_mean(value, accepted) {
-                Some(hint) => eprintln!("; did you mean '{hint}'?"),
-                None => eprintln!(),
-            }
-            std::process::exit(2);
-        }
-    }
-}
-
 /// The closest candidate within edit distance 2, for typo hints.
 fn did_you_mean<'a>(input: &str, candidates: &[&'a str]) -> Option<&'a str> {
     candidates
@@ -445,16 +430,16 @@ fn levenshtein(a: &str, b: &str) -> usize {
 
 /// The `repro chaos` subcommand: seeded invariant-oracle campaigns with
 /// minimal-reproducer shrinking on failure.
-fn run_chaos_cli(args: &[String], recovery: RecoveryMode, workers: Workers, out_dir: Option<&Path>) {
-    let mut cfg = ChaosConfig::for_recovery(recovery);
-    if let Some(seed) = parse_flag(args, "--seed") {
+fn run_chaos_cli(cli: &Cli) {
+    let mut cfg = ChaosConfig::for_recovery(cli.recovery);
+    if let Some(seed) = cli.seed {
         cfg.master_seed = seed;
     }
-    if let Some(campaigns) = parse_flag(args, "--campaigns") {
+    if let Some(campaigns) = cli.campaigns {
         cfg.campaigns = campaigns;
     }
-    cfg.engine.quality = args.iter().any(|a| a == "--quality");
-    let report = match run_chaos(&cfg, workers) {
+    cfg.engine.quality = cli.quality;
+    let report = match run_chaos(&cfg, cli.workers) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("chaos: testbed error: {e}");
@@ -484,7 +469,7 @@ fn run_chaos_cli(args: &[String], recovery: RecoveryMode, workers: Workers, out_
         bad.spec.incidents.len()
     );
     print!("{}", minimal.render());
-    if let Some(dir) = out_dir {
+    if let Some(dir) = &cli.out_dir {
         let path = dir.join(format!("chaos-minimal-{}.scenario", bad.index));
         match std::fs::write(&path, minimal.render()) {
             Ok(()) => println!("wrote {}", path.display()),

@@ -10,8 +10,8 @@ use dcn_emu::EmuConfig;
 use dcn_failure::Condition;
 use dcn_metrics::quality::QualityReport;
 use dcn_metrics::ThroughputSeries;
-use dcn_routing::{RecoveryMode, SpfEngineKind};
-use dcn_sim::{timers, SchedulerKind, SimDuration, SimTime};
+use dcn_routing::RecoveryMode;
+use dcn_sim::{timers, SimDuration, SimTime};
 use dcn_sweep::{ExperimentSpec, Workers};
 use serde::{Deserialize, Serialize};
 
@@ -32,14 +32,8 @@ pub struct ConditionConfig {
     pub bin_ms: u64,
     /// Fig. 5 delay down-sampling window.
     pub delay_window_ms: u64,
-    /// Event-scheduler implementation (determinism law: results are
-    /// byte-identical for every kind).
-    pub scheduler: SchedulerKind,
-    /// SPF engine every router runs (same determinism law).
-    pub spf_engine: SpfEngineKind,
-    /// Recovery discipline bridging detection and reconvergence (unlike
-    /// the two seams above, this one **changes the numbers** — it is the
-    /// paper's independent variable).
+    /// Recovery discipline bridging detection and reconvergence — the
+    /// paper's independent variable.
     pub recovery: RecoveryMode,
 }
 
@@ -54,8 +48,6 @@ impl Default for ConditionConfig {
             // Fig. 5 presentation window; coincides with FIB_UPDATE_DELAY's
             // magnitude but is not a protocol timer.
             delay_window_ms: 10, // lint:allow(timer-provenance)
-            scheduler: SchedulerKind::default(),
-            spf_engine: SpfEngineKind::default(),
             recovery: RecoveryMode::default(),
         }
     }
@@ -63,13 +55,9 @@ impl Default for ConditionConfig {
 
 impl ConditionConfig {
     /// The emulator configuration this sweep cell runs under (paper
-    /// defaults plus the selected engine seams).
+    /// defaults plus the selected recovery mode).
     pub fn emu_config(&self) -> EmuConfig {
-        EmuConfig::builder()
-            .scheduler(self.scheduler)
-            .spf_engine(self.spf_engine)
-            .recovery(self.recovery)
-            .build()
+        EmuConfig::builder().recovery(self.recovery).build()
     }
 }
 

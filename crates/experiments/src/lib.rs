@@ -12,7 +12,6 @@
 //! | Fig. 5 | [`conditions`] | [`conditions::run_condition`] (delay series) |
 //! | Fig. 6 | [`workload`] | [`workload::run_fig6`] |
 //! | Fig. 7 | [`fig7`] | [`fig7::run_fig7`] |
-//! | Fig. 4 bench | [`bench`] | [`bench::run_bench_fig4`] |
 //! | Recovery modes (ospf/f2tree/frr) | [`recovery`] | [`recovery::run_recovery`] |
 //!
 //! The `repro` binary runs everything at paper scale and prints each
@@ -32,7 +31,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod artifacts;
-pub mod bench;
 pub mod common;
 pub mod conditions;
 pub mod extensions;

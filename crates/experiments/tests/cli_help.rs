@@ -1,7 +1,8 @@
-//! CLI contract tests for the `repro` binary (ISSUE 8 satellite): the
-//! `--help` text documents every engine/recovery flag's accepted values,
-//! and unknown flag values or targets are rejected with a did-you-mean
-//! hint instead of a panic.
+//! CLI contract tests for the `repro` binary: the `--help` text
+//! documents every flag's accepted values, and anything the parser does
+//! not recognize — flags, flag values, targets, non-numeric numbers, an
+//! uncreatable `--out` — is rejected with exit status 2 and a one-line
+//! message on stderr, before anything reaches stdout.
 
 use std::process::{Command, Output};
 
@@ -19,10 +20,6 @@ fn help_documents_every_flag_and_its_accepted_values() {
         assert!(out.status.success(), "{flag} must exit 0");
         let text = String::from_utf8(out.stdout).expect("utf8 help");
         for needle in [
-            "--scheduler",
-            "heap | calendar",
-            "--spf",
-            "full | incremental (alias: ispf)",
             "--recovery",
             "ospf | f2tree | frr (alias: lfa)",
             "--workers",
@@ -30,33 +27,62 @@ fn help_documents_every_flag_and_its_accepted_values() {
             "--campaigns",
             "recovery",
             "chaos",
-            "bench-fig4",
         ] {
             assert!(text.contains(needle), "help is missing {needle:?}:\n{text}");
         }
     }
 }
 
-#[test]
-fn bad_scheduler_value_gets_a_did_you_mean_hint() {
-    let out = repro(&["fig4", "--scheduler", "calender"]);
-    assert_eq!(out.status.code(), Some(2));
+/// Runs `repro` with arguments it must reject: exit 2, nothing on
+/// stdout, exactly one line on stderr (returned).
+fn rejected(args: &[&str]) -> String {
+    let out = repro(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    assert!(out.stdout.is_empty(), "{args:?} wrote to stdout");
     let err = String::from_utf8(out.stderr).expect("utf8 stderr");
-    assert!(err.contains("--scheduler"), "{err}");
-    assert!(err.contains("accepted: heap, calendar"), "{err}");
-    assert!(err.contains("did you mean 'calendar'?"), "{err}");
+    assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    err
 }
 
 #[test]
-fn bad_spf_and_recovery_values_are_rejected() {
-    let out = repro(&["fig4", "--spf", "incrmental"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8(out.stderr).expect("utf8 stderr");
-    assert!(err.contains("did you mean 'incremental'?"), "{err}");
+fn unknown_flags_are_rejected_not_skipped() {
+    let err = rejected(&["table4", "--bogus-flag"]);
+    assert!(err.contains("unknown flag '--bogus-flag'"), "{err}");
+    assert!(err.contains("run with --help"), "{err}");
 
-    let out = repro(&["recovery", "--recovery", "frrr"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8(out.stderr).expect("utf8 stderr");
+    let err = rejected(&["table4", "--quik"]);
+    assert!(err.contains("did you mean '--quick'?"), "{err}");
+
+    // The removed engine knobs are ordinary unknown flags now — their
+    // value must not be mistaken for a target.
+    let err = rejected(&["fig4", "--scheduler", "heap"]);
+    assert!(err.contains("unknown flag '--scheduler'"), "{err}");
+    let err = rejected(&["fig4", "--spf", "full"]);
+    assert!(err.contains("unknown flag '--spf'"), "{err}");
+}
+
+#[test]
+fn non_numeric_seed_and_campaigns_are_rejected_not_defaulted() {
+    let err = rejected(&["chaos", "--seed", "abc", "--campaigns", "x"]);
+    assert!(err.contains("--seed takes a non-negative integer, got 'abc'"), "{err}");
+    let err = rejected(&["chaos", "--campaigns", "x"]);
+    assert!(err.contains("--campaigns takes a non-negative integer, got 'x'"), "{err}");
+    let err = rejected(&["chaos", "--seed"]);
+    assert!(err.contains("--seed needs a value"), "{err}");
+}
+
+#[test]
+fn uncreatable_out_directory_is_an_error_not_a_panic() {
+    // A path below a regular file (the binary itself) can never be created.
+    let below = std::path::Path::new(env!("CARGO_BIN_EXE_repro")).join("out");
+    let err = rejected(&["table4", "--out", below.to_str().expect("utf8 build path")]);
+    assert!(err.contains("--out: cannot create directory"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn bad_recovery_value_gets_a_did_you_mean_hint() {
+    let err = rejected(&["recovery", "--recovery", "frrr"]);
     assert!(err.contains("accepted: ospf, f2tree, frr, lfa"), "{err}");
     assert!(err.contains("did you mean 'frr'?"), "{err}");
 }

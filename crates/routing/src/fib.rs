@@ -9,6 +9,7 @@
 //! instant the interface is marked down, with zero control-plane work
 //! (paper §II-B, Table II).
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -43,16 +44,20 @@ pub enum FibOp {
     },
 }
 
-/// A batch of per-prefix FIB mutations for one route origin — the SPF →
-/// FIB currency: SPF engines emit deltas, [`Fib::apply`] consumes them.
+/// A batch of per-prefix FIB mutations for one route origin — the only
+/// currency [`Fib::apply`] accepts: SPF runs, precomputed repairs and the
+/// centralized controller all install through it.
 ///
 /// # Ordering law
 ///
-/// Deltas from one SPF engine form a sequence: each is computed against
-/// the engine's post-previous-delta state, so they must be applied in
-/// generation order. The emulator guarantees this (the FIB-update delay
-/// is constant, so installs land in SPF order); the generation guard in
-/// `RouterProcess::on_install` only drops exact replays defensively.
+/// A router's SPF deltas form a sequence: each is [`FibDelta::diff`]ed
+/// against the route set the *previous* delta leaves behind (the router's
+/// emitted-route memory), not against the live FIB — an earlier delta may
+/// still be waiting out its FIB-update delay. They must therefore be
+/// applied in generation order. The emulator guarantees this (the
+/// FIB-update delay is constant, so installs land in SPF order); the
+/// generation guard in `RouterProcess::on_install` only drops exact
+/// replays defensively.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FibDelta {
     /// The origin whose routes the ops mutate.
@@ -79,6 +84,37 @@ impl FibDelta {
     /// Number of mutations.
     pub fn len(&self) -> usize {
         self.ops.len()
+    }
+
+    /// The minimal delta that turns the `origin` route set `current` into
+    /// exactly `desired`: removes and patches in `current`'s prefix order,
+    /// then inserts in `desired`'s. Equal routes produce no op.
+    pub fn diff<R: Borrow<Route>>(
+        origin: RouteOrigin,
+        current: &BTreeMap<Prefix, R>,
+        desired: &BTreeMap<Prefix, Route>,
+    ) -> Self {
+        let mut ops = Vec::new();
+        for (&prefix, cur) in current {
+            match desired.get(&prefix) {
+                None => ops.push(FibOp::Remove(prefix)),
+                Some(want) if want == cur.borrow() => {}
+                Some(want) => ops.push(FibOp::Patch {
+                    prefix,
+                    metric: want.metric,
+                    // Delta ops own their data: they outlive this borrow
+                    // of the desired map (FIB installs are delayed events).
+                    next_hops: want.next_hops.clone(), // lint:allow(clone-in-hot-path)
+                }),
+            }
+        }
+        for (prefix, want) in desired {
+            debug_assert_eq!(want.origin, origin);
+            if !current.contains_key(prefix) {
+                ops.push(FibOp::Insert(want.clone())); // lint:allow(clone-in-hot-path) ops own their data
+            }
+        }
+        FibDelta { origin, ops }
     }
 }
 
@@ -178,9 +214,8 @@ impl Fib {
     }
 
     /// Applies a [`FibDelta`]: per-prefix inserts, removes, and in-place
-    /// next-hop patches. Unlike the historical whole-origin trie rebuild,
-    /// cost scales with the number of *changed* prefixes, not the FIB
-    /// size.
+    /// next-hop patches. Cost scales with the number of *changed*
+    /// prefixes, not the FIB size.
     pub fn apply(&mut self, delta: FibDelta) {
         let origin = delta.origin;
         for op in delta.ops {
@@ -213,49 +248,18 @@ impl Fib {
         }
     }
 
-    /// Computes the [`FibDelta`] that transforms this FIB's current
-    /// `origin` routes into exactly `routes` (duplicate prefixes:
-    /// last-wins, matching sequential insert semantics).
-    pub fn diff_origin(&self, origin: RouteOrigin, routes: Vec<Route>) -> FibDelta {
-        let mut desired: BTreeMap<Prefix, Route> = BTreeMap::new();
-        for route in routes {
-            debug_assert_eq!(route.origin, origin);
-            desired.insert(route.prefix, route);
-        }
+    /// The [`FibDelta`] that transforms this FIB's installed `origin`
+    /// routes into exactly `desired` ([`FibDelta::diff`] against the live
+    /// table). Walks the whole trie: it serves the installs that must
+    /// supersede whatever is in flight (controller pushes, the FRR
+    /// reconcile), not the per-SPF path.
+    pub fn diff_origin(&self, origin: RouteOrigin, desired: &BTreeMap<Prefix, Route>) -> FibDelta {
         let current: BTreeMap<Prefix, &Route> = self
             .routes()
             .filter(|r| r.origin == origin)
             .map(|r| (r.prefix, r))
             .collect();
-        let mut ops = Vec::new();
-        for (&prefix, &cur) in &current {
-            match desired.get(&prefix) {
-                None => ops.push(FibOp::Remove(prefix)),
-                Some(want) if want == cur => {}
-                Some(want) => ops.push(FibOp::Patch {
-                    prefix,
-                    metric: want.metric,
-                    // Delta ops own their data: they outlive this borrow
-                    // of the trie (FIB installs are delayed events).
-                    next_hops: want.next_hops.clone(), // lint:allow(clone-in-hot-path)
-                }),
-            }
-        }
-        for (prefix, want) in desired {
-            if !current.contains_key(&prefix) {
-                ops.push(FibOp::Insert(want));
-            }
-        }
-        FibDelta { origin, ops }
-    }
-
-    /// Atomically replaces every route of `origin` with `routes` (the
-    /// centralized-controller install path and test convenience).
-    /// Implemented as [`Fib::diff_origin`] + [`Fib::apply`], so it shares
-    /// the delta machinery end to end.
-    pub fn replace_origin(&mut self, origin: RouteOrigin, routes: Vec<Route>) {
-        let delta = self.diff_origin(origin, routes);
-        self.apply(delta);
+        FibDelta::diff(origin, &current, desired)
     }
 
     /// Looks up the forwarding decision for `flow`.
@@ -531,19 +535,24 @@ mod tests {
         }
     }
 
+    fn by_prefix(routes: Vec<Route>) -> BTreeMap<Prefix, Route> {
+        routes.into_iter().map(|r| (r.prefix, r)).collect()
+    }
+
     #[test]
-    fn replace_origin_swaps_ospf_routes_only() {
+    fn apply_diff_swaps_ospf_routes_only() {
         let mut fib = table2_fib();
         assert_eq!(fib.len(), 4);
-        fib.replace_origin(
+        let delta = fib.diff_origin(
             RouteOrigin::Ospf,
-            vec![Route::new(
+            &by_prefix(vec![Route::new(
                 "10.11.0.0/24".parse().unwrap(),
                 RouteOrigin::Ospf,
                 3,
                 vec![hop(9, 1)],
-            )],
+            )]),
         );
+        fib.apply(delta);
         assert_eq!(fib.len(), 3); // 1 OSPF + 2 static
         let h = fib
             .lookup(&flow_to(Ipv4Addr::new(10, 11, 0, 2), 1), |_| false)
@@ -638,28 +647,33 @@ mod tests {
     fn diff_origin_emits_minimal_ops_and_round_trips() {
         let fib = table2_fib();
         // Same desired state -> empty delta.
-        let unchanged: Vec<Route> = fib
-            .routes()
-            .filter(|r| r.origin == RouteOrigin::Ospf)
-            .cloned()
-            .collect();
-        assert!(fib.diff_origin(RouteOrigin::Ospf, unchanged).is_empty());
+        let unchanged = by_prefix(
+            fib.routes()
+                .filter(|r| r.origin == RouteOrigin::Ospf)
+                .cloned()
+                .collect(),
+        );
+        assert!(fib.diff_origin(RouteOrigin::Ospf, &unchanged).is_empty());
 
         // One changed, one dropped, one added -> exactly three ops, and
-        // applying them reproduces replace_origin's end state.
+        // applying them leaves exactly the desired OSPF set beside the
+        // untouched statics.
         let desired = vec![
             Route::new("10.11.0.0/24".parse().unwrap(), RouteOrigin::Ospf, 9, vec![hop(9, 1)]),
             Route::new("10.11.9.0/24".parse().unwrap(), RouteOrigin::Ospf, 2, vec![hop(20, 5)]),
         ];
-        let delta = fib.diff_origin(RouteOrigin::Ospf, desired.clone());
+        let delta = fib.diff_origin(RouteOrigin::Ospf, &by_prefix(desired.clone()));
         assert_eq!(delta.len(), 3);
+        let statics: Vec<Route> = fib
+            .routes()
+            .filter(|r| r.origin == RouteOrigin::Static)
+            .cloned()
+            .collect();
         let mut via_delta = table2_fib();
         via_delta.apply(delta);
         let mut got: Vec<Route> = via_delta.routes().cloned().collect();
         got.sort_by_key(|r| (r.prefix, r.origin));
-        let mut want_fib = table2_fib();
-        want_fib.replace_origin(RouteOrigin::Ospf, desired);
-        let mut want: Vec<Route> = want_fib.routes().cloned().collect();
+        let mut want: Vec<Route> = desired.into_iter().chain(statics).collect();
         want.sort_by_key(|r| (r.prefix, r.origin));
         assert_eq!(got, want);
     }

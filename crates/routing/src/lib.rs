@@ -10,9 +10,8 @@
 //! * [`ecmp_hash`]/[`ecmp_select`] — five-tuple ECMP (RFC 2992),
 //! * [`Lsdb`]/[`Lsa`] — link-state database with two-way checking,
 //! * [`compute_routes`] — Dijkstra SPF with full ECMP next-hop sets,
-//! * [`SpfEngine`] — the pluggable SPF seam: [`FullSpf`] recomputes from
-//!   scratch, [`IncrementalSpf`] repairs only the affected shortest-path
-//!   subtree; both emit [`FibDelta`]s consumed by [`Fib::apply`],
+//! * [`FibDelta`] — the one FIB install currency: every SPF run, repair
+//!   activation and controller push is a delta through [`Fib::apply`],
 //! * [`SpfThrottle`] — Cisco-style SPF throttling with exponential
 //!   backoff (the source of the paper's multi-second recovery tail),
 //! * [`RecoveryMode`] — the pluggable recovery seam: wait for OSPF, fall
@@ -44,7 +43,6 @@
 #![warn(missing_debug_implementations)]
 
 mod ecmp;
-mod engine;
 mod fib;
 mod lsdb;
 mod process;
@@ -54,7 +52,6 @@ mod spf;
 mod throttle;
 
 pub use ecmp::{ecmp_hash, ecmp_select};
-pub use engine::{FullSpf, IncrementalSpf, SpfEngine, SpfEngineKind};
 pub use fib::{Fib, FibDelta, FibOp, RoutesIter};
 pub use lsdb::{Adjacency, Lsa, Lsdb};
 pub use process::{RouterAction, RouterConfig, RouterProcess};

@@ -19,27 +19,26 @@
 //! the interface dead, [`RouterProcess::forward`] falls through to the
 //! pre-installed static backup routes.
 //!
-//! The SPF step is pluggable: [`RouterConfig::spf_engine`] selects a
-//! [`crate::SpfEngine`], the router tracks which LSA origins changed
-//! since the last run, and each run yields a [`FibDelta`] rather than a
-//! whole route vector. Event handlers append into a caller-provided
-//! scratch `Vec<RouterAction>` so the emulator's hot loop reuses one
-//! allocation across all dispatches.
+//! Every SPF run is a full [`compute_routes`] over the LSDB, diffed
+//! against the route set the router last emitted into a [`FibDelta`].
+//! Event handlers append into a caller-provided scratch
+//! `Vec<RouterAction>` so the emulator's hot loop reuses one allocation
+//! across all dispatches.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use dcn_net::{FlowKey, Ipv4Addr, LinkId, NodeId, Prefix};
 use dcn_sim::{timers, SimDuration, SimTime};
 
-use crate::engine::{SpfEngine, SpfEngineKind};
 use crate::fib::{Fib, FibDelta};
 use crate::lsdb::{Adjacency, Lsa, Lsdb};
 use crate::recovery::{FrrPlan, RecoveryMode};
 use crate::route::{NextHop, Route, RouteOrigin};
+use crate::spf::compute_routes;
 use crate::throttle::{SpfThrottle, ThrottleConfig};
 
-/// Router timer and engine configuration.
+/// Router timer and recovery configuration.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RouterConfig {
     /// SPF throttle parameters.
@@ -47,8 +46,6 @@ pub struct RouterConfig {
     /// Delay between an SPF run and the new routes landing in the FIB
     /// (the paper measures ~10 ms on the testbed).
     pub fib_update_delay: SimDuration,
-    /// Which SPF engine computes routes (full Dijkstra by default).
-    pub spf_engine: SpfEngineKind,
     /// Which recovery discipline bridges detection and reconvergence.
     /// Only [`RecoveryMode::PrecomputedFrr`] changes router behaviour
     /// (the other two are topology/bootstrap concerns).
@@ -60,7 +57,6 @@ impl Default for RouterConfig {
         RouterConfig {
             throttle: ThrottleConfig::default(),
             fib_update_delay: timers::FIB_UPDATE_DELAY,
-            spf_engine: SpfEngineKind::default(),
             recovery: RecoveryMode::default(),
         }
     }
@@ -88,9 +84,9 @@ pub enum RouterAction {
         at: SimTime,
         /// Monotonic generation so replayed installs are ignored.
         generation: u64,
-        /// The FIB mutations this SPF run produced (possibly empty —
-        /// the install event still fires, keeping event counts and
-        /// timing identical across engines).
+        /// The FIB mutations to apply (possibly empty — an SPF run that
+        /// changes nothing still fires its install event, so event counts
+        /// and timing do not depend on the LSDB contents).
         delta: FibDelta,
     },
 }
@@ -114,12 +110,10 @@ pub struct RouterProcess {
     fib: Fib,
     lsdb: Lsdb,
     throttle: SpfThrottle,
-    /// The pluggable SPF computation (full or incremental).
-    engine: Box<dyn SpfEngine>,
-    /// LSA origins whose advertisements changed since the last SPF run
-    /// — the incremental engine's work list. Ordered set: feeds the
-    /// engine's edge-diff order.
-    dirty: BTreeSet<NodeId>,
+    /// The OSPF route set as of the last emitted SPF delta — what the
+    /// FIB will hold once every in-flight install has landed, and what
+    /// the next SPF run diffs against (the [`FibDelta`] ordering law).
+    emitted: BTreeMap<Prefix, Route>,
     seq: u64,
     install_gen: u64,
     installed_gen: u64,
@@ -147,8 +141,7 @@ impl RouterProcess {
             fib: Fib::new(node.as_u32() as u64),
             lsdb: Lsdb::new(),
             throttle: SpfThrottle::new(config.throttle),
-            engine: config.spf_engine.build(),
-            dirty: BTreeSet::new(),
+            emitted: BTreeMap::new(),
             seq: 0,
             install_gen: 0,
             installed_gen: 0,
@@ -246,7 +239,6 @@ impl RouterProcess {
             prefixes: self.my_prefixes.clone(),
         };
         self.lsdb.install(lsa.clone());
-        self.dirty.insert(self.node);
         lsa
     }
 
@@ -257,12 +249,18 @@ impl RouterProcess {
         for lsa in lsas {
             self.lsdb.install(lsa);
         }
-        // Run the engine from scratch so its route memory matches the
-        // warm-started FIB exactly (the dirty set is irrelevant to a
-        // first build, but clearing it keeps the next run minimal).
-        let delta = self.engine.recompute(&self.lsdb, self.node, &self.dirty);
-        self.dirty.clear();
+        let delta = self.run_spf();
         self.fib.apply(delta);
+    }
+
+    /// Runs SPF over the LSDB and returns the delta from the previously
+    /// emitted OSPF route set to the new one, which becomes the memory
+    /// the next run diffs against.
+    fn run_spf(&mut self) -> FibDelta {
+        let desired = by_prefix(compute_routes(&self.lsdb, self.node));
+        let delta = FibDelta::diff(RouteOrigin::Ospf, &self.emitted, &desired);
+        self.emitted = desired;
+        delta
     }
 
     // ------------------------------------------------------------------
@@ -335,7 +333,6 @@ impl RouterProcess {
         if !self.lsdb.install(lsa.clone()) {
             return; // stale duplicate — do not re-flood
         }
-        self.dirty.insert(lsa.origin);
         actions.push(RouterAction::FloodLsa {
             lsa,
             except: Some(arrived_on),
@@ -345,14 +342,11 @@ impl RouterProcess {
         }
     }
 
-    /// The scheduled SPF timer fired: the engine consumes the dirty set
-    /// and the resulting delta is scheduled for install. The install
-    /// action is emitted even when the delta is empty so event counts
-    /// and timing do not depend on the engine choice.
+    /// The scheduled SPF timer fired: routes are recomputed and the
+    /// resulting delta is scheduled for install (even when it is empty).
     pub fn on_spf_timer(&mut self, now: SimTime, actions: &mut Vec<RouterAction>) {
         self.throttle.on_run(now);
-        let delta = self.engine.recompute(&self.lsdb, self.node, &self.dirty);
-        self.dirty.clear();
+        let delta = self.run_spf();
         self.install_gen += 1;
         actions.push(RouterAction::Install {
             at: now + self.config.fib_update_delay,
@@ -363,13 +357,17 @@ impl RouterProcess {
 
     /// Installs a route set pushed by a central controller, bypassing the
     /// distributed SPF/generation pipeline (paper §V, centralized
-    /// routing DCNs). The SPF engine's route memory is re-synced so a
-    /// later distributed run diffs against what is actually installed.
+    /// routing DCNs). In-flight SPF installs are superseded, so the delta
+    /// is taken against the live FIB, and the emitted-route memory is
+    /// re-synced so a later distributed run diffs against what is
+    /// actually installed.
     pub fn force_install(&mut self, routes: Vec<Route>) {
         self.install_gen += 1;
         self.installed_gen = self.install_gen;
-        self.engine.force_sync(&routes);
-        self.fib.replace_origin(RouteOrigin::Ospf, routes);
+        let desired = by_prefix(routes);
+        let delta = self.fib.diff_origin(RouteOrigin::Ospf, &desired);
+        self.emitted = desired;
+        self.fib.apply(delta);
     }
 
     /// The scheduled FIB install completed: apply the delta. Deltas
@@ -391,9 +389,8 @@ impl RouterProcess {
             && delta.origin == RouteOrigin::Ospf;
         self.fib.apply(delta);
         if reconcile {
-            // Strips only the (tiny) Frr overlay origin — no SPF or
-            // trie rebuild happens on this path.
-            self.fib.replace_origin(RouteOrigin::Frr, Vec::new()); // lint:allow(full-recompute-in-event-context)
+            let retire = self.fib.diff_origin(RouteOrigin::Frr, &BTreeMap::new());
+            self.fib.apply(retire);
         }
     }
 
@@ -412,6 +409,12 @@ impl RouterProcess {
         self.fib
             .live_next_hops(dst, |link| self.dead.contains(&link))
     }
+}
+
+/// Keys a route list by prefix (duplicate prefixes: last wins, matching
+/// sequential FIB inserts).
+fn by_prefix(routes: Vec<Route>) -> BTreeMap<Prefix, Route> {
+    routes.into_iter().map(|r| (r.prefix, r)).collect()
 }
 
 impl fmt::Debug for RouterProcess {
@@ -611,6 +614,53 @@ mod tests {
         let hops_after_g2 = routers[0].forward(&flow()).map(|h| h.node);
         routers[0].on_install(g1, d1);
         assert_eq!(routers[0].forward(&flow()).map(|h| h.node), hops_after_g2);
+    }
+
+    /// The emitted-route memory is load-bearing: SPF run B fires while
+    /// run A's install is still waiting out the FIB-update delay, so B
+    /// must diff against what A *emitted*, not against the live FIB —
+    /// else the prefix A inserts and B withdraws is never removed.
+    #[test]
+    fn back_to_back_spf_runs_diff_against_emitted_routes_not_the_live_fib() {
+        let mut routers = diamond();
+        let p: Prefix = "10.11.7.0/24".parse().unwrap();
+        let r3_lsa = |seq, prefixes| Lsa {
+            origin: NodeId::new(3),
+            seq,
+            neighbors: vec![adj(1, 2), adj(2, 3)],
+            prefixes,
+        };
+        let install = |actions: Vec<RouterAction>| match actions.into_iter().next() {
+            Some(RouterAction::Install {
+                generation, delta, ..
+            }) => (generation, delta),
+            other => panic!("expected an install, got {other:?}"),
+        };
+        let t0 = SimTime::ZERO;
+        let mut scratch = Vec::new();
+
+        // Run A: r3 now also advertises P.
+        let announce = r3_lsa(2, vec!["10.11.0.0/24".parse().unwrap(), p]);
+        routers[0].on_lsa(t0, announce, LinkId::new(0), &mut scratch);
+        let (g_a, d_a) = install(collected(|a| routers[0].on_spf_timer(t0, a)));
+        assert!(d_a
+            .ops
+            .iter()
+            .any(|op| matches!(op, crate::FibOp::Insert(r) if r.prefix == p)));
+
+        // Run B, before A's install lands: r3 withdrew P again.
+        let withdraw = r3_lsa(3, vec!["10.11.0.0/24".parse().unwrap()]);
+        routers[0].on_lsa(t0, withdraw, LinkId::new(0), &mut scratch);
+        assert!(!routers[0].fib().routes().any(|r| r.prefix == p));
+        let (g_b, d_b) = install(collected(|a| routers[0].on_spf_timer(t0, a)));
+        assert!(d_b.ops.contains(&crate::FibOp::Remove(p)));
+
+        // Both installs land in generation order: P must be gone.
+        assert!(g_a < g_b);
+        routers[0].on_install(g_a, d_a);
+        assert!(routers[0].fib().routes().any(|r| r.prefix == p));
+        routers[0].on_install(g_b, d_b);
+        assert!(!routers[0].fib().routes().any(|r| r.prefix == p));
     }
 
     #[test]

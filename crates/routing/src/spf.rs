@@ -48,44 +48,12 @@ pub struct Reached {
     pub next_hops: Vec<NextHop>,
 }
 
-/// Full shortest-path-tree state for one node: distance, predecessor
-/// edges, and the settled ECMP first-hop set. This is the internal
-/// currency shared by the full and incremental SPF engines — the
-/// incremental engine seeds its per-node state from it on first run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct SpNode {
-    pub dist: u32,
-    /// `(upstream, first link)` pairs of every shortest-path predecessor.
-    pub preds: Vec<(NodeId, LinkId)>,
-    /// Settled ECMP first hops (sorted, deduplicated; empty for root).
-    pub hops: Vec<NextHop>,
-}
-
 /// Runs ECMP Dijkstra from `root` over the two-way-checked adjacency.
 ///
 /// The maps are `BTreeMap`s on purpose: route computation feeds FIB
 /// installation order, and hash-iteration order would leak host-process
 /// randomness into the simulated trace.
 pub fn shortest_paths(lsdb: &Lsdb, root: NodeId) -> BTreeMap<NodeId, Reached> {
-    sp_tree(lsdb, root)
-        .into_iter()
-        .filter(|&(n, _)| n != root)
-        .map(|(n, s)| {
-            (
-                n,
-                Reached {
-                    dist: s.dist,
-                    next_hops: s.hops,
-                },
-            )
-        })
-        .collect()
-}
-
-/// The full Dijkstra core behind [`shortest_paths`]: returns the
-/// complete shortest-path tree *including the root* (dist 0, no preds,
-/// no hops), with predecessor sets preserved for incremental updates.
-pub(crate) fn sp_tree(lsdb: &Lsdb, root: NodeId) -> BTreeMap<NodeId, SpNode> {
     let mut dist: BTreeMap<NodeId, u32> = BTreeMap::new();
     // Shortest-path predecessors per node: the `(upstream, first link)`
     // pairs of every tying relaxation. First-hop sets are derived from
@@ -152,17 +120,10 @@ pub(crate) fn sp_tree(lsdb: &Lsdb, root: NodeId) -> BTreeMap<NodeId, SpNode> {
     }
 
     dist.into_iter()
+        .filter(|&(n, _)| n != root)
         .map(|(n, d)| {
-            let node_hops = hops.remove(&n).unwrap_or_default();
-            let node_preds = preds.remove(&n).unwrap_or_default();
-            (
-                n,
-                SpNode {
-                    dist: d,
-                    preds: node_preds,
-                    hops: node_hops,
-                },
-            )
+            let next_hops = hops.remove(&n).unwrap_or_default();
+            (n, Reached { dist: d, next_hops })
         })
         .collect()
 }

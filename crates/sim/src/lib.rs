@@ -4,9 +4,6 @@
 //!
 //! * [`SimTime`]/[`SimDuration`] — nanosecond-precision clock types,
 //! * [`EventQueue`] — a priority queue with deterministic tie-breaking,
-//! * [`EventScheduler`] — the pluggable scheduler seam, with
-//!   [`CalendarQueue`] as a timing-wheel alternative selected via
-//!   [`SchedulerKind`],
 //! * [`SimRng`] — a seeded random source with the log-normal and
 //!   exponential distributions the paper's workloads use,
 //! * [`LinkSpec`]/[`LinkState`] — the bandwidth/propagation/drop-tail link
@@ -42,13 +39,11 @@ mod link;
 mod packet;
 mod queue;
 mod rng;
-mod sched;
 mod time;
 pub mod timers;
 
 pub use link::{Direction, LinkSpec, LinkState, TransmitVerdict};
 pub use packet::{Packet, DEFAULT_TTL};
 pub use queue::EventQueue;
-pub use sched::{AnyScheduler, CalendarQueue, EventScheduler, SchedulerKind};
 pub use rng::{DetRng, LogNormal, SimRng};
 pub use time::{SimDuration, SimTime};

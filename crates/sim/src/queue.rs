@@ -126,8 +126,7 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// High-water mark of pending events over the queue's lifetime (the
-    /// Fig. 4 bench reports it as memory-pressure evidence).
+    /// High-water mark of pending events over the queue's lifetime.
     pub fn peak_pending(&self) -> usize {
         self.peak
     }

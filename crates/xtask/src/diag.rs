@@ -39,7 +39,6 @@ pub const RULE_PANIC_INDEXING: &str = "panic-indexing";
 pub const RULE_ALLOC_HOT_LOOP: &str = "alloc-in-hot-loop";
 pub const RULE_CLONE_HOT_PATH: &str = "clone-in-hot-path";
 pub const RULE_MAP_SCAN: &str = "map-scan-per-event";
-pub const RULE_FULL_RECOMPUTE: &str = "full-recompute-in-event-context";
 
 /// Parallelism-safety rule packs (spawn-site capture analysis).
 pub const RULE_SHARED_MUTABLE_CAPTURE: &str = "shared-mutable-capture";
@@ -53,7 +52,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_CLONE_HOT_PATH,
     RULE_DETERMINISM,
     RULE_DETERMINISM_TAINT,
-    RULE_FULL_RECOMPUTE,
     RULE_MAP_SCAN,
     RULE_PANIC_INDEXING,
     RULE_PANIC_SAFETY,
@@ -341,21 +339,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              scan is 27k ordered-tree steps each time. Index the entry\n\
              you need (`get`/`range`) or maintain an incremental view\n\
              updated at mutation time. Ratchets via lint-allow.toml.",
-        ),
-        RULE_FULL_RECOMPUTE => Some(
-            "full-recompute-in-event-context (perf rule)\n\
-             \n\
-             Flags calls to declared full-SPF/FIB-rebuild functions (the\n\
-             `[full-recompute]` section of hot-roots.toml, e.g.\n\
-             `dcn_routing::compute_routes`, `Fib::replace_origin`) from\n\
-             per-event contexts — functions reachable from a hot root.\n\
-             This is the exact anti-pattern ROADMAP item 1 targets: a\n\
-             full Dijkstra per LSA and a whole-trie FIB rebuild per\n\
-             install cap the simulator at toy topologies. The budget in\n\
-             lint-allow.toml is the burn-down list for the incremental\n\
-             SPF / delta-FIB rewrites; it only ratchets down. Calls from\n\
-             setup paths (bootstrap, topology construction) are not\n\
-             flagged — they are not hot-reachable.",
         ),
         RULE_SHARED_MUTABLE_CAPTURE => Some(
             "shared-mutable-capture (parallelism rule)\n\

@@ -9,9 +9,8 @@ use crate::allowlist::Allowlist;
 use crate::dataflow::Evaluator;
 use crate::diag::{
     sort_diagnostics, Diagnostic, PAR_RULES, RULE_ALLOC_HOT_LOOP, RULE_CLONE_HOT_PATH,
-    RULE_FULL_RECOMPUTE, RULE_MAP_SCAN, RULE_PANIC_INDEXING, RULE_PANIC_SAFETY,
-    RULE_RELAXED_ATOMIC, RULE_SHARED_MUTABLE_CAPTURE, RULE_UNFORKED_RNG,
-    RULE_UNORDERED_REDUCTION,
+    RULE_MAP_SCAN, RULE_PANIC_INDEXING, RULE_PANIC_SAFETY, RULE_RELAXED_ATOMIC,
+    RULE_SHARED_MUTABLE_CAPTURE, RULE_UNFORKED_RNG, RULE_UNORDERED_REDUCTION,
 };
 use crate::packs::{filter_waived, PackConfig, Packs};
 use crate::par::SiteSummary;
@@ -61,7 +60,6 @@ pub const RATCHET_RULES: &[&str] = &[
     RULE_ALLOC_HOT_LOOP,
     RULE_CLONE_HOT_PATH,
     RULE_MAP_SCAN,
-    RULE_FULL_RECOMPUTE,
     RULE_RELAXED_ATOMIC,
     RULE_SHARED_MUTABLE_CAPTURE,
     RULE_UNFORKED_RNG,
@@ -170,7 +168,6 @@ pub fn analyze(root: &Path, allowlist: &Allowlist) -> Result<Analysis, String> {
         pack_diags.extend(packs.alloc_in_hot_loop(&reachability));
         pack_diags.extend(packs.clone_in_hot_path(&reachability));
         pack_diags.extend(packs.map_scan_per_event(&reachability));
-        pack_diags.extend(packs.full_recompute_in_event_context(&reachability));
     }
     diagnostics.extend(filter_waived(pack_diags, &files));
 

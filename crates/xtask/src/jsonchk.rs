@@ -1,6 +1,5 @@
 //! A minimal JSON validity checker — enough to assert that
-//! `lint --format json` output parses, with no dependencies — plus the
-//! `BENCH_fig4.json` schema check used by `xtask check-bench`.
+//! `lint --format json` output parses, with no dependencies.
 
 /// Validates that `s` is exactly one well-formed JSON value.
 pub fn validate(s: &str) -> Result<(), String> {
@@ -11,42 +10,6 @@ pub fn validate(s: &str) -> Result<(), String> {
     p.skip_ws();
     if p.pos != bytes.len() {
         return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(())
-}
-
-/// The fields `repro bench-fig4` must emit (see `EXPERIMENTS.md`).
-const BENCH_REQUIRED_FIELDS: &[&str] = &[
-    "\"version\"",
-    "\"experiment\": \"fig4\"",
-    "\"cells\"",
-    "\"events_total\"",
-    "\"wall_seconds\"",
-    "\"events_per_sec\"",
-    "\"spf\"",
-    "\"lsdb_nodes\"",
-    "\"runs\"",
-    "\"mean_us\"",
-    "\"min_us\"",
-    "\"variants\"",
-    "\"scheduler\"",
-    "\"spf_engine\"",
-    "\"k_sweep\"",
-    "\"full_spf_us\"",
-    "\"incremental_spf_us\"",
-    "\"peak_queue_depth\"",
-    "\"peak_rss_bytes\"",
-];
-
-/// Validates a `BENCH_fig4.json` produced by `repro bench-fig4`: the
-/// text must be well-formed JSON and carry every schema field. Timings
-/// are machine-dependent, so values are never checked — only shape.
-pub fn check_bench(text: &str) -> Result<(), String> {
-    validate(text)?;
-    for field in BENCH_REQUIRED_FIELDS {
-        if !text.contains(field) {
-            return Err(format!("missing required bench field {field}"));
-        }
     }
     Ok(())
 }
@@ -223,37 +186,6 @@ mod tests {
         ] {
             assert!(validate(ok).is_ok(), "{ok}");
         }
-    }
-
-    #[test]
-    fn check_bench_accepts_a_complete_report() {
-        let report = "{\n  \"version\": 2,\n  \"experiment\": \"fig4\",\n  \"cells\": 12,\n  \
-             \"events_total\": 100,\n  \"wall_seconds\": 0.5,\n  \"events_per_sec\": 200.0,\n  \
-             \"spf\": {\"lsdb_nodes\": 80, \"runs\": 32, \"mean_us\": 10.0, \"min_us\": 8.0},\n  \
-             \"variants\": [{\"scheduler\": \"heap\", \"spf_engine\": \"full\", \
-             \"events_total\": 100, \"wall_seconds\": 0.5, \"events_per_sec\": 200.0}],\n  \
-             \"k_sweep\": [{\"k\": 8, \"switches\": 80, \"runs\": 16, \"full_spf_us\": 50.0, \
-             \"incremental_spf_us\": 5.0}],\n  \
-             \"peak_queue_depth\": 7,\n  \"peak_rss_bytes\": null\n}\n";
-        assert!(check_bench(report).is_ok());
-    }
-
-    #[test]
-    fn check_bench_rejects_missing_fields_and_bad_json() {
-        let err = check_bench("{\"version\": 2}").unwrap_err();
-        assert!(err.contains("missing required bench field"), "{err}");
-        assert!(check_bench("{not json").is_err());
-        // A different experiment name is a schema violation too.
-        let err = check_bench("{\"version\": 2, \"experiment\": \"fig7\"}").unwrap_err();
-        assert!(err.contains("\"experiment\": \"fig4\""), "{err}");
-        // A pre-engine-matrix (version 1) report is rejected: the matrix
-        // and the k-sweep are part of the schema now.
-        let v1 = "{\"version\": 1, \"experiment\": \"fig4\", \"cells\": 12, \
-             \"events_total\": 100, \"wall_seconds\": 0.5, \"events_per_sec\": 200.0, \
-             \"spf\": {\"lsdb_nodes\": 80, \"runs\": 32, \"mean_us\": 10.0, \"min_us\": 8.0}, \
-             \"peak_queue_depth\": 7, \"peak_rss_bytes\": null}";
-        let err = check_bench(v1).unwrap_err();
-        assert!(err.contains("variants"), "{err}");
     }
 
     #[test]

@@ -16,9 +16,6 @@
 //!   plus the parallelism diagnostics. The JSON report is byte-stable.
 //! - `check-json <file>` validates that a file parses as JSON (used by
 //!   CI to assert the lint report is well-formed without jq/python).
-//! - `check-bench <file>` validates a `BENCH_fig4.json` produced by
-//!   `repro bench-fig4`: well-formed JSON plus every schema field from
-//!   `EXPERIMENTS.md` (values are machine-dependent and never checked).
 //!
 //! Exit codes: 0 clean, 1 lint violations, 2 usage or I/O error.
 
@@ -36,8 +33,7 @@ const USAGE: &str = "usage: cargo run -p xtask -- <command>\n\
 commands:\n  \
   lint [--format text|json] [--update-allowlist] [--explain <RULE>]\n  \
   audit [--format text|json] [--explain <RULE>]\n  \
-  check-json <file>\n  \
-  check-bench <file>";
+  check-json <file>";
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -166,28 +162,6 @@ fn main() -> ExitCode {
             },
             None => {
                 eprintln!("check-json takes a file path\n{USAGE}");
-                ExitCode::from(2)
-            }
-        },
-        Some("check-bench") => match it.next() {
-            Some(path) => match std::fs::read_to_string(path) {
-                Ok(text) => match jsonchk::check_bench(&text) {
-                    Ok(()) => {
-                        println!("{path}: valid fig4 bench report");
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: invalid bench report: {e}");
-                        ExitCode::FAILURE
-                    }
-                },
-                Err(e) => {
-                    eprintln!("reading {path}: {e}");
-                    ExitCode::from(2)
-                }
-            },
-            None => {
-                eprintln!("check-bench takes a file path\n{USAGE}");
                 ExitCode::from(2)
             }
         },
@@ -365,8 +339,7 @@ fn report_text(analysis: &Analysis, allowlist: &Allowlist) {
         .collect();
     let hot_budget = allowlist.total(diag::RULE_ALLOC_HOT_LOOP)
         + allowlist.total(diag::RULE_CLONE_HOT_PATH)
-        + allowlist.total(diag::RULE_MAP_SCAN)
-        + allowlist.total(diag::RULE_FULL_RECOMPUTE);
+        + allowlist.total(diag::RULE_MAP_SCAN);
     println!(
         "xtask lint: {} files; findings: {}; budgets: {} panic-safety, {} panic-indexing, \
          {} hot-path",

@@ -16,9 +16,9 @@ use crate::dataflow::{
 };
 use crate::diag::{
     Diagnostic, RULE_ALLOC_HOT_LOOP, RULE_CLONE_HOT_PATH, RULE_DETERMINISM_TAINT,
-    RULE_FULL_RECOMPUTE, RULE_MAP_SCAN, RULE_PANIC_INDEXING, RULE_RELAXED_ATOMIC,
-    RULE_RNG_STREAM, RULE_SHARED_MUTABLE_CAPTURE, RULE_TIMER_PROVENANCE,
-    RULE_UNFORKED_RNG, RULE_UNORDERED_REDUCTION,
+    RULE_MAP_SCAN, RULE_PANIC_INDEXING, RULE_RELAXED_ATOMIC, RULE_RNG_STREAM,
+    RULE_SHARED_MUTABLE_CAPTURE, RULE_TIMER_PROVENANCE, RULE_UNFORKED_RNG,
+    RULE_UNORDERED_REDUCTION,
 };
 use crate::par::{RngProvenance, SpawnKind, SpawnSite};
 use crate::reach::Reachability;
@@ -400,7 +400,7 @@ impl<'a> Packs<'a> {
     fn walk_hot_fns(
         &self,
         reach: &Reachability,
-        mut f: impl FnMut(usize, usize, &str, &Block),
+        mut f: impl FnMut(usize, &str, &Block),
     ) {
         for (id, decl) in self.table.fns.iter().enumerate() {
             if decl.is_test {
@@ -408,7 +408,7 @@ impl<'a> Packs<'a> {
             }
             let Some(root) = reach.root_of(id) else { continue };
             if let Some(body) = &decl.item.body {
-                f(id, decl.file_idx, root, body);
+                f(decl.file_idx, root, body);
             }
         }
     }
@@ -416,7 +416,7 @@ impl<'a> Packs<'a> {
     /// Pack 5: heap allocation lexically inside a loop on the hot path.
     pub fn alloc_in_hot_loop(&self, reach: &Reachability) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        self.walk_hot_fns(reach, |_, file_idx, root, body| {
+        self.walk_hot_fns(reach, |file_idx, root, body| {
             walk_block_loops(body, false, &mut |e, in_loop| {
                 if !in_loop {
                     return;
@@ -442,7 +442,7 @@ impl<'a> Packs<'a> {
     /// path. Waive at the call site when the copy is inherent.
     pub fn clone_in_hot_path(&self, reach: &Reachability) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        self.walk_hot_fns(reach, |_, file_idx, root, body| {
+        self.walk_hot_fns(reach, |file_idx, root, body| {
             crate::ast::walk_block(body, &mut |e| {
                 let ExprKind::MethodCall { method, .. } = &e.kind else {
                     return;
@@ -469,7 +469,7 @@ impl<'a> Packs<'a> {
     /// local inside a loop on the hot path.
     pub fn map_scan_per_event(&self, reach: &Reachability) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        self.walk_hot_fns(reach, |_, file_idx, root, body| {
+        self.walk_hot_fns(reach, |file_idx, root, body| {
             // Locals bound to an ordered-container constructor anywhere
             // in this function (no type inference — constructor sighting
             // is the evidence).
@@ -516,48 +516,6 @@ impl<'a> Packs<'a> {
                             "full `.{method}()` scan of ordered container `{name}` \
                              inside a loop on the hot path from `{root}`; index the \
                              entry you need or maintain an incremental view"
-                        ),
-                    ));
-                }
-            });
-        });
-        out
-    }
-
-    /// Pack 8: calls to declared full-SPF/FIB-rebuild functions from
-    /// per-event contexts. Declared rebuild functions may call their own
-    /// helpers freely — the finding lands on the per-event caller.
-    pub fn full_recompute_in_event_context(&self, reach: &Reachability) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        self.walk_hot_fns(reach, |id, file_idx, root, body| {
-            if reach.full_recompute.get(id).copied().unwrap_or(false) {
-                return;
-            }
-            crate::ast::walk_block(body, &mut |e| {
-                let (candidates, disp): (Vec<usize>, String) = match &e.kind {
-                    ExprKind::Call { callee, .. } => {
-                        let Some(path) = callee.as_path() else { return };
-                        let q = self.eval.qualify_in(file_idx, path);
-                        (self.table.resolve_call(&q).to_vec(), path.join("::"))
-                    }
-                    ExprKind::MethodCall { method, .. } => (
-                        self.table.resolve_method(method).to_vec(),
-                        format!(".{method}()"),
-                    ),
-                    _ => return,
-                };
-                if candidates
-                    .iter()
-                    .any(|c| reach.full_recompute.get(*c).copied().unwrap_or(false))
-                {
-                    out.push(Diagnostic::new(
-                        self.rel(file_idx),
-                        e.span,
-                        RULE_FULL_RECOMPUTE,
-                        format!(
-                            "`{disp}` performs a full SPF/FIB rebuild but is called \
-                             per event (hot path from `{root}`); ROADMAP item 1: \
-                             replace with incremental recomputation"
                         ),
                     ));
                 }
@@ -1091,7 +1049,6 @@ mod tests {
             "alloc" => packs.alloc_in_hot_loop(&reach()),
             "clone" => packs.clone_in_hot_path(&reach()),
             "scan" => packs.map_scan_per_event(&reach()),
-            "recompute" => packs.full_recompute_in_event_context(&reach()),
             "shared" => packs.shared_mutable_capture(&packs.spawn_sites()),
             "unforked" => packs.unforked_rng_spawn(&packs.spawn_sites()),
             "reduction" => packs.unordered_reduction(&packs.spawn_sites()),
@@ -1284,32 +1241,6 @@ mod tests {
         // the non-BTree local is not.
         assert_eq!(hits.len(), 2, "{hits:?}");
         assert!(hits.iter().all(|h| h.contains("`dist`")), "{hits:?}");
-    }
-
-    #[test]
-    fn full_recompute_flags_per_event_callers_only() {
-        let hits = run_with_roots(
-            &[(
-                "crates/routing/src/lib.rs",
-                "dcn_routing",
-                "impl Engine {\n\
-                   pub fn step(&mut self) { let r = compute_routes(); install(r); }\n\
-                 }\n\
-                 pub fn compute_routes() -> R { shortest_paths() }\n\
-                 pub fn shortest_paths() -> R { R }\n\
-                 pub fn bootstrap() -> R { compute_routes() }\n",
-            )],
-            "recompute",
-            "[roots]\n\"Engine::step\" = \"event loop\"\n\
-             [full-recompute]\n\"dcn_routing::compute_routes\" = \"full SPF\"\n\
-             \"dcn_routing::shortest_paths\" = \"full Dijkstra\"\n",
-        );
-        // step → compute_routes is flagged; compute_routes calling its
-        // own helper shortest_paths is not (declared rebuild fns may use
-        // their helpers); bootstrap is cold so its call is fine.
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert!(hits[0].contains("compute_routes"), "{hits:?}");
-        assert!(hits[0].contains(":2 "), "{hits:?}");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! `hot-roots.toml` (checked in at the workspace root) declares the
 //! entry points of the per-event universe — the event-queue pop loop,
-//! the emulator dispatch, SPF/FIB update entries, transport delivery —
-//! plus the known full-recompute functions. This module resolves those
-//! declarations against the workspace function table and computes the
-//! set of functions transitively reachable from the roots over the same
+//! the emulator dispatch, SPF/FIB update entries, transport delivery.
+//! This module resolves those declarations against the workspace
+//! function table and computes the set of functions transitively
+//! reachable from the roots over the same
 //! call edges the taint dataflow uses (`qualify` + `resolve_call` for
 //! path calls, bare-name `resolve_method` for method calls; ambiguity
 //! resolves to the union of candidates, which is conservative — a
@@ -40,16 +40,14 @@ pub struct RootSpec {
 pub struct HotRoots {
     /// `[roots]` — entry points of the per-event universe.
     pub roots: Vec<RootSpec>,
-    /// `[full-recompute]` — known full-SPF/FIB-rebuild functions.
-    pub full_recompute: Vec<RootSpec>,
 }
 
 impl HotRoots {
-    /// Parses the same tiny TOML subset as the allowlist: `[section]`
-    /// headers and `"spec" = "note"` entries.
+    /// Parses the same tiny TOML subset as the allowlist: the `[roots]`
+    /// header and `"spec" = "note"` entries.
     pub fn parse(text: &str) -> Result<HotRoots, String> {
         let mut out = HotRoots::default();
-        let mut section: Option<String> = None;
+        let mut in_roots = false;
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let line = raw.trim();
@@ -58,20 +56,20 @@ impl HotRoots {
             }
             if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 let name = name.trim();
-                if name != "roots" && name != "full-recompute" {
+                if name != "roots" {
                     return Err(format!(
                         "{HOT_ROOTS_FILE} line {lineno}: unknown section `[{name}]` \
-                         (expected `[roots]` or `[full-recompute]`)"
+                         (expected `[roots]`)"
                     ));
                 }
-                section = Some(name.to_string());
+                in_roots = true;
                 continue;
             }
-            let Some(section) = section.as_deref() else {
+            if !in_roots {
                 return Err(format!(
                     "{HOT_ROOTS_FILE} line {lineno}: entry before any section: {line}"
                 ));
-            };
+            }
             let Some((key, value)) = line.split_once('=') else {
                 return Err(format!(
                     "{HOT_ROOTS_FILE} line {lineno}: expected `\"spec\" = \"note\"`, got: {line}"
@@ -88,12 +86,7 @@ impl HotRoots {
                      `Type::method` or `crate_name::function`"
                 ));
             }
-            let entry = RootSpec { spec, note };
-            if section == "roots" {
-                out.roots.push(entry);
-            } else {
-                out.full_recompute.push(entry);
-            }
+            out.roots.push(RootSpec { spec, note });
         }
         Ok(out)
     }
@@ -118,8 +111,6 @@ pub struct Reachability {
     /// declared root wins, so attribution is deterministic), or `None`
     /// when the function is cold.
     pub hot_from: Vec<Option<String>>,
-    /// For each function: is it a declared full-recompute target?
-    pub full_recompute: Vec<bool>,
 }
 
 impl Reachability {
@@ -156,19 +147,6 @@ pub fn compute(
     hot: &HotRoots,
 ) -> Result<Reachability, String> {
     let mut hot_from: Vec<Option<String>> = vec![None; table.fns.len()];
-    let mut full_recompute = vec![false; table.fns.len()];
-
-    for entry in &hot.full_recompute {
-        let ids = resolve_spec(table, &entry.spec);
-        if ids.is_empty() {
-            return Err(unknown_spec_error("full-recompute", &entry.spec, files, table));
-        }
-        for id in ids {
-            if let Some(slot) = full_recompute.get_mut(id) {
-                *slot = true;
-            }
-        }
-    }
 
     let edges = call_edges(files, table, eval, crates);
     // BFS per declared root, in declaration order: the first root that
@@ -176,7 +154,7 @@ pub fn compute(
     for entry in &hot.roots {
         let ids = resolve_spec(table, &entry.spec);
         if ids.is_empty() {
-            return Err(unknown_spec_error("roots", &entry.spec, files, table));
+            return Err(unknown_spec_error(&entry.spec, files, table));
         }
         let mut queue: Vec<usize> = Vec::new();
         for id in ids {
@@ -195,18 +173,10 @@ pub fn compute(
         }
     }
 
-    Ok(Reachability {
-        hot_from,
-        full_recompute,
-    })
+    Ok(Reachability { hot_from })
 }
 
-fn unknown_spec_error(
-    section: &str,
-    spec: &str,
-    files: &[SourceFile],
-    table: &FnTable<'_>,
-) -> String {
+fn unknown_spec_error(spec: &str, files: &[SourceFile], table: &FnTable<'_>) -> String {
     let mut sample: Vec<String> = Vec::new();
     // Same-name candidates catch a wrong owner (`Motor::step`); when the
     // name itself is the typo, the owner's other functions catch it
@@ -234,7 +204,7 @@ fn unknown_spec_error(
         format!("; did you mean {}?", sample.join(" / "))
     };
     format!(
-        "{HOT_ROOTS_FILE}: [{section}] entry `{spec}` does not resolve to any \
+        "{HOT_ROOTS_FILE}: [roots] entry `{spec}` does not resolve to any \
          workspace function (use `Type::method` or `crate_name::function`){hint}"
     )
 }
@@ -313,12 +283,10 @@ mod tests {
     #[test]
     fn parses_sections_and_rejects_garbage() {
         let hot = HotRoots::parse(
-            "# comment\n[roots]\n\"EventQueue::pop\" = \"pop loop\"\n\
-             [full-recompute]\n\"dcn_routing::compute_routes\" = \"full SPF\"\n",
+            "# comment\n[roots]\n\"EventQueue::pop\" = \"pop loop\"\n",
         )
         .unwrap();
         assert_eq!(hot.roots.len(), 1);
-        assert_eq!(hot.full_recompute.len(), 1);
         assert_eq!(hot.roots[0].spec, "EventQueue::pop");
 
         assert!(HotRoots::parse("\"orphan\" = \"x\"").is_err());

@@ -6,6 +6,10 @@ use std::path::{Path, PathBuf};
 /// third-party crates (not our code), and VCS metadata.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".claude"];
 
+/// Skipped at the root only: the repo benchmark is a workspace of its own
+/// (a measurement harness, not product code) with its own CI gate.
+const BENCH_WORKSPACE: &str = "bench";
+
 /// All `.rs` files under the workspace root, sorted for stable output.
 ///
 /// Test-only *trees* (`tests/`, `benches/`, `examples/`) are excluded
@@ -32,7 +36,7 @@ fn visit(root: &Path, dir: &Path, files: &mut Vec<PathBuf>) -> Result<(), String
                 .file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
-            if SKIP_DIRS.contains(&name.as_str()) {
+            if SKIP_DIRS.contains(&name.as_str()) || (dir == root && name == BENCH_WORKSPACE) {
                 continue;
             }
             // Skip test-only trees at any crate root.

@@ -24,25 +24,17 @@ impl Engine {
         self.drain();
     }
 
-    /// Hot via `step`: plants one clone-in-hot-path, one waived clone
-    /// (control: must be silent), and one full-recompute call from an
-    /// event context.
+    /// Hot via `step`: plants one clone-in-hot-path and one waived clone
+    /// (control: must be silent).
     fn drain(&mut self) {
         let snapshot = self.seen.clone();
         let waived = self.seen.clone(); // lint:allow(clone-in-hot-path) fixture control
         record(0, 0, &snapshot);
         record(0, 0, &waived);
-        rebuild_world(self.pending);
     }
 }
 
 fn record(_k: u64, _v: u64, _vals: &[u64]) {}
-
-/// Declared full-recompute target: its own body is exempt from the
-/// full-recompute rule (it IS the rebuild).
-pub fn rebuild_world(generation: u32) {
-    record(0, 0, &[u64::from(generation)]);
-}
 
 /// Cold setup path: the very same patterns as above must not be flagged,
 /// because nothing reachable from a declared root calls this.
