@@ -6,6 +6,9 @@
 # 1. release build of every workspace member (warnings from the
 #    [workspace.lints] table are part of the build),
 # 2. the whole test suite (unit + integration + property + doc tests),
+#    then the one release-only `#[ignore]`d test: dense SPF vs the
+#    reference Dijkstra at every root × every single fabric-link failure
+#    of the k=16 F²Tree (~2 min on 2 cores; hopeless in a debug build),
 # 3. the in-tree static-analysis pass (token rules plus the AST/dataflow
 #    rule packs; see DESIGN.md §7 and crates/xtask/) — run twice in
 #    --format json to prove the report is well-formed and byte-stable,
@@ -42,8 +45,9 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
+echo "==> cargo test -q (+ the release-only k=16 SPF equivalence)"
 cargo test -q
+cargo test --release -q -p dcn-routing --test spf_reference -- --ignored
 
 echo "==> cargo run -p xtask -- lint (json well-formed + byte-stable, then the gate)"
 cargo run -q --release -p xtask -- lint --format json > target/lint-1.json || true

@@ -9,6 +9,7 @@
 //! control plane floods real LSA packets.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use dcn_failure::FailureSchedule;
 use dcn_metrics::{CompletionStats, ConnectivityTracker, DelaySeries};
@@ -60,7 +61,7 @@ enum Payload {
     Udp(UdpDatagram),
     TcpData { flow: FlowId, seg: TcpSegment },
     TcpAckSeg { flow: FlowId, ack: TcpAck },
-    Lsa(Lsa),
+    Lsa(Arc<Lsa>),
 }
 
 enum Event {
@@ -71,7 +72,7 @@ enum Event {
     },
     LsaProcess {
         node: NodeId,
-        lsa: Lsa,
+        lsa: Arc<Lsa>,
         arrived_on: LinkId,
     },
     LinkChange {
@@ -185,7 +186,11 @@ pub struct Network {
     links: Vec<LinkState>,
     routers: Vec<Option<RouterProcess>>,
     host_uplink: Vec<Option<(LinkId, NodeId)>>,
-    flows: Vec<FlowState>,
+    /// Boxed so growth moves pointers, never the ~450 B states: doubling
+    /// the states in place crosses glibc's mmap threshold and made peak
+    /// RSS jump by the whole array depending on unrelated allocations.
+    #[allow(clippy::vec_box)]
+    flows: Vec<Box<FlowState>>,
     requests: Vec<RequestState>,
     next_port: u16,
     packet_seq: u64,
@@ -271,13 +276,13 @@ impl Network {
         }
 
         // Warm start: everyone originates, everyone installs everything.
-        let lsas: Vec<Lsa> = routers
+        let lsas: Vec<Arc<Lsa>> = routers
             .iter_mut()
             .flatten()
             .map(|r| r.originate_lsa())
             .collect();
         for router in routers.iter_mut().flatten() {
-            router.bootstrap(lsas.clone());
+            router.bootstrap(lsas.iter().cloned());
         }
 
         // Precomputed fast-reroute: build the per-link failure map from
@@ -451,7 +456,7 @@ impl Network {
     ) -> FlowId {
         let key = self.flow_key_with_port(src, dst, sport, Protocol::Udp);
         let id = FlowId(self.flows.len() as u32);
-        self.flows.push(FlowState {
+        self.flows.push(Box::new(FlowState {
             key,
             src,
             dst,
@@ -465,7 +470,7 @@ impl Network {
             delivered_fired: false,
             connectivity: ConnectivityTracker::new(),
             delay: DelaySeries::new(),
-        });
+        }));
         self.queue.schedule(start, Event::UdpTick { flow: id });
         id
     }
@@ -487,7 +492,7 @@ impl Network {
     ) -> FlowId {
         let key = self.flow_key_with_port(src, dst, sport, Protocol::Tcp);
         let id = FlowId(self.flows.len() as u32);
-        self.flows.push(FlowState {
+        self.flows.push(Box::new(FlowState {
             key,
             src,
             dst,
@@ -508,7 +513,7 @@ impl Network {
             delivered_fired: false,
             connectivity: ConnectivityTracker::new(),
             delay: DelaySeries::new(),
-        });
+        }));
         self.queue.schedule(start, Event::TcpStart { flow: id });
         id
     }
@@ -535,7 +540,7 @@ impl Network {
     ) -> FlowId {
         let key = self.flow_key(src, dst, Protocol::Tcp);
         let id = FlowId(self.flows.len() as u32);
-        self.flows.push(FlowState {
+        self.flows.push(Box::new(FlowState {
             key,
             src,
             dst,
@@ -549,7 +554,7 @@ impl Network {
             delivered_fired: false,
             connectivity: ConnectivityTracker::new(),
             delay: DelaySeries::new(),
-        });
+        }));
         self.queue.schedule(start, Event::TcpStart { flow: id });
         id
     }
@@ -884,7 +889,7 @@ impl Network {
                             key,
                             self.config.lsa_packet_bytes,
                             now,
-                            Payload::Lsa(lsa.clone()),
+                            Payload::Lsa(Arc::clone(&lsa)),
                         );
                         self.transmit(now, adj.link, node, packet);
                     }

@@ -259,6 +259,50 @@ fn repaired_link_returns_to_service_after_reconvergence() {
     assert!(tail > 900, "probe is healthy at the end, got {tail}");
 }
 
+/// One allocation per LSA, N holders: warm start hands every router the
+/// originator's own `Arc`, and a flooded re-origination is installed by
+/// handle, never by deep copy.
+#[test]
+fn every_lsdb_shares_the_originators_lsa_allocation() {
+    let mut net = fat_network(4, 1);
+    let switches: Vec<NodeId> = net
+        .topology()
+        .nodes()
+        .filter(|n| n.kind().is_switch())
+        .map(|n| n.id())
+        .collect();
+    let assert_shared = |net: &Network, min_seq: u64, origins: &[NodeId], when: &str| {
+        for &origin in origins {
+            let own = net.router(origin).unwrap().lsdb().get(origin).unwrap();
+            assert!(own.seq >= min_seq, "{origin} re-originated {when}");
+            for &holder in &switches {
+                let held = net.router(holder).unwrap().lsdb().get(origin).unwrap();
+                assert!(
+                    std::ptr::eq(own, held),
+                    "{holder} holds its own copy of {origin}'s LSA {when}"
+                );
+            }
+        }
+    };
+    assert_shared(&net, 1, &switches, "after warm start");
+
+    // One flap (down at 100 ms, up at 1.5 s) of a fabric link: both ends
+    // originate twice, and every router installs what was flooded.
+    let (src, dst) = probe_endpoints(net.topology());
+    let probe = net.add_udp_probe(src, dst, SimTime::ZERO);
+    let link = downward_path_link(&net, probe);
+    net.fail_link_at(ms(100), link);
+    net.apply_failures({
+        let mut s = dcn_failure::FailureSchedule::new();
+        s.repair(ms(1500), link);
+        s
+    });
+    net.run_until(ms(4000));
+    let (a, b) = net.topology().link(link).endpoints();
+    assert_shared(&net, 3, &[a, b], "after the flap converged");
+    assert_shared(&net, 1, &switches, "after the flap converged");
+}
+
 #[test]
 fn unidirectional_failure_detected_by_both_endpoints() {
     let mut net = f2_network(4, 1);

@@ -9,7 +9,8 @@
 //!   instant a failure is detected,
 //! * [`ecmp_hash`]/[`ecmp_select`] — five-tuple ECMP (RFC 2992),
 //! * [`Lsdb`]/[`Lsa`] — link-state database with two-way checking,
-//! * [`compute_routes`] — Dijkstra SPF with full ECMP next-hop sets,
+//! * [`compute_routes`] — unit-cost (breadth-first) SPF with full ECMP
+//!   next-hop sets,
 //! * [`FibDelta`] — the one FIB install currency: every SPF run, repair
 //!   activation and controller push is a delta through [`Fib::apply`],
 //! * [`SpfThrottle`] — Cisco-style SPF throttling with exponential
@@ -57,5 +58,5 @@ pub use lsdb::{Adjacency, Lsa, Lsdb};
 pub use process::{RouterAction, RouterConfig, RouterProcess};
 pub use recovery::{FrrPlan, RecoveryMode};
 pub use route::{NextHop, Route, RouteOrigin};
-pub use spf::{compute_routes, shortest_paths, Reached};
+pub use spf::compute_routes;
 pub use throttle::{SpfThrottle, ThrottleConfig};

@@ -1,7 +1,7 @@
 //! Link-state advertisements and the link-state database.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use dcn_net::{LinkId, NodeId, Prefix};
 
@@ -31,11 +31,15 @@ pub struct Lsa {
 
 /// The per-router link-state database.
 ///
-/// Keyed by a `BTreeMap` so [`Lsdb::iter`] yields LSAs in origin order —
-/// SPF and flooding visit the database in a reproducible sequence.
+/// A dense table indexed by `origin.index()`: lookups are one bounds
+/// check, and [`Lsdb::iter`] yields LSAs in origin order — SPF and
+/// flooding visit the database in a reproducible sequence. LSAs are held
+/// by `Arc`, so every router that installed an advertisement shares the
+/// originator's one allocation.
 #[derive(Clone, Default)]
 pub struct Lsdb {
-    lsas: BTreeMap<NodeId, Lsa>,
+    slots: Vec<Option<Arc<Lsa>>>,
+    len: usize,
 }
 
 impl Lsdb {
@@ -46,57 +50,52 @@ impl Lsdb {
 
     /// Installs `lsa` if it is newer than what is stored; returns whether
     /// it was installed (and should be re-flooded).
-    pub fn install(&mut self, lsa: Lsa) -> bool {
-        match self.lsas.get(&lsa.origin) {
-            Some(existing) if existing.seq >= lsa.seq => false,
-            _ => {
-                self.lsas.insert(lsa.origin, lsa);
-                true
-            }
+    pub fn install(&mut self, lsa: impl Into<Arc<Lsa>>) -> bool {
+        let lsa = lsa.into();
+        let index = lsa.origin.index();
+        if index >= self.slots.len() {
+            self.slots.resize(index + 1, None);
         }
+        // lint:allow(panic-indexing) the table was grown to cover `index` just above
+        let slot = &mut self.slots[index];
+        if matches!(slot, Some(existing) if existing.seq >= lsa.seq) {
+            return false;
+        }
+        self.len += usize::from(slot.is_none());
+        *slot = Some(lsa);
+        true
     }
 
     /// The stored LSA for `origin`, if any.
     pub fn get(&self, origin: NodeId) -> Option<&Lsa> {
-        self.lsas.get(&origin)
+        self.slots.get(origin.index())?.as_deref()
     }
 
-    /// Iterates over all stored LSAs.
+    /// Iterates over all stored LSAs, in origin order.
     pub fn iter(&self) -> impl Iterator<Item = &Lsa> {
-        self.lsas.values()
+        self.slots.iter().filter_map(Option::as_deref)
     }
 
     /// Number of stored LSAs.
     pub fn len(&self) -> usize {
-        self.lsas.len()
+        self.len
     }
 
     /// Whether the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.lsas.is_empty()
+        self.len == 0
     }
 
-    /// Whether the (directed) adjacency `from → to` over `link` is
-    /// advertised by **both** endpoints — OSPF's two-way check, which
-    /// prevents SPF from routing over half-dead links.
-    pub fn two_way(&self, from: NodeId, to: NodeId, link: LinkId) -> bool {
-        let fwd = self.get(from).is_some_and(|l| {
-            l.neighbors
-                .iter()
-                .any(|a| a.neighbor == to && a.link == link)
-        });
-        let rev = self.get(to).is_some_and(|l| {
-            l.neighbors
-                .iter()
-                .any(|a| a.neighbor == from && a.link == link)
-        });
-        fwd && rev
+    /// One past the largest origin index ever stored: every stored LSA's
+    /// `origin.index()` is below this bound (SPF sizes its arrays by it).
+    pub(crate) fn index_bound(&self) -> usize {
+        self.slots.len()
     }
 }
 
 impl fmt::Debug for Lsdb {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Lsdb").field("lsas", &self.lsas.len()).finish()
+        f.debug_struct("Lsdb").field("lsas", &self.len).finish()
     }
 }
 
@@ -129,26 +128,5 @@ mod tests {
         assert!(db.install(lsa(1, 2, vec![])));
         assert_eq!(db.get(NodeId::new(1)).unwrap().seq, 2);
         assert_eq!(db.len(), 1);
-    }
-
-    #[test]
-    fn two_way_check_requires_both_directions() {
-        let mut db = Lsdb::new();
-        db.install(lsa(1, 1, vec![adj(2, 7)]));
-        assert!(!db.two_way(NodeId::new(1), NodeId::new(2), LinkId::new(7)));
-        db.install(lsa(2, 1, vec![adj(1, 7)]));
-        assert!(db.two_way(NodeId::new(1), NodeId::new(2), LinkId::new(7)));
-        // A newer LSA from 2 that drops the adjacency breaks two-way.
-        db.install(lsa(2, 2, vec![]));
-        assert!(!db.two_way(NodeId::new(1), NodeId::new(2), LinkId::new(7)));
-    }
-
-    #[test]
-    fn two_way_distinguishes_parallel_links() {
-        let mut db = Lsdb::new();
-        db.install(lsa(1, 1, vec![adj(2, 7), adj(2, 8)]));
-        db.install(lsa(2, 1, vec![adj(1, 7)]));
-        assert!(db.two_way(NodeId::new(1), NodeId::new(2), LinkId::new(7)));
-        assert!(!db.two_way(NodeId::new(1), NodeId::new(2), LinkId::new(8)));
     }
 }

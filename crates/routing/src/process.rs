@@ -27,6 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use dcn_net::{FlowKey, Ipv4Addr, LinkId, NodeId, Prefix};
 use dcn_sim::{timers, SimDuration, SimTime};
@@ -68,8 +69,9 @@ pub enum RouterAction {
     /// Flood an LSA out of every live interface (except the one it
     /// arrived on, if any).
     FloodLsa {
-        /// The advertisement to flood.
-        lsa: Lsa,
+        /// The advertisement to flood (one allocation, shared by every
+        /// copy in flight and every LSDB that installs it).
+        lsa: Arc<Lsa>,
         /// Interface to skip (split-horizon on the arrival interface).
         except: Option<LinkId>,
     },
@@ -225,9 +227,9 @@ impl RouterProcess {
     }
 
     /// The router's own LSA at the current sequence number.
-    pub fn originate_lsa(&mut self) -> Lsa {
+    pub fn originate_lsa(&mut self) -> Arc<Lsa> {
         self.seq += 1;
-        let lsa = Lsa {
+        let lsa = Arc::new(Lsa {
             origin: self.node,
             seq: self.seq,
             neighbors: self
@@ -237,15 +239,15 @@ impl RouterProcess {
                 .copied()
                 .collect(),
             prefixes: self.my_prefixes.clone(),
-        };
-        self.lsdb.install(lsa.clone());
+        });
+        self.lsdb.install(Arc::clone(&lsa));
         lsa
     }
 
     /// Warm start: installs a pre-converged LSDB and computes the initial
     /// OSPF routes synchronously, as if the protocol had long converged
     /// before the experiment begins.
-    pub fn bootstrap(&mut self, lsas: impl IntoIterator<Item = Lsa>) {
+    pub fn bootstrap(&mut self, lsas: impl IntoIterator<Item = Arc<Lsa>>) {
         for lsa in lsas {
             self.lsdb.install(lsa);
         }
@@ -322,7 +324,7 @@ impl RouterProcess {
     pub fn on_lsa(
         &mut self,
         now: SimTime,
-        lsa: Lsa,
+        lsa: Arc<Lsa>,
         arrived_on: LinkId,
         actions: &mut Vec<RouterAction>,
     ) {
@@ -330,9 +332,12 @@ impl RouterProcess {
             // Our own LSA echoed back; our copy is always as fresh.
             return;
         }
-        if !self.lsdb.install(lsa.clone()) {
-            return; // stale duplicate — do not re-flood
+        // Freshness before taking a second handle: a stale duplicate —
+        // most arrivals in a fat tree — touches no refcount.
+        if matches!(self.lsdb.get(lsa.origin), Some(have) if have.seq >= lsa.seq) {
+            return; // do not re-flood
         }
+        self.lsdb.install(Arc::clone(&lsa));
         actions.push(RouterAction::FloodLsa {
             lsa,
             except: Some(arrived_on),
@@ -457,7 +462,7 @@ mod tests {
                 vec!["10.11.0.0/24".parse().unwrap()],
             ),
         ];
-        let lsas: Vec<Lsa> = routers.iter_mut().map(|r| r.originate_lsa()).collect();
+        let lsas: Vec<Arc<Lsa>> = routers.iter_mut().map(|r| r.originate_lsa()).collect();
         for r in &mut routers {
             r.bootstrap(lsas.clone());
         }
@@ -520,12 +525,12 @@ mod tests {
     fn lsa_reflood_happens_once() {
         let mut routers = diamond();
         let now = SimTime::ZERO;
-        let lsa = Lsa {
+        let lsa = Arc::new(Lsa {
             origin: NodeId::new(9),
             seq: 5,
             neighbors: vec![],
             prefixes: vec![],
-        };
+        });
         let a1 = collected(|a| routers[0].on_lsa(now, lsa.clone(), LinkId::new(0), a));
         assert!(matches!(
             a1.first(),
@@ -624,11 +629,13 @@ mod tests {
     fn back_to_back_spf_runs_diff_against_emitted_routes_not_the_live_fib() {
         let mut routers = diamond();
         let p: Prefix = "10.11.7.0/24".parse().unwrap();
-        let r3_lsa = |seq, prefixes| Lsa {
-            origin: NodeId::new(3),
-            seq,
-            neighbors: vec![adj(1, 2), adj(2, 3)],
-            prefixes,
+        let r3_lsa = |seq, prefixes| {
+            Arc::new(Lsa {
+                origin: NodeId::new(3),
+                seq,
+                neighbors: vec![adj(1, 2), adj(2, 3)],
+                prefixes,
+            })
         };
         let install = |actions: Vec<RouterAction>| match actions.into_iter().next() {
             Some(RouterAction::Install {
@@ -716,7 +723,7 @@ mod tests {
                 vec!["10.11.0.0/24".parse().unwrap()],
             ),
         ];
-        let lsas: Vec<Lsa> = routers.iter_mut().map(|r| r.originate_lsa()).collect();
+        let lsas: Vec<Arc<Lsa>> = routers.iter_mut().map(|r| r.originate_lsa()).collect();
         for r in &mut routers {
             r.bootstrap(lsas.clone());
         }
@@ -870,7 +877,7 @@ mod passive_tests {
         for r in &mut routers {
             r.set_passive([LinkId::new(1)]);
         }
-        let lsas: Vec<Lsa> = routers.iter_mut().map(|r| r.originate_lsa()).collect();
+        let lsas: Vec<Arc<Lsa>> = routers.iter_mut().map(|r| r.originate_lsa()).collect();
         for r in &mut routers {
             r.bootstrap(lsas.clone());
         }

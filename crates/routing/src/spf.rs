@@ -1,131 +1,146 @@
 //! Shortest-path-first calculation with ECMP next-hop accumulation.
 //!
-//! A textbook Dijkstra over the two-way-checked LSDB adjacency, but with
-//! full equal-cost next-hop sets: when two paths to a node tie, the
-//! first-hop sets are unioned. All links have unit cost (paper footnote 4).
-
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+//! Every link has the same cost (paper footnote 4 — [`Adjacency`] has no
+//! cost field), so Dijkstra degenerates to a level-order breadth-first
+//! search: a node's distance is final the first time it is seen, and
+//! every tying predecessor sits exactly one level above it. That makes
+//! the full recompute exact with no priority queue, and cheap enough
+//! that no per-router SPF state is kept between runs.
+//!
+//! All state is dense arrays indexed by `NodeId::index()`. A node's ECMP
+//! first-hop set is a bit mask over the root's usable interfaces; ties
+//! union masks with `|=`, and a mask is complete when its node is
+//! dequeued because BFS settles level *d* before it expands level
+//! *d + 1*.
+//!
+//! [`Adjacency`]: crate::Adjacency
 
 use dcn_net::{LinkId, NodeId};
 
 use crate::lsdb::Lsdb;
 use crate::route::{NextHop, Route, RouteOrigin};
 
+const UNREACHED: u32 = u32::MAX;
+
 /// Computes the OSPF route set for `root` from `lsdb`.
 ///
 /// Returns one route per remote advertised prefix, with the full ECMP
 /// next-hop set at the shortest distance. The root's own prefixes are
-/// omitted (they are connected routes).
+/// omitted (they are connected routes). An adjacency is used only when
+/// **both** endpoints advertise it over the same link — OSPF's two-way
+/// check, which keeps SPF off half-dead links.
 pub fn compute_routes(lsdb: &Lsdb, root: NodeId) -> Vec<Route> {
-    let tree = shortest_paths(lsdb, root);
+    // The root's usable interfaces, sorted: bit `i` of a first-hop mask
+    // stands for `ifaces[i]`, so masks read out in next-hop order.
+    let mut ifaces: Vec<NextHop> = lsdb
+        .get(root)
+        .into_iter()
+        .flat_map(|lsa| &lsa.neighbors)
+        .filter(|a| a.neighbor != root && advertises(lsdb, a.neighbor, root, a.link))
+        .map(|a| NextHop {
+            node: a.neighbor,
+            link: a.link,
+        })
+        .collect();
+    ifaces.sort_unstable();
+    ifaces.dedup();
+    if ifaces.is_empty() {
+        return Vec::new();
+    }
+
+    // Bound invariant for every `.get()` below: a node enters `queue`
+    // only after `advertises` found its LSA, and every stored origin's
+    // index is below `lsdb.index_bound()`.
+    let n = lsdb.index_bound();
+    let words = ifaces.len().div_ceil(64);
+    let mut dist = vec![UNREACHED; n];
+    let mut masks = vec![0u64; n * words];
+    let mut queue: Vec<NodeId> = Vec::with_capacity(lsdb.len());
+    // Where `v`'s first-hop mask lives in `masks`.
+    let span = move |v: NodeId| v.index() * words..(v.index() + 1) * words;
+
+    if let Some(d) = dist.get_mut(root.index()) {
+        *d = 0;
+    }
+    for (i, hop) in ifaces.iter().enumerate() {
+        let v = hop.node.index();
+        if let Some(d) = dist.get_mut(v).filter(|d| **d == UNREACHED) {
+            *d = 1;
+            queue.push(hop.node);
+        }
+        if let Some(word) = masks.get_mut(v * words + i / 64) {
+            *word |= 1 << (i % 64);
+        }
+    }
+
+    let mut via = vec![0u64; words];
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        let (Some(lsa), Some(&du), Some(mask)) =
+            (lsdb.get(u), dist.get(u.index()), masks.get(span(u)))
+        else {
+            continue;
+        };
+        via.copy_from_slice(mask);
+        for adj in &lsa.neighbors {
+            let v = adj.neighbor;
+            // Distance first: edges back up the tree (half of a fat
+            // tree's) are rejected without scanning the far LSA.
+            let Some(dv) = dist.get_mut(v.index()) else {
+                continue; // beyond the table: `v` has no LSA
+            };
+            let tie = *dv == du + 1;
+            if !(tie || *dv == UNREACHED) || !advertises(lsdb, v, u, adj.link) {
+                continue;
+            }
+            if !tie {
+                *dv = du + 1;
+                queue.push(v);
+            }
+            if let Some(mask) = masks.get_mut(span(v)) {
+                for (word, bits) in mask.iter_mut().zip(&via) {
+                    *word |= bits;
+                }
+            }
+        }
+    }
+
     let mut routes = Vec::new();
+    let mut hops: Vec<NextHop> = Vec::with_capacity(ifaces.len());
     for lsa in lsdb.iter() {
         if lsa.origin == root || lsa.prefixes.is_empty() {
             continue;
         }
-        if let Some(reached) = tree.get(&lsa.origin) {
-            for &prefix in &lsa.prefixes {
-                routes.push(Route::new(
-                    prefix,
-                    RouteOrigin::Ospf,
-                    reached.dist,
-                    reached.next_hops.clone(),
-                ));
-            }
+        let Some(&metric) = dist.get(lsa.origin.index()).filter(|d| **d != UNREACHED) else {
+            continue;
+        };
+        let mask = masks.get(span(lsa.origin)).unwrap_or_default();
+        hops.clear();
+        hops.extend(
+            ifaces
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
+                .map(|(_, hop)| *hop),
+        );
+        for &prefix in &lsa.prefixes {
+            routes.push(Route::new(prefix, RouteOrigin::Ospf, metric, hops.clone()));
         }
     }
     routes.sort_by_key(|a| a.prefix);
     routes
 }
 
-/// Distance and ECMP first hops for one reachable node.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Reached {
-    /// Hop-count distance from the root.
-    pub dist: u32,
-    /// All equal-cost first hops from the root.
-    pub next_hops: Vec<NextHop>,
-}
-
-/// Runs ECMP Dijkstra from `root` over the two-way-checked adjacency.
-///
-/// The maps are `BTreeMap`s on purpose: route computation feeds FIB
-/// installation order, and hash-iteration order would leak host-process
-/// randomness into the simulated trace.
-pub fn shortest_paths(lsdb: &Lsdb, root: NodeId) -> BTreeMap<NodeId, Reached> {
-    let mut dist: BTreeMap<NodeId, u32> = BTreeMap::new();
-    // Shortest-path predecessors per node: the `(upstream, first link)`
-    // pairs of every tying relaxation. First-hop sets are derived from
-    // these *after* the heap loop — copying full first-hop sets around
-    // per relaxed edge would make the inner loop allocate O(E) times.
-    let mut preds: BTreeMap<NodeId, Vec<(NodeId, LinkId)>> = BTreeMap::new();
-    let mut heap: BinaryHeap<Reverse<(u32, NodeId)>> = BinaryHeap::new();
-
-    dist.insert(root, 0);
-    heap.push(Reverse((0, root)));
-
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if dist.get(&u).copied() != Some(d) {
-            continue; // stale heap entry
-        }
-        let Some(lsa) = lsdb.get(u) else { continue };
-        for adj in &lsa.neighbors {
-            if !lsdb.two_way(u, adj.neighbor, adj.link) {
-                continue;
-            }
-            let v = adj.neighbor;
-            let nd = d + 1;
-            match dist.get(&v).copied() {
-                Some(existing) if existing < nd => {}
-                Some(existing) if existing == nd => {
-                    preds.entry(v).or_default().push((u, adj.link));
-                }
-                _ => {
-                    dist.insert(v, nd);
-                    // A strictly shorter path invalidates predecessors
-                    // recorded at the old (longer) distance.
-                    let p = preds.entry(v).or_default();
-                    p.clear();
-                    p.push((u, adj.link));
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-    }
-
-    // Settle first-hop sets in increasing-distance order, so every
-    // predecessor's set is complete before its downstream union. Nodes
-    // adjacent to the root contribute their own incoming link; deeper
-    // nodes inherit the union of their predecessors' sets.
-    let mut order: Vec<(u32, NodeId)> = dist.iter().map(|(&n, &d)| (d, n)).collect();
-    order.sort_unstable();
-    let mut hops: BTreeMap<NodeId, Vec<NextHop>> = BTreeMap::new();
-    let mut set: Vec<NextHop> = Vec::new();
-    for &(_, n) in &order {
-        if n == root {
-            continue;
-        }
-        set.clear();
-        for &(u, link) in preds.get(&n).into_iter().flatten() {
-            if u == root {
-                set.push(NextHop { node: n, link });
-            } else if let Some(h) = hops.get(&u) {
-                set.extend_from_slice(h);
-            }
-        }
-        set.sort();
-        set.dedup();
-        hops.insert(n, std::mem::take(&mut set));
-    }
-
-    dist.into_iter()
-        .filter(|&(n, _)| n != root)
-        .map(|(n, d)| {
-            let next_hops = hops.remove(&n).unwrap_or_default();
-            (n, Reached { dist: d, next_hops })
-        })
-        .collect()
+/// Whether `from`'s stored LSA lists `to` over `link` — the far half of
+/// the two-way check (the near half holds by construction: the caller is
+/// walking the near end's own adjacency list).
+fn advertises(lsdb: &Lsdb, from: NodeId, to: NodeId, link: LinkId) -> bool {
+    lsdb.get(from).is_some_and(|lsa| {
+        lsa.neighbors
+            .iter()
+            .any(|a| a.neighbor == to && a.link == link)
+    })
 }
 
 #[cfg(test)]
@@ -174,10 +189,11 @@ mod tests {
 
     #[test]
     fn ecmp_over_the_diamond() {
-        let tree = shortest_paths(&diamond(), NodeId::new(0));
-        let to3 = &tree[&NodeId::new(3)];
-        assert_eq!(to3.dist, 2);
-        assert_eq!(to3.next_hops.len(), 2, "both diamond arms are ECMP");
+        let routes = compute_routes(&diamond(), NodeId::new(0));
+        let to3 = &routes[0];
+        assert_eq!(to3.metric, 2);
+        let arms: Vec<u32> = to3.next_hops.iter().map(|h| h.node.as_u32()).collect();
+        assert_eq!(arms, [1, 2], "both diamond arms are ECMP");
     }
 
     #[test]
@@ -248,5 +264,47 @@ mod tests {
         let routes = compute_routes(&db, NodeId::new(0));
         assert_eq!(routes[0].next_hops.len(), 2);
         assert_eq!(routes[0].metric, 1);
+    }
+
+    /// Node 1 and node 2 (which advertises a prefix) with the given
+    /// adjacency lists.
+    fn pair(one: Vec<Adjacency>, two: Vec<Adjacency>, two_seq: u64, db: &mut Lsdb) {
+        db.install(Lsa {
+            origin: NodeId::new(1),
+            seq: 1,
+            neighbors: one,
+            prefixes: vec![],
+        });
+        db.install(Lsa {
+            origin: NodeId::new(2),
+            seq: two_seq,
+            neighbors: two,
+            prefixes: vec!["10.11.2.0/24".parse::<Prefix>().unwrap()],
+        });
+    }
+
+    #[test]
+    fn adjacency_needs_both_ends_to_advertise_it() {
+        let mut db = Lsdb::new();
+        pair(vec![adj(2, 7)], vec![], 1, &mut db);
+        assert!(compute_routes(&db, NodeId::new(1)).is_empty());
+        pair(vec![adj(2, 7)], vec![adj(1, 7)], 2, &mut db);
+        assert_eq!(compute_routes(&db, NodeId::new(1)).len(), 1);
+        // A newer LSA from 2 that drops the adjacency breaks two-way.
+        pair(vec![adj(2, 7)], vec![], 3, &mut db);
+        assert!(compute_routes(&db, NodeId::new(1)).is_empty());
+    }
+
+    #[test]
+    fn parallel_links_are_two_way_checked_per_link() {
+        let mut db = Lsdb::new();
+        pair(vec![adj(2, 7), adj(2, 8)], vec![adj(1, 7)], 1, &mut db);
+        let routes = compute_routes(&db, NodeId::new(1));
+        let links: Vec<LinkId> = routes[0].next_hops.iter().map(|h| h.link).collect();
+        assert_eq!(
+            links,
+            [LinkId::new(7)],
+            "link 8 is advertised by one end only"
+        );
     }
 }

@@ -7,6 +7,7 @@ use dcn_routing::{compute_routes, Adjacency, Lsa, RouterConfig, RouterProcess};
 use dcn_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Builds one router per switch of a k=4 fat tree, with ToRs advertising
 /// synthetic /24s, and returns (topology, routers by node).
@@ -52,7 +53,7 @@ fn converge(topo: &Topology, routers: &mut HashMap<NodeId, RouterProcess>, dead:
     // Flood to fixpoint: collect every router's current LSA, give it to
     // everyone (ideal flooding — the emulator tests cover packetized
     // flooding).
-    let lsas: Vec<Lsa> = routers.values_mut().map(|r| r.originate_lsa()).collect();
+    let lsas: Vec<Arc<Lsa>> = routers.values_mut().map(|r| r.originate_lsa()).collect();
     let switch_ids: Vec<NodeId> = routers.keys().copied().collect();
     for node in &switch_ids {
         let router = routers.get_mut(node).unwrap();
