@@ -21,7 +21,7 @@ use dcn_routing::{
     Adjacency, FibDelta, Lsa, Lsdb, NextHop, RecoveryMode, Route, RouteOrigin, RouterAction,
     RouterProcess,
 };
-use dcn_sim::{Direction, EventQueue, LinkState, Packet, SimTime, TransmitVerdict};
+use dcn_sim::{Direction, EventKey, EventQueue, LinkState, Packet, SimTime, TransmitVerdict};
 use dcn_transport::{
     TcpAck, TcpApp, TcpReceiver, TcpSegment, TcpSender, TcpSenderOutput, UdpDatagram, UdpSource,
 };
@@ -58,7 +58,7 @@ enum FlowRole {
 }
 
 enum Payload {
-    Udp(UdpDatagram),
+    Udp { flow: FlowId, dgram: UdpDatagram },
     TcpData { flow: FlowId, seg: TcpSegment },
     TcpAckSeg { flow: FlowId, ack: TcpAck },
     Lsa(Arc<Lsa>),
@@ -106,9 +106,10 @@ enum Event {
     TcpPace {
         flow: FlowId,
     },
+    /// The flow's one live retransmission-timer entry, queued under `key`.
     TcpRto {
         flow: FlowId,
-        token: u64,
+        key: EventKey,
     },
     /// Centralized control plane: the controller finishes recomputation
     /// and pushes tables.
@@ -134,6 +135,20 @@ struct FlowState {
     delivered_fired: bool,
     connectivity: ConnectivityTracker,
     delay: DelaySeries,
+    rto: RtoTimer,
+}
+
+/// A flow's retransmission timer. The sender re-arms it on every new ACK
+/// but it fires once per loss episode, so the flow keeps at most one live
+/// entry in the event queue ([`Network::arm_rto`]).
+#[derive(Default)]
+struct RtoTimer {
+    /// Key drawn for the latest `ArmRto` — the only arming that may fire.
+    deadline: EventKey,
+    /// That arming's validity token.
+    token: u64,
+    /// Key of the flow's live queue entry, while one is pending.
+    queued: Option<EventKey>,
 }
 
 struct RequestState {
@@ -470,6 +485,7 @@ impl Network {
             delivered_fired: false,
             connectivity: ConnectivityTracker::new(),
             delay: DelaySeries::new(),
+            rto: RtoTimer::default(),
         }));
         self.queue.schedule(start, Event::UdpTick { flow: id });
         id
@@ -513,6 +529,7 @@ impl Network {
             delivered_fired: false,
             connectivity: ConnectivityTracker::new(),
             delay: DelaySeries::new(),
+            rto: RtoTimer::default(),
         }));
         self.queue.schedule(start, Event::TcpStart { flow: id });
         id
@@ -554,6 +571,7 @@ impl Network {
             delivered_fired: false,
             connectivity: ConnectivityTracker::new(),
             delay: DelaySeries::new(),
+            rto: RtoTimer::default(),
         }));
         self.queue.schedule(start, Event::TcpStart { flow: id });
         id
@@ -743,14 +761,7 @@ impl Network {
                     .on_pace(now);
                 self.handle_tcp_outputs(now, flow, outputs);
             }
-            Event::TcpRto { flow, token } => {
-                let outputs = self.flows[flow.index()]
-                    .sender
-                    .as_mut()
-                    .expect("TCP flow has a sender")
-                    .on_rto(now, token);
-                self.handle_tcp_outputs(now, flow, outputs);
-            }
+            Event::TcpRto { flow, key } => self.on_rto_entry(now, flow, key),
             Event::ControllerRecompute => self.on_controller_recompute(now),
             Event::ControllerInstall { node, routes } => {
                 self.fib_epoch += 1;
@@ -990,16 +1001,10 @@ impl Network {
         self.delivered_packets += 1;
         let sent_at = packet.sent_at;
         match packet.payload {
-            Payload::Udp(dgram) => {
-                // Find the probe flow this belongs to (probes are few).
-                if let Some(idx) = self
-                    .flows
-                    .iter()
-                    .position(|f| f.key == packet.flow && f.role == FlowRole::UdpProbe)
-                {
-                    self.flows[idx].connectivity.record(now, dgram.seq);
-                    self.flows[idx].delay.record(sent_at, now);
-                }
+            Payload::Udp { flow, dgram } => {
+                let f = &mut self.flows[flow.index()];
+                f.connectivity.record(now, dgram.seq);
+                f.delay.record(sent_at, now);
             }
             Payload::TcpData { flow, seg } => {
                 let (ack, reached_total) = {
@@ -1078,9 +1083,7 @@ impl Network {
                     let packet = self.make_packet(key, size, now, Payload::TcpData { flow, seg });
                     self.send_from_host(now, src, packet);
                 }
-                TcpSenderOutput::ArmRto { at, token } => {
-                    self.queue.schedule(at, Event::TcpRto { flow, token });
-                }
+                TcpSenderOutput::ArmRto { at, token } => self.arm_rto(flow, at, token),
                 TcpSenderOutput::ArmPace { at } => {
                     self.queue.schedule(at, Event::TcpPace { flow });
                 }
@@ -1092,6 +1095,47 @@ impl Network {
         }
     }
 
+    /// Realizes an `ArmRto` without queueing one entry per ACK. The key is
+    /// drawn now, where the entry used to be pushed, but while an entry at
+    /// or before it is pending it is only recorded: that entry re-queues
+    /// itself under the recorded key when it pops ([`Self::on_rto_entry`]),
+    /// so the arming that fires pops exactly where its own entry would
+    /// have. A deadline *earlier* than the pending entry (the RTO shrank
+    /// back to base) is queued at once and orphans the later entry.
+    fn arm_rto(&mut self, flow: FlowId, at: SimTime, token: u64) {
+        let key = self.queue.draw_key(at);
+        let timer = &mut self.flows[flow.index()].rto;
+        timer.deadline = key;
+        timer.token = token;
+        if timer.queued.is_none_or(|queued| queued > key) {
+            timer.queued = Some(key);
+            self.queue.schedule_at_key(key, Event::TcpRto { flow, key });
+        }
+    }
+
+    /// A retransmission-timer entry popped: fire if it is the flow's
+    /// current deadline, chase the deadline if that has moved later, drop
+    /// it if a shorter RTO was queued past it.
+    fn on_rto_entry(&mut self, now: SimTime, flow: FlowId, key: EventKey) {
+        let f = &mut self.flows[flow.index()];
+        if f.rto.queued != Some(key) {
+            return;
+        }
+        if f.rto.deadline == key {
+            f.rto.queued = None;
+            let outputs = f
+                .sender
+                .as_mut()
+                .expect("TCP flow has a sender")
+                .on_rto(now, f.rto.token);
+            self.handle_tcp_outputs(now, flow, outputs);
+        } else {
+            let key = f.rto.deadline;
+            f.rto.queued = Some(key);
+            self.queue.schedule_at_key(key, Event::TcpRto { flow, key });
+        }
+    }
+
     fn on_udp_tick(&mut self, now: SimTime, flow: FlowId) {
         let (dgram, next, key, src) = {
             let f = &mut self.flows[flow.index()];
@@ -1099,7 +1143,7 @@ impl Network {
             (dgram, next, f.key, f.src)
         };
         let size = dgram.bytes + self.config.udp_header_bytes;
-        let packet = self.make_packet(key, size, now, Payload::Udp(dgram));
+        let packet = self.make_packet(key, size, now, Payload::Udp { flow, dgram });
         self.send_from_host(now, src, packet);
         if let Some(at) = next {
             self.queue.schedule(at, Event::UdpTick { flow });

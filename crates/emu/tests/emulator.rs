@@ -450,3 +450,108 @@ fn transfer_fcts_are_recorded() {
     assert_eq!(net.transfer_fcts().len(), 1);
     assert_eq!(net.unfinished_transfers(), 0);
 }
+
+// ----------------------------------------------------------------------
+// Retransmission timers: one live queue entry per flow
+// ----------------------------------------------------------------------
+
+/// A paced probe re-arms its RTO on every new ACK (10 000 times a second
+/// against a 200 ms timer). Queueing each arming kept ~2 000 stale entries
+/// under every push and pop; one live entry per flow keeps the queue at
+/// the packets actually in flight.
+#[test]
+fn healthy_paced_tcp_probe_keeps_the_event_queue_shallow() {
+    let mut net = fat_network(4, 1);
+    let (src, dst) = probe_endpoints(net.topology());
+    let probe = net.add_tcp_probe(src, dst, SimTime::ZERO);
+    net.run_until(ms(500));
+    let stats = net.tcp_flow_stats(probe).expect("TCP flow");
+    assert!(stats.acked > 4_000 * 1448, "the probe ran: {stats:?}");
+    assert_eq!(stats.retransmits, 0);
+    assert!(
+        net.peak_queue_depth() < 64,
+        "peak queue depth {}",
+        net.peak_queue_depth()
+    );
+}
+
+/// Steps the network until `observe` changes from its current value and
+/// returns the instant it did.
+fn run_until_change<T: PartialEq>(net: &mut Network, observe: impl Fn(&Network) -> T) -> SimTime {
+    let before = observe(net);
+    loop {
+        let now = net.step(ms(60_000)).expect("the observed value changes");
+        if observe(net) != before {
+            return now;
+        }
+    }
+}
+
+/// The shrink case: the RTO backs off during an outage, so the flow's one
+/// queued entry sits seconds away; the path heals, a single ACK resets
+/// the RTO to base, and the path dies again. The base-RTO deadline is
+/// *earlier* than the queued entry and must fire on its own, not wait for
+/// the stale later one.
+#[test]
+fn rto_reset_to_base_fires_before_the_backed_off_entry_still_queued() {
+    let mut net = fat_network(4, 1);
+    let (src, dst) = probe_endpoints(net.topology());
+    let probe = net.add_tcp_probe(src, dst, SimTime::ZERO);
+    let (access, _) = net.topology().neighbors(src).next().expect("host uplink");
+    let retransmits = |n: &Network| n.tcp_flow_stats(probe).expect("TCP flow").retransmits;
+    let acked = |n: &Network| n.tcp_flow_stats(probe).expect("TCP flow").acked;
+
+    // Outage from 100 ms: RTOs fire at ~300, ~700 and ~1500 ms, doubling.
+    // Healed (and re-detected) well before the third, which gets through.
+    net.fail_link_at(ms(100), access);
+    net.apply_failures({
+        let mut s = dcn_failure::FailureSchedule::new();
+        s.repair(ms(1000), access);
+        s
+    });
+    net.run_until(ms(1400));
+    assert_eq!(retransmits(&net), 2, "two RTOs fired into the outage");
+    let third = run_until_change(&mut net, retransmits);
+    assert!(
+        (ms(1450)..ms(1550)).contains(&third),
+        "third RTO at {third}"
+    );
+    // Backed off to 1.6 s: the re-armed entry sits past 3 s.
+
+    // Its ACK resets the RTO to base; kill the path again at once, so no
+    // further ACK moves the deadline.
+    let ack_at = run_until_change(&mut net, acked);
+    assert!(
+        ack_at < third + SimDuration::from_millis(1),
+        "ACK at {ack_at}"
+    );
+    net.fail_link_at(ack_at + SimDuration::from_micros(10), access);
+    let fourth = run_until_change(&mut net, retransmits);
+    assert_eq!(
+        fourth,
+        ack_at + net.config().tcp().min_rto,
+        "retransmits one base RTO after the ACK, not at the backed-off entry"
+    );
+}
+
+/// A finished transfer leaves no timer behind that does anything: past
+/// its last deadline nothing more is sent and nothing was retransmitted.
+#[test]
+fn completed_transfer_leaves_no_live_timer_behind() {
+    let mut net = fat_network(4, 1);
+    let (src, dst) = probe_endpoints(net.topology());
+    let flow = net.add_transfer(src, dst, 1_000_000, SimTime::ZERO);
+    net.run_until(ms(100));
+    let stats = net.tcp_flow_stats(flow).expect("TCP flow");
+    assert!(stats.complete && net.is_delivered(flow), "{stats:?}");
+    let sent = net.total_transmitted();
+    let delivered = net.delivered_packets();
+    // Base RTO is 200 ms: by 2 s every deadline the transfer ever armed
+    // has passed.
+    net.run_until(ms(2000));
+    assert_eq!(net.total_transmitted(), sent, "no packet after completion");
+    assert_eq!(net.delivered_packets(), delivered);
+    let stats = net.tcp_flow_stats(flow).expect("TCP flow");
+    assert_eq!(stats.retransmits, 0);
+    assert_eq!(stats.acked, 1_000_000);
+}

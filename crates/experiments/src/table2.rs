@@ -33,7 +33,7 @@ pub fn run_table2(k: u32) -> Vec<Table2Row> {
     let router = bed.net.router(agg).expect("agg switch has a router");
     let topo = bed.topology();
     let mut routes: Vec<_> = router.fib().routes().collect();
-    // The FIB iterator walks the trie in prefix order; the table reads
+    // The FIB iterator yields (address, length) order; the table reads
     // top-down in lookup order, so sort longest prefixes first.
     routes.sort_by(|a, b| b.prefix.len().cmp(&a.prefix.len()).then(a.prefix.cmp(&b.prefix)));
     routes

@@ -1,4 +1,14 @@
-//! The forwarding information base: a binary LPM trie with fall-through.
+//! The forwarding information base: a sorted-run LPM table with
+//! fall-through.
+//!
+//! Routes sit in one `Vec` sorted by (prefix length descending, address,
+//! origin preference) — lookup order — with an index of where each
+//! populated length's run ends. A lookup is one binary search per
+//! populated length, longest first: a fabric FIB holds three or four
+//! lengths (/32 hosts, /24 racks, the /16 and /15 backups), so that is a
+//! handful of probes into contiguous memory where a bit trie chased one
+//! boxed node per address bit. The trie survives as the test oracle
+//! (`tests/fib_reference.rs`).
 //!
 //! The F²Tree fast-reroute primitive lives here. A lookup walks matching
 //! prefixes **longest first**; at each prefix it considers entries in
@@ -10,6 +20,7 @@
 //! (paper §II-B, Table II).
 
 use std::borrow::Borrow;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -118,12 +129,6 @@ impl FibDelta {
     }
 }
 
-#[derive(Default)]
-struct TrieNode {
-    children: [Option<Box<TrieNode>>; 2],
-    routes: Vec<Route>, // sorted by origin preference
-}
-
 /// A per-switch forwarding table.
 ///
 /// # Examples
@@ -156,106 +161,129 @@ struct TrieNode {
 /// # }
 /// ```
 pub struct Fib {
-    root: TrieNode,
+    /// Every route, sorted by (prefix length descending, address, origin
+    /// preference): lookup order, with one contiguous run per length.
+    routes: Vec<Route>,
+    /// `(length, end)` per populated prefix length, longest first; a run
+    /// starts where the previous one ends.
+    runs: Vec<(u8, usize)>,
     salt: u64,
-    route_count: usize,
 }
 
 impl Fib {
     /// Creates an empty FIB with a per-switch ECMP salt.
     pub fn new(salt: u64) -> Self {
         Fib {
-            root: TrieNode::default(),
+            routes: Vec::new(),
+            runs: Vec::new(),
             salt,
-            route_count: 0,
         }
     }
 
     /// Number of installed routes (all origins).
     pub fn len(&self) -> usize {
-        self.route_count
+        self.routes.len()
     }
 
     /// Whether the FIB holds no routes.
     pub fn is_empty(&self) -> bool {
-        self.route_count == 0
+        self.routes.is_empty()
     }
 
-    fn node_mut(&mut self, prefix: Prefix) -> &mut TrieNode {
-        let bits = prefix.addr().to_u32();
-        let mut node = &mut self.root;
-        for depth in 0..prefix.len() {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            node = node.children[bit].get_or_insert_with(Box::default);
+    /// Where the `origin` route for `prefix` is (`Ok`) or belongs (`Err`).
+    fn position(&self, prefix: Prefix, origin: RouteOrigin) -> Result<usize, usize> {
+        self.routes
+            .binary_search_by_key(&(Reverse(prefix.len()), prefix.addr(), origin), |r| {
+                (Reverse(r.prefix.len()), r.prefix.addr(), r.origin)
+            })
+    }
+
+    /// Rebuilds the run index after routes were added or dropped.
+    fn reindex(&mut self) {
+        self.runs.clear();
+        for (i, route) in self.routes.iter().enumerate() {
+            match self.runs.last_mut() {
+                Some((len, end)) if *len == route.prefix.len() => *end = i + 1,
+                _ => self.runs.push((route.prefix.len(), i + 1)),
+            }
         }
-        node
+    }
+
+    fn upsert(&mut self, route: Route) {
+        match self.position(route.prefix, route.origin) {
+            Ok(i) => {
+                if let Some(existing) = self.routes.get_mut(i) {
+                    *existing = route;
+                }
+            }
+            Err(i) => self.routes.insert(i, route),
+        }
+    }
+
+    fn take(&mut self, prefix: Prefix, origin: RouteOrigin) -> Option<Route> {
+        let i = self.position(prefix, origin).ok()?;
+        Some(self.routes.remove(i))
     }
 
     /// Installs a route, replacing any same-prefix route of the same
     /// origin.
     pub fn insert(&mut self, route: Route) {
-        let node = self.node_mut(route.prefix);
-        if let Some(existing) = node.routes.iter_mut().find(|r| r.origin == route.origin) {
-            *existing = route;
-        } else {
-            node.routes.push(route);
-            node.routes.sort_by_key(|r| r.origin);
-            self.route_count += 1;
-        }
+        self.upsert(route);
+        self.reindex();
     }
 
     /// Removes the route for `prefix` of the given origin, returning it.
+    /// An absent route is a no-op.
     pub fn remove(&mut self, prefix: Prefix, origin: RouteOrigin) -> Option<Route> {
-        let node = self.node_mut(prefix);
-        let pos = node.routes.iter().position(|r| r.origin == origin)?;
-        let removed = node.routes.remove(pos);
-        self.route_count -= 1;
+        let removed = self.take(prefix, origin)?;
+        self.reindex();
         Some(removed)
     }
 
     /// Applies a [`FibDelta`]: per-prefix inserts, removes, and in-place
-    /// next-hop patches. Cost scales with the number of *changed*
-    /// prefixes, not the FIB size.
+    /// next-hop patches, one binary search each.
     pub fn apply(&mut self, delta: FibDelta) {
         let origin = delta.origin;
         for op in delta.ops {
             match op {
                 FibOp::Insert(route) => {
                     debug_assert_eq!(route.origin, origin);
-                    self.insert(route);
+                    self.upsert(route);
                 }
                 FibOp::Remove(prefix) => {
-                    self.remove(prefix, origin);
+                    self.take(prefix, origin);
                 }
                 FibOp::Patch {
                     prefix,
                     metric,
                     next_hops,
-                } => {
-                    let node = self.node_mut(prefix);
-                    if let Some(existing) =
-                        node.routes.iter_mut().find(|r| r.origin == origin)
-                    {
-                        existing.metric = metric;
-                        existing.next_hops = next_hops;
-                    } else {
-                        // Ops are absolute, so a patch against a missing
-                        // entry upserts (tolerates replayed sequences).
-                        self.insert(Route::new(prefix, origin, metric, next_hops));
+                } => match self.position(prefix, origin) {
+                    Ok(i) => {
+                        if let Some(existing) = self.routes.get_mut(i) {
+                            existing.metric = metric;
+                            existing.next_hops = next_hops;
+                        }
                     }
-                }
+                    // Ops are absolute, so a patch against a missing
+                    // entry upserts (tolerates replayed sequences).
+                    Err(i) => self
+                        .routes
+                        .insert(i, Route::new(prefix, origin, metric, next_hops)),
+                },
             }
         }
+        self.reindex();
     }
 
     /// The [`FibDelta`] that transforms this FIB's installed `origin`
     /// routes into exactly `desired` ([`FibDelta::diff`] against the live
-    /// table). Walks the whole trie: it serves the installs that must
+    /// table). Walks the whole table: it serves the installs that must
     /// supersede whatever is in flight (controller pushes, the FRR
     /// reconcile), not the per-SPF path.
     pub fn diff_origin(&self, origin: RouteOrigin, desired: &BTreeMap<Prefix, Route>) -> FibDelta {
         let current: BTreeMap<Prefix, &Route> = self
-            .routes()
+            .routes
+            .iter()
             .filter(|r| r.origin == origin)
             .map(|r| (r.prefix, r))
             .collect();
@@ -269,59 +297,47 @@ impl Fib {
     /// longest-first; within a prefix, origins in preference order; within
     /// a route, ECMP over the live next hops.
     pub fn lookup(&self, flow: &FlowKey, is_dead: impl Fn(LinkId) -> bool) -> Option<NextHop> {
-        self.lookup_addr(flow.dst, flow, &is_dead)
-    }
-
-    /// Collects the chain of trie nodes matching `dst`, root to deepest.
-    /// This backs the per-packet path, so it must not heap-allocate: the
-    /// chain lives in a fixed stack array (root + 32 bits of prefix).
-    fn prefix_chain(&self, dst: Ipv4Addr) -> ([Option<&TrieNode>; 33], usize) {
-        let bits = dst.to_u32();
-        let mut chain: [Option<&TrieNode>; 33] = [None; 33];
-        let mut len = 0usize;
-        let mut node = &self.root;
-        if let Some(slot) = chain.get_mut(len) {
-            *slot = Some(node);
-            len += 1;
-        }
-        for depth in 0..32 {
-            let bit = ((bits >> (31 - depth)) & 1) as usize;
-            match &node.children[bit] {
-                Some(child) => {
-                    node = child;
-                    if let Some(slot) = chain.get_mut(len) {
-                        *slot = Some(node);
-                        len += 1;
-                    }
-                }
-                None => break,
-            }
-        }
-        (chain, len)
-    }
-
-    fn lookup_addr(
-        &self,
-        dst: Ipv4Addr,
-        flow: &FlowKey,
-        is_dead: &impl Fn(LinkId) -> bool,
-    ) -> Option<NextHop> {
-        let (chain, len) = self.prefix_chain(dst);
-        // Longest prefix first; fall through when all next hops are dead.
         // ECMP selects among the live hops without materializing them:
         // count first, then take the selected one in a second pass.
-        for node in chain.iter().take(len).rev().flatten() {
-            for route in &node.routes {
-                let live = route.next_hops.iter().filter(|h| !is_dead(h.link)).count();
-                if live > 0 {
-                    let idx = ecmp_select(flow, self.salt, live);
-                    return route
-                        .next_hops
-                        .iter()
-                        .filter(|h| !is_dead(h.link))
-                        .nth(idx)
-                        .copied();
-                }
+        self.first_match(flow.dst, |route| {
+            let live = route.next_hops.iter().filter(|h| !is_dead(h.link)).count();
+            if live == 0 {
+                return None;
+            }
+            let idx = ecmp_select(flow, self.salt, live);
+            route
+                .next_hops
+                .iter()
+                .filter(|h| !is_dead(h.link))
+                .nth(idx)
+                .copied()
+        })
+    }
+
+    /// Offers the routes matching `dst` to `pick` in lookup order —
+    /// longest prefix first, origin preference within a prefix — until it
+    /// answers; a `None` falls through to the next route. One binary
+    /// search per populated prefix length and no scratch storage: this
+    /// backs the per-packet path.
+    fn first_match<T>(
+        &self,
+        dst: Ipv4Addr,
+        mut pick: impl FnMut(&Route) -> Option<T>,
+    ) -> Option<T> {
+        let mut start = 0;
+        for &(len, end) in &self.runs {
+            let run = self.routes.get(start..end).unwrap_or_default();
+            start = end;
+            let want = Prefix::truncating(dst, len);
+            let first = run.partition_point(|r| r.prefix.addr() < want.addr());
+            let hit = run
+                .get(first..)
+                .unwrap_or_default()
+                .iter()
+                .take_while(|r| r.prefix == want)
+                .find_map(&mut pick);
+            if hit.is_some() {
+                return hit;
             }
         }
         None
@@ -343,73 +359,45 @@ impl Fib {
         dst: Ipv4Addr,
         is_dead: impl Fn(LinkId) -> bool,
     ) -> Vec<NextHop> {
-        let (chain, len) = self.prefix_chain(dst);
-        for node in chain.iter().take(len).rev().flatten() {
-            for route in &node.routes {
-                let live: Vec<NextHop> = route
-                    .next_hops
-                    .iter()
-                    .filter(|h| !is_dead(h.link))
-                    .copied()
-                    .collect();
-                if !live.is_empty() {
-                    return live;
-                }
-            }
-        }
-        Vec::new()
+        self.first_match(dst, |route| {
+            let live: Vec<NextHop> = route
+                .next_hops
+                .iter()
+                .filter(|h| !is_dead(h.link))
+                .copied()
+                .collect();
+            (!live.is_empty()).then_some(live)
+        })
+        .unwrap_or_default()
     }
 
     /// Borrowing iterator over every installed route, in deterministic
-    /// trie pre-order (parent prefixes before children, 0-bit subtree
-    /// first). No routes are cloned; collect and sort if a display
-    /// order (e.g. Table II's longest-first) is wanted.
+    /// (address, length, origin) order — parent prefixes before the
+    /// prefixes they cover. No routes are cloned; collect and sort if a
+    /// display order (e.g. Table II's longest-first) is wanted.
     pub fn routes(&self) -> RoutesIter<'_> {
-        RoutesIter {
-            stack: vec![&self.root],
-            current: [].iter(),
-        }
+        let mut sorted: Vec<&Route> = self.routes.iter().collect();
+        sorted.sort_by_key(|r| (r.prefix, r.origin));
+        RoutesIter(sorted.into_iter())
     }
 }
 
-/// Borrowing pre-order iterator over a [`Fib`]'s routes (see
-/// [`Fib::routes`]).
-pub struct RoutesIter<'a> {
-    stack: Vec<&'a TrieNode>,
-    current: std::slice::Iter<'a, Route>,
-}
+/// Borrowing iterator over a [`Fib`]'s routes (see [`Fib::routes`]).
+#[derive(Debug)]
+pub struct RoutesIter<'a>(std::vec::IntoIter<&'a Route>);
 
 impl<'a> Iterator for RoutesIter<'a> {
     type Item = &'a Route;
 
     fn next(&mut self) -> Option<&'a Route> {
-        loop {
-            if let Some(route) = self.current.next() {
-                return Some(route);
-            }
-            let node = self.stack.pop()?;
-            // Push the 1-bit child first so the 0-bit subtree pops first,
-            // keeping the historical deterministic dump order.
-            for child in node.children.iter().rev().flatten() {
-                self.stack.push(child);
-            }
-            self.current = node.routes.iter();
-        }
-    }
-}
-
-impl fmt::Debug for RoutesIter<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RoutesIter")
-            .field("pending_nodes", &self.stack.len())
-            .finish()
+        self.0.next()
     }
 }
 
 impl fmt::Debug for Fib {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Fib")
-            .field("routes", &self.route_count)
+            .field("routes", &self.routes.len())
             .field("salt", &self.salt)
             .finish()
     }
@@ -596,6 +584,47 @@ mod tests {
         assert_eq!(removed.next_hops, vec![hop(9, 1)]);
         assert!(fib.remove(p, RouteOrigin::Static).is_none());
         assert_eq!(fib.len(), 3);
+    }
+
+    #[test]
+    fn removing_an_absent_route_changes_nothing() {
+        let mut fib = table2_fib();
+        let before: Vec<Route> = fib.routes().cloned().collect();
+        let dst = Ipv4Addr::new(10, 11, 0, 2);
+        let hop_before = fib.lookup(&flow_to(dst, 1), |_| false);
+        // A prefix nobody installed, at a length nobody populated, and an
+        // installed prefix under an origin it does not have.
+        assert!(fib
+            .remove("10.11.7.0/24".parse().unwrap(), RouteOrigin::Ospf)
+            .is_none());
+        assert!(fib
+            .remove(Prefix::host(dst), RouteOrigin::Connected)
+            .is_none());
+        assert!(fib
+            .remove("10.11.0.0/24".parse().unwrap(), RouteOrigin::Static)
+            .is_none());
+        fib.apply(FibDelta {
+            origin: RouteOrigin::Ospf,
+            ops: vec![FibOp::Remove("10.12.0.0/16".parse().unwrap())],
+        });
+        assert_eq!(fib.len(), 4);
+        assert_eq!(fib.routes().cloned().collect::<Vec<_>>(), before);
+        assert_eq!(fib.lookup(&flow_to(dst, 1), |_| false), hop_before);
+    }
+
+    #[test]
+    fn removing_every_route_returns_the_table_to_empty() {
+        let mut fib = table2_fib();
+        let installed: Vec<Route> = fib.routes().cloned().collect();
+        for route in &installed {
+            assert_eq!(fib.remove(route.prefix, route.origin).as_ref(), Some(route));
+        }
+        assert!(fib.is_empty());
+        assert_eq!(fib.routes().count(), 0);
+        assert!(fib.runs.is_empty(), "no emptied prefix length lingers");
+        let dst = Ipv4Addr::new(10, 11, 0, 2);
+        assert!(fib.lookup(&flow_to(dst, 1), |_| false).is_none());
+        assert!(fib.live_next_hops(dst, |_| false).is_empty());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The control and data plane the F²Tree reproduction runs on, mirroring
 //! the Quagga-OSPF + Linux stack the paper uses:
 //!
-//! * [`Fib`] — a longest-prefix-match trie with origin preference and
+//! * [`Fib`] — a longest-prefix-match table (one sorted run per prefix
+//!   length, longest first) with origin preference and
 //!   *fall-through on locally dead interfaces* — the primitive that makes
 //!   F²Tree's pre-installed shorter-prefix backup routes take over the
 //!   instant a failure is detected,

@@ -44,6 +44,6 @@ pub mod timers;
 
 pub use link::{Direction, LinkSpec, LinkState, TransmitVerdict};
 pub use packet::{Packet, DEFAULT_TTL};
-pub use queue::EventQueue;
+pub use queue::{EventKey, EventQueue};
 pub use rng::{DetRng, LogNormal, SimRng};
 pub use time::{SimDuration, SimTime};

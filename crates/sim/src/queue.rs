@@ -10,15 +10,22 @@ use std::fmt;
 
 use crate::time::SimTime;
 
-struct Entry<E> {
+/// An event's place in the queue's total order: its instant, then the
+/// order in which keys were drawn for that instant.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct EventKey {
     at: SimTime,
     seq: u64,
+}
+
+struct Entry<E> {
+    key: EventKey,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
 
@@ -33,10 +40,7 @@ impl<E> PartialOrd for Entry<E> {
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: BinaryHeap is a max-heap but we want earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 
@@ -86,29 +90,53 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is earlier than the current time — scheduling into
     /// the past is always a simulator bug.
     pub fn schedule(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "scheduled event at {at} before current time {}",
-            self.now
-        );
+        let key = self.draw_key(at);
+        self.schedule_at_key(key, event);
+    }
+
+    /// Draws the key [`Self::schedule`] would file an event for `at`
+    /// under right now, without queueing anything. A timer that is
+    /// re-armed far more often than it fires draws a key per arming and
+    /// queues only the one that matters ([`Self::schedule_at_key`]): it
+    /// then pops exactly where an entry pushed at arming time would
+    /// have — after every same-instant event scheduled before the draw,
+    /// before every one scheduled after it.
+    pub fn draw_key(&mut self, at: SimTime) -> EventKey {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        EventKey { at, seq }
+    }
+
+    /// Schedules `event` under a key drawn earlier with
+    /// [`Self::draw_key`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key's instant is earlier than the current time, like
+    /// [`Self::schedule`].
+    pub fn schedule_at_key(&mut self, key: EventKey, event: E) {
+        assert!(
+            key.at >= self.now,
+            "scheduled event at {} before current time {}",
+            key.at,
+            self.now
+        );
+        self.heap.push(Entry { key, event });
         self.peak = self.peak.max(self.heap.len());
     }
 
     /// Pops the earliest event and advances the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let entry = self.heap.pop()?;
-        debug_assert!(entry.at >= self.now);
-        self.now = entry.at;
+        debug_assert!(entry.key.at >= self.now);
+        self.now = entry.key.at;
         self.popped += 1;
-        Some((entry.at, entry.event))
+        Some((entry.key.at, entry.event))
     }
 
     /// The time of the next event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.heap.peek().map(|e| e.key.at)
     }
 
     /// Number of pending events.
@@ -211,6 +239,32 @@ mod tests {
         q.schedule(at_ms(4), 4); // back to 2 pending: peak unchanged
         assert_eq!(q.peak_pending(), 3);
         assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn a_key_drawn_early_and_scheduled_late_pops_where_it_was_drawn() {
+        let mut q = EventQueue::new();
+        q.schedule(at_ms(5), "before the draw");
+        let key = q.draw_key(at_ms(5));
+        q.schedule(at_ms(5), "after the draw");
+        q.schedule(at_ms(1), "earlier instant");
+        assert_eq!(q.len(), 3, "drawing a key queues nothing");
+        assert_eq!(q.pop().unwrap().1, "earlier instant");
+        // Scheduled only now, yet it takes the place it drew.
+        q.schedule_at_key(key, "drawn");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["before the draw", "drawn", "after the draw"]);
+        assert_eq!(q.now(), at_ms(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "before current time")]
+    fn scheduling_a_drawn_key_into_the_past_panics() {
+        let mut q = EventQueue::new();
+        let key = q.draw_key(at_ms(5));
+        q.schedule(at_ms(10), ());
+        q.pop();
+        q.schedule_at_key(key, ());
     }
 
     #[test]
