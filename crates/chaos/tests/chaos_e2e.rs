@@ -248,9 +248,8 @@ fn frr_recovers_a_single_link_within_the_tightened_bound() {
     );
 }
 
-/// The ci.sh gate-8 smoke in-repo: a fixed-seed 20-campaign FRR run is
-/// violation-free, pins every cell to F²Tree, and renders byte-identically
-/// at different worker counts.
+/// A fixed-seed 20-campaign FRR run is violation-free, pins every cell
+/// to F²Tree, and renders byte-identically at different worker counts.
 #[test]
 fn frr_campaign_smoke_is_clean_and_worker_invariant() {
     let cfg = ChaosConfig {
@@ -269,6 +268,24 @@ fn frr_campaign_smoke_is_clean_and_worker_invariant() {
         .map(|r| r.outcome.stats.broken_windows)
         .sum();
     assert!(windows > 0, "no scenario ever broke connectivity");
+}
+
+/// The quality observer's fixed-point scores may not depend on
+/// scheduling: a fixed-seed campaign with the observer armed renders
+/// byte-identical traces (and the same report) on 1 and 4 workers.
+#[test]
+fn quality_traces_are_worker_count_invariant() {
+    let mut cfg = ChaosConfig {
+        campaigns: 10,
+        ..ChaosConfig::default()
+    };
+    cfg.engine.quality = true;
+    let serial = run_chaos(&cfg, Workers::new(1)).expect("campaign builds");
+    let parallel = run_chaos(&cfg, Workers::new(4)).expect("campaign builds");
+    let traces = serial.render_quality();
+    assert!(traces.contains("snapshot(s)"), "observer was armed:\n{traces}");
+    assert_eq!(traces, parallel.render_quality(), "worker count changed the traces");
+    assert_eq!(serial.render(), parallel.render(), "worker count changed output");
 }
 
 /// Sanity: scenario generation never emits a link outside the topology it

@@ -411,21 +411,23 @@ fn did_you_mean<'a>(input: &str, candidates: &[&'a str]) -> Option<&'a str> {
 }
 
 /// Classic two-row Levenshtein edit distance.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "both rows have b.len()+1 slots and every index is in 0..=b.len() by the loop bounds"
+)]
 fn levenshtein(a: &str, b: &str) -> usize {
     let b_chars: Vec<char> = b.chars().collect();
     let mut prev: Vec<usize> = (0..=b_chars.len()).collect();
     let mut current = vec![0usize; b_chars.len() + 1];
-    // Both rows are sized b_chars.len()+1, and every index below is in
-    // 0..=b_chars.len() by the loop bounds.
     for (i, ca) in a.chars().enumerate() {
-        current[0] = i + 1; // lint:allow(panic-indexing) row is non-empty
+        current[0] = i + 1;
         for (j, &cb) in b_chars.iter().enumerate() {
-            let substitution = prev[j] + usize::from(ca != cb); // lint:allow(panic-indexing) j < len
-            current[j + 1] = substitution.min(prev[j + 1] + 1).min(current[j] + 1); // lint:allow(panic-indexing) j+1 <= len
+            let substitution = prev[j] + usize::from(ca != cb);
+            current[j + 1] = substitution.min(prev[j + 1] + 1).min(current[j] + 1);
         }
         std::mem::swap(&mut prev, &mut current);
     }
-    prev[b_chars.len()] // lint:allow(panic-indexing) rows have len+1 slots
+    prev[b_chars.len()]
 }
 
 /// The `repro chaos` subcommand: seeded invariant-oracle campaigns with

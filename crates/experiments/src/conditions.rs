@@ -47,7 +47,7 @@ impl Default for ConditionConfig {
             bin_ms: 20,
             // Fig. 5 presentation window; coincides with FIB_UPDATE_DELAY's
             // magnitude but is not a protocol timer.
-            delay_window_ms: 10, // lint:allow(timer-provenance)
+            delay_window_ms: 10,
             recovery: RecoveryMode::default(),
         }
     }
@@ -127,11 +127,14 @@ fn run_condition_measured(
     let fail_at = ms(config.fail_at_ms);
     let horizon = ms(config.horizon_ms);
 
-    // Invariant: ConditionConfig scales (k=8 class) are valid and
-    // addressable; a bad hand-written config should fail loudly.
+    #[expect(
+        clippy::expect_used,
+        reason = "ConditionConfig scales (k=8 class) are valid and addressable; \
+                  a bad hand-written config should fail loudly"
+    )]
     let mut bed =
         TestBed::build_with_config(design, config.k, config.hosts_per_tor, config.emu_config())
-            .expect("condition sweep testbed builds"); // lint:allow(panic-safety)
+            .expect("condition sweep testbed builds");
     // Both probes are pinned onto one forwarding path, as in the paper's
     // testbed, and the condition is resolved against that shared path.
     let (udp, tcp) = bed.add_aligned_probes(SimTime::ZERO);

@@ -139,8 +139,8 @@ pub struct UnidirectionalResult {
 /// recovery matches the bidirectional case.
 pub fn run_unidirectional(design: Design) -> UnidirectionalResult {
     let fail_at = ms(100);
-    // Invariant: the k=8 scales used here always build.
-    let mut bed = TestBed::build(design, 8, 4).expect("testbed builds"); // lint:allow(panic-safety)
+    #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
+    let mut bed = TestBed::build(design, 8, 4).expect("testbed builds");
     let (src, dst) = bed.probe_endpoints();
     let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
     let anatomy = bed.path_anatomy(probe);
@@ -265,9 +265,8 @@ pub fn run_centralized(design: Design, compute_ms: u64) -> CentralizedResult {
             push_delay: timers::CONTROLLER_PUSH_DELAY,
         })
         .build();
-    // Invariant: the k=8 scales used here always build.
-    let mut bed =
-        TestBed::build_with_config(design, 8, 4, config).expect("testbed builds"); // lint:allow(panic-safety)
+    #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
+    let mut bed = TestBed::build_with_config(design, 8, 4, config).expect("testbed builds");
     let (src, dst) = bed.probe_endpoints();
     let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
     let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
@@ -338,8 +337,8 @@ pub struct BisectionResult {
 /// goodput should track the fat tree's.
 pub fn run_bisection(design: Design) -> BisectionResult {
     const BYTES: u64 = 5_000_000;
-    // Invariant: the k=8 scales used here always build.
-    let mut bed = TestBed::build(design, 8, 4).expect("testbed builds"); // lint:allow(panic-safety)
+    #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
+    let mut bed = TestBed::build(design, 8, 4).expect("testbed builds");
     let hosts = bed.topology().hosts().to_vec();
     // First 12 hosts are pod 0 (F2Tree: 3 ToRs x 4 hosts); last 12 are
     // the last pod. Use 12 on both designs for comparability.
@@ -439,9 +438,9 @@ pub fn run_timer_ablation() -> Vec<AblationRow> {
                 })
                 .build();
             let fail_at = ms(100);
-            // Invariant: the k=8 scales used here always build.
+            #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
             let mut bed = TestBed::build_with_config(design, 8, 4, config)
-                .expect("testbed builds"); // lint:allow(panic-safety)
+                .expect("testbed builds");
             let (src, dst) = bed.probe_endpoints();
             let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
             let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");

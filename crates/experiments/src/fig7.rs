@@ -290,4 +290,16 @@ mod tests {
         assert!(text.contains("Leaf-Spine"));
         assert!(text.contains("VL2"));
     }
+
+    /// The whole grid through the worker pool: an explicit pool of 1 or 2
+    /// renders the bytes `run_fig7` (one worker per core) renders.
+    #[test]
+    fn sweep_output_does_not_depend_on_the_worker_count() {
+        let cfg = Fig7Config::default();
+        let text = format_fig7(&run_fig7(&cfg));
+        for workers in [1, 2] {
+            let swept = run_fig7_sweep(&cfg, Workers::new(workers));
+            assert_eq!(format_fig7(&swept), text, "{workers} worker(s)");
+        }
+    }
 }

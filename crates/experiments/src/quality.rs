@@ -71,15 +71,18 @@ fn run_quality_cell(
         ..*config
     };
 
-    // Same invariant as the fig4 sweep: the k=8-class configs are
-    // buildable by construction.
+    #[expect(
+        clippy::expect_used,
+        reason = "same invariant as the fig4 sweep: the k=8-class configs are \
+                  buildable by construction"
+    )]
     let mut bed = TestBed::build_with_config(
         design,
         cell_config.k,
         cell_config.hosts_per_tor,
         cell_config.emu_config(),
     )
-    .expect("quality sweep testbed builds"); // lint:allow(panic-safety)
+    .expect("quality sweep testbed builds");
     let (udp, _tcp) = bed.add_aligned_probes(SimTime::ZERO);
     let anatomy = bed.path_anatomy(udp);
     let links = bed.scenario_links(&anatomy, condition);

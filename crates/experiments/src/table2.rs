@@ -25,8 +25,11 @@ pub struct Table2Row {
 /// Dumps the routing table of the first aggregation ring member of a
 /// `k`-port F²Tree (longest prefixes first, as the FIB searches).
 pub fn run_table2(k: u32) -> Vec<Table2Row> {
-    // Invariant: run_table2 is called with the paper's k values (6, 8).
-    let mut bed = TestBed::build(Design::F2Tree, k, 1).expect("valid k"); // lint:allow(panic-safety)
+    #[expect(
+        clippy::expect_used,
+        reason = "run_table2 is called with the paper's k values (6, 8)"
+    )]
+    let mut bed = TestBed::build(Design::F2Tree, k, 1).expect("valid k");
     // Force a settled clock so the dump is from a converged network.
     bed.net.run_until(SimTime::ZERO);
     let agg = bed.agg_rings[0].members[0];

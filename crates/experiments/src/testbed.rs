@@ -62,8 +62,8 @@ pub fn run_testbed(design: Design, config: &TestbedConfig) -> TestbedResult {
     let horizon = ms(config.horizon_ms);
     let bin = SimDuration::from_millis(config.bin_ms);
 
-    // Invariant: TestbedConfig scales (k=4 class) are valid.
-    let mut bed = TestBed::build(design, config.k, 1).expect("testbed builds"); // lint:allow(panic-safety)
+    #[expect(clippy::expect_used, reason = "TestbedConfig scales (k=4 class) are valid")]
+    let mut bed = TestBed::build(design, config.k, 1).expect("testbed builds");
     // Both probes share one forwarding path, as in the paper's testbed,
     // and the downward ToR-agg link of that path is torn down.
     let (udp, tcp) = bed.add_aligned_probes(SimTime::ZERO);

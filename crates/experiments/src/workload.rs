@@ -107,10 +107,13 @@ pub struct WorkloadResult {
 
 /// Runs the workload experiment for one design and regime.
 pub fn run_workload(design: Design, config: &WorkloadConfig) -> WorkloadResult {
-    // Invariant: WorkloadConfig scales (k=8 class) are valid and
-    // addressable; a bad hand-written config should fail loudly.
+    #[expect(
+        clippy::expect_used,
+        reason = "WorkloadConfig scales (k=8 class) are valid and addressable; \
+                  a bad hand-written config should fail loudly"
+    )]
     let mut bed = TestBed::build(design, config.k, config.hosts_per_tor)
-        .expect("workload testbed builds"); // lint:allow(panic-safety)
+        .expect("workload testbed builds");
     let hosts: Vec<NodeId> = bed.topology().hosts().to_vec();
     let duration = SimDuration::from_secs(config.duration_s);
 

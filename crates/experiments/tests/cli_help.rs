@@ -1,8 +1,9 @@
 //! CLI contract tests for the `repro` binary: the `--help` text
-//! documents every flag's accepted values, and anything the parser does
+//! documents every flag's accepted values; anything the parser does
 //! not recognize — flags, flag values, targets, non-numeric numbers, an
 //! uncreatable `--out` — is rejected with exit status 2 and a one-line
-//! message on stderr, before anything reaches stdout.
+//! message on stderr, before anything reaches stdout; and `repro chaos`
+//! prints the same bytes for every `--workers` value.
 
 use std::process::{Command, Output};
 
@@ -111,4 +112,34 @@ fn recovery_alias_lfa_is_accepted_on_a_cheap_target() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).expect("utf8 stdout");
     assert!(text.contains("Table IV"), "{text}");
+}
+
+/// The chaos subcommand end to end through the built binary — flag
+/// parsing, the worker pool, report (and `--quality` trace) rendering:
+/// a fixed-seed smoke campaign exits 0 (no oracle fired) and its stdout
+/// is byte-identical across worker counts, in every mode.
+#[test]
+fn chaos_smoke_is_clean_and_worker_count_invariant() {
+    let modes: [(&[&str], [&str; 2]); 3] = [
+        (&[], ["1", "2"]),
+        (&["--recovery", "frr"], ["1", "2"]),
+        (&["--quality"], ["1", "4"]),
+    ];
+    for (mode, worker_counts) in modes {
+        let run = |workers: &str| {
+            let mut args = vec!["chaos", "--seed", "20150701", "--campaigns", "5"];
+            args.extend_from_slice(mode);
+            args.extend_from_slice(&["--workers", workers]);
+            let out = repro(&args);
+            assert!(
+                out.status.success(),
+                "{args:?}: stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8(out.stdout).expect("utf8 stdout")
+        };
+        let [few, many] = worker_counts.map(run);
+        assert!(few.contains("violation"), "{mode:?} printed a report:\n{few}");
+        assert_eq!(few, many, "{mode:?}: worker count changed stdout");
+    }
 }

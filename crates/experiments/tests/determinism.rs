@@ -2,9 +2,10 @@
 //! seeds replaying identical traces, so the Fig. 4 failure-condition
 //! experiment must produce *byte-identical* metric output across repeated
 //! runs in the same process. This is the end-to-end companion to the
-//! `determinism` lint (`cargo run -p xtask -- lint`), which bans the usual
-//! sources of run-to-run drift (hash iteration order, ambient RNGs, wall
-//! clocks) statically.
+//! `determinism` lint (`cargo run -p xtask -- lint`; the bans live in the
+//! root `clippy.toml`), which keeps the usual sources of run-to-run drift
+//! (hash iteration order, wall clocks, thread identity) out of every
+//! crate statically.
 
 use dcn_sweep::Workers;
 use f2tree_experiments::conditions::{

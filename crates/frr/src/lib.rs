@@ -92,24 +92,26 @@ impl fmt::Debug for OspfDistances {
 
 /// Computes [`OspfDistances`] for `topo` with the given passive link set
 /// (BFS per switch; unit costs match the emulator's SPF metric).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every NodeId::index() is < node_slots and each row is sized node_slots"
+)]
 pub fn compute_distances(topo: &Topology, passive: &BTreeSet<LinkId>) -> OspfDistances {
     let slots = topo.node_slots();
     let mut dist = vec![vec![u32::MAX; slots]; slots];
     for src in topo.nodes().filter(|n| n.kind().is_switch()) {
         let src = src.id();
-        // Every NodeId::index() is < node_slots and each row is sized
-        // node_slots, so all indexing below is in bounds.
-        let row = &mut dist[src.index()]; // lint:allow(panic-indexing)
-        row[src.index()] = 0; // lint:allow(panic-indexing)
+        let row = &mut dist[src.index()];
+        row[src.index()] = 0;
         let mut queue = VecDeque::from([src]);
         while let Some(at) = queue.pop_front() {
-            let next = row[at.index()] + 1; // lint:allow(panic-indexing)
+            let next = row[at.index()] + 1;
             for (link, nbr) in topo.neighbors(at) {
                 if passive.contains(&link) || !topo.node(nbr).kind().is_switch() {
                     continue;
                 }
-                if row[nbr.index()] == u32::MAX { // lint:allow(panic-indexing)
-                    row[nbr.index()] = next; // lint:allow(panic-indexing)
+                if row[nbr.index()] == u32::MAX {
+                    row[nbr.index()] = next;
                     queue.push_back(nbr);
                 }
             }

@@ -191,13 +191,13 @@ impl Link {
     /// # Panics
     ///
     /// Panics if `node` is not an endpoint of this link.
+    #[expect(clippy::panic, reason = "documented contract: callers pass an endpoint")]
     pub fn other_end(&self, node: NodeId) -> NodeId {
         if node == self.a {
             self.b
         } else if node == self.b {
             self.a
         } else {
-            // lint:allow(panic-safety) — documented contract: callers pass an endpoint.
             panic!("{node} is not an endpoint of {}", self.id)
         }
     }

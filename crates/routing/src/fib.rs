@@ -115,14 +115,14 @@ impl FibDelta {
                     metric: want.metric,
                     // Delta ops own their data: they outlive this borrow
                     // of the desired map (FIB installs are delayed events).
-                    next_hops: want.next_hops.clone(), // lint:allow(clone-in-hot-path)
+                    next_hops: want.next_hops.clone(),
                 }),
             }
         }
         for (prefix, want) in desired {
             debug_assert_eq!(want.origin, origin);
             if !current.contains_key(prefix) {
-                ops.push(FibOp::Insert(want.clone())); // lint:allow(clone-in-hot-path) ops own their data
+                ops.push(FibOp::Insert(want.clone())); // ops own their data
             }
         }
         FibDelta { origin, ops }

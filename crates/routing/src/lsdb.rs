@@ -56,7 +56,10 @@ impl Lsdb {
         if index >= self.slots.len() {
             self.slots.resize(index + 1, None);
         }
-        // lint:allow(panic-indexing) the table was grown to cover `index` just above
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the table was grown to cover `index` just above"
+        )]
         let slot = &mut self.slots[index];
         if matches!(slot, Some(existing) if existing.seq >= lsa.seq) {
             return false;

@@ -308,7 +308,7 @@ impl RouterProcess {
                         generation: self.install_gen,
                         // The plan outlives this activation (the link may
                         // flap and fail again later).
-                        delta: delta.clone(), // lint:allow(clone-in-hot-path)
+                        delta: delta.clone(),
                     });
                 }
             }

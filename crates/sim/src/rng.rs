@@ -9,9 +9,12 @@
 //! The generator is hand-rolled rather than pulled from the `rand` crate on
 //! purpose: the paper's recovery-time figures are only reproducible if every
 //! byte of randomness is pinned by the seed, independent of crate versions,
-//! platforms, or `rand`'s internal algorithm choices. `cargo run -p xtask --
-//! lint` statically bans `rand::thread_rng` and friends in the simulation
-//! crates; this module is the one sanctioned entropy source.
+//! platforms, or `rand`'s internal algorithm choices. No `rand` crate is
+//! linkable in this workspace, and `cargo run -p xtask -- lint` bans the
+//! std sources of run-to-run variation (hash containers, wall clocks,
+//! thread identity; root `clippy.toml`) in every crate and literal seeds
+//! outside tests (`rng-stream`); this module is the one sanctioned
+//! entropy source.
 
 use std::fmt;
 

@@ -5,9 +5,10 @@
 //! crates would make it impossible to audit which experiment ran with
 //! which budget. The `timer-constants` lint
 //! (`cargo run -p xtask -- lint`) bans hard-coded `from_millis`/
-//! `from_secs` literals in non-test library code everywhere except this
-//! module and `crates/core/src/config.rs`; defaults elsewhere must
-//! reference these names.
+//! `from_secs` literals — and `from_micros` literals equal to one of
+//! these timers — in the non-test code of the simulation crates,
+//! everywhere except this module and `crates/core/src/config.rs`;
+//! defaults elsewhere must reference these names.
 //!
 //! This module lives in `dcn-sim` (not `dcn-core`) because the
 //! dependency arrow points the other way: `core → routing → sim`, and

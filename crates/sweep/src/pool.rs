@@ -25,9 +25,12 @@ where
 {
     let total = plan.cells.len();
     let workers = plan.workers.get().min(total.max(1));
-    // Host wall-clock for observability only — never feeds simulation
-    // state, RNG streams, or merged results.
-    let sweep_start = Instant::now(); // lint:allow(determinism)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host wall clock for observability only: never feeds simulation state, \
+                  RNG streams, or merged results"
+    )]
+    let sweep_start = Instant::now();
 
     let mut indexed: Vec<(usize, R, u64)> = if workers <= 1 {
         run_span(plan, observer, &run_cell, &AtomicUsize::new(0))
@@ -38,7 +41,6 @@ where
             let handles: Vec<_> = (0..workers)
                 // Blessed claim-cursor seam: workers share only the atomic
                 // cursor, which hands out each cell index exactly once.
-                // lint:allow(shared-mutable-capture)
                 .map(|_| scope.spawn(|| run_span(plan, observer, &run_cell, &cursor)))
                 .collect();
             for handle in handles {
@@ -46,7 +48,6 @@ where
                     // Blessed ordered-merge seam: spans arrive in join
                     // order, but every entry carries its cell index and
                     // the sort below restores cell order.
-                    // lint:allow(unordered-reduction)
                     Ok(local) => collected.extend(local),
                     // Re-raise the first worker panic on the caller thread
                     // so a failing cell fails the sweep loudly.
@@ -91,13 +92,15 @@ where
         // property used is fetch_add uniqueness — each index is claimed
         // exactly once regardless of ordering, and results are re-sorted
         // by index at the merge.
-        // lint:allow(relaxed-atomic)
         let index = cursor.fetch_add(1, Ordering::Relaxed);
         if index >= total {
             return local;
         }
-        // Per-cell wall time: host-side observability only (see above).
-        let cell_start = Instant::now(); // lint:allow(determinism)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-cell wall time: host-side observability only, as in `execute`"
+        )]
+        let cell_start = Instant::now();
         let mut ctx = CellCtx::new(&plan.cells[index], index, total, plan.master_seed);
         let result = run_cell(&mut ctx);
         let sim_events = ctx.sim_events;

@@ -8,10 +8,10 @@
 //! "crates/net/src/topology.rs" = 16
 //! ```
 //!
-//! Each entry is the *maximum* number of violations of that rule allowed
-//! in that file. The gate fails when a file exceeds its budget, and nags
-//! (without failing) when a file is strictly under budget, so the budget
-//! can only ever be ratcheted down.
+//! Each entry is the number of findings of that rule budgeted for that
+//! file. The gate (`engine::gate`) is strict both ways — it fails when a
+//! file exceeds its budget and when it is under it — so a budget can
+//! only ever be ratcheted down, in the change that burns the debt.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -94,8 +94,9 @@ impl Allowlist {
     pub fn render(&self) -> String {
         let mut out = String::from(
             "# xtask lint allowlist — pre-existing violation budgets, per rule, per file.\n\
-             # The gate fails when a file EXCEEDS its budget and nags when it is under\n\
-             # budget: only ratchet these numbers DOWN. Regenerate with\n\
+             # The gate fails when a file EXCEEDS its budget and when it is UNDER it:\n\
+             # only ratchet these numbers DOWN, in the change that burns the debt.\n\
+             # Regenerate with\n\
              #   cargo run -p xtask -- lint --update-allowlist\n",
         );
         for (rule, files) in &self.budgets {

@@ -1,30 +1,18 @@
-//! The analysis engine: parses the workspace, runs token rules, the
-//! dataflow fixpoint and the semantic rule packs, then applies the
-//! ratcheting allowlist and produces the final deterministic report.
+//! The lint pass: clippy's findings plus the token rules, then the
+//! ratcheting allowlist and the final deterministic report.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use crate::allowlist::Allowlist;
-use crate::dataflow::Evaluator;
-use crate::diag::{
-    sort_diagnostics, Diagnostic, PAR_RULES, RULE_ALLOC_HOT_LOOP, RULE_CLONE_HOT_PATH,
-    RULE_MAP_SCAN, RULE_PANIC_INDEXING, RULE_PANIC_SAFETY, RULE_RELAXED_ATOMIC,
-    RULE_SHARED_MUTABLE_CAPTURE, RULE_UNFORKED_RNG, RULE_UNORDERED_REDUCTION,
-};
-use crate::packs::{filter_waived, PackConfig, Packs};
-use crate::par::SiteSummary;
-use crate::parser::parse_file;
-use crate::reach::{self, HotRoots};
-use crate::resolve::{CrateMap, FnTable, SourceFile};
-use crate::rules::{self, RuleSet};
-use crate::{lexer, walk};
+use crate::diag::{sort_diagnostics, Diagnostic, RULE_PANIC_INDEXING, RULE_PANIC_SAFETY};
+use crate::rules::{self, TimerRule};
+use crate::{clippy, lexer, walk};
 
-/// Crates whose *library* code must be bit-for-bit deterministic: the
-/// simulator's figures are only credible if identical seeds replay
-/// identical traces. `xtask` itself is included — the analyzer's output
-/// must be byte-stable too.
-pub const DETERMINISM_SCOPE: &[&str] = &[
+/// Crates whose non-test code may not spell a `from_millis`/`from_secs`
+/// literal at all: the layers that run or consume the protocol timers.
+/// `xtask` is included so the rule's own sources obey it.
+pub const TIMER_LITERAL_SCOPE: &[&str] = &[
     "crates/sim/src",
     "crates/routing/src",
     "crates/emu/src",
@@ -35,44 +23,32 @@ pub const DETERMINISM_SCOPE: &[&str] = &[
     "crates/xtask/src",
 ];
 
+/// Crates where only protocol-timer *magnitudes* are flagged: experiment
+/// drivers legitimately spell analysis windows and deadlines (100 ms,
+/// 250 ms) but must not restate a protocol timer.
+pub const TIMER_MAGNITUDE_SCOPE: &[&str] = &["crates/experiments/src"];
+
 /// The only files allowed to define protocol timer constants:
 /// `dcn_sim::timers` holds the paper's measured timer values (the lowest
 /// layer, so routing/emu defaults can reference them), and
 /// `crates/core/src/config.rs` is the top-level experiment configuration.
-pub const TIMER_CONFIG_FILES: &[&str] =
-    &["crates/sim/src/timers.rs", "crates/core/src/config.rs"];
+pub const TIMER_CONFIG_FILES: &[&str] = &["crates/sim/src/timers.rs", "crates/core/src/config.rs"];
 
-/// Crates subject to the timer-provenance pack: the layers that consume
-/// protocol timers and must reference them symbolically.
-pub const TIMER_PROVENANCE_SCOPE: &[&str] = &[
-    "crates/routing/src",
-    "crates/chaos/src",
-    "crates/experiments/src",
-];
+/// Rules whose pre-existing debt may be budgeted in `lint-allow.toml`.
+/// Everything else must be fixed or waived where it stands.
+pub const RATCHET_RULES: &[&str] = &[RULE_PANIC_SAFETY, RULE_PANIC_INDEXING];
 
-/// Rules whose pre-existing debt may be budgeted in `lint-allow.toml`:
-/// the panic rules and the hot-path perf rules. Everything else must be
-/// fixed or inline-waived. `--update-allowlist` regenerates exactly
-/// these sections; manual budgets for other rules are preserved.
-pub const RATCHET_RULES: &[&str] = &[
-    RULE_PANIC_SAFETY,
-    RULE_PANIC_INDEXING,
-    RULE_ALLOC_HOT_LOOP,
-    RULE_CLONE_HOT_PATH,
-    RULE_MAP_SCAN,
-    RULE_RELAXED_ATOMIC,
-    RULE_SHARED_MUTABLE_CAPTURE,
-    RULE_UNFORKED_RNG,
-    RULE_UNORDERED_REDUCTION,
-];
-
-/// Which token-rule families apply to a file (decided from its path).
-pub fn rule_set_for(rel_path: &str) -> RuleSet {
-    let in_determinism_scope = DETERMINISM_SCOPE.iter().any(|s| rel_path.starts_with(s));
-    RuleSet {
-        determinism: in_determinism_scope,
-        panic_safety: true,
-        timer_constants: in_determinism_scope && !TIMER_CONFIG_FILES.contains(&rel_path),
+/// How much of `timer-constants` applies to a file (decided from its path).
+pub fn timer_rule_for(rel_path: &str) -> TimerRule {
+    let within = |scope: &[&str]| scope.iter().any(|s| rel_path.starts_with(s));
+    if TIMER_CONFIG_FILES.contains(&rel_path) {
+        TimerRule::Off
+    } else if within(TIMER_LITERAL_SCOPE) {
+        TimerRule::Literals
+    } else if within(TIMER_MAGNITUDE_SCOPE) {
+        TimerRule::Magnitudes
+    } else {
+        TimerRule::Off
     }
 }
 
@@ -85,8 +61,8 @@ pub struct BudgetMismatch {
     pub budget: usize,
 }
 
-/// The complete result of one analysis run.
-pub struct Analysis {
+/// The complete result of one lint run.
+pub struct Report {
     pub files_checked: usize,
     /// All diagnostics, sorted; `allowed` marks budget-covered findings.
     pub diagnostics: Vec<Diagnostic>,
@@ -98,112 +74,81 @@ pub struct Analysis {
     pub ok: bool,
     /// Observed ratchet-rule counts, for `--update-allowlist`.
     pub observed: Allowlist,
-    /// Every spawn site in the determinism scope with its capture set,
-    /// sorted by (file, line, column) — the `xtask audit` report body.
-    pub spawn_sites: Vec<SiteSummary>,
 }
 
-/// Runs the full analysis over the workspace rooted at `root`.
-pub fn analyze(root: &Path, allowlist: &Allowlist) -> Result<Analysis, String> {
-    let crates = CrateMap::load(root);
-    let paths = walk::workspace_rs_files(root)?;
+/// Runs the whole pass over the workspace rooted at `root`.
+pub fn analyze(root: &Path, allowlist: &Allowlist) -> Result<Report, String> {
+    let mut diagnostics = clippy::run(root)?;
+    let (files_checked, token_diagnostics) = token_pass(root)?;
+    diagnostics.extend(token_diagnostics);
+    gate(files_checked, diagnostics, allowlist)
+}
 
-    let mut files = Vec::with_capacity(paths.len());
+/// Runs the token rules over every non-test `.rs` file under `root`;
+/// returns the number of files read and the unsorted findings.
+pub fn token_pass(root: &Path) -> Result<(usize, Vec<Diagnostic>), String> {
+    let paths = walk::workspace_rs_files(root)?;
     let mut diagnostics = Vec::new();
     for path in &paths {
-        let rel = path
-            .strip_prefix(root)
-            .map_err(|_| "file outside root".to_string())?
-            .to_string_lossy()
-            .replace('\\', "/");
-        let source =
-            std::fs::read_to_string(path).map_err(|e| format!("reading {rel}: {e}"))?;
-        let lexed = lexer::lex(&source);
-
-        // Token-level rules (waivers already applied inside).
-        diagnostics.extend(rules::check(&lexed, rule_set_for(&rel), &rel));
-
-        let ast = parse_file(&lexed);
-        let krate = crates.lib_for_rel(&rel).unwrap_or("").to_string();
-        files.push(SourceFile::new(rel, krate, lexed, ast));
+        let rel = walk::repo_relative(root, path);
+        let source = std::fs::read_to_string(path).map_err(|e| format!("reading {rel}: {e}"))?;
+        diagnostics.extend(rules::check(
+            &lexer::lex(&source),
+            timer_rule_for(&rel),
+            &rel,
+        ));
     }
+    Ok((paths.len(), diagnostics))
+}
 
-    // Resolution + dataflow fixpoint.
-    let table = FnTable::collect(&files);
-    let mut eval = Evaluator::new(&files, &table, &crates);
-    eval.run_fixpoint();
-
-    // Semantic rule packs.
-    let packs = Packs {
-        files: &files,
-        table: &table,
-        eval: &eval,
-        crates: &crates,
-        cfg: PackConfig {
-            determinism_scope: DETERMINISM_SCOPE,
-            timer_scope: TIMER_PROVENANCE_SCOPE,
-            timer_exempt: TIMER_CONFIG_FILES,
-        },
-    };
-    let mut pack_diags = Vec::new();
-    pack_diags.extend(packs.determinism_taint());
-    pack_diags.extend(packs.rng_stream());
-    pack_diags.extend(packs.timer_provenance());
-    pack_diags.extend(packs.panic_indexing());
-
-    // Parallelism-safety packs: spawn-site capture analysis.
-    let sites = packs.spawn_sites();
-    pack_diags.extend(packs.shared_mutable_capture(&sites));
-    pack_diags.extend(packs.unforked_rng_spawn(&sites));
-    pack_diags.extend(packs.unordered_reduction(&sites));
-    pack_diags.extend(packs.relaxed_atomic());
-    let spawn_sites = crate::par::summarize(&sites);
-    drop(sites);
-
-    // Perf packs run only when the tree declares hot roots; a root
-    // naming an unknown function is a hard error (a stale root is a
-    // silent hole in the perf gate).
-    if let Some(hot) = HotRoots::load(root)? {
-        let reachability = reach::compute(&files, &table, &eval, &crates, &hot)?;
-        pack_diags.extend(packs.alloc_in_hot_loop(&reachability));
-        pack_diags.extend(packs.clone_in_hot_path(&reachability));
-        pack_diags.extend(packs.map_scan_per_event(&reachability));
+/// Sorts the findings and applies the allowlist: a finding passes only
+/// under a budget that covers its (rule, file) count, and every budget
+/// must equal the count it covers. Budgets exist for [`RATCHET_RULES`]
+/// only; a section for any other rule is an error.
+pub fn gate(
+    files_checked: usize,
+    mut diagnostics: Vec<Diagnostic>,
+    allowlist: &Allowlist,
+) -> Result<Report, String> {
+    if let Some(rule) = allowlist
+        .budgets
+        .keys()
+        .find(|r| !RATCHET_RULES.contains(&r.as_str()))
+    {
+        return Err(format!(
+            "lint-allow.toml: [{rule}] cannot carry budgets: only {} are ratcheted",
+            RATCHET_RULES.join(", ")
+        ));
     }
-    diagnostics.extend(filter_waived(pack_diags, &files));
-
     sort_diagnostics(&mut diagnostics);
 
-    // Budget accounting, per (rule, file).
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
+    let mut counts: BTreeMap<(&'static str, String), usize> = BTreeMap::new();
     for d in &diagnostics {
-        *counts.entry((d.rule.to_string(), d.file.clone())).or_default() += 1;
+        *counts.entry((d.rule, d.file.clone())).or_default() += 1;
     }
     let mut over = Vec::new();
     let mut stale = Vec::new();
-    let mut covered: BTreeMap<(String, String), bool> = BTreeMap::new();
-    for ((rule, file), &n) in &counts {
+    for ((rule, file), &actual) in &counts {
         let budget = allowlist.budget(rule, file);
-        covered.insert((rule.clone(), file.clone()), n <= budget);
-        if n > budget && budget > 0 {
-            over.push(BudgetMismatch {
-                rule: rule.to_string(),
-                file: file.to_string(),
-                actual: n,
-                budget,
-            });
-        } else if n < budget {
-            stale.push(BudgetMismatch {
-                rule: rule.to_string(),
-                file: file.to_string(),
-                actual: n,
-                budget,
-            });
+        let mismatch = BudgetMismatch {
+            rule: rule.to_string(),
+            file: file.clone(),
+            actual,
+            budget,
+        };
+        // A file with findings and no budget is not "over": each of its
+        // findings is reported on its own line instead.
+        if actual > budget && budget > 0 {
+            over.push(mismatch);
+        } else if actual < budget {
+            stale.push(mismatch);
         }
     }
     // Budgets for files that no longer have findings at all are stale too.
     for (rule, per_file) in &allowlist.budgets {
         for (file, &budget) in per_file {
-            if budget > 0 && !counts.contains_key(&(rule.clone(), file.clone())) {
+            let counted = counts.keys().any(|(r, f)| r == rule && f == file);
+            if budget > 0 && !counted {
                 stale.push(BudgetMismatch {
                     rule: rule.clone(),
                     file: file.clone(),
@@ -217,86 +162,170 @@ pub fn analyze(root: &Path, allowlist: &Allowlist) -> Result<Analysis, String> {
 
     let mut ok = over.is_empty() && stale.is_empty();
     for d in &mut diagnostics {
-        d.allowed = covered
-            .get(&(d.rule.to_string(), d.file.clone()))
-            .copied()
-            .unwrap_or(false);
-        if !d.allowed {
-            ok = false;
-        }
+        let count = counts.get(&(d.rule, d.file.clone())).copied().unwrap_or(0);
+        d.allowed = count <= allowlist.budget(d.rule, &d.file);
+        ok &= d.allowed;
     }
 
-    // Observed counts for the ratchet rules, for --update-allowlist.
     let mut observed = Allowlist::default();
     for ((rule, file), &n) in &counts {
-        if RATCHET_RULES.contains(&rule.as_str()) {
+        if RATCHET_RULES.contains(rule) {
             observed
                 .budgets
-                .entry(rule.clone())
+                .entry(rule.to_string())
                 .or_default()
                 .insert(file.clone(), n);
         }
     }
-    // Preserve manually-maintained budgets for non-ratchet rules.
-    for (rule, per_file) in &allowlist.budgets {
-        if !RATCHET_RULES.contains(&rule.as_str()) {
-            observed.budgets.insert(rule.clone(), per_file.clone());
-        }
-    }
 
-    Ok(Analysis {
-        files_checked: files.len(),
+    Ok(Report {
+        files_checked,
         diagnostics,
         over,
         stale,
         ok,
         observed,
-        spawn_sites,
     })
 }
 
-/// The `xtask audit` view of an analysis: the spawn-site table plus
-/// only the parallelism diagnostics and budget mismatches. `ok` here is
-/// the audit gate — every parallelism finding budgeted or waived, no
-/// over/stale parallelism budgets — independent of whatever other rules
-/// report.
-pub struct AuditReport {
-    pub files_checked: usize,
-    pub spawn_sites: Vec<SiteSummary>,
-    pub diagnostics: Vec<Diagnostic>,
-    pub over: Vec<BudgetMismatch>,
-    pub stale: Vec<BudgetMismatch>,
-    pub ok: bool,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::diag::{render_text, RULE_CLIPPY, RULE_DETERMINISM};
 
-/// Projects a full analysis down to the parallelism-safety audit.
-pub fn audit_view(analysis: &Analysis) -> AuditReport {
-    let par_rule = |rule: &str| PAR_RULES.contains(&rule);
-    let diagnostics: Vec<Diagnostic> = analysis
-        .diagnostics
-        .iter()
-        .filter(|d| par_rule(d.rule))
-        .cloned()
-        .collect();
-    let over: Vec<BudgetMismatch> = analysis
-        .over
-        .iter()
-        .filter(|m| par_rule(&m.rule))
-        .cloned()
-        .collect();
-    let stale: Vec<BudgetMismatch> = analysis
-        .stale
-        .iter()
-        .filter(|m| par_rule(&m.rule))
-        .cloned()
-        .collect();
-    let ok = diagnostics.iter().all(|d| d.allowed) && over.is_empty() && stale.is_empty();
-    AuditReport {
-        files_checked: analysis.files_checked,
-        spawn_sites: analysis.spawn_sites.clone(),
-        diagnostics,
-        over,
-        stale,
-        ok,
+    /// Three `indexing_slicing` hits and one `expect_used` in `a.rs`,
+    /// as cargo would print them from the repo root.
+    fn canned() -> Vec<Diagnostic> {
+        let line = clippy::canned_warning;
+        let stdout = [
+            line("clippy::indexing_slicing", "crates/a/src/a.rs", 3),
+            line("clippy::indexing_slicing", "crates/a/src/a.rs", 1),
+            line("clippy::expect_used", "crates/a/src/a.rs", 2),
+            line("clippy::indexing_slicing", "/repo/crates/a/src/a.rs", 4),
+        ]
+        .join("\n");
+        clippy::parse(&stdout, Path::new("/repo")).expect("canned output parses")
+    }
+
+    fn allow(text: &str) -> Allowlist {
+        Allowlist::parse(text).expect("test allowlist parses")
+    }
+
+    const EXACT: &str =
+        "[panic-indexing]\n\"crates/a/src/a.rs\" = 3\n[panic-safety]\n\"crates/a/src/a.rs\" = 1\n";
+
+    #[test]
+    fn exact_budgets_pass_and_round_trip_through_update() {
+        let report = gate(1, canned(), &allow(EXACT)).unwrap();
+        assert!(report.ok);
+        assert!(report.over.is_empty() && report.stale.is_empty());
+        assert!(report.diagnostics.iter().all(|d| d.allowed));
+        assert_eq!(
+            report.observed,
+            allow(EXACT),
+            "--update-allowlist would write the same file"
+        );
+        let lines: Vec<u32> = report.diagnostics.iter().map(|d| d.span.line).collect();
+        assert_eq!(lines, [1, 2, 3, 4], "sorted by position");
+    }
+
+    #[test]
+    fn over_budget_fails() {
+        let tight = EXACT.replace("= 3", "= 2");
+        let report = gate(1, canned(), &allow(&tight)).unwrap();
+        assert!(!report.ok);
+        assert_eq!(report.over.len(), 1);
+        let over = report.over.first().unwrap();
+        assert_eq!(
+            (over.rule.as_str(), over.actual, over.budget),
+            (RULE_PANIC_INDEXING, 3, 2)
+        );
+        assert!(report.stale.is_empty());
+    }
+
+    #[test]
+    fn stale_budget_fails() {
+        let loose = EXACT.replace("= 1", "= 2");
+        let report = gate(1, canned(), &allow(&loose)).unwrap();
+        assert!(!report.ok);
+        assert!(report.over.is_empty());
+        let stale = report.stale.first().unwrap();
+        assert_eq!(
+            (stale.rule.as_str(), stale.actual, stale.budget),
+            (RULE_PANIC_SAFETY, 1, 2)
+        );
+        // A budget for a file that has no findings left is stale as well.
+        let gone = format!("{EXACT}\"crates/a/src/gone.rs\" = 5\n");
+        let report = gate(1, canned(), &allow(&gone)).unwrap();
+        assert!(!report.ok);
+        let stale = report.stale.first().unwrap();
+        assert_eq!(
+            (stale.file.as_str(), stale.actual),
+            ("crates/a/src/gone.rs", 0)
+        );
+    }
+
+    #[test]
+    fn findings_without_a_budget_fail_one_by_one() {
+        let only_indexing = "[panic-indexing]\n\"crates/a/src/a.rs\" = 3\n";
+        let report = gate(1, canned(), &allow(only_indexing)).unwrap();
+        assert!(!report.ok);
+        assert!(report.over.is_empty() && report.stale.is_empty());
+        let failing: Vec<String> = report
+            .diagnostics
+            .iter()
+            .filter(|d| !d.allowed)
+            .map(render_text)
+            .collect();
+        assert_eq!(
+            failing,
+            ["crates/a/src/a.rs:2:1: [panic-safety] clippy::expect_used: m"]
+        );
+    }
+
+    #[test]
+    fn unratcheted_findings_fail_and_cannot_be_budgeted() {
+        for rule in [RULE_CLIPPY, RULE_DETERMINISM] {
+            let mut diags = canned();
+            diags.push(Diagnostic::new(
+                "crates/a/src/a.rs",
+                Default::default(),
+                rule,
+                "m".into(),
+            ));
+            let report = gate(1, diags, &allow(EXACT)).unwrap();
+            assert!(!report.ok, "a `{rule}` finding must fail the gate");
+            assert_eq!(
+                report.observed,
+                allow(EXACT),
+                "and never enters the allowlist"
+            );
+        }
+        let err = gate(
+            1,
+            canned(),
+            &allow("[determinism]\n\"crates/a/src/a.rs\" = 1\n"),
+        )
+        .err()
+        .expect("a budget section for an unratcheted rule is rejected");
+        assert!(err.contains("[determinism] cannot carry budgets"), "{err}");
+    }
+
+    #[test]
+    fn timer_scopes_follow_the_path() {
+        assert_eq!(
+            timer_rule_for("crates/routing/src/process.rs"),
+            TimerRule::Literals
+        );
+        assert_eq!(
+            timer_rule_for("crates/experiments/src/fig7.rs"),
+            TimerRule::Magnitudes
+        );
+        assert_eq!(timer_rule_for("crates/sim/src/timers.rs"), TimerRule::Off);
+        assert_eq!(timer_rule_for("crates/core/src/config.rs"), TimerRule::Off);
+        assert_eq!(
+            timer_rule_for("crates/transport/src/tcp.rs"),
+            TimerRule::Off
+        );
     }
 }

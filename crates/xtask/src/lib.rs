@@ -1,29 +1,22 @@
-//! `xtask` as a library: the dependency-free static-analysis engine
-//! behind `cargo run -p xtask -- lint`.
+//! `xtask` as a library: the lint pass behind `cargo run -p xtask -- lint`.
 //!
-//! Pipeline: [`lexer`] (tokens + positions + waivers) → [`parser`]
-//! (lightweight AST) → [`resolve`] (crate map, `use` maps, function
-//! table) → [`dataflow`] (taint summaries to a fixpoint) → token rules
-//! ([`rules`]) and semantic packs ([`packs`], including the
-//! parallelism-safety packs built on the spawn-site model in [`par`])
-//! → [`engine`] (allowlist ratchet, deterministic report). [`diag`]
-//! defines diagnostics and the byte-stable JSON rendering; [`jsonchk`]
-//! validates JSON output in CI.
+//! Two engines, one report. [`clippy`] runs `cargo clippy` over the
+//! workspace (reading its stream with [`json`]) and maps lint names to
+//! the `determinism`, `panic-safety` and `panic-indexing` families;
+//! [`rules`] runs the two token rules clippy cannot express
+//! (`timer-constants`, `rng-stream`) over [`lexer`] output for every file
+//! [`walk`] finds. [`engine`] merges both and applies the per-file
+//! ratchet from [`allowlist`]; [`diag`] defines diagnostics, their text
+//! rendering and the `--explain` texts.
 //!
-//! Exposed as a library so integration tests can run the engine over
+//! Exposed as a library so integration tests can run the token pass over
 //! fixture crate trees (see `tests/golden_json.rs`).
 
 pub mod allowlist;
-pub mod ast;
-pub mod dataflow;
+pub mod clippy;
 pub mod diag;
 pub mod engine;
-pub mod jsonchk;
+pub mod json;
 pub mod lexer;
-pub mod packs;
-pub mod par;
-pub mod parser;
-pub mod reach;
-pub mod resolve;
 pub mod rules;
 pub mod walk;

@@ -10,6 +10,15 @@ const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".claude"];
 /// (a measurement harness, not product code) with its own CI gate.
 const BENCH_WORKSPACE: &str = "bench";
 
+/// `path` relative to `root` (unchanged when it lies elsewhere), with `/`
+/// separators: the spelling diagnostics and `lint-allow.toml` use.
+pub fn repo_relative(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .to_string_lossy()
+        .replace('\\', "/")
+}
+
 /// All `.rs` files under the workspace root, sorted for stable output.
 ///
 /// Test-only *trees* (`tests/`, `benches/`, `examples/`) are excluded

@@ -1,13 +1,17 @@
-//! Fixture routing crate: one violation per remaining rule family —
-//! a hard-coded 200 ms SPF timer (token `timer-constants`), a
-//! literal-seeded RNG (`rng-stream`), a µs-magnitude binding and a
-//! ms/µs comparison (`timer-provenance`).
+//! Fixture routing crate (inside the timer-literal scope): one violation
+//! per token-rule pattern — a hard-coded 200 ms SPF timer, the same
+//! timer spelled in µs, a literal-seeded RNG — each beside a control
+//! that must stay silent.
 
 pub struct Duration(pub u64);
 
 impl Duration {
     pub const fn from_millis(ms: u64) -> Duration {
-        Duration(ms)
+        Duration(ms * 1_000)
+    }
+
+    pub const fn from_micros(us: u64) -> Duration {
+        Duration(us)
     }
 }
 
@@ -24,19 +28,34 @@ pub fn spf_delay() -> Duration {
     Duration::from_millis(200)
 }
 
+/// The same timer as a bare µs magnitude.
+pub fn spf_hold() -> Duration {
+    Duration::from_micros(200_000)
+}
+
+/// Control: packet-scale µs arithmetic is not a protocol timer.
+pub fn serialization_delay() -> Duration {
+    Duration::from_micros(12)
+}
+
 /// Literal-seeded RNG stream.
 pub fn jitter() -> u64 {
     let rng = DetRng::seed_from_u64(42);
     rng.0
 }
 
-/// SPF hold in µs as a bare magic number.
-pub fn hold_window() -> u64 {
-    let spf_hold_us = 200_000;
-    spf_hold_us
+/// Control: a stream derived from the caller's seed.
+pub fn derived_jitter(master_seed: u64) -> u64 {
+    DetRng::seed_from_u64(master_seed).0
 }
 
-/// Compares milliseconds against microseconds without conversion.
-pub fn hold_expired(elapsed_ms: u64, budget_us: u64) -> bool {
-    elapsed_ms > budget_us
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Control: tests pin timers and seeds on purpose.
+    #[test]
+    fn pinned() {
+        assert_eq!(Duration::from_millis(200).0, DetRng::seed_from_u64(200_000).0);
+    }
 }

@@ -1,14 +1,19 @@
-//! Fixture simulator crate: an event handler that transitively consumes
-//! the wall clock through `util::wall_stamp`. The `determinism-taint`
-//! pack must flag the call site here, not in `util`.
-
-use util::wall_stamp;
+//! Fixture simulator crate (inside the timer-literal scope) with nothing
+//! to report: its timer flows from configuration.
 
 pub struct Event {
     pub at: u64,
 }
 
-/// Event handler with a wall-clock-derived value on a deterministic path.
-pub fn on_event(ev: &Event) -> u64 {
-    ev.at + wall_stamp()
+/// Control: a timer value that comes from the caller is fine.
+pub fn detect_at(ev: &Event, detection_delay_ms: u64) -> u64 {
+    ev.at + Duration::from_millis(detection_delay_ms).0
+}
+
+pub struct Duration(pub u64);
+
+impl Duration {
+    pub const fn from_millis(ms: u64) -> Duration {
+        Duration(ms)
+    }
 }

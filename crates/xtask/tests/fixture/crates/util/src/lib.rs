@@ -1,9 +1,15 @@
-//! Fixture helper crate *outside* the determinism scope: the wall-clock
-//! taint must flow across the crate boundary before anything flags it.
+//! Fixture helper crate *outside* every timer scope: `timer-constants`
+//! does not apply here, so the literal below must stay silent.
 
-use std::time::Instant;
+pub struct Duration(pub u64);
 
-/// Milliseconds since an arbitrary origin — wall-clock tainted.
-pub fn wall_stamp() -> u64 {
-    Instant::now().elapsed().as_millis() as u64
+impl Duration {
+    pub const fn from_millis(ms: u64) -> Duration {
+        Duration(ms)
+    }
+}
+
+/// Control: a TCP-style timer owned by an out-of-scope crate.
+pub fn min_rto() -> Duration {
+    Duration::from_millis(200)
 }
