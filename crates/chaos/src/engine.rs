@@ -18,8 +18,8 @@ use dcn_metrics::quality::QualityReport;
 
 use crate::campaign::{generate_scenario, CampaignConfig};
 use crate::oracle::{
-    blackhole_bound, fib_spf_divergence, flood_graph_connected, lsdb_fingerprint,
-    routably_connected, walk, OracleConfig, Violation, ViolationKind, WalkOutcome,
+    blackhole_bound, fib_spf_divergence, flood_graph_connected, routably_connected, same_lsdb,
+    walk, OracleConfig, Violation, ViolationKind, WalkOutcome,
 };
 use crate::quality::QualityTrace;
 use crate::scenario::ScenarioSpec;
@@ -349,16 +349,15 @@ pub fn run_scenario(
     }
 
     if flood_ok {
-        let reference = switches.first().map(|&n| lsdb_fingerprint(&bed.net, n));
-        if let Some(reference) = reference {
-            for &node in switches.iter().skip(1) {
-                if lsdb_fingerprint(&bed.net, node) != reference {
+        if let Some((&reference, rest)) = switches.split_first() {
+            for &node in rest {
+                if !same_lsdb(&bed.net, node, reference) {
                     record(
                         &mut violations,
                         Violation {
                             kind: ViolationKind::LsdbDivergence,
                             at: end,
-                            detail: format!("{node} LSDB differs from {:?}", switches[0]),
+                            detail: format!("{node} LSDB differs from {reference:?}"),
                         },
                     );
                 }

@@ -32,7 +32,7 @@ use std::fmt;
 
 use dcn_emu::Network;
 use dcn_net::{FlowKey, LinkId, NodeId};
-use dcn_routing::{compute_routes, RouteOrigin};
+use dcn_routing::{compute_routes, Lsa, Route, RouteOrigin};
 use dcn_sim::{timers, SimDuration, SimTime};
 
 /// Oracle tuning knobs.
@@ -289,24 +289,18 @@ pub fn blackhole_bound(cfg: &OracleConfig, n_events: u64, max_hold: SimDuration)
     cfg.slack + per_event * n_events.max(1)
 }
 
-/// Renders a router's OSPF FIB entries and a fresh SPF over its LSDB as
-/// comparable sorted line sets, returning the first divergence if any.
+/// Compares a router's OSPF FIB entries with a fresh SPF over its LSDB
+/// as sorted `(prefix, metric, next_hops)` sets; on a mismatch, renders
+/// both as line sets and returns the divergence.
 pub fn fib_spf_divergence(net: &Network, node: NodeId) -> Option<String> {
     let router = net.router(node)?;
-    let expected = sorted_route_lines(
-        compute_routes(router.lsdb(), node)
-            .iter()
-            .filter(|r| r.origin == RouteOrigin::Ospf),
-    );
-    let actual = sorted_route_lines(
-        router
-            .fib()
-            .routes()
-            .filter(|r| r.origin == RouteOrigin::Ospf),
-    );
+    let computed = compute_routes(router.lsdb(), node);
+    let expected = sorted_ospf_routes(computed.iter());
+    let actual = sorted_ospf_routes(router.fib().routes());
     if expected == actual {
         return None;
     }
+    let (expected, actual) = (sorted_route_lines(&expected), sorted_route_lines(&actual));
     let missing: Vec<_> = expected.iter().filter(|l| !actual.contains(l)).collect();
     let extra: Vec<_> = actual.iter().filter(|l| !expected.contains(l)).collect();
     Some(format!(
@@ -316,22 +310,62 @@ pub fn fib_spf_divergence(net: &Network, node: NodeId) -> Option<String> {
     ))
 }
 
-fn sorted_route_lines<'a>(routes: impl Iterator<Item = &'a dcn_routing::Route>) -> Vec<String> {
+fn sorted_ospf_routes<'a>(routes: impl Iterator<Item = &'a Route>) -> Vec<&'a Route> {
+    let mut routes: Vec<&Route> = routes.filter(|r| r.origin == RouteOrigin::Ospf).collect();
+    routes.sort_unstable_by_key(|r| (r.prefix, r.metric, &r.next_hops));
+    routes
+}
+
+fn sorted_route_lines(routes: &[&Route]) -> Vec<String> {
     let mut lines: Vec<String> = routes
+        .iter()
         .map(|r| format!("{} metric={} hops={:?}", r.prefix, r.metric, r.next_hops))
         .collect();
     lines.sort();
     lines
 }
 
-/// Renders a router's LSDB as a canonical string (origin, seq, sorted
-/// adjacencies, prefixes) for cross-router identity comparison.
-pub fn lsdb_fingerprint(net: &Network, node: NodeId) -> String {
-    let Some(router) = net.router(node) else {
-        return String::new();
+/// Whether two routers hold the same LSDB: the same origins, each at the
+/// same sequence number with the same adjacency and prefix sets (in any
+/// order). LSAs are shared `Arc`s, so converged routers mostly compare
+/// equal by address.
+pub fn same_lsdb(net: &Network, a: NodeId, b: NodeId) -> bool {
+    let lsas = |node| net.router(node).into_iter().flat_map(|r| r.lsdb().iter());
+    let (mut left, mut right) = (lsas(a), lsas(b));
+    loop {
+        match (left.next(), right.next()) {
+            (None, None) => return true,
+            (Some(x), Some(y)) if same_lsa(x, y) => {}
+            _ => return false,
+        }
+    }
+}
+
+fn same_lsa(x: &Lsa, y: &Lsa) -> bool {
+    std::ptr::eq(x, y)
+        || (x.origin == y.origin
+            && x.seq == y.seq
+            && same_set(&x.neighbors, &y.neighbors)
+            && same_set(&x.prefixes, &y.prefixes))
+}
+
+fn same_set<T: Copy + Ord>(a: &[T], b: &[T]) -> bool {
+    let sorted = |items: &[T]| {
+        let mut items = items.to_vec();
+        items.sort_unstable();
+        items
     };
-    let mut out = String::new();
-    for lsa in router.lsdb().iter() {
+    a == b || sorted(a) == sorted(b)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcn_net::{Ipv4Addr, Prefix};
+    use dcn_routing::Adjacency;
+
+    /// One LSA's line of the LSDB fingerprint `same_lsa` replaced.
+    fn fingerprint(lsa: &Lsa) -> String {
         let mut adj: Vec<String> = lsa
             .neighbors
             .iter()
@@ -340,17 +374,50 @@ pub fn lsdb_fingerprint(net: &Network, node: NodeId) -> String {
         adj.sort();
         let mut prefixes: Vec<String> = lsa.prefixes.iter().map(|p| p.to_string()).collect();
         prefixes.sort();
-        out.push_str(&format!(
-            "{} seq={} adj={:?} pfx={:?}\n",
-            lsa.origin, lsa.seq, adj, prefixes
-        ));
+        let (origin, seq) = (lsa.origin, lsa.seq);
+        format!("{origin} seq={seq} adj={adj:?} pfx={prefixes:?}\n")
     }
-    out
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn same_lsa_is_what_the_rendered_fingerprint_compared() {
+        let adj = |n: u32, l: u32| Adjacency {
+            neighbor: NodeId::new(n),
+            link: LinkId::new(l),
+        };
+        let rack = |third: u8| Prefix::new(Ipv4Addr::new(10, 11, third, 0), 24).unwrap();
+        let base = Lsa {
+            origin: NodeId::new(1),
+            seq: 2,
+            neighbors: vec![adj(2, 0), adj(3, 1), adj(12, 7)],
+            prefixes: vec![rack(0), rack(1)],
+        };
+        let edited = |edit: &dyn Fn(&mut Lsa)| {
+            let mut lsa = base.clone();
+            edit(&mut lsa);
+            lsa
+        };
+        let variants = [
+            base.clone(),
+            edited(&|l| l.neighbors.reverse()),
+            edited(&|l| l.prefixes.reverse()),
+            edited(&|l| l.seq = 3),
+            edited(&|l| l.origin = NodeId::new(4)),
+            edited(&|l| l.neighbors.truncate(2)),
+            edited(&|l| l.neighbors = vec![adj(2, 0), adj(3, 1), adj(12, 8)]),
+            edited(&|l| l.prefixes.truncate(1)),
+            // Same length, same members, different multiplicities.
+            edited(&|l| l.neighbors = vec![adj(2, 0), adj(2, 0), adj(3, 1)]),
+            edited(&|l| l.neighbors = vec![adj(2, 0), adj(3, 1), adj(3, 1)]),
+        ];
+        for x in &variants {
+            for y in &variants {
+                let same = fingerprint(x) == fingerprint(y);
+                assert_eq!(same_lsa(x, y), same, "{x:?} vs {y:?}");
+            }
+        }
+        let [base, reordered, _, newer, ..] = &variants;
+        assert!(same_lsa(base, reordered) && !same_lsa(base, newer));
+    }
 
     #[test]
     fn bound_scales_with_events_and_hold() {

@@ -21,7 +21,10 @@ use dcn_routing::{
     Adjacency, FibDelta, Lsa, Lsdb, NextHop, RecoveryMode, Route, RouteOrigin, RouterAction,
     RouterProcess,
 };
-use dcn_sim::{Direction, EventKey, EventQueue, LinkState, Packet, SimTime, TransmitVerdict};
+use dcn_sim::{
+    Direction, EventKey, EventQueue, LinkState, Packet, PacketArena, PacketSlot, SimTime,
+    TransmitVerdict,
+};
 use dcn_transport::{
     TcpAck, TcpApp, TcpReceiver, TcpSegment, TcpSender, TcpSenderOutput, UdpDatagram, UdpSource,
 };
@@ -64,16 +67,18 @@ enum Payload {
     Lsa(Arc<Lsa>),
 }
 
+/// Packets stay in [`Network::packets`] and the rare bulky variants are
+/// boxed, so an event is 16 bytes and a heap entry 32.
 enum Event {
     Arrive {
         link: LinkId,
         to: NodeId,
-        packet: Packet<Payload>,
+        packet: PacketSlot,
     },
     LsaProcess {
         node: NodeId,
-        lsa: Arc<Lsa>,
         arrived_on: LinkId,
+        packet: PacketSlot,
     },
     LinkChange {
         link: LinkId,
@@ -94,8 +99,8 @@ enum Event {
     },
     FibInstall {
         node: NodeId,
-        generation: u64,
-        delta: FibDelta,
+        /// The SPF run's `(generation, delta)`.
+        install: Box<(u64, FibDelta)>,
     },
     UdpTick {
         flow: FlowId,
@@ -106,20 +111,19 @@ enum Event {
     TcpPace {
         flow: FlowId,
     },
-    /// The flow's one live retransmission-timer entry, queued under `key`.
+    /// The flow's one live retransmission-timer entry; the key it pops
+    /// under tells [`Network::on_rto_entry`] which arming it is.
     TcpRto {
         flow: FlowId,
-        key: EventKey,
     },
     /// Centralized control plane: the controller finishes recomputation
     /// and pushes tables.
     ControllerRecompute,
     /// Centralized control plane: a pushed table lands at a switch.
-    ControllerInstall {
-        node: NodeId,
-        routes: Vec<Route>,
-    },
+    ControllerInstall(Box<(NodeId, Vec<Route>)>),
 }
+
+const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
 struct FlowState {
     key: FlowKey,
@@ -198,6 +202,9 @@ pub struct Network {
     plan: AddressPlan,
     config: EmuConfig,
     queue: EventQueue<Event>,
+    /// Every packet in flight. The one queued event that names a slot owns
+    /// it; the handler the packet dies in (or is delivered by) releases it.
+    packets: PacketArena<Payload>,
     links: Vec<LinkState>,
     routers: Vec<Option<RouterProcess>>,
     host_uplink: Vec<Option<(LinkId, NodeId)>>,
@@ -330,6 +337,7 @@ impl Network {
             topo,
             plan,
             queue: EventQueue::new(),
+            packets: PacketArena::default(),
             config,
             links: (0..n_links).map(|_| LinkState::new()).collect(),
             routers,
@@ -376,6 +384,12 @@ impl Network {
     /// event-queue memory pressure).
     pub fn peak_queue_depth(&self) -> usize {
         self.queue.peak_pending()
+    }
+
+    /// Packets in flight right now, and the most that ever were at once
+    /// (the packet arena's live count and size).
+    pub fn packets_in_flight(&self) -> (usize, usize) {
+        (self.packets.live(), self.packets.slots())
     }
 
     /// Packet-drop counters.
@@ -652,9 +666,9 @@ impl Network {
         if at > end {
             return None;
         }
-        let (now, event) = self.queue.pop().expect("peeked");
-        self.dispatch(now, event);
-        Some(now)
+        let (key, event) = self.queue.pop()?;
+        self.dispatch(key, event);
+        Some(key.time())
     }
 
     /// A counter that advances whenever forwarding-relevant state may have
@@ -666,14 +680,18 @@ impl Network {
         self.fib_epoch
     }
 
-    fn dispatch(&mut self, now: SimTime, event: Event) {
+    fn dispatch(&mut self, key: EventKey, event: Event) {
+        let now = key.time();
         match event {
             Event::Arrive { link, to, packet } => self.on_arrive(now, link, to, packet),
             Event::LsaProcess {
                 node,
-                lsa,
                 arrived_on,
+                packet,
             } => {
+                let Payload::Lsa(lsa) = self.packets.remove(packet).payload else {
+                    return; // on_arrive queues this event for LSA packets only
+                };
                 let mut actions = std::mem::take(&mut self.action_scratch);
                 actions.clear();
                 self.routers[node.index()]
@@ -733,11 +751,8 @@ impl Network {
                 self.handle_router_actions(now, node, &mut actions);
                 self.action_scratch = actions;
             }
-            Event::FibInstall {
-                node,
-                generation,
-                delta,
-            } => {
+            Event::FibInstall { node, install } => {
+                let (generation, delta) = *install;
                 self.fib_epoch += 1;
                 self.routers[node.index()]
                     .as_mut()
@@ -761,9 +776,10 @@ impl Network {
                     .on_pace(now);
                 self.handle_tcp_outputs(now, flow, outputs);
             }
-            Event::TcpRto { flow, key } => self.on_rto_entry(now, flow, key),
+            Event::TcpRto { flow } => self.on_rto_entry(now, flow, key),
             Event::ControllerRecompute => self.on_controller_recompute(now),
-            Event::ControllerInstall { node, routes } => {
+            Event::ControllerInstall(install) => {
+                let (node, routes) = *install;
                 self.fib_epoch += 1;
                 self.routers[node.index()]
                     .as_mut()
@@ -815,7 +831,7 @@ impl Network {
             let routes = dcn_routing::compute_routes(&lsdb, sw);
             self.queue.schedule(
                 now + push_delay,
-                Event::ControllerInstall { node: sw, routes },
+                Event::ControllerInstall(Box::new((sw, routes))),
             );
         }
     }
@@ -918,8 +934,7 @@ impl Network {
                         at,
                         Event::FibInstall {
                             node,
-                            generation,
-                            delta,
+                            install: Box::new((generation, delta)),
                         },
                     );
                 }
@@ -927,51 +942,59 @@ impl Network {
         }
     }
 
+    /// Writes a new packet into the arena, the one time it is written.
     fn make_packet(
         &mut self,
         key: FlowKey,
         size: u32,
         now: SimTime,
         payload: Payload,
-    ) -> Packet<Payload> {
+    ) -> PacketSlot {
         let id = self.packet_seq;
         self.packet_seq += 1;
-        Packet::new(id, key, size, now, payload)
+        let packet = Packet::new(id, key, size, now, payload);
+        self.packets.insert(packet)
     }
 
-    /// Transmits from `from` onto `link`.
-    fn transmit(&mut self, now: SimTime, link: LinkId, from: NodeId, packet: Packet<Payload>) {
+    /// Transmits from `from` onto `link`; a packet the link drops dies here.
+    fn transmit(&mut self, now: SimTime, link: LinkId, from: NodeId, packet: PacketSlot) {
         let entry = self.topo.link(link);
         let (dir, to) = if from == entry.a() {
             (Direction::AToB, entry.b())
         } else {
             (Direction::BToA, entry.a())
         };
-        match self.links[link.index()].transmit(&self.config.link, dir, now, packet.size) {
+        let bytes = self.packets.get_mut(packet).size;
+        match self.links[link.index()].transmit(&self.config.link, dir, now, bytes) {
             TransmitVerdict::Deliver { arrival } => {
-                self.queue.schedule(arrival, Event::Arrive { link, to, packet });
+                let event = Event::Arrive { link, to, packet };
+                return self.queue.schedule(arrival, event);
             }
             TransmitVerdict::DroppedLinkDown => self.drops.link_down += 1,
             TransmitVerdict::DroppedQueueFull => self.drops.queue_full += 1,
         }
+        self.packets.remove(packet);
     }
 
-    fn send_from_host(&mut self, now: SimTime, host: NodeId, packet: Packet<Payload>) {
+    fn send_from_host(&mut self, now: SimTime, host: NodeId, packet: PacketSlot) {
         let (link, _) = self.host_uplink[host.index()].expect("host has an uplink");
         self.transmit(now, link, host, packet);
     }
 
-    fn on_arrive(&mut self, now: SimTime, link: LinkId, to: NodeId, packet: Packet<Payload>) {
+    fn on_arrive(&mut self, now: SimTime, link: LinkId, to: NodeId, packet: PacketSlot) {
         match self.topo.node(to).kind() {
-            NodeKind::Host => self.deliver_to_host(now, to, packet),
+            NodeKind::Host => {
+                let packet = self.packets.remove(packet);
+                self.deliver_to_host(now, to, packet);
+            }
             NodeKind::Switch(_) => {
-                if let Payload::Lsa(lsa) = packet.payload {
+                if matches!(self.packets.get_mut(packet).payload, Payload::Lsa(_)) {
                     self.queue.schedule(
                         now + self.config.lsa_processing_delay,
                         Event::LsaProcess {
                             node: to,
-                            lsa,
                             arrived_on: link,
+                            packet,
                         },
                     );
                 } else {
@@ -981,9 +1004,11 @@ impl Network {
         }
     }
 
-    fn forward_at_switch(&mut self, now: SimTime, node: NodeId, mut packet: Packet<Payload>) {
+    fn forward_at_switch(&mut self, now: SimTime, node: NodeId, slot: PacketSlot) {
+        let packet = self.packets.get_mut(slot);
         if !packet.hop() {
             self.drops.ttl_expired += 1;
+            self.packets.remove(slot);
             return;
         }
         let hop = self.routers[node.index()]
@@ -991,8 +1016,11 @@ impl Network {
             .expect("forwarding switch")
             .forward(&packet.flow);
         match hop {
-            Some(h) => self.transmit(now, h.link, node, packet),
-            None => self.drops.no_route += 1,
+            Some(h) => self.transmit(now, h.link, node, slot),
+            None => {
+                self.drops.no_route += 1;
+                self.packets.remove(slot);
+            }
         }
     }
 
@@ -1109,7 +1137,7 @@ impl Network {
         timer.token = token;
         if timer.queued.is_none_or(|queued| queued > key) {
             timer.queued = Some(key);
-            self.queue.schedule_at_key(key, Event::TcpRto { flow, key });
+            self.queue.schedule_at_key(key, Event::TcpRto { flow });
         }
     }
 
@@ -1132,7 +1160,7 @@ impl Network {
         } else {
             let key = f.rto.deadline;
             f.rto.queued = Some(key);
-            self.queue.schedule_at_key(key, Event::TcpRto { flow, key });
+            self.queue.schedule_at_key(key, Event::TcpRto { flow });
         }
     }
 

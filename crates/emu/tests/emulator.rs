@@ -1,10 +1,11 @@
 //! End-to-end emulator tests: the paper's recovery behaviour, replayed.
 
 use dcn_emu::{EmuConfig, FlowId, Network};
+use dcn_failure::Condition;
 use dcn_metrics::ThroughputSeries;
 use dcn_net::{FatTree, LinkId, NodeId, Topology};
 use dcn_sim::{SimDuration, SimTime};
-use f2tree::{network_backup_routes, F2TreeNetwork};
+use f2tree::{network_backup_routes, Design, F2TreeNetwork, TestBed};
 
 fn ms(v: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(v)
@@ -554,4 +555,64 @@ fn completed_transfer_leaves_no_live_timer_behind() {
     let stats = net.tcp_flow_stats(flow).expect("TCP flow");
     assert_eq!(stats.retransmits, 0);
     assert_eq!(stats.acked, 1_000_000);
+}
+
+/// The packet arena's ownership rule, end to end: whatever way a packet
+/// dies — delivered, looped to TTL death (C7), sent into a dead link,
+/// tail-dropped, unroutable, or an LSA consumed by its router — its slot
+/// is released there, so a drained network holds no packet, and the arena
+/// never outgrew the event queue that names its slots.
+#[test]
+fn no_packet_outlives_its_last_event() {
+    let mut bed = TestBed::build(Design::F2Tree, 8, 4).expect("valid k");
+    let hosts = bed.topology().hosts().to_vec();
+
+    // A long transfer across the C7 links: its segments run into the dead
+    // links until detection, then ping-pong to TTL death until the control
+    // plane (LSA floods) converges, then finish.
+    let (src, dst) = bed.probe_endpoints();
+    let long = bed.net.add_transfer(src, dst, 20_000_000, SimTime::ZERO);
+    let anatomy = bed.path_anatomy(long);
+    for link in bed.scenario_links(&anatomy, Condition::C7) {
+        bed.net.fail_link_at(ms(100), link);
+    }
+    // Incast: eight senders overflow the sink's access-link queue.
+    let sink = hosts[64];
+    for &sender in &hosts[8..16] {
+        bed.net.add_transfer(sender, sink, 500_000, SimTime::ZERO);
+    }
+    // A sender whose ToR loses every uplink: no route once that is detected.
+    let stranded = hosts[32];
+    let topo = bed.topology();
+    let (_, tor) = topo.neighbors(stranded).next().expect("host uplink");
+    let uplinks: Vec<LinkId> = topo
+        .neighbors(tor)
+        .filter(|&(_, n)| topo.node(n).kind().is_switch())
+        .map(|(link, _)| link)
+        .collect();
+    let (_, far_tor) = topo.neighbors(sink).next().expect("host uplink");
+    let net = &mut bed.net;
+    let cut_off = net.add_transfer(stranded, sink, 20_000_000, SimTime::ZERO);
+    for link in uplinks {
+        net.fail_link_at(ms(100), link);
+    }
+
+    net.run_until(ms(5000));
+    let drops = net.drops();
+    assert!(net.delivered_packets() > 10_000);
+    assert!(drops.link_down > 0, "{drops:?}");
+    assert!(drops.ttl_expired > 0, "{drops:?}");
+    assert!(drops.queue_full > 0, "{drops:?}");
+    assert!(drops.no_route > 0, "{drops:?}");
+    // The sink's ToR, pods away, holds the re-originated LSA of the agg
+    // that lost its links: floods crossed the fabric as packets.
+    let far_lsdb = net.router(far_tor).expect("ToR runs a router").lsdb();
+    let flooded = far_lsdb.get(anatomy.path_agg);
+    assert!(flooded.is_some_and(|lsa| lsa.seq > 1), "{flooded:?}");
+    assert!(net.is_delivered(long) && !net.is_delivered(cut_off));
+
+    let (live, slots) = net.packets_in_flight();
+    assert_eq!(live, 0, "every packet was released where it died");
+    let peak = net.peak_queue_depth();
+    assert!((1..=peak).contains(&slots), "{slots} slots, {peak} events");
 }

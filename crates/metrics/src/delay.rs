@@ -37,7 +37,8 @@ impl DelaySeries {
         });
     }
 
-    /// All samples in send order.
+    /// All samples in arrival order (`record` runs on delivery, so a
+    /// reroute can put a later-sent packet first).
     pub fn samples(&self) -> &[DelaySample] {
         &self.samples
     }
@@ -55,21 +56,21 @@ impl DelaySeries {
     /// Mean delay of samples sent within `[start, end)` — `None` when the
     /// window holds none (a connectivity gap in Fig. 5).
     pub fn mean_in(&self, start: SimTime, end: SimTime) -> Option<SimDuration> {
-        let window: Vec<u64> = self
+        let window = self
             .samples
             .iter()
-            .filter(|s| s.sent_at >= start && s.sent_at < end)
-            .map(|s| s.delay.as_nanos())
-            .collect();
-        if window.is_empty() {
-            return None;
-        }
-        let sum: u64 = window.iter().sum();
-        Some(SimDuration::from_nanos(sum / window.len() as u64))
+            .filter(|s| s.sent_at >= start && s.sent_at < end);
+        let (sum, count) = window.fold((0, 0), |(sum, count), s| {
+            (sum + s.delay.as_nanos(), count + 1)
+        });
+        mean(sum, count)
     }
 
     /// Downsamples into `(window_start, mean_delay)` points for plotting;
-    /// windows with no arrivals yield `None` (plotted as gaps).
+    /// windows with no arrivals yield `None` (plotted as gaps). Windows
+    /// start at `start` and tile `[start, end)`; the last one may overhang
+    /// `end` and still counts every sample that falls in it. One pass:
+    /// each sample is bucketed by `(sent_at - start) / window`.
     pub fn downsample(
         &self,
         start: SimTime,
@@ -77,15 +78,24 @@ impl DelaySeries {
         window: SimDuration,
     ) -> Vec<(SimTime, Option<SimDuration>)> {
         assert!(window > SimDuration::ZERO, "window must be positive");
-        let mut out = Vec::new();
-        let mut t = start;
-        while t < end {
-            let next = t + window;
-            out.push((t, self.mean_in(t, next)));
-            t = next;
+        let windows = end.since(start).as_nanos().div_ceil(window.as_nanos());
+        let mut bins = vec![(0u64, 0u64); windows as usize];
+        for s in self.samples.iter().filter(|s| s.sent_at >= start) {
+            let index = s.sent_at.since(start).as_nanos() / window.as_nanos();
+            if let Some((sum, count)) = bins.get_mut(index as usize) {
+                *sum += s.delay.as_nanos();
+                *count += 1;
+            }
         }
-        out
+        (0u64..)
+            .zip(bins)
+            .map(|(i, (sum, count))| (start + window * i, mean(sum, count)))
+            .collect()
     }
+}
+
+fn mean(sum_ns: u64, count: u64) -> Option<SimDuration> {
+    (count > 0).then(|| SimDuration::from_nanos(sum_ns / count))
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //!   exponential distributions the paper's workloads use,
 //! * [`LinkSpec`]/[`LinkState`] — the bandwidth/propagation/drop-tail link
 //!   transmission model, and
-//! * [`Packet`] — the generic packet carried through the network.
+//! * [`Packet`] — the generic packet carried through the network, and
+//!   [`PacketArena`] — where packets in flight are stored.
 //!
 //! Identical seeds replay identical traces, which is what lets the
 //! experiment suite assert the paper's numbers exactly.
@@ -27,14 +28,15 @@
 //! // The paper's BFD-like interface detection fires 60ms later.
 //! q.schedule(fail_at + SimDuration::from_millis(60), Event::DetectFailure);
 //!
-//! let (t, e) = q.pop().unwrap();
+//! let (key, e) = q.pop().unwrap();
 //! assert_eq!(e, Event::FailLink);
-//! assert_eq!(t.as_nanos(), 380_000_000);
+//! assert_eq!(key.time().as_nanos(), 380_000_000);
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod arena;
 mod link;
 mod packet;
 mod queue;
@@ -42,6 +44,7 @@ mod rng;
 mod time;
 pub mod timers;
 
+pub use arena::{PacketArena, PacketSlot};
 pub use link::{Direction, LinkSpec, LinkState, TransmitVerdict};
 pub use packet::{Packet, DEFAULT_TTL};
 pub use queue::{EventKey, EventQueue};

@@ -140,11 +140,17 @@ impl LinkState {
         }
         let idx = dir.index();
         let busy = self.busy_until[idx].max(now);
-        // Backlog currently waiting to serialize, in bytes.
-        let backlog = busy.since(now);
-        let backlog_bytes =
-            (backlog.as_nanos() as u128 * spec.bandwidth_bps as u128 / 8 / 1_000_000_000) as u64;
-        if backlog_bytes + bytes as u64 > spec.queue_capacity_bytes {
+        // Tail-drop when the backlog still waiting to serialize, in whole
+        // bytes, plus this packet exceeds the capacity:
+        // ⌊backlog_ns · bps / 8·10⁹⌋ + bytes > capacity, tested as
+        // backlog_ns · bps ≥ (capacity − bytes + 1) · 8·10⁹ so that no hop
+        // pays a 128-bit division.
+        let backlog_bits_e9 = busy.since(now).as_nanos() as u128 * spec.bandwidth_bps as u128;
+        let full = match spec.queue_capacity_bytes.checked_sub(bytes as u64) {
+            Some(room) => backlog_bits_e9 >= (room as u128 + 1) * 8_000_000_000,
+            None => true,
+        };
+        if full {
             self.dropped_queue += 1;
             return TransmitVerdict::DroppedQueueFull;
         }

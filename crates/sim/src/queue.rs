@@ -3,9 +3,16 @@
 //! A deterministic priority queue over `(time, sequence)`: events scheduled
 //! for the same instant pop in scheduling order, so identical seeds always
 //! replay identical traces.
+//!
+//! The queue is its own binary min-heap, and it **replaces its root in
+//! place**: [`EventQueue::pop`] hands the root's event out and leaves the
+//! root behind, vacant; the next `schedule*` overwrites it and sifts down
+//! once, so a forwarded packet hop (pop one event, schedule one) is a
+//! single sift. The vacant root still carries the smallest key, so the
+//! heap property holds around it; a `pop` or `peek_time` that finds it
+//! still vacant removes it first. Keys are a total order, so the pop
+//! sequence depends on what was scheduled, never on the array's shape.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::time::SimTime;
@@ -18,30 +25,18 @@ pub struct EventKey {
     seq: u64,
 }
 
+impl EventKey {
+    /// The instant the key's event is due.
+    pub fn time(self) -> SimTime {
+        self.at
+    }
+}
+
 struct Entry<E> {
     key: EventKey,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: BinaryHeap is a max-heap but we want earliest-first.
-        other.key.cmp(&self.key)
-    }
+    /// `None` marks the vacant root: only there, and only between a `pop`
+    /// and whatever follows it.
+    event: Option<E>,
 }
 
 /// A deterministic discrete-event queue.
@@ -54,12 +49,12 @@ impl<E> Ord for Entry<E> {
 /// let mut q = EventQueue::new();
 /// q.schedule(SimTime::ZERO + SimDuration::from_millis(2), "later");
 /// q.schedule(SimTime::ZERO + SimDuration::from_millis(1), "sooner");
-/// let (t, e) = q.pop().unwrap();
+/// let (key, e) = q.pop().unwrap();
 /// assert_eq!(e, "sooner");
-/// assert_eq!(t.as_nanos(), 1_000_000);
+/// assert_eq!(key.time().as_nanos(), 1_000_000);
 /// ```
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: Vec<Entry<E>>,
     seq: u64,
     now: SimTime,
     popped: u64,
@@ -70,7 +65,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue positioned at time zero.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -121,32 +116,51 @@ impl<E> EventQueue<E> {
             key.at,
             self.now
         );
-        self.heap.push(Entry { key, event });
+        let entry = Entry {
+            key,
+            event: Some(event),
+        };
+        match self.heap.first_mut() {
+            Some(root) if root.event.is_none() => {
+                *root = entry;
+                self.sift_down();
+            }
+            _ => {
+                self.heap.push(entry);
+                self.sift_up();
+            }
+        }
         self.peak = self.peak.max(self.heap.len());
     }
 
-    /// Pops the earliest event and advances the clock to it.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.key.at >= self.now);
-        self.now = entry.key.at;
+    /// Pops the earliest event and advances the clock to it. The key is
+    /// the one the event was scheduled under; [`EventKey::time`] is the
+    /// new current time.
+    pub fn pop(&mut self) -> Option<(EventKey, E)> {
+        self.remove_vacant_root();
+        let root = self.heap.first_mut()?;
+        let event = root.event.take()?;
+        let key = root.key;
+        debug_assert!(key.at >= self.now);
+        self.now = key.at;
         self.popped += 1;
-        Some((entry.key.at, entry.event))
+        Some((key, event))
     }
 
     /// The time of the next event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.key.at)
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.remove_vacant_root();
+        self.heap.first().map(|e| e.key.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.root_is_vacant())
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Total number of events processed so far.
@@ -157,6 +171,55 @@ impl<E> EventQueue<E> {
     /// High-water mark of pending events over the queue's lifetime.
     pub fn peak_pending(&self) -> usize {
         self.peak
+    }
+
+    fn root_is_vacant(&self) -> bool {
+        self.heap.first().is_some_and(|root| root.event.is_none())
+    }
+
+    /// Nothing replaced the popped root: the last entry takes its place.
+    fn remove_vacant_root(&mut self) {
+        if self.root_is_vacant() {
+            self.heap.swap_remove(0);
+            self.sift_down();
+        }
+    }
+
+    /// Restores the heap below a root that may be out of place. Keys are
+    /// compared first; an entry moves only when a child must rise.
+    fn sift_down(&mut self) {
+        let mut at = 0;
+        loop {
+            let left = 2 * at + 1;
+            let (Some(parent), Some(first)) = (self.heap.get(at), self.heap.get(left)) else {
+                return;
+            };
+            let (child, key) = match self.heap.get(left + 1) {
+                Some(second) if second.key < first.key => (left + 1, second.key),
+                _ => (left, first.key),
+            };
+            if parent.key <= key {
+                return;
+            }
+            self.heap.swap(at, child);
+            at = child;
+        }
+    }
+
+    /// Restores the heap above a freshly pushed last entry.
+    fn sift_up(&mut self) {
+        let mut at = self.heap.len().saturating_sub(1);
+        while at > 0 {
+            let up = (at - 1) / 2;
+            let (Some(child), Some(parent)) = (self.heap.get(at), self.heap.get(up)) else {
+                return;
+            };
+            if parent.key <= child.key {
+                return;
+            }
+            self.heap.swap(at, up);
+            at = up;
+        }
     }
 }
 
@@ -170,7 +233,7 @@ impl<E> fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.heap.len())
+            .field("pending", &self.len())
             .field("processed", &self.popped)
             .finish()
     }
