@@ -23,7 +23,7 @@ use dcn_routing::{
 };
 use dcn_sim::{
     Direction, EventKey, EventQueue, LinkState, Packet, PacketArena, PacketSlot, SimTime,
-    TransmitVerdict,
+    TransmitVerdict, DEFAULT_TTL,
 };
 use dcn_transport::{
     TcpAck, TcpApp, TcpReceiver, TcpSegment, TcpSender, TcpSenderOutput, UdpDatagram, UdpSource,
@@ -140,6 +140,23 @@ struct FlowState {
     connectivity: ConnectivityTracker,
     delay: DelaySeries,
     rto: RtoTimer,
+    /// Allocated at the flow's first switch hop, released when its sender
+    /// completes (a duplicate still in flight then re-creates it).
+    path_memo: Option<Box<PathMemo>>,
+}
+
+/// What the switches last decided for a flow's packets. A decision is a
+/// function of (switch state, five-tuple): the five-tuple is fixed per flow
+/// and direction, switch state while [`Network::fib_epoch`] stands still,
+/// so an entry filled under this epoch at this switch *is* the decision
+/// (DESIGN.md §10.1). The hop count only indexes: packets of one flow at
+/// one hop count but different switches miss on the switch and overwrite.
+#[derive(Default)]
+struct PathMemo {
+    /// The `fib_epoch` every entry was decided under.
+    epoch: u64,
+    /// At `2 * hops_taken + is_ack`: that switch, and its out link (`None`: blackholed).
+    hops: Vec<Option<(NodeId, Option<LinkId>)>>,
 }
 
 /// A flow's retransmission timer. The sender re-arms it on every new ACK
@@ -392,6 +409,15 @@ impl Network {
         (self.packets.live(), self.packets.slots())
     }
 
+    /// Flows holding a forwarding memo right now, and the most switch hops
+    /// any of them remembers in one direction.
+    pub fn path_memos(&self) -> (usize, usize) {
+        let memos = self.flows.iter().filter_map(|f| f.path_memo.as_deref());
+        memos.fold((0, 0), |(live, most), memo| {
+            (live + 1, most.max(memo.hops.len().div_ceil(2)))
+        })
+    }
+
     /// Packet-drop counters.
     pub fn drops(&self) -> DropCounters {
         self.drops
@@ -418,6 +444,8 @@ impl Network {
     }
 
     /// Installs static routes (F²Tree backup configuration) on switches.
+    /// A set-up call: it leaves [`Self::fib_epoch`] alone and drops every
+    /// flow's forwarding memo instead.
     ///
     /// # Panics
     ///
@@ -427,10 +455,14 @@ impl Network {
         I: IntoIterator<Item = (NodeId, Route)>,
     {
         for (node, route) in routes {
-            self.routers[node.index()]
-                .as_mut()
+            self.routers
+                .get_mut(node.index())
+                .and_then(Option::as_mut)
                 .unwrap_or_else(|| panic!("{node} is not a switch"))
                 .install_permanent(route);
+        }
+        for flow in &mut self.flows {
+            flow.path_memo = None;
         }
     }
 
@@ -500,6 +532,7 @@ impl Network {
             connectivity: ConnectivityTracker::new(),
             delay: DelaySeries::new(),
             rto: RtoTimer::default(),
+            path_memo: None,
         }));
         self.queue.schedule(start, Event::UdpTick { flow: id });
         id
@@ -544,6 +577,7 @@ impl Network {
             connectivity: ConnectivityTracker::new(),
             delay: DelaySeries::new(),
             rto: RtoTimer::default(),
+            path_memo: None,
         }));
         self.queue.schedule(start, Event::TcpStart { flow: id });
         id
@@ -586,6 +620,7 @@ impl Network {
             connectivity: ConnectivityTracker::new(),
             delay: DelaySeries::new(),
             rto: RtoTimer::default(),
+            path_memo: None,
         }));
         self.queue.schedule(start, Event::TcpStart { flow: id });
         id
@@ -676,6 +711,8 @@ impl Network {
     /// drive fast-reroute fall-through), and FIB installs (distributed or
     /// controller-pushed). Unchanged between two [`Self::step`] calls ⇒
     /// every FIB lookup answers exactly as before.
+    /// [`Self::install_static_routes`] is the one forwarding change that
+    /// does not advance it; it invalidates the path memos instead.
     pub fn fib_epoch(&self) -> u64 {
         self.fib_epoch
     }
@@ -987,36 +1024,75 @@ impl Network {
                 let packet = self.packets.remove(packet);
                 self.deliver_to_host(now, to, packet);
             }
-            NodeKind::Switch(_) => {
-                if matches!(self.packets.get_mut(packet).payload, Payload::Lsa(_)) {
-                    self.queue.schedule(
-                        now + self.config.lsa_processing_delay,
-                        Event::LsaProcess {
-                            node: to,
-                            arrived_on: link,
-                            packet,
-                        },
-                    );
-                } else {
-                    self.forward_at_switch(now, to, packet);
+            NodeKind::Switch(_) => match self.packets.get_mut(packet).payload {
+                Payload::Lsa(_) => self.queue.schedule(
+                    now + self.config.lsa_processing_delay,
+                    Event::LsaProcess {
+                        node: to,
+                        arrived_on: link,
+                        packet,
+                    },
+                ),
+                Payload::Udp { flow, .. } | Payload::TcpData { flow, .. } => {
+                    self.forward_at_switch(now, to, packet, flow, false);
                 }
-            }
+                Payload::TcpAckSeg { flow, .. } => {
+                    self.forward_at_switch(now, to, packet, flow, true);
+                }
+            },
         }
     }
 
-    fn forward_at_switch(&mut self, now: SimTime, node: NodeId, slot: PacketSlot) {
+    /// One switch hop of a `flow` packet (`is_ack`: an ACK): out the link the
+    /// flow's [`PathMemo`] holds for this switch and epoch, else out the link
+    /// [`RouterProcess::forward`] picks, which the memo then holds.
+    #[expect(
+        clippy::expect_used,
+        reason = "a packet names a flow of this network and meets routers only at switches"
+    )]
+    fn forward_at_switch(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        slot: PacketSlot,
+        flow: FlowId,
+        is_ack: bool,
+    ) {
         let packet = self.packets.get_mut(slot);
         if !packet.hop() {
             self.drops.ttl_expired += 1;
             self.packets.remove(slot);
             return;
         }
-        let hop = self.routers[node.index()]
-            .as_ref()
-            .expect("forwarding switch")
-            .forward(&packet.flow);
-        match hop {
-            Some(h) => self.transmit(now, h.link, node, slot),
+        let (key, hops_taken) = (packet.flow, usize::from(DEFAULT_TTL - 1 - packet.ttl));
+        let decide = || {
+            let router = self.routers.get(node.index()).and_then(Option::as_ref);
+            let hop = router.expect("forwarding switch").forward(&key);
+            hop.map(|h| h.link)
+        };
+        let state = self.flows.get_mut(flow.index()).expect("packet of a flow");
+        let memo = state.path_memo.get_or_insert_with(Box::default);
+        if memo.epoch != self.fib_epoch {
+            memo.epoch = self.fib_epoch;
+            memo.hops.clear();
+        }
+        let at = 2 * hops_taken + usize::from(is_ack);
+        let link = match memo.hops.get(at) {
+            Some(&Some((switch, link))) if switch == node => {
+                debug_assert_eq!(link, decide(), "memo of {key:?} at {node} is stale");
+                link
+            }
+            _ => {
+                let link = decide();
+                memo.hops.resize(memo.hops.len().max(at + 1), None);
+                if let Some(entry) = memo.hops.get_mut(at) {
+                    *entry = Some((node, link));
+                }
+                link
+            }
+        };
+        match link {
+            Some(link) => self.transmit(now, link, node, slot),
             None => {
                 self.drops.no_route += 1;
                 self.packets.remove(slot);
@@ -1118,6 +1194,9 @@ impl Network {
                 TcpSenderOutput::Complete { .. } => {
                     // Sender-side completion; delivery-side bookkeeping
                     // happens in on_flow_delivered.
+                    if let Some(state) = self.flows.get_mut(flow.index()) {
+                        state.path_memo = None;
+                    }
                 }
             }
         }

@@ -1,10 +1,11 @@
 //! End-to-end emulator tests: the paper's recovery behaviour, replayed.
 
-use dcn_emu::{EmuConfig, FlowId, Network};
+use dcn_emu::{DropCounters, EmuConfig, FlowId, Network};
 use dcn_failure::Condition;
 use dcn_metrics::ThroughputSeries;
-use dcn_net::{FatTree, LinkId, NodeId, Topology};
-use dcn_sim::{SimDuration, SimTime};
+use dcn_net::{FatTree, LinkId, NodeId, Prefix, Topology};
+use dcn_routing::{NextHop, Route, RouteOrigin};
+use dcn_sim::{SimDuration, SimTime, DEFAULT_TTL};
 use f2tree::{network_backup_routes, Design, F2TreeNetwork, TestBed};
 
 fn ms(v: u64) -> SimTime {
@@ -615,4 +616,135 @@ fn no_packet_outlives_its_last_event() {
     assert_eq!(live, 0, "every packet was released where it died");
     let peak = net.peak_queue_depth();
     assert!((1..=peak).contains(&slots), "{slots} slots, {peak} events");
+}
+
+/// `install_static_routes` changes forwarding without advancing
+/// `fib_epoch`, so it has to drop the flows' forwarding memos itself: a
+/// more specific route installed mid-run, with no other forwarding change
+/// anywhere near, moves the very next packet onto its link.
+#[test]
+fn static_route_installed_mid_run_redirects_the_next_packet() {
+    let mut net = fat_network(4, 1);
+    let (src, dst) = probe_endpoints(net.topology());
+    let probe = net.add_udp_probe(src, dst, SimTime::ZERO);
+    net.run_until(ms(10));
+
+    let path = net.trace_path(probe);
+    let (tor, agg) = (path[1], path[2]);
+    let topo = net.topology();
+    let taken = topo.link_between(tor, agg).expect("path link exists");
+    let (other, other_agg) = topo
+        .neighbors(tor)
+        .find(|&(link, n)| topo.node(n).kind().is_switch() && link != taken)
+        .expect("a k=4 ToR has two uplinks");
+    let host_route = Route::new(
+        Prefix::host(topo.node(dst).addr()),
+        RouteOrigin::Static,
+        0,
+        vec![NextHop {
+            node: other_agg,
+            link: other,
+        }],
+    );
+    let sent = |net: &Network| {
+        (
+            net.link_state(taken).transmitted(),
+            net.link_state(other).transmitted(),
+        )
+    };
+    let (epoch, (on_taken, on_other)) = (net.fib_epoch(), sent(&net));
+    assert_eq!(on_other, 0, "the probe is the only traffic");
+
+    net.install_static_routes([(tor, host_route)]);
+    net.run_until(ms(11));
+    assert_eq!(net.fib_epoch(), epoch, "set-up calls leave the epoch alone");
+    assert_eq!(
+        sent(&net),
+        (on_taken, 10),
+        "1 ms of probes, all on the new link"
+    );
+    assert_eq!(net.trace_path(probe)[2], other_agg);
+    assert!(net.udp_probe_report(probe).lost <= 2, "and still delivered");
+}
+
+/// A fabric at full rate across an F²Tree recovery: the bulk transfer is
+/// back at line rate on the detour when reconvergence moves its path
+/// upstream, so for a while its packets stand at the same hop count at
+/// different switches (old path and new) under one `fib_epoch`. Each must
+/// be forwarded by the switch it is at: every counter reads what it read
+/// before flows remembered their paths.
+#[test]
+fn packets_in_flight_across_an_epoch_keep_their_own_decisions() {
+    let mut net = f2_network(4, 1);
+    let (src, dst) = probe_endpoints(net.topology());
+    let probe = net.add_udp_probe(src, dst, SimTime::ZERO);
+    let bulk = net.add_transfer(src, dst, 100_000_000, SimTime::ZERO);
+    for flow in [probe, bulk] {
+        let link = downward_path_link(&net, flow);
+        net.fail_link_at(ms(100), link);
+    }
+    net.run_until(ms(700));
+
+    assert_eq!(
+        net.drops(),
+        DropCounters {
+            no_route: 0,
+            ttl_expired: 0,
+            link_down: 708,
+            queue_full: 6747,
+        }
+    );
+    assert_eq!(net.delivered_packets(), 88_414);
+    assert_eq!(net.events_processed(), 550_810);
+}
+
+/// The C7 cell: backup routes at two aggregation switches point at each
+/// other, and packets ping-pong between them to TTL death. Every bounce is
+/// one more hop count at one of the same two switches, so a memo grows to
+/// the TTL and no further, and exactly as many packets die as before.
+#[test]
+fn c7_ping_pong_fills_a_memo_to_the_ttl_and_no_further() {
+    let mut bed = TestBed::build(Design::F2Tree, 8, 1).expect("valid k");
+    let (udp, _tcp) = bed.add_aligned_probes(SimTime::ZERO);
+    let anatomy = bed.path_anatomy(udp);
+    for link in bed.scenario_links(&anatomy, Condition::C7) {
+        bed.net.fail_link_at(ms(100), link);
+    }
+    let mut longest = 0;
+    while bed.net.step(ms(600)).is_some() {
+        longest = longest.max(bed.net.path_memos().1);
+    }
+    assert_eq!(
+        longest,
+        usize::from(DEFAULT_TTL) - 1,
+        "one entry per switch hop"
+    );
+    assert_eq!(bed.net.drops().ttl_expired, 291);
+    assert_eq!(bed.net.events_processed(), 92_700);
+}
+
+/// A memo lives from a flow's first switch hop to its sender's completion:
+/// after a partition-aggregate run in which every request and response
+/// finished, none is left.
+#[test]
+fn completed_transfer_releases_its_memo() {
+    let mut net = fat_network(4, 2);
+    let hosts = net.topology().hosts().to_vec();
+    for (i, &requester) in hosts.iter().enumerate().take(4) {
+        let workers: Vec<NodeId> = hosts.iter().copied().filter(|&h| h != requester).collect();
+        net.add_request(ms(i as u64), requester, &workers, 2_000, 10_000);
+    }
+    net.run_until(ms(1));
+    let (live, longest) = net.path_memos();
+    assert!(
+        live > 0 && (1..=5).contains(&longest),
+        "{live} memos, {longest} hops"
+    );
+
+    net.run_until(ms(1000));
+    assert!(net.request_outcomes().iter().all(Option::is_some));
+    // Nothing was dropped, so nothing was retransmitted: a late duplicate
+    // crossing the fabric after its flow completed would re-create one.
+    assert_eq!(net.drops(), DropCounters::default());
+    assert_eq!(net.path_memos(), (0, 0));
 }

@@ -12,7 +12,8 @@
 //! ready in the topological order). The conservation proptest pins
 //! `injected == delivered + undeliverable` under arbitrary damage.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use super::dag::{NextHopDag, QualityInput};
 use super::quantize;
@@ -42,6 +43,7 @@ impl LinkLoads {
             propagate_dag(
                 dag,
                 &input.edge_alive,
+                input.nodes,
                 &mut per_edge,
                 &mut delivered,
                 &mut undeliverable,
@@ -70,9 +72,15 @@ impl LinkLoads {
 /// undeliverable immediately. After the pass, any reachable node that
 /// never became ready is part of a forwarding cycle — its inflow plus
 /// injection is charged undeliverable too, keeping the balance total.
+/// `ready` pops its smallest index first: every f64 sum forms in node order.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the vectors are sized to the largest node index the DAG names"
+)]
 fn propagate_dag(
     dag: &NextHopDag,
     edge_alive: &[bool],
+    nodes: usize,
     per_edge: &mut [f64],
     delivered: &mut f64,
     undeliverable: &mut f64,
@@ -86,52 +94,55 @@ fn propagate_dag(
         dag.next_hops.get(&u).map(Vec::as_slice).unwrap_or(&[])
     };
 
+    // A DAG may name nodes past `nodes` (a destination nothing reaches).
+    let named = dag
+        .next_hops
+        .iter()
+        .flat_map(|(&u, hops)| hops.iter().map(|&(_, succ)| succ).chain([u]));
+    let sources = dag.inject.iter().map(|&(src, _)| src);
+    let slots = named
+        .chain(sources.clone())
+        .fold(nodes.max(dag.dst + 1), |n, u| n.max(u + 1));
+
     // Injection per node (sources may repeat in principle; fold them).
-    let mut inject: BTreeMap<usize, f64> = BTreeMap::new();
+    let mut inject = vec![0.0f64; slots];
     for &(src, amt) in &dag.inject {
-        *inject.entry(src).or_insert(0.0) += amt;
+        inject[src] += amt;
         *injected += amt;
     }
 
     // Reachable set over alive edges, destination terminal.
-    let mut reach: BTreeSet<usize> = BTreeSet::new();
-    let mut stack: Vec<usize> = inject.keys().copied().collect();
+    let mut reach = vec![false; slots];
+    let mut stack: Vec<usize> = sources.collect();
     while let Some(u) = stack.pop() {
-        if !reach.insert(u) {
+        if std::mem::replace(&mut reach[u], true) {
             continue;
         }
         for &(edge, succ) in hops_of(u) {
-            if alive(edge) && !reach.contains(&succ) {
+            if alive(edge) && !reach[succ] {
                 stack.push(succ);
             }
         }
     }
+    let reached = || (0..slots).filter(|&u| reach[u]);
 
-    // In-degrees over alive edges within the reachable set.
-    let mut indeg: BTreeMap<usize, usize> = reach.iter().map(|&u| (u, 0)).collect();
-    for &u in &reach {
+    // In-degrees over alive edges within the reachable set; a reached node
+    // is done once its in-degree has come down to zero.
+    let mut indeg = vec![0usize; slots];
+    for u in reached() {
         for &(edge, succ) in hops_of(u) {
             if alive(edge) {
-                if let Some(d) = indeg.get_mut(&succ) {
-                    *d += 1;
-                }
+                indeg[succ] += 1;
             }
         }
     }
 
-    let mut inflow: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut ready: BTreeSet<usize> = indeg
-        .iter()
-        .filter(|&(_, &d)| d == 0)
-        .map(|(&u, _)| u)
-        .collect();
-    let mut done: BTreeSet<usize> = BTreeSet::new();
+    let mut inflow = vec![0.0f64; slots];
+    let mut ready: BinaryHeap<Reverse<usize>> =
+        reached().filter(|&u| indeg[u] == 0).map(Reverse).collect();
 
-    while let Some(&u) = ready.iter().next() {
-        ready.remove(&u);
-        done.insert(u);
-        let total =
-            inflow.get(&u).copied().unwrap_or(0.0) + inject.get(&u).copied().unwrap_or(0.0);
+    while let Some(Reverse(u)) = ready.pop() {
+        let total = inflow[u] + inject[u];
         if u == dag.dst {
             *delivered += total;
             continue;
@@ -147,12 +158,10 @@ fn propagate_dag(
                 if let Some(slot) = per_edge.get_mut(edge) {
                     *slot += share;
                 }
-                *inflow.entry(succ).or_insert(0.0) += share;
-                if let Some(d) = indeg.get_mut(&succ) {
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.insert(succ);
-                    }
+                inflow[succ] += share;
+                indeg[succ] -= 1;
+                if indeg[succ] == 0 {
+                    ready.push(Reverse(succ));
                 }
             } else {
                 // Listed but physically dead and not yet locally
@@ -165,11 +174,8 @@ fn propagate_dag(
 
     // Cycle members (reachable, never ready): their accumulated inflow
     // plus injection circulates until TTL death — undeliverable.
-    for &u in &reach {
-        if !done.contains(&u) {
-            *undeliverable +=
-                inflow.get(&u).copied().unwrap_or(0.0) + inject.get(&u).copied().unwrap_or(0.0);
-        }
+    for u in reached().filter(|&u| indeg[u] > 0) {
+        *undeliverable += inflow[u] + inject[u];
     }
 }
 

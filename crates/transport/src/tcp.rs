@@ -315,15 +315,18 @@ impl TcpSender {
                 self.sample_rtt(now.since(info.sent_at));
             }
         }
-        // Drop bookkeeping for fully acked segments.
-        let acked_keys: Vec<u64> = self
-            .segments
-            .range(..ack)
-            .filter(|(&seq, info)| seq + info.len as u64 <= ack)
-            .map(|(&seq, _)| seq)
-            .collect();
-        for key in acked_keys {
-            self.segments.remove(&key);
+        // Drop bookkeeping for fully acked segments, skipping entries a
+        // go-back-N re-segmentation left straddling `ack`.
+        let mut from = 0;
+        while from < ack {
+            let mut acked = self
+                .segments
+                .range(from..ack)
+                .filter(|(&seq, info)| seq + info.len as u64 <= ack)
+                .map(|(&seq, _)| seq);
+            let Some(seq) = acked.next() else { break };
+            from = acked.next().unwrap_or(ack);
+            self.segments.remove(&seq);
         }
 
         let was_cwnd_limited = (self.snd_nxt - self.snd_una) as f64 >= self.cwnd - self.config.mss as f64;
@@ -910,5 +913,40 @@ mod tests {
         let segs = sends(&out);
         assert_eq!(segs.len(), 1);
         assert!(segs[0].retransmit);
+    }
+
+    /// After a go-back-N rollback re-segments the window, a stale entry
+    /// that straddles `ack` can sort in front of a fully acked one; a new
+    /// ACK drops every entry that ends at or below it and only those.
+    #[test]
+    fn a_new_ack_drops_fully_acked_entries_behind_a_straddling_one() {
+        let mss = u64::from(TcpConfig::default().mss);
+        let mut tx = TcpSender::new(
+            flow(),
+            TcpConfig::default(),
+            TcpApp::FixedSize { bytes: 1_000_000 },
+        );
+        tx.on_start(SimTime::ZERO);
+        let straddler = SentInfo {
+            len: 4 * mss as u32,
+            sent_at: SimTime::ZERO,
+            retransmitted: true,
+        };
+        tx.segments.insert(100, straddler); // [100, 100 + 4 mss)
+        let below = |tx: &TcpSender, end: u64| -> Vec<u64> {
+            tx.segments.range(..end).map(|(&seq, _)| seq).collect()
+        };
+        assert_eq!(
+            below(&tx, 5 * mss),
+            [0, 100, mss, 2 * mss, 3 * mss, 4 * mss]
+        );
+
+        // 0, mss and 2 mss go; the straddler in front of the last two ends
+        // past the ACK and stays.
+        tx.on_ack(ms(1), TcpAck { ack: 3 * mss });
+        assert_eq!(below(&tx, 5 * mss), [100, 3 * mss, 4 * mss]);
+        // Now the straddler is covered too.
+        tx.on_ack(ms(2), TcpAck { ack: 5 * mss });
+        assert_eq!(below(&tx, 5 * mss), []);
     }
 }
