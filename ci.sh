@@ -22,8 +22,10 @@
 # 4. the repo benchmark's own gate: `bench/run.sh --smoke` (offline
 #    build, the API-allowlist grep, then all four BENCHMARK.json workloads
 #    at shortened horizons — every pass must reproduce the product's own
-#    results) and the benchmark's unit tests; timings are never asserted
-#    here (see bench/README.md).
+#    results) and the benchmark's unit tests, `--locked`: bench/Cargo.lock
+#    records every product crate's dependency list, so a product PR that
+#    edits a [dependencies] table fails here instead of silently
+#    re-resolving; timings are never asserted here (see bench/README.md).
 set -eu
 
 cd "$(dirname "$0")"
@@ -40,6 +42,6 @@ cargo run -q --release -p xtask -- lint
 
 echo "==> bench/run.sh --smoke + bench unit tests (the repo benchmark builds, runs and checks itself)"
 bench/run.sh --smoke --out target/bench-smoke
-cargo test -q --offline --manifest-path bench/Cargo.toml
+cargo test -q --offline --locked --manifest-path bench/Cargo.toml
 
 echo "ci.sh: all gates passed"

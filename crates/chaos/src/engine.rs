@@ -663,7 +663,6 @@ pub fn run_chaos(cfg: &ChaosConfig, workers: Workers) -> Result<ChaosReport, Tes
         let mut rng = ctx.rng();
         let spec = generate_scenario(design, &mut rng, &cfg.campaign)?;
         let outcome = run_scenario(&spec, &cfg.engine)?;
-        ctx.record_sim_events(outcome.stats.sim_events);
         Ok(CampaignResult {
             index,
             design,

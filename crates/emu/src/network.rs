@@ -22,14 +22,34 @@ use dcn_routing::{
     RouterProcess,
 };
 use dcn_sim::{
-    Direction, EventKey, EventQueue, LinkState, Packet, PacketArena, PacketSlot, SimTime,
-    TransmitVerdict, DEFAULT_TTL,
+    Direction, EventKey, EventQueue, LinkSpec, LinkState, Packet, PacketArena, PacketSlot,
+    SimDuration, SimTime, TransmitVerdict, DEFAULT_TTL,
 };
 use dcn_transport::{
-    TcpAck, TcpApp, TcpReceiver, TcpSegment, TcpSender, TcpSenderOutput, UdpDatagram, UdpSource,
+    TcpAck, TcpApp, TcpConfig, TcpReceiver, TcpSegment, TcpSender, TcpSenderOutput, UdpDatagram,
+    UdpSource,
 };
 
 use crate::config::{ControlPlaneMode, EmuConfig};
+
+// The parts of the paper's §IV emulation environment nobody varies. Links
+// are `LinkSpec::PAPER_EMULATION` (1 Gbps, 5 µs, ~250 µs RTT), TCP is
+// `TcpConfig::default()` (200 ms min RTO), and across links are always
+// OSPF-passive: they carry only the static backup routes, leaving
+// baseline shortest paths identical to the un-rewired fabric (§II-D:
+// backup routes are not used in forwarding unless failures happen).
+
+/// Per-switch LSA processing delay ("the LSA propagation and the CPU
+/// processing delay contribute a small part").
+pub(crate) const LSA_PROCESSING_DELAY: SimDuration = SimDuration::from_micros(500);
+/// Wire size of an LSA packet.
+pub(crate) const LSA_PACKET_BYTES: u32 = 100;
+/// TCP/IP header overhead added to every data segment.
+const HEADER_BYTES: u32 = 52;
+/// Wire size of a pure ACK.
+const ACK_BYTES: u32 = 52;
+/// UDP/IP header overhead for probe datagrams.
+const UDP_HEADER_BYTES: u32 = 28;
 
 /// Identifies a flow within one [`Network`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -282,11 +302,7 @@ impl Network {
                     };
                     let mut router =
                         RouterProcess::new(node.id(), config.router, interfaces, prefixes);
-                    if config.across_links_passive {
-                        router.set_passive(
-                            topo.across_links(node.id()).iter().copied(),
-                        );
-                    }
+                    router.set_passive(topo.across_links(node.id()).iter().copied());
                     routers[node.id().index()] = Some(router);
                 }
                 NodeKind::Host => {
@@ -329,14 +345,11 @@ impl Network {
         // (across links stay OSPF-passive but serve as remote-LFA
         // relays — the F²Tree rewiring doing double duty).
         if config.recovery() == RecoveryMode::PrecomputedFrr {
-            let passive: BTreeSet<LinkId> = if config.across_links_passive {
-                topo.links()
-                    .filter(|l| l.class() == LinkClass::Across)
-                    .map(|l| l.id())
-                    .collect()
-            } else {
-                BTreeSet::new()
-            };
+            let passive: BTreeSet<LinkId> = topo
+                .links()
+                .filter(|l| l.class() == LinkClass::Across)
+                .map(|l| l.id())
+                .collect();
             let origins: BTreeMap<NodeId, Vec<Prefix>> = topo
                 .layer_switches(Layer::Tor)
                 .map(|tor| (tor, plan.subnet_of(tor).into_iter().collect()))
@@ -380,11 +393,6 @@ impl Network {
     /// The address plan.
     pub fn plan(&self) -> &AddressPlan {
         &self.plan
-    }
-
-    /// The emulation configuration.
-    pub fn config(&self) -> &EmuConfig {
-        &self.config
     }
 
     /// Current simulation time.
@@ -438,9 +446,10 @@ impl Network {
         self.links.iter().map(LinkState::transmitted).sum()
     }
 
-    /// The router process of a switch (read-only; for assertions).
+    /// The router process of a switch (read-only; for assertions);
+    /// `None` for a host or a node outside this topology.
     pub fn router(&self, node: NodeId) -> Option<&RouterProcess> {
-        self.routers[node.index()].as_ref()
+        self.routers.get(node.index()).and_then(Option::as_ref)
     }
 
     /// Installs static routes (F²Tree backup configuration) on switches.
@@ -555,6 +564,7 @@ impl Network {
     ) -> FlowId {
         let key = self.flow_key_with_port(src, dst, sport, Protocol::Tcp);
         let id = FlowId(self.flows.len() as u32);
+        let tcp = TcpConfig::default();
         self.flows.push(Box::new(FlowState {
             key,
             src,
@@ -565,9 +575,9 @@ impl Network {
             delivered_at: None,
             sender: Some(TcpSender::new(
                 key,
-                self.config.tcp,
+                tcp,
                 TcpApp::Paced {
-                    segment_bytes: self.config.tcp.mss,
+                    segment_bytes: tcp.mss,
                     interval: dcn_sim::SimDuration::from_micros(100),
                 },
             )),
@@ -613,7 +623,7 @@ impl Network {
             total_bytes: bytes,
             started_at: start,
             delivered_at: None,
-            sender: Some(TcpSender::new(key, self.config.tcp, TcpApp::FixedSize { bytes })),
+            sender: Some(TcpSender::new(key, TcpConfig::default(), TcpApp::FixedSize { bytes })),
             receiver: Some(TcpReceiver::new()),
             udp: None,
             delivered_fired: false,
@@ -951,7 +961,7 @@ impl Network {
                         );
                         let packet = self.make_packet(
                             key,
-                            self.config.lsa_packet_bytes,
+                            LSA_PACKET_BYTES,
                             now,
                             Payload::Lsa(Arc::clone(&lsa)),
                         );
@@ -1002,7 +1012,7 @@ impl Network {
             (Direction::BToA, entry.a())
         };
         let bytes = self.packets.get_mut(packet).size;
-        match self.links[link.index()].transmit(&self.config.link, dir, now, bytes) {
+        match self.links[link.index()].transmit(&LinkSpec::PAPER_EMULATION, dir, now, bytes) {
             TransmitVerdict::Deliver { arrival } => {
                 let event = Event::Arrive { link, to, packet };
                 return self.queue.schedule(arrival, event);
@@ -1026,7 +1036,7 @@ impl Network {
             }
             NodeKind::Switch(_) => match self.packets.get_mut(packet).payload {
                 Payload::Lsa(_) => self.queue.schedule(
-                    now + self.config.lsa_processing_delay,
+                    now + LSA_PROCESSING_DELAY,
                     Event::LsaProcess {
                         node: to,
                         arrived_on: link,
@@ -1127,7 +1137,7 @@ impl Network {
                 // Send the ACK back from this host.
                 let reverse = self.flows[flow.index()].key.reversed();
                 let ack_packet =
-                    self.make_packet(reverse, self.config.ack_bytes, now, Payload::TcpAckSeg {
+                    self.make_packet(reverse, ACK_BYTES, now, Payload::TcpAckSeg {
                         flow,
                         ack,
                     });
@@ -1183,7 +1193,7 @@ impl Network {
                         let f = &self.flows[flow.index()];
                         (f.key, f.src)
                     };
-                    let size = seg.len + self.config.header_bytes;
+                    let size = seg.len + HEADER_BYTES;
                     let packet = self.make_packet(key, size, now, Payload::TcpData { flow, seg });
                     self.send_from_host(now, src, packet);
                 }
@@ -1249,7 +1259,7 @@ impl Network {
             let (dgram, next) = f.udp.as_mut().expect("UDP flow has a source").on_tick(now);
             (dgram, next, f.key, f.src)
         };
-        let size = dgram.bytes + self.config.udp_header_bytes;
+        let size = dgram.bytes + UDP_HEADER_BYTES;
         let packet = self.make_packet(key, size, now, Payload::Udp { flow, dgram });
         self.send_from_host(now, src, packet);
         if let Some(at) = next {

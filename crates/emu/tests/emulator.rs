@@ -6,6 +6,7 @@ use dcn_metrics::ThroughputSeries;
 use dcn_net::{FatTree, LinkId, NodeId, Prefix, Topology};
 use dcn_routing::{NextHop, Route, RouteOrigin};
 use dcn_sim::{SimDuration, SimTime, DEFAULT_TTL};
+use dcn_transport::TcpConfig;
 use f2tree::{network_backup_routes, Design, F2TreeNetwork, TestBed};
 
 fn ms(v: u64) -> SimTime {
@@ -531,7 +532,7 @@ fn rto_reset_to_base_fires_before_the_backed_off_entry_still_queued() {
     let fourth = run_until_change(&mut net, retransmits);
     assert_eq!(
         fourth,
-        ack_at + net.config().tcp().min_rto,
+        ack_at + TcpConfig::default().min_rto,
         "retransmits one base RTO after the ACK, not at the backed-off entry"
     );
 }
@@ -747,4 +748,15 @@ fn completed_transfer_releases_its_memo() {
     // crossing the fabric after its flow completed would re-create one.
     assert_eq!(net.drops(), DropCounters::default());
     assert_eq!(net.path_memos(), (0, 0));
+}
+
+/// `Network::router` answers `None`, as its signature says, for a host
+/// and for a `NodeId` that belongs to some other (larger) topology.
+#[test]
+fn router_of_a_foreign_node_is_none() {
+    let net = fat_network(4, 1);
+    let (host, _) = probe_endpoints(net.topology());
+    assert!(net.router(host).is_none(), "hosts run no router");
+    let foreign = NodeId::new(net.topology().node_slots() as u32 + 7);
+    assert!(net.router(foreign).is_none());
 }

@@ -6,7 +6,7 @@
 //! collapse) plus the Fig. 5 end-to-end delay series. Fat tree runs
 //! C1–C5; C6/C7 involve across links and exist only on F²Tree.
 
-use dcn_emu::EmuConfig;
+use dcn_emu::{EmuConfig, FlowId};
 use dcn_failure::Condition;
 use dcn_metrics::quality::QualityReport;
 use dcn_metrics::ThroughputSeries;
@@ -102,30 +102,30 @@ pub fn mid_failover_offset() -> SimDuration {
     (timers::DETECTION_DELAY + timers::SPF_INITIAL_DELAY + timers::FIB_UPDATE_DELAY) / 2
 }
 
-/// Runs one condition on one design.
-///
-/// # Panics
-///
-/// Panics if the condition cannot be resolved on the design (C6/C7 on a
-/// fat tree).
-pub fn run_condition(
-    design: Design,
-    condition: Condition,
-    config: &ConditionConfig,
-) -> ConditionResult {
-    run_condition_measured(design, condition, config).0
+/// One condition cell run to its horizon: the bed as it stands there,
+/// the two aligned probes, and the routing-quality reports that bracket
+/// the failure. Shared by the Fig. 4 cell and the quality sweep.
+pub(crate) struct ConditionRun {
+    pub(crate) bed: TestBed,
+    pub(crate) udp: FlowId,
+    pub(crate) tcp: FlowId,
+    /// Links the condition resolved to (all failed at `fail_at_ms`).
+    pub(crate) failed_links: usize,
+    /// Converged pre-failure score.
+    pub(crate) healthy: QualityReport,
+    /// Mid-failover score, [`mid_failover_offset`] after the failure.
+    pub(crate) failover: QualityReport,
 }
 
-/// [`run_condition`] plus the number of simulator events the cell
-/// processed, for the sweep engine's per-cell metrics hook.
-fn run_condition_measured(
+/// Builds the bed, resolves `condition` against the probe path, fails
+/// its links at `fail_at_ms` and runs to the horizon.
+pub(crate) fn run_condition_bed(
     design: Design,
     condition: Condition,
     config: &ConditionConfig,
-) -> (ConditionResult, u64) {
+) -> ConditionRun {
     let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
     let fail_at = ms(config.fail_at_ms);
-    let horizon = ms(config.horizon_ms);
 
     #[expect(
         clippy::expect_used,
@@ -151,13 +151,40 @@ fn run_condition_measured(
     let healthy = QualityReport::compute(&bed.net.quality_input());
     bed.net.run_until(fail_at + mid_failover_offset());
     let failover = QualityReport::compute(&bed.net.quality_input());
-    bed.net.run_until(horizon);
+    bed.net.run_until(ms(config.horizon_ms));
 
-    let report = bed.net.udp_probe_report(udp);
+    ConditionRun {
+        bed,
+        udp,
+        tcp,
+        failed_links: links.len(),
+        healthy,
+        failover,
+    }
+}
+
+/// Runs one condition on one design.
+///
+/// # Panics
+///
+/// Panics if the condition cannot be resolved on the design (C6/C7 on a
+/// fat tree).
+pub fn run_condition(
+    design: Design,
+    condition: Condition,
+    config: &ConditionConfig,
+) -> ConditionResult {
+    let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
+    let fail_at = ms(config.fail_at_ms);
+    let horizon = ms(config.horizon_ms);
+    let run = run_condition_bed(design, condition, config);
+    let net = &run.bed.net;
+
+    let report = net.udp_probe_report(run.udp);
     let loss = report.connectivity.loss_around(fail_at);
 
     let mut tcp_series = ThroughputSeries::new();
-    tcp_series.extend_from_log(bed.net.tcp_delivery_log(tcp));
+    tcp_series.extend_from_log(net.tcp_delivery_log(run.tcp));
     let collapse = tcp_series.collapse_duration(
         SimTime::ZERO,
         fail_at,
@@ -181,21 +208,19 @@ fn run_condition_measured(
         })
         .collect();
 
-    let result = ConditionResult {
+    ConditionResult {
         design,
         condition: condition.to_string(),
         paper_condition: condition.paper_condition(),
-        failed_links: links.len(),
+        failed_links: run.failed_links,
         connectivity_loss_us: loss.map(|l| l.duration.as_micros()),
         packets_lost: report.lost,
         throughput_collapse_us: collapse.map(|c| c.as_micros()),
         delay_series,
-        healthy_max_load: healthy.max_load,
-        post_failover_max_load: failover.max_load,
-        post_failover_undeliverable: failover.undeliverable,
-    };
-    let events = bed.net.events_processed();
-    (result, events)
+        healthy_max_load: run.healthy.max_load,
+        post_failover_max_load: run.failover.max_load,
+        post_failover_undeliverable: run.failover.undeliverable,
+    }
 }
 
 /// The Fig. 4 sweep grid: fat tree on C1–C5, F²Tree on C1–C7, in the
@@ -227,9 +252,7 @@ pub fn run_fig4_sweep(config: &ConditionConfig, workers: Workers) -> Vec<Conditi
         .build()
         .run(|ctx| {
             let (design, condition) = *ctx.cell();
-            let (result, events) = run_condition_measured(design, condition, config);
-            ctx.record_sim_events(events);
-            result
+            run_condition(design, condition, config)
         })
 }
 

@@ -434,7 +434,6 @@ pub fn run_timer_ablation() -> Vec<AblationRow> {
                         ..ThrottleConfig::default()
                     },
                     fib_update_delay: SimDuration::from_millis(fib_ms),
-                    ..RouterConfig::default()
                 })
                 .build();
             let fail_at = ms(100);

@@ -131,16 +131,6 @@ fn add_probe_via(net: &mut Network, src: NodeId, dst: NodeId, via: NodeId) -> Fl
 
 /// Runs one Fig. 7 cell.
 pub fn run_fig7_cell(fabric: Fabric, design: Design, config: &Fig7Config) -> Fig7Result {
-    run_fig7_cell_measured(fabric, design, config).0
-}
-
-/// [`run_fig7_cell`] plus the simulator-event count, for the sweep
-/// engine's per-cell metrics hook.
-fn run_fig7_cell_measured(
-    fabric: Fabric,
-    design: Design,
-    config: &Fig7Config,
-) -> (Fig7Result, u64) {
     let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
     let (mut net, ring) = build_network(fabric, design, config);
     let (src, dst) = probe_endpoints(net.topology());
@@ -183,13 +173,12 @@ fn run_fig7_cell_measured(
         .connectivity
         .loss_around(ms(config.fail_at_ms))
         .expect("probe recovers");
-    let result = Fig7Result {
+    Fig7Result {
         fabric,
         design,
         connectivity_loss_us: loss.duration.as_micros(),
         packets_lost: report.lost,
-    };
-    (result, net.events_processed())
+    }
 }
 
 /// Runs all four Fig. 7 cells on [`Workers::auto`]; results are
@@ -215,9 +204,7 @@ pub fn run_fig7_sweep(config: &Fig7Config, workers: Workers) -> Vec<Fig7Result> 
         .build()
         .run(|ctx| {
             let (fabric, design) = *ctx.cell();
-            let (result, events) = run_fig7_cell_measured(fabric, design, config);
-            ctx.record_sim_events(events);
-            result
+            run_fig7_cell(fabric, design, config)
         })
 }
 

@@ -12,7 +12,7 @@
 //! | Fig. 5 | [`conditions`] | [`conditions::run_condition`] (delay series) |
 //! | Fig. 6 | [`workload`] | [`workload::run_fig6`] |
 //! | Fig. 7 | [`fig7`] | [`fig7::run_fig7`] |
-//! | Recovery modes (ospf/f2tree/frr) | [`recovery`] | [`recovery::run_recovery`] |
+//! | Recovery modes (ospf/f2tree/frr) | [`recovery`] | [`recovery::run_recovery_sweep`] |
 //!
 //! The `repro` binary runs everything at paper scale and prints each
 //! table; `EXPERIMENTS.md` records paper-vs-measured values.

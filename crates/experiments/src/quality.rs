@@ -13,12 +13,11 @@
 use dcn_failure::Condition;
 use dcn_metrics::quality::{format_load, QualityReport};
 use dcn_routing::RecoveryMode;
-use dcn_sim::{SimDuration, SimTime};
 use dcn_sweep::{ExperimentSpec, Workers};
 use serde::{Deserialize, Serialize};
 
-use crate::common::{Design, TestBed};
-use crate::conditions::{mid_failover_offset, ConditionConfig};
+use crate::common::Design;
+use crate::conditions::{run_condition_bed, ConditionConfig};
 
 /// One (design, recovery mode, condition) cell's quality trajectory.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -55,61 +54,27 @@ pub fn quality_cells() -> Vec<(Design, RecoveryMode, Condition)> {
     cells
 }
 
-/// Runs one quality cell: build the bed, resolve the condition against
-/// the probe path, fail the links, and score the three snapshots.
+/// Runs one quality cell: the shared condition run gives the first two
+/// snapshots, the bed it leaves at the horizon the third.
 fn run_quality_cell(
     design: Design,
     recovery: RecoveryMode,
     condition: Condition,
     config: &ConditionConfig,
-) -> (QualityCellResult, u64) {
-    let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
-    let fail_at = ms(config.fail_at_ms);
-    let horizon = ms(config.horizon_ms);
+) -> QualityCellResult {
     let cell_config = ConditionConfig {
         recovery,
         ..*config
     };
-
-    #[expect(
-        clippy::expect_used,
-        reason = "same invariant as the fig4 sweep: the k=8-class configs are \
-                  buildable by construction"
-    )]
-    let mut bed = TestBed::build_with_config(
-        design,
-        cell_config.k,
-        cell_config.hosts_per_tor,
-        cell_config.emu_config(),
-    )
-    .expect("quality sweep testbed builds");
-    let (udp, _tcp) = bed.add_aligned_probes(SimTime::ZERO);
-    let anatomy = bed.path_anatomy(udp);
-    let links = bed.scenario_links(&anatomy, condition);
-    for &link in &links {
-        bed.net.fail_link_at(fail_at, link);
-    }
-
-    let healthy = QualityReport::compute(&bed.net.quality_input());
-    bed.net.run_until(fail_at + mid_failover_offset());
-    let failover = QualityReport::compute(&bed.net.quality_input());
-    bed.net.run_until(horizon);
-    let settled = QualityReport::compute(&bed.net.quality_input());
-
-    let result = QualityCellResult {
+    let run = run_condition_bed(design, condition, &cell_config);
+    QualityCellResult {
         design,
         recovery,
         condition: condition.to_string(),
-        healthy,
-        failover,
-        settled,
-    };
-    (result, bed.net.events_processed())
-}
-
-/// Runs the full quality sweep on [`Workers::auto`].
-pub fn run_quality(config: &ConditionConfig) -> Vec<QualityCellResult> {
-    run_quality_sweep(config, Workers::auto())
+        healthy: run.healthy,
+        failover: run.failover,
+        settled: QualityReport::compute(&run.bed.net.quality_input()),
+    }
 }
 
 /// Runs the quality sweep on an explicit worker count via the sweep
@@ -121,9 +86,7 @@ pub fn run_quality_sweep(config: &ConditionConfig, workers: Workers) -> Vec<Qual
         .build()
         .run(|ctx| {
             let (design, recovery, condition) = *ctx.cell();
-            let (result, events) = run_quality_cell(design, recovery, condition, config);
-            ctx.record_sim_events(events);
-            result
+            run_quality_cell(design, recovery, condition, config)
         })
 }
 
@@ -173,7 +136,7 @@ mod tests {
     #[test]
     fn c1_prices_the_tradeoff() {
         let config = ConditionConfig::default();
-        let run = |recovery| run_quality_cell(Design::F2Tree, recovery, Condition::C1, &config).0;
+        let run = |recovery| run_quality_cell(Design::F2Tree, recovery, Condition::C1, &config);
         let ospf = run(RecoveryMode::OspfReconvergence);
         let f2 = run(RecoveryMode::F2TreeRewiring);
 

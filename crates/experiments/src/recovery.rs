@@ -40,11 +40,6 @@ pub fn recovery_cells() -> Vec<(RecoveryMode, Condition)> {
         .collect()
 }
 
-/// Runs the three-mode comparison on [`Workers::auto`].
-pub fn run_recovery(config: &ConditionConfig) -> Vec<RecoveryResult> {
-    run_recovery_sweep(config, Workers::auto())
-}
-
 /// Runs the comparison on an explicit worker count via the sweep engine;
 /// output is byte-identical for every `workers` value.
 pub fn run_recovery_sweep(config: &ConditionConfig, workers: Workers) -> Vec<RecoveryResult> {

@@ -249,12 +249,6 @@ pub fn run_fig6_statistics(
     }
 }
 
-/// Runs both designs under both regimes over `seeds` on
-/// [`Workers::auto`]; see [`run_fig6_multiseed_sweep`].
-pub fn run_fig6_multiseed(base: &WorkloadConfig, seeds: &[u64]) -> Vec<Fig6Statistics> {
-    run_fig6_multiseed_sweep(base, seeds, Workers::auto())
-}
-
 /// Runs the Fig. 6 multi-seed grid — both designs under both regimes —
 /// on an explicit worker count via the sweep engine. Output order (and
 /// every statistic in it) is identical for every `workers` value.

@@ -34,12 +34,12 @@ use dcn_sim::{timers, SimDuration, SimTime};
 
 use crate::fib::{Fib, FibDelta};
 use crate::lsdb::{Adjacency, Lsa, Lsdb};
-use crate::recovery::{FrrPlan, RecoveryMode};
+use crate::recovery::FrrPlan;
 use crate::route::{NextHop, Route, RouteOrigin};
 use crate::spf::compute_routes;
 use crate::throttle::{SpfThrottle, ThrottleConfig};
 
-/// Router timer and recovery configuration.
+/// Router timer configuration.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RouterConfig {
     /// SPF throttle parameters.
@@ -47,10 +47,6 @@ pub struct RouterConfig {
     /// Delay between an SPF run and the new routes landing in the FIB
     /// (the paper measures ~10 ms on the testbed).
     pub fib_update_delay: SimDuration,
-    /// Which recovery discipline bridges detection and reconvergence.
-    /// Only [`RecoveryMode::PrecomputedFrr`] changes router behaviour
-    /// (the other two are topology/bootstrap concerns).
-    pub recovery: RecoveryMode,
 }
 
 impl Default for RouterConfig {
@@ -58,7 +54,6 @@ impl Default for RouterConfig {
         RouterConfig {
             throttle: ThrottleConfig::default(),
             fib_update_delay: timers::FIB_UPDATE_DELAY,
-            recovery: RecoveryMode::default(),
         }
     }
 }
@@ -120,8 +115,8 @@ pub struct RouterProcess {
     install_gen: u64,
     installed_gen: u64,
     my_prefixes: Vec<Prefix>,
-    /// Precomputed per-link repair deltas (empty unless the fabric runs
-    /// [`RecoveryMode::PrecomputedFrr`] — see [`Self::set_frr_plan`]).
+    /// Precomputed per-link repair deltas (empty unless one was handed in
+    /// — see [`Self::set_frr_plan`]).
     frr_plan: FrrPlan,
 }
 
@@ -178,8 +173,9 @@ impl RouterProcess {
     }
 
     /// Installs the precomputed fast-reroute plan (call before the
-    /// experiment starts; only consulted under
-    /// [`RecoveryMode::PrecomputedFrr`]).
+    /// experiment starts). The plan alone makes this a fast-reroute
+    /// router: a link-down activates the link's repair delta, and OSPF
+    /// installs retire the repairs.
     pub fn set_frr_plan(&mut self, plan: FrrPlan) {
         self.frr_plan = plan;
     }
@@ -295,7 +291,7 @@ impl RouterProcess {
             // either — no OSPF primary ever uses one.
             return;
         }
-        if !up && self.config.recovery == RecoveryMode::PrecomputedFrr {
+        if !up {
             // Apply the link's precomputed repair delta one FIB-update
             // delay after detection — no flood, no SPF timer wait. The
             // delta shares the SPF installs' generation sequence, so the
@@ -379,7 +375,7 @@ impl RouterProcess {
     /// arrive in generation order (the FIB-update delay is constant), so
     /// the guard only drops exact replays.
     ///
-    /// Under [`RecoveryMode::PrecomputedFrr`], an OSPF-origin install is
+    /// On a router holding a fast-reroute plan, an OSPF-origin install is
     /// the reconciliation point: the SPF result now routes around every
     /// failure it knows of, so all FRR repair routes are retired. A
     /// repair for a failure this SPF run had not yet learned of is
@@ -390,8 +386,7 @@ impl RouterProcess {
             return; // already applied (replayed event)
         }
         self.installed_gen = generation;
-        let reconcile = self.config.recovery == RecoveryMode::PrecomputedFrr
-            && delta.origin == RouteOrigin::Ospf;
+        let reconcile = !self.frr_plan.is_empty() && delta.origin == RouteOrigin::Ospf;
         self.fib.apply(delta);
         if reconcile {
             let retire = self.fib.diff_origin(RouteOrigin::Frr, &BTreeMap::new());
@@ -704,29 +699,12 @@ mod tests {
         ));
     }
 
-    /// The diamond with FRR mode on and a hand-built repair plan at r0:
-    /// if link 0 (r0–r1) dies, repair 10.11.0.0/24 via r2. (A mechanics
-    /// test — plan *computation* and loop-freedom live in `dcn-frr`.)
+    /// The diamond — default-configured routers, nothing names a mode —
+    /// with a hand-built repair plan at r0: if link 0 (r0–r1) dies,
+    /// repair 10.11.0.0/24 via r2. (A mechanics test — plan *computation*
+    /// and loop-freedom live in `dcn-frr`.)
     fn frr_diamond() -> Vec<RouterProcess> {
-        let cfg = RouterConfig {
-            recovery: RecoveryMode::PrecomputedFrr,
-            ..RouterConfig::default()
-        };
-        let mut routers = vec![
-            RouterProcess::new(NodeId::new(0), cfg, vec![adj(1, 0), adj(2, 1)], vec![]),
-            RouterProcess::new(NodeId::new(1), cfg, vec![adj(0, 0), adj(3, 2)], vec![]),
-            RouterProcess::new(NodeId::new(2), cfg, vec![adj(0, 1), adj(3, 3)], vec![]),
-            RouterProcess::new(
-                NodeId::new(3),
-                cfg,
-                vec![adj(1, 2), adj(2, 3)],
-                vec!["10.11.0.0/24".parse().unwrap()],
-            ),
-        ];
-        let lsas: Vec<Arc<Lsa>> = routers.iter_mut().map(|r| r.originate_lsa()).collect();
-        for r in &mut routers {
-            r.bootstrap(lsas.clone());
-        }
+        let mut routers = diamond();
         let mut plan = FrrPlan::new();
         plan.insert(
             LinkId::new(0),
@@ -827,6 +805,40 @@ mod tests {
         assert!(actions
             .iter()
             .all(|a| !matches!(a, RouterAction::Install { .. })));
+    }
+
+    #[test]
+    fn a_router_without_a_plan_emits_only_flood_and_spf_and_keeps_foreign_origins() {
+        let mut routers = diamond();
+        let backup = Route::new(
+            "10.0.0.0/8".parse().unwrap(),
+            RouteOrigin::Static,
+            1,
+            vec![NextHop {
+                node: NodeId::new(2),
+                link: LinkId::new(1),
+            }],
+        );
+        routers[0].install_permanent(backup.clone());
+
+        let t0 = SimTime::ZERO;
+        let actions = collected(|a| routers[0].on_link_detected(t0, LinkId::new(0), false, a));
+        let [RouterAction::FloodLsa { .. }, RouterAction::ScheduleSpf { at }] = &actions[..] else {
+            panic!("expected exactly flood + SPF schedule, got {actions:?}");
+        };
+
+        let spf_actions = collected(|a| routers[0].on_spf_timer(*at, a));
+        let [RouterAction::Install {
+            generation, delta, ..
+        }] = &spf_actions[..]
+        else {
+            panic!("expected one SPF install, got {spf_actions:?}");
+        };
+        assert_eq!(delta.origin, RouteOrigin::Ospf);
+        routers[0].on_install(*generation, delta.clone());
+        // The OSPF install touched OSPF routes only.
+        assert!(routers[0].fib().routes().any(|r| *r == backup));
+        assert_eq!(routers[0].forward(&flow()).unwrap().node, NodeId::new(2));
     }
 
     #[test]

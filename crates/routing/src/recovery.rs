@@ -23,7 +23,9 @@ use crate::fib::FibDelta;
 pub type FrrPlan = BTreeMap<LinkId, FibDelta>;
 
 /// Which failure-recovery discipline the fabric runs; selected via
-/// `RouterConfig::recovery` (and, one layer up, `EmuConfig::builder`).
+/// `EmuConfig::builder().recovery(..)` and read where repair routes are
+/// provisioned — a router never sees it, only the [`FrrPlan`] it was (or
+/// was not) handed.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RecoveryMode {
     /// No pre-provisioned protection: traffic blackholes until the

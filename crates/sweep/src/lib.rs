@@ -18,12 +18,9 @@
 //! [`Workers::new`] (the `--workers N` flag), the `DCN_WORKERS`
 //! environment variable, and finally [`std::thread::available_parallelism`].
 //!
-//! A [`SweepObserver`] receives a per-cell progress/metrics callback
-//! (cells completed, simulator events processed, host wall-time per cell)
-//! and a whole-sweep summary — the seam future observability layers attach
-//! to. Observer callbacks fire in *completion* order, which is scheduling-
-//! dependent; only the merged result vector carries the determinism
-//! guarantee.
+//! The engine reads no clock and reports nothing but the merged results:
+//! how long a sweep took is measured from outside (`bench/`), and what
+//! happened inside a cell is the cell's own return value.
 //!
 //! # Examples
 //!
@@ -50,12 +47,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod observer;
 mod plan;
 mod pool;
 mod workers;
 
-pub use observer::{CellReport, CountingObserver, NoopObserver, SweepObserver, SweepSummary};
 pub use plan::{CellCtx, ExperimentSpec, RunPlan};
 pub use workers::Workers;
 

@@ -2,7 +2,6 @@
 
 use dcn_sim::{DetRng, SimRng};
 
-use crate::observer::{NoopObserver, SweepObserver};
 use crate::workers::Workers;
 use crate::{cell_seed, pool};
 
@@ -34,8 +33,8 @@ pub struct ExperimentSpec<C> {
 }
 
 impl<C> ExperimentSpec<C> {
-    /// Starts an empty spec. The name labels progress reports and the
-    /// sweep summary; it does not affect execution.
+    /// Starts an empty spec. The name labels the plan; it does not affect
+    /// execution.
     pub fn new(name: impl Into<String>) -> Self {
         ExperimentSpec {
             name: name.into(),
@@ -134,16 +133,7 @@ impl<C: Sync> RunPlan<C> {
         R: Send,
         F: Fn(&mut CellCtx<'_, C>) -> R + Sync,
     {
-        self.run_observed(&NoopObserver, run_cell)
-    }
-
-    /// [`RunPlan::run`] with a progress/metrics observer attached.
-    pub fn run_observed<R, F>(&self, observer: &(impl SweepObserver + ?Sized), run_cell: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&mut CellCtx<'_, C>) -> R + Sync,
-    {
-        pool::execute(self, observer, run_cell)
+        pool::execute(self, run_cell)
     }
 }
 
@@ -155,7 +145,6 @@ pub struct CellCtx<'a, C> {
     index: usize,
     total: usize,
     master_seed: u64,
-    pub(crate) sim_events: u64,
 }
 
 impl<'a, C> CellCtx<'a, C> {
@@ -165,7 +154,6 @@ impl<'a, C> CellCtx<'a, C> {
             index,
             total,
             master_seed,
-            sim_events: 0,
         }
     }
 
@@ -203,12 +191,6 @@ impl<'a, C> CellCtx<'a, C> {
     /// (distributions + named substream forking).
     pub fn sim_rng(&self) -> SimRng {
         SimRng::new(self.seed())
-    }
-
-    /// Reports how many simulator events this cell processed, surfaced in
-    /// the cell's [`crate::CellReport`] and summed into the sweep total.
-    pub fn record_sim_events(&mut self, events: u64) {
-        self.sim_events = self.sim_events.saturating_add(events);
     }
 }
 
