@@ -452,6 +452,12 @@ impl Network {
         self.routers.get(node.index()).and_then(Option::as_ref)
     }
 
+    /// [`Self::router`], mutably: what every event that names a node
+    /// goes through, so one naming a host or a foreign node does nothing.
+    fn router_mut(&mut self, node: NodeId) -> Option<&mut RouterProcess> {
+        self.routers.get_mut(node.index()).and_then(Option::as_mut)
+    }
+
     /// Installs static routes (F²Tree backup configuration) on switches.
     /// A set-up call: it leaves [`Self::fib_epoch`] alone and drops every
     /// flow's forwarding memo instead.
@@ -464,9 +470,7 @@ impl Network {
         I: IntoIterator<Item = (NodeId, Route)>,
     {
         for (node, route) in routes {
-            self.routers
-                .get_mut(node.index())
-                .and_then(Option::as_mut)
+            self.router_mut(node)
                 .unwrap_or_else(|| panic!("{node} is not a switch"))
                 .install_permanent(route);
         }
@@ -741,10 +745,9 @@ impl Network {
                 };
                 let mut actions = std::mem::take(&mut self.action_scratch);
                 actions.clear();
-                self.routers[node.index()]
-                    .as_mut()
-                    .expect("LSA at a switch")
-                    .on_lsa(now, lsa, arrived_on, &mut actions);
+                if let Some(router) = self.router_mut(node) {
+                    router.on_lsa(now, lsa, arrived_on, &mut actions);
+                }
                 self.handle_router_actions(now, node, &mut actions);
                 self.action_scratch = actions;
             }
@@ -753,17 +756,11 @@ impl Network {
                 self.on_link_dir_change(now, link, from, up)
             }
             Event::Detect { node, link, up } => {
-                self.fib_epoch += 1;
                 let mut actions = std::mem::take(&mut self.action_scratch);
                 actions.clear();
-                let detected = match self.routers[node.index()].as_mut() {
-                    Some(router) => {
-                        router.on_link_detected(now, link, up, &mut actions);
-                        true
-                    }
-                    None => false,
-                };
-                if detected {
+                if let Some(router) = self.router_mut(node) {
+                    router.on_link_detected(now, link, up, &mut actions);
+                    self.fib_epoch += 1;
                     match self.config.control_plane {
                         ControlPlaneMode::Distributed => {
                             self.handle_router_actions(now, node, &mut actions);
@@ -791,20 +788,18 @@ impl Network {
             Event::SpfTimer { node } => {
                 let mut actions = std::mem::take(&mut self.action_scratch);
                 actions.clear();
-                self.routers[node.index()]
-                    .as_mut()
-                    .expect("SPF at a switch")
-                    .on_spf_timer(now, &mut actions);
+                if let Some(router) = self.router_mut(node) {
+                    router.on_spf_timer(now, &mut actions);
+                }
                 self.handle_router_actions(now, node, &mut actions);
                 self.action_scratch = actions;
             }
             Event::FibInstall { node, install } => {
                 let (generation, delta) = *install;
-                self.fib_epoch += 1;
-                self.routers[node.index()]
-                    .as_mut()
-                    .expect("install at a switch")
-                    .on_install(generation, delta);
+                if let Some(router) = self.router_mut(node) {
+                    router.on_install(generation, delta);
+                    self.fib_epoch += 1;
+                }
             }
             Event::UdpTick { flow } => self.on_udp_tick(now, flow),
             Event::TcpStart { flow } => {
@@ -827,11 +822,10 @@ impl Network {
             Event::ControllerRecompute => self.on_controller_recompute(now),
             Event::ControllerInstall(install) => {
                 let (node, routes) = *install;
-                self.fib_epoch += 1;
-                self.routers[node.index()]
-                    .as_mut()
-                    .expect("install at a switch")
-                    .force_install(routes);
+                if let Some(router) = self.router_mut(node) {
+                    router.force_install(routes);
+                    self.fib_epoch += 1;
+                }
             }
         }
     }
@@ -944,10 +938,9 @@ impl Network {
                     let mut targets = std::mem::take(&mut self.flood_scratch);
                     targets.clear();
                     targets.extend(
-                        self.routers[node.index()]
-                            .as_ref()
-                            .expect("flooding switch")
-                            .live_interfaces()
+                        self.router(node)
+                            .into_iter()
+                            .flat_map(RouterProcess::live_interfaces)
                             .filter(|a| Some(a.link) != except)
                             .copied(),
                     );
@@ -1441,4 +1434,61 @@ pub struct UdpProbeReport<'a> {
     pub connectivity: &'a ConnectivityTracker,
     /// Per-packet delays.
     pub delay: &'a DelaySeries,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dcn_net::{FatTree, Ipv4Addr};
+
+    /// Router events are only ever scheduled for switches; should one
+    /// name a host or a node of some other topology, nothing happens —
+    /// no panic, no FIB epoch, nothing queued, the LSA packet released.
+    #[test]
+    fn a_router_event_naming_a_non_switch_is_a_no_op() {
+        let topo = FatTree::new(4).unwrap().hosts_per_tor(1).build();
+        let mut net = Network::new(topo, EmuConfig::default()).unwrap();
+        let host = net.topology().hosts()[0];
+        let foreign = NodeId::new(net.topology().node_slots() as u32 + 5);
+        let link = LinkId::new(0);
+        for node in [host, foreign] {
+            let lsa = Arc::new(Lsa {
+                origin: NodeId::new(0),
+                seq: 99,
+                neighbors: vec![],
+                prefixes: vec![],
+            });
+            let addr = Ipv4Addr::new(10, 0, 0, 1);
+            let key = FlowKey::new(addr, addr, 0, 0, Protocol::Control);
+            let packet = net.make_packet(key, LSA_PACKET_BYTES, SimTime::ZERO, Payload::Lsa(lsa));
+            let delta = FibDelta {
+                origin: RouteOrigin::Ospf,
+                ops: vec![],
+            };
+            for event in [
+                Event::LsaProcess {
+                    node,
+                    arrived_on: link,
+                    packet,
+                },
+                Event::Detect {
+                    node,
+                    link,
+                    up: false,
+                },
+                Event::SpfTimer { node },
+                Event::FibInstall {
+                    node,
+                    install: Box::new((1, delta)),
+                },
+                Event::ControllerInstall(Box::new((node, Vec::new()))),
+            ] {
+                let key = net.queue.draw_key(SimTime::ZERO);
+                net.dispatch(key, event);
+            }
+        }
+        assert_eq!(net.fib_epoch(), 0);
+        assert!(net.queue.is_empty());
+        assert_eq!(net.packets_in_flight().0, 0);
+    }
 }

@@ -59,7 +59,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use dcn_net::{LinkId, NodeId, Prefix, Topology};
@@ -68,56 +68,108 @@ use dcn_routing::{FibDelta, FibOp, FrrPlan, NextHop, Route, RouteOrigin};
 /// All-pairs OSPF-graph distances between switches (unit link costs,
 /// passive links excluded — the metric every router's SPF agrees on).
 pub struct OspfDistances {
-    /// `dist[src.index()][dst.index()]`, `u32::MAX` when unreachable
-    /// (hosts, removed slots, partitions).
-    dist: Vec<Vec<u32>>,
+    /// `switch_of[node.index()]`: the node's row and column in `dist`;
+    /// [`NOT_A_SWITCH`] for hosts and removed slots, which have neither.
+    switch_of: Vec<u32>,
+    /// One flat `switches × switches` matrix, row = source; `u32::MAX`
+    /// when unreachable (partitions).
+    dist: Vec<u32>,
+    switches: usize,
 }
+
+const NOT_A_SWITCH: u32 = u32::MAX;
+const UNREACHED: u32 = u32::MAX;
 
 impl OspfDistances {
     /// The distance from `from` to `to`, if reachable over non-passive
     /// switch-to-switch links.
     pub fn get(&self, from: NodeId, to: NodeId) -> Option<u32> {
-        let d = *self.dist.get(from.index())?.get(to.index())?;
-        (d != u32::MAX).then_some(d)
+        let d = *self.row(self.switch(from)?).get(self.switch(to)?)?;
+        (d != UNREACHED).then_some(d)
+    }
+
+    /// `node`'s row/column number, if it is a live switch.
+    fn switch(&self, node: NodeId) -> Option<usize> {
+        let s = *self.switch_of.get(node.index())?;
+        (s != NOT_A_SWITCH).then_some(s as usize)
+    }
+
+    /// The distances from switch number `s` to every switch number
+    /// ([`UNREACHED`] where there is no path).
+    fn row(&self, s: usize) -> &[u32] {
+        self.dist
+            .get(s * self.switches..(s + 1) * self.switches)
+            .unwrap_or_default()
     }
 }
 
 impl fmt::Debug for OspfDistances {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OspfDistances")
-            .field("nodes", &self.dist.len())
+            .field("switches", &self.switches)
             .finish()
     }
 }
 
 /// Computes [`OspfDistances`] for `topo` with the given passive link set
 /// (BFS per switch; unit costs match the emulator's SPF metric).
-#[expect(
-    clippy::indexing_slicing,
-    reason = "every NodeId::index() is < node_slots and each row is sized node_slots"
-)]
 pub fn compute_distances(topo: &Topology, passive: &BTreeSet<LinkId>) -> OspfDistances {
-    let slots = topo.node_slots();
-    let mut dist = vec![vec![u32::MAX; slots]; slots];
-    for src in topo.nodes().filter(|n| n.kind().is_switch()) {
-        let src = src.id();
-        let row = &mut dist[src.index()];
-        row[src.index()] = 0;
-        let mut queue = VecDeque::from([src]);
-        while let Some(at) = queue.pop_front() {
-            let next = row[at.index()] + 1;
-            for (link, nbr) in topo.neighbors(at) {
-                if passive.contains(&link) || !topo.node(nbr).kind().is_switch() {
-                    continue;
-                }
-                if row[nbr.index()] == u32::MAX {
-                    row[nbr.index()] = next;
-                    queue.push_back(nbr);
+    let mut switch_of = vec![NOT_A_SWITCH; topo.node_slots()];
+    let mut ids: Vec<NodeId> = Vec::new();
+    for node in topo.nodes().filter(|n| n.kind().is_switch()) {
+        if let Some(slot) = switch_of.get_mut(node.id().index()) {
+            *slot = ids.len() as u32;
+            ids.push(node.id());
+        }
+    }
+    let switches = ids.len();
+
+    // The usable adjacencies in compressed sparse rows: switch number
+    // `s`'s neighbors are `targets[starts[s]..starts[s + 1]]`.
+    let mut starts = Vec::with_capacity(switches + 1);
+    let mut targets: Vec<u32> = Vec::new();
+    for &id in &ids {
+        starts.push(targets.len());
+        targets.extend(
+            topo.neighbors(id)
+                .filter(|(link, _)| !passive.contains(link))
+                .filter_map(|(_, nbr)| switch_of.get(nbr.index()).copied())
+                .filter(|&nbr| nbr != NOT_A_SWITCH),
+        );
+    }
+    starts.push(targets.len());
+
+    let mut dist = vec![UNREACHED; switches * switches];
+    let mut queue: Vec<u32> = Vec::with_capacity(switches);
+    // (A chunk size of 0 panics; without switches there is no row anyway.)
+    for (src, row) in dist.chunks_exact_mut(switches.max(1)).enumerate() {
+        queue.clear();
+        queue.push(src as u32);
+        if let Some(d) = row.get_mut(src) {
+            *d = 0;
+        }
+        let mut head = 0;
+        while let Some(&at) = queue.get(head) {
+            head += 1;
+            let at = at as usize;
+            let (Some(&d_at), Some(&from), Some(&to)) =
+                (row.get(at), starts.get(at), starts.get(at + 1))
+            else {
+                continue;
+            };
+            for &nbr in targets.get(from..to).unwrap_or_default() {
+                if let Some(d) = row.get_mut(nbr as usize).filter(|d| **d == UNREACHED) {
+                    *d = d_at + 1;
+                    queue.push(nbr);
                 }
             }
         }
     }
-    OspfDistances { dist }
+    OspfDistances {
+        switch_of,
+        dist,
+        switches,
+    }
 }
 
 /// Which tier produced an alternate.
@@ -249,114 +301,120 @@ pub fn compute_failure_map(
     let mut alternates = BTreeMap::new();
     let mut stats = FrrStats::default();
 
-    let switches: Vec<NodeId> = topo
-        .nodes()
-        .filter(|n| n.kind().is_switch())
-        .map(|n| n.id())
+    // The destinations a switch can hold a primary path to: live switches
+    // (anything else has no distance row) advertising at least one prefix.
+    let targets: Vec<(NodeId, usize, &[Prefix])> = origins
+        .iter()
+        .filter(|(_, prefixes)| !prefixes.is_empty())
+        .filter_map(|(&origin, prefixes)| Some((origin, dist.switch(origin)?, prefixes.as_slice())))
         .collect();
-    for &s in &switches {
-        // Adjacent switch links, deduplicated (a multigraph lists
-        // parallel links separately) and ordered for determinism.
-        let mut adjacent: Vec<(LinkId, NodeId)> = topo
+
+    /// One adjacent switch link of the switch under work.
+    struct Port<'a> {
+        hop: NextHop,
+        passive: bool,
+        /// `dist(neighbor, ·)` by switch number.
+        row: &'a [u32],
+    }
+
+    for node in topo.nodes().filter(|n| n.kind().is_switch()) {
+        let s = node.id();
+        let Some(si) = dist.switch(s) else { continue };
+        let from_s = dist.row(si);
+        // Adjacent switch links (a multigraph lists parallel links
+        // separately), ordered for determinism.
+        let mut adjacent: Vec<Port<'_>> = topo
             .neighbors(s)
-            .filter(|&(_, n)| topo.node(n).kind().is_switch())
+            .filter_map(|(link, nbr)| {
+                Some(Port {
+                    hop: NextHop { node: nbr, link },
+                    passive: passive.contains(&link),
+                    row: dist.row(dist.switch(nbr)?),
+                })
+            })
             .collect();
-        adjacent.sort();
+        adjacent.sort_by_key(|port| port.hop.link);
         // Per failed link, the repair routes keyed by prefix.
         let mut repairs: BTreeMap<LinkId, BTreeMap<Prefix, Route>> = BTreeMap::new();
-        for &(failed, _) in &adjacent {
-            if passive.contains(&failed) {
-                // Passive links carry no OSPF primaries; their failure
-                // needs no repair route anywhere.
+        for &(origin, oi, prefixes) in &targets {
+            if origin == s {
                 continue;
             }
-            for (&origin, prefixes) in origins {
-                if origin == s || prefixes.is_empty() {
-                    continue;
-                }
-                let Some(d_s) = dist.get(s, origin) else {
-                    continue;
-                };
-                // Primary ECMP hops: non-passive neighbors one step
-                // closer to the origin.
-                let mut uses_failed = false;
-                let mut survivor = false;
-                for &(link, nbr) in &adjacent {
-                    if passive.contains(&link) {
-                        continue;
-                    }
-                    if dist.get(nbr, origin).map(|d| d + 1) == Some(d_s) {
-                        if link == failed {
-                            uses_failed = true;
-                        } else {
-                            survivor = true;
-                        }
-                    }
-                }
-                if !uses_failed {
-                    continue; // this failure does not affect this origin
-                }
-                if survivor {
-                    stats.ecmp_survivor += 1;
-                    continue; // dead-hop pruning reroutes in place
-                }
-                // Tiers 2–3: any adjacent switch (OSPF or across) that
-                // passes the loop-freedom inequality, nearest tier wins.
-                let mut best: Option<(u32, Vec<(NextHop, AlternateKind)>)> = None;
-                for &(link, nbr) in &adjacent {
-                    if link == failed {
-                        continue;
-                    }
-                    let (Some(d_nd), Some(d_ns)) = (dist.get(nbr, origin), dist.get(nbr, s))
-                    else {
-                        continue;
-                    };
-                    if d_nd >= d_ns + d_s {
-                        continue; // fails the inequality: may loop via S
-                    }
-                    let kind = if passive.contains(&link) {
-                        AlternateKind::RemoteLfa
-                    } else {
-                        AlternateKind::Lfa
-                    };
-                    let hop = (NextHop { node: nbr, link }, kind);
-                    match &mut best {
-                        Some((d, hops)) if *d == d_nd => hops.push(hop),
-                        Some((d, hops)) if *d > d_nd => {
-                            *d = d_nd;
-                            *hops = vec![hop];
-                        }
-                        None => best = Some((d_nd, vec![hop])),
-                        _ => {}
-                    }
-                }
-                let Some((distance, hops)) = best else {
-                    stats.uncovered += 1;
+            let Some(&d_s) = from_s.get(oi).filter(|d| **d != UNREACHED) else {
+                continue;
+            };
+            // Primary ECMP hops: non-passive neighbors one step closer to
+            // the origin. They depend on (S, D) only, so they are counted
+            // once and not once per failed link. Passive links carry no
+            // primaries; their failure needs no repair route anywhere.
+            let mut primaries = adjacent.iter().filter(|port| {
+                !port.passive && port.row.get(oi).and_then(|d| d.checked_add(1)) == Some(d_s)
+            });
+            let Some(failed) = primaries.next() else {
+                continue;
+            };
+            let others = primaries.count();
+            if others > 0 {
+                // Whichever primary fails, another survives: dead-hop
+                // pruning reroutes in place. One triple per primary link.
+                stats.ecmp_survivor += 1 + others;
+                continue;
+            }
+            // `failed` is the sole primary — the one adjacent link whose
+            // failure cuts S off from D. Tiers 2–3: any adjacent switch
+            // (OSPF or across) that passes the loop-freedom inequality,
+            // nearest tier wins.
+            let failed = failed.hop.link;
+            let mut best: Option<(u32, Vec<(NextHop, AlternateKind)>)> = None;
+            for port in adjacent.iter().filter(|port| port.hop.link != failed) {
+                let (Some(&d_nd), Some(&d_ns)) = (port.row.get(oi), port.row.get(si)) else {
                     continue;
                 };
-                let kind = if hops.iter().any(|(_, k)| *k == AlternateKind::Lfa) {
-                    stats.lfa += 1;
-                    AlternateKind::Lfa
-                } else {
-                    stats.remote_lfa += 1;
+                if d_nd == UNREACHED || d_ns == UNREACHED || d_nd >= d_ns + d_s {
+                    continue; // fails the inequality: may loop via S
+                }
+                let kind = if port.passive {
                     AlternateKind::RemoteLfa
+                } else {
+                    AlternateKind::Lfa
                 };
-                let next_hops: Vec<NextHop> = hops.into_iter().map(|(h, _)| h).collect();
-                alternates.insert(
-                    (s, failed, origin),
-                    Alternate {
-                        next_hops: next_hops.clone(),
-                        distance,
-                        kind,
-                    },
-                );
-                let routes = repairs.entry(failed).or_default();
-                for &prefix in prefixes {
-                    routes.insert(
-                        prefix,
-                        Route::new(prefix, RouteOrigin::Frr, distance + 1, next_hops.clone()),
-                    );
+                let hop = (port.hop, kind);
+                match &mut best {
+                    Some((d, hops)) if *d == d_nd => hops.push(hop),
+                    Some((d, hops)) if *d > d_nd => {
+                        *d = d_nd;
+                        *hops = vec![hop];
+                    }
+                    None => best = Some((d_nd, vec![hop])),
+                    _ => {}
                 }
+            }
+            let Some((distance, hops)) = best else {
+                stats.uncovered += 1;
+                continue;
+            };
+            let kind = if hops.iter().any(|(_, k)| *k == AlternateKind::Lfa) {
+                stats.lfa += 1;
+                AlternateKind::Lfa
+            } else {
+                stats.remote_lfa += 1;
+                AlternateKind::RemoteLfa
+            };
+            let next_hops: Vec<NextHop> = hops.into_iter().map(|(h, _)| h).collect();
+            alternates.insert(
+                (s, failed, origin),
+                Alternate {
+                    next_hops: next_hops.clone(),
+                    distance,
+                    kind,
+                },
+            );
+            let routes = repairs.entry(failed).or_default();
+            for &prefix in prefixes {
+                routes.insert(
+                    prefix,
+                    Route::new(prefix, RouteOrigin::Frr, distance + 1, next_hops.clone()),
+                );
             }
         }
         if repairs.is_empty() {

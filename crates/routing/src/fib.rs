@@ -61,7 +61,7 @@ pub enum FibOp {
 ///
 /// # Ordering law
 ///
-/// A router's SPF deltas form a sequence: each is [`FibDelta::diff`]ed
+/// A router's SPF deltas form a sequence: each is the [`FibDelta::diff`]
 /// against the route set the *previous* delta leaves behind (the router's
 /// emitted-route memory), not against the live FIB — an earlier delta may
 /// still be waiting out its FIB-update delay. They must therefore be

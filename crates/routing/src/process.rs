@@ -19,8 +19,8 @@
 //! the interface dead, [`RouterProcess::forward`] falls through to the
 //! pre-installed static backup routes.
 //!
-//! Every SPF run is a full [`compute_routes`] over the LSDB, diffed
-//! against the route set the router last emitted into a [`FibDelta`].
+//! Every SPF run is a full shortest-path tree over the LSDB, merged into
+//! the route set the router last emitted to yield a [`FibDelta`].
 //! Event handlers append into a caller-provided scratch
 //! `Vec<RouterAction>` so the emulator's hot loop reuses one allocation
 //! across all dispatches.
@@ -36,7 +36,7 @@ use crate::fib::{Fib, FibDelta};
 use crate::lsdb::{Adjacency, Lsa, Lsdb};
 use crate::recovery::FrrPlan;
 use crate::route::{NextHop, Route, RouteOrigin};
-use crate::spf::compute_routes;
+use crate::spf::emit_delta;
 use crate::throttle::{SpfThrottle, ThrottleConfig};
 
 /// Router timer configuration.
@@ -107,10 +107,11 @@ pub struct RouterProcess {
     fib: Fib,
     lsdb: Lsdb,
     throttle: SpfThrottle,
-    /// The OSPF route set as of the last emitted SPF delta — what the
-    /// FIB will hold once every in-flight install has landed, and what
-    /// the next SPF run diffs against (the [`FibDelta`] ordering law).
-    emitted: BTreeMap<Prefix, Route>,
+    /// The OSPF route set as of the last emitted SPF delta, sorted by
+    /// prefix — what the FIB will hold once every in-flight install has
+    /// landed, and what the next SPF run diffs against (the [`FibDelta`]
+    /// ordering law).
+    emitted: Vec<Route>,
     seq: u64,
     install_gen: u64,
     installed_gen: u64,
@@ -138,7 +139,7 @@ impl RouterProcess {
             fib: Fib::new(node.as_u32() as u64),
             lsdb: Lsdb::new(),
             throttle: SpfThrottle::new(config.throttle),
-            emitted: BTreeMap::new(),
+            emitted: Vec::new(),
             seq: 0,
             install_gen: 0,
             installed_gen: 0,
@@ -247,18 +248,8 @@ impl RouterProcess {
         for lsa in lsas {
             self.lsdb.install(lsa);
         }
-        let delta = self.run_spf();
+        let delta = emit_delta(&self.lsdb, self.node, &mut self.emitted);
         self.fib.apply(delta);
-    }
-
-    /// Runs SPF over the LSDB and returns the delta from the previously
-    /// emitted OSPF route set to the new one, which becomes the memory
-    /// the next run diffs against.
-    fn run_spf(&mut self) -> FibDelta {
-        let desired = by_prefix(compute_routes(&self.lsdb, self.node));
-        let delta = FibDelta::diff(RouteOrigin::Ospf, &self.emitted, &desired);
-        self.emitted = desired;
-        delta
     }
 
     // ------------------------------------------------------------------
@@ -347,7 +338,7 @@ impl RouterProcess {
     /// resulting delta is scheduled for install (even when it is empty).
     pub fn on_spf_timer(&mut self, now: SimTime, actions: &mut Vec<RouterAction>) {
         self.throttle.on_run(now);
-        let delta = self.run_spf();
+        let delta = emit_delta(&self.lsdb, self.node, &mut self.emitted);
         self.install_gen += 1;
         actions.push(RouterAction::Install {
             at: now + self.config.fib_update_delay,
@@ -367,7 +358,7 @@ impl RouterProcess {
         self.installed_gen = self.install_gen;
         let desired = by_prefix(routes);
         let delta = self.fib.diff_origin(RouteOrigin::Ospf, &desired);
-        self.emitted = desired;
+        self.emitted = desired.into_values().collect();
         self.fib.apply(delta);
     }
 

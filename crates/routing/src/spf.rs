@@ -11,12 +11,15 @@
 //! first-hop set is a bit mask over the root's usable interfaces; ties
 //! union masks with `|=`, and a mask is complete when its node is
 //! dequeued because BFS settles level *d* before it expands level
-//! *d + 1*.
+//! *d + 1*. That tree feeds two emitters: [`compute_routes`] writes the
+//! whole table, `emit_delta` merges the tree into the route set a router
+//! last emitted and writes only what changed.
 //!
 //! [`Adjacency`]: crate::Adjacency
 
-use dcn_net::{LinkId, NodeId};
+use dcn_net::{LinkId, NodeId, Prefix};
 
+use crate::fib::{FibDelta, FibOp};
 use crate::lsdb::Lsdb;
 use crate::route::{NextHop, Route, RouteOrigin};
 
@@ -30,106 +33,204 @@ const UNREACHED: u32 = u32::MAX;
 /// **both** endpoints advertise it over the same link — OSPF's two-way
 /// check, which keeps SPF off half-dead links.
 pub fn compute_routes(lsdb: &Lsdb, root: NodeId) -> Vec<Route> {
-    // The root's usable interfaces, sorted: bit `i` of a first-hop mask
-    // stands for `ifaces[i]`, so masks read out in next-hop order.
-    let mut ifaces: Vec<NextHop> = lsdb
-        .get(root)
-        .into_iter()
-        .flat_map(|lsa| &lsa.neighbors)
-        .filter(|a| a.neighbor != root && advertises(lsdb, a.neighbor, root, a.link))
-        .map(|a| NextHop {
-            node: a.neighbor,
-            link: a.link,
-        })
-        .collect();
-    ifaces.sort_unstable();
-    ifaces.dedup();
-    if ifaces.is_empty() {
-        return Vec::new();
-    }
+    let tree = SpfTree::build(lsdb, root);
+    let listed = tree.listed(lsdb);
+    listed.into_iter().map(|want| tree.route(want)).collect()
+}
 
-    // Bound invariant for every `.get()` below: a node enters `queue`
-    // only after `advertises` found its LSA, and every stored origin's
-    // index is below `lsdb.index_bound()`.
-    let n = lsdb.index_bound();
-    let words = ifaces.len().div_ceil(64);
-    let mut dist = vec![UNREACHED; n];
-    let mut masks = vec![0u64; n * words];
-    let mut queue: Vec<NodeId> = Vec::with_capacity(lsdb.len());
-    // Where `v`'s first-hop mask lives in `masks`.
-    let span = move |v: NodeId| v.index() * words..(v.index() + 1) * words;
+/// Runs SPF for `root` and merges its result into `emitted` — the
+/// prefix-sorted route set the previous run left behind — returning the
+/// delta between the two. Equal, op for op, to [`FibDelta::diff`] of
+/// `emitted` against [`compute_routes`] keyed by prefix (removes and
+/// patches in ascending prefix order, then inserts in ascending prefix
+/// order), without building the table: a prefix whose route did not
+/// change costs one comparison against the tree and allocates nothing.
+pub(crate) fn emit_delta(lsdb: &Lsdb, root: NodeId, emitted: &mut Vec<Route>) -> FibDelta {
+    let tree = SpfTree::build(lsdb, root);
+    // Of two origins advertising one prefix the later stands last in the
+    // list — the one a table keyed by prefix keeps.
+    let listed = tree.listed(lsdb);
+    let mut desired = listed
+        .iter()
+        .enumerate()
+        .filter(|&(i, want)| listed.get(i + 1).map(|next| next.0) != Some(want.0))
+        .map(|(_, want)| *want)
+        .peekable();
 
-    if let Some(d) = dist.get_mut(root.index()) {
-        *d = 0;
-    }
-    for (i, hop) in ifaces.iter().enumerate() {
-        let v = hop.node.index();
-        if let Some(d) = dist.get_mut(v).filter(|d| **d == UNREACHED) {
-            *d = 1;
-            queue.push(hop.node);
+    let mut ops = Vec::new();
+    let mut inserts = Vec::new();
+    emitted.retain_mut(|have| {
+        while let Some(want) = desired.next_if(|want| want.0 < have.prefix) {
+            inserts.push(tree.route(want));
         }
-        if let Some(word) = masks.get_mut(v * words + i / 64) {
-            *word |= 1 << (i % 64);
-        }
-    }
-
-    let mut via = vec![0u64; words];
-    let mut head = 0;
-    while let Some(&u) = queue.get(head) {
-        head += 1;
-        let (Some(lsa), Some(&du), Some(mask)) =
-            (lsdb.get(u), dist.get(u.index()), masks.get(span(u)))
-        else {
-            continue;
+        let Some((_, metric, mask)) = desired.next_if(|want| want.0 == have.prefix) else {
+            ops.push(FibOp::Remove(have.prefix));
+            return false;
         };
-        via.copy_from_slice(mask);
-        for adj in &lsa.neighbors {
-            let v = adj.neighbor;
-            // Distance first: edges back up the tree (half of a fat
-            // tree's) are rejected without scanning the far LSA.
-            let Some(dv) = dist.get_mut(v.index()) else {
-                continue; // beyond the table: `v` has no LSA
-            };
-            let tie = *dv == du + 1;
-            if !(tie || *dv == UNREACHED) || !advertises(lsdb, v, u, adj.link) {
+        let same = have.origin == RouteOrigin::Ospf
+            && have.metric == metric
+            && have.next_hops.iter().copied().eq(tree.hops(mask));
+        if !same {
+            *have = tree.route((have.prefix, metric, mask));
+            ops.push(FibOp::Patch {
+                prefix: have.prefix,
+                metric,
+                next_hops: have.next_hops.clone(),
+            });
+        }
+        true
+    });
+    inserts.extend(desired.map(|want| tree.route(want)));
+    if !inserts.is_empty() {
+        // Two sorted runs with disjoint prefixes: the merge sort's best case.
+        emitted.extend(inserts.iter().cloned());
+        emitted.sort_by_key(|r| r.prefix);
+        ops.extend(inserts.into_iter().map(FibOp::Insert));
+    }
+    FibDelta {
+        origin: RouteOrigin::Ospf,
+        ops,
+    }
+}
+
+/// A route before it is written: prefix, metric, first-hop mask.
+type Listed<'a> = (Prefix, u32, &'a [u64]);
+
+/// One SPF run's shortest-path tree: the distance of every node from the
+/// root and the set of root interfaces that start a shortest path to it —
+/// all an emitter needs to write routes.
+struct SpfTree {
+    /// The root's usable interfaces, sorted: bit `i` of a first-hop mask
+    /// stands for `ifaces[i]`, so masks read out in next-hop order.
+    ifaces: Vec<NextHop>,
+    root: NodeId,
+    /// `u64` words per mask.
+    words: usize,
+    dist: Vec<u32>,
+    masks: Vec<u64>,
+}
+
+impl SpfTree {
+    fn build(lsdb: &Lsdb, root: NodeId) -> SpfTree {
+        let mut ifaces: Vec<NextHop> = lsdb
+            .get(root)
+            .into_iter()
+            .flat_map(|lsa| &lsa.neighbors)
+            .filter(|a| a.neighbor != root && advertises(lsdb, a.neighbor, root, a.link))
+            .map(|a| NextHop {
+                node: a.neighbor,
+                link: a.link,
+            })
+            .collect();
+        ifaces.sort_unstable();
+        ifaces.dedup();
+        let words = ifaces.len().div_ceil(64);
+
+        // Bound invariant for every `.get()` below: a node enters `queue`
+        // only after `advertises` found its LSA, and every stored origin's
+        // index is below `lsdb.index_bound()`.
+        let n = lsdb.index_bound();
+        let mut dist = vec![UNREACHED; n];
+        let mut masks = vec![0u64; n * words];
+        let mut queue: Vec<NodeId> = Vec::with_capacity(lsdb.len());
+        // Where `v`'s first-hop mask lives in `masks`.
+        let span = move |v: NodeId| v.index() * words..(v.index() + 1) * words;
+
+        if let Some(d) = dist.get_mut(root.index()) {
+            *d = 0;
+        }
+        for (i, hop) in ifaces.iter().enumerate() {
+            let v = hop.node.index();
+            if let Some(d) = dist.get_mut(v).filter(|d| **d == UNREACHED) {
+                *d = 1;
+                queue.push(hop.node);
+            }
+            if let Some(word) = masks.get_mut(v * words + i / 64) {
+                *word |= 1 << (i % 64);
+            }
+        }
+
+        let mut via = vec![0u64; words];
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let (Some(lsa), Some(&du), Some(mask)) =
+                (lsdb.get(u), dist.get(u.index()), masks.get(span(u)))
+            else {
                 continue;
-            }
-            if !tie {
-                *dv = du + 1;
-                queue.push(v);
-            }
-            if let Some(mask) = masks.get_mut(span(v)) {
-                for (word, bits) in mask.iter_mut().zip(&via) {
-                    *word |= bits;
+            };
+            via.copy_from_slice(mask);
+            for adj in &lsa.neighbors {
+                let v = adj.neighbor;
+                // Distance first: edges back up the tree (half of a fat
+                // tree's) are rejected without scanning the far LSA.
+                let Some(dv) = dist.get_mut(v.index()) else {
+                    continue; // beyond the table: `v` has no LSA
+                };
+                let tie = *dv == du + 1;
+                if !(tie || *dv == UNREACHED) || !advertises(lsdb, v, u, adj.link) {
+                    continue;
+                }
+                if !tie {
+                    *dv = du + 1;
+                    queue.push(v);
+                }
+                if let Some(mask) = masks.get_mut(span(v)) {
+                    for (word, bits) in mask.iter_mut().zip(&via) {
+                        *word |= bits;
+                    }
                 }
             }
         }
+        SpfTree {
+            ifaces,
+            root,
+            words,
+            dist,
+            masks,
+        }
     }
 
-    let mut routes = Vec::new();
-    let mut hops: Vec<NextHop> = Vec::with_capacity(ifaces.len());
-    for lsa in lsdb.iter() {
-        if lsa.origin == root || lsa.prefixes.is_empty() {
-            continue;
-        }
-        let Some(&metric) = dist.get(lsa.origin.index()).filter(|d| **d != UNREACHED) else {
-            continue;
-        };
-        let mask = masks.get(span(lsa.origin)).unwrap_or_default();
-        hops.clear();
-        hops.extend(
-            ifaces
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| mask.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
-                .map(|(_, hop)| *hop),
-        );
-        for &prefix in &lsa.prefixes {
-            routes.push(Route::new(prefix, RouteOrigin::Ospf, metric, hops.clone()));
+    /// Every route the LSDB gives rise to, in table order: by prefix, and
+    /// within one prefix in LSDB (origin) order — the sort is stable.
+    /// The root's own LSA (connected routes), LSAs without prefixes and
+    /// unreachable origins list nothing.
+    fn listed<'a>(&'a self, lsdb: &'a Lsdb) -> Vec<Listed<'a>> {
+        let mut listed: Vec<Listed<'a>> = lsdb
+            .iter()
+            .filter(|lsa| lsa.origin != self.root)
+            .filter_map(|lsa| {
+                let at = lsa.origin.index();
+                let metric = *self.dist.get(at).filter(|d| **d != UNREACHED)?;
+                let mask = self.masks.get(at * self.words..(at + 1) * self.words)?;
+                Some(lsa.prefixes.iter().map(move |&prefix| (prefix, metric, mask)))
+            })
+            .flatten()
+            .collect();
+        listed.sort_by_key(|&(prefix, ..)| prefix);
+        listed
+    }
+
+    /// Writes one listed route out.
+    fn route(&self, (prefix, metric, mask): Listed<'_>) -> Route {
+        let mut next_hops = Vec::with_capacity(mask.iter().map(|w| w.count_ones() as usize).sum());
+        next_hops.extend(self.hops(mask));
+        Route {
+            prefix,
+            origin: RouteOrigin::Ospf,
+            metric,
+            next_hops,
         }
     }
-    routes.sort_by_key(|a| a.prefix);
-    routes
+
+    /// The next hops a first-hop mask stands for, in next-hop order.
+    fn hops<'a>(&'a self, mask: &'a [u64]) -> impl Iterator<Item = NextHop> + 'a {
+        self.ifaces
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| mask.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
+            .map(|(_, hop)| *hop)
+    }
 }
 
 /// Whether `from`'s stored LSA lists `to` over `link` — the far half of
