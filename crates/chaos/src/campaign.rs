@@ -10,10 +10,10 @@
 //! timing is only meaningful relative to the detection / SPF / FIB-update
 //! budget the oracles reason about.
 
-use dcn_failure::{switch_links, FailureEvent, FailureSchedule};
-use dcn_net::{Layer, LinkId};
+use dcn_failure::{fabric_links, switch_links, FailureEvent, FailureSchedule};
+use dcn_net::{assign_addresses, FatTree, Layer, LinkId, Topology};
 use dcn_sim::{timers, DetRng, SimDuration, SimTime};
-use f2tree::{Design, TestBed, TestBedError};
+use f2tree::{Design, F2TreeNetwork, TestBedError};
 
 use crate::scenario::{Incident, IncidentKind, ScenarioSpec};
 
@@ -78,7 +78,7 @@ impl CampaignConfig {
 
 /// Generates one scenario for `design` from `rng`.
 ///
-/// Builds a throwaway testbed to learn the link/switch inventory, then
+/// Builds the design's topology to learn the link/switch inventory, then
 /// samples 1..=`max_incidents` incidents over the five [`IncidentKind`]s.
 ///
 /// # Errors
@@ -90,9 +90,8 @@ pub fn generate_scenario(
     rng: &mut DetRng,
     cfg: &CampaignConfig,
 ) -> Result<ScenarioSpec, TestBedError> {
-    let bed = TestBed::build(design, cfg.k, cfg.hosts_per_tor)?;
-    let fabric = bed.fabric_links();
-    let topo = bed.topology();
+    let topo = &topology(design, cfg)?;
+    let fabric = fabric_links(topo);
     let switches: Vec<_> = [Layer::Tor, Layer::Agg, Layer::Core]
         .into_iter()
         .flat_map(|l| topo.layer_switches(l))
@@ -129,6 +128,21 @@ pub fn generate_scenario(
         hosts_per_tor: cfg.hosts_per_tor,
         incidents,
     })
+}
+
+/// The topology of the testbed `design` builds at `cfg`'s scale — the
+/// links and switches a scenario names — without the testbed: no
+/// routers, SPF, FIB or backup routes. Addressed as the testbed is, so an
+/// unaddressable scale is the same error.
+fn topology(design: Design, cfg: &CampaignConfig) -> Result<Topology, TestBedError> {
+    let mut topo = match design {
+        Design::FatTree => FatTree::new(cfg.k)?
+            .hosts_per_tor(cfg.hosts_per_tor)
+            .build(),
+        Design::F2Tree => F2TreeNetwork::build_with_hosts(cfg.k, cfg.hosts_per_tor)?.topology,
+    };
+    assign_addresses(&mut topo)?;
+    Ok(topo)
 }
 
 /// Convenience wrapper: the [`FailureSchedule`] of a freshly generated
@@ -289,6 +303,43 @@ mod tests {
                     down.len(),
                     e.at
                 );
+            }
+        }
+    }
+
+    /// What a scenario draws from is what the testbed it runs on has.
+    #[test]
+    fn the_inventory_is_the_testbeds() {
+        for design in [Design::FatTree, Design::F2Tree] {
+            for k in [4, 6, 8] {
+                let cfg = CampaignConfig {
+                    k,
+                    ..CampaignConfig::default()
+                };
+                let topo = topology(design, &cfg).unwrap();
+                let bed = f2tree::TestBed::build(design, k, cfg.hosts_per_tor).unwrap();
+                assert_eq!(fabric_links(&topo), bed.fabric_links(), "{design} k={k}");
+                for layer in [Layer::Tor, Layer::Agg, Layer::Core] {
+                    let have: Vec<_> = topo.layer_switches(layer).collect();
+                    let want: Vec<_> = bed.topology().layer_switches(layer).collect();
+                    assert_eq!(have, want, "{design} k={k} {layer:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bad_scales_are_the_testbeds_errors() {
+        let rng = &mut DetRng::seed_from_u64(1);
+        for k in [0, 3, 7] {
+            let cfg = CampaignConfig {
+                k,
+                ..CampaignConfig::default()
+            };
+            for design in [Design::FatTree, Design::F2Tree] {
+                let err = generate_scenario(design, rng, &cfg).unwrap_err();
+                let want = f2tree::TestBed::build(design, k, cfg.hosts_per_tor).unwrap_err();
+                assert_eq!(err, want, "{design} k={k}");
             }
         }
     }

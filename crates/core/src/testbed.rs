@@ -262,14 +262,7 @@ impl TestBed {
     /// injection; host access links are excluded so no host is severed
     /// outright).
     pub fn fabric_links(&self) -> Vec<LinkId> {
-        let topo = self.topology();
-        topo.links()
-            .filter(|l| {
-                let (a, b) = l.endpoints();
-                topo.node(a).kind().is_switch() && topo.node(b).kind().is_switch()
-            })
-            .map(|l| l.id())
-            .collect()
+        dcn_failure::fabric_links(self.topology())
     }
 }
 

@@ -19,7 +19,7 @@ use dcn_net::{
 };
 use dcn_routing::{
     Adjacency, FibDelta, Lsa, Lsdb, NextHop, RecoveryMode, Route, RouteOrigin, RouterAction,
-    RouterProcess,
+    RouterProcess, SpfTable,
 };
 use dcn_sim::{
     Direction, EventKey, EventQueue, LinkSpec, LinkState, Packet, PacketArena, PacketSlot,
@@ -263,6 +263,8 @@ pub struct Network {
     /// Reusable buffer router handlers append [`RouterAction`]s into, so
     /// per-event dispatch doesn't heap-allocate on the hot path.
     action_scratch: Vec<RouterAction>,
+    /// The SPF distances every router's run reads (DESIGN.md §10.1).
+    spf_table: SpfTable,
     /// Bumped whenever forwarding-relevant state may have changed (a
     /// physical link transition, a local detection, or a FIB install), so
     /// external invariant checkers re-inspect only when needed.
@@ -336,8 +338,9 @@ impl Network {
             .flatten()
             .map(|r| r.originate_lsa())
             .collect();
+        let mut spf_table = SpfTable::default();
         for router in routers.iter_mut().flatten() {
-            router.bootstrap(lsas.iter().cloned());
+            router.bootstrap(lsas.iter().cloned(), &mut spf_table);
         }
 
         // Precomputed fast-reroute: build the per-link failure map from
@@ -381,6 +384,7 @@ impl Network {
             recompute_pending: false,
             flood_scratch: Vec::new(),
             action_scratch: Vec::new(),
+            spf_table,
             fib_epoch: 0,
         })
     }
@@ -788,9 +792,11 @@ impl Network {
             Event::SpfTimer { node } => {
                 let mut actions = std::mem::take(&mut self.action_scratch);
                 actions.clear();
+                let mut table = std::mem::take(&mut self.spf_table);
                 if let Some(router) = self.router_mut(node) {
-                    router.on_spf_timer(now, &mut actions);
+                    router.on_spf_timer(now, &mut table, &mut actions);
                 }
+                self.spf_table = table;
                 self.handle_router_actions(now, node, &mut actions);
                 self.action_scratch = actions;
             }
@@ -845,14 +851,14 @@ impl Network {
             .filter(|n| n.kind().is_switch())
             .map(|n| n.id())
             .collect();
-        for &sw in &switches {
-            let router = self.routers[sw.index()].as_ref().expect("switch router");
+        for router in switches.iter().filter_map(|&sw| self.router(sw)) {
+            let sw = router.node();
             let neighbors: Vec<Adjacency> = self
                 .topo
                 .neighbors(sw)
                 .filter(|&(l, n)| {
                     self.topo.node(n).kind().is_switch()
-                        && self.links[l.index()].is_up()
+                        && self.links.get(l.index()).is_some_and(LinkState::is_up)
                         && !router.is_passive(l)
                 })
                 .map(|(link, neighbor)| Adjacency { neighbor, link })

@@ -15,6 +15,19 @@ pub fn switch_links(topo: &Topology, node: NodeId) -> Vec<LinkId> {
     topo.neighbors(node).map(|(l, _)| l).collect()
 }
 
+/// All switch-to-switch links: the candidates for random failure
+/// injection (host access links are excluded, so no host is severed
+/// outright).
+pub fn fabric_links(topo: &Topology) -> Vec<LinkId> {
+    topo.links()
+        .filter(|l| {
+            let (a, b) = l.endpoints();
+            topo.node(a).kind().is_switch() && topo.node(b).kind().is_switch()
+        })
+        .map(|l| l.id())
+        .collect()
+}
+
 /// Schedules a whole-switch failure at `at` (and, optionally, recovery at
 /// `recover_at`).
 pub fn schedule_switch_failure(

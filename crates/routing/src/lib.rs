@@ -11,7 +11,8 @@
 //! * [`ecmp_hash`]/[`ecmp_select`] — five-tuple ECMP (RFC 2992),
 //! * [`Lsdb`]/[`Lsa`] — link-state database with two-way checking,
 //! * [`compute_routes`] — unit-cost (breadth-first) SPF with full ECMP
-//!   next-hop sets,
+//!   next-hop sets, and [`SpfTable`] — one snapshot's distances, shared by
+//!   every router whose SPF runs read the same LSDB,
 //! * [`FibDelta`] — the one FIB install currency: every SPF run, repair
 //!   activation and controller push is a delta through [`Fib::apply`],
 //! * [`SpfThrottle`] — Cisco-style SPF throttling with exponential
@@ -59,5 +60,5 @@ pub use lsdb::{Adjacency, Lsa, Lsdb};
 pub use process::{RouterAction, RouterConfig, RouterProcess};
 pub use recovery::{FrrPlan, RecoveryMode};
 pub use route::{NextHop, Route, RouteOrigin};
-pub use spf::compute_routes;
+pub use spf::{compute_routes, SpfTable};
 pub use throttle::{SpfThrottle, ThrottleConfig};

@@ -94,6 +94,11 @@ impl Lsdb {
     pub(crate) fn index_bound(&self) -> usize {
         self.slots.len()
     }
+
+    /// The table itself: slot `i` holds origin `i`'s LSA.
+    pub(crate) fn slots(&self) -> &[Option<Arc<Lsa>>] {
+        &self.slots
+    }
 }
 
 impl fmt::Debug for Lsdb {

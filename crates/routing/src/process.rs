@@ -19,8 +19,9 @@
 //! the interface dead, [`RouterProcess::forward`] falls through to the
 //! pre-installed static backup routes.
 //!
-//! Every SPF run is a full shortest-path tree over the LSDB, merged into
-//! the route set the router last emitted to yield a [`FibDelta`].
+//! Every SPF run is a full shortest-path tree over the LSDB, read out of
+//! the caller's [`SpfTable`] and merged into the route set the router
+//! last emitted to yield a [`FibDelta`].
 //! Event handlers append into a caller-provided scratch
 //! `Vec<RouterAction>` so the emulator's hot loop reuses one allocation
 //! across all dispatches.
@@ -36,7 +37,7 @@ use crate::fib::{Fib, FibDelta};
 use crate::lsdb::{Adjacency, Lsa, Lsdb};
 use crate::recovery::FrrPlan;
 use crate::route::{NextHop, Route, RouteOrigin};
-use crate::spf::emit_delta;
+use crate::spf::{emit_delta, SpfTable};
 use crate::throttle::{SpfThrottle, ThrottleConfig};
 
 /// Router timer configuration.
@@ -243,12 +244,12 @@ impl RouterProcess {
 
     /// Warm start: installs a pre-converged LSDB and computes the initial
     /// OSPF routes synchronously, as if the protocol had long converged
-    /// before the experiment begins.
-    pub fn bootstrap(&mut self, lsas: impl IntoIterator<Item = Arc<Lsa>>) {
+    /// before the experiment begins, reading its tree out of `table`.
+    pub fn bootstrap(&mut self, lsas: impl IntoIterator<Item = Arc<Lsa>>, table: &mut SpfTable) {
         for lsa in lsas {
             self.lsdb.install(lsa);
         }
-        let delta = emit_delta(&self.lsdb, self.node, &mut self.emitted);
+        let delta = emit_delta(&self.lsdb, self.node, table, &mut self.emitted);
         self.fib.apply(delta);
     }
 
@@ -334,11 +335,16 @@ impl RouterProcess {
         }
     }
 
-    /// The scheduled SPF timer fired: routes are recomputed and the
-    /// resulting delta is scheduled for install (even when it is empty).
-    pub fn on_spf_timer(&mut self, now: SimTime, actions: &mut Vec<RouterAction>) {
+    /// The scheduled SPF timer fired: routes are recomputed out of `table`
+    /// and the resulting delta is scheduled for install (even when empty).
+    pub fn on_spf_timer(
+        &mut self,
+        now: SimTime,
+        table: &mut SpfTable,
+        actions: &mut Vec<RouterAction>,
+    ) {
         self.throttle.on_run(now);
-        let delta = emit_delta(&self.lsdb, self.node, &mut self.emitted);
+        let delta = emit_delta(&self.lsdb, self.node, table, &mut self.emitted);
         self.install_gen += 1;
         actions.push(RouterAction::Install {
             at: now + self.config.fib_update_delay,
@@ -449,8 +455,9 @@ mod tests {
             ),
         ];
         let lsas: Vec<Arc<Lsa>> = routers.iter_mut().map(|r| r.originate_lsa()).collect();
+        let mut table = SpfTable::default();
         for r in &mut routers {
-            r.bootstrap(lsas.clone());
+            r.bootstrap(lsas.clone(), &mut table);
         }
         routers
     }
@@ -477,6 +484,11 @@ mod tests {
         let mut actions = Vec::new();
         f(&mut actions);
         actions
+    }
+
+    /// Test convenience: one SPF run, through a table of its own.
+    fn spf_run(router: &mut RouterProcess, now: SimTime) -> Vec<RouterAction> {
+        collected(|a| router.on_spf_timer(now, &mut SpfTable::default(), a))
     }
 
     #[test]
@@ -551,7 +563,7 @@ mod tests {
             })
             .unwrap();
         // SPF runs, then the FIB install lands 10ms later.
-        let actions = collected(|a| routers[0].on_spf_timer(spf_at, a));
+        let actions = spf_run(&mut routers[0], spf_at);
         let (at, generation, delta) = match &actions[0] {
             RouterAction::Install {
                 at,
@@ -578,14 +590,14 @@ mod tests {
         // Two SPF cycles produce generations 1 and 2.
         let mut scratch = Vec::new();
         routers[0].on_link_detected(t0, LinkId::new(0), false, &mut scratch);
-        let spf1 = collected(|a| routers[0].on_spf_timer(t0 + SimDuration::from_millis(200), a));
+        let spf1 = spf_run(&mut routers[0], t0 + SimDuration::from_millis(200));
         routers[0].on_link_detected(
             t0 + SimDuration::from_millis(300),
             LinkId::new(0),
             true,
             &mut scratch,
         );
-        let spf2 = collected(|a| routers[0].on_spf_timer(t0 + SimDuration::from_millis(600), a));
+        let spf2 = spf_run(&mut routers[0], t0 + SimDuration::from_millis(600));
         let (g1, d1) = match &spf1[0] {
             RouterAction::Install {
                 generation, delta, ..
@@ -635,7 +647,7 @@ mod tests {
         // Run A: r3 now also advertises P.
         let announce = r3_lsa(2, vec!["10.11.0.0/24".parse().unwrap(), p]);
         routers[0].on_lsa(t0, announce, LinkId::new(0), &mut scratch);
-        let (g_a, d_a) = install(collected(|a| routers[0].on_spf_timer(t0, a)));
+        let (g_a, d_a) = install(spf_run(&mut routers[0], t0));
         assert!(d_a
             .ops
             .iter()
@@ -645,7 +657,7 @@ mod tests {
         let withdraw = r3_lsa(3, vec!["10.11.0.0/24".parse().unwrap()]);
         routers[0].on_lsa(t0, withdraw, LinkId::new(0), &mut scratch);
         assert!(!routers[0].fib().routes().any(|r| r.prefix == p));
-        let (g_b, d_b) = install(collected(|a| routers[0].on_spf_timer(t0, a)));
+        let (g_b, d_b) = install(spf_run(&mut routers[0], t0));
         assert!(d_b.ops.contains(&crate::FibOp::Remove(p)));
 
         // Both installs land in generation order: P must be gone.
@@ -769,7 +781,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        let spf_actions = collected(|a| routers[0].on_spf_timer(spf_at, a));
+        let spf_actions = spf_run(&mut routers[0], spf_at);
         let RouterAction::Install {
             generation, delta, ..
         } = &spf_actions[0]
@@ -818,7 +830,7 @@ mod tests {
             panic!("expected exactly flood + SPF schedule, got {actions:?}");
         };
 
-        let spf_actions = collected(|a| routers[0].on_spf_timer(*at, a));
+        let spf_actions = spf_run(&mut routers[0], *at);
         let [RouterAction::Install {
             generation, delta, ..
         }] = &spf_actions[..]
@@ -881,8 +893,9 @@ mod passive_tests {
             r.set_passive([LinkId::new(1)]);
         }
         let lsas: Vec<Arc<Lsa>> = routers.iter_mut().map(|r| r.originate_lsa()).collect();
+        let mut table = SpfTable::default();
         for r in &mut routers {
-            r.bootstrap(lsas.clone());
+            r.bootstrap(lsas.clone(), &mut table);
         }
         routers
     }

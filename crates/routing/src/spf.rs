@@ -4,8 +4,8 @@
 //! cost field), so Dijkstra degenerates to a level-order breadth-first
 //! search: a node's distance is final the first time it is seen, and
 //! every tying predecessor sits exactly one level above it. That makes
-//! the full recompute exact with no priority queue, and cheap enough
-//! that no per-router SPF state is kept between runs.
+//! the full recompute exact with no priority queue, and no router keeps
+//! SPF state between runs.
 //!
 //! All state is dense arrays indexed by `NodeId::index()`. A node's ECMP
 //! first-hop set is a bit mask over the root's usable interfaces; ties
@@ -13,17 +13,23 @@
 //! dequeued because BFS settles level *d* before it expands level
 //! *d + 1*. That tree feeds two emitters: [`compute_routes`] writes the
 //! whole table, `emit_delta` merges the tree into the route set a router
-//! last emitted and writes only what changed.
+//! last emitted and writes only what changed. `emit_delta` reads its tree
+//! out of an [`SpfTable`] instead of searching: per-network state, one
+//! BFS per prefix origin for each LSDB snapshot the routers hold.
 //!
 //! [`Adjacency`]: crate::Adjacency
+
+use std::fmt;
+use std::sync::Arc;
 
 use dcn_net::{LinkId, NodeId, Prefix};
 
 use crate::fib::{FibDelta, FibOp};
-use crate::lsdb::Lsdb;
+use crate::lsdb::{Lsa, Lsdb};
 use crate::route::{NextHop, Route, RouteOrigin};
 
 const UNREACHED: u32 = u32::MAX;
+const FAR: u16 = u16::MAX; // `UNREACHED` in an `SpfTable`
 
 /// Computes the OSPF route set for `root` from `lsdb`.
 ///
@@ -45,8 +51,15 @@ pub fn compute_routes(lsdb: &Lsdb, root: NodeId) -> Vec<Route> {
 /// patches in ascending prefix order, then inserts in ascending prefix
 /// order), without building the table: a prefix whose route did not
 /// change costs one comparison against the tree and allocates nothing.
-pub(crate) fn emit_delta(lsdb: &Lsdb, root: NodeId, emitted: &mut Vec<Route>) -> FibDelta {
-    let tree = SpfTree::build(lsdb, root);
+/// The tree comes out of `table`, rebuilt first unless it holds `lsdb`.
+pub(crate) fn emit_delta(
+    lsdb: &Lsdb,
+    root: NodeId,
+    table: &mut SpfTable,
+    emitted: &mut Vec<Route>,
+) -> FibDelta {
+    table.serve(lsdb);
+    let tree = SpfTree::from_table(table, root);
     // Of two origins advertising one prefix the later stands last in the
     // list — the one a table keyed by prefix keeps.
     let listed = tree.listed(lsdb);
@@ -112,18 +125,7 @@ struct SpfTree {
 
 impl SpfTree {
     fn build(lsdb: &Lsdb, root: NodeId) -> SpfTree {
-        let mut ifaces: Vec<NextHop> = lsdb
-            .get(root)
-            .into_iter()
-            .flat_map(|lsa| &lsa.neighbors)
-            .filter(|a| a.neighbor != root && advertises(lsdb, a.neighbor, root, a.link))
-            .map(|a| NextHop {
-                node: a.neighbor,
-                link: a.link,
-            })
-            .collect();
-        ifaces.sort_unstable();
-        ifaces.dedup();
+        let ifaces = usable(lsdb, root);
         let words = ifaces.len().div_ceil(64);
 
         // Bound invariant for every `.get()` below: a node enters `queue`
@@ -191,6 +193,40 @@ impl SpfTree {
         }
     }
 
+    /// The tree of `root` as `table` knows it, for the prefix origins
+    /// [`Self::listed`] reads: the metric is the origin's distance `m` to
+    /// the root, and the root's interface to `n` starts a shortest path to
+    /// it iff dist(origin, n) = m − 1 (the adjacency is two-way).
+    fn from_table(table: &SpfTable, root: NodeId) -> SpfTree {
+        let ifaces = table.adjacent(root).to_vec();
+        let (n, words) = (table.snapshot.len(), ifaces.len().div_ceil(64));
+        let mut dist = vec![UNREACHED; n];
+        let mut masks = vec![0u64; n * words];
+        for (origin, row) in table.origins.iter().zip(table.dist.chunks(n.max(1))) {
+            // 0: the root's own prefixes, connected routes.
+            let Some(&m) = row.get(root.index()).filter(|&&m| m != FAR && m != 0) else {
+                continue;
+            };
+            let at = origin.index();
+            let span = at * words..(at + 1) * words;
+            if let (Some(d), Some(mask)) = (dist.get_mut(at), masks.get_mut(span)) {
+                *d = u32::from(m);
+                for (i, hop) in ifaces.iter().enumerate() {
+                    if let Some(word) = mask.get_mut(i / 64) {
+                        *word |= u64::from(row.get(hop.node.index()) == Some(&(m - 1))) << (i % 64);
+                    }
+                }
+            }
+        }
+        SpfTree {
+            ifaces,
+            root,
+            words,
+            dist,
+            masks,
+        }
+    }
+
     /// Every route the LSDB gives rise to, in table order: by prefix, and
     /// within one prefix in LSDB (origin) order — the sort is stable.
     /// The root's own LSA (connected routes), LSAs without prefixes and
@@ -231,6 +267,127 @@ impl SpfTree {
             .filter(move |(i, _)| mask.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
             .map(|(_, hop)| *hop)
     }
+}
+
+/// One LSDB snapshot's shortest paths, shared by every router holding it:
+/// the two-way-checked adjacency in compressed sparse rows and, by one BFS
+/// per origin that advertises a prefix, its hop distance to every node —
+/// all an SPF run needs to emit a router's routes without a search of its
+/// own. A `Network` owns one (empty by default; the first run builds it)
+/// and hands it to every run: a converged fabric's routers hold one LSDB.
+///
+/// **Identity rule.** The table serves an LSDB only if every slot holds
+/// the very `Arc<Lsa>` it was built from ([`Arc::ptr_eq`]), and rebuilds
+/// from it otherwise (an LSA one router has and another has not yet, the
+/// same content in another allocation). It keeps those `Arc`s, so no
+/// address it compares can be freed and reused by another LSA. Distances
+/// are `u16`: a node more than 65 534 hops out counts as unreachable.
+#[derive(Default)]
+pub struct SpfTable {
+    /// The LSDB slots the table was built from.
+    snapshot: Vec<Option<Arc<Lsa>>>,
+    /// Node `u`'s [`usable`] interfaces: `adjacent[start[u]..start[u + 1]]`.
+    start: Vec<usize>,
+    adjacent: Vec<NextHop>,
+    /// The prefix origins in LSDB order; origin `i`'s distance to node `v`
+    /// is `dist[i * snapshot.len() + v]`.
+    origins: Vec<NodeId>,
+    dist: Vec<u16>,
+    builds: u64,
+}
+
+impl SpfTable {
+    /// How often the table was built: every other run read it as it stood.
+    pub fn builds(&self) -> u64 {
+        self.builds
+    }
+
+    /// Makes the table describe `lsdb`: kept when every slot is the `Arc`
+    /// it was built from, rebuilt otherwise.
+    fn serve(&mut self, lsdb: &Lsdb) {
+        let slots = lsdb.slots();
+        let same = self.snapshot.len() == slots.len()
+            && self.snapshot.iter().zip(slots).all(|pair| match pair {
+                (Some(have), Some(want)) => Arc::ptr_eq(have, want),
+                (have, want) => have.is_none() && want.is_none(),
+            });
+        if same {
+            return;
+        }
+        self.builds += 1;
+        self.snapshot.clear();
+        self.snapshot.extend_from_slice(lsdb.slots());
+        self.start.clear();
+        self.start.push(0);
+        self.adjacent.clear();
+        self.origins.clear();
+        for lsa in &self.snapshot {
+            if let Some(lsa) = lsa {
+                self.adjacent.extend(usable(lsdb, lsa.origin));
+                if !lsa.prefixes.is_empty() {
+                    self.origins.push(lsa.origin);
+                }
+            }
+            self.start.push(self.adjacent.len());
+        }
+        let n = self.snapshot.len();
+        let mut dist = std::mem::take(&mut self.dist);
+        dist.clear();
+        dist.resize(self.origins.len() * n, FAR);
+        let mut queue = Vec::with_capacity(n);
+        for (&origin, row) in self.origins.iter().zip(dist.chunks_mut(n.max(1))) {
+            queue.clear();
+            queue.push(origin);
+            if let Some(d) = row.get_mut(origin.index()) {
+                *d = 0;
+            }
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                let Some(next) = row.get(u.index()).map(|d| d + 1).filter(|d| *d != FAR) else {
+                    continue; // 65 534 hops out: the rest stays unreached
+                };
+                for hop in self.adjacent(u) {
+                    if let Some(d) = row.get_mut(hop.node.index()).filter(|d| **d == FAR) {
+                        *d = next;
+                        queue.push(hop.node);
+                    }
+                }
+            }
+        }
+        self.dist = dist;
+    }
+
+    /// `u`'s usable interfaces, sorted.
+    fn adjacent(&self, u: NodeId) -> &[NextHop] {
+        match self.start.get(u.index()..u.index() + 2) {
+            Some(&[from, to]) => self.adjacent.get(from..to).unwrap_or_default(),
+            _ => &[],
+        }
+    }
+}
+
+impl fmt::Debug for SpfTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "SpfTable({} slots, {} builds)", self.snapshot.len(), self.builds)
+    }
+}
+
+/// `u`'s usable interfaces, sorted: two-way checked, self-loops and repeats dropped.
+fn usable(lsdb: &Lsdb, u: NodeId) -> Vec<NextHop> {
+    let mut ifaces: Vec<NextHop> = lsdb
+        .get(u)
+        .into_iter()
+        .flat_map(|lsa| &lsa.neighbors)
+        .filter(|a| a.neighbor != u && advertises(lsdb, a.neighbor, u, a.link))
+        .map(|a| NextHop {
+            node: a.neighbor,
+            link: a.link,
+        })
+        .collect();
+    ifaces.sort_unstable();
+    ifaces.dedup();
+    ifaces
 }
 
 /// Whether `from`'s stored LSA lists `to` over `link` — the far half of

@@ -3,7 +3,7 @@
 //! shortest-path oracle computed on the surviving topology.
 
 use dcn_net::{FatTree, FlowKey, Ipv4Addr, Layer, LinkId, NodeId, Protocol, Topology};
-use dcn_routing::{compute_routes, Adjacency, Lsa, RouterConfig, RouterProcess};
+use dcn_routing::{compute_routes, Adjacency, Lsa, RouterConfig, RouterProcess, SpfTable};
 use dcn_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -64,11 +64,12 @@ fn converge(topo: &Topology, routers: &mut HashMap<NodeId, RouterProcess>, dead:
             }
         }
     }
-    // SPF + immediate install.
+    // SPF + immediate install, every run reading one shared table.
+    let mut table = SpfTable::default();
     for node in &switch_ids {
         let router = routers.get_mut(node).unwrap();
         scratch.clear();
-        router.on_spf_timer(now + SimDuration::from_millis(200), &mut scratch);
+        router.on_spf_timer(now + SimDuration::from_millis(200), &mut table, &mut scratch);
         for action in scratch.drain(..) {
             if let dcn_routing::RouterAction::Install {
                 generation, delta, ..

@@ -7,15 +7,18 @@
 //! The reference is the old `run_spf` body verbatim (`by_prefix` +
 //! `FibDelta::diff`), fed from the router's own LSDB after every step, so
 //! it shares nothing with the merge but the tree kernel `compute_routes`
-//! already has an oracle for (`spf_reference.rs`).
+//! already has an oracle for (`spf_reference.rs`) — and nothing with the
+//! `SpfTable` the router reads its tree from: `compute_routes` runs its
+//! own BFS from the root. The fleet walks below have several routers
+//! share one table while their LSDBs drift apart and back together.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dcn_net::{LinkId, NodeId, Prefix};
+use dcn_net::{FatTree, Ipv4Addr, Layer, LinkId, NodeId, Prefix, Topology};
 use dcn_routing::{
     compute_routes, Adjacency, FibDelta, FibOp, Lsa, NextHop, Route, RouteOrigin, RouterAction,
-    RouterConfig, RouterProcess,
+    RouterConfig, RouterProcess, SpfTable,
 };
 use dcn_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -99,6 +102,7 @@ fn random_lsa(rng: &mut TestRng, origin: u32, seq: u64, keep: u64) -> Arc<Lsa> {
 /// last run (or `force_install`) left behind.
 struct Harness {
     router: RouterProcess,
+    spf: SpfTable,
     table: BTreeMap<Prefix, Route>,
     now: SimTime,
     seq: u64,
@@ -115,9 +119,11 @@ impl Harness {
         );
         let own = router.originate_lsa();
         let lsas: Vec<Arc<Lsa>> = (1..NODES).map(|o| random_lsa(rng, o, 1, 7)).collect();
-        router.bootstrap(lsas.into_iter().chain([own]));
+        let mut spf = SpfTable::default();
+        router.bootstrap(lsas.into_iter().chain([own]), &mut spf);
         let mut harness = Harness {
             router,
+            spf,
             table: BTreeMap::new(),
             now: SimTime::ZERO,
             seq: 1,
@@ -161,7 +167,7 @@ impl Harness {
         }
         self.now += SimDuration::from_millis(250);
         let mut actions = Vec::new();
-        self.router.on_spf_timer(self.now, &mut actions);
+        self.router.on_spf_timer(self.now, &mut self.spf, &mut actions);
         let [RouterAction::Install {
             generation, delta, ..
         }] = &actions[..]
@@ -336,4 +342,494 @@ fn a_router_that_loses_every_interface_removes_every_route() {
         .on_link_detected(harness.now, LinkId::new(2), true, &mut actions);
     harness.spf();
     assert_eq!(harness.table.len(), full);
+}
+
+/// Routers run at these nodes and share one `SpfTable`; the router at
+/// `SILENT` never originates, so no LSDB ever holds its LSA.
+const FLEET: [u32; 5] = [0, 2, 3, 5, 7];
+const SILENT: NodeId = NodeId::new(3);
+/// The origins no router runs at: their LSAs come from the walk.
+const REMOTE: [u32; 3] = [1, 4, 6];
+
+/// Several routers reading one shared table, each with the reference's
+/// memory of its last table.
+struct Fleet {
+    routers: Vec<RouterProcess>,
+    tables: Vec<BTreeMap<Prefix, Route>>,
+    spf: SpfTable,
+    /// The newest LSA of every origin, the allocation it was issued in.
+    latest: BTreeMap<NodeId, Arc<Lsa>>,
+    now: SimTime,
+    seq: u64,
+}
+
+impl Fleet {
+    /// Every router warm-started from the same allocations: one build.
+    fn new(rng: &mut TestRng) -> Self {
+        let pool = pool();
+        let mut routers: Vec<RouterProcess> = FLEET
+            .iter()
+            .map(|&n| {
+                let prefixes = vec![pool[n as usize % pool.len()]];
+                RouterProcess::new(
+                    NodeId::new(n),
+                    RouterConfig::default(),
+                    interfaces_of(n),
+                    prefixes,
+                )
+            })
+            .collect();
+        let mut latest = BTreeMap::new();
+        for router in routers.iter_mut().filter(|r| r.node() != SILENT) {
+            let lsa = router.originate_lsa();
+            latest.insert(lsa.origin, lsa);
+        }
+        for origin in REMOTE {
+            latest.insert(NodeId::new(origin), random_lsa(rng, origin, 1, 7));
+        }
+        let mut spf = SpfTable::default();
+        for router in &mut routers {
+            router.bootstrap(latest.values().cloned(), &mut spf);
+        }
+        assert_eq!(spf.builds(), 1, "one LSDB, one build");
+        let tables = routers
+            .iter()
+            .map(|r| by_prefix(compute_routes(r.lsdb(), r.node())))
+            .collect();
+        let fleet = Fleet {
+            routers,
+            tables,
+            spf,
+            latest,
+            now: SimTime::ZERO,
+            seq: 1,
+        };
+        for at in 0..FLEET.len() {
+            fleet.assert_fib_holds_the_table(at);
+        }
+        fleet
+    }
+
+    fn assert_fib_holds_the_table(&self, at: usize) {
+        let have: Vec<&Route> = self.routers[at]
+            .fib()
+            .routes()
+            .filter(|r| r.origin == RouteOrigin::Ospf)
+            .collect();
+        let want: Vec<&Route> = self.tables[at].values().collect();
+        assert_eq!(have, want, "router {}", self.routers[at].node());
+    }
+
+    fn deliver(&mut self, at: usize, lsa: Arc<Lsa>) {
+        let mut actions = Vec::new();
+        self.routers[at].on_lsa(self.now, lsa, LinkId::new(0), &mut actions);
+    }
+
+    /// `lsa` reaches a random half of the fleet now; the rest hear it at
+    /// the next flood.
+    fn hear(&mut self, rng: &mut TestRng, lsa: &Arc<Lsa>) {
+        self.latest.insert(lsa.origin, Arc::clone(lsa));
+        for at in 0..FLEET.len() {
+            if rng.next_below(2) == 0 {
+                self.deliver(at, Arc::clone(lsa));
+            }
+        }
+    }
+
+    /// Every router hears every newest LSA: the LSDBs converge, but for
+    /// what a sequence number cannot settle (one content in several
+    /// allocations, two contents under one number).
+    fn flood(&mut self) {
+        let latest: Vec<Arc<Lsa>> = self.latest.values().cloned().collect();
+        for at in 0..FLEET.len() {
+            for lsa in &latest {
+                self.deliver(at, Arc::clone(lsa));
+            }
+        }
+    }
+
+    /// One SPF run at router `at` through the shared table: the emitted
+    /// delta equals the reference diff, and applying it leaves the FIB
+    /// holding the new table. Returns whether the run rebuilt the table.
+    fn spf(&mut self, at: usize) -> bool {
+        if self.routers[at].throttle().scheduled().is_none() {
+            // Nothing asked for a run: a remote origin refreshes its LSA
+            // (same content, newer sequence number) and everyone hears
+            // the one allocation.
+            self.seq += 1;
+            let origin = NodeId::new(REMOTE[2]);
+            let mut lsa = (*self.latest[&origin]).clone();
+            lsa.seq = self.seq;
+            self.latest.insert(origin, Arc::new(lsa));
+            self.flood();
+        }
+        self.now += SimDuration::from_millis(250);
+        let builds = self.spf.builds();
+        let mut actions = Vec::new();
+        self.routers[at].on_spf_timer(self.now, &mut self.spf, &mut actions);
+        let [RouterAction::Install {
+            generation, delta, ..
+        }] = &actions[..]
+        else {
+            panic!("an SPF run emits exactly one install, got {actions:?}");
+        };
+        let router = &self.routers[at];
+        let desired = by_prefix(compute_routes(router.lsdb(), router.node()));
+        let want = FibDelta::diff(RouteOrigin::Ospf, &self.tables[at], &desired);
+        assert_eq!(*delta, want, "router {} at seq {}", router.node(), self.seq);
+        self.tables[at] = desired;
+        self.routers[at].on_install(*generation, delta.clone());
+        self.assert_fib_holds_the_table(at);
+        self.spf.builds() > builds
+    }
+
+    /// Returns whether the step was an SPF run that rebuilt the table
+    /// (`Some(true)`), one that read it as it stood (`Some(false)`), or
+    /// no run at all.
+    fn random_step(&mut self, rng: &mut TestRng) -> Option<bool> {
+        match rng.next_below(12) {
+            0..=2 => {
+                self.seq += 1;
+                let origin = REMOTE[rng.next_below(REMOTE.len() as u64) as usize];
+                let keep = 2 + rng.next_below(7);
+                let lsa = random_lsa(rng, origin, self.seq, keep);
+                self.hear(rng, &lsa);
+            }
+            3 => {
+                // A router (not the silent one) detects a change on one of
+                // its links and re-originates.
+                let at = rng.next_below(FLEET.len() as u64) as usize;
+                if self.routers[at].node() == SILENT {
+                    return None;
+                }
+                let links = interfaces_of(FLEET[at]);
+                let link = links[rng.next_below(links.len() as u64) as usize].link;
+                let mut actions = Vec::new();
+                self.routers[at].on_link_detected(
+                    self.now,
+                    link,
+                    rng.next_below(2) == 0,
+                    &mut actions,
+                );
+                for action in actions {
+                    if let RouterAction::FloodLsa { lsa, .. } = action {
+                        self.hear(rng, &lsa);
+                    }
+                }
+            }
+            4 => self.flood(),
+            5 => {
+                // The same content, in a separate allocation per router.
+                self.seq += 1;
+                let origin = REMOTE[rng.next_below(REMOTE.len() as u64) as usize];
+                let lsa = random_lsa(rng, origin, self.seq, 6);
+                for at in 0..FLEET.len() {
+                    self.deliver(at, Arc::new((*lsa).clone()));
+                }
+                self.latest.insert(lsa.origin, lsa);
+            }
+            6 => {
+                // One (origin, sequence number), two contents: the even
+                // routers hear one, the odd ones the other, for good.
+                self.seq += 1;
+                let origin = REMOTE[rng.next_below(REMOTE.len() as u64) as usize];
+                let (even, odd) = (
+                    random_lsa(rng, origin, self.seq, 8),
+                    random_lsa(rng, origin, self.seq, 3),
+                );
+                for at in 0..FLEET.len() {
+                    let lsa = if at % 2 == 0 { &even } else { &odd };
+                    self.deliver(at, Arc::clone(lsa));
+                }
+                self.latest.insert(even.origin, even);
+            }
+            _ => {
+                let at = rng.next_below(FLEET.len() as u64) as usize;
+                return Some(self.spf(at));
+            }
+        }
+        None
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Routers sharing one table, their LSDBs drifting apart (an LSA some
+    /// have heard and others not, one content in several allocations, one
+    /// sequence number with two contents, a router with no LSA of its
+    /// own) and back together (floods): every delta is the reference's.
+    #[test]
+    fn routers_sharing_one_table_emit_the_reference_deltas(walk: u32, steps in 8usize..80) {
+        let mut rng = TestRng::for_case(walk);
+        let mut fleet = Fleet::new(&mut rng);
+        for _ in 0..steps {
+            fleet.random_step(&mut rng);
+        }
+        // Converged again — every remote origin re-issues in one
+        // allocation and everyone hears everything — the first run
+        // rebuilds at most once and the rest read that table.
+        for origin in REMOTE {
+            fleet.seq += 1;
+            let lsa = random_lsa(&mut rng, origin, fleet.seq, 6);
+            fleet.latest.insert(lsa.origin, lsa);
+        }
+        fleet.flood();
+        let builds = fleet.spf.builds();
+        for at in 0..FLEET.len() {
+            fleet.spf(at);
+        }
+        prop_assert!(fleet.spf.builds() <= builds + 1);
+    }
+}
+
+/// The fleet walk is not vacuous: over a fixed set of seeds its SPF runs
+/// both read the table as it stood and rebuilt it, the silent router
+/// included.
+#[test]
+fn the_fleet_walk_both_hits_and_rebuilds() {
+    let (mut hits, mut misses) = (0, 0);
+    for case in 0..64 {
+        let mut rng = TestRng::for_case(case);
+        let mut fleet = Fleet::new(&mut rng);
+        for _ in 0..60 {
+            match fleet.random_step(&mut rng) {
+                Some(true) => misses += 1,
+                Some(false) => hits += 1,
+                None => {}
+            }
+        }
+    }
+    assert!(hits > 100 && misses > 100, "{hits} hits, {misses} misses");
+}
+
+/// A converged fleet warm-starts on one build, and after a refresh every
+/// router's run reads the one table the first run built.
+#[test]
+fn a_converged_fleet_builds_the_table_once_per_snapshot() {
+    let mut fleet = Fleet::new(&mut TestRng::for_case(2));
+    let rebuilt: Vec<bool> = (0..FLEET.len()).map(|at| fleet.spf(at)).collect();
+    assert_eq!(rebuilt, [true, false, false, false, false]);
+    assert_eq!(fleet.spf.builds(), 2);
+}
+
+/// The same content in another allocation is another snapshot: the table
+/// is rebuilt, never matched by value.
+#[test]
+fn the_same_content_in_another_allocation_is_rebuilt() {
+    let mut fleet = Fleet::new(&mut TestRng::for_case(3));
+    fleet.seq += 1;
+    let lsa = Lsa {
+        seq: fleet.seq,
+        ..(*fleet.latest[&NodeId::new(4)]).clone()
+    };
+    for at in 0..FLEET.len() {
+        fleet.deliver(at, Arc::new(lsa.clone()));
+    }
+    let rebuilt: Vec<bool> = [0, 1, 0, 1].iter().map(|&at| fleet.spf(at)).collect();
+    assert_eq!(rebuilt, [true, true, true, true]);
+}
+
+/// One (origin, sequence number) with two contents: router 0 holds node
+/// 4 with every link, router 2 holds it with none. Served by anything
+/// but allocation, one of them would route through a node its LSDB says
+/// is cut off.
+#[test]
+fn one_sequence_number_with_two_contents_never_shares_a_table() {
+    let mut fleet = Fleet::new(&mut TestRng::for_case(4));
+    let four = NodeId::new(4);
+    fleet.seq += 1;
+    let shared: Prefix = "10.11.9.0/24".parse().unwrap();
+    let lsa = |neighbors| {
+        Arc::new(Lsa {
+            origin: four,
+            seq: 50,
+            neighbors,
+            prefixes: vec![shared],
+        })
+    };
+    let (linked, cut) = (lsa(interfaces_of(4)), lsa(Vec::new()));
+    for at in 0..FLEET.len() {
+        let lsa = if at % 2 == 0 { &linked } else { &cut };
+        fleet.deliver(at, Arc::clone(lsa));
+    }
+    // Everyone else re-announces every link, so node 4 is two-way
+    // reachable wherever its LSA names its links.
+    for origin in REMOTE
+        .iter()
+        .chain(&FLEET)
+        .filter(|&&o| o != 4 && NodeId::new(o) != SILENT)
+    {
+        fleet.seq += 1;
+        let lsa = Arc::new(Lsa {
+            origin: NodeId::new(*origin),
+            seq: fleet.seq,
+            neighbors: interfaces_of(*origin),
+            prefixes: vec![],
+        });
+        fleet.latest.insert(lsa.origin, lsa);
+    }
+    fleet.flood();
+    for at in [0, 1, 2, 3, 0, 3] {
+        fleet.spf(at);
+        let routed = fleet.tables[at].contains_key(&shared);
+        let silent = fleet.routers[at].node() == SILENT;
+        assert_eq!(
+            routed,
+            at % 2 == 0 && !silent,
+            "router {}",
+            fleet.routers[at].node()
+        );
+    }
+}
+
+/// The router with no LSA of its own has no usable interface: it reads
+/// the shared table like everyone else and routes nothing.
+#[test]
+fn a_router_without_its_own_lsa_reads_the_table_and_routes_nothing() {
+    let mut fleet = Fleet::new(&mut TestRng::for_case(5));
+    let silent = FLEET
+        .iter()
+        .position(|&n| NodeId::new(n) == SILENT)
+        .unwrap();
+    assert!(fleet.tables[silent].is_empty());
+    assert!(fleet.spf(0), "the refresh is a new snapshot");
+    assert!(!fleet.spf(silent), "and the silent router holds it too");
+    assert!(fleet.tables[silent].is_empty());
+    assert!(!fleet.tables[0].is_empty());
+}
+
+/// A synthetic /24 per ToR (unique while ids stay < 65 536).
+fn prefix_of(node: NodeId) -> Prefix {
+    let id = node.as_u32();
+    Prefix::truncating(Ipv4Addr::new(10, (id >> 8) as u8, id as u8, 0), 24)
+}
+
+/// One router per switch of `topo`, as the emulator builds them (ToRs
+/// advertise a prefix, across links are passive), warm-started through
+/// `spf`; slot `i` holds node `i`'s router.
+fn fabric_routers(topo: &Topology, spf: &mut SpfTable) -> Vec<Option<RouterProcess>> {
+    let mut routers: Vec<Option<RouterProcess>> = (0..topo.node_slots()).map(|_| None).collect();
+    for node in topo.nodes().filter(|n| n.kind().is_switch()) {
+        let id = node.id();
+        let interfaces = topo
+            .neighbors(id)
+            .filter(|&(_, n)| topo.node(n).kind().is_switch())
+            .map(|(link, neighbor)| Adjacency { neighbor, link })
+            .collect();
+        let prefixes = if node.layer() == Some(Layer::Tor) {
+            vec![prefix_of(id)]
+        } else {
+            Vec::new()
+        };
+        let mut router = RouterProcess::new(id, RouterConfig::default(), interfaces, prefixes);
+        router.set_passive(topo.across_links(id));
+        routers[id.index()] = Some(router);
+    }
+    let lsas: Vec<Arc<Lsa>> = routers
+        .iter_mut()
+        .flatten()
+        .map(RouterProcess::originate_lsa)
+        .collect();
+    for router in routers.iter_mut().flatten() {
+        router.bootstrap(lsas.iter().cloned(), spf);
+    }
+    routers
+}
+
+/// Every router's OSPF routes are what `compute_routes` makes of its LSDB.
+fn assert_every_fib_is_spf(routers: &[Option<RouterProcess>], context: &str) {
+    for router in routers.iter().flatten() {
+        let have: Vec<Route> = router
+            .fib()
+            .routes()
+            .filter(|r| r.origin == RouteOrigin::Ospf)
+            .cloned()
+            .collect();
+        let want = compute_routes(router.lsdb(), router.node());
+        assert_eq!(have, want, "{context}, router {}", router.node());
+    }
+}
+
+/// Whole-fabric equivalence at the benchmark's largest size: on the k = 16
+/// fat tree and F²Tree (across links passive), each single fabric-link
+/// failure detected at both ends and flooded everywhere, then every
+/// router's SPF run through one shared table — which must build once for
+/// the warm start and once for the failure — leaves its FIB holding
+/// exactly `compute_routes` of its LSDB. Release-only and `#[ignore]`d;
+/// `ci.sh` runs it beside the other two k = 16 oracles. Link failures are
+/// spread over the available cores.
+#[test]
+#[ignore = "a minute in release, far longer in debug; run by ci.sh"]
+fn k16_every_router_every_single_link_failure_through_one_table() {
+    let fat = FatTree::new(16).unwrap().hosts_per_tor(0).build();
+    let f2 = f2tree::F2TreeNetwork::build_with_hosts(16, 0)
+        .unwrap()
+        .topology;
+    for (name, topo) in [("fat tree", &fat), ("F2Tree", &f2)] {
+        let mut spf = SpfTable::default();
+        assert_every_fib_is_spf(&fabric_routers(topo, &mut spf), name);
+        assert_eq!(spf.builds(), 1, "{name}: warm start");
+
+        let links: Vec<LinkId> = topo
+            .links()
+            .filter(|l| {
+                let (a, b) = l.endpoints();
+                topo.node(a).kind().is_switch() && topo.node(b).kind().is_switch()
+            })
+            .map(|l| l.id())
+            .collect();
+        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+        std::thread::scope(|scope| {
+            for share in links.chunks(links.len().div_ceil(workers)) {
+                scope.spawn(move || {
+                    for &link in share {
+                        let context = format!("k=16 {name} minus {link}");
+                        let mut spf = SpfTable::default();
+                        let mut routers = fabric_routers(topo, &mut spf);
+                        let now = SimTime::ZERO + SimDuration::from_millis(100);
+                        let mut actions = Vec::new();
+                        let (a, b) = topo.link(link).endpoints();
+                        for end in [a, b] {
+                            let router = routers[end.index()].as_mut().unwrap();
+                            router.on_link_detected(now, link, false, &mut actions);
+                        }
+                        let floods: Vec<Arc<Lsa>> = actions
+                            .drain(..)
+                            .filter_map(|action| match action {
+                                RouterAction::FloodLsa { lsa, .. } => Some(lsa),
+                                _ => None,
+                            })
+                            .collect();
+                        for router in routers.iter_mut().flatten() {
+                            for lsa in &floods {
+                                router.on_lsa(now, Arc::clone(lsa), link, &mut actions);
+                            }
+                        }
+                        for router in routers.iter_mut().flatten() {
+                            // A passive link's failure stays local: no
+                            // flood, no run, nothing to re-check.
+                            let Some(at) = router.throttle().scheduled() else {
+                                assert!(floods.is_empty(), "{context}: unscheduled router");
+                                continue;
+                            };
+                            actions.clear();
+                            router.on_spf_timer(at, &mut spf, &mut actions);
+                            for action in actions.drain(..) {
+                                if let RouterAction::Install {
+                                    generation, delta, ..
+                                } = action
+                                {
+                                    router.on_install(generation, delta);
+                                }
+                            }
+                        }
+                        let snapshots = if floods.is_empty() { 1 } else { 2 };
+                        assert_eq!(spf.builds(), snapshots, "{context}");
+                        assert_every_fib_is_spf(&routers, &context);
+                    }
+                });
+            }
+        });
+    }
 }
