@@ -1,14 +1,17 @@
-//! Backup static-route configuration (paper §II-B, Table II).
+//! Backup static-route configuration (paper §II-B, Table II; §II-C).
 //!
-//! Each ring member gets exactly two static routes, deliberately with
-//! *different* prefix lengths:
+//! Each ring member gets one static route per across link, deliberately
+//! with *different* prefix lengths: its rightward links first (distance 1,
+//! 2, …), then its leftward ones, each route one bit shorter than the one
+//! before, starting at the DCN prefix. On the paper's two-port ring that
+//! is exactly Table II's pair:
 //!
 //! * the **DCN prefix** (`10.11.0.0/16`) via the **rightward** across
 //!   link, and
 //! * the shorter **covering prefix** (`10.10.0.0/15`) via the
 //!   **leftward** across link.
 //!
-//! Both are shorter than any OSPF-learned /24 rack subnet, so they sit
+//! All are shorter than any OSPF-learned /24 rack subnet, so they sit
 //! inert in the FIB until every longer match is locally dead — and the
 //! length asymmetry makes rerouted packets flow *rightward* around the
 //! ring, avoiding the two-adjacent-failure loop of Fig. 3(b). The routes
@@ -16,87 +19,52 @@
 //! they are installed with [`RouteOrigin::Static`] and never appear in
 //! LSAs.
 
-use dcn_net::{NodeId, PodRing, Prefix, COVERING_PREFIX, DCN_PREFIX};
+use dcn_net::{NodeId, PodRing, Prefix, DCN_PREFIX};
 use dcn_routing::{NextHop, Route, RouteOrigin};
 
 use crate::rewire::F2TreeNetwork;
 
-/// The two prefixes the backup routes use.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct BackupPrefixes {
-    /// The prefix containing every host (rightward backup).
-    pub dcn: Prefix,
-    /// The shorter prefix just covering it (leftward backup).
-    pub covering: Prefix,
+/// The backup routes for one switch, longest prefix first.
+pub type SwitchBackup = (NodeId, Vec<Route>);
+
+/// Generates the `2 · reach` backup routes of every member of `ring`:
+/// rightward chords first (distance 1 first), then leftward, from the DCN
+/// prefix down one bit per route. The prefix runs out at /1, so a ring
+/// reaching further than 8 gets only its first 16 routes;
+/// [`rewire_fat_tree`](crate::rewire_fat_tree) never builds one.
+pub fn ring_backup_routes(ring: &PodRing) -> Vec<SwitchBackup> {
+    let reach = ring.reach();
+    ring.members
+        .iter()
+        .map(|&member| {
+            let rightward = (1..=reach).filter_map(|d| ring.right(member, d));
+            let leftward = (1..=reach).filter_map(|d| ring.left(member, d));
+            let routes = rightward
+                .chain(leftward)
+                .zip((1..=DCN_PREFIX.len()).rev())
+                .map(|((node, link), len)| {
+                    Route::new(
+                        Prefix::truncating(DCN_PREFIX.addr(), len),
+                        RouteOrigin::Static,
+                        0,
+                        vec![NextHop { node, link }],
+                    )
+                })
+                .collect();
+            (member, routes)
+        })
+        .collect()
 }
 
-impl Default for BackupPrefixes {
-    fn default() -> Self {
-        BackupPrefixes {
-            dcn: DCN_PREFIX,
-            covering: COVERING_PREFIX,
-        }
-    }
-}
-
-impl BackupPrefixes {
-    /// Validates the paper's loop-avoidance invariant: the rightward
-    /// prefix must be strictly longer than the leftward one, and the
-    /// leftward prefix must cover it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the invariant is violated — a misconfiguration that would
-    /// reintroduce the Fig. 3(b) forwarding loop.
-    pub fn validate(&self) {
-        assert!(
-            self.dcn.len() > self.covering.len(),
-            "rightward backup prefix must be longer than the leftward one"
-        );
-        assert!(
-            self.covering.covers(self.dcn),
-            "leftward prefix must cover the DCN prefix"
-        );
-    }
-}
-
-/// The backup routes for one switch: `[rightward, leftward]`.
-pub type SwitchBackup = (NodeId, [Route; 2]);
-
-/// Generates the two backup routes for every member of `ring`.
-pub fn ring_backup_routes(ring: &PodRing, prefixes: BackupPrefixes) -> Vec<SwitchBackup> {
-    prefixes.validate();
-    let mut out = Vec::with_capacity(ring.len());
-    for &member in &ring.members {
-        let right = NextHop {
-            node: ring.right_neighbor(member).expect("member is in ring"),
-            link: ring.right_link(member).expect("member is in ring"),
-        };
-        let left = NextHop {
-            node: ring.left_neighbor(member).expect("member is in ring"),
-            link: ring.left_link(member).expect("member is in ring"),
-        };
-        out.push((
-            member,
-            [
-                Route::new(prefixes.dcn, RouteOrigin::Static, 0, vec![right]),
-                Route::new(prefixes.covering, RouteOrigin::Static, 0, vec![left]),
-            ],
-        ));
-    }
-    out
-}
-
-/// Generates the full backup configuration for an F²Tree network: two
-/// static routes per aggregation and core switch (Table II's last two
-/// rows, replicated everywhere).
+/// Generates the full backup configuration for an F²Tree network: the
+/// static routes of every aggregation and core switch (on the paper's
+/// design, Table II's last two rows, replicated everywhere).
 pub fn network_backup_routes(network: &F2TreeNetwork) -> Vec<SwitchBackup> {
-    let prefixes = BackupPrefixes::default();
     network
         .agg_rings
         .iter()
         .chain(network.core_rings.iter())
-        .flat_map(|ring| ring_backup_routes(ring, prefixes))
+        .flat_map(ring_backup_routes)
         .collect()
 }
 
@@ -113,11 +81,12 @@ mod tests {
             net.topology.layer_switches(Layer::Agg).count()
                 + net.topology.layer_switches(Layer::Core).count();
         assert_eq!(backups.len(), expected);
-        for (_, [right, left]) in &backups {
-            assert_eq!(right.origin, RouteOrigin::Static);
-            assert_eq!(left.origin, RouteOrigin::Static);
-            assert_eq!(right.next_hops.len(), 1);
-            assert_eq!(left.next_hops.len(), 1);
+        for (_, routes) in &backups {
+            assert_eq!(routes.len(), 2);
+            for route in routes {
+                assert_eq!(route.origin, RouteOrigin::Static);
+                assert_eq!(route.next_hops.len(), 1);
+            }
         }
     }
 
@@ -125,10 +94,9 @@ mod tests {
     fn rightward_route_has_the_longer_prefix() {
         // Table II: the /16 goes right, the /15 goes left.
         let net = F2TreeNetwork::build(8).unwrap();
-        for (_, [right, left]) in network_backup_routes(&net) {
-            assert_eq!(right.prefix.to_string(), "10.11.0.0/16");
-            assert_eq!(left.prefix.to_string(), "10.10.0.0/15");
-            assert!(right.prefix.len() > left.prefix.len());
+        for (_, routes) in network_backup_routes(&net) {
+            assert_eq!(routes[0].prefix.to_string(), "10.11.0.0/16");
+            assert_eq!(routes[1].prefix.to_string(), "10.10.0.0/15");
         }
     }
 
@@ -136,15 +104,10 @@ mod tests {
     fn next_hops_follow_the_ring_direction() {
         let net = F2TreeNetwork::build(8).unwrap();
         let ring = &net.agg_rings[0];
-        let backups = ring_backup_routes(ring, BackupPrefixes::default());
-        for (member, [right, left]) in backups {
-            assert_eq!(
-                right.next_hops[0].node,
-                ring.right_neighbor(member).unwrap()
-            );
-            assert_eq!(left.next_hops[0].node, ring.left_neighbor(member).unwrap());
-            assert_eq!(right.next_hops[0].link, ring.right_link(member).unwrap());
-            assert_eq!(left.next_hops[0].link, ring.left_link(member).unwrap());
+        for (member, routes) in ring_backup_routes(ring) {
+            let hop = |(node, link)| NextHop { node, link };
+            assert_eq!(Some(routes[0].next_hops[0]), ring.right(member, 1).map(hop));
+            assert_eq!(Some(routes[1].next_hops[0]), ring.left(member, 1).map(hop));
         }
     }
 
@@ -155,31 +118,10 @@ mod tests {
         // fallback breaks.
         let net = F2TreeNetwork::build_with_hosts(4, 1).unwrap();
         for ring in net.agg_rings.iter().chain(net.core_rings.iter()) {
-            let backups = ring_backup_routes(ring, BackupPrefixes::default());
-            for (_, [right, left]) in backups {
-                assert_ne!(right.next_hops[0].link, left.next_hops[0].link);
+            for (_, routes) in ring_backup_routes(ring) {
+                assert_ne!(routes[0].next_hops[0].link, routes[1].next_hops[0].link);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "must be longer")]
-    fn inverted_prefix_lengths_are_rejected() {
-        let bad = BackupPrefixes {
-            dcn: "10.10.0.0/15".parse().unwrap(),
-            covering: "10.11.0.0/16".parse().unwrap(),
-        };
-        bad.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "must cover")]
-    fn non_covering_prefix_is_rejected() {
-        let bad = BackupPrefixes {
-            dcn: "10.11.0.0/16".parse().unwrap(),
-            covering: "10.8.0.0/15".parse().unwrap(),
-        };
-        bad.validate();
     }
 
     #[test]

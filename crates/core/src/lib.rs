@@ -6,12 +6,14 @@
 //! configuration generator:
 //!
 //! * [`F2TreeNetwork::build`] / [`rewire_fat_tree`] — rewire a standard
-//!   fat tree into an F²Tree: two links per aggregation/core switch are
-//!   redirected into per-pod across-link rings (§II-B),
-//! * [`network_backup_routes`] — the two static backup routes per switch
-//!   (DCN prefix rightward, covering prefix leftward — Table II) that
-//!   give every downward link two immediate backups with zero protocol
-//!   changes,
+//!   fat tree into an F²Tree: `r` ports per aggregation/core switch are
+//!   redirected into per-pod across-link rings with chords out to reach
+//!   `r/2` — one transform, with the paper's two-port design (§II-B) as
+//!   reach 1 and the wider rings §II-C proposes for C7 as reach ≥ 2,
+//! * [`network_backup_routes`] — one static backup route per across link
+//!   (on the two-port design, DCN prefix rightward and covering prefix
+//!   leftward — Table II) that give every downward link immediate
+//!   backups with zero protocol changes,
 //! * [`immediate_backup_links`] — the §II-A structural analysis, and
 //! * [`f2_leaf_spine`] / [`f2_vl2`] — the same scheme applied to the
 //!   other multi-rooted topologies of §V (Fig. 7).
@@ -43,13 +45,9 @@ mod other;
 pub mod quagga;
 mod rewire;
 pub mod testbed;
-mod wide;
 
 pub use analysis::{immediate_backup_links, layer_backup_summary, BackupSummary};
-pub use config::{
-    network_backup_routes, ring_backup_routes, BackupPrefixes, SwitchBackup,
-};
+pub use config::{network_backup_routes, ring_backup_routes, SwitchBackup};
 pub use other::{f2_leaf_spine, f2_vl2, F2Network};
 pub use rewire::{rewire_fat_tree, F2TreeNetwork};
 pub use testbed::{Design, PathAnatomy, TestBed, TestBedError};
-pub use wide::{build_wide_f2tree, wide_backup_routes, WideF2TreeNetwork, WideRing};

@@ -1,6 +1,7 @@
 //! F²Tree for other multi-rooted topologies (paper §V, Fig. 7).
 //!
-//! The same recipe — reserve two ports, form a ring, install two backup
+//! The same recipe — reserve two ports, form a ring (the reach-1 ring of
+//! [`rewire_fat_tree`](crate::rewire_fat_tree)), install two backup
 //! routes — applies wherever downward links lack immediate backups:
 //!
 //! * **Leaf-Spine** (Fig. 7(a)): spines have only downward links, so a
@@ -10,7 +11,9 @@
 //!   core→agg links, but agg→ToR links do not — an aggregation-layer ring
 //!   fixes exactly that gap.
 
-use dcn_net::{Layer, LeafSpine, LinkClass, NodeId, PodRing, Topology, TopologyError, Vl2};
+use dcn_net::{Layer, LeafSpine, NodeId, PodRing, Topology, TopologyError, Vl2};
+
+use crate::rewire::add_ring;
 
 /// A rewired two-layer or VL2 network: the topology plus its ring.
 #[derive(Clone, Debug)]
@@ -38,7 +41,7 @@ pub fn f2_leaf_spine(leaves: u32, spines: u32) -> Result<F2Network, TopologyErro
         .spare_spine_ports(2)
         .build();
     let members: Vec<NodeId> = topo.layer_switches(Layer::Core).collect();
-    let ring = add_ring(&mut topo, members)?;
+    let ring = add_ring(&mut topo, members, 1)?;
     topo.set_name(format!("f2-leaf-spine-{leaves}x{spines}"));
     Ok(F2Network {
         topology: topo,
@@ -54,28 +57,11 @@ pub fn f2_leaf_spine(leaves: u32, spines: u32) -> Result<F2Network, TopologyErro
 pub fn f2_vl2(d_a: u32, d_i: u32) -> Result<F2Network, TopologyError> {
     let mut topo = Vl2::new(d_a, d_i)?.spare_agg_ports(2).build();
     let members: Vec<NodeId> = topo.layer_switches(Layer::Agg).collect();
-    let ring = add_ring(&mut topo, members)?;
+    let ring = add_ring(&mut topo, members, 1)?;
     topo.set_name(format!("f2-vl2-da{d_a}-di{d_i}"));
     Ok(F2Network {
         topology: topo,
         ring,
-    })
-}
-
-fn add_ring(topo: &mut Topology, members: Vec<NodeId>) -> Result<PodRing, TopologyError> {
-    let n = members.len();
-    if n < 2 {
-        return Err(TopologyError::InvalidParameter(format!(
-            "a ring needs at least 2 members, got {n}"
-        )));
-    }
-    let mut right_links = Vec::with_capacity(n);
-    for i in 0..n {
-        right_links.push(topo.add_link(members[i], members[(i + 1) % n], LinkClass::Across)?);
-    }
-    Ok(PodRing {
-        members,
-        right_links,
     })
 }
 

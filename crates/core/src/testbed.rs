@@ -127,33 +127,39 @@ impl TestBed {
                 })
             }
             Design::F2Tree => {
-                let f2 = F2TreeNetwork::build_with_hosts(k, hosts_per_tor)?;
-                // The design's static backup routes embody the
-                // F²TreeRewiring recovery mode; the other modes run the
-                // rewired fabric bare (OSPF-only, or with the FRR map
-                // the emulator precomputes — which uses the across ring
-                // as remote-LFA relays instead).
-                let backups = if config.recovery() == RecoveryMode::F2TreeRewiring {
-                    network_backup_routes(&f2)
-                } else {
-                    Vec::new()
-                };
-                let agg_rings = f2.agg_rings.clone();
-                let core_rings = f2.core_rings.clone();
-                let mut net = Network::new(f2.topology, config)?;
-                net.install_static_routes(
-                    backups
-                        .into_iter()
-                        .flat_map(|(n, rs)| rs.into_iter().map(move |r| (n, r))),
-                );
-                Ok(TestBed {
-                    net,
-                    design,
-                    agg_rings,
-                    core_rings,
-                })
+                Self::from_f2tree(F2TreeNetwork::build_with_hosts(k, hosts_per_tor)?, config)
             }
         }
+    }
+
+    /// Brings up an already rewired F²Tree — at any across-port budget —
+    /// under `config`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TestBedError`] on unaddressable scale.
+    pub fn from_f2tree(f2: F2TreeNetwork, config: EmuConfig) -> Result<Self, TestBedError> {
+        // The design's static backup routes embody the F²TreeRewiring
+        // recovery mode; the other modes run the rewired fabric bare
+        // (OSPF-only, or with the FRR map the emulator precomputes —
+        // which uses the across ring as remote-LFA relays instead).
+        let backups = if config.recovery() == RecoveryMode::F2TreeRewiring {
+            network_backup_routes(&f2)
+        } else {
+            Vec::new()
+        };
+        let mut net = Network::new(f2.topology, config)?;
+        net.install_static_routes(
+            backups
+                .into_iter()
+                .flat_map(|(n, rs)| rs.into_iter().map(move |r| (n, r))),
+        );
+        Ok(TestBed {
+            net,
+            design: Design::F2Tree,
+            agg_rings: f2.agg_rings,
+            core_rings: f2.core_rings,
+        })
     }
 
     /// The topology under test.

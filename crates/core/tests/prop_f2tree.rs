@@ -34,9 +34,12 @@ proptest! {
     #[test]
     fn backup_route_invariants(k in (2u32..=8).prop_map(|h| h * 2)) {
         let net = F2TreeNetwork::build(k).unwrap();
-        for (owner, [right, left]) in network_backup_routes(&net) {
+        for (owner, routes) in network_backup_routes(&net) {
+            let [right, left] = &routes[..] else {
+                panic!("two backup routes per switch, got {}", routes.len());
+            };
             prop_assert!(right.prefix.len() > left.prefix.len());
-            for route in [&right, &left] {
+            for route in [right, left] {
                 prop_assert_eq!(route.next_hops.len(), 1);
                 let hop = route.next_hops[0];
                 let link = net.topology.link(hop.link);
@@ -44,8 +47,8 @@ proptest! {
                 prop_assert_eq!(link.other_end(owner), hop.node);
             }
             let ring = net.ring_of(owner).expect("owner is in a ring");
-            prop_assert_eq!(Some(right.next_hops[0].node), ring.right_neighbor(owner));
-            prop_assert_eq!(Some(left.next_hops[0].node), ring.left_neighbor(owner));
+            prop_assert_eq!(Some(right.next_hops[0].node), ring.right(owner, 1).map(|(n, _)| n));
+            prop_assert_eq!(Some(left.next_hops[0].node), ring.left(owner, 1).map(|(n, _)| n));
         }
     }
 
@@ -70,7 +73,7 @@ proptest! {
         let mut topo = net.topology.clone();
         let rings: Vec<_> = net.agg_rings.iter().chain(net.core_rings.iter()).collect();
         let ring = rings[pick.index(rings.len())];
-        for &link in &ring.right_links {
+        for &link in ring.chords.iter().flatten() {
             topo.remove_link(link).unwrap();
         }
         prop_assert!(topo.is_connected());

@@ -3,7 +3,8 @@
 //!
 //! * **Wide rings** (§II-C): "if we reserve more ports (e.g. 4) for
 //!   across links … it is able to deal with this extreme condition
-//!   [C7] as well" — [`run_c7_wide`] verifies it.
+//!   [C7] as well" — [`run_c7_wide`] verifies it on the same rewiring at
+//!   reach 2.
 //! * **Unidirectional failures** (§IV-A future work) —
 //!   [`run_unidirectional`].
 //! * **Timer ablation** — [`run_timer_ablation`] decomposes the fat
@@ -12,10 +13,11 @@
 //!   delay alone.
 
 use dcn_emu::{ControlPlaneMode, EmuConfig, Network};
-use dcn_net::Layer;
+use dcn_failure::Condition;
+use dcn_net::{FatTree, Layer};
 use dcn_routing::{RouterConfig, ThrottleConfig};
 use dcn_sim::{timers, SimDuration, SimTime};
-use f2tree::{build_wide_f2tree, wide_backup_routes};
+use f2tree::rewire_fat_tree;
 use serde::{Deserialize, Serialize};
 
 use crate::common::{Design, TestBed};
@@ -48,44 +50,21 @@ pub struct C7WideResult {
 /// Panics if `across_ports` is infeasible at k=12.
 pub fn run_c7_with_across(across_ports: u32) -> C7WideResult {
     let fail_at = ms(100);
-    let wide = build_wide_f2tree(12, across_ports).expect("feasible at k=12");
-    let backups = wide_backup_routes(&wide);
-    let agg_rings = wide.agg_rings.clone();
-    let mut net = Network::new(wide.topology, EmuConfig::default()).expect("addressable");
-    net.install_static_routes(
-        backups
-            .into_iter()
-            .flat_map(|(n, rs)| rs.into_iter().map(move |r| (n, r))),
-    );
-
-    let hosts = net.topology().hosts().to_vec();
-    let (src, dst) = (hosts[0], *hosts.last().expect("hosts exist"));
-    let probe = net.add_udp_probe(src, dst, SimTime::ZERO);
-    let path = net.trace_path(probe);
-    let dest_tor = path[path.len() - 2];
-    let sx = path[path.len() - 3];
-
-    // C7, resolved against the wide ring: fail Sx->T, right1(Sx)->T, and
-    // right1(Sx)'s rightward distance-1 chord.
-    let ring = agg_rings
-        .iter()
-        .find(|r| r.position(sx).is_some())
-        .expect("Sx in an agg ring");
-    let (right1, _) = ring.right(sx, 1).expect("ring neighbor");
-    let (_, right1s_right_chord) = ring.right(right1, 1).expect("ring neighbor");
-    let links = [
-        net.topology().link_between(sx, dest_tor).expect("Sx->T"),
-        net.topology()
-            .link_between(right1, dest_tor)
-            .expect("right1->T"),
-        right1s_right_chord,
-    ];
-    for link in links {
-        net.fail_link_at(fail_at, link);
+    let f2 = FatTree::new(12)
+        .and_then(|fat| rewire_fat_tree(fat.build(), across_ports))
+        .expect("feasible at k=12");
+    let mut bed = TestBed::from_f2tree(f2, EmuConfig::default()).expect("addressable");
+    let (src, dst) = bed.probe_endpoints();
+    let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
+    let anatomy = bed.path_anatomy(probe);
+    // C7 on the distance-1 ring: Sx->T, right(Sx)->T and right(Sx)'s
+    // rightward across link.
+    for link in bed.scenario_links(&anatomy, Condition::C7) {
+        bed.net.fail_link_at(fail_at, link);
     }
-    net.run_until(ms(2000));
+    bed.net.run_until(ms(2000));
 
-    let report = net.udp_probe_report(probe);
+    let report = bed.net.udp_probe_report(probe);
     let loss = report
         .connectivity
         .loss_around(fail_at)
@@ -93,7 +72,7 @@ pub fn run_c7_with_across(across_ports: u32) -> C7WideResult {
     C7WideResult {
         across_ports,
         connectivity_loss_us: loss.duration.as_micros(),
-        looped: net.drops().ttl_expired > 0,
+        looped: bed.net.drops().ttl_expired > 0,
     }
 }
 

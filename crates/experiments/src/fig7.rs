@@ -8,7 +8,7 @@ use dcn_emu::{EmuConfig, FlowId, Network};
 use dcn_net::{LeafSpine, NodeId, PodRing, Protocol, Topology, Vl2};
 use dcn_sim::{SimDuration, SimTime};
 use dcn_sweep::{ExperimentSpec, Workers};
-use f2tree::{f2_leaf_spine, f2_vl2, ring_backup_routes, BackupPrefixes};
+use f2tree::{f2_leaf_spine, f2_vl2, ring_backup_routes};
 use serde::{Deserialize, Serialize};
 
 use crate::common::Design;
@@ -75,40 +75,34 @@ pub struct Fig7Result {
 }
 
 fn build_network(fabric: Fabric, design: Design, config: &Fig7Config) -> (Network, Option<PodRing>) {
-    match (fabric, design) {
-        (Fabric::LeafSpine, Design::FatTree) => {
-            let topo = LeafSpine::new(config.leaves, config.spines)
+    let (topo, ring) = match (fabric, design) {
+        (Fabric::LeafSpine, Design::FatTree) => (
+            LeafSpine::new(config.leaves, config.spines)
                 .expect("valid dims")
-                .build();
-            (Network::new(topo, EmuConfig::default()).expect("addressable"), None)
-        }
-        (Fabric::LeafSpine, Design::F2Tree) => {
-            let f2 = f2_leaf_spine(config.leaves, config.spines).expect("valid dims");
-            let backups = ring_backup_routes(&f2.ring, BackupPrefixes::default());
-            let mut net = Network::new(f2.topology, EmuConfig::default()).expect("addressable");
-            net.install_static_routes(
-                backups
-                    .into_iter()
-                    .flat_map(|(n, rs)| rs.into_iter().map(move |r| (n, r))),
-            );
-            (net, Some(f2.ring))
-        }
+                .build(),
+            None,
+        ),
         (Fabric::Vl2, Design::FatTree) => {
-            let topo = Vl2::new(config.d_a, config.d_i).expect("valid dims").build();
-            (Network::new(topo, EmuConfig::default()).expect("addressable"), None)
+            (Vl2::new(config.d_a, config.d_i).expect("valid dims").build(), None)
         }
-        (Fabric::Vl2, Design::F2Tree) => {
-            let f2 = f2_vl2(config.d_a, config.d_i).expect("valid dims");
-            let backups = ring_backup_routes(&f2.ring, BackupPrefixes::default());
-            let mut net = Network::new(f2.topology, EmuConfig::default()).expect("addressable");
-            net.install_static_routes(
-                backups
-                    .into_iter()
-                    .flat_map(|(n, rs)| rs.into_iter().map(move |r| (n, r))),
-            );
-            (net, Some(f2.ring))
+        (_, Design::F2Tree) => {
+            let f2 = match fabric {
+                Fabric::LeafSpine => f2_leaf_spine(config.leaves, config.spines),
+                Fabric::Vl2 => f2_vl2(config.d_a, config.d_i),
+            }
+            .expect("valid dims");
+            (f2.topology, Some(f2.ring))
         }
+    };
+    let mut net = Network::new(topo, EmuConfig::default()).expect("addressable");
+    if let Some(ring) = &ring {
+        net.install_static_routes(
+            ring_backup_routes(ring)
+                .into_iter()
+                .flat_map(|(n, rs)| rs.into_iter().map(move |r| (n, r))),
+        );
     }
+    (net, ring)
 }
 
 fn probe_endpoints(topo: &Topology) -> (NodeId, NodeId) {
@@ -148,8 +142,8 @@ pub fn run_fig7_cell(fabric: Fabric, design: Design, config: &Fig7Config) -> Fig
             .iter()
             .map(|&l| net.topology().link(l).other_end(dest_tor))
             .find(|&agg| {
-                ring.right_neighbor(agg)
-                    .and_then(|r| net.topology().link_between(r, dest_tor))
+                ring.right(agg, 1)
+                    .and_then(|(r, _)| net.topology().link_between(r, dest_tor))
                     .is_some()
             })
             .expect("one home's right neighbor is the other home"),

@@ -152,7 +152,8 @@ impl ScenarioContext<'_> {
 
     fn right_across(&self, agg: NodeId, condition: Condition) -> Result<LinkId, ScenarioError> {
         let ring = self.agg_ring.ok_or(ScenarioError::MissingRing(condition))?;
-        ring.right_link(agg)
+        ring.right(agg, 1)
+            .map(|(_, link)| link)
             .ok_or(ScenarioError::AggNotInRing(agg))
     }
 }

@@ -224,7 +224,7 @@ fn ring_membership_is_checked_even_with_a_ring() {
     // but is not a ring member, so the across-link lookup must fail.
     let ring = PodRing {
         members: vec![NodeId::new(9000), NodeId::new(9001)],
-        right_links: vec![LinkId::new(9000), LinkId::new(9001)],
+        chords: vec![vec![LinkId::new(9000), LinkId::new(9001)]],
     };
     let c = ctx(&topo, 0, sx, Some(&ring));
     assert_eq!(

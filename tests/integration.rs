@@ -19,7 +19,7 @@ fn the_full_pipeline_from_fat_tree_to_running_f2tree() {
     assert_eq!(fat.switch_count(), 80);
 
     // 2. ...rewired by the core crate into an F2Tree matching Table I...
-    let f2 = rewire_fat_tree(fat).unwrap();
+    let f2 = rewire_fat_tree(fat, 2).unwrap();
     let dims = F2TreeDimensions::for_ports(8);
     assert_eq!(f2.topology.switch_count() as u64, dims.switches());
     assert_eq!(f2.topology.host_count() as u64, dims.nodes());

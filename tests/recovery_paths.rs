@@ -50,8 +50,8 @@ fn ring_neighbors(d: &Drill) -> (NodeId, NodeId) {
         .find(|r| r.position(d.sx).is_some())
         .expect("Sx is a ring member");
     (
-        ring.right_neighbor(d.sx).unwrap(),
-        ring.left_neighbor(d.sx).unwrap(),
+        ring.right(d.sx, 1).unwrap().0,
+        ring.left(d.sx, 1).unwrap().0,
     )
 }
 
