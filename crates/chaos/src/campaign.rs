@@ -1,18 +1,20 @@
 //! Seeded generation of chaos scenarios.
 //!
-//! A campaign is a stream of [`ScenarioSpec`]s drawn from a [`DetRng`]: the
-//! same seed always yields byte-identical scenarios, so any campaign index
-//! that trips an oracle can be regenerated (and then shrunk) without having
-//! stored anything but `(master_seed, index)`.
+//! A campaign is a stream of [`ScenarioSpec`]s, scenario `i` drawn from
+//! its sweep cell's [`SimRng`] (`dcn_sweep::cell_rng(master_seed, i)`)
+//! with `gen_index` / `choose`: the same seed always yields byte-identical
+//! scenarios, so any campaign index that trips an oracle can be
+//! regenerated (and then shrunk) without having stored anything but
+//! `(master_seed, index)`.
 //!
 //! Every timing parameter defaults to arithmetic over the protocol timer
 //! constants in [`dcn_sim::timers`] rather than fresh literals: chaos
 //! timing is only meaningful relative to the detection / SPF / FIB-update
 //! budget the oracles reason about.
 
-use dcn_failure::{fabric_links, switch_links, FailureEvent, FailureSchedule};
+use dcn_failure::{fabric_links, switch_links, FailureEvent};
 use dcn_net::{assign_addresses, FatTree, Layer, LinkId, Topology};
-use dcn_sim::{timers, DetRng, SimDuration, SimTime};
+use dcn_sim::{timers, SimDuration, SimRng, SimTime};
 use f2tree::{Design, F2TreeNetwork, TestBedError};
 
 use crate::scenario::{Incident, IncidentKind, ScenarioSpec};
@@ -87,7 +89,7 @@ impl CampaignConfig {
 /// a buildable testbed.
 pub fn generate_scenario(
     design: Design,
-    rng: &mut DetRng,
+    rng: &mut SimRng,
     cfg: &CampaignConfig,
 ) -> Result<ScenarioSpec, TestBedError> {
     let topo = &topology(design, cfg)?;
@@ -97,16 +99,16 @@ pub fn generate_scenario(
         .flat_map(|l| topo.layer_switches(l))
         .collect();
 
-    let n_incidents = 1 + rng.next_below(u64::from(cfg.max_incidents.max(1))) as usize;
+    let n_incidents = 1 + rng.gen_index(cfg.max_incidents.max(1) as usize);
     let mut incidents = Vec::with_capacity(n_incidents);
     let mut cursor = SimTime::ZERO + cfg.first_fail_after;
     for _ in 0..n_incidents {
-        let kind = cfg.kinds[rng.next_below(cfg.kinds.len() as u64) as usize];
+        let kind = *rng.choose(&cfg.kinds);
         let events = match kind {
             IncidentKind::SingleLink => single_link(rng, cfg, cursor, &fabric),
             IncidentKind::CorrelatedLinks => correlated_links(rng, cfg, cursor, &fabric),
             IncidentKind::SwitchDown => {
-                let node = switches[rng.next_below(switches.len() as u64) as usize];
+                let node = *rng.choose(&switches);
                 let outage = outage(rng, cfg);
                 let mut events = Vec::new();
                 for link in switch_links(topo, node) {
@@ -145,16 +147,6 @@ fn topology(design: Design, cfg: &CampaignConfig) -> Result<Topology, TestBedErr
     Ok(topo)
 }
 
-/// Convenience wrapper: the [`FailureSchedule`] of a freshly generated
-/// scenario (used by tests that only care about the event stream).
-pub fn generate_schedule(
-    design: Design,
-    rng: &mut DetRng,
-    cfg: &CampaignConfig,
-) -> Result<FailureSchedule, TestBedError> {
-    Ok(generate_scenario(design, rng, cfg)?.schedule())
-}
-
 fn down(at: SimTime, link: LinkId) -> FailureEvent {
     FailureEvent {
         at,
@@ -169,38 +161,37 @@ fn up(at: SimTime, link: LinkId) -> FailureEvent {
 
 // Microsecond-quantized so scenarios survive the µs-granular file format
 // byte-exactly (render → parse → render is the identity).
-fn jitter(rng: &mut DetRng, max: SimDuration) -> SimDuration {
-    SimDuration::from_micros(rng.next_below(max.as_micros().max(1)))
+fn jitter(rng: &mut SimRng, max: SimDuration) -> SimDuration {
+    SimDuration::from_micros(rng.gen_index(max.as_micros().max(1) as usize) as u64)
 }
 
-fn outage(rng: &mut DetRng, cfg: &CampaignConfig) -> SimDuration {
+fn outage(rng: &mut SimRng, cfg: &CampaignConfig) -> SimDuration {
     let span = cfg.max_outage.saturating_sub(cfg.min_outage);
     cfg.min_outage + jitter(rng, span)
 }
 
-fn pick(rng: &mut DetRng, pool: &mut Vec<LinkId>) -> LinkId {
-    let idx = rng.next_below(pool.len() as u64) as usize;
-    pool.swap_remove(idx)
+fn pick(rng: &mut SimRng, pool: &mut Vec<LinkId>) -> LinkId {
+    pool.swap_remove(rng.gen_index(pool.len()))
 }
 
 fn single_link(
-    rng: &mut DetRng,
+    rng: &mut SimRng,
     cfg: &CampaignConfig,
     t0: SimTime,
     fabric: &[LinkId],
 ) -> Vec<FailureEvent> {
-    let link = fabric[rng.next_below(fabric.len() as u64) as usize];
+    let link = *rng.choose(fabric);
     let outage = outage(rng, cfg);
     vec![down(t0, link), up(t0 + outage, link)]
 }
 
 fn correlated_links(
-    rng: &mut DetRng,
+    rng: &mut SimRng,
     cfg: &CampaignConfig,
     t0: SimTime,
     fabric: &[LinkId],
 ) -> Vec<FailureEvent> {
-    let n = (2 + rng.next_below(3) as usize).min(fabric.len());
+    let n = (2 + rng.gen_index(3)).min(fabric.len());
     let mut pool = fabric.to_vec();
     let mut events = Vec::with_capacity(2 * n);
     for _ in 0..n {
@@ -215,13 +206,13 @@ fn correlated_links(
 }
 
 fn flap(
-    rng: &mut DetRng,
+    rng: &mut SimRng,
     cfg: &CampaignConfig,
     t0: SimTime,
     fabric: &[LinkId],
 ) -> Vec<FailureEvent> {
-    let link = fabric[rng.next_below(fabric.len() as u64) as usize];
-    let cycles = 2 + rng.next_below(3);
+    let link = *rng.choose(fabric);
+    let cycles = 2 + rng.gen_index(3);
     let mut at = t0;
     let mut events = Vec::new();
     for _ in 0..cycles {
@@ -235,7 +226,7 @@ fn flap(
 }
 
 fn reconvergence(
-    rng: &mut DetRng,
+    rng: &mut SimRng,
     cfg: &CampaignConfig,
     t0: SimTime,
     fabric: &[LinkId],
@@ -264,8 +255,8 @@ mod tests {
     fn same_seed_same_scenario() {
         let cfg = CampaignConfig::default();
         for design in [Design::FatTree, Design::F2Tree] {
-            let a = generate_scenario(design, &mut DetRng::seed_from_u64(7), &cfg).unwrap();
-            let b = generate_scenario(design, &mut DetRng::seed_from_u64(7), &cfg).unwrap();
+            let a = generate_scenario(design, &mut SimRng::new(7), &cfg).unwrap();
+            let b = generate_scenario(design, &mut SimRng::new(7), &cfg).unwrap();
             assert_eq!(a, b);
             assert_eq!(a.render(), b.render());
         }
@@ -274,7 +265,7 @@ mod tests {
     #[test]
     fn single_failure_preset_keeps_at_most_one_link_down() {
         let cfg = CampaignConfig::single_failure();
-        let mut rng = DetRng::seed_from_u64(20150701);
+        let mut rng = SimRng::new(20150701);
         for i in 0..30u64 {
             let design = if i % 2 == 0 {
                 Design::FatTree
@@ -330,7 +321,7 @@ mod tests {
 
     #[test]
     fn bad_scales_are_the_testbeds_errors() {
-        let rng = &mut DetRng::seed_from_u64(1);
+        let rng = &mut SimRng::new(1);
         for k in [0, 3, 7] {
             let cfg = CampaignConfig {
                 k,
@@ -347,15 +338,15 @@ mod tests {
     #[test]
     fn different_seeds_differ() {
         let cfg = CampaignConfig::default();
-        let a = generate_scenario(Design::FatTree, &mut DetRng::seed_from_u64(1), &cfg).unwrap();
-        let b = generate_scenario(Design::FatTree, &mut DetRng::seed_from_u64(2), &cfg).unwrap();
+        let a = generate_scenario(Design::FatTree, &mut SimRng::new(1), &cfg).unwrap();
+        let b = generate_scenario(Design::FatTree, &mut SimRng::new(2), &cfg).unwrap();
         assert_ne!(a, b);
     }
 
     #[test]
     fn scenarios_are_well_formed() {
         let cfg = CampaignConfig::default();
-        let mut rng = DetRng::seed_from_u64(42);
+        let mut rng = SimRng::new(42);
         for i in 0..40u64 {
             let design = if i % 2 == 0 {
                 Design::FatTree

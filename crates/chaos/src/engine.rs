@@ -19,7 +19,7 @@ use dcn_metrics::quality::QualityReport;
 use crate::campaign::{generate_scenario, CampaignConfig};
 use crate::oracle::{
     blackhole_bound, fib_spf_divergence, flood_graph_connected, routably_connected, same_lsdb,
-    walk, OracleConfig, Violation, ViolationKind, WalkOutcome,
+    walk, Violation, ViolationKind, WalkOutcome,
 };
 use crate::quality::QualityTrace;
 use crate::scenario::ScenarioSpec;
@@ -38,32 +38,21 @@ pub const MAX_VIOLATIONS: usize = 16;
 /// Execution knobs for [`run_scenario`].
 #[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
-    /// Invariant-oracle tuning.
-    pub oracle: OracleConfig,
     /// Recovery discipline the emulated routers run (default: the
-    /// design's own — F²Tree static backups where applicable).
+    /// design's own — F²Tree static backups where applicable). It also
+    /// picks the oracle's blackhole budget: [`RecoveryMode::PrecomputedFrr`]
+    /// arms the tightened (SPF-free) bound, every other mode keeps the
+    /// reconvergence budget (see [`blackhole_bound`]).
     pub recovery: RecoveryMode,
     /// Score routing quality (expected load / oversubscription / path
     /// diversity) at every observed FIB epoch. Off by default: the
     /// observer never fails a run, but it does cost a FIB sweep per
     /// epoch.
     pub quality: bool,
-}
-
-impl EngineConfig {
-    /// An engine configured for `recovery` with the matching oracle: the
-    /// FRR mode arms the tightened (SPF-free) blackhole bound, every
-    /// other mode keeps the reconvergence budget.
-    pub fn for_recovery(recovery: RecoveryMode) -> Self {
-        EngineConfig {
-            oracle: OracleConfig {
-                frr: recovery == RecoveryMode::PrecomputedFrr,
-                ..OracleConfig::default()
-            },
-            recovery,
-            quality: false,
-        }
-    }
+    /// Replaces the computed per-window blackhole bound outright. Only
+    /// used by tests that need a deliberately broken oracle to prove the
+    /// shrinker finds a minimal reproducer.
+    pub bound_override: Option<SimDuration>,
 }
 
 /// Aggregate counters from one scenario run (all simulation-derived, so
@@ -425,7 +414,7 @@ fn close_window(
         .iter()
         .filter(|&&t| t >= w.start && t <= now)
         .count() as u64;
-    let bound = blackhole_bound(&cfg.oracle, n_events, w.max_hold.max(hold_at_close));
+    let bound = blackhole_bound(cfg, n_events, w.max_hold.max(hold_at_close));
     if duration > bound {
         record(
             violations,
@@ -481,7 +470,7 @@ fn record(violations: &mut Vec<Violation>, v: Violation) {
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Master seed; campaign `i` draws from the sweep stream
-    /// `cell_seed(master_seed, i)`.
+    /// `cell_rng(master_seed, i)`.
     pub master_seed: u64,
     /// Number of scenarios to generate and run.
     pub campaigns: usize,
@@ -504,7 +493,7 @@ impl Default for ChaosConfig {
 
 impl ChaosConfig {
     /// A campaign configured end-to-end for `recovery`: the engine builds
-    /// testbeds in that mode with the matching oracle bound, and the FRR
+    /// testbeds in that mode (which picks the oracle bound), and the FRR
     /// mode additionally restricts generation to the single-failure-safe
     /// preset its loop-freedom guarantee is scoped to.
     pub fn for_recovery(recovery: RecoveryMode) -> Self {
@@ -514,7 +503,10 @@ impl ChaosConfig {
             } else {
                 CampaignConfig::default()
             },
-            engine: EngineConfig::for_recovery(recovery),
+            engine: EngineConfig {
+                recovery,
+                ..EngineConfig::default()
+            },
             ..ChaosConfig::default()
         }
     }

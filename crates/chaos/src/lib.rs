@@ -6,7 +6,7 @@
 //! 1. [`generate_scenario`] draws a [`ScenarioSpec`] — one to three
 //!    incidents spanning single, correlated, and whole-switch failures,
 //!    link flaps, and failure-during-reconvergence — from a seeded
-//!    [`dcn_sim::DetRng`].
+//!    [`dcn_sim::SimRng`], the sweep cell's one stream.
 //! 2. [`run_scenario`] plays the spec through the emulator, single-stepping
 //!    the event loop and re-checking four invariant families at every FIB
 //!    epoch: loop-freedom, timer-bounded blackholes, FIB/LSDB consistency
@@ -46,14 +46,13 @@ pub mod quality;
 pub mod scenario;
 pub mod shrink;
 
-pub use campaign::{generate_scenario, generate_schedule, CampaignConfig};
+pub use campaign::{generate_scenario, CampaignConfig};
 pub use engine::{
     monitor_endpoints, run_chaos, run_scenario, CampaignResult, ChaosConfig, ChaosReport,
     EngineConfig, ScenarioOutcome, ScenarioStats, MAX_VIOLATIONS, MONITOR_SPORTS, TRANSFER_BYTES,
 };
 pub use oracle::{
-    blackhole_bound, physically_connected, routably_connected, walk, OracleConfig, Violation,
-    ViolationKind, WalkOutcome,
+    blackhole_bound, routably_connected, walk, Violation, ViolationKind, WalkOutcome,
 };
 pub use quality::{EpochQuality, QualityTrace};
 pub use scenario::{Incident, IncidentKind, ScenarioParseError, ScenarioSpec};

@@ -32,39 +32,16 @@ use std::fmt;
 
 use dcn_emu::Network;
 use dcn_net::{FlowKey, LinkId, NodeId};
-use dcn_routing::{compute_routes, Lsa, Route, RouteOrigin};
+use dcn_routing::{compute_routes, Lsa, RecoveryMode, Route, RouteOrigin};
 use dcn_sim::{timers, SimDuration, SimTime};
 
-/// Oracle tuning knobs.
-#[derive(Clone, Debug)]
-pub struct OracleConfig {
-    /// Fixed slack added to every blackhole bound: covers LSA flood
-    /// propagation/processing across the fabric and the event-granularity
-    /// of window sampling. Defaults to one detection delay, the largest
-    /// non-SPF term in the budget.
-    pub slack: SimDuration,
-    /// The network under test runs precomputed fast-reroute
-    /// ([`dcn_routing::RecoveryMode::PrecomputedFrr`]): repair routes are
-    /// installed straight off detection, so the blackhole budget drops the
-    /// SPF scheduling and throttle-hold terms entirely — the per-event
-    /// cost is detection + FIB update, nothing else. This is the
-    /// tightened bound the FRR campaigns exist to enforce.
-    pub frr: bool,
-    /// Replaces the computed per-window blackhole bound outright. Only
-    /// used by tests that need a deliberately broken oracle to prove the
-    /// shrinker finds a minimal reproducer.
-    pub bound_override: Option<SimDuration>,
-}
+use crate::engine::EngineConfig;
 
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            slack: timers::DETECTION_DELAY,
-            frr: false,
-            bound_override: None,
-        }
-    }
-}
+/// Fixed slack added to every blackhole bound: covers LSA flood
+/// propagation/processing across the fabric and the event-granularity of
+/// window sampling. One detection delay, the largest non-SPF term in the
+/// budget.
+const SLACK: SimDuration = timers::DETECTION_DELAY;
 
 /// Which invariant a [`Violation`] broke.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -170,12 +147,6 @@ pub fn walk(net: &Network, key: &FlowKey, src: NodeId, dst: NodeId) -> WalkOutco
     }
 }
 
-/// Whether `src` can physically reach `dst` over currently-up links,
-/// ignoring routing entirely (BFS).
-pub fn physically_connected(net: &Network, src: NodeId, dst: NodeId) -> bool {
-    connected_by(net, src, dst, |_, _, _, _| true)
-}
-
 /// Whether `src` can reach `dst` through the **dynamic-routing graph**:
 /// physically-up links that OSPF actually routes over (non-passive).
 ///
@@ -191,21 +162,13 @@ pub fn routably_connected(net: &Network, src: NodeId, dst: NodeId) -> bool {
     // A link is OSPF-active unless a router endpoint marks it passive.
     // Host links have one non-router endpoint and are always usable
     // (directly connected routes).
-    connected_by(net, src, dst, |net, link, a, b| {
+    let usable = |link, a, b| {
         [a, b].into_iter().all(|n| {
             net.router(n)
                 .map(|r| !r.is_passive(link))
                 .unwrap_or(true)
         })
-    })
-}
-
-fn connected_by(
-    net: &Network,
-    src: NodeId,
-    dst: NodeId,
-    usable: impl Fn(&Network, LinkId, NodeId, NodeId) -> bool,
-) -> bool {
+    };
     let topo = net.topology();
     let mut visited = vec![false; topo.node_slots()];
     let mut queue = std::collections::VecDeque::new();
@@ -218,7 +181,7 @@ fn connected_by(
         for (link, neighbor) in topo.neighbors(node) {
             if net.link_state(link).is_up()
                 && !visited[neighbor.index()]
-                && usable(net, link, node, neighbor)
+                && usable(link, node, neighbor)
             {
                 visited[neighbor.index()] = true;
                 queue.push_back(neighbor);
@@ -270,23 +233,25 @@ pub fn flood_graph_connected(net: &Network, switches: &[NodeId]) -> bool {
 /// one SPF scheduling delay — which under churn is the *observed* throttle
 /// hold, not the 200 ms initial value — and one FIB-update delay before
 /// new routes take effect. Flood propagation and event-sampling
-/// granularity are covered by `slack`.
+/// granularity are covered by `slack`, one detection delay.
 ///
-/// Under [`OracleConfig::frr`] the SPF terms vanish: the repair route was
-/// precomputed, so per event the flow waits only for detection plus one
-/// FIB update — `slack + n_events × (detection + fib_update)` — no matter
-/// how long the throttled SPF is held.
-pub fn blackhole_bound(cfg: &OracleConfig, n_events: u64, max_hold: SimDuration) -> SimDuration {
+/// When the engine runs [`RecoveryMode::PrecomputedFrr`] the SPF terms
+/// vanish: the repair route was precomputed, so per event the flow waits
+/// only for detection plus one FIB update — `slack + n_events × (detection
+/// + fib_update)` — no matter how long the throttled SPF is held. This is
+/// the tightened bound the FRR campaigns exist to enforce.
+/// [`EngineConfig::bound_override`] replaces the bound outright.
+pub fn blackhole_bound(cfg: &EngineConfig, n_events: u64, max_hold: SimDuration) -> SimDuration {
     if let Some(bound) = cfg.bound_override {
         return bound;
     }
-    let per_event = if cfg.frr {
+    let per_event = if cfg.recovery == RecoveryMode::PrecomputedFrr {
         timers::DETECTION_DELAY + timers::FIB_UPDATE_DELAY
     } else {
         timers::DETECTION_DELAY + max_hold.max(timers::SPF_INITIAL_DELAY)
             + timers::FIB_UPDATE_DELAY
     };
-    cfg.slack + per_event * n_events.max(1)
+    SLACK + per_event * n_events.max(1)
 }
 
 /// Compares a router's OSPF FIB entries with a fresh SPF over its LSDB
@@ -421,7 +386,7 @@ mod tests {
 
     #[test]
     fn bound_scales_with_events_and_hold() {
-        let cfg = OracleConfig::default();
+        let cfg = EngineConfig::default();
         let one = blackhole_bound(&cfg, 1, SimDuration::ZERO);
         // slack (60ms) + detection (60ms) + initial SPF (200ms) + FIB (10ms).
         assert_eq!(one.as_millis(), 330);
@@ -436,9 +401,9 @@ mod tests {
 
     #[test]
     fn frr_bound_drops_the_spf_terms() {
-        let cfg = OracleConfig {
-            frr: true,
-            ..OracleConfig::default()
+        let cfg = EngineConfig {
+            recovery: RecoveryMode::PrecomputedFrr,
+            ..EngineConfig::default()
         };
         // slack (60ms) + detection (60ms) + FIB (10ms): no SPF delay, and
         // an arbitrarily long observed throttle hold must not widen it.
@@ -450,9 +415,9 @@ mod tests {
 
     #[test]
     fn bound_override_wins() {
-        let cfg = OracleConfig {
+        let cfg = EngineConfig {
             bound_override: Some(SimDuration::ZERO),
-            ..OracleConfig::default()
+            ..EngineConfig::default()
         };
         assert_eq!(
             blackhole_bound(&cfg, 5, SimDuration::from_millis(999)),

@@ -8,7 +8,7 @@
 
 use dcn_chaos::{
     run_chaos, run_scenario, shrink_scenario, ChaosConfig, EngineConfig, Incident, IncidentKind,
-    OracleConfig, ScenarioSpec,
+    ScenarioSpec,
 };
 use dcn_failure::FailureEvent;
 use dcn_net::Layer;
@@ -114,10 +114,7 @@ fn c1_scenario_with_decoys() -> ScenarioSpec {
 fn broken_oracle_fixture_shrinks_to_minimal_reproducer() {
     let spec = c1_scenario_with_decoys();
     let broken = EngineConfig {
-        oracle: OracleConfig {
-            bound_override: Some(SimDuration::ZERO),
-            ..OracleConfig::default()
-        },
+        bound_override: Some(SimDuration::ZERO),
         ..EngineConfig::default()
     };
 
@@ -233,7 +230,10 @@ fn frr_recovers_a_single_link_within_the_tightened_bound() {
             ],
         }],
     };
-    let frr = EngineConfig::for_recovery(RecoveryMode::PrecomputedFrr);
+    let frr = EngineConfig {
+        recovery: RecoveryMode::PrecomputedFrr,
+        ..EngineConfig::default()
+    };
     let outcome = run_scenario(&spec, &frr).expect("scenario runs");
     assert!(
         outcome.violations.is_empty(),
@@ -295,7 +295,7 @@ fn generated_links_exist_in_topology() {
     let cfg = dcn_chaos::CampaignConfig::default();
     let bed = TestBed::build(Design::F2Tree, cfg.k, cfg.hosts_per_tor).expect("testbed builds");
     assert!(bed.topology().layer_switches(Layer::Core).count() > 0);
-    let mut rng = dcn_sim::DetRng::seed_from_u64(99);
+    let mut rng = dcn_sim::SimRng::new(99);
     for _ in 0..10 {
         let spec =
             dcn_chaos::generate_scenario(Design::F2Tree, &mut rng, &cfg).expect("generates");

@@ -165,6 +165,31 @@ struct FlowState {
     path_memo: Option<Box<PathMemo>>,
 }
 
+impl FlowState {
+    /// A flow that has sent and received nothing yet, with no endpoint
+    /// state: callers fill in the sender / receiver / UDP source (and a
+    /// transfer's size) their role needs.
+    fn new(key: FlowKey, src: NodeId, dst: NodeId, role: FlowRole, start: SimTime) -> Self {
+        FlowState {
+            key,
+            src,
+            dst,
+            role,
+            total_bytes: 0,
+            started_at: start,
+            delivered_at: None,
+            sender: None,
+            receiver: None,
+            udp: None,
+            delivered_fired: false,
+            connectivity: ConnectivityTracker::new(),
+            delay: DelaySeries::new(),
+            rto: RtoTimer::default(),
+            path_memo: None,
+        }
+    }
+}
+
 /// What the switches last decided for a flow's packets. A decision is a
 /// function of (switch state, five-tuple): the five-tuple is fixed per flow
 /// and direction, switch state while [`Network::fib_epoch`] stands still,
@@ -535,21 +560,8 @@ impl Network {
         let key = self.flow_key_with_port(src, dst, sport, Protocol::Udp);
         let id = FlowId(self.flows.len() as u32);
         self.flows.push(Box::new(FlowState {
-            key,
-            src,
-            dst,
-            role: FlowRole::UdpProbe,
-            total_bytes: 0,
-            started_at: start,
-            delivered_at: None,
-            sender: None,
-            receiver: None,
             udp: Some(UdpSource::paper_probe(key)),
-            delivered_fired: false,
-            connectivity: ConnectivityTracker::new(),
-            delay: DelaySeries::new(),
-            rto: RtoTimer::default(),
-            path_memo: None,
+            ..FlowState::new(key, src, dst, FlowRole::UdpProbe, start)
         }));
         self.queue.schedule(start, Event::UdpTick { flow: id });
         id
@@ -574,13 +586,6 @@ impl Network {
         let id = FlowId(self.flows.len() as u32);
         let tcp = TcpConfig::default();
         self.flows.push(Box::new(FlowState {
-            key,
-            src,
-            dst,
-            role: FlowRole::TcpProbe,
-            total_bytes: 0,
-            started_at: start,
-            delivered_at: None,
             sender: Some(TcpSender::new(
                 key,
                 tcp,
@@ -590,12 +595,7 @@ impl Network {
                 },
             )),
             receiver: Some(TcpReceiver::new()),
-            udp: None,
-            delivered_fired: false,
-            connectivity: ConnectivityTracker::new(),
-            delay: DelaySeries::new(),
-            rto: RtoTimer::default(),
-            path_memo: None,
+            ..FlowState::new(key, src, dst, FlowRole::TcpProbe, start)
         }));
         self.queue.schedule(start, Event::TcpStart { flow: id });
         id
@@ -624,21 +624,10 @@ impl Network {
         let key = self.flow_key(src, dst, Protocol::Tcp);
         let id = FlowId(self.flows.len() as u32);
         self.flows.push(Box::new(FlowState {
-            key,
-            src,
-            dst,
-            role,
             total_bytes: bytes,
-            started_at: start,
-            delivered_at: None,
             sender: Some(TcpSender::new(key, TcpConfig::default(), TcpApp::FixedSize { bytes })),
             receiver: Some(TcpReceiver::new()),
-            udp: None,
-            delivered_fired: false,
-            connectivity: ConnectivityTracker::new(),
-            delay: DelaySeries::new(),
-            rto: RtoTimer::default(),
-            path_memo: None,
+            ..FlowState::new(key, src, dst, role, start)
         }));
         self.queue.schedule(start, Event::TcpStart { flow: id });
         id

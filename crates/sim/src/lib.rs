@@ -4,8 +4,9 @@
 //!
 //! * [`SimTime`]/[`SimDuration`] — nanosecond-precision clock types,
 //! * [`EventQueue`] — a priority queue with deterministic tie-breaking,
-//! * [`SimRng`] — a seeded random source with the log-normal and
-//!   exponential distributions the paper's workloads use,
+//! * [`SimRng`] — the one seeded random source, with forkable sub-streams
+//!   and the log-normal and exponential distributions the paper's
+//!   workloads use,
 //! * [`LinkSpec`]/[`LinkState`] — the bandwidth/propagation/drop-tail link
 //!   transmission model, and
 //! * [`Packet`] — the generic packet carried through the network, and
@@ -48,5 +49,5 @@ pub use arena::{PacketArena, PacketSlot};
 pub use link::{Direction, LinkSpec, LinkState, TransmitVerdict};
 pub use packet::{Packet, DEFAULT_TTL};
 pub use queue::{EventKey, EventQueue};
-pub use rng::{DetRng, LogNormal, SimRng};
+pub use rng::{LogNormal, SimRng};
 pub use time::{SimDuration, SimTime};

@@ -1,10 +1,11 @@
 //! Deterministic random numbers for simulations.
 //!
-//! [`SimRng`] wraps [`DetRng`] — a self-contained, seeded xoshiro256++
-//! generator with **no external dependencies** — and adds the two
-//! distributions the paper's workloads need — log-normal (flow sizes,
-//! inter-arrivals, failure processes, all per [1]/[25]) and exponential —
-//! implemented via Box–Muller so no extra distribution crate is required.
+//! [`SimRng`] is the workspace's one generator: a self-contained
+//! xoshiro256++ seeded via SplitMix64, with **no external dependencies**,
+//! named sub-streams ([`SimRng::fork`]) and the two distributions the
+//! paper's workloads need — log-normal (flow sizes, inter-arrivals,
+//! failure processes, all per [1]/[25]) and exponential — implemented via
+//! Box–Muller so no extra distribution crate is required.
 //!
 //! The generator is hand-rolled rather than pulled from the `rand` crate on
 //! purpose: the paper's recovery-time figures are only reproducible if every
@@ -17,83 +18,6 @@
 //! entropy source.
 
 use std::fmt;
-
-/// A bare deterministic generator: xoshiro256++ seeded via SplitMix64.
-///
-/// The output stream is a pure function of the 64-bit seed — stable across
-/// platforms, compilers, and releases of this workspace. Prefer [`SimRng`]
-/// in simulation code; `DetRng` is the engine underneath it.
-#[derive(Clone, Debug)]
-pub struct DetRng {
-    s: [u64; 4],
-}
-
-impl DetRng {
-    /// Expands a 64-bit seed into the 256-bit state with SplitMix64, as
-    /// recommended by the xoshiro authors.
-    pub fn seed_from_u64(seed: u64) -> Self {
-        let mut sm = seed;
-        let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        DetRng {
-            s: [next(), next(), next(), next()],
-        }
-    }
-
-    /// Derives an independent generator for stream `stream` of master seed
-    /// `master_seed`, via SplitMix64 mixing of the pair.
-    ///
-    /// This is the workspace's one sanctioned way to split a master seed
-    /// into per-component or per-cell streams: the derived stream is a pure
-    /// function of `(master_seed, stream)`, so it never depends on how much
-    /// randomness any other stream consumed — or, in a parallel sweep, on
-    /// which worker thread ran which cell in what order. [`SimRng::fork`]
-    /// and the `dcn-sweep` per-cell streams are both built on it.
-    pub fn for_stream(master_seed: u64, stream: u64) -> Self {
-        DetRng::seed_from_u64(Self::stream_seed(master_seed, stream))
-    }
-
-    /// The derived 64-bit seed of stream `stream` under `master_seed` —
-    /// the value [`DetRng::for_stream`] expands into generator state.
-    /// Exposed so callers (e.g. the sweep engine) can label or log the
-    /// per-stream seed they hand out.
-    pub fn stream_seed(master_seed: u64, stream: u64) -> u64 {
-        mix_stream(master_seed, stream)
-    }
-
-    /// The next uniform `u64` (xoshiro256++ step).
-    pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[0]
-            .wrapping_add(self.s[3])
-            .rotate_left(23)
-            .wrapping_add(self.s[0]);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
-    }
-
-    /// A uniform value in `[0, bound)` via Lemire multiply-shift (unbiased
-    /// enough for simulation workloads and branch-free).
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
-    }
-
-    /// A uniform `f64` in `[0, 1)` from the top 53 bits.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
 
 /// SplitMix64-style mixing of `(master_seed, stream)` into a derived seed.
 ///
@@ -145,7 +69,11 @@ impl LogNormal {
     }
 }
 
-/// A deterministic, seedable random source.
+/// A deterministic, seedable random source: xoshiro256++ seeded via
+/// SplitMix64.
+///
+/// The output stream is a pure function of the 64-bit seed — stable across
+/// platforms, compilers, and releases of this workspace.
 ///
 /// # Examples
 ///
@@ -157,15 +85,24 @@ impl LogNormal {
 /// assert_eq!(a.gen_u64(), b.gen_u64()); // same seed, same stream
 /// ```
 pub struct SimRng {
-    inner: DetRng,
+    s: [u64; 4],
     seed: u64,
 }
 
 impl SimRng {
-    /// Creates a generator from a 64-bit seed.
+    /// Creates a generator from a 64-bit seed, expanded into the 256-bit
+    /// state with SplitMix64 as recommended by the xoshiro authors.
     pub fn new(seed: u64) -> Self {
+        let mut sm = seed;
+        let mut next = || {
+            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = sm;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
         SimRng {
-            inner: DetRng::seed_from_u64(seed),
+            s: [next(), next(), next(), next()],
             seed,
         }
     }
@@ -177,40 +114,59 @@ impl SimRng {
 
     /// Derives an independent generator for a named sub-stream, so adding
     /// draws to one component never perturbs another.
+    ///
+    /// This is the workspace's one way to split a master seed into
+    /// per-component or per-cell streams (the `dcn-sweep` cell streams are
+    /// forks of the master seed): the derived stream is a pure function of
+    /// `(seed, stream)`, so it never depends on how much randomness any
+    /// other stream consumed — or, in a parallel sweep, on which worker
+    /// thread ran which cell in what order.
     pub fn fork(&self, stream: u64) -> SimRng {
         SimRng::new(mix_stream(self.seed, stream))
     }
 
-    /// A uniform `u64`.
+    /// A uniform `u64` (xoshiro256++ step).
     pub fn gen_u64(&mut self) -> u64 {
-        self.inner.next_u64()
+        let result = self.s[0]
+            .wrapping_add(self.s[3])
+            .rotate_left(23)
+            .wrapping_add(self.s[0]);
+        let t = self.s[1] << 17;
+        self.s[2] ^= self.s[0];
+        self.s[3] ^= self.s[1];
+        self.s[1] ^= self.s[2];
+        self.s[0] ^= self.s[3];
+        self.s[2] ^= t;
+        self.s[3] = self.s[3].rotate_left(45);
+        result
     }
 
-    /// A uniform value in `[0, bound)`.
+    /// A uniform value in `[0, bound)` via Lemire multiply-shift (unbiased
+    /// enough for simulation workloads and branch-free).
     ///
     /// # Panics
     ///
     /// Panics if `bound` is zero.
     pub fn gen_index(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "gen_index bound must be nonzero");
-        self.inner.next_below(bound as u64) as usize
+        ((u128::from(self.gen_u64()) * bound as u128) >> 64) as usize
     }
 
-    /// A uniform `f64` in `[0, 1)`.
+    /// A uniform `f64` in `[0, 1)` from the top 53 bits.
     pub fn gen_f64(&mut self) -> f64 {
-        self.inner.next_f64()
+        (self.gen_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A Bernoulli draw with probability `p`.
     pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.inner.next_f64() < p.clamp(0.0, 1.0)
+        self.gen_f64() < p.clamp(0.0, 1.0)
     }
 
     /// A standard normal via Box–Muller.
     pub fn gen_normal(&mut self) -> f64 {
         // Avoid ln(0) by sampling u1 from (0, 1].
-        let u1: f64 = 1.0 - self.inner.next_f64();
-        let u2: f64 = self.inner.next_f64();
+        let u1: f64 = 1.0 - self.gen_f64();
+        let u2: f64 = self.gen_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
@@ -226,7 +182,7 @@ impl SimRng {
     /// Panics if `rate` is not positive.
     pub fn gen_exponential(&mut self, rate: f64) -> f64 {
         assert!(rate > 0.0, "exponential rate must be positive");
-        let u: f64 = 1.0 - self.inner.next_f64();
+        let u: f64 = 1.0 - self.gen_f64();
         -u.ln() / rate
     }
 
@@ -274,15 +230,23 @@ mod tests {
     }
 
     #[test]
-    fn for_stream_and_fork_agree() {
-        // Both split paths go through the same SplitMix64 mixing, so a
-        // sweep cell seeded with `DetRng::for_stream(seed, i)` replays the
-        // stream `SimRng::new(seed).fork(i)` would produce.
-        let mut forked = SimRng::new(9).fork(3);
-        let mut direct = DetRng::for_stream(9, 3);
-        for _ in 0..16 {
-            assert_eq!(forked.gen_u64(), direct.next_u64());
-        }
+    fn fork_draws_are_pinned() {
+        // Recorded literals: any change to the SplitMix expansion, the
+        // stream mixing, the xoshiro step, the Lemire reduction or the
+        // 53-bit float conversion shows up here.
+        let mut rng = SimRng::new(7).fork(3);
+        let indices: Vec<usize> = (0..8).map(|_| rng.gen_index(10)).collect();
+        assert_eq!(indices, [0, 1, 2, 6, 7, 6, 5, 8]);
+        let floats: Vec<f64> = (0..4).map(|_| rng.gen_f64()).collect();
+        assert_eq!(
+            floats,
+            [
+                0.6577115949892233,
+                0.9560610095814714,
+                0.6869371585890617,
+                0.720868907569445
+            ]
+        );
     }
 
     #[test]

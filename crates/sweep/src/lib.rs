@@ -8,8 +8,8 @@
 //!   master seed and worker count, producing a [`RunPlan`];
 //! * [`RunPlan::run`] executes the cells on a `std::thread::scope` worker
 //!   pool — no external dependencies — handing each cell a [`CellCtx`]
-//!   whose RNG stream is derived via SplitMix64 from
-//!   `(master_seed, cell_index)`;
+//!   whose one RNG stream, a [`dcn_sim::SimRng`], is fork `cell_index` of
+//!   the master seed;
 //! * results are merged **in cell order**, so the output of a sweep is
 //!   byte-identical regardless of how many workers ran it or which worker
 //!   picked up which cell.
@@ -33,14 +33,14 @@
 //!     .master_seed(42)
 //!     .workers(Workers::new(4))
 //!     .build();
-//! let parallel: Vec<u64> = plan.run(|ctx| ctx.rng().next_u64() ^ u64::from(*ctx.cell()));
+//! let parallel: Vec<u64> = plan.run(|ctx| ctx.rng().gen_u64() ^ u64::from(*ctx.cell()));
 //!
 //! let serial_plan = ExperimentSpec::new("doc-demo")
 //!     .cells(0u32..8)
 //!     .master_seed(42)
 //!     .workers(Workers::SERIAL)
 //!     .build();
-//! let serial: Vec<u64> = serial_plan.run(|ctx| ctx.rng().next_u64() ^ u64::from(*ctx.cell()));
+//! let serial: Vec<u64> = serial_plan.run(|ctx| ctx.rng().gen_u64() ^ u64::from(*ctx.cell()));
 //! assert_eq!(parallel, serial); // worker count never changes the output
 //! ```
 
@@ -54,20 +54,18 @@ mod workers;
 pub use plan::{CellCtx, ExperimentSpec, RunPlan};
 pub use workers::Workers;
 
-use dcn_sim::DetRng;
+use dcn_sim::SimRng;
 
-/// The derived seed of cell `cell_index` under `master_seed`.
-///
-/// A pure SplitMix64 mix of the pair (see [`DetRng::for_stream`]): the
-/// stream a cell draws from depends only on the master seed and the cell's
-/// position in the plan, never on execution order or worker interleaving.
+/// The derived seed of cell `cell_index` under `master_seed`: the seed of
+/// [`cell_rng`]'s stream.
 pub fn cell_seed(master_seed: u64, cell_index: usize) -> u64 {
-    // Route through DetRng so sweep cells and `SimRng::fork` substreams
-    // share one mixing function (crates/sim/src/rng.rs).
-    DetRng::stream_seed(master_seed, cell_index as u64)
+    cell_rng(master_seed, cell_index).seed()
 }
 
-/// The deterministic RNG stream of cell `cell_index` under `master_seed`.
-pub fn cell_rng(master_seed: u64, cell_index: usize) -> DetRng {
-    DetRng::for_stream(master_seed, cell_index as u64)
+/// The deterministic RNG stream of cell `cell_index` under `master_seed`:
+/// fork `cell_index` of the master seed ([`SimRng::fork`]). It depends
+/// only on the master seed and the cell's position in the plan, never on
+/// execution order or worker interleaving.
+pub fn cell_rng(master_seed: u64, cell_index: usize) -> SimRng {
+    SimRng::new(master_seed).fork(cell_index as u64)
 }

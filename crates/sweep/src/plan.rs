@@ -1,9 +1,9 @@
 //! The `ExperimentSpec` builder and the `RunPlan` it produces.
 
-use dcn_sim::{DetRng, SimRng};
+use dcn_sim::SimRng;
 
 use crate::workers::Workers;
-use crate::{cell_seed, pool};
+use crate::pool;
 
 /// Builder for a sweep: what to run (the cells), under which master seed,
 /// on how many workers.
@@ -26,18 +26,16 @@ use crate::{cell_seed, pool};
 /// ```
 #[derive(Debug)]
 pub struct ExperimentSpec<C> {
-    name: String,
     cells: Vec<C>,
     master_seed: u64,
     workers: Workers,
 }
 
 impl<C> ExperimentSpec<C> {
-    /// Starts an empty spec. The name labels the plan; it does not affect
-    /// execution.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// Starts an empty spec. The name only labels the sweep at its call
+    /// site; it does not affect execution.
+    pub fn new(_name: impl Into<String>) -> Self {
         ExperimentSpec {
-            name: name.into(),
             cells: Vec::new(),
             master_seed: 0,
             workers: Workers::auto(),
@@ -71,7 +69,6 @@ impl<C> ExperimentSpec<C> {
     /// Finalizes the spec into an executable plan.
     pub fn build(self) -> RunPlan<C> {
         RunPlan {
-            name: self.name,
             cells: self.cells,
             master_seed: self.master_seed,
             workers: self.workers,
@@ -82,42 +79,9 @@ impl<C> ExperimentSpec<C> {
 /// An enumerated, seeded, executable sweep.
 #[derive(Debug)]
 pub struct RunPlan<C> {
-    pub(crate) name: String,
     pub(crate) cells: Vec<C>,
     pub(crate) master_seed: u64,
     pub(crate) workers: Workers,
-}
-
-impl<C> RunPlan<C> {
-    /// The plan's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of cells in the plan.
-    pub fn cell_count(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the plan has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// The master seed the plan was built with.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
-    /// The configured worker count.
-    pub fn workers(&self) -> Workers {
-        self.workers
-    }
-
-    /// The cells, in plan order.
-    pub fn plan_cells(&self) -> &[C] {
-        &self.cells
-    }
 }
 
 impl<C: Sync> RunPlan<C> {
@@ -126,8 +90,8 @@ impl<C: Sync> RunPlan<C> {
     ///
     /// The closure must be a pure function of the cell and its
     /// [`CellCtx`] (in particular, draw randomness only from
-    /// [`CellCtx::rng`]/[`CellCtx::sim_rng`]); the engine guarantees the
-    /// rest of the determinism contract.
+    /// [`CellCtx::rng`]); the engine guarantees the rest of the
+    /// determinism contract.
     pub fn run<R, F>(&self, run_cell: F) -> Vec<R>
     where
         R: Send,
@@ -143,16 +107,14 @@ impl<C: Sync> RunPlan<C> {
 pub struct CellCtx<'a, C> {
     cell: &'a C,
     index: usize,
-    total: usize,
     master_seed: u64,
 }
 
 impl<'a, C> CellCtx<'a, C> {
-    pub(crate) fn new(cell: &'a C, index: usize, total: usize, master_seed: u64) -> Self {
+    pub(crate) fn new(cell: &'a C, index: usize, master_seed: u64) -> Self {
         CellCtx {
             cell,
             index,
-            total,
             master_seed,
         }
     }
@@ -167,36 +129,21 @@ impl<'a, C> CellCtx<'a, C> {
         self.index
     }
 
-    /// Total cells in the plan.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// The 64-bit seed of this cell's stream — a pure function of
-    /// `(master_seed, index)`, independent of execution order.
-    pub fn seed(&self) -> u64 {
-        cell_seed(self.master_seed, self.index)
-    }
-
-    /// A fresh instance of this cell's deterministic RNG stream.
+    /// A fresh instance of this cell's deterministic RNG stream — a pure
+    /// function of `(master_seed, index)`, independent of execution order.
     ///
     /// Every call restarts the stream from the cell seed, so a cell that
-    /// needs several independent substreams should fork a [`SimRng`]
-    /// via [`CellCtx::sim_rng`] instead of calling this repeatedly.
-    pub fn rng(&self) -> DetRng {
+    /// needs several independent substreams should [`SimRng::fork`] one
+    /// instance instead of calling this repeatedly.
+    pub fn rng(&self) -> SimRng {
         crate::cell_rng(self.master_seed, self.index)
-    }
-
-    /// This cell's stream wrapped in the simulator-facing [`SimRng`]
-    /// (distributions + named substream forking).
-    pub fn sim_rng(&self) -> SimRng {
-        SimRng::new(self.seed())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{cell_rng, cell_seed};
 
     #[test]
     fn results_come_back_in_cell_order() {
@@ -222,7 +169,7 @@ mod tests {
                     let mut rng = ctx.rng();
                     // Unequal work per cell provokes different schedules.
                     let draws = 1 + ctx.index() * 13;
-                    (0..draws).fold(0u64, |acc, _| acc ^ rng.next_u64())
+                    (0..draws).fold(0u64, |acc, _| acc ^ rng.gen_u64())
                 })
         };
         let serial = run(1);
@@ -250,12 +197,48 @@ mod tests {
     }
 
     #[test]
-    fn sim_rng_matches_seed() {
-        let plan = ExperimentSpec::new("seeds").cells([0u8]).master_seed(9).build();
-        let outputs = plan.run(|ctx| (ctx.seed(), ctx.sim_rng().gen_u64(), ctx.rng().next_u64()));
-        let (seed, via_sim, via_det) = outputs[0];
-        assert_eq!(seed, cell_seed(9, 0));
-        // SimRng wraps the same DetRng engine, so first draws agree.
-        assert_eq!(via_sim, via_det);
+    fn cell_streams_are_pinned() {
+        // Recorded literals: the first draws of three cells under the
+        // default master seed, which every seeded artifact depends on.
+        let pinned: [(usize, [u64; 4]); 3] = [
+            (
+                0,
+                [
+                    15735936254791949455,
+                    16975891443929938105,
+                    9402683396150578445,
+                    3716813056088817492,
+                ],
+            ),
+            (
+                1,
+                [
+                    11269147516535199999,
+                    2022349357040755225,
+                    14373933191656432411,
+                    11703436201883191398,
+                ],
+            ),
+            (
+                999,
+                [
+                    8123342532858077668,
+                    4195625453049688564,
+                    6786929566507052311,
+                    11748844108885637850,
+                ],
+            ),
+        ];
+        for (cell, want) in pinned {
+            let mut rng = cell_rng(20150701, cell);
+            assert_eq!(want.map(|_| rng.gen_u64()), want, "cell {cell}");
+        }
+        // The context hands a cell exactly that stream.
+        let plan = ExperimentSpec::new("pinned")
+            .cells(0u32..2)
+            .master_seed(20150701)
+            .build();
+        let first = plan.run(|ctx| ctx.rng().gen_u64());
+        assert_eq!(first, [pinned[0].1[0], pinned[1].1[0]]);
     }
 }

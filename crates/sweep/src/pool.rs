@@ -63,7 +63,6 @@ where
     C: Sync,
     F: Fn(&mut CellCtx<'_, C>) -> R + Sync,
 {
-    let total = plan.cells.len();
     let mut local = Vec::new();
     loop {
         // Blessed claim-cursor idiom: Relaxed is enough because the only
@@ -74,7 +73,7 @@ where
         let Some(cell) = plan.cells.get(index) else {
             return local;
         };
-        let mut ctx = CellCtx::new(cell, index, total, plan.master_seed);
+        let mut ctx = CellCtx::new(cell, index, plan.master_seed);
         local.push((index, run_cell(&mut ctx)));
     }
 }

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 /// The first `n` draws of cell `index`'s stream.
 fn stream_prefix(master_seed: u64, index: usize, n: usize) -> Vec<u64> {
     let mut rng = cell_rng(master_seed, index);
-    (0..n).map(|_| rng.next_u64()).collect()
+    (0..n).map(|_| rng.gen_u64()).collect()
 }
 
 proptest! {
@@ -26,7 +26,7 @@ proptest! {
         for &(other, draws) in &others {
             let mut rng = cell_rng(master_seed, other);
             for _ in 0..draws {
-                let _ = rng.next_u64();
+                let _ = rng.gen_u64();
             }
         }
         prop_assert_eq!(stream_prefix(master_seed, index, 16), fresh);
@@ -60,7 +60,7 @@ proptest! {
                 .run(|ctx| {
                     let mut rng = ctx.rng();
                     let draws = 1 + (ctx.index() * 7) % 11;
-                    (0..draws).fold(0u64, |acc, _| acc.wrapping_add(rng.next_u64()))
+                    (0..draws).fold(0u64, |acc, _| acc.wrapping_add(rng.gen_u64()))
                 })
         };
         prop_assert_eq!(run(Workers::SERIAL), run(Workers::new(workers)));

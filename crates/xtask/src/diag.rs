@@ -109,10 +109,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              the `disallowed-types` and `disallowed-methods` entries of the\n\
              root clippy.toml; clippy resolves them by definition, so an\n\
              alias or re-export does not hide a use. Use `BTreeMap`/\n\
-             `BTreeSet` or dense-id indexing, seeded `SimRng`/`DetRng`\n\
-             streams, and `SimTime` from the event queue instead. Not\n\
-             ratcheted: a use that never reaches results is waived where\n\
-             it stands with\n\
+             `BTreeSet` or dense-id indexing, seeded `SimRng` streams,\n\
+             and `SimTime` from the event queue instead. Not ratcheted: a\n\
+             use that never reaches results is waived where it stands\n\
+             with\n\
              `#[expect(clippy::disallowed_methods, reason = \"...\")]`\n\
              (or `clippy::disallowed_types`), which itself warns once the\n\
              use is gone.",
@@ -155,8 +155,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              random stream that silently decouples from the sweep plan:\n\
              results stop depending on the master seed, and two cells can\n\
              consume identical streams. Flags an integer literal as the\n\
-             first argument of `SimRng::new`, `DetRng::seed_from_u64`,\n\
-             `DetRng::for_stream` and `DetRng::stream_seed`, workspace-wide.\n\
+             seed of `SimRng::new`, the one RNG constructor, workspace-wide.\n\
              Waive with `// lint:allow(rng-stream)` on the line or the line\n\
              before, with a justification.",
         ),

@@ -135,9 +135,9 @@ fn timer_constants_at(
     ));
 }
 
-/// `SimRng::new(42)`, `DetRng::seed_from_u64(42)`, `DetRng::for_stream(42, ..)`,
-/// `DetRng::stream_seed(42, ..)`: a literal seed pins a private stream
-/// that no longer depends on the experiment's master seed.
+/// `SimRng::new(42)`, the workspace's one RNG constructor: a literal seed
+/// pins a private stream that no longer depends on the experiment's master
+/// seed.
 fn rng_stream_at(
     toks: &[Token],
     i: usize,
@@ -152,11 +152,7 @@ fn rng_stream_at(
     let Some(name) = ident_at(toks, i + 3) else {
         return;
     };
-    let is_rng_ctor = matches!(
-        (owner, name),
-        ("SimRng", "new") | ("DetRng", "seed_from_u64" | "for_stream" | "stream_seed")
-    );
-    if !is_rng_ctor {
+    if (owner, name) != ("SimRng", "new") {
         return;
     }
     let Some((_, seed)) = literal_first_arg(toks, i + 4) else {
@@ -344,15 +340,11 @@ mod tests {
 
     #[test]
     fn rng_stream_covers_every_constructor_and_only_the_seed_argument() {
-        for src in [
-            "DetRng::seed_from_u64(0x2A)",
-            "DetRng::for_stream(42, stream)",
-            "DetRng::stream_seed(42_u64, 3)",
-        ] {
+        for src in ["SimRng::new(0x2A)", "SimRng::new(42_u64)"] {
             assert_eq!(rules_hit(src), vec![RULE_RNG_STREAM], "{src}");
         }
         // A literal *stream* under a derived seed is the blessed idiom.
-        assert!(rules_hit("DetRng::for_stream(master_seed, 3)").is_empty());
+        assert!(rules_hit("SimRng::new(master_seed).fork(3)").is_empty());
         assert!(rules_hit("rng.fork(7)").is_empty());
         // Other types' `new` are not RNG constructors.
         assert!(rules_hit("LogNormal::new(1, 2)").is_empty());

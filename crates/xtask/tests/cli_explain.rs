@@ -85,6 +85,10 @@ fn explain_names_the_clippy_lints_and_the_waiver_syntax() {
             "{stdout}"
         );
     }
+    // One generator, one constructor: the rule names exactly that.
+    let stdout = explain("rng-stream");
+    assert!(stdout.contains("`SimRng::new`"), "{stdout}");
+    assert!(!stdout.contains("seed_from_u64"), "{stdout}");
 }
 
 #[test]

@@ -15,11 +15,11 @@ impl Duration {
     }
 }
 
-pub struct DetRng(pub u64);
+pub struct SimRng(pub u64);
 
-impl DetRng {
-    pub fn seed_from_u64(seed: u64) -> DetRng {
-        DetRng(seed)
+impl SimRng {
+    pub fn new(seed: u64) -> SimRng {
+        SimRng(seed)
     }
 }
 
@@ -40,13 +40,13 @@ pub fn serialization_delay() -> Duration {
 
 /// Literal-seeded RNG stream.
 pub fn jitter() -> u64 {
-    let rng = DetRng::seed_from_u64(42);
+    let rng = SimRng::new(42);
     rng.0
 }
 
 /// Control: a stream derived from the caller's seed.
 pub fn derived_jitter(master_seed: u64) -> u64 {
-    DetRng::seed_from_u64(master_seed).0
+    SimRng::new(master_seed).0
 }
 
 #[cfg(test)]
@@ -56,6 +56,6 @@ mod tests {
     /// Control: tests pin timers and seeds on purpose.
     #[test]
     fn pinned() {
-        assert_eq!(Duration::from_millis(200).0, DetRng::seed_from_u64(200_000).0);
+        assert_eq!(Duration::from_millis(200).0, SimRng::new(200_000).0);
     }
 }
