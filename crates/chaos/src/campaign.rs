@@ -7,10 +7,10 @@
 //! regenerated (and then shrunk) without having stored anything but
 //! `(master_seed, index)`.
 //!
-//! Every timing parameter defaults to arithmetic over the protocol timer
-//! constants in [`dcn_sim::timers`] rather than fresh literals: chaos
-//! timing is only meaningful relative to the detection / SPF / FIB-update
-//! budget the oracles reason about.
+//! Every timing parameter is arithmetic over the protocol timer constants
+//! in [`dcn_sim::timers`] rather than a fresh literal: chaos timing is
+//! only meaningful relative to the detection / SPF / FIB-update budget
+//! the oracles reason about.
 
 use dcn_failure::{fabric_links, switch_links, FailureEvent};
 use dcn_net::{assign_addresses, FatTree, Layer, LinkId, Topology};
@@ -19,24 +19,29 @@ use f2tree::{Design, F2TreeNetwork, TestBedError};
 
 use crate::scenario::{Incident, IncidentKind, ScenarioSpec};
 
-/// Tunable knobs for scenario generation.
+/// Incidents per scenario are uniform in `1..=MAX_INCIDENTS`.
+const MAX_INCIDENTS: usize = 3;
+
+/// Quiet lead-in before the first incident starts: half an SPF delay.
+const FIRST_FAIL_AFTER: SimDuration =
+    SimDuration::from_nanos(timers::SPF_INITIAL_DELAY.as_nanos() / 2);
+
+/// Shortest link outage: half the detection delay, so some failures are
+/// transient ones the control plane never sees.
+const MIN_OUTAGE: SimDuration = SimDuration::from_nanos(timers::DETECTION_DELAY.as_nanos() / 2);
+
+/// Longest link outage: six SPF delays.
+const MAX_OUTAGE: SimDuration = SimDuration::from_nanos(timers::SPF_INITIAL_DELAY.as_nanos() * 6);
+
+/// The knobs scenario generation varies.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
     /// Fat-tree arity of the generated testbeds.
     pub k: u32,
     /// Hosts per ToR.
     pub hosts_per_tor: u32,
-    /// Upper bound on incidents per scenario (uniform in `1..=max`).
-    pub max_incidents: u32,
-    /// Quiet lead-in before the first incident starts.
-    pub first_fail_after: SimDuration,
     /// Base spacing between incident start times (jittered upward).
     pub incident_spacing: SimDuration,
-    /// Shortest link outage (can undercut the detection delay, producing
-    /// transient failures the control plane never sees).
-    pub min_outage: SimDuration,
-    /// Longest link outage.
-    pub max_outage: SimDuration,
     /// Incident kinds the generator draws from (uniformly).
     pub kinds: Vec<IncidentKind>,
 }
@@ -46,11 +51,7 @@ impl Default for CampaignConfig {
         CampaignConfig {
             k: 4,
             hosts_per_tor: 1,
-            max_incidents: 3,
-            first_fail_after: timers::SPF_INITIAL_DELAY / 2,
             incident_spacing: timers::SPF_INITIAL_DELAY * 2,
-            min_outage: timers::DETECTION_DELAY / 2,
-            max_outage: timers::SPF_INITIAL_DELAY * 6,
             kinds: IncidentKind::ALL.to_vec(),
         }
     }
@@ -67,7 +68,7 @@ impl CampaignConfig {
     pub fn single_failure() -> Self {
         let base = CampaignConfig::default();
         // Worst-case incident footprint is a flap: up to 4 cycles of
-        // (min_outage + 2×detection) down + (detection + SPF initial) up
+        // (MIN_OUTAGE + 2×detection) down + (detection + SPF initial) up
         // ≈ 1.64 s; 9 SPF-initial units (1.8 s) of spacing clears it, and
         // jitter only pushes incidents further apart.
         CampaignConfig {
@@ -81,7 +82,7 @@ impl CampaignConfig {
 /// Generates one scenario for `design` from `rng`.
 ///
 /// Builds the design's topology to learn the link/switch inventory, then
-/// samples 1..=`max_incidents` incidents over the five [`IncidentKind`]s.
+/// samples 1..=3 incidents over the five [`IncidentKind`]s.
 ///
 /// # Errors
 ///
@@ -99,17 +100,17 @@ pub fn generate_scenario(
         .flat_map(|l| topo.layer_switches(l))
         .collect();
 
-    let n_incidents = 1 + rng.gen_index(cfg.max_incidents.max(1) as usize);
+    let n_incidents = 1 + rng.gen_index(MAX_INCIDENTS);
     let mut incidents = Vec::with_capacity(n_incidents);
-    let mut cursor = SimTime::ZERO + cfg.first_fail_after;
+    let mut cursor = SimTime::ZERO + FIRST_FAIL_AFTER;
     for _ in 0..n_incidents {
         let kind = *rng.choose(&cfg.kinds);
         let events = match kind {
-            IncidentKind::SingleLink => single_link(rng, cfg, cursor, &fabric),
-            IncidentKind::CorrelatedLinks => correlated_links(rng, cfg, cursor, &fabric),
+            IncidentKind::SingleLink => single_link(rng, cursor, &fabric),
+            IncidentKind::CorrelatedLinks => correlated_links(rng, cursor, &fabric),
             IncidentKind::SwitchDown => {
                 let node = *rng.choose(&switches);
-                let outage = outage(rng, cfg);
+                let outage = outage(rng);
                 let mut events = Vec::new();
                 for link in switch_links(topo, node) {
                     events.push(down(cursor, link));
@@ -117,8 +118,8 @@ pub fn generate_scenario(
                 }
                 events
             }
-            IncidentKind::Flap => flap(rng, cfg, cursor, &fabric),
-            IncidentKind::Reconvergence => reconvergence(rng, cfg, cursor, &fabric),
+            IncidentKind::Flap => flap(rng, cursor, &fabric),
+            IncidentKind::Reconvergence => reconvergence(rng, cursor, &fabric),
         };
         incidents.push(Incident { kind, events });
         cursor = cursor + cfg.incident_spacing + jitter(rng, cfg.incident_spacing);
@@ -165,32 +166,21 @@ fn jitter(rng: &mut SimRng, max: SimDuration) -> SimDuration {
     SimDuration::from_micros(rng.gen_index(max.as_micros().max(1) as usize) as u64)
 }
 
-fn outage(rng: &mut SimRng, cfg: &CampaignConfig) -> SimDuration {
-    let span = cfg.max_outage.saturating_sub(cfg.min_outage);
-    cfg.min_outage + jitter(rng, span)
+fn outage(rng: &mut SimRng) -> SimDuration {
+    MIN_OUTAGE + jitter(rng, MAX_OUTAGE.saturating_sub(MIN_OUTAGE))
 }
 
 fn pick(rng: &mut SimRng, pool: &mut Vec<LinkId>) -> LinkId {
     pool.swap_remove(rng.gen_index(pool.len()))
 }
 
-fn single_link(
-    rng: &mut SimRng,
-    cfg: &CampaignConfig,
-    t0: SimTime,
-    fabric: &[LinkId],
-) -> Vec<FailureEvent> {
+fn single_link(rng: &mut SimRng, t0: SimTime, fabric: &[LinkId]) -> Vec<FailureEvent> {
     let link = *rng.choose(fabric);
-    let outage = outage(rng, cfg);
+    let outage = outage(rng);
     vec![down(t0, link), up(t0 + outage, link)]
 }
 
-fn correlated_links(
-    rng: &mut SimRng,
-    cfg: &CampaignConfig,
-    t0: SimTime,
-    fabric: &[LinkId],
-) -> Vec<FailureEvent> {
+fn correlated_links(rng: &mut SimRng, t0: SimTime, fabric: &[LinkId]) -> Vec<FailureEvent> {
     let n = (2 + rng.gen_index(3)).min(fabric.len());
     let mut pool = fabric.to_vec();
     let mut events = Vec::with_capacity(2 * n);
@@ -198,25 +188,20 @@ fn correlated_links(
         let link = pick(rng, &mut pool);
         // Near-simultaneous: all failures land inside one detection window.
         let start = t0 + jitter(rng, timers::DETECTION_DELAY / 2);
-        let outage = outage(rng, cfg);
+        let outage = outage(rng);
         events.push(down(start, link));
         events.push(up(start + outage, link));
     }
     events
 }
 
-fn flap(
-    rng: &mut SimRng,
-    cfg: &CampaignConfig,
-    t0: SimTime,
-    fabric: &[LinkId],
-) -> Vec<FailureEvent> {
+fn flap(rng: &mut SimRng, t0: SimTime, fabric: &[LinkId]) -> Vec<FailureEvent> {
     let link = *rng.choose(fabric);
     let cycles = 2 + rng.gen_index(3);
     let mut at = t0;
     let mut events = Vec::new();
     for _ in 0..cycles {
-        let down_for = cfg.min_outage + jitter(rng, timers::DETECTION_DELAY * 2);
+        let down_for = MIN_OUTAGE + jitter(rng, timers::DETECTION_DELAY * 2);
         let up_for = timers::DETECTION_DELAY + jitter(rng, timers::SPF_INITIAL_DELAY);
         events.push(down(at, link));
         events.push(up(at + down_for, link));
@@ -225,20 +210,15 @@ fn flap(
     events
 }
 
-fn reconvergence(
-    rng: &mut SimRng,
-    cfg: &CampaignConfig,
-    t0: SimTime,
-    fabric: &[LinkId],
-) -> Vec<FailureEvent> {
+fn reconvergence(rng: &mut SimRng, t0: SimTime, fabric: &[LinkId]) -> Vec<FailureEvent> {
     let mut pool = fabric.to_vec();
     let first = pick(rng, &mut pool);
     let second = pick(rng, &mut pool);
     // The second failure lands after the first has been detected but while
     // SPF scheduling / FIB installation is still in flight.
     let second_at = t0 + timers::DETECTION_DELAY + jitter(rng, timers::SPF_INITIAL_DELAY);
-    let first_outage = outage(rng, cfg);
-    let second_outage = outage(rng, cfg);
+    let first_outage = outage(rng);
+    let second_outage = outage(rng);
     vec![
         down(t0, first),
         up(t0 + first_outage, first),
@@ -355,7 +335,7 @@ mod tests {
             };
             let spec = generate_scenario(design, &mut rng, &cfg).unwrap();
             assert!(!spec.incidents.is_empty());
-            assert!(spec.incidents.len() <= cfg.max_incidents as usize);
+            assert!(spec.incidents.len() <= MAX_INCIDENTS);
             let schedule = spec.schedule();
             assert!(schedule.failure_count() >= 1);
             // Every down event has a matching later up event for its link.

@@ -22,7 +22,7 @@ use crate::oracle::{
     walk, Violation, ViolationKind, WalkOutcome,
 };
 use crate::quality::QualityTrace;
-use crate::scenario::ScenarioSpec;
+use crate::scenario::{design_token, ScenarioSpec};
 
 /// Source ports of the monitored flow keys — three per host pair so the
 /// monitors land on different ECMP paths.
@@ -568,7 +568,7 @@ impl ChaosReport {
                 "  #{:<4} {:<8} incidents=[{}] events={} epochs={} windows={} excused={} \
                  max-window={} loops={} retx={} violations={}\n",
                 r.index,
-                design_label(r.design),
+                design_token(r.design),
                 kinds.join(","),
                 r.spec.schedule().len(),
                 r.outcome.stats.epochs_checked,
@@ -603,19 +603,12 @@ impl ChaosReport {
             out.push_str(&format!(
                 "  #{:<4} {:<8} quality ({} snapshot(s)):\n{}\n",
                 r.index,
-                design_label(r.design),
+                design_token(r.design),
                 trace.epochs.len(),
                 trace
             ));
         }
         out
-    }
-}
-
-fn design_label(design: Design) -> &'static str {
-    match design {
-        Design::FatTree => "fat-tree",
-        Design::F2Tree => "f2tree",
     }
 }
 

@@ -248,7 +248,8 @@ fn parse_num<T: std::str::FromStr>(
         .map_err(|_| ScenarioParseError::bad(lineno, format!("bad {what} `{token}`")))
 }
 
-fn design_token(design: Design) -> &'static str {
+/// The scenario-file token of `design`, also the campaign report's label.
+pub(crate) fn design_token(design: Design) -> &'static str {
     match design {
         Design::FatTree => "fat-tree",
         Design::F2Tree => "f2tree",

@@ -148,7 +148,7 @@ mod tests {
         let c = EmuConfig::default();
         assert_eq!(c.detection_delay.as_millis(), 60);
         assert_eq!(c.router.fib_update_delay.as_millis(), 10);
-        assert_eq!(c.router.throttle.initial_delay.as_millis(), 200);
+        assert_eq!(c.router.spf_initial_delay.as_millis(), 200);
         assert_eq!(c.control_plane, ControlPlaneMode::Distributed);
         assert_eq!(LinkSpec::PAPER_EMULATION.bandwidth_bps, 1_000_000_000);
         assert_eq!(LinkSpec::PAPER_EMULATION.propagation.as_micros(), 5);

@@ -17,7 +17,7 @@
 //! ```
 //! use dcn_net::Layer;
 //! use dcn_sim::{SimDuration, SimTime};
-//! use f2tree_experiments::{Design, TestBed};
+//! use f2tree::{Design, TestBed};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut bed = TestBed::build(Design::FatTree, 4, 1)?;

@@ -584,16 +584,8 @@ impl Network {
     ) -> FlowId {
         let key = self.flow_key_with_port(src, dst, sport, Protocol::Tcp);
         let id = FlowId(self.flows.len() as u32);
-        let tcp = TcpConfig::default();
         self.flows.push(Box::new(FlowState {
-            sender: Some(TcpSender::new(
-                key,
-                tcp,
-                TcpApp::Paced {
-                    segment_bytes: tcp.mss,
-                    interval: dcn_sim::SimDuration::from_micros(100),
-                },
-            )),
+            sender: Some(TcpSender::new(key, TcpConfig::default(), TcpApp::Paced)),
             receiver: Some(TcpReceiver::new()),
             ..FlowState::new(key, src, dst, FlowRole::TcpProbe, start)
         }));
@@ -1250,9 +1242,7 @@ impl Network {
         let size = dgram.bytes + UDP_HEADER_BYTES;
         let packet = self.make_packet(key, size, now, Payload::Udp { flow, dgram });
         self.send_from_host(now, src, packet);
-        if let Some(at) = next {
-            self.queue.schedule(at, Event::UdpTick { flow });
-        }
+        self.queue.schedule(next, Event::UdpTick { flow });
     }
 
     // ------------------------------------------------------------------

@@ -8,7 +8,7 @@ use std::io;
 use std::path::Path;
 
 use crate::conditions::ConditionResult;
-use crate::testbed::TestbedResult;
+use crate::testbed::{testbed_config, TestbedResult};
 use crate::workload::WorkloadResult;
 
 /// Writes a CSV file with a header row and row-builder callback.
@@ -24,7 +24,8 @@ fn write_csv(path: &Path, header: &str, rows: &[String]) -> io::Result<()> {
 }
 
 /// Exports the Fig. 2 throughput series (`fig2_throughput.csv`).
-pub fn export_fig2(dir: &Path, results: &[TestbedResult], bin_ms: u64) -> io::Result<()> {
+pub fn export_fig2(dir: &Path, results: &[TestbedResult]) -> io::Result<()> {
+    let bin_ms = testbed_config().bin_ms;
     let mut rows = Vec::new();
     for r in results {
         for (i, (&udp, &tcp)) in r
@@ -131,15 +132,13 @@ pub fn export_fig6(dir: &Path, results: &[WorkloadResult]) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testbed::{run_table3, TestbedConfig};
+    use crate::testbed::run_table3;
 
     #[test]
     fn fig2_csv_roundtrips_through_disk() {
         let dir = std::env::temp_dir().join("f2tree-artifacts-test");
         fs::create_dir_all(&dir).unwrap();
-        let cfg = TestbedConfig::default();
-        let results = run_table3(&cfg);
-        export_fig2(&dir, &results, cfg.bin_ms).unwrap();
+        export_fig2(&dir, &run_table3()).unwrap();
         let content = fs::read_to_string(dir.join("fig2_throughput.csv")).unwrap();
         let lines: Vec<&str> = content.lines().collect();
         assert_eq!(lines[0], "design,time_ms,udp_mbps,tcp_mbps");

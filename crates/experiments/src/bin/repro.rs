@@ -36,6 +36,7 @@ use dcn_chaos::{run_chaos, run_scenario, shrink_scenario, ChaosConfig};
 use dcn_failure::Condition;
 use dcn_routing::RecoveryMode;
 use dcn_sweep::Workers;
+use f2tree::Design;
 use f2tree_experiments::artifacts;
 use f2tree_experiments::conditions::{
     format_fig4, format_table4, run_condition, run_fig4_sweep, ConditionConfig,
@@ -45,18 +46,17 @@ use f2tree_experiments::extensions::{
     run_aspen_baseline, run_bisection, run_c7_wide, run_centralized_sweep, run_timer_ablation,
     run_unidirectional,
 };
-use f2tree_experiments::fig7::{format_fig7, run_fig7_sweep, Fig7Config};
+use f2tree_experiments::fig7::{format_fig7, run_fig7_sweep};
 use f2tree_experiments::plot::{sparkline, sparkline_values};
 use f2tree_experiments::quality::{format_quality, run_quality_sweep};
 use f2tree_experiments::recovery::{congestion_cost, format_recovery, frr_wins, run_recovery_sweep};
 use f2tree_experiments::summary::{format_summary, run_summary};
 use f2tree_experiments::table1::{format_table1, run_table1};
 use f2tree_experiments::table2::{format_table2, run_table2};
-use f2tree_experiments::testbed::{format_table3, run_table3, TestbedConfig};
+use f2tree_experiments::testbed::{format_table3, run_table3};
 use f2tree_experiments::workload::{
     format_fig6, format_fig6_stats, run_fig6, run_fig6_multiseed_sweep, WorkloadConfig,
 };
-use f2tree_experiments::Design;
 
 /// The `--help` text: every target, every flag, every accepted value.
 const USAGE: &str = "\
@@ -275,8 +275,7 @@ fn main() {
         println!("{}", format_table2(&run_table2(8)));
     }
     if want("table3") || want("fig2") {
-        let cfg = TestbedConfig::default();
-        let results = run_table3(&cfg);
+        let results = run_table3();
         println!("{}", format_table3(&results));
         println!("Fig. 2 receiving throughput (each char = one 20ms bin):");
         for r in &results {
@@ -285,7 +284,7 @@ fn main() {
         }
         println!();
         if let Some(dir) = &cli.out_dir {
-            artifacts::export_fig2(dir, &results, cfg.bin_ms).expect("write fig2 csv");
+            artifacts::export_fig2(dir, &results).expect("write fig2 csv");
         }
     }
     if want("table4") {
@@ -364,7 +363,7 @@ fn main() {
         println!("{}", format_fig6_stats(&stats));
     }
     if want("fig7") {
-        println!("{}", format_fig7(&run_fig7_sweep(&Fig7Config::default(), cli.workers)));
+        println!("{}", format_fig7(&run_fig7_sweep(cli.workers)));
     }
     if want("bisection") {
         println!(

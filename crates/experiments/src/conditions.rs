@@ -13,9 +13,8 @@ use dcn_metrics::ThroughputSeries;
 use dcn_routing::RecoveryMode;
 use dcn_sim::{timers, SimDuration, SimTime};
 use dcn_sweep::{ExperimentSpec, Workers};
+use f2tree::{Design, TestBed};
 use serde::{Deserialize, Serialize};
-
-use crate::common::{Design, TestBed};
 
 /// Parameters of the condition sweep (defaults match the paper: k = 8).
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -58,6 +57,14 @@ impl ConditionConfig {
     /// defaults plus the selected recovery mode).
     pub fn emu_config(&self) -> EmuConfig {
         EmuConfig::builder().recovery(self.recovery).build()
+    }
+
+    pub(crate) fn fail_at(&self) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(self.fail_at_ms)
+    }
+
+    pub(crate) fn horizon(&self) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(self.horizon_ms)
     }
 }
 
@@ -124,8 +131,7 @@ pub(crate) fn run_condition_bed(
     condition: Condition,
     config: &ConditionConfig,
 ) -> ConditionRun {
-    let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
-    let fail_at = ms(config.fail_at_ms);
+    let fail_at = config.fail_at();
 
     #[expect(
         clippy::expect_used,
@@ -151,7 +157,7 @@ pub(crate) fn run_condition_bed(
     let healthy = QualityReport::compute(&bed.net.quality_input());
     bed.net.run_until(fail_at + mid_failover_offset());
     let failover = QualityReport::compute(&bed.net.quality_input());
-    bed.net.run_until(ms(config.horizon_ms));
+    bed.net.run_until(config.horizon());
 
     ConditionRun {
         bed,
@@ -160,6 +166,44 @@ pub(crate) fn run_condition_bed(
         failed_links: links.len(),
         healthy,
         failover,
+    }
+}
+
+/// The paper's three recovery metrics, read off one run (Fig. 4's bars,
+/// Table III's columns).
+pub(crate) struct Recovery {
+    /// Duration of connectivity loss in µs (None = never recovered).
+    pub(crate) loss_us: Option<u64>,
+    /// UDP packets lost.
+    pub(crate) packets_lost: u64,
+    /// TCP throughput collapse in µs (None = never recovered).
+    pub(crate) collapse_us: Option<u64>,
+    /// The TCP probe's delivery series the collapse is read from.
+    pub(crate) tcp_series: ThroughputSeries,
+}
+
+impl ConditionRun {
+    /// Measures the run's probes against the failure at `fail_at_ms`.
+    pub(crate) fn recovery(&self, config: &ConditionConfig) -> Recovery {
+        let net = &self.bed.net;
+        let report = net.udp_probe_report(self.udp);
+        let mut tcp_series = ThroughputSeries::new();
+        tcp_series.extend_from_log(net.tcp_delivery_log(self.tcp));
+        let collapse = tcp_series.collapse_duration(
+            SimTime::ZERO,
+            config.fail_at(),
+            config.horizon(),
+            SimDuration::from_millis(config.bin_ms),
+        );
+        Recovery {
+            loss_us: report
+                .connectivity
+                .loss_around(config.fail_at())
+                .map(|l| l.duration.as_micros()),
+            packets_lost: report.lost,
+            collapse_us: collapse.map(|c| c.as_micros()),
+            tcp_series,
+        }
     }
 }
 
@@ -174,29 +218,16 @@ pub fn run_condition(
     condition: Condition,
     config: &ConditionConfig,
 ) -> ConditionResult {
-    let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
-    let fail_at = ms(config.fail_at_ms);
-    let horizon = ms(config.horizon_ms);
     let run = run_condition_bed(design, condition, config);
-    let net = &run.bed.net;
-
-    let report = net.udp_probe_report(run.udp);
-    let loss = report.connectivity.loss_around(fail_at);
-
-    let mut tcp_series = ThroughputSeries::new();
-    tcp_series.extend_from_log(net.tcp_delivery_log(run.tcp));
-    let collapse = tcp_series.collapse_duration(
-        SimTime::ZERO,
-        fail_at,
-        horizon,
-        SimDuration::from_millis(config.bin_ms),
-    );
-
-    let delay_series = report
+    let recovery = run.recovery(config);
+    let delay_series = run
+        .bed
+        .net
+        .udp_probe_report(run.udp)
         .delay
         .downsample(
             SimTime::ZERO,
-            horizon,
+            config.horizon(),
             SimDuration::from_millis(config.delay_window_ms),
         )
         .into_iter()
@@ -213,9 +244,9 @@ pub fn run_condition(
         condition: condition.to_string(),
         paper_condition: condition.paper_condition(),
         failed_links: run.failed_links,
-        connectivity_loss_us: loss.map(|l| l.duration.as_micros()),
-        packets_lost: report.lost,
-        throughput_collapse_us: collapse.map(|c| c.as_micros()),
+        connectivity_loss_us: recovery.loss_us,
+        packets_lost: recovery.packets_lost,
+        throughput_collapse_us: recovery.collapse_us,
         delay_series,
         healthy_max_load: run.healthy.max_load,
         post_failover_max_load: run.failover.max_load,
@@ -234,12 +265,6 @@ pub fn fig4_cells() -> Vec<(Design, Condition)> {
         cells.push((Design::F2Tree, condition));
     }
     cells
-}
-
-/// Runs the full Fig. 4 sweep on [`Workers::auto`]; results are
-/// byte-identical for every worker count (see [`run_fig4_sweep`]).
-pub fn run_fig4(config: &ConditionConfig) -> Vec<ConditionResult> {
-    run_fig4_sweep(config, Workers::auto())
 }
 
 /// Runs the Fig. 4 sweep on an explicit worker count via the sweep

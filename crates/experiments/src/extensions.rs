@@ -15,12 +15,10 @@
 use dcn_emu::{ControlPlaneMode, EmuConfig, Network};
 use dcn_failure::Condition;
 use dcn_net::{FatTree, Layer};
-use dcn_routing::{RouterConfig, ThrottleConfig};
+use dcn_routing::RouterConfig;
 use dcn_sim::{timers, SimDuration, SimTime};
-use f2tree::rewire_fat_tree;
+use f2tree::{rewire_fat_tree, Design, TestBed};
 use serde::{Deserialize, Serialize};
-
-use crate::common::{Design, TestBed};
 
 fn ms(v: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(v)
@@ -408,10 +406,7 @@ pub fn run_timer_ablation() -> Vec<AblationRow> {
             let config = EmuConfig::builder()
                 .detection_delay(SimDuration::from_millis(detection_ms))
                 .router(RouterConfig {
-                    throttle: ThrottleConfig {
-                        initial_delay: SimDuration::from_millis(spf_ms),
-                        ..ThrottleConfig::default()
-                    },
+                    spf_initial_delay: SimDuration::from_millis(spf_ms),
                     fib_update_delay: SimDuration::from_millis(fib_ms),
                 })
                 .build();

@@ -8,10 +8,8 @@ use dcn_emu::{EmuConfig, FlowId, Network};
 use dcn_net::{LeafSpine, NodeId, PodRing, Protocol, Topology, Vl2};
 use dcn_sim::{SimDuration, SimTime};
 use dcn_sweep::{ExperimentSpec, Workers};
-use f2tree::{f2_leaf_spine, f2_vl2, ring_backup_routes};
+use f2tree::{f2_leaf_spine, f2_vl2, ring_backup_routes, Design};
 use serde::{Deserialize, Serialize};
-
-use crate::common::Design;
 
 /// The fabrics of Fig. 7.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -31,35 +29,15 @@ impl std::fmt::Display for Fabric {
     }
 }
 
-/// Parameters of the Fig. 7 experiment.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Fig7Config {
-    /// Leaf-Spine dimensions.
-    pub leaves: u32,
-    /// Spine count.
-    pub spines: u32,
-    /// VL2 aggregate degree.
-    pub d_a: u32,
-    /// VL2 intermediate degree.
-    pub d_i: u32,
-    /// Failure instant.
-    pub fail_at_ms: u64,
-    /// Horizon.
-    pub horizon_ms: u64,
-}
-
-impl Default for Fig7Config {
-    fn default() -> Self {
-        Fig7Config {
-            leaves: 6,
-            spines: 4,
-            d_a: 6,
-            d_i: 6,
-            fail_at_ms: 100,
-            horizon_ms: 2000,
-        }
-    }
-}
+/// Leaf-Spine dimensions: 6 leaves under 4 spines.
+const LEAVES: u32 = 6;
+const SPINES: u32 = 4;
+/// VL2 aggregate (d_A) and intermediate (d_I) switch degrees.
+const D_A: u32 = 6;
+const D_I: u32 = 6;
+/// Failure instant and horizon.
+const FAIL_AT_MS: u64 = 100;
+const HORIZON_MS: u64 = 2000;
 
 /// One Fig. 7 measurement.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -74,21 +52,17 @@ pub struct Fig7Result {
     pub packets_lost: u64,
 }
 
-fn build_network(fabric: Fabric, design: Design, config: &Fig7Config) -> (Network, Option<PodRing>) {
+fn build_network(fabric: Fabric, design: Design) -> (Network, Option<PodRing>) {
     let (topo, ring) = match (fabric, design) {
         (Fabric::LeafSpine, Design::FatTree) => (
-            LeafSpine::new(config.leaves, config.spines)
-                .expect("valid dims")
-                .build(),
+            LeafSpine::new(LEAVES, SPINES).expect("valid dims").build(),
             None,
         ),
-        (Fabric::Vl2, Design::FatTree) => {
-            (Vl2::new(config.d_a, config.d_i).expect("valid dims").build(), None)
-        }
+        (Fabric::Vl2, Design::FatTree) => (Vl2::new(D_A, D_I).expect("valid dims").build(), None),
         (_, Design::F2Tree) => {
             let f2 = match fabric {
-                Fabric::LeafSpine => f2_leaf_spine(config.leaves, config.spines),
-                Fabric::Vl2 => f2_vl2(config.d_a, config.d_i),
+                Fabric::LeafSpine => f2_leaf_spine(LEAVES, SPINES),
+                Fabric::Vl2 => f2_vl2(D_A, D_I),
             }
             .expect("valid dims");
             (f2.topology, Some(f2.ring))
@@ -124,9 +98,9 @@ fn add_probe_via(net: &mut Network, src: NodeId, dst: NodeId, via: NodeId) -> Fl
 }
 
 /// Runs one Fig. 7 cell.
-pub fn run_fig7_cell(fabric: Fabric, design: Design, config: &Fig7Config) -> Fig7Result {
-    let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
-    let (mut net, ring) = build_network(fabric, design, config);
+pub fn run_fig7_cell(fabric: Fabric, design: Design) -> Fig7Result {
+    let fail_at = SimTime::ZERO + SimDuration::from_millis(FAIL_AT_MS);
+    let (mut net, ring) = build_network(fabric, design);
     let (src, dst) = probe_endpoints(net.topology());
 
     // Pick the failed downward link. For VL2's F² variant the dest ToR is
@@ -159,13 +133,13 @@ pub fn run_fig7_cell(fabric: Fabric, design: Design, config: &Fig7Config) -> Fig
         .topology()
         .link_between(target_upper, dest_tor)
         .expect("path link exists");
-    net.fail_link_at(ms(config.fail_at_ms), link);
-    net.run_until(ms(config.horizon_ms));
+    net.fail_link_at(fail_at, link);
+    net.run_until(SimTime::ZERO + SimDuration::from_millis(HORIZON_MS));
 
     let report = net.udp_probe_report(probe);
     let loss = report
         .connectivity
-        .loss_around(ms(config.fail_at_ms))
+        .loss_around(fail_at)
         .expect("probe recovers");
     Fig7Result {
         fabric,
@@ -175,17 +149,11 @@ pub fn run_fig7_cell(fabric: Fabric, design: Design, config: &Fig7Config) -> Fig
     }
 }
 
-/// Runs all four Fig. 7 cells on [`Workers::auto`]; results are
-/// byte-identical for every worker count (see [`run_fig7_sweep`]).
-pub fn run_fig7(config: &Fig7Config) -> Vec<Fig7Result> {
-    run_fig7_sweep(config, Workers::auto())
-}
-
 /// Runs the Fig. 7 grid (Leaf-Spine and VL2, each plain and F²-rewired)
 /// on an explicit worker count via the sweep engine. Output order is the
 /// plan order — fabric-major, original before F² — for every `workers`
 /// value.
-pub fn run_fig7_sweep(config: &Fig7Config, workers: Workers) -> Vec<Fig7Result> {
+pub fn run_fig7_sweep(workers: Workers) -> Vec<Fig7Result> {
     let mut cells = Vec::new();
     for fabric in [Fabric::LeafSpine, Fabric::Vl2] {
         for design in [Design::FatTree, Design::F2Tree] {
@@ -198,7 +166,7 @@ pub fn run_fig7_sweep(config: &Fig7Config, workers: Workers) -> Vec<Fig7Result> 
         .build()
         .run(|ctx| {
             let (fabric, design) = *ctx.cell();
-            run_fig7_cell(fabric, design, config)
+            run_fig7_cell(fabric, design)
         })
 }
 
@@ -231,9 +199,8 @@ mod tests {
 
     #[test]
     fn leaf_spine_f2_rewiring_cuts_recovery_to_detection_time() {
-        let cfg = Fig7Config::default();
-        let plain = run_fig7_cell(Fabric::LeafSpine, Design::FatTree, &cfg);
-        let f2 = run_fig7_cell(Fabric::LeafSpine, Design::F2Tree, &cfg);
+        let plain = run_fig7_cell(Fabric::LeafSpine, Design::FatTree);
+        let f2 = run_fig7_cell(Fabric::LeafSpine, Design::F2Tree);
         assert!(
             (265_000..=295_000).contains(&plain.connectivity_loss_us),
             "plain leaf-spine waits for OSPF: {}",
@@ -248,9 +215,8 @@ mod tests {
 
     #[test]
     fn vl2_f2_rewiring_cuts_recovery_to_detection_time() {
-        let cfg = Fig7Config::default();
-        let plain = run_fig7_cell(Fabric::Vl2, Design::FatTree, &cfg);
-        let f2 = run_fig7_cell(Fabric::Vl2, Design::F2Tree, &cfg);
+        let plain = run_fig7_cell(Fabric::Vl2, Design::FatTree);
+        let f2 = run_fig7_cell(Fabric::Vl2, Design::F2Tree);
         assert!(
             plain.connectivity_loss_us > 200_000,
             "plain VL2 waits for the control plane: {}",
@@ -265,7 +231,7 @@ mod tests {
 
     #[test]
     fn all_four_cells_run() {
-        let results = run_fig7(&Fig7Config::default());
+        let results = run_fig7_sweep(Workers::auto());
         assert_eq!(results.len(), 4);
         let text = format_fig7(&results);
         assert!(text.contains("Leaf-Spine"));
@@ -273,13 +239,12 @@ mod tests {
     }
 
     /// The whole grid through the worker pool: an explicit pool of 1 or 2
-    /// renders the bytes `run_fig7` (one worker per core) renders.
+    /// renders the bytes one worker per core renders.
     #[test]
     fn sweep_output_does_not_depend_on_the_worker_count() {
-        let cfg = Fig7Config::default();
-        let text = format_fig7(&run_fig7(&cfg));
+        let text = format_fig7(&run_fig7_sweep(Workers::auto()));
         for workers in [1, 2] {
-            let swept = run_fig7_sweep(&cfg, Workers::new(workers));
+            let swept = run_fig7_sweep(Workers::new(workers));
             assert_eq!(format_fig7(&swept), text, "{workers} worker(s)");
         }
     }

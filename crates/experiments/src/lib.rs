@@ -7,11 +7,11 @@
 //! |---|---|---|
 //! | Table I | [`table1`] | [`table1::run_table1`] |
 //! | Table II | [`table2`] | [`table2::run_table2`] |
-//! | Fig. 2 + Table III | [`testbed`] | [`testbed::run_table3`] |
-//! | Fig. 4 + Table IV | [`conditions`] | [`conditions::run_fig4`] |
+//! | Fig. 2 + Table III | [`testbed`] | [`testbed::run_table3`] (the C1 cell of [`conditions`] at k = 4) |
+//! | Fig. 4 + Table IV | [`conditions`] | [`conditions::run_fig4_sweep`] |
 //! | Fig. 5 | [`conditions`] | [`conditions::run_condition`] (delay series) |
 //! | Fig. 6 | [`workload`] | [`workload::run_fig6`] |
-//! | Fig. 7 | [`fig7`] | [`fig7::run_fig7`] |
+//! | Fig. 7 | [`fig7`] | [`fig7::run_fig7_sweep`] |
 //! | Recovery modes (ospf/f2tree/frr) | [`recovery`] | [`recovery::run_recovery_sweep`] |
 //!
 //! The `repro` binary runs everything at paper scale and prints each
@@ -31,7 +31,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod artifacts;
-pub mod common;
 pub mod conditions;
 pub mod extensions;
 pub mod plot;
@@ -43,5 +42,3 @@ pub mod table1;
 pub mod table2;
 pub mod testbed;
 pub mod workload;
-
-pub use common::{Design, TestBed, TestBedError};

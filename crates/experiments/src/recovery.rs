@@ -17,9 +17,9 @@ use dcn_failure::Condition;
 use dcn_metrics::quality::format_load;
 use dcn_routing::RecoveryMode;
 use dcn_sweep::{ExperimentSpec, Workers};
+use f2tree::Design;
 use serde::{Deserialize, Serialize};
 
-use crate::common::Design;
 use crate::conditions::{run_condition, ConditionConfig, ConditionResult};
 
 /// One (recovery mode, condition) cell's measurement.

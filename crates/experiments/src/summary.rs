@@ -5,15 +5,15 @@
 //! factor) — the standard this reproduction holds itself to, since the
 //! substrate is a simulator rather than the authors' testbed.
 
+use dcn_failure::Condition;
+use f2tree::Design;
 use serde::{Deserialize, Serialize};
 
-use dcn_failure::Condition;
-use crate::common::Design;
 use crate::conditions::{run_condition, ConditionConfig};
 use crate::extensions::{run_aspen_baseline, run_c7_with_across, run_centralized};
-use crate::fig7::{run_fig7_cell, Fabric, Fig7Config};
+use crate::fig7::{run_fig7_cell, Fabric};
 use crate::table1::f2tree_node_deficit;
-use crate::testbed::{run_table3, TestbedConfig};
+use crate::testbed::run_table3;
 
 /// One scorecard row.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -51,7 +51,7 @@ pub fn run_summary() -> Vec<SummaryRow> {
     let mut rows = Vec::new();
 
     // Table III / Fig. 2.
-    let t3 = run_table3(&TestbedConfig::default());
+    let t3 = run_table3();
     let (fat, f2) = (&t3[0], &t3[1]);
     rows.push(SummaryRow {
         artifact: "Table III",
@@ -148,8 +148,7 @@ pub fn run_summary() -> Vec<SummaryRow> {
     });
 
     // Fig. 7.
-    let fig7 = Fig7Config::default();
-    let ls = run_fig7_cell(Fabric::LeafSpine, Design::F2Tree, &fig7);
+    let ls = run_fig7_cell(Fabric::LeafSpine, Design::F2Tree);
     rows.push(SummaryRow {
         artifact: "Fig. 7",
         metric: "F2 Leaf-Spine loss",
@@ -158,7 +157,7 @@ pub fn run_summary() -> Vec<SummaryRow> {
         unit: "us",
         tolerance: 0.05,
     });
-    let vl2 = run_fig7_cell(Fabric::Vl2, Design::F2Tree, &fig7);
+    let vl2 = run_fig7_cell(Fabric::Vl2, Design::F2Tree);
     rows.push(SummaryRow {
         artifact: "Fig. 7",
         metric: "F2 VL2 loss",

@@ -7,9 +7,8 @@
 
 use dcn_routing::RouteOrigin;
 use dcn_sim::SimTime;
+use f2tree::{Design, TestBed};
 use serde::{Deserialize, Serialize};
-
-use crate::common::{Design, TestBed};
 
 /// One rendered routing-table row.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]

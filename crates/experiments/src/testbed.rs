@@ -6,37 +6,19 @@
 //! Table III: duration of connectivity loss (µs), packets lost, and
 //! duration of TCP throughput collapse (µs); plus the Fig. 2 20 ms-binned
 //! throughput series.
+//!
+//! That is the C1 cell of [`crate::conditions`] at testbed scale: the
+//! same bed, probes, failure and measurement, with only the Fig. 2 bins
+//! added here.
 
+use dcn_failure::Condition;
 use dcn_metrics::ThroughputSeries;
-use dcn_net::Layer;
 use dcn_sim::{SimDuration, SimTime};
+use dcn_transport::PROBE_BYTES;
+use f2tree::Design;
 use serde::{Deserialize, Serialize};
 
-use crate::common::{Design, TestBed};
-
-/// Parameters of the testbed experiment (defaults match the paper).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TestbedConfig {
-    /// Switch port count (paper: 4).
-    pub k: u32,
-    /// Failure instant (paper: 380 ms).
-    pub fail_at_ms: u64,
-    /// Total experiment horizon.
-    pub horizon_ms: u64,
-    /// Throughput bin width (paper: 20 ms).
-    pub bin_ms: u64,
-}
-
-impl Default for TestbedConfig {
-    fn default() -> Self {
-        TestbedConfig {
-            k: 4,
-            fail_at_ms: 380,
-            horizon_ms: 2000,
-            bin_ms: 20,
-        }
-    }
-}
+use crate::conditions::{run_condition_bed, ConditionConfig};
 
 /// One Table III row plus the Fig. 2 series for one design.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -55,65 +37,50 @@ pub struct TestbedResult {
     pub tcp_throughput_mbps: Vec<f64>,
 }
 
-/// Runs the testbed experiment for one design.
-pub fn run_testbed(design: Design, config: &TestbedConfig) -> TestbedResult {
-    let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
-    let fail_at = ms(config.fail_at_ms);
-    let horizon = ms(config.horizon_ms);
-    let bin = SimDuration::from_millis(config.bin_ms);
-
-    #[expect(clippy::expect_used, reason = "TestbedConfig scales (k=4 class) are valid")]
-    let mut bed = TestBed::build(design, config.k, 1).expect("testbed builds");
-    // Both probes share one forwarding path, as in the paper's testbed,
-    // and the downward ToR-agg link of that path is torn down.
-    let (udp, tcp) = bed.add_aligned_probes(SimTime::ZERO);
-    let link = bed
-        .probe_path_link(udp, Layer::Agg)
-        .expect("path link exists");
-    bed.net.fail_link_at(fail_at, link);
-
-    bed.net.run_until(horizon);
-
-    let report = bed.net.udp_probe_report(udp);
-    let loss = report
-        .connectivity
-        .loss_around(fail_at)
-        .expect("probe recovers");
-
-    let mut udp_series = ThroughputSeries::new();
-    for &(t, _) in report.connectivity.arrivals() {
-        udp_series.record(t, 1448);
-    }
-    let mut tcp_series = ThroughputSeries::new();
-    tcp_series.extend_from_log(bed.net.tcp_delivery_log(tcp));
-    let collapse = tcp_series
-        .collapse_duration(SimTime::ZERO, fail_at, horizon, bin)
-        .expect("TCP recovers");
-
-    TestbedResult {
-        design,
-        connectivity_loss_us: loss.duration.as_micros(),
-        packets_lost: report.lost,
-        throughput_collapse_us: collapse.as_micros(),
-        udp_throughput_mbps: udp_series
-            .bins(SimTime::ZERO, horizon, bin)
-            .into_iter()
-            .map(|bps| bps / 1e6)
-            .collect(),
-        tcp_throughput_mbps: tcp_series
-            .bins(SimTime::ZERO, horizon, bin)
-            .into_iter()
-            .map(|bps| bps / 1e6)
-            .collect(),
+/// The testbed: Fig. 4's C1 cell on the paper's 4-port fabric with one
+/// host per rack, failed at 380 ms (2 s horizon, 20 ms bins).
+pub(crate) fn testbed_config() -> ConditionConfig {
+    ConditionConfig {
+        k: 4,
+        hosts_per_tor: 1,
+        fail_at_ms: 380,
+        ..ConditionConfig::default()
     }
 }
 
-/// Runs both designs and formats Table III.
-pub fn run_table3(config: &TestbedConfig) -> [TestbedResult; 2] {
-    [
-        run_testbed(Design::FatTree, config),
-        run_testbed(Design::F2Tree, config),
-    ]
+/// Runs the testbed experiment for one design.
+pub fn run_testbed(design: Design) -> TestbedResult {
+    let config = testbed_config();
+    let run = run_condition_bed(design, Condition::C1, &config);
+    let recovery = run.recovery(&config);
+
+    let report = run.bed.net.udp_probe_report(run.udp);
+    let mut udp_series = ThroughputSeries::new();
+    for &(t, _) in report.connectivity.arrivals() {
+        udp_series.record(t, PROBE_BYTES);
+    }
+    let bin = SimDuration::from_millis(config.bin_ms);
+    let mbps = |series: &ThroughputSeries| -> Vec<f64> {
+        series
+            .bins(SimTime::ZERO, config.horizon(), bin)
+            .into_iter()
+            .map(|bps| bps / 1e6)
+            .collect()
+    };
+
+    TestbedResult {
+        design,
+        connectivity_loss_us: recovery.loss_us.expect("probe recovers"),
+        packets_lost: recovery.packets_lost,
+        throughput_collapse_us: recovery.collapse_us.expect("TCP recovers"),
+        udp_throughput_mbps: mbps(&udp_series),
+        tcp_throughput_mbps: mbps(&recovery.tcp_series),
+    }
+}
+
+/// Runs both designs for Table III.
+pub fn run_table3() -> [TestbedResult; 2] {
+    [run_testbed(Design::FatTree), run_testbed(Design::F2Tree)]
 }
 
 /// Renders the Table III comparison as text.
@@ -142,7 +109,7 @@ mod tests {
 
     #[test]
     fn table3_shape_matches_the_paper() {
-        let results = run_table3(&TestbedConfig::default());
+        let results = run_table3();
         let fat = &results[0];
         let f2 = &results[1];
 
@@ -186,7 +153,7 @@ mod tests {
 
     #[test]
     fn fig2_series_show_the_outage_dip() {
-        let r = run_testbed(Design::F2Tree, &TestbedConfig::default());
+        let r = run_testbed(Design::F2Tree);
         // Bin 19 contains the failure (380ms); bins 20-21 are the outage.
         let pre = r.udp_throughput_mbps[..19].iter().sum::<f64>() / 19.0;
         assert!(pre > 100.0, "pre-failure UDP rate ~116Mbps, got {pre}");
@@ -201,7 +168,7 @@ mod tests {
 
     #[test]
     fn formatted_table_contains_both_rows() {
-        let results = run_table3(&TestbedConfig::default());
+        let results = run_table3();
         let text = format_table3(&results);
         assert!(text.contains("Fat tree"));
         assert!(text.contains("F2Tree"));

@@ -15,9 +15,8 @@ use dcn_sweep::{ExperimentSpec, Workers};
 use dcn_transport::{
     generate_background, generate_requests, BackgroundConfig, PartitionAggregateConfig,
 };
+use f2tree::{Design, TestBed};
 use serde::{Deserialize, Serialize};
-
-use crate::common::{Design, TestBed};
 
 /// Parameters of the workload experiment (defaults match the paper).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]

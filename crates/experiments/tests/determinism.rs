@@ -9,7 +9,7 @@
 
 use dcn_sweep::Workers;
 use f2tree_experiments::conditions::{
-    format_fig4, run_fig4, run_fig4_sweep, ConditionConfig, ConditionResult,
+    format_fig4, run_fig4_sweep, ConditionConfig, ConditionResult,
 };
 
 /// Renders everything a run measures — including the Fig. 5 delay series,
@@ -33,8 +33,8 @@ fn fig4_sweep_is_byte_identical_across_runs() {
         horizon_ms: 800,
         ..ConditionConfig::default()
     };
-    let first = render(&run_fig4(&config));
-    let second = render(&run_fig4(&config));
+    let first = render(&run_fig4_sweep(&config, Workers::auto()));
+    let second = render(&run_fig4_sweep(&config, Workers::auto()));
     assert!(
         first == second,
         "identical configs produced different metric output:\n--- first ---\n{first}\n--- second ---\n{second}"

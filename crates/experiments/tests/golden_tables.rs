@@ -16,12 +16,15 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use dcn_sweep::Workers;
+use f2tree_experiments::artifacts::export_fig2;
 use f2tree_experiments::conditions::{format_table4, ConditionConfig};
+use f2tree_experiments::fig7::{format_fig7, run_fig7_sweep};
 use f2tree_experiments::quality::{format_quality, run_quality_sweep};
 use f2tree_experiments::recovery::{congestion_cost, format_recovery, frr_wins, run_recovery_sweep};
 use f2tree_experiments::table1::{format_table1, run_table1};
 use f2tree_experiments::table2::{format_table2, run_table2};
-use f2tree_experiments::testbed::{format_table3, run_table3, TestbedConfig};
+use f2tree_experiments::testbed::{format_table3, run_table3};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -119,10 +122,28 @@ fn table2_matches_golden() {
 /// emulation for both designs, so this is the slowest golden test.
 #[test]
 fn table3_matches_golden() {
-    let results = run_table3(&TestbedConfig::default());
+    let results = run_table3();
     let mut out = String::new();
     writeln!(out, "{}", format_table3(&results)).unwrap();
     check_golden("table3.txt", &out);
+}
+
+/// Fig. 2's throughput series, as the CSV `repro --out` writes for
+/// Table III's results.
+#[test]
+fn fig2_throughput_csv_matches_golden() {
+    let dir = std::env::temp_dir().join(format!("f2tree-fig2-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    export_fig2(&dir, &run_table3()).expect("write fig2 csv");
+    let csv = std::fs::read_to_string(dir.join("fig2_throughput.csv")).expect("read fig2 csv");
+    std::fs::remove_dir_all(&dir).ok();
+    check_golden("fig2_throughput.csv", &csv);
+}
+
+/// Fig. 7 (Leaf-Spine and VL2, plain and F²-rewired) on one worker.
+#[test]
+fn fig7_matches_golden() {
+    check_golden("fig7.txt", &format_fig7(&run_fig7_sweep(Workers::SERIAL)));
 }
 
 /// Table IV (failure scenarios) is a pure rendering of the C1–C7 specs.
@@ -138,7 +159,7 @@ fn table4_matches_golden() {
 /// every condition whose repair paths survive (C1–C6; C7 severs them).
 #[test]
 fn recovery_modes_match_golden_and_frr_beats_ospf() {
-    let results = run_recovery_sweep(&ConditionConfig::default(), dcn_sweep::Workers::SERIAL);
+    let results = run_recovery_sweep(&ConditionConfig::default(), Workers::SERIAL);
     let mut out = String::new();
     writeln!(out, "{}", format_recovery(&results)).unwrap();
     check_golden("recovery_modes.txt", &out);
@@ -176,7 +197,7 @@ fn recovery_modes_match_golden_and_frr_beats_ospf() {
 /// strictly above it somewhere on C1–C6.
 #[test]
 fn quality_modes_match_golden_and_fast_reroute_pays_congestion() {
-    let results = run_quality_sweep(&ConditionConfig::default(), dcn_sweep::Workers::SERIAL);
+    let results = run_quality_sweep(&ConditionConfig::default(), Workers::SERIAL);
     let mut out = String::new();
     writeln!(out, "{}", format_quality(&results)).unwrap();
     check_golden("quality_modes.txt", &out);

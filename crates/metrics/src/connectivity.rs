@@ -58,29 +58,6 @@ impl ConnectivityTracker {
         sent.saturating_sub(self.received_distinct())
     }
 
-    /// The largest inter-arrival gap that *starts* at or after
-    /// `not_before` (the failure instant); `None` if fewer than two
-    /// packets arrived after filtering.
-    pub fn loss_after(&self, not_before: SimTime) -> Option<ConnectivityLoss> {
-        let mut best: Option<ConnectivityLoss> = None;
-        for pair in self.arrivals.windows(2) {
-            let (t0, _) = pair[0];
-            let (t1, _) = pair[1];
-            if t0 < not_before {
-                continue;
-            }
-            let gap = t1.since(t0);
-            if best.is_none_or(|b| gap > b.duration) {
-                best = Some(ConnectivityLoss {
-                    last_before: t0,
-                    first_after: t1,
-                    duration: gap,
-                });
-            }
-        }
-        best
-    }
-
     /// The dominant arrival gap caused by a failure at `failure_at`: the
     /// largest gap between consecutive arrivals that *ends* after the
     /// failure instant. This matches the paper's measurement — packets
@@ -161,14 +138,6 @@ mod tests {
         assert_eq!(t.received(), 3);
         assert_eq!(t.received_distinct(), 2);
         assert_eq!(t.lost(5), 3);
-    }
-
-    #[test]
-    fn loss_after_finds_the_biggest_post_failure_gap() {
-        let t = with_gap();
-        // Anchored strictly after the failure: the big gap starts at 9.9ms.
-        let loss = t.loss_after(us(0)).unwrap();
-        assert_eq!(loss.duration.as_micros(), 60_100);
     }
 
     #[test]

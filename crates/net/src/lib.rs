@@ -41,7 +41,6 @@
 mod addr;
 mod addressing;
 mod aspen;
-pub mod dot;
 mod fattree;
 mod flow;
 mod id;

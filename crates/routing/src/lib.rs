@@ -28,13 +28,13 @@
 //! state-machine level:
 //!
 //! ```
-//! use dcn_routing::{RouterConfig, SpfThrottle, ThrottleConfig};
+//! use dcn_routing::{RouterConfig, SpfThrottle};
 //! use dcn_sim::{SimDuration, SimTime};
 //!
 //! let cfg = RouterConfig::default();
 //! // Failure at 380ms; BFD-like detection takes 60ms.
 //! let detected = SimTime::ZERO + SimDuration::from_millis(380 + 60);
-//! let mut throttle = SpfThrottle::new(cfg.throttle);
+//! let mut throttle = SpfThrottle::new(cfg.spf_initial_delay);
 //! let spf_at = throttle.on_trigger(detected).unwrap();
 //! let converged = spf_at + cfg.fib_update_delay;
 //! // 60ms detection + 200ms SPF throttle + 10ms FIB update = 270ms,
@@ -61,4 +61,4 @@ pub use process::{RouterAction, RouterConfig, RouterProcess};
 pub use recovery::{FrrPlan, RecoveryMode};
 pub use route::{NextHop, Route, RouteOrigin};
 pub use spf::{compute_routes, SpfTable};
-pub use throttle::{SpfThrottle, ThrottleConfig};
+pub use throttle::SpfThrottle;

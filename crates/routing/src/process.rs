@@ -38,13 +38,15 @@ use crate::lsdb::{Adjacency, Lsa, Lsdb};
 use crate::recovery::FrrPlan;
 use crate::route::{NextHop, Route, RouteOrigin};
 use crate::spf::{emit_delta, SpfTable};
-use crate::throttle::{SpfThrottle, ThrottleConfig};
+use crate::throttle::SpfThrottle;
 
 /// Router timer configuration.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RouterConfig {
-    /// SPF throttle parameters.
-    pub throttle: ThrottleConfig,
+    /// Delay from an isolated SPF trigger to the run (the paper's
+    /// 200 ms initial throttle; the hold under churn is capped at
+    /// [`timers::SPF_MAX_HOLD`]).
+    pub spf_initial_delay: SimDuration,
     /// Delay between an SPF run and the new routes landing in the FIB
     /// (the paper measures ~10 ms on the testbed).
     pub fib_update_delay: SimDuration,
@@ -53,7 +55,7 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            throttle: ThrottleConfig::default(),
+            spf_initial_delay: timers::SPF_INITIAL_DELAY,
             fib_update_delay: timers::FIB_UPDATE_DELAY,
         }
     }
@@ -139,7 +141,7 @@ impl RouterProcess {
             dead: BTreeSet::new(),
             fib: Fib::new(node.as_u32() as u64),
             lsdb: Lsdb::new(),
-            throttle: SpfThrottle::new(config.throttle),
+            throttle: SpfThrottle::new(config.spf_initial_delay),
             emitted: Vec::new(),
             seq: 0,
             install_gen: 0,

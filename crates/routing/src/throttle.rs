@@ -10,34 +10,15 @@
 
 use dcn_sim::{timers, SimDuration, SimTime};
 
-/// Throttle configuration.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ThrottleConfig {
-    /// Delay from the first trigger to the SPF run (default 200 ms).
-    pub initial_delay: SimDuration,
-    /// Maximum hold time between consecutive runs under churn (default
-    /// 10 s; the paper reports observed timers "up to about 9s").
-    pub max_hold: SimDuration,
-}
-
-impl Default for ThrottleConfig {
-    fn default() -> Self {
-        ThrottleConfig {
-            initial_delay: timers::SPF_INITIAL_DELAY,
-            max_hold: timers::SPF_MAX_HOLD,
-        }
-    }
-}
-
 /// The per-router SPF throttle state machine.
 ///
 /// # Examples
 ///
 /// ```
-/// use dcn_routing::{SpfThrottle, ThrottleConfig};
-/// use dcn_sim::{SimDuration, SimTime};
+/// use dcn_routing::SpfThrottle;
+/// use dcn_sim::{timers, SimDuration, SimTime};
 ///
-/// let mut t = SpfThrottle::new(ThrottleConfig::default());
+/// let mut t = SpfThrottle::new(timers::SPF_INITIAL_DELAY);
 /// let now = SimTime::ZERO + SimDuration::from_millis(440);
 /// // An isolated trigger runs one initial delay (200ms) later.
 /// let at = t.on_trigger(now).unwrap();
@@ -45,7 +26,8 @@ impl Default for ThrottleConfig {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SpfThrottle {
-    config: ThrottleConfig,
+    /// Delay from an isolated trigger to the SPF run.
+    initial_delay: SimDuration,
     /// Current hold time (doubles under churn).
     hold: SimDuration,
     /// When the next run is scheduled, if one is pending.
@@ -59,11 +41,13 @@ pub struct SpfThrottle {
 }
 
 impl SpfThrottle {
-    /// Creates a quiet throttle.
-    pub fn new(config: ThrottleConfig) -> Self {
+    /// Creates a quiet throttle whose isolated triggers wait
+    /// `initial_delay`; under churn the hold doubles up to
+    /// [`timers::SPF_MAX_HOLD`].
+    pub fn new(initial_delay: SimDuration) -> Self {
         SpfThrottle {
-            config,
-            hold: config.initial_delay,
+            initial_delay,
+            hold: initial_delay,
             scheduled: None,
             last_run: None,
             deferred: false,
@@ -89,9 +73,9 @@ impl SpfThrottle {
             _ => {
                 // Quiet network: reset the backoff and wait the initial
                 // delay.
-                self.hold = self.config.initial_delay;
+                self.hold = self.initial_delay;
                 self.deferred = false;
-                now + self.config.initial_delay
+                now + self.initial_delay
             }
         };
         self.scheduled = Some(at);
@@ -110,7 +94,7 @@ impl SpfThrottle {
         self.runs += 1;
         if self.deferred {
             // Exponential backoff under churn.
-            self.hold = (self.hold * 2).min(self.config.max_hold);
+            self.hold = (self.hold * 2).min(timers::SPF_MAX_HOLD);
             self.deferred = false;
         }
     }
@@ -141,7 +125,7 @@ mod tests {
 
     #[test]
     fn isolated_trigger_waits_initial_delay() {
-        let mut t = SpfThrottle::new(ThrottleConfig::default());
+        let mut t = SpfThrottle::new(timers::SPF_INITIAL_DELAY);
         let run_at = t.on_trigger(at_ms(440)).unwrap();
         assert_eq!(run_at, at_ms(640));
         t.on_run(run_at);
@@ -153,7 +137,7 @@ mod tests {
 
     #[test]
     fn triggers_while_pending_coalesce() {
-        let mut t = SpfThrottle::new(ThrottleConfig::default());
+        let mut t = SpfThrottle::new(timers::SPF_INITIAL_DELAY);
         let first = t.on_trigger(at_ms(0)).unwrap();
         assert!(t.on_trigger(at_ms(50)).is_none());
         assert!(t.on_trigger(at_ms(100)).is_none());
@@ -162,11 +146,7 @@ mod tests {
 
     #[test]
     fn churn_doubles_hold_up_to_max() {
-        let cfg = ThrottleConfig {
-            initial_delay: SimDuration::from_millis(200),
-            max_hold: SimDuration::from_secs(10),
-        };
-        let mut t = SpfThrottle::new(cfg);
+        let mut t = SpfThrottle::new(SimDuration::from_millis(200));
         // Storm: a trigger lands right after every run.
         let mut now = at_ms(0);
         let mut gaps = Vec::new();
@@ -190,7 +170,7 @@ mod tests {
 
     #[test]
     fn quiet_period_resets_backoff() {
-        let mut t = SpfThrottle::new(ThrottleConfig::default());
+        let mut t = SpfThrottle::new(timers::SPF_INITIAL_DELAY);
         // Build up some backoff.
         let r1 = t.on_trigger(at_ms(0)).unwrap();
         t.on_run(r1);
@@ -208,7 +188,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "without being scheduled")]
     fn run_without_schedule_panics() {
-        let mut t = SpfThrottle::new(ThrottleConfig::default());
+        let mut t = SpfThrottle::new(timers::SPF_INITIAL_DELAY);
         t.on_run(at_ms(1));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The end-host stack for the F²Tree reproduction:
 //!
-//! * [`UdpSource`] — the paper's constant-rate probe flow (1448 B /
-//!   100 µs), whose receiver-side gap measures connectivity loss,
+//! * [`UdpSource`] — the paper's constant-rate probe flow
+//!   ([`PROBE_BYTES`] every [`PROBE_INTERVAL`]: 1448 B / 100 µs), whose
+//!   receiver-side gap measures connectivity loss,
 //! * [`TcpSender`]/[`TcpReceiver`] — a NewReno-style TCP with 200 ms
 //!   minimum RTO, exponential backoff, fast retransmit, and RFC 2861
 //!   cwnd validation (see the module docs for why each matters to the
@@ -34,6 +35,14 @@
 mod tcp;
 mod udp;
 mod workload;
+
+use dcn_sim::SimDuration;
+
+/// Payload of one probe segment: the paper's 1448 B.
+pub const PROBE_BYTES: u32 = 1448;
+
+/// Interval between probe segments: the paper's 100 µs.
+pub const PROBE_INTERVAL: SimDuration = SimDuration::from_micros(100);
 
 pub use tcp::{TcpAck, TcpApp, TcpConfig, TcpReceiver, TcpSegment, TcpSender, TcpSenderOutput};
 pub use udp::{UdpDatagram, UdpSource};

@@ -26,6 +26,8 @@ use std::fmt;
 use dcn_net::FlowKey;
 use dcn_sim::{SimDuration, SimTime};
 
+use crate::{PROBE_BYTES, PROBE_INTERVAL};
+
 /// TCP parameters (defaults follow the paper's Linux testbed).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TcpConfig {
@@ -73,14 +75,9 @@ pub enum TcpApp {
         /// Total bytes to transfer.
         bytes: u64,
     },
-    /// A paced source writing `segment_bytes` every `interval` forever
-    /// (the paper's probe flow: 1448 B / 100 µs).
-    Paced {
-        /// Bytes released per tick.
-        segment_bytes: u32,
-        /// Tick interval.
-        interval: SimDuration,
-    },
+    /// The paper's probe: a paced source writing [`PROBE_BYTES`] every
+    /// [`PROBE_INTERVAL`] forever.
+    Paced,
 }
 
 /// A data segment on the wire.
@@ -170,7 +167,7 @@ impl TcpSender {
     pub fn new(flow: FlowKey, config: TcpConfig, app: TcpApp) -> Self {
         let released = match app {
             TcpApp::FixedSize { bytes } => bytes,
-            TcpApp::Paced { .. } => 0,
+            TcpApp::Paced => 0,
         };
         TcpSender {
             flow,
@@ -230,13 +227,11 @@ impl TcpSender {
     /// Starts the flow at `now`.
     pub fn on_start(&mut self, now: SimTime) -> Vec<TcpSenderOutput> {
         let mut out = Vec::new();
-        if let TcpApp::Paced {
-            segment_bytes,
-            interval,
-        } = self.app
-        {
-            self.release_paced(segment_bytes);
-            out.push(TcpSenderOutput::ArmPace { at: now + interval });
+        if self.app == TcpApp::Paced {
+            self.release_paced();
+            out.push(TcpSenderOutput::ArmPace {
+                at: now + PROBE_INTERVAL,
+            });
         }
         self.transmit_window(now, &mut out);
         out
@@ -244,23 +239,21 @@ impl TcpSender {
 
     /// The application pacing tick fired.
     pub fn on_pace(&mut self, now: SimTime) -> Vec<TcpSenderOutput> {
-        let TcpApp::Paced {
-            segment_bytes,
-            interval,
-        } = self.app
-        else {
+        if self.app != TcpApp::Paced {
             return Vec::new();
-        };
-        self.release_paced(segment_bytes);
-        let mut out = vec![TcpSenderOutput::ArmPace { at: now + interval }];
+        }
+        self.release_paced();
+        let mut out = vec![TcpSenderOutput::ArmPace {
+            at: now + PROBE_INTERVAL,
+        }];
         self.transmit_window(now, &mut out);
         out
     }
 
     /// Accepts paced application data up to the send-buffer bound.
-    fn release_paced(&mut self, segment_bytes: u32) {
+    fn release_paced(&mut self) {
         let cap = self.snd_una + self.config.send_buffer;
-        self.released = (self.released + segment_bytes as u64).min(cap);
+        self.released = (self.released + u64::from(PROBE_BYTES)).min(cap);
     }
 
     /// An ACK arrived.
@@ -760,14 +753,7 @@ mod tests {
         // RFC 2861 cwnd validation: the paper's probe flow stays at its
         // initial window because it is never cwnd-limited.
         let cfg = TcpConfig::default();
-        let mut tx = TcpSender::new(
-            flow(),
-            cfg,
-            TcpApp::Paced {
-                segment_bytes: 1448,
-                interval: SimDuration::from_micros(100),
-            },
-        );
+        let mut tx = TcpSender::new(flow(), cfg, TcpApp::Paced);
         let mut rx = TcpReceiver::new();
         let mut now = SimTime::ZERO;
         let mut outputs = tx.on_start(now);
@@ -855,14 +841,7 @@ mod tests {
         // outage; no dupacks can form (window full of lost data), so the
         // first repair is the 200ms RTO.
         let cfg = TcpConfig::default();
-        let mut tx = TcpSender::new(
-            flow(),
-            cfg,
-            TcpApp::Paced {
-                segment_bytes: 1448,
-                interval: SimDuration::from_micros(100),
-            },
-        );
+        let mut tx = TcpSender::new(flow(), cfg, TcpApp::Paced);
         let mut rx = TcpReceiver::new();
         let mut now = SimTime::ZERO;
         let mut outputs = tx.on_start(now);

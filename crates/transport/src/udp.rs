@@ -6,7 +6,9 @@
 //! census gives *packets lost*.
 
 use dcn_net::FlowKey;
-use dcn_sim::{SimDuration, SimTime};
+use dcn_sim::SimTime;
+
+use crate::{PROBE_BYTES, PROBE_INTERVAL};
 
 /// A datagram emitted by [`UdpSource`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -17,54 +19,34 @@ pub struct UdpDatagram {
     pub bytes: u32,
 }
 
-/// A constant-rate UDP sender.
+/// The paper's probe: a UDP sender emitting [`PROBE_BYTES`] every
+/// [`PROBE_INTERVAL`] for as long as the simulation runs.
 ///
 /// # Examples
 ///
 /// ```
 /// use dcn_net::{FlowKey, Ipv4Addr, Protocol};
-/// use dcn_sim::{SimDuration, SimTime};
+/// use dcn_sim::SimTime;
 /// use dcn_transport::UdpSource;
 ///
 /// let flow = FlowKey::new(
 ///     Ipv4Addr::new(10, 11, 0, 2), Ipv4Addr::new(10, 11, 31, 2),
 ///     9000, 9000, Protocol::Udp);
-/// // The paper's probe: 1448B every 100us.
 /// let mut src = UdpSource::paper_probe(flow);
 /// let (dgram, next) = src.on_tick(SimTime::ZERO);
 /// assert_eq!(dgram.seq, 0);
-/// assert_eq!(next.unwrap().as_nanos(), 100_000);
+/// assert_eq!(next.as_nanos(), 100_000);
 /// ```
 #[derive(Clone, Debug)]
 pub struct UdpSource {
     flow: FlowKey,
-    segment_bytes: u32,
-    interval: SimDuration,
-    stop_at: Option<SimTime>,
     next_seq: u64,
 }
 
 impl UdpSource {
-    /// Creates a source sending `segment_bytes` every `interval`.
-    pub fn new(flow: FlowKey, segment_bytes: u32, interval: SimDuration) -> Self {
-        UdpSource {
-            flow,
-            segment_bytes,
-            interval,
-            stop_at: None,
-            next_seq: 0,
-        }
-    }
-
-    /// The paper's probe flow: 1448 bytes every 100 µs.
+    /// The paper's probe flow on `flow`.
     pub fn paper_probe(flow: FlowKey) -> Self {
-        UdpSource::new(flow, 1448, SimDuration::from_micros(100))
-    }
-
-    /// Stops emitting at `at` (exclusive).
-    pub fn stop_at(mut self, at: SimTime) -> Self {
-        self.stop_at = Some(at);
-        self
+        UdpSource { flow, next_seq: 0 }
     }
 
     /// The flow's five-tuple.
@@ -77,20 +59,14 @@ impl UdpSource {
         self.next_seq
     }
 
-    /// Emits the datagram due at `now` and returns the next tick time
-    /// (`None` once the source has stopped).
-    pub fn on_tick(&mut self, now: SimTime) -> (UdpDatagram, Option<SimTime>) {
+    /// Emits the datagram due at `now` and returns the next tick time.
+    pub fn on_tick(&mut self, now: SimTime) -> (UdpDatagram, SimTime) {
         let dgram = UdpDatagram {
             seq: self.next_seq,
-            bytes: self.segment_bytes,
+            bytes: PROBE_BYTES,
         };
         self.next_seq += 1;
-        let next = now + self.interval;
-        let cont = match self.stop_at {
-            Some(stop) => next < stop,
-            None => true,
-        };
-        (dgram, cont.then_some(next))
+        (dgram, now + PROBE_INTERVAL)
     }
 }
 
@@ -117,20 +93,9 @@ mod tests {
             let (d, next) = src.on_tick(now);
             assert_eq!(d.seq, expect);
             assert_eq!(d.bytes, 1448);
-            now = next.unwrap();
+            now = next;
         }
         assert_eq!(now.as_nanos(), 10 * 100_000);
         assert_eq!(src.sent(), 10);
-    }
-
-    #[test]
-    fn stop_at_halts_the_ticks() {
-        let stop = SimTime::ZERO + SimDuration::from_micros(250);
-        let mut src = UdpSource::paper_probe(flow()).stop_at(stop);
-        let (_, n1) = src.on_tick(SimTime::ZERO);
-        let (_, n2) = src.on_tick(n1.unwrap());
-        let (_, n3) = src.on_tick(n2.unwrap());
-        assert!(n3.is_none(), "third tick at 200us schedules 300us >= stop");
-        assert_eq!(src.sent(), 3);
     }
 }

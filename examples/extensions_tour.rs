@@ -7,11 +7,11 @@
 //!
 //! Run with `cargo run --release --example extensions_tour`.
 
+use f2tree::Design;
 use f2tree_experiments::extensions::{
     format_ablation, format_c7_wide, format_centralized, run_c7_wide, run_centralized_sweep,
     run_timer_ablation, run_unidirectional,
 };
-use f2tree_experiments::Design;
 
 fn main() {
     println!("1) Wide rings vs the C7 extreme condition\n");

@@ -4,8 +4,8 @@
 //! Run with `cargo run --example failure_drill [k]` (default k=8).
 
 use dcn_failure::Condition;
+use f2tree::Design;
 use f2tree_experiments::conditions::{format_fig4, run_condition, ConditionConfig};
-use f2tree_experiments::Design;
 
 fn main() {
     let k: u32 = std::env::args()

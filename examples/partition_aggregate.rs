@@ -4,8 +4,8 @@
 //! The default is a 60s run with proportional workload; `--full` replays
 //! the paper's 600s / 3000-request experiment.
 
+use f2tree::Design;
 use f2tree_experiments::workload::{format_fig6, run_workload, WorkloadConfig};
-use f2tree_experiments::Design;
 
 fn main() {
     let full = std::env::args().any(|a| a == "--full");

@@ -5,8 +5,9 @@ use dcn_emu::{EmuConfig, Network};
 use dcn_net::{scalability::F2TreeDimensions, FatTree, Layer, LinkClass};
 use dcn_routing::RouteOrigin;
 use dcn_sim::{SimDuration, SimTime};
-use f2tree::{layer_backup_summary, network_backup_routes, rewire_fat_tree, F2TreeNetwork};
-use f2tree_experiments::{Design, TestBed};
+use f2tree::{
+    layer_backup_summary, network_backup_routes, rewire_fat_tree, Design, F2TreeNetwork, TestBed,
+};
 
 fn ms(v: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(v)

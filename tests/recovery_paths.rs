@@ -5,7 +5,7 @@
 use dcn_failure::Condition;
 use dcn_net::{Layer, NodeId};
 use dcn_sim::{SimDuration, SimTime};
-use f2tree_experiments::{Design, TestBed};
+use f2tree::{Design, TestBed};
 
 fn ms(v: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(v)

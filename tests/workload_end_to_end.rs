@@ -2,8 +2,8 @@
 //! aggregate requests and background flows under random failures.
 
 use dcn_sim::SimDuration;
+use f2tree::Design;
 use f2tree_experiments::workload::{run_workload, WorkloadConfig};
-use f2tree_experiments::Design;
 
 fn quick(concurrent: usize, seed: u64) -> WorkloadConfig {
     WorkloadConfig {
