@@ -61,6 +61,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use dcn_net::{LinkId, NodeId, Prefix, Topology};
 use dcn_routing::{FibDelta, FibOp, FrrPlan, NextHop, Route, RouteOrigin};
@@ -336,6 +337,10 @@ pub fn compute_failure_map(
         adjacent.sort_by_key(|port| port.hop.link);
         // Per failed link, the repair routes keyed by prefix.
         let mut repairs: BTreeMap<LinkId, BTreeMap<Prefix, Route>> = BTreeMap::new();
+        // The switch's repair sets, one allocation each, and the buffer
+        // an alternate's hops are sorted into to find theirs.
+        let mut sets: Vec<Arc<[NextHop]>> = Vec::new();
+        let mut set: Vec<NextHop> = Vec::new();
         for &(origin, oi, prefixes) in &targets {
             if origin == s {
                 continue;
@@ -401,20 +406,27 @@ pub fn compute_failure_map(
                 AlternateKind::RemoteLfa
             };
             let next_hops: Vec<NextHop> = hops.into_iter().map(|(h, _)| h).collect();
-            alternates.insert(
-                (s, failed, origin),
-                Alternate {
-                    next_hops: next_hops.clone(),
-                    distance,
-                    kind,
-                },
-            );
+            set.clone_from(&next_hops);
+            set.sort();
+            set.dedup();
+            let shared = match sets.iter().find(|have| ***have == *set) {
+                Some(have) => Arc::clone(have),
+                None => {
+                    let new: Arc<[NextHop]> = Arc::from(set.as_slice());
+                    sets.push(Arc::clone(&new));
+                    new
+                }
+            };
+            alternates.insert((s, failed, origin), Alternate { next_hops, distance, kind });
             let routes = repairs.entry(failed).or_default();
             for &prefix in prefixes {
-                routes.insert(
+                let route = Route {
                     prefix,
-                    Route::new(prefix, RouteOrigin::Frr, distance + 1, next_hops.clone()),
-                );
+                    origin: RouteOrigin::Frr,
+                    metric: distance + 1,
+                    next_hops: Arc::clone(&shared),
+                };
+                routes.insert(prefix, route);
             }
         }
         if repairs.is_empty() {

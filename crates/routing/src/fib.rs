@@ -23,6 +23,7 @@ use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use dcn_net::{FlowKey, Ipv4Addr, LinkId, Prefix};
 
@@ -50,8 +51,9 @@ pub enum FibOp {
         prefix: Prefix,
         /// New path metric.
         metric: u32,
-        /// New ECMP next-hop set (sorted, deduplicated).
-        next_hops: Vec<NextHop>,
+        /// New ECMP next-hop set (sorted, deduplicated), shared with the
+        /// route it was read from.
+        next_hops: Arc<[NextHop]>,
     },
 }
 
@@ -113,8 +115,9 @@ impl FibDelta {
                 Some(want) => ops.push(FibOp::Patch {
                     prefix,
                     metric: want.metric,
-                    // Delta ops own their data: they outlive this borrow
-                    // of the desired map (FIB installs are delayed events).
+                    // Delta ops share their data: they outlive this borrow
+                    // of the desired map (FIB installs are delayed events),
+                    // and a next-hop set costs a reference count, not a copy.
                     next_hops: want.next_hops.clone(),
                 }),
             }
@@ -122,7 +125,7 @@ impl FibDelta {
         for (prefix, want) in desired {
             debug_assert_eq!(want.origin, origin);
             if !current.contains_key(prefix) {
-                ops.push(FibOp::Insert(want.clone())); // ops own their data
+                ops.push(FibOp::Insert(want.clone())); // ops share their data
             }
         }
         FibDelta { origin, ops }
@@ -269,10 +272,9 @@ impl Fib {
                         }
                     }
                     // Ops are absolute, so a patch against a missing
-                    // entry upserts (tolerates replayed sequences).
-                    Err(i) => self
-                        .routes
-                        .insert(i, Route::new(prefix, origin, metric, next_hops)),
+                    // entry upserts (tolerates replayed sequences); its
+                    // set arrives sorted and deduplicated.
+                    Err(i) => self.routes.insert(i, Route { prefix, origin, metric, next_hops }),
                 },
             }
         }
@@ -585,7 +587,7 @@ mod tests {
         let mut fib = table2_fib();
         let p: Prefix = "10.11.0.0/16".parse().unwrap();
         let removed = fib.remove(p, RouteOrigin::Static).unwrap();
-        assert_eq!(removed.next_hops, vec![hop(9, 1)]);
+        assert_eq!(removed.next_hops, vec![hop(9, 1)].into());
         assert!(fib.remove(p, RouteOrigin::Static).is_none());
         assert_eq!(fib.len(), 3);
     }
@@ -651,7 +653,7 @@ mod tests {
                 FibOp::Patch {
                     prefix: p24,
                     metric: 7,
-                    next_hops: vec![hop(9, 1)],
+                    next_hops: vec![hop(9, 1)].into(),
                 },
                 FibOp::Remove("10.11.4.0/24".parse().unwrap()),
                 FibOp::Insert(Route::new(p_new, RouteOrigin::Ospf, 2, vec![hop(20, 5)])),
@@ -660,7 +662,7 @@ mod tests {
                 FibOp::Patch {
                     prefix: "10.11.8.0/24".parse().unwrap(),
                     metric: 3,
-                    next_hops: vec![hop(21, 6)],
+                    next_hops: vec![hop(21, 6)].into(),
                 },
             ],
         });
@@ -670,7 +672,7 @@ mod tests {
             .find(|r| r.prefix == p24 && r.origin == RouteOrigin::Ospf)
             .unwrap();
         assert_eq!(patched.metric, 7);
-        assert_eq!(patched.next_hops, vec![hop(9, 1)]);
+        assert_eq!(patched.next_hops, vec![hop(9, 1)].into());
         assert!(!fib
             .routes()
             .any(|r| r.prefix.to_string() == "10.11.4.0/24"));

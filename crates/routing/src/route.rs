@@ -1,6 +1,7 @@
 //! Routes and next hops.
 
 use std::fmt;
+use std::sync::Arc;
 
 use dcn_net::{LinkId, NodeId, Prefix};
 
@@ -73,12 +74,14 @@ pub struct Route {
     pub origin: RouteOrigin,
     /// Path metric (hop count for OSPF; 0 for connected/static).
     pub metric: u32,
-    /// Equal-cost next hops, sorted for determinism.
-    pub next_hops: Vec<NextHop>,
+    /// Equal-cost next hops, sorted for determinism; one allocation
+    /// shared by every route, delta and FIB entry written with the set.
+    pub next_hops: Arc<[NextHop]>,
 }
 
 impl Route {
-    /// Creates a route, sorting and deduplicating the next-hop set.
+    /// Creates a route, sorting and deduplicating the next-hop set into
+    /// an allocation of its own.
     pub fn new(
         prefix: Prefix,
         origin: RouteOrigin,
@@ -91,7 +94,7 @@ impl Route {
             prefix,
             origin,
             metric,
-            next_hops,
+            next_hops: next_hops.into(),
         }
     }
 }
@@ -134,7 +137,7 @@ mod tests {
             link: LinkId::new(4),
         };
         let r = Route::new(p, RouteOrigin::Ospf, 2, vec![h1, h2, h1]);
-        assert_eq!(r.next_hops, vec![h2, h1]);
+        assert_eq!(r.next_hops, vec![h2, h1].into());
     }
 
     #[test]

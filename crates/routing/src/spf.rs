@@ -15,7 +15,9 @@
 //! whole table, `emit_delta` merges the tree into the route set a router
 //! last emitted and writes only what changed. `emit_delta` reads its tree
 //! out of an [`SpfTable`] instead of searching: per-network state, one
-//! BFS per prefix origin for each LSDB snapshot the routers hold.
+//! BFS per prefix origin for each LSDB snapshot the routers hold. Both
+//! emitters write each distinct next-hop set once and share it among
+//! the routes that have it.
 //!
 //! [`Adjacency`]: crate::Adjacency
 
@@ -41,7 +43,8 @@ const FAR: u16 = u16::MAX; // `UNREACHED` in an `SpfTable`
 pub fn compute_routes(lsdb: &Lsdb, root: NodeId) -> Vec<Route> {
     let tree = SpfTree::build(lsdb, root);
     let listed = tree.listed(lsdb);
-    listed.into_iter().map(|want| tree.route(want)).collect()
+    let mut sets = Sets::default();
+    listed.into_iter().map(|want| tree.route(want, &mut sets)).collect()
 }
 
 /// Runs SPF for `root` and merges its result into `emitted` — the
@@ -72,9 +75,10 @@ pub(crate) fn emit_delta(
 
     let mut ops = Vec::new();
     let mut inserts = Vec::new();
+    let mut sets = Sets::holding(emitted);
     emitted.retain_mut(|have| {
         while let Some(want) = desired.next_if(|want| want.0 < have.prefix) {
-            inserts.push(tree.route(want));
+            inserts.push(tree.route(want, &mut sets));
         }
         let Some((_, metric, mask)) = desired.next_if(|want| want.0 == have.prefix) else {
             ops.push(FibOp::Remove(have.prefix));
@@ -84,7 +88,7 @@ pub(crate) fn emit_delta(
             && have.metric == metric
             && have.next_hops.iter().copied().eq(tree.hops(mask));
         if !same {
-            *have = tree.route((have.prefix, metric, mask));
+            *have = tree.route((have.prefix, metric, mask), &mut sets);
             ops.push(FibOp::Patch {
                 prefix: have.prefix,
                 metric,
@@ -93,7 +97,7 @@ pub(crate) fn emit_delta(
         }
         true
     });
-    inserts.extend(desired.map(|want| tree.route(want)));
+    inserts.extend(desired.map(|want| tree.route(want, &mut sets)));
     if !inserts.is_empty() {
         // Two sorted runs with disjoint prefixes: the merge sort's best case.
         emitted.extend(inserts.iter().cloned());
@@ -108,6 +112,44 @@ pub(crate) fn emit_delta(
 
 /// A route before it is written: prefix, metric, first-hop mask.
 type Listed<'a> = (Prefix, u32, &'a [u64]);
+
+/// The next-hop sets a run hands out, one allocation per distinct set. A
+/// fat-tree router has about k/2 + 1 of them, so scans find them.
+#[derive(Default)]
+struct Sets<'a> {
+    /// The sets the run has written, by first-hop mask.
+    written: Vec<(&'a [u64], Arc<[NextHop]>)>,
+    /// The router's sets before the run, so that a set outlives the run
+    /// that wrote it: a route whose metric alone changed keeps its set.
+    held: Vec<Arc<[NextHop]>>,
+}
+
+impl<'a> Sets<'a> {
+    fn holding(routes: &[Route]) -> Self {
+        let mut held: Vec<Arc<[NextHop]>> = Vec::new();
+        for set in routes.iter().map(|r| &r.next_hops) {
+            if !held.iter().any(|have| Arc::ptr_eq(have, set)) {
+                held.push(Arc::clone(set));
+            }
+        }
+        Sets { written: Vec::new(), held }
+    }
+
+    /// The set `mask` stands for; its members, `hops`, are read on the
+    /// run's first sight of the mask.
+    fn share(&mut self, mask: &'a [u64], hops: impl Iterator<Item = NextHop>) -> Arc<[NextHop]> {
+        if let Some((_, set)) = self.written.iter().find(|(seen, _)| *seen == mask) {
+            return Arc::clone(set);
+        }
+        let hops: Vec<NextHop> = hops.collect();
+        let set = match self.held.iter().find(|set| ***set == *hops) {
+            Some(set) => Arc::clone(set),
+            None => Arc::from(hops),
+        };
+        self.written.push((mask, Arc::clone(&set)));
+        set
+    }
+}
 
 /// One SPF run's shortest-path tree: the distance of every node from the
 /// root and the set of root interfaces that start a shortest path to it —
@@ -247,15 +289,13 @@ impl SpfTree {
         listed
     }
 
-    /// Writes one listed route out.
-    fn route(&self, (prefix, metric, mask): Listed<'_>) -> Route {
-        let mut next_hops = Vec::with_capacity(mask.iter().map(|w| w.count_ones() as usize).sum());
-        next_hops.extend(self.hops(mask));
+    /// Writes one listed route out, its next-hop set taken from `sets`.
+    fn route<'a>(&self, (prefix, metric, mask): Listed<'a>, sets: &mut Sets<'a>) -> Route {
         Route {
             prefix,
             origin: RouteOrigin::Ospf,
             metric,
-            next_hops,
+            next_hops: sets.share(mask, self.hops(mask)),
         }
     }
 

@@ -113,7 +113,7 @@ mod reference {
                         } else {
                             // Ops are absolute, so a patch against a missing
                             // entry upserts (tolerates replayed sequences).
-                            self.insert(Route::new(prefix, origin, metric, next_hops));
+                            self.insert(Route::new(prefix, origin, metric, next_hops.to_vec()));
                         }
                     }
                 }

@@ -44,7 +44,7 @@ fn dump_fibs(bed: &TestBed) -> String {
         let router = bed.net.router(node.id()).expect("switches run routers");
         for route in router.fib().routes() {
             let mut hops = String::new();
-            for hop in &route.next_hops {
+            for hop in route.next_hops.iter() {
                 write!(hops, " {hop}").unwrap();
             }
             lines.push(format!(
