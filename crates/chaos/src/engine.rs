@@ -7,8 +7,10 @@
 //! transitions, local failure detection, FIB installations). Between
 //! epochs the forwarding graph is frozen, so nothing is missed.
 
+use std::fmt;
+
 use dcn_emu::{EmuConfig, Network};
-use dcn_net::{FlowKey, Layer, NodeId, Protocol};
+use dcn_net::{FlowKey, Layer, LinkId, NodeId, Protocol};
 use dcn_routing::RecoveryMode;
 use dcn_sim::{timers, SimDuration, SimTime};
 use dcn_sweep::{ExperimentSpec, Workers};
@@ -134,18 +136,60 @@ struct Window {
     max_hold: SimDuration,
 }
 
+/// Why [`run_scenario`] refused a spec.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ScenarioError {
+    /// The spec's `design`/`k`/`hosts_per_tor` do not describe a
+    /// buildable testbed.
+    TestBed(TestBedError),
+    /// An event names a link the rebuilt topology lacks.
+    UnknownLink(LinkId),
+    /// An event lies so late that the run, drained after it, would
+    /// overflow the simulation clock.
+    TimeOverflow(SimTime),
+}
+
+impl From<TestBedError> for ScenarioError {
+    fn from(e: TestBedError) -> Self {
+        ScenarioError::TestBed(e)
+    }
+}
+
+impl fmt::Display for ScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ScenarioError::TestBed(e) => write!(f, "testbed error: {e}"),
+            ScenarioError::UnknownLink(link) => {
+                write!(f, "scenario names link {}, which the topology lacks", link.index())
+            }
+            ScenarioError::TimeOverflow(at) => {
+                write!(f, "scenario event at {at} runs past the end of the simulation clock")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ScenarioError {}
+
 /// Runs `spec` on a freshly built testbed with all oracles armed.
 ///
 /// # Errors
 ///
-/// Returns [`TestBedError`] if the spec's `design`/`k`/`hosts_per_tor` do
-/// not describe a buildable testbed.
+/// Returns [`ScenarioError`] if the spec's `design`/`k`/`hosts_per_tor` do
+/// not describe a buildable testbed, an event names a link the topology
+/// lacks, or the run would outlast the simulation clock.
 pub fn run_scenario(
     spec: &ScenarioSpec,
     cfg: &EngineConfig,
-) -> Result<ScenarioOutcome, TestBedError> {
+) -> Result<ScenarioOutcome, ScenarioError> {
     let emu = EmuConfig::builder().recovery(cfg.recovery).build();
     let mut bed = TestBed::build_with_config(spec.design, spec.k, spec.hosts_per_tor, emu)?;
+    let topo = bed.topology();
+    for e in spec.incidents.iter().flat_map(|i| &i.events) {
+        if e.link.index() >= topo.link_slots() || topo.link(e.link).is_removed() {
+            return Err(ScenarioError::UnknownLink(e.link));
+        }
+    }
     let switches: Vec<NodeId> = [Layer::Tor, Layer::Agg, Layer::Core]
         .into_iter()
         .flat_map(|l| bed.topology().layer_switches(l))
@@ -179,6 +223,23 @@ pub fn run_scenario(
     let first_fail = phys_events.first().copied().unwrap_or(SimTime::ZERO);
     let last_event = spec.last_event_time();
 
+    // Drain long enough for the worst deferred SPF after the last repair:
+    // detection of the repair, a full max-length throttle hold, the SPF
+    // scheduling delay, and the FIB installation delay.
+    let drain = timers::DETECTION_DELAY
+        + timers::SPF_MAX_HOLD
+        + timers::SPF_INITIAL_DELAY
+        + timers::FIB_UPDATE_DELAY;
+    // No timer the run arms is longer than a minute, so a horizon in the
+    // first half of the clock (292 years) leaves every one of them room.
+    let horizon = last_event
+        .max(first_fail)
+        .as_nanos()
+        .checked_add(drain.as_nanos())
+        .filter(|&end| end <= u64::MAX / 2)
+        .map(SimTime::from_nanos)
+        .ok_or(ScenarioError::TimeOverflow(last_event))?;
+
     // TCP conservation workload: transfers that are mid-flight when the
     // first failure lands, start exactly at it, and start during the
     // ensuing reconvergence.
@@ -192,15 +253,6 @@ pub fn run_scenario(
     for (i, &(src, dst)) in pairs.iter().take(starts.len()).enumerate() {
         transfers.push(bed.net.add_transfer(src, dst, TRANSFER_BYTES, starts[i]));
     }
-
-    // Drain long enough for the worst deferred SPF after the last repair:
-    // detection of the repair, a full max-length throttle hold, the SPF
-    // scheduling delay, and the FIB installation delay.
-    let drain = timers::DETECTION_DELAY
-        + timers::SPF_MAX_HOLD
-        + timers::SPF_INITIAL_DELAY
-        + timers::FIB_UPDATE_DELAY;
-    let horizon = last_event.max(first_fail) + drain;
 
     bed.net.apply_failures(schedule);
 
@@ -618,9 +670,9 @@ impl ChaosReport {
 ///
 /// # Errors
 ///
-/// Returns the first [`TestBedError`] any campaign hit (only possible with
-/// an unbuildable `k`/`hosts_per_tor` configuration).
-pub fn run_chaos(cfg: &ChaosConfig, workers: Workers) -> Result<ChaosReport, TestBedError> {
+/// Returns the first [`ScenarioError`] any campaign hit (only possible
+/// with an unbuildable `k`/`hosts_per_tor` configuration).
+pub fn run_chaos(cfg: &ChaosConfig, workers: Workers) -> Result<ChaosReport, ScenarioError> {
     // FRR campaigns pin every cell to F²Tree: the across ring is what
     // gives the failure map its remote-LFA coverage, and the tightened
     // blackhole bound is only claimed where that coverage exists (plain
@@ -643,7 +695,7 @@ pub fn run_chaos(cfg: &ChaosConfig, workers: Workers) -> Result<ChaosReport, Tes
         .master_seed(cfg.master_seed)
         .workers(workers)
         .build();
-    let results: Vec<Result<CampaignResult, TestBedError>> = plan.run(|ctx| {
+    let results: Vec<Result<CampaignResult, ScenarioError>> = plan.run(|ctx| {
         let &(index, design) = ctx.cell();
         let mut rng = ctx.rng();
         let spec = generate_scenario(design, &mut rng, &cfg.campaign)?;

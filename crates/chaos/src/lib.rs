@@ -49,7 +49,8 @@ pub mod shrink;
 pub use campaign::{generate_scenario, CampaignConfig};
 pub use engine::{
     monitor_endpoints, run_chaos, run_scenario, CampaignResult, ChaosConfig, ChaosReport,
-    EngineConfig, ScenarioOutcome, ScenarioStats, MAX_VIOLATIONS, MONITOR_SPORTS, TRANSFER_BYTES,
+    EngineConfig, ScenarioError, ScenarioOutcome, ScenarioStats, MAX_VIOLATIONS, MONITOR_SPORTS,
+    TRANSFER_BYTES,
 };
 pub use oracle::{
     blackhole_bound, routably_connected, walk, Violation, ViolationKind, WalkOutcome,

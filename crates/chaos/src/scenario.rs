@@ -27,7 +27,7 @@ use std::fmt;
 
 use dcn_failure::{FailureEvent, FailureSchedule};
 use dcn_net::LinkId;
-use dcn_sim::{SimDuration, SimTime};
+use dcn_sim::SimTime;
 use f2tree::Design;
 
 /// The high-level failure pattern an [`Incident`] was generated from.
@@ -206,12 +206,16 @@ impl ScenarioSpec {
                 }
                 "down" | "up" => {
                     let micros: u64 = parse_num(lineno, parts.next(), "time")?;
+                    let at = micros.checked_mul(1_000).map(SimTime::from_nanos).ok_or_else(|| {
+                        let message = format!("time `{micros}` overflows the clock");
+                        ScenarioParseError::bad(lineno, message)
+                    })?;
                     let link: u32 = parse_num(lineno, parts.next(), "link")?;
                     let incident = incidents.last_mut().ok_or_else(|| {
                         ScenarioParseError::bad(lineno, "event before any `incident` line".into())
                     })?;
                     incident.events.push(FailureEvent {
-                        at: SimTime::ZERO + SimDuration::from_micros(micros),
+                        at,
                         link: LinkId::new(link),
                         up: keyword == "up",
                     });
@@ -302,6 +306,7 @@ impl std::error::Error for ScenarioParseError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_sim::SimDuration;
 
     fn ms(v: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(v)

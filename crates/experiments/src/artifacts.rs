@@ -7,7 +7,9 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::conditions::ConditionResult;
+use dcn_routing::RecoveryMode;
+
+use crate::conditions::ConditionGrid;
 use crate::testbed::{testbed_config, TestbedResult};
 use crate::workload::WorkloadResult;
 
@@ -48,10 +50,10 @@ pub fn export_fig2(dir: &Path, results: &[TestbedResult]) -> io::Result<()> {
     )
 }
 
-/// Exports the Fig. 4 recovery metrics (`fig4_conditions.csv`).
-pub fn export_fig4(dir: &Path, results: &[ConditionResult]) -> io::Result<()> {
-    let rows: Vec<String> = results
-        .iter()
+/// Exports Fig. 4 with F²Tree under `mode` (`fig4_conditions.csv`).
+pub fn export_fig4(dir: &Path, grid: &ConditionGrid, mode: RecoveryMode) -> io::Result<()> {
+    let rows: Vec<String> = grid
+        .fig4(mode)
         .map(|r| {
             format!(
                 "{},{},{},{},{},{}",
@@ -73,10 +75,10 @@ pub fn export_fig4(dir: &Path, results: &[ConditionResult]) -> io::Result<()> {
     )
 }
 
-/// Exports the Fig. 5 delay series (`fig5_delay.csv`).
-pub fn export_fig5(dir: &Path, results: &[ConditionResult]) -> io::Result<()> {
+/// Exports Fig. 5's delay series, F²Tree under `mode` (`fig5_delay.csv`).
+pub fn export_fig5(dir: &Path, grid: &ConditionGrid, mode: RecoveryMode) -> io::Result<()> {
     let mut rows = Vec::new();
-    for r in results {
+    for r in grid.fig5(mode) {
         for &(t_ms, delay) in &r.delay_series {
             let mut row = format!("{},{},{t_ms}", r.design, r.condition);
             match delay {

@@ -9,9 +9,9 @@
 //! `DCN_WORKERS` env var, else all cores — the output is byte-identical
 //! for every value).
 //!
-//! `--recovery` selects the recovery discipline the condition sweeps
-//! (fig4/fig5) run under — the independent variable of the `recovery`
-//! comparison target.
+//! `--recovery` selects which F²Tree cells of the condition grid fig4 and
+//! fig5 show (the fat-tree rows are its OSPF cells); the `recovery` and
+//! `quality` targets show every mode.
 //!
 //! Anything the parser does not recognize — an unknown flag or target, a
 //! non-numeric `--seed`, an uncreatable `--out` — is rejected with a
@@ -33,13 +33,12 @@ use std::path::PathBuf;
 
 use dcn_chaos::{run_chaos, run_scenario, shrink_scenario, ChaosConfig};
 
-use dcn_failure::Condition;
 use dcn_routing::RecoveryMode;
 use dcn_sweep::Workers;
 use f2tree::Design;
 use f2tree_experiments::artifacts;
 use f2tree_experiments::conditions::{
-    format_fig4, format_table4, run_condition, run_fig4_sweep, ConditionConfig,
+    format_fig4, format_fig5, format_table4, ConditionConfig, ConditionGrid, View,
 };
 use f2tree_experiments::extensions::{
     format_ablation, format_aspen, format_bisection, format_c7_wide, format_centralized,
@@ -47,9 +46,9 @@ use f2tree_experiments::extensions::{
     run_unidirectional,
 };
 use f2tree_experiments::fig7::{format_fig7, run_fig7_sweep};
-use f2tree_experiments::plot::{sparkline, sparkline_values};
-use f2tree_experiments::quality::{format_quality, run_quality_sweep};
-use f2tree_experiments::recovery::{congestion_cost, format_recovery, frr_wins, run_recovery_sweep};
+use f2tree_experiments::plot::sparkline_values;
+use f2tree_experiments::quality::format_quality;
+use f2tree_experiments::recovery::{congestion_cost, format_recovery, frr_wins};
 use f2tree_experiments::summary::{format_summary, run_summary};
 use f2tree_experiments::table1::{format_table1, run_table1};
 use f2tree_experiments::table2::{format_table2, run_table2};
@@ -247,10 +246,6 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let condition_cfg = ConditionConfig {
-        recovery: cli.recovery,
-        ..ConditionConfig::default()
-    };
     let targets = &cli.targets;
 
     if targets.contains(&"chaos") {
@@ -290,56 +285,44 @@ fn main() {
     if want("table4") {
         println!("{}", format_table4());
     }
+    // Fig. 4, Fig. 5, recovery and quality are views of one condition
+    // grid; each cell a wanted view reads runs once.
+    let views: Vec<View> = [
+        ("fig4", View::Fig4(cli.recovery)),
+        ("fig5", View::Fig5(cli.recovery)),
+        ("recovery", View::Recovery),
+        ("quality", View::Quality),
+    ]
+    .into_iter()
+    .filter_map(|(target, view)| want(target).then_some(view))
+    .collect();
+    let grid = ConditionGrid::run(&ConditionConfig::default(), &views, cli.workers);
     if want("fig4") {
-        let cfg = condition_cfg;
-        let results = run_fig4_sweep(&cfg, cli.workers);
-        println!("{}", format_fig4(&results));
+        println!("{}", format_fig4(&grid, cli.recovery));
         if let Some(dir) = &cli.out_dir {
-            artifacts::export_fig4(dir, &results).expect("write fig4 csv");
+            artifacts::export_fig4(dir, &grid, cli.recovery).expect("write fig4 csv");
         }
     }
     if want("fig5") {
-        let cfg = condition_cfg;
-        println!("Fig. 5: end-to-end delay during recovery (each char = 10ms; blank = loss):");
-        let mut results = Vec::new();
-        for (design, condition) in [
-            (Design::FatTree, Condition::C1),
-            (Design::F2Tree, Condition::C1),
-            (Design::F2Tree, Condition::C4),
-            (Design::F2Tree, Condition::C5),
-            (Design::F2Tree, Condition::C7),
-        ] {
-            let r = run_condition(design, condition, &cfg);
-            let series: Vec<Option<f64>> = r
-                .delay_series
-                .iter()
-                .take(50)
-                .map(|&(_, d)| d)
-                .collect();
-            println!("  {:<9} {} |{}|", design.to_string(), r.condition, sparkline(&series));
-            results.push(r);
-        }
-        println!();
+        println!("{}", format_fig5(&grid, cli.recovery));
         if let Some(dir) = &cli.out_dir {
-            artifacts::export_fig5(dir, &results).expect("write fig5 csv");
+            artifacts::export_fig5(dir, &grid, cli.recovery).expect("write fig5 csv");
         }
     }
     if want("recovery") {
-        let results = run_recovery_sweep(&condition_cfg, cli.workers);
-        println!("{}", format_recovery(&results));
-        println!("frr beats ospf on: {}", frr_wins(&results).join(" "));
+        println!("{}", format_recovery(&grid));
+        println!("frr beats ospf on: {}", frr_wins(&grid).join(" "));
         println!(
             "f2tree pays congestion on: {}",
-            congestion_cost(&results, RecoveryMode::F2TreeRewiring).join(" ")
+            congestion_cost(&grid, RecoveryMode::F2TreeRewiring).join(" ")
         );
         println!(
             "frr pays congestion on: {}\n",
-            congestion_cost(&results, RecoveryMode::PrecomputedFrr).join(" ")
+            congestion_cost(&grid, RecoveryMode::PrecomputedFrr).join(" ")
         );
     }
     if want("quality") {
-        let results = run_quality_sweep(&condition_cfg, cli.workers);
-        println!("{}", format_quality(&results));
+        println!("{}", format_quality(&grid));
     }
     if want("fig6") {
         let cfg = if cli.quick {
@@ -443,7 +426,7 @@ fn run_chaos_cli(cli: &Cli) {
     let report = match run_chaos(&cfg, cli.workers) {
         Ok(report) => report,
         Err(e) => {
-            eprintln!("chaos: testbed error: {e}");
+            eprintln!("chaos: {e}");
             std::process::exit(2);
         }
     };

@@ -1,10 +1,16 @@
-//! Fig. 4 + Fig. 5 + Table IV: failure-condition sweep on the 8-port DCN.
+//! Fig. 4 + Fig. 5 + Table IV on the 8-port DCN, and the condition grid
+//! behind them.
 //!
-//! For each condition C1–C7 (Table IV) this runner injects the resolved
-//! link failures at a fixed instant and measures the paper's three Fig. 4
+//! For each condition C1–C7 (Table IV) a cell injects the resolved link
+//! failures at a fixed instant and measures the paper's three Fig. 4
 //! metrics (connectivity-loss duration, UDP packets lost, TCP throughput
-//! collapse) plus the Fig. 5 end-to-end delay series. Fat tree runs
-//! C1–C5; C6/C7 involve across links and exist only on F²Tree.
+//! collapse), the Fig. 5 end-to-end delay series, and the routing
+//! quality before, during and after the failover. The grid is the plain
+//! fat tree under OSPF on C1–C5 (C6/C7 involve across links and exist
+//! only on F²Tree) plus F²Tree under every recovery mode on C1–C7. Fig. 4,
+//! Fig. 5, the mode comparison ([`crate::recovery`]) and the quality grid
+//! ([`crate::quality`]) are [`View`]s that look cells up by (design, mode,
+//! condition); [`ConditionGrid::run`] runs each cell its views read once.
 
 use dcn_emu::{EmuConfig, FlowId};
 use dcn_failure::Condition;
@@ -15,6 +21,8 @@ use dcn_sim::{timers, SimDuration, SimTime};
 use dcn_sweep::{ExperimentSpec, Workers};
 use f2tree::{Design, TestBed};
 use serde::{Deserialize, Serialize};
+
+use crate::plot::sparkline;
 
 /// Parameters of the condition sweep (defaults match the paper: k = 8).
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -69,7 +77,7 @@ impl ConditionConfig {
 }
 
 /// The measured outcome of one (design, condition) cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ConditionResult {
     /// Which design.
     pub design: Design,
@@ -111,7 +119,7 @@ pub fn mid_failover_offset() -> SimDuration {
 
 /// One condition cell run to its horizon: the bed as it stands there,
 /// the two aligned probes, and the routing-quality reports that bracket
-/// the failure. Shared by the Fig. 4 cell and the quality sweep.
+/// the failure. Shared by [`run_condition`], the grid cell and Table III.
 pub(crate) struct ConditionRun {
     pub(crate) bed: TestBed,
     pub(crate) udp: FlowId,
@@ -205,6 +213,48 @@ impl ConditionRun {
             tcp_series,
         }
     }
+
+    /// Everything [`run_condition`] reports about the run.
+    fn result(
+        &self,
+        design: Design,
+        condition: Condition,
+        config: &ConditionConfig,
+    ) -> ConditionResult {
+        let recovery = self.recovery(config);
+        let delay_series = self
+            .bed
+            .net
+            .udp_probe_report(self.udp)
+            .delay
+            .downsample(
+                SimTime::ZERO,
+                config.horizon(),
+                SimDuration::from_millis(config.delay_window_ms),
+            )
+            .into_iter()
+            .map(|(t, d)| {
+                (
+                    t.as_nanos() / 1_000_000,
+                    d.map(|d| d.as_nanos() as f64 / 1e3),
+                )
+            })
+            .collect();
+
+        ConditionResult {
+            design,
+            condition: condition.to_string(),
+            paper_condition: condition.paper_condition(),
+            failed_links: self.failed_links,
+            connectivity_loss_us: recovery.loss_us,
+            packets_lost: recovery.packets_lost,
+            throughput_collapse_us: recovery.collapse_us,
+            delay_series,
+            healthy_max_load: self.healthy.max_load,
+            post_failover_max_load: self.failover.max_load,
+            post_failover_undeliverable: self.failover.undeliverable,
+        }
+    }
 }
 
 /// Runs one condition on one design.
@@ -218,78 +268,169 @@ pub fn run_condition(
     condition: Condition,
     config: &ConditionConfig,
 ) -> ConditionResult {
-    let run = run_condition_bed(design, condition, config);
-    let recovery = run.recovery(config);
-    let delay_series = run
-        .bed
-        .net
-        .udp_probe_report(run.udp)
-        .delay
-        .downsample(
-            SimTime::ZERO,
-            config.horizon(),
-            SimDuration::from_millis(config.delay_window_ms),
-        )
-        .into_iter()
-        .map(|(t, d)| {
-            (
-                t.as_nanos() / 1_000_000,
-                d.map(|d| d.as_nanos() as f64 / 1e3),
-            )
-        })
-        .collect();
+    run_condition_bed(design, condition, config).result(design, condition, config)
+}
 
-    ConditionResult {
-        design,
-        condition: condition.to_string(),
-        paper_condition: condition.paper_condition(),
-        failed_links: run.failed_links,
-        connectivity_loss_us: recovery.loss_us,
-        packets_lost: recovery.packets_lost,
-        throughput_collapse_us: recovery.collapse_us,
-        delay_series,
-        healthy_max_load: run.healthy.max_load,
-        post_failover_max_load: run.failover.max_load,
-        post_failover_undeliverable: run.failover.undeliverable,
+/// One cell of the condition grid: the [`run_condition`] measurement
+/// plus the three routing-quality snapshots.
+#[derive(Clone, Debug)]
+pub struct CellResult {
+    /// Recovery discipline the cell ran under.
+    pub recovery: RecoveryMode,
+    /// The Fig. 4 / Fig. 5 measurement (it names the design and condition).
+    pub result: ConditionResult,
+    /// Converged pre-failure score.
+    pub healthy: QualityReport,
+    /// Mid-failover score (fast reroute active, OSPF not yet done).
+    pub failover: QualityReport,
+    /// Post-reconvergence score at the horizon.
+    pub settled: QualityReport,
+}
+
+/// A view of the condition grid, and so the cells it reads.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum View {
+    /// Fig. 4 with F²Tree under the given mode; the fat tree runs OSPF,
+    /// its only discipline.
+    Fig4(RecoveryMode),
+    /// Fig. 5: its five delay series, out of the Fig. 4 cells.
+    Fig5(RecoveryMode),
+    /// The three-mode comparison: every F²Tree cell.
+    Recovery,
+    /// The quality grid: every cell.
+    Quality,
+}
+
+/// Fig. 5's delay series, in plot order.
+const FIG5: [(Design, Condition); 5] = [
+    (Design::FatTree, Condition::C1),
+    (Design::F2Tree, Condition::C1),
+    (Design::F2Tree, Condition::C4),
+    (Design::F2Tree, Condition::C5),
+    (Design::F2Tree, Condition::C7),
+];
+
+/// The mode a figure drawn under `mode` runs `design` in: the fat tree
+/// knows only OSPF (its rows are the same under every mode).
+fn figure_mode(design: Design, mode: RecoveryMode) -> RecoveryMode {
+    match design {
+        Design::FatTree => RecoveryMode::OspfReconvergence,
+        Design::F2Tree => mode,
     }
 }
 
-/// The Fig. 4 sweep grid: fat tree on C1–C5, F²Tree on C1–C7, in the
-/// paper's presentation order.
-pub fn fig4_cells() -> Vec<(Design, Condition)> {
-    let mut cells = Vec::new();
-    for condition in Condition::ALL {
-        if !condition.requires_across_links() {
-            cells.push((Design::FatTree, condition));
+impl View {
+    /// Whether the view reads the (design, mode, condition) cell.
+    pub fn reads(self, design: Design, mode: RecoveryMode, condition: Condition) -> bool {
+        match self {
+            View::Fig4(m) => mode == figure_mode(design, m),
+            View::Fig5(m) => mode == figure_mode(design, m) && FIG5.contains(&(design, condition)),
+            View::Recovery => design == Design::F2Tree,
+            View::Quality => true,
         }
-        cells.push((Design::F2Tree, condition));
     }
-    cells
 }
 
-/// Runs the Fig. 4 sweep on an explicit worker count via the sweep
-/// engine. Cell order — and therefore output — is identical for every
-/// `workers` value; only wall-clock time changes.
-pub fn run_fig4_sweep(config: &ConditionConfig, workers: Workers) -> Vec<ConditionResult> {
-    ExperimentSpec::new("fig4")
-        .cells(fig4_cells())
-        .workers(workers)
-        .build()
-        .run(|ctx| {
-            let (design, condition) = *ctx.cell();
-            run_condition(design, condition, config)
+/// Every cell of the grid, in its order: the plain fat tree under OSPF
+/// on C1–C5 (C6/C7 need across links), then F²Tree under each recovery
+/// mode (baseline `ospf` first) on C1–C7.
+pub fn grid_cells() -> Vec<(Design, RecoveryMode, Condition)> {
+    let fat_tree = Condition::ALL
+        .into_iter()
+        .filter(|c| !c.requires_across_links())
+        .map(|c| (Design::FatTree, RecoveryMode::OspfReconvergence, c));
+    let f2tree = RecoveryMode::ALL
+        .into_iter()
+        .flat_map(|mode| Condition::ALL.into_iter().map(move |c| (Design::F2Tree, mode, c)));
+    fat_tree.chain(f2tree).collect()
+}
+
+/// Runs one grid cell: the [`run_condition`] cell under `mode`, whose
+/// bed at the horizon gives the settled quality snapshot.
+pub(crate) fn run_cell(
+    design: Design,
+    recovery: RecoveryMode,
+    condition: Condition,
+    config: &ConditionConfig,
+) -> CellResult {
+    let config = ConditionConfig { recovery, ..*config };
+    let run = run_condition_bed(design, condition, &config);
+    CellResult {
+        recovery,
+        result: run.result(design, condition, &config),
+        settled: QualityReport::compute(&run.bed.net.quality_input()),
+        healthy: run.healthy,
+        failover: run.failover,
+    }
+}
+
+/// The measured condition grid: the cells some views read, each run
+/// once.
+#[derive(Clone, Debug)]
+pub struct ConditionGrid {
+    /// The cells run, in grid order.
+    pub cells: Vec<CellResult>,
+}
+
+impl ConditionGrid {
+    /// Runs every grid cell one of `views` reads, with `config` under
+    /// each cell's recovery mode, on an explicit worker count. Cell order
+    /// — and therefore output — is identical for every `workers` value.
+    pub fn run(config: &ConditionConfig, views: &[View], workers: Workers) -> ConditionGrid {
+        let cells = grid_cells()
+            .into_iter()
+            .filter(|&(d, m, c)| views.iter().any(|v| v.reads(d, m, c)));
+        let cells = ExperimentSpec::new("conditions")
+            .cells(cells)
+            .workers(workers)
+            .build()
+            .run(|ctx| {
+                let (design, mode, condition) = *ctx.cell();
+                run_cell(design, mode, condition, config)
+            });
+        ConditionGrid { cells }
+    }
+
+    /// The (design, mode, condition) cell, if it was run.
+    pub fn cell(
+        &self,
+        design: Design,
+        mode: RecoveryMode,
+        condition: Condition,
+    ) -> Option<&CellResult> {
+        let condition = condition.to_string();
+        self.cells.iter().find(|r| {
+            r.result.design == design && r.recovery == mode && r.result.condition == condition
         })
+    }
+
+    /// Fig. 4's rows with F²Tree under `mode`, in the paper's order (per
+    /// condition the fat tree, then F²Tree).
+    pub(crate) fn fig4(&self, mode: RecoveryMode) -> impl Iterator<Item = &ConditionResult> {
+        Condition::ALL
+            .into_iter()
+            .flat_map(|c| [Design::FatTree, Design::F2Tree].map(|d| (d, c)))
+            .filter_map(move |(d, c)| self.cell(d, figure_mode(d, mode), c))
+            .map(|r| &r.result)
+    }
+
+    /// Fig. 5's series with F²Tree under `mode`, in plot order.
+    pub(crate) fn fig5(&self, mode: RecoveryMode) -> impl Iterator<Item = &ConditionResult> {
+        FIG5.into_iter()
+            .filter_map(move |(d, c)| self.cell(d, figure_mode(d, mode), c))
+            .map(|r| &r.result)
+    }
 }
 
-/// Renders the Fig. 4 comparison as text.
-pub fn format_fig4(results: &[ConditionResult]) -> String {
+/// Renders Fig. 4 with F²Tree under `mode` as text.
+pub fn format_fig4(grid: &ConditionGrid, mode: RecoveryMode) -> String {
     let mut out = String::new();
     out.push_str(
         "Fig. 4: recovery under failure conditions C1-C7 (k=8 DCN)\n\
          cond | design    | loss (us) | pkts lost | tcp collapse (us)\n\
          -----+-----------+-----------+-----------+------------------\n",
     );
-    for r in results {
+    for r in grid.fig4(mode) {
         out.push_str(&format!(
             "{:<4} | {:<9} | {:>9} | {:>9} | {:>17}\n",
             r.condition,
@@ -299,6 +440,24 @@ pub fn format_fig4(results: &[ConditionResult]) -> String {
             r.packets_lost,
             r.throughput_collapse_us
                 .map_or("-".into(), |v| v.to_string()),
+        ));
+    }
+    out
+}
+
+/// Renders Fig. 5 with F²Tree under `mode`: the first 500 ms of each
+/// delay series as a sparkline.
+pub fn format_fig5(grid: &ConditionGrid, mode: RecoveryMode) -> String {
+    let mut out = String::from(
+        "Fig. 5: end-to-end delay during recovery (each char = 10ms; blank = loss):\n",
+    );
+    for r in grid.fig5(mode) {
+        let series: Vec<Option<f64>> = r.delay_series.iter().take(50).map(|&(_, d)| d).collect();
+        out.push_str(&format!(
+            "  {:<9} {} |{}|\n",
+            r.design.to_string(),
+            r.condition,
+            sparkline(&series)
         ));
     }
     out
@@ -431,6 +590,43 @@ mod tests {
                 "{condition}: {}ms",
                 loss_ms(&r)
             );
+        }
+    }
+
+    #[test]
+    fn views_read_no_more_cells_than_their_targets_ran_alone() {
+        let count = |views: &[View]| {
+            grid_cells()
+                .into_iter()
+                .filter(|&(d, m, c)| views.iter().any(|v| v.reads(d, m, c)))
+                .count()
+        };
+        for mode in RecoveryMode::ALL {
+            assert_eq!(count(&[View::Fig4(mode)]), 12, "{mode}");
+            assert_eq!(count(&[View::Fig5(mode)]), 5, "{mode}");
+            // The figures and the mode comparison together already read
+            // the whole grid: `repro all` runs each of its 26 cells once.
+            let figures = [View::Fig4(mode), View::Fig5(mode), View::Recovery];
+            assert_eq!(count(&figures), 26, "{mode}");
+        }
+        assert_eq!(count(&[View::Recovery]), 21);
+        assert_eq!(count(&[View::Quality]), 26);
+        assert_eq!(count(&[]), 0);
+    }
+
+    #[test]
+    fn fat_tree_rows_are_mode_independent() {
+        // The grid serves every `--recovery` value's fat-tree rows from
+        // the fat tree's OSPF cells: the plain fat tree has no backups and
+        // no across ring, so no mode can change what it measures.
+        for condition in Condition::ALL.into_iter().filter(|c| !c.requires_across_links()) {
+            let run = |recovery| {
+                run_condition(Design::FatTree, condition, &ConditionConfig { recovery, ..cfg() })
+            };
+            let ospf = run(RecoveryMode::OspfReconvergence);
+            for mode in [RecoveryMode::F2TreeRewiring, RecoveryMode::PrecomputedFrr] {
+                assert_eq!(run(mode), ospf, "{condition} under {mode}");
+            }
         }
     }
 

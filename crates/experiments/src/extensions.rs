@@ -12,9 +12,9 @@
 //!   FIB-install terms and shows F²Tree's recovery tracks the detection
 //!   delay alone.
 
-use dcn_emu::{ControlPlaneMode, EmuConfig, Network};
+use dcn_emu::{ControlPlaneMode, EmuConfig, FlowId, Network};
 use dcn_failure::Condition;
-use dcn_net::{FatTree, Layer};
+use dcn_net::{FatTree, Layer, NodeId};
 use dcn_routing::RouterConfig;
 use dcn_sim::{timers, SimDuration, SimTime};
 use f2tree::{rewire_fat_tree, Design, TestBed};
@@ -22,6 +22,44 @@ use serde::{Deserialize, Serialize};
 
 fn ms(v: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(v)
+}
+
+/// The probe-loss body every cell below shares: a UDP probe from `src`
+/// to `dst` starts at time zero, `fail` breaks what it picks off the
+/// probe's path at 100 ms, the run goes on to `horizon_ms`, and the
+/// probe's connectivity-loss window around the failure comes back. `net`
+/// reaches the emulator inside `bed` (a [`TestBed`] or a bare
+/// [`Network`]).
+fn probe_loss<B>(
+    bed: &mut B,
+    net: fn(&mut B) -> &mut Network,
+    (src, dst): (NodeId, NodeId),
+    horizon_ms: u64,
+    fail: impl FnOnce(&mut B, FlowId, SimTime),
+) -> SimDuration {
+    let fail_at = ms(100);
+    let probe = net(bed).add_udp_probe(src, dst, SimTime::ZERO);
+    fail(bed, probe, fail_at);
+    let net = net(bed);
+    net.run_until(ms(horizon_ms));
+    net.udp_probe_report(probe)
+        .connectivity
+        .loss_around(fail_at)
+        .expect("probe recovers")
+        .duration
+}
+
+/// The C1 cell of the controller sweep and the timer ablation: the
+/// probe path's downward agg link fails on the k=8 `design` under
+/// `config`, run to 3 s.
+fn c1_loss(design: Design, config: EmuConfig) -> SimDuration {
+    #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
+    let mut bed = TestBed::build_with_config(design, 8, 4, config).expect("testbed builds");
+    let endpoints = bed.probe_endpoints();
+    probe_loss(&mut bed, |b| &mut b.net, endpoints, 3000, |bed, probe, at| {
+        let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
+        bed.net.fail_link_at(at, link);
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -47,29 +85,22 @@ pub struct C7WideResult {
 ///
 /// Panics if `across_ports` is infeasible at k=12.
 pub fn run_c7_with_across(across_ports: u32) -> C7WideResult {
-    let fail_at = ms(100);
     let f2 = FatTree::new(12)
         .and_then(|fat| rewire_fat_tree(fat.build(), across_ports))
         .expect("feasible at k=12");
     let mut bed = TestBed::from_f2tree(f2, EmuConfig::default()).expect("addressable");
-    let (src, dst) = bed.probe_endpoints();
-    let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
-    let anatomy = bed.path_anatomy(probe);
-    // C7 on the distance-1 ring: Sx->T, right(Sx)->T and right(Sx)'s
-    // rightward across link.
-    for link in bed.scenario_links(&anatomy, Condition::C7) {
-        bed.net.fail_link_at(fail_at, link);
-    }
-    bed.net.run_until(ms(2000));
-
-    let report = bed.net.udp_probe_report(probe);
-    let loss = report
-        .connectivity
-        .loss_around(fail_at)
-        .expect("probe recovers");
+    let endpoints = bed.probe_endpoints();
+    let loss = probe_loss(&mut bed, |b| &mut b.net, endpoints, 2000, |bed, probe, at| {
+        let anatomy = bed.path_anatomy(probe);
+        // C7 on the distance-1 ring: Sx->T, right(Sx)->T and right(Sx)'s
+        // rightward across link.
+        for link in bed.scenario_links(&anatomy, Condition::C7) {
+            bed.net.fail_link_at(at, link);
+        }
+    });
     C7WideResult {
         across_ports,
-        connectivity_loss_us: loss.duration.as_micros(),
+        connectivity_loss_us: loss.as_micros(),
         looped: bed.net.drops().ttl_expired > 0,
     }
 }
@@ -115,24 +146,17 @@ pub struct UnidirectionalResult {
 /// detection the interface still goes down at both ends, so F²Tree's
 /// recovery matches the bidirectional case.
 pub fn run_unidirectional(design: Design) -> UnidirectionalResult {
-    let fail_at = ms(100);
     #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
     let mut bed = TestBed::build(design, 8, 4).expect("testbed builds");
-    let (src, dst) = bed.probe_endpoints();
-    let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
-    let anatomy = bed.path_anatomy(probe);
-    let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
-    bed.net
-        .fail_link_direction_at(fail_at, link, anatomy.path_agg);
-    bed.net.run_until(ms(2000));
-    let report = bed.net.udp_probe_report(probe);
-    let loss = report
-        .connectivity
-        .loss_around(fail_at)
-        .expect("probe recovers");
+    let endpoints = bed.probe_endpoints();
+    let loss = probe_loss(&mut bed, |b| &mut b.net, endpoints, 2000, |bed, probe, at| {
+        let anatomy = bed.path_anatomy(probe);
+        let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
+        bed.net.fail_link_direction_at(at, link, anatomy.path_agg);
+    });
     UnidirectionalResult {
         design,
-        connectivity_loss_us: loss.duration.as_micros(),
+        connectivity_loss_us: loss.as_micros(),
     }
 }
 
@@ -156,32 +180,20 @@ pub struct AspenResult {
 /// paper contrasts F²Tree against in §VI.
 pub fn run_aspen_baseline() -> [AspenResult; 2] {
     let run = |fail_top: bool| {
-        let fail_at = ms(100);
         let topo = dcn_net::AspenTree::new(8, 1)
             .expect("valid aspen dims")
             .build();
         let mut net = Network::new(topo, EmuConfig::default()).expect("addressable");
-        let hosts = net.topology().hosts().to_vec();
-        let probe = net.add_udp_probe(hosts[0], *hosts.last().expect("hosts"), SimTime::ZERO);
-        let path = net.trace_path(probe);
-        // Path: host tor agg core agg tor host.
-        let link = if fail_top {
-            net.topology()
-                .link_between(path[2], path[3])
-                .expect("agg-core on path")
-        } else {
-            net.topology()
-                .link_between(path[path.len() - 3], path[path.len() - 2])
-                .expect("agg-tor on path")
-        };
-        net.fail_link_at(fail_at, link);
-        net.run_until(ms(2000));
-        net.udp_probe_report(probe)
-            .connectivity
-            .loss_around(fail_at)
-            .expect("probe recovers")
-            .duration
-            .as_micros()
+        let hosts = net.topology().hosts();
+        let endpoints = (hosts[0], *hosts.last().expect("hosts"));
+        probe_loss(&mut net, |n| n, endpoints, 2000, |net, probe, at| {
+            let path: [NodeId; 7] = net.trace_path(probe).try_into().expect("a cross-pod path");
+            let [_host, _tor, up_agg, core, down_agg, down_tor, _dst] = path;
+            let (a, b) = if fail_top { (up_agg, core) } else { (down_agg, down_tor) };
+            let link = net.topology().link_between(a, b).expect("link on path");
+            net.fail_link_at(at, link);
+        })
+        .as_micros()
     };
     [
         AspenResult {
@@ -234,7 +246,6 @@ pub struct CentralizedResult {
 /// the data plane repairs itself at detection time and the controller
 /// merely tidies up afterwards.
 pub fn run_centralized(design: Design, compute_ms: u64) -> CentralizedResult {
-    let fail_at = ms(100);
     let config = EmuConfig::builder()
         .control_plane(ControlPlaneMode::Centralized {
             report_delay: timers::CONTROLLER_REPORT_DELAY,
@@ -242,23 +253,10 @@ pub fn run_centralized(design: Design, compute_ms: u64) -> CentralizedResult {
             push_delay: timers::CONTROLLER_PUSH_DELAY,
         })
         .build();
-    #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
-    let mut bed = TestBed::build_with_config(design, 8, 4, config).expect("testbed builds");
-    let (src, dst) = bed.probe_endpoints();
-    let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
-    let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
-    bed.net.fail_link_at(fail_at, link);
-    bed.net.run_until(ms(3000));
-    let loss = bed
-        .net
-        .udp_probe_report(probe)
-        .connectivity
-        .loss_around(fail_at)
-        .expect("probe recovers");
     CentralizedResult {
         design,
         compute_ms,
-        connectivity_loss_us: loss.duration.as_micros(),
+        connectivity_loss_us: c1_loss(design, config).as_micros(),
     }
 }
 
@@ -410,27 +408,12 @@ pub fn run_timer_ablation() -> Vec<AblationRow> {
                     fib_update_delay: SimDuration::from_millis(fib_ms),
                 })
                 .build();
-            let fail_at = ms(100);
-            #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
-            let mut bed = TestBed::build_with_config(design, 8, 4, config)
-                .expect("testbed builds");
-            let (src, dst) = bed.probe_endpoints();
-            let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
-            let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
-            bed.net.fail_link_at(fail_at, link);
-            bed.net.run_until(ms(3000));
-            let loss = bed
-                .net
-                .udp_probe_report(probe)
-                .connectivity
-                .loss_around(fail_at)
-                .expect("probe recovers");
             rows.push(AblationRow {
                 design,
                 detection_ms,
                 spf_ms,
                 fib_ms,
-                loss_ms: loss.duration.as_millis(),
+                loss_ms: c1_loss(design, config).as_millis(),
             });
         }
     }

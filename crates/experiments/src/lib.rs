@@ -8,11 +8,15 @@
 //! | Table I | [`table1`] | [`table1::run_table1`] |
 //! | Table II | [`table2`] | [`table2::run_table2`] |
 //! | Fig. 2 + Table III | [`testbed`] | [`testbed::run_table3`] (the C1 cell of [`conditions`] at k = 4) |
-//! | Fig. 4 + Table IV | [`conditions`] | [`conditions::run_fig4_sweep`] |
-//! | Fig. 5 | [`conditions`] | [`conditions::run_condition`] (delay series) |
+//! | Fig. 4 + Fig. 5 + Table IV | [`conditions`] | [`conditions::ConditionGrid::run`] |
 //! | Fig. 6 | [`workload`] | [`workload::run_fig6`] |
 //! | Fig. 7 | [`fig7`] | [`fig7::run_fig7_sweep`] |
-//! | Recovery modes (ospf/f2tree/frr) | [`recovery`] | [`recovery::run_recovery_sweep`] |
+//! | Recovery modes (ospf/f2tree/frr) | [`recovery`] | the same grid |
+//! | Routing quality per mode | [`quality`] | the same grid |
+//!
+//! Fig. 4, Fig. 5, the mode comparison and the quality grid are views
+//! ([`conditions::View`]) of one condition grid; a run computes each cell
+//! its views read once.
 //!
 //! The `repro` binary runs everything at paper scale and prints each
 //! table; `EXPERIMENTS.md` records paper-vs-measured values.

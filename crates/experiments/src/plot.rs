@@ -1,6 +1,6 @@
-//! Terminal plotting for the figure series: sparklines and labeled
-//! bar charts, so `repro` output visually mirrors the paper's figures
-//! without any plotting dependency.
+//! Terminal plotting for the figure series: sparklines, so `repro`
+//! output visually mirrors the paper's figures without any plotting
+//! dependency.
 
 /// Renders a sparkline (`▁▂▃▄▅▆▇█`) scaled to the series' own maximum.
 /// Gaps (`None`) render as spaces — Fig. 5's connectivity-loss windows.
@@ -28,36 +28,6 @@ pub fn sparkline(values: &[Option<f64>]) -> String {
 pub fn sparkline_values(values: &[f64]) -> String {
     let wrapped: Vec<Option<f64>> = values.iter().map(|&v| Some(v)).collect();
     sparkline(&wrapped)
-}
-
-/// Renders a horizontal bar chart with labels, scaled to the maximum.
-///
-/// # Examples
-///
-/// ```
-/// use f2tree_experiments::plot::bar_chart;
-///
-/// let chart = bar_chart(&[("Fat tree", 270.1), ("F2Tree", 60.1)], 40);
-/// assert!(chart.contains("Fat tree"));
-/// assert!(chart.lines().count() == 2);
-/// ```
-pub fn bar_chart(rows: &[(&str, f64)], width: usize) -> String {
-    let max = rows.iter().fold(0.0f64, |acc, &(_, v)| acc.max(v));
-    let label_width = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for &(label, value) in rows {
-        let filled = if max > 0.0 {
-            ((value / max) * width as f64).round() as usize
-        } else {
-            0
-        };
-        out.push_str(&format!(
-            "{label:<label_width$} |{}{} {value:.1}\n",
-            "#".repeat(filled),
-            " ".repeat(width.saturating_sub(filled)),
-        ));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -89,15 +59,5 @@ mod tests {
     #[test]
     fn empty_series_is_empty() {
         assert_eq!(sparkline(&[]), "");
-        assert_eq!(bar_chart(&[], 10), "");
-    }
-
-    #[test]
-    fn bar_chart_is_proportional() {
-        let chart = bar_chart(&[("a", 100.0), ("b", 50.0)], 10);
-        let lines: Vec<&str> = chart.lines().collect();
-        let hashes = |s: &str| s.chars().filter(|&c| c == '#').count();
-        assert_eq!(hashes(lines[0]), 10);
-        assert_eq!(hashes(lines[1]), 5);
     }
 }

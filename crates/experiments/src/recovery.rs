@@ -12,69 +12,33 @@
 //! pays detection only (~60 ms), FRR pays detection + FIB update
 //! (~70 ms) — and C7, which severs the repair paths themselves, degrades
 //! every mode to OSPF reconvergence.
+//!
+//! The comparison is a view of the condition grid ([`View::Recovery`]):
+//! it reads the F²Tree cells, looked up by mode and condition.
+//!
+//! [`View::Recovery`]: crate::conditions::View::Recovery
 
 use dcn_failure::Condition;
 use dcn_metrics::quality::format_load;
 use dcn_routing::RecoveryMode;
-use dcn_sweep::{ExperimentSpec, Workers};
 use f2tree::Design;
-use serde::{Deserialize, Serialize};
 
-use crate::conditions::{run_condition, ConditionConfig, ConditionResult};
-
-/// One (recovery mode, condition) cell's measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct RecoveryResult {
-    /// Recovery discipline the cell ran under.
-    pub recovery: RecoveryMode,
-    /// The underlying Fig. 4 measurement.
-    pub result: ConditionResult,
-}
-
-/// The comparison grid: every recovery mode (baseline `ospf` first) ×
-/// every condition C1–C7, on the F²Tree design.
-pub fn recovery_cells() -> Vec<(RecoveryMode, Condition)> {
-    RecoveryMode::ALL
-        .into_iter()
-        .flat_map(|mode| Condition::ALL.into_iter().map(move |c| (mode, c)))
-        .collect()
-}
-
-/// Runs the comparison on an explicit worker count via the sweep engine;
-/// output is byte-identical for every `workers` value.
-pub fn run_recovery_sweep(config: &ConditionConfig, workers: Workers) -> Vec<RecoveryResult> {
-    ExperimentSpec::new("recovery")
-        .cells(recovery_cells())
-        .workers(workers)
-        .build()
-        .run(|ctx| {
-            let (recovery, condition) = *ctx.cell();
-            let cell_config = ConditionConfig {
-                recovery,
-                ..*config
-            };
-            let result = run_condition(Design::F2Tree, condition, &cell_config);
-            RecoveryResult { recovery, result }
-        })
-}
+use crate::conditions::ConditionGrid;
 
 /// Renders the comparison as one row per condition with the three modes
 /// side by side (the golden-fixture format). Besides the recovery-time
 /// columns, each mode reports its mid-failover max fabric load — the
 /// congestion price of the repair paths while the control plane has not
 /// yet reconverged.
-pub fn format_recovery(results: &[RecoveryResult]) -> String {
+pub fn format_recovery(grid: &ConditionGrid) -> String {
     let mut out = String::new();
     out.push_str(
         "Recovery-mode comparison on the rewired k=8 DCN (C1-C7)\n\
          loss = connectivity-loss duration in us; '-' = no loss observed\n\
          maxload = mid-failover max fabric-edge load (multiples of one access link)\n",
     );
-    let healthy = results
-        .iter()
-        .find(|r| r.recovery == RecoveryMode::OspfReconvergence)
-        .map(|r| r.result.healthy_max_load)
-        .unwrap_or(0);
+    let healthy = grid.cell(Design::F2Tree, RecoveryMode::OspfReconvergence, Condition::C1)
+        .map_or(0, |r| r.result.healthy_max_load);
     out.push_str(&format!(
         "healthy baseline max fabric-edge load: {}\n",
         format_load(healthy)
@@ -86,11 +50,7 @@ pub fn format_recovery(results: &[RecoveryResult]) -> String {
          +--------------+----------------+------------\n",
     );
     for condition in Condition::ALL {
-        let cell = |mode: RecoveryMode| {
-            results
-                .iter()
-                .find(|r| r.recovery == mode && r.result.condition == condition.to_string())
-        };
+        let cell = |mode| grid.cell(Design::F2Tree, mode, condition);
         let loss = |mode| {
             cell(mode).map_or("?".into(), |r| {
                 r.result
@@ -124,33 +84,28 @@ pub fn format_recovery(results: &[RecoveryResult]) -> String {
 /// The conditions on which `mode`'s mid-failover max fabric load
 /// strictly exceeds its healthy baseline — where the fast repair paths
 /// measurably concentrate load while buying their recovery-time win.
-pub fn congestion_cost(results: &[RecoveryResult], mode: RecoveryMode) -> Vec<String> {
+pub fn congestion_cost(grid: &ConditionGrid, mode: RecoveryMode) -> Vec<String> {
     Condition::ALL
         .into_iter()
-        .map(|c| c.to_string())
-        .filter(|c| {
-            results
-                .iter()
-                .find(|r| r.recovery == mode && &r.result.condition == c)
+        .filter(|&c| {
+            grid.cell(Design::F2Tree, mode, c)
                 .is_some_and(|r| r.result.post_failover_max_load > r.result.healthy_max_load)
         })
+        .map(|c| c.to_string())
         .collect()
 }
 
 /// The conditions on which FRR's loss window is strictly smaller than
 /// OSPF's (the PR's acceptance criterion expects all of C1–C6; C7 severs
 /// the repair paths and legitimately degrades to reconvergence).
-pub fn frr_wins(results: &[RecoveryResult]) -> Vec<String> {
-    let loss = |mode: RecoveryMode, cond: &str| {
-        results
-            .iter()
-            .find(|r| r.recovery == mode && r.result.condition == cond)
-            .and_then(|r| r.result.connectivity_loss_us)
+pub fn frr_wins(grid: &ConditionGrid) -> Vec<String> {
+    let loss = |mode, c| {
+        let cell = grid.cell(Design::F2Tree, mode, c);
+        cell.and_then(|r| r.result.connectivity_loss_us)
     };
     Condition::ALL
         .into_iter()
-        .map(|c| c.to_string())
-        .filter(|c| {
+        .filter(|&c| {
             matches!(
                 (
                     loss(RecoveryMode::PrecomputedFrr, c),
@@ -159,6 +114,7 @@ pub fn frr_wins(results: &[RecoveryResult]) -> Vec<String> {
                 (Some(frr), Some(ospf)) if frr < ospf
             )
         })
+        .map(|c| c.to_string())
         .collect()
 }
 
@@ -166,9 +122,15 @@ pub fn frr_wins(results: &[RecoveryResult]) -> Vec<String> {
 mod tests {
     use super::*;
 
+    use crate::conditions::{grid_cells, run_condition, ConditionConfig, View};
+
     #[test]
     fn grid_is_modes_times_conditions_baseline_first() {
-        let cells = recovery_cells();
+        let cells: Vec<_> = grid_cells()
+            .into_iter()
+            .filter(|&(d, m, c)| View::Recovery.reads(d, m, c))
+            .map(|(_, m, c)| (m, c))
+            .collect();
         assert_eq!(cells.len(), 3 * 7);
         assert_eq!(cells[0].0, RecoveryMode::OspfReconvergence);
         assert_eq!(cells[7].0, RecoveryMode::F2TreeRewiring);

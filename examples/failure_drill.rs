@@ -3,9 +3,9 @@
 //!
 //! Run with `cargo run --example failure_drill [k]` (default k=8).
 
-use dcn_failure::Condition;
-use f2tree::Design;
-use f2tree_experiments::conditions::{format_fig4, run_condition, ConditionConfig};
+use dcn_routing::RecoveryMode;
+use dcn_sweep::Workers;
+use f2tree_experiments::conditions::{format_fig4, ConditionConfig, ConditionGrid, View};
 
 fn main() {
     let k: u32 = std::env::args()
@@ -17,13 +17,8 @@ fn main() {
         ..ConditionConfig::default()
     };
     println!("running the C1-C7 drill on a {k}-port DCN...\n");
-    let mut results = Vec::new();
-    for condition in Condition::ALL {
-        if !condition.requires_across_links() {
-            results.push(run_condition(Design::FatTree, condition, &config));
-        }
-        results.push(run_condition(Design::F2Tree, condition, &config));
-    }
-    println!("{}", format_fig4(&results));
+    let mode = RecoveryMode::default();
+    let grid = ConditionGrid::run(&config, &[View::Fig4(mode)], Workers::auto());
+    println!("{}", format_fig4(&grid, mode));
     println!("note: C7 is the Sec. II-C fourth condition where F2Tree degrades to fat tree.");
 }
