@@ -11,29 +11,14 @@ pub enum ControlPlaneMode {
     /// with SPF throttling).
     Distributed,
     /// A PortLand-style central controller: the detecting switch reports
-    /// the failure, the controller recomputes global routes, and pushes
-    /// new tables to every switch.
+    /// the failure (`timers::CONTROLLER_REPORT_DELAY`), the controller
+    /// recomputes global routes, and pushes new tables to every switch
+    /// (`timers::CONTROLLER_PUSH_DELAY`).
     Centralized {
-        /// Switch → controller failure-report latency.
-        report_delay: SimDuration,
         /// Controller route recomputation time (grows with DCN scale,
         /// per the paper's discussion).
         compute_delay: SimDuration,
-        /// Controller → switch table-push latency.
-        push_delay: SimDuration,
     },
-}
-
-impl ControlPlaneMode {
-    /// A representative centralized controller: 5 ms report, 50 ms
-    /// compute, 5 ms push.
-    pub fn centralized_default() -> Self {
-        ControlPlaneMode::Centralized {
-            report_delay: timers::CONTROLLER_REPORT_DELAY,
-            compute_delay: timers::CONTROLLER_COMPUTE_DELAY,
-            push_delay: timers::CONTROLLER_PUSH_DELAY,
-        }
-    }
 }
 
 /// What callers vary on the packet-level emulator, defaulting to the
@@ -49,9 +34,12 @@ impl ControlPlaneMode {
 ///
 /// ```
 /// use dcn_emu::{ControlPlaneMode, EmuConfig};
+/// use dcn_sim::timers;
 ///
 /// let config = EmuConfig::builder()
-///     .control_plane(ControlPlaneMode::centralized_default())
+///     .control_plane(ControlPlaneMode::Centralized {
+///         compute_delay: timers::CONTROLLER_COMPUTE_DELAY,
+///     })
 ///     .build();
 /// assert_ne!(config, EmuConfig::default());
 /// assert_eq!(EmuConfig::builder().build(), EmuConfig::default());
@@ -164,13 +152,16 @@ mod tests {
 
     #[test]
     fn setters_apply_and_getters_read_back() {
+        let centralized = ControlPlaneMode::Centralized {
+            compute_delay: timers::CONTROLLER_COMPUTE_DELAY,
+        };
         let config = EmuConfig::builder()
             .detection_delay(SimDuration::from_millis(10))
-            .control_plane(ControlPlaneMode::centralized_default())
+            .control_plane(centralized)
             .recovery(RecoveryMode::OspfReconvergence)
             .build();
         assert_eq!(config.detection_delay.as_millis(), 10);
-        assert_eq!(config.control_plane, ControlPlaneMode::centralized_default());
+        assert_eq!(config.control_plane, centralized);
         assert_eq!(config.recovery(), RecoveryMode::OspfReconvergence);
         // Untouched fields keep their defaults.
         assert_eq!(config.router, RouterConfig::default());

@@ -22,7 +22,7 @@ use dcn_routing::{
     RouterProcess, SpfTable,
 };
 use dcn_sim::{
-    Direction, EventKey, EventQueue, LinkSpec, LinkState, Packet, PacketArena, PacketSlot,
+    timers, Direction, EventKey, EventQueue, LinkSpec, LinkState, Packet, PacketArena, PacketSlot,
     SimDuration, SimTime, TransmitVerdict, DEFAULT_TTL,
 };
 use dcn_transport::{
@@ -65,14 +65,10 @@ impl FlowId {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RequestId(u32);
 
-/// What role a flow plays (determines bookkeeping on delivery).
+/// What a fixed-size TCP flow is for (determines bookkeeping on delivery).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum FlowRole {
-    /// The constant-rate UDP probe; arrivals feed connectivity metrics.
-    UdpProbe,
-    /// The paced TCP probe of the testbed experiments.
-    TcpProbe,
-    /// A fixed-size background transfer.
+    /// A background transfer.
     Transfer,
     /// A partition-aggregate request; full delivery spawns the response.
     Request(RequestId),
@@ -145,48 +141,68 @@ enum Event {
 
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
 
+/// What every flow has, and what its kind adds.
 struct FlowState {
     key: FlowKey,
     src: NodeId,
     dst: NodeId,
-    role: FlowRole,
-    total_bytes: u64,
-    started_at: SimTime,
-    delivered_at: Option<SimTime>,
-    sender: Option<TcpSender>,
-    receiver: Option<TcpReceiver>,
-    udp: Option<UdpSource>,
-    delivered_fired: bool,
-    connectivity: ConnectivityTracker,
-    delay: DelaySeries,
-    rto: RtoTimer,
     /// Allocated at the flow's first switch hop, released when its sender
     /// completes (a duplicate still in flight then re-creates it).
     path_memo: Option<Box<PathMemo>>,
+    kind: FlowKind,
+}
+
+/// A flow is a UDP probe or a TCP connection. Every event and packet
+/// handler serves one kind; naming a flow of the other kind does nothing.
+#[expect(
+    clippy::large_enum_variant,
+    reason = "the flow state is boxed already; boxing the TCP state too would \
+              put the workload runs' tens of thousands of flows back on the allocator"
+)]
+enum FlowKind {
+    UdpProbe(UdpProbe),
+    Tcp(TcpConnection),
+}
+
+/// The constant-rate UDP probe; arrivals feed connectivity metrics.
+struct UdpProbe {
+    source: UdpSource,
+    connectivity: ConnectivityTracker,
+    delay: DelaySeries,
+}
+
+/// The paced TCP probe of the testbed experiments, or a fixed-size flow.
+struct TcpConnection {
+    sender: TcpSender,
+    receiver: TcpReceiver,
+    rto: RtoTimer,
+    /// `None` for the paced probe.
+    fixed: Option<FixedSize>,
+}
+
+/// A TCP flow of a fixed size, and when it started and was fully delivered.
+struct FixedSize {
+    bytes: u64,
+    started_at: SimTime,
+    delivered_at: Option<SimTime>,
+    role: FlowRole,
 }
 
 impl FlowState {
-    /// A flow that has sent and received nothing yet, with no endpoint
-    /// state: callers fill in the sender / receiver / UDP source (and a
-    /// transfer's size) their role needs.
-    fn new(key: FlowKey, src: NodeId, dst: NodeId, role: FlowRole, start: SimTime) -> Self {
-        FlowState {
-            key,
-            src,
-            dst,
-            role,
-            total_bytes: 0,
-            started_at: start,
-            delivered_at: None,
-            sender: None,
-            receiver: None,
-            udp: None,
-            delivered_fired: false,
-            connectivity: ConnectivityTracker::new(),
-            delay: DelaySeries::new(),
-            rto: RtoTimer::default(),
-            path_memo: None,
+    fn fixed(&self) -> Option<&FixedSize> {
+        match &self.kind {
+            FlowKind::Tcp(tcp) => tcp.fixed.as_ref(),
+            FlowKind::UdpProbe(_) => None,
         }
+    }
+}
+
+/// The TCP connection `flow` names; `None` for a UDP probe (or a flow of
+/// another network), so a TCP event naming one does nothing.
+fn tcp_of(flows: &mut [Box<FlowState>], flow: FlowId) -> Option<&mut TcpConnection> {
+    match &mut flows.get_mut(flow.index())?.kind {
+        FlowKind::Tcp(tcp) => Some(tcp),
+        FlowKind::UdpProbe(_) => None,
     }
 }
 
@@ -219,7 +235,6 @@ struct RtoTimer {
 
 struct RequestState {
     start: SimTime,
-    requester: NodeId,
     response_bytes: u64,
     remaining: usize,
     completed: Option<SimTime>,
@@ -270,7 +285,7 @@ pub struct Network {
     links: Vec<LinkState>,
     routers: Vec<Option<RouterProcess>>,
     host_uplink: Vec<Option<(LinkId, NodeId)>>,
-    /// Boxed so growth moves pointers, never the ~450 B states: doubling
+    /// Boxed so growth moves pointers, never the ~390 B states: doubling
     /// the states in place crosses glibc's mmap threshold and made peak
     /// RSS jump by the whole array depending on unrelated allocations.
     #[allow(clippy::vec_box)]
@@ -518,11 +533,6 @@ impl Network {
         p
     }
 
-    fn flow_key(&mut self, src: NodeId, dst: NodeId, proto: Protocol) -> FlowKey {
-        let sport = self.alloc_port();
-        self.flow_key_with_port(src, dst, sport, proto)
-    }
-
     /// The five-tuple a probe with this source port would use (for path
     /// planning with [`Self::trace`] before committing to a port).
     pub fn flow_key_with_port(
@@ -558,13 +568,14 @@ impl Network {
         start: SimTime,
     ) -> FlowId {
         let key = self.flow_key_with_port(src, dst, sport, Protocol::Udp);
-        let id = FlowId(self.flows.len() as u32);
-        self.flows.push(Box::new(FlowState {
-            udp: Some(UdpSource::paper_probe(key)),
-            ..FlowState::new(key, src, dst, FlowRole::UdpProbe, start)
-        }));
-        self.queue.schedule(start, Event::UdpTick { flow: id });
-        id
+        let probe = UdpProbe {
+            source: UdpSource::paper_probe(key),
+            connectivity: ConnectivityTracker::new(),
+            delay: DelaySeries::new(),
+        };
+        let flow = self.push_flow(key, src, dst, FlowKind::UdpProbe(probe));
+        self.queue.schedule(start, Event::UdpTick { flow });
+        flow
     }
 
     /// Adds the paper's paced TCP probe (1448 B every 100 µs) from `src`
@@ -582,15 +593,7 @@ impl Network {
         sport: u16,
         start: SimTime,
     ) -> FlowId {
-        let key = self.flow_key_with_port(src, dst, sport, Protocol::Tcp);
-        let id = FlowId(self.flows.len() as u32);
-        self.flows.push(Box::new(FlowState {
-            sender: Some(TcpSender::new(key, TcpConfig::default(), TcpApp::Paced)),
-            receiver: Some(TcpReceiver::new()),
-            ..FlowState::new(key, src, dst, FlowRole::TcpProbe, start)
-        }));
-        self.queue.schedule(start, Event::TcpStart { flow: id });
-        id
+        self.add_tcp_flow(src, dst, sport, start, None)
     }
 
     /// Adds a fixed-size TCP transfer (background traffic) starting at
@@ -613,16 +616,52 @@ impl Network {
         start: SimTime,
         role: FlowRole,
     ) -> FlowId {
-        let key = self.flow_key(src, dst, Protocol::Tcp);
-        let id = FlowId(self.flows.len() as u32);
+        let fixed = FixedSize {
+            bytes,
+            started_at: start,
+            delivered_at: None,
+            role,
+        };
+        let sport = self.alloc_port();
+        self.add_tcp_flow(src, dst, sport, start, Some(fixed))
+    }
+
+    /// Adds the paced TCP probe (`fixed: None`) or a fixed-size TCP flow.
+    fn add_tcp_flow(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        sport: u16,
+        start: SimTime,
+        fixed: Option<FixedSize>,
+    ) -> FlowId {
+        let key = self.flow_key_with_port(src, dst, sport, Protocol::Tcp);
+        let app = match &fixed {
+            Some(f) => TcpApp::FixedSize { bytes: f.bytes },
+            None => TcpApp::Paced,
+        };
+        let tcp = TcpConnection {
+            sender: TcpSender::new(key, TcpConfig::default(), app),
+            receiver: TcpReceiver::new(),
+            rto: RtoTimer::default(),
+            fixed,
+        };
+        let flow = self.push_flow(key, src, dst, FlowKind::Tcp(tcp));
+        self.queue.schedule(start, Event::TcpStart { flow });
+        flow
+    }
+
+    /// Registers a flow; its first event is the caller's to schedule.
+    fn push_flow(&mut self, key: FlowKey, src: NodeId, dst: NodeId, kind: FlowKind) -> FlowId {
+        let flow = FlowId(self.flows.len() as u32);
         self.flows.push(Box::new(FlowState {
-            total_bytes: bytes,
-            sender: Some(TcpSender::new(key, TcpConfig::default(), TcpApp::FixedSize { bytes })),
-            receiver: Some(TcpReceiver::new()),
-            ..FlowState::new(key, src, dst, role, start)
+            key,
+            src,
+            dst,
+            path_memo: None,
+            kind,
         }));
-        self.queue.schedule(start, Event::TcpStart { flow: id });
-        id
+        flow
     }
 
     /// Adds a partition-aggregate request: `requester` sends
@@ -640,7 +679,6 @@ impl Network {
         let id = RequestId(self.requests.len() as u32);
         self.requests.push(RequestState {
             start,
-            requester,
             response_bytes,
             remaining: workers.len(),
             completed: None,
@@ -736,9 +774,9 @@ impl Network {
                 self.handle_router_actions(now, node, &mut actions);
                 self.action_scratch = actions;
             }
-            Event::LinkChange { link, up } => self.on_link_change(now, link, up),
+            Event::LinkChange { link, up } => self.on_link_change(now, link, None, up),
             Event::LinkDirChange { link, from, up } => {
-                self.on_link_dir_change(now, link, from, up)
+                self.on_link_change(now, link, Some(from), up)
             }
             Event::Detect { node, link, up } => {
                 let mut actions = std::mem::take(&mut self.action_scratch);
@@ -750,18 +788,14 @@ impl Network {
                         ControlPlaneMode::Distributed => {
                             self.handle_router_actions(now, node, &mut actions);
                         }
-                        ControlPlaneMode::Centralized {
-                            report_delay,
-                            compute_delay,
-                            ..
-                        } => {
+                        ControlPlaneMode::Centralized { compute_delay } => {
                             // The dead-set update above still drives fast
                             // reroute; instead of flooding + SPF, the
                             // switch reports to the controller.
                             if !actions.is_empty() && !self.recompute_pending {
                                 self.recompute_pending = true;
                                 self.queue.schedule(
-                                    now + report_delay + compute_delay,
+                                    now + timers::CONTROLLER_REPORT_DELAY + compute_delay,
                                     Event::ControllerRecompute,
                                 );
                             }
@@ -789,22 +823,8 @@ impl Network {
                 }
             }
             Event::UdpTick { flow } => self.on_udp_tick(now, flow),
-            Event::TcpStart { flow } => {
-                let outputs = self.flows[flow.index()]
-                    .sender
-                    .as_mut()
-                    .expect("TCP flow has a sender")
-                    .on_start(now);
-                self.handle_tcp_outputs(now, flow, outputs);
-            }
-            Event::TcpPace { flow } => {
-                let outputs = self.flows[flow.index()]
-                    .sender
-                    .as_mut()
-                    .expect("TCP flow has a sender")
-                    .on_pace(now);
-                self.handle_tcp_outputs(now, flow, outputs);
-            }
+            Event::TcpStart { flow } => self.on_tcp_event(now, flow, |s| s.on_start(now)),
+            Event::TcpPace { flow } => self.on_tcp_event(now, flow, |s| s.on_pace(now)),
             Event::TcpRto { flow } => self.on_rto_entry(now, flow, key),
             Event::ControllerRecompute => self.on_controller_recompute(now),
             Event::ControllerInstall(install) => {
@@ -821,9 +841,6 @@ impl Network {
     /// current physical topology and pushes per-switch tables.
     fn on_controller_recompute(&mut self, now: SimTime) {
         self.recompute_pending = false;
-        let ControlPlaneMode::Centralized { push_delay, .. } = self.config.control_plane else {
-            return;
-        };
         // Global view: live non-passive fabric links + ToR rack subnets.
         let mut lsdb = Lsdb::new();
         let switches: Vec<NodeId> = self
@@ -848,60 +865,37 @@ impl Network {
                 origin: sw,
                 seq: 1,
                 neighbors,
-                prefixes: self
-                    .plan
-                    .subnet_of(sw)
-                    .into_iter()
-                    .collect(),
+                prefixes: self.plan.subnet_of(sw).into_iter().collect(),
             });
         }
         for &sw in &switches {
             let routes = dcn_routing::compute_routes(&lsdb, sw);
             self.queue.schedule(
-                now + push_delay,
+                now + timers::CONTROLLER_PUSH_DELAY,
                 Event::ControllerInstall(Box::new((sw, routes))),
             );
         }
     }
 
-    fn on_link_change(&mut self, now: SimTime, link: LinkId, up: bool) {
+    /// A physical link transition of both directions (`from: None`) or of
+    /// the `from` → other-end one. BFD needs two-way liveness, so one
+    /// detection delay later both switch endpoints see the interface up
+    /// only if both directions are.
+    fn on_link_change(&mut self, now: SimTime, link: LinkId, from: Option<NodeId>, up: bool) {
         self.fib_epoch += 1;
-        self.links[link.index()].set_up(up);
         let (a, b) = self.topo.link(link).endpoints();
+        let state = &mut self.links[link.index()];
+        match from {
+            None => state.set_up(up),
+            Some(from) if from == a => state.set_dir_up(Direction::AToB, up),
+            Some(_) => state.set_dir_up(Direction::BToA, up),
+        }
+        let up = state.is_up();
         for node in [a, b] {
             if self.topo.node(node).kind().is_switch() {
                 self.queue.schedule(
                     now + self.config.detection_delay,
                     Event::Detect { node, link, up },
-                );
-            }
-        }
-    }
-
-    fn on_link_dir_change(&mut self, now: SimTime, link: LinkId, from: NodeId, up: bool) {
-        self.fib_epoch += 1;
-        let entry = self.topo.link(link);
-        let dir = if from == entry.a() {
-            Direction::AToB
-        } else {
-            Direction::BToA
-        };
-        self.links[link.index()].set_dir_up(dir, up);
-        // BFD needs two-way liveness, so a one-way failure takes the
-        // interface down at *both* endpoints after the detection delay —
-        // unless the other direction is also down (state unchanged) or
-        // this is a repair that still leaves the other direction dead.
-        let interface_up = self.links[link.index()].is_up();
-        let (a, b) = entry.endpoints();
-        for node in [a, b] {
-            if self.topo.node(node).kind().is_switch() {
-                self.queue.schedule(
-                    now + self.config.detection_delay,
-                    Event::Detect {
-                        node,
-                        link,
-                        up: interface_up,
-                    },
                 );
             }
         }
@@ -1096,43 +1090,39 @@ impl Network {
         let sent_at = packet.sent_at;
         match packet.payload {
             Payload::Udp { flow, dgram } => {
-                let f = &mut self.flows[flow.index()];
-                f.connectivity.record(now, dgram.seq);
-                f.delay.record(sent_at, now);
+                let kind = self.flows.get_mut(flow.index()).map(|f| &mut f.kind);
+                if let Some(FlowKind::UdpProbe(probe)) = kind {
+                    probe.connectivity.record(now, dgram.seq);
+                    probe.delay.record(sent_at, now);
+                }
             }
             Payload::TcpData { flow, seg } => {
-                let (ack, reached_total) = {
-                    let f = &mut self.flows[flow.index()];
-                    let receiver = f.receiver.as_mut().expect("TCP flow has a receiver");
-                    let ack = receiver.on_segment(now, seg);
-                    let reached = !f.delivered_fired
-                        && f.total_bytes > 0
-                        && receiver.delivered() >= f.total_bytes;
-                    if reached {
-                        f.delivered_fired = true;
-                        f.delivered_at = Some(now);
-                    }
-                    (ack, reached)
+                let Some(f) = self.flows.get_mut(flow.index()) else {
+                    return;
                 };
+                let FlowKind::Tcp(tcp) = &mut f.kind else {
+                    return;
+                };
+                let ack = tcp.receiver.on_segment(now, seg);
+                let delivered = tcp.receiver.delivered();
+                let role = match &mut tcp.fixed {
+                    Some(fixed) if fixed.delivered_at.is_none() && delivered >= fixed.bytes => {
+                        fixed.delivered_at = Some(now);
+                        Some(fixed.role)
+                    }
+                    _ => None,
+                };
+                let (reverse, src, dst) = (f.key.reversed(), f.src, f.dst);
                 // Send the ACK back from this host.
-                let reverse = self.flows[flow.index()].key.reversed();
                 let ack_packet =
-                    self.make_packet(reverse, ACK_BYTES, now, Payload::TcpAckSeg {
-                        flow,
-                        ack,
-                    });
+                    self.make_packet(reverse, ACK_BYTES, now, Payload::TcpAckSeg { flow, ack });
                 self.send_from_host(now, host, ack_packet);
-                if reached_total {
-                    self.on_flow_delivered(now, flow);
+                if let Some(role) = role {
+                    self.on_flow_delivered(now, src, dst, role);
                 }
             }
             Payload::TcpAckSeg { flow, ack } => {
-                let outputs = self.flows[flow.index()]
-                    .sender
-                    .as_mut()
-                    .expect("TCP flow has a sender")
-                    .on_ack(now, ack);
-                self.handle_tcp_outputs(now, flow, outputs);
+                self.on_tcp_event(now, flow, |s| s.on_ack(now, ack));
             }
             Payload::Lsa(_) => {
                 // Hosts do not run the routing protocol; stray LSAs are
@@ -1141,18 +1131,14 @@ impl Network {
         }
     }
 
-    fn on_flow_delivered(&mut self, now: SimTime, flow: FlowId) {
-        let (role, src, dst) = {
-            let f = &self.flows[flow.index()];
-            (f.role, f.src, f.dst)
-        };
+    /// A fixed-size flow from `src` to `dst` is fully delivered.
+    fn on_flow_delivered(&mut self, now: SimTime, src: NodeId, dst: NodeId, role: FlowRole) {
         match role {
             FlowRole::Request(req) => {
-                // The worker (dst) has the full request: send the response.
+                // The worker (dst) has the full request: respond to the
+                // requester (src).
                 let bytes = self.requests[req.0 as usize].response_bytes;
-                let requester = self.requests[req.0 as usize].requester;
-                debug_assert_eq!(requester, src);
-                self.add_fixed_flow(dst, requester, bytes, now, FlowRole::Response(req));
+                self.add_fixed_flow(dst, src, bytes, now, FlowRole::Response(req));
             }
             FlowRole::Response(req) => {
                 let state = &mut self.requests[req.0 as usize];
@@ -1161,7 +1147,19 @@ impl Network {
                     state.completed = Some(now);
                 }
             }
-            _ => {}
+            FlowRole::Transfer => {}
+        }
+    }
+
+    /// Feeds an event to the sender of TCP flow `flow` and acts on what it
+    /// outputs; a no-op if `flow` is a UDP probe.
+    fn on_tcp_event<F>(&mut self, now: SimTime, flow: FlowId, event: F)
+    where
+        F: FnOnce(&mut TcpSender) -> Vec<TcpSenderOutput>,
+    {
+        if let Some(tcp) = tcp_of(&mut self.flows, flow) {
+            let outputs = event(&mut tcp.sender);
+            self.handle_tcp_outputs(now, flow, outputs);
         }
     }
 
@@ -1169,10 +1167,7 @@ impl Network {
         for output in outputs {
             match output {
                 TcpSenderOutput::Send(seg) => {
-                    let (key, src) = {
-                        let f = &self.flows[flow.index()];
-                        (f.key, f.src)
-                    };
+                    let FlowState { key, src, .. } = *self.flows[flow.index()];
                     let size = seg.len + HEADER_BYTES;
                     let packet = self.make_packet(key, size, now, Payload::TcpData { flow, seg });
                     self.send_from_host(now, src, packet);
@@ -1201,7 +1196,10 @@ impl Network {
     /// back to base) is queued at once and orphans the later entry.
     fn arm_rto(&mut self, flow: FlowId, at: SimTime, token: u64) {
         let key = self.queue.draw_key(at);
-        let timer = &mut self.flows[flow.index()].rto;
+        let Some(tcp) = tcp_of(&mut self.flows, flow) else {
+            return;
+        };
+        let timer = &mut tcp.rto;
         timer.deadline = key;
         timer.token = token;
         if timer.queued.is_none_or(|queued| queued > key) {
@@ -1214,31 +1212,30 @@ impl Network {
     /// current deadline, chase the deadline if that has moved later, drop
     /// it if a shorter RTO was queued past it.
     fn on_rto_entry(&mut self, now: SimTime, flow: FlowId, key: EventKey) {
-        let f = &mut self.flows[flow.index()];
-        if f.rto.queued != Some(key) {
+        let tcp = tcp_of(&mut self.flows, flow).filter(|tcp| tcp.rto.queued == Some(key));
+        let Some(tcp) = tcp else {
             return;
-        }
-        if f.rto.deadline == key {
-            f.rto.queued = None;
-            let outputs = f
-                .sender
-                .as_mut()
-                .expect("TCP flow has a sender")
-                .on_rto(now, f.rto.token);
+        };
+        if tcp.rto.deadline == key {
+            tcp.rto.queued = None;
+            let outputs = tcp.sender.on_rto(now, tcp.rto.token);
             self.handle_tcp_outputs(now, flow, outputs);
         } else {
-            let key = f.rto.deadline;
-            f.rto.queued = Some(key);
+            let key = tcp.rto.deadline;
+            tcp.rto.queued = Some(key);
             self.queue.schedule_at_key(key, Event::TcpRto { flow });
         }
     }
 
     fn on_udp_tick(&mut self, now: SimTime, flow: FlowId) {
-        let (dgram, next, key, src) = {
-            let f = &mut self.flows[flow.index()];
-            let (dgram, next) = f.udp.as_mut().expect("UDP flow has a source").on_tick(now);
-            (dgram, next, f.key, f.src)
+        let Some(f) = self.flows.get_mut(flow.index()) else {
+            return;
         };
+        let FlowKind::UdpProbe(probe) = &mut f.kind else {
+            return;
+        };
+        let (dgram, next) = probe.source.on_tick(now);
+        let (key, src) = (f.key, f.src);
         let size = dgram.bytes + UDP_HEADER_BYTES;
         let packet = self.make_packet(key, size, now, Payload::Udp { flow, dgram });
         self.send_from_host(now, src, packet);
@@ -1287,15 +1284,16 @@ impl Network {
     ///
     /// Panics if `flow` is not a UDP probe.
     pub fn udp_probe_report(&self, flow: FlowId) -> UdpProbeReport<'_> {
-        let f = &self.flows[flow.index()];
-        assert_eq!(f.role, FlowRole::UdpProbe, "not a UDP probe");
-        let sent = f.udp.as_ref().expect("probe has a source").sent();
+        let Some(FlowKind::UdpProbe(probe)) = self.flows.get(flow.index()).map(|f| &f.kind) else {
+            panic!("{flow:?} is not a UDP probe");
+        };
+        let sent = probe.source.sent();
         UdpProbeReport {
             sent,
-            received: f.connectivity.received_distinct(),
-            lost: f.connectivity.lost(sent),
-            connectivity: &f.connectivity,
-            delay: &f.delay,
+            received: probe.connectivity.received_distinct(),
+            lost: probe.connectivity.lost(sent),
+            connectivity: &probe.connectivity,
+            delay: &probe.delay,
         }
     }
 
@@ -1304,18 +1302,17 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if `flow` has no receiver.
+    /// Panics if `flow` is not a TCP flow.
     pub fn tcp_delivery_log(&self, flow: FlowId) -> &[(SimTime, u32)] {
-        self.flows[flow.index()]
-            .receiver
-            .as_ref()
-            .expect("TCP flow has a receiver")
-            .delivery_log()
+        let Some(FlowKind::Tcp(tcp)) = self.flows.get(flow.index()).map(|f| &f.kind) else {
+            panic!("{flow:?} is not a TCP flow");
+        };
+        tcp.receiver.delivery_log()
     }
 
     /// Whether a fixed-size flow has been fully delivered.
     pub fn is_delivered(&self, flow: FlowId) -> bool {
-        self.flows[flow.index()].delivered_fired
+        self.flow_completion_time(flow).is_some()
     }
 
     /// Byte-conservation counters of a TCP flow, or `None` for non-TCP
@@ -1324,40 +1321,41 @@ impl Network {
     /// for fixed-size transfers, `delivered ≤ total_bytes` (the receiver
     /// never conjures bytes the application did not send).
     pub fn tcp_flow_stats(&self, flow: FlowId) -> Option<TcpFlowStats> {
-        let f = &self.flows[flow.index()];
-        let sender = f.sender.as_ref()?;
-        let receiver = f.receiver.as_ref()?;
+        let FlowKind::Tcp(tcp) = &self.flows.get(flow.index())?.kind else {
+            return None;
+        };
         Some(TcpFlowStats {
-            total_bytes: f.total_bytes,
-            acked: sender.acked(),
-            delivered: receiver.delivered(),
-            retransmits: sender.retransmits(),
-            complete: sender.is_complete(),
+            total_bytes: tcp.fixed.as_ref().map_or(0, |fixed| fixed.bytes),
+            acked: tcp.sender.acked(),
+            delivered: tcp.receiver.delivered(),
+            retransmits: tcp.sender.retransmits(),
+            complete: tcp.sender.is_complete(),
         })
     }
 
     /// A fixed-size flow's completion time (start to full delivery), if
     /// it has finished.
-    pub fn flow_completion_time(&self, flow: FlowId) -> Option<dcn_sim::SimDuration> {
-        let f = &self.flows[flow.index()];
-        f.delivered_at.map(|at| at.since(f.started_at))
+    pub fn flow_completion_time(&self, flow: FlowId) -> Option<SimDuration> {
+        let fixed = self.flows.get(flow.index())?.fixed()?;
+        fixed.delivered_at.map(|at| at.since(fixed.started_at))
     }
 
     /// Flow-completion times of every finished background transfer.
-    pub fn transfer_fcts(&self) -> Vec<dcn_sim::SimDuration> {
-        self.flows
-            .iter()
-            .filter(|f| f.role == FlowRole::Transfer)
-            .filter_map(|f| f.delivered_at.map(|at| at.since(f.started_at)))
-            .collect()
+    pub fn transfer_fcts(&self) -> Vec<SimDuration> {
+        let fct = |f: &FixedSize| f.delivered_at.map(|at| at.since(f.started_at));
+        self.transfers().filter_map(fct).collect()
     }
 
     /// Count of background transfers that never completed.
     pub fn unfinished_transfers(&self) -> u64 {
-        self.flows
-            .iter()
-            .filter(|f| f.role == FlowRole::Transfer && !f.delivered_fired)
+        self.transfers()
+            .filter(|fixed| fixed.delivered_at.is_none())
             .count() as u64
+    }
+
+    fn transfers(&self) -> impl Iterator<Item = &FixedSize> {
+        let fixed = self.flows.iter().filter_map(|f| f.fixed());
+        fixed.filter(|fixed| fixed.role == FlowRole::Transfer)
     }
 
     /// Completion statistics over all partition-aggregate requests.
@@ -1475,5 +1473,46 @@ mod tests {
         assert_eq!(net.fib_epoch(), 0);
         assert!(net.queue.is_empty());
         assert_eq!(net.packets_in_flight().0, 0);
+    }
+
+    /// Flow events are only ever scheduled for a flow of their kind;
+    /// should a TCP event name a UDP probe, or a UDP tick a TCP flow,
+    /// nothing happens — no panic, nothing queued, no packet sent, both
+    /// flows' reports unchanged.
+    #[test]
+    fn a_flow_event_naming_a_flow_of_the_other_kind_is_a_no_op() {
+        let topo = FatTree::new(4).unwrap().hosts_per_tor(1).build();
+        let mut net = Network::new(topo, EmuConfig::default()).unwrap();
+        let hosts = net.topology().hosts().to_vec();
+        let (src, dst) = (hosts[0], hosts[hosts.len() - 1]);
+        let probe = net.add_udp_probe(src, dst, SimTime::ZERO);
+        let transfer = net.add_transfer(src, dst, 20_000, SimTime::ZERO);
+        net.run_until(SimTime::ZERO + SimDuration::from_millis(2));
+        let snapshot = |net: &Network| {
+            let report = net.udp_probe_report(probe);
+            (
+                (report.sent, report.received, report.lost),
+                net.tcp_flow_stats(transfer),
+                net.tcp_delivery_log(transfer).len(),
+                net.flow_completion_time(transfer),
+                net.packets_in_flight().0,
+                net.queue.len(),
+            )
+        };
+        let before = snapshot(&net);
+        assert!(
+            net.is_delivered(transfer),
+            "the transfer finished: {before:?}"
+        );
+        for event in [
+            Event::TcpStart { flow: probe },
+            Event::TcpPace { flow: probe },
+            Event::TcpRto { flow: probe },
+            Event::UdpTick { flow: transfer },
+        ] {
+            let key = net.queue.draw_key(net.now());
+            net.dispatch(key, event);
+        }
+        assert_eq!(snapshot(&net), before);
     }
 }

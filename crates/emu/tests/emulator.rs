@@ -331,7 +331,9 @@ fn unidirectional_failure_detected_by_both_endpoints() {
 fn centralized_control_plane_converges_after_report_compute_push() {
     use dcn_emu::ControlPlaneMode;
     let config = EmuConfig::builder()
-        .control_plane(ControlPlaneMode::centralized_default())
+        .control_plane(ControlPlaneMode::Centralized {
+            compute_delay: dcn_sim::timers::CONTROLLER_COMPUTE_DELAY,
+        })
         .build();
     let topo = FatTree::new(4).unwrap().hosts_per_tor(1).build();
     let mut net = Network::new(topo, config).unwrap();

@@ -16,7 +16,7 @@ use dcn_emu::{ControlPlaneMode, EmuConfig, FlowId, Network};
 use dcn_failure::Condition;
 use dcn_net::{FatTree, Layer, NodeId};
 use dcn_routing::RouterConfig;
-use dcn_sim::{timers, SimDuration, SimTime};
+use dcn_sim::{SimDuration, SimTime};
 use f2tree::{rewire_fat_tree, Design, TestBed};
 use serde::{Deserialize, Serialize};
 
@@ -248,9 +248,7 @@ pub struct CentralizedResult {
 pub fn run_centralized(design: Design, compute_ms: u64) -> CentralizedResult {
     let config = EmuConfig::builder()
         .control_plane(ControlPlaneMode::Centralized {
-            report_delay: timers::CONTROLLER_REPORT_DELAY,
             compute_delay: SimDuration::from_millis(compute_ms),
-            push_delay: timers::CONTROLLER_PUSH_DELAY,
         })
         .build();
     CentralizedResult {

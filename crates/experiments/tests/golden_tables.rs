@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 
 use dcn_routing::RecoveryMode;
 use dcn_sweep::Workers;
-use f2tree_experiments::artifacts::export_fig2;
+use f2tree_experiments::artifacts::{export_fig2, export_fig6};
 use f2tree_experiments::conditions::{
     format_fig4, format_fig5, format_table4, ConditionConfig, ConditionGrid, View,
 };
@@ -29,6 +29,7 @@ use f2tree_experiments::recovery::{congestion_cost, format_recovery, frr_wins};
 use f2tree_experiments::table1::{format_table1, run_table1};
 use f2tree_experiments::table2::{format_table2, run_table2};
 use f2tree_experiments::testbed::{format_table3, run_table3};
+use f2tree_experiments::workload::{format_fig6, run_fig6, WorkloadConfig};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -142,6 +143,36 @@ fn fig2_throughput_csv_matches_golden() {
     let csv = std::fs::read_to_string(dir.join("fig2_throughput.csv")).expect("read fig2 csv");
     std::fs::remove_dir_all(&dir).ok();
     check_golden("fig2_throughput.csv", &csv);
+}
+
+/// Fig. 6 at `--quick` scale: the table, each run's background-transfer
+/// digest, and the CSV rows `repro fig6 --out` writes. Pins the TCP
+/// request, response and transfer paths of the emulator.
+#[test]
+fn fig6_quick_matches_golden() {
+    let results = run_fig6(&WorkloadConfig::quick());
+    let mut out = format_fig6(&results);
+    for r in &results {
+        let fct = r
+            .background_fct
+            .as_ref()
+            .map_or_else(|| "none".to_string(), ToString::to_string);
+        writeln!(
+            out,
+            "{} CF={}: background_fct {fct}, unfinished_transfers {}",
+            r.design, r.concurrent_failures, r.unfinished_transfers
+        )
+        .unwrap();
+    }
+    let dir = std::env::temp_dir().join(format!("f2tree-fig6-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    export_fig6(&dir, &results).expect("write fig6 csvs");
+    for name in ["fig6_summary.csv", "fig6_cdf.csv"] {
+        let csv = std::fs::read_to_string(dir.join(name)).expect("read fig6 csv");
+        write!(out, "{name}\n{csv}").unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    check_golden("fig6_quick.txt", &out);
 }
 
 /// Fig. 7 (Leaf-Spine and VL2, plain and F²-rewired) on one worker.

@@ -38,4 +38,4 @@ mod switch;
 pub use random::{generate_random_failures, RandomFailureConfig};
 pub use scenarios::{condition_links, Condition, ScenarioContext, ScenarioError};
 pub use schedule::{FailureEvent, FailureSchedule};
-pub use switch::{fabric_links, schedule_switch_failure, switch_links};
+pub use switch::{fabric_links, switch_links};

@@ -157,11 +157,6 @@ impl SimRng {
         (self.gen_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// A Bernoulli draw with probability `p`.
-    pub fn gen_bool(&mut self, p: f64) -> bool {
-        self.gen_f64() < p.clamp(0.0, 1.0)
-    }
-
     /// A standard normal via Box–Muller.
     pub fn gen_normal(&mut self) -> f64 {
         // Avoid ln(0) by sampling u1 from (0, 1].

@@ -219,11 +219,6 @@ impl TcpSender {
         self.cwnd
     }
 
-    /// Current RTO (observability — shows the exponential backoff).
-    pub fn current_rto(&self) -> SimDuration {
-        self.rto
-    }
-
     /// Starts the flow at `now`.
     pub fn on_start(&mut self, now: SimTime) -> Vec<TcpSenderOutput> {
         let mut out = Vec::new();
