@@ -140,6 +140,7 @@ enum Event {
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
+const _: () = assert!(std::mem::size_of::<FlowState>() <= 160);
 
 /// What every flow has, and what its kind adds.
 struct FlowState {
@@ -154,11 +155,6 @@ struct FlowState {
 
 /// A flow is a UDP probe or a TCP connection. Every event and packet
 /// handler serves one kind; naming a flow of the other kind does nothing.
-#[expect(
-    clippy::large_enum_variant,
-    reason = "the flow state is boxed already; boxing the TCP state too would \
-              put the workload runs' tens of thousands of flows back on the allocator"
-)]
 enum FlowKind {
     UdpProbe(UdpProbe),
     Tcp(TcpConnection),
@@ -173,11 +169,19 @@ struct UdpProbe {
 
 /// The paced TCP probe of the testbed experiments, or a fixed-size flow.
 struct TcpConnection {
-    sender: TcpSender,
-    receiver: TcpReceiver,
+    ends: TcpEnds,
     rto: RtoTimer,
     /// `None` for the paced probe.
     fixed: Option<FixedSize>,
+}
+
+/// A connection's sender and receiver, freed when the sender completes:
+/// every byte is then delivered and acknowledged, so a late duplicate
+/// only re-ACKs the whole flow and the sender would emit nothing more.
+enum TcpEnds {
+    Open(Box<(TcpSender, TcpReceiver)>),
+    /// All the reports still read of the freed sender.
+    Closed { retransmits: u64 },
 }
 
 /// A TCP flow of a fixed size, and when it started and was fully delivered.
@@ -285,9 +289,10 @@ pub struct Network {
     links: Vec<LinkState>,
     routers: Vec<Option<RouterProcess>>,
     host_uplink: Vec<Option<(LinkId, NodeId)>>,
-    /// Boxed so growth moves pointers, never the ~390 B states: doubling
-    /// the states in place crosses glibc's mmap threshold and made peak
-    /// RSS jump by the whole array depending on unrelated allocations.
+    /// Boxed so growth moves pointers, never the states: doubling them in
+    /// place crosses glibc's mmap threshold and made peak RSS jump by the
+    /// whole array depending on unrelated allocations. A finished TCP
+    /// flow keeps its 136 B state; its sender and receiver are freed.
     #[allow(clippy::vec_box)]
     flows: Vec<Box<FlowState>>,
     requests: Vec<RequestState>,
@@ -641,8 +646,10 @@ impl Network {
             None => TcpApp::Paced,
         };
         let tcp = TcpConnection {
-            sender: TcpSender::new(key, TcpConfig::default(), app),
-            receiver: TcpReceiver::new(),
+            ends: TcpEnds::Open(Box::new((
+                TcpSender::new(key, TcpConfig::default(), app),
+                TcpReceiver::new(),
+            ))),
             rto: RtoTimer::default(),
             fixed,
         };
@@ -1103,10 +1110,14 @@ impl Network {
                 let FlowKind::Tcp(tcp) = &mut f.kind else {
                     return;
                 };
-                let ack = tcp.receiver.on_segment(now, seg);
-                let delivered = tcp.receiver.delivered();
+                let ack = match &mut tcp.ends {
+                    TcpEnds::Open(ends) => ends.1.on_segment(now, seg),
+                    TcpEnds::Closed { .. } => TcpAck {
+                        ack: tcp.fixed.as_ref().map_or(0, |fixed| fixed.bytes),
+                    },
+                };
                 let role = match &mut tcp.fixed {
-                    Some(fixed) if fixed.delivered_at.is_none() && delivered >= fixed.bytes => {
+                    Some(fixed) if fixed.delivered_at.is_none() && ack.ack >= fixed.bytes => {
                         fixed.delivered_at = Some(now);
                         Some(fixed.role)
                     }
@@ -1137,14 +1148,17 @@ impl Network {
             FlowRole::Request(req) => {
                 // The worker (dst) has the full request: respond to the
                 // requester (src).
-                let bytes = self.requests[req.0 as usize].response_bytes;
-                self.add_fixed_flow(dst, src, bytes, now, FlowRole::Response(req));
+                if let Some(state) = self.requests.get(req.0 as usize) {
+                    let bytes = state.response_bytes;
+                    self.add_fixed_flow(dst, src, bytes, now, FlowRole::Response(req));
+                }
             }
             FlowRole::Response(req) => {
-                let state = &mut self.requests[req.0 as usize];
-                state.remaining -= 1;
-                if state.remaining == 0 {
-                    state.completed = Some(now);
+                if let Some(state) = self.requests.get_mut(req.0 as usize) {
+                    state.remaining -= 1;
+                    if state.remaining == 0 {
+                        state.completed = Some(now);
+                    }
                 }
             }
             FlowRole::Transfer => {}
@@ -1152,22 +1166,25 @@ impl Network {
     }
 
     /// Feeds an event to the sender of TCP flow `flow` and acts on what it
-    /// outputs; a no-op if `flow` is a UDP probe.
+    /// outputs; a no-op if `flow` is a UDP probe or its sender completed.
     fn on_tcp_event<F>(&mut self, now: SimTime, flow: FlowId, event: F)
     where
         F: FnOnce(&mut TcpSender) -> Vec<TcpSenderOutput>,
     {
-        if let Some(tcp) = tcp_of(&mut self.flows, flow) {
-            let outputs = event(&mut tcp.sender);
+        if let Some(TcpEnds::Open(ends)) = tcp_of(&mut self.flows, flow).map(|tcp| &mut tcp.ends) {
+            let outputs = event(&mut ends.0);
             self.handle_tcp_outputs(now, flow, outputs);
         }
     }
 
     fn handle_tcp_outputs(&mut self, now: SimTime, flow: FlowId, outputs: Vec<TcpSenderOutput>) {
+        let Some(state) = self.flows.get(flow.index()) else {
+            return;
+        };
+        let (key, src) = (state.key, state.src);
         for output in outputs {
             match output {
                 TcpSenderOutput::Send(seg) => {
-                    let FlowState { key, src, .. } = *self.flows[flow.index()];
                     let size = seg.len + HEADER_BYTES;
                     let packet = self.make_packet(key, size, now, Payload::TcpData { flow, seg });
                     self.send_from_host(now, src, packet);
@@ -1181,6 +1198,10 @@ impl Network {
                     // happens in on_flow_delivered.
                     if let Some(state) = self.flows.get_mut(flow.index()) {
                         state.path_memo = None;
+                    }
+                    let retransmits = self.tcp_flow_stats(flow).map_or(0, |s| s.retransmits);
+                    if let Some(tcp) = tcp_of(&mut self.flows, flow) {
+                        tcp.ends = TcpEnds::Closed { retransmits };
                     }
                 }
             }
@@ -1218,8 +1239,10 @@ impl Network {
         };
         if tcp.rto.deadline == key {
             tcp.rto.queued = None;
-            let outputs = tcp.sender.on_rto(now, tcp.rto.token);
-            self.handle_tcp_outputs(now, flow, outputs);
+            if let TcpEnds::Open(ends) = &mut tcp.ends {
+                let outputs = ends.0.on_rto(now, tcp.rto.token);
+                self.handle_tcp_outputs(now, flow, outputs);
+            }
         } else {
             let key = tcp.rto.deadline;
             tcp.rto.queued = Some(key);
@@ -1297,17 +1320,23 @@ impl Network {
         }
     }
 
-    /// The receiver-side delivery log of a TCP flow (for throughput
-    /// binning).
+    /// The receiver-side delivery log of the paced TCP probe (for
+    /// throughput binning). A fixed-size flow keeps no log once it
+    /// completes; read its [`Self::tcp_flow_stats`] instead.
     ///
     /// # Panics
     ///
-    /// Panics if `flow` is not a TCP flow.
+    /// Panics if `flow` is not a paced TCP probe.
     pub fn tcp_delivery_log(&self, flow: FlowId) -> &[(SimTime, u32)] {
-        let Some(FlowKind::Tcp(tcp)) = self.flows.get(flow.index()).map(|f| &f.kind) else {
-            panic!("{flow:?} is not a TCP flow");
+        let Some(FlowKind::Tcp(TcpConnection {
+            ends: TcpEnds::Open(ends),
+            fixed: None,
+            ..
+        })) = self.flows.get(flow.index()).map(|f| &f.kind)
+        else {
+            panic!("{flow:?} is not a paced TCP probe");
         };
-        tcp.receiver.delivery_log()
+        ends.1.delivery_log()
     }
 
     /// Whether a fixed-size flow has been fully delivered.
@@ -1324,12 +1353,22 @@ impl Network {
         let FlowKind::Tcp(tcp) = &self.flows.get(flow.index())?.kind else {
             return None;
         };
-        Some(TcpFlowStats {
-            total_bytes: tcp.fixed.as_ref().map_or(0, |fixed| fixed.bytes),
-            acked: tcp.sender.acked(),
-            delivered: tcp.receiver.delivered(),
-            retransmits: tcp.sender.retransmits(),
-            complete: tcp.sender.is_complete(),
+        let total_bytes = tcp.fixed.as_ref().map_or(0, |fixed| fixed.bytes);
+        Some(match &tcp.ends {
+            TcpEnds::Open(ends) => TcpFlowStats {
+                total_bytes,
+                acked: ends.0.acked(),
+                delivered: ends.1.delivered(),
+                retransmits: ends.0.retransmits(),
+                complete: ends.0.is_complete(),
+            },
+            TcpEnds::Closed { retransmits } => TcpFlowStats {
+                total_bytes,
+                acked: total_bytes,
+                delivered: total_bytes,
+                retransmits: *retransmits,
+                complete: true,
+            },
         })
     }
 
@@ -1493,7 +1532,6 @@ mod tests {
             (
                 (report.sent, report.received, report.lost),
                 net.tcp_flow_stats(transfer),
-                net.tcp_delivery_log(transfer).len(),
                 net.flow_completion_time(transfer),
                 net.packets_in_flight().0,
                 net.queue.len(),
@@ -1514,5 +1552,68 @@ mod tests {
             net.dispatch(key, event);
         }
         assert_eq!(snapshot(&net), before);
+    }
+
+    /// A fixed-size flow frees its sender and receiver when the sender
+    /// completes. What arrives later gets the answer the live pair would
+    /// have given: a duplicate segment one ACK of the whole flow, an ACK
+    /// or a firing retransmission timer nothing; the reports stand still.
+    #[test]
+    fn a_finished_flow_answers_late_events_as_its_live_pair_would() {
+        let topo = FatTree::new(4).unwrap().hosts_per_tor(1).build();
+        let mut net = Network::new(topo, EmuConfig::default()).unwrap();
+        let hosts = net.topology().hosts().to_vec();
+        let (src, dst) = (hosts[0], hosts[hosts.len() - 1]);
+        let flow = net.add_transfer(src, dst, 20_000, SimTime::ZERO);
+        net.run_until(SimTime::ZERO + SimDuration::from_millis(2));
+        let reports = |net: &Network| (net.tcp_flow_stats(flow), net.flow_completion_time(flow));
+        let before = reports(&net);
+        let stats = before.0.unwrap();
+        assert_eq!(
+            (stats.acked, stats.delivered, stats.complete),
+            (20_000, 20_000, true)
+        );
+        assert!(matches!(
+            tcp_of(&mut net.flows, flow).map(|tcp| &tcp.ends),
+            Some(TcpEnds::Closed { .. })
+        ));
+        let key = net.flows.get(flow.index()).unwrap().key;
+        let now = net.now();
+        let (queued, in_flight) = (net.queue.len(), net.packets_in_flight().0);
+
+        let seg = TcpSegment {
+            seq: 0,
+            len: 1_460,
+            retransmit: true,
+        };
+        let size = seg.len + HEADER_BYTES;
+        let dup = net.make_packet(key, size, now, Payload::TcpData { flow, seg });
+        let dup = net.packets.remove(dup);
+        net.deliver_to_host(now, dst, dup);
+        assert_eq!(net.queue.len(), queued + 1, "exactly one packet queued");
+        assert_eq!(net.packets_in_flight().0, in_flight + 1);
+        let Some((_, Event::Arrive { packet, .. })) = net.queue.pop() else {
+            panic!("the ACK is the next event");
+        };
+        let reply = net.packets.remove(packet);
+        let Payload::TcpAckSeg { flow: to, ack } = &reply.payload else {
+            panic!("the queued packet is an ACK");
+        };
+        assert_eq!((*to, ack.ack), (flow, 20_000));
+        assert_eq!(reports(&net), before);
+
+        net.deliver_to_host(now, src, reply);
+        assert_eq!(net.queue.len(), queued, "an ACK queues nothing");
+        assert_eq!(net.packets_in_flight().0, in_flight);
+        assert_eq!(reports(&net), before);
+
+        // The flow's current deadline pops: the timer fires.
+        let rto = net.queue.draw_key(now);
+        let timer = &mut tcp_of(&mut net.flows, flow).unwrap().rto;
+        (timer.deadline, timer.queued) = (rto, Some(rto));
+        net.dispatch(rto, Event::TcpRto { flow });
+        assert_eq!(net.queue.len(), queued, "a firing RTO queues nothing");
+        assert_eq!(net.packets_in_flight().0, in_flight);
+        assert_eq!(reports(&net), before);
     }
 }

@@ -172,12 +172,8 @@ fn fixed_transfer_completes_and_is_delivered() {
     let flow = net.add_transfer(src, dst, 1_000_000, SimTime::ZERO);
     net.run_until(ms(2000));
     assert!(net.is_delivered(flow));
-    let delivered: u64 = net
-        .tcp_delivery_log(flow)
-        .iter()
-        .map(|&(_, b)| b as u64)
-        .sum();
-    assert_eq!(delivered, 1_000_000);
+    let stats = net.tcp_flow_stats(flow).expect("TCP flow");
+    assert_eq!(stats.delivered, 1_000_000);
 }
 
 #[test]
@@ -389,12 +385,8 @@ fn congestion_fills_queues_and_tail_drops_without_breaking_tcp() {
     );
     for flow in flows {
         assert!(net.is_delivered(flow), "flow {flow:?} completes");
-        let delivered: u64 = net
-            .tcp_delivery_log(flow)
-            .iter()
-            .map(|&(_, b)| b as u64)
-            .sum();
-        assert_eq!(delivered, 2_000_000);
+        let stats = net.tcp_flow_stats(flow).expect("TCP flow");
+        assert_eq!(stats.delivered, 2_000_000);
     }
     // The sink's access link carried the aggregate.
     let access = net

@@ -19,10 +19,12 @@ use std::sync::OnceLock;
 
 use dcn_routing::RecoveryMode;
 use dcn_sweep::Workers;
+use f2tree::Design;
 use f2tree_experiments::artifacts::{export_fig2, export_fig6};
 use f2tree_experiments::conditions::{
     format_fig4, format_fig5, format_table4, ConditionConfig, ConditionGrid, View,
 };
+use f2tree_experiments::extensions::{format_bisection, run_bisection};
 use f2tree_experiments::fig7::{format_fig7, run_fig7_sweep};
 use f2tree_experiments::quality::format_quality;
 use f2tree_experiments::recovery::{congestion_cost, format_recovery, frr_wins};
@@ -179,6 +181,17 @@ fn fig6_quick_matches_golden() {
 #[test]
 fn fig7_matches_golden() {
     check_golden("fig7.txt", &format_fig7(&run_fig7_sweep(Workers::SERIAL)));
+}
+
+/// The bisection stress (`repro bisection`): 12 parallel cross-pod 5 MB
+/// transfers on both designs. Pins each design's makespan and goodput.
+#[test]
+fn bisection_matches_golden() {
+    let rows = [
+        run_bisection(Design::FatTree),
+        run_bisection(Design::F2Tree),
+    ];
+    check_golden("bisection.txt", &format_bisection(&rows));
 }
 
 /// Table IV (failure scenarios) is a pure rendering of the C1–C7 specs.
