@@ -10,14 +10,15 @@
 #    sweep pool, fixed-seed chaos campaigns in every mode (library level
 #    in crates/chaos/tests/chaos_e2e.rs, the built `repro chaos` in
 #    crates/experiments/tests/cli_help.rs), each byte-identical across
-#    worker counts — then the three release-only `#[ignore]`d tests: dense
+#    worker counts — then the four release-only `#[ignore]`d tests: dense
 #    SPF vs the reference Dijkstra at every root × every single
 #    fabric-link failure of the k=16 F²Tree (~2 min on 2 cores; hopeless
 #    in a debug build), every router's routes read out of one shared
 #    SpfTable vs its own compute_routes after every single fabric-link
 #    failure of the k=16 fat tree and F²Tree (~1 min on 2 cores), and
 #    the failure map vs the loop nest it replaced on the k=16 fat tree
-#    and F²Tree, intact and damaged (< 1 s),
+#    and F²Tree, intact and damaged (< 1 s), and the `repro fig6seeds
+#    --quick` golden (about 14 s in a debug build, 1 s in release),
 # 3. the lint pass: `cargo clippy` over the workspace with the
 #    restriction lints of Cargo.toml's [workspace.lints.clippy] and the
 #    bans of clippy.toml, plus the two token rules, under the strict
@@ -37,11 +38,12 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (+ the release-only k=16 SPF, shared-table and failure-map equivalences)"
+echo "==> cargo test -q (+ the release-only k=16 SPF, shared-table and failure-map equivalences and the fig6seeds golden)"
 cargo test -q
 cargo test --release -q -p dcn-routing --test spf_reference -- --ignored
 cargo test --release -q -p dcn-routing --test spf_delta_reference -- --ignored
 cargo test --release -q -p dcn-frr --test failure_map_reference -- --ignored
+cargo test --release -q -p f2tree-experiments --test golden_tables -- --ignored
 
 echo "==> cargo run -p xtask -- lint"
 cargo run -q --release -p xtask -- lint

@@ -47,4 +47,3 @@ mod quality;
 
 pub use config::{ControlPlaneMode, EmuConfig, EmuConfigBuilder};
 pub use network::{DropCounters, FlowId, Network, RequestId, TcpFlowStats, UdpProbeReport};
-pub use quality::extract_quality_input;

@@ -57,15 +57,14 @@ fn brute_force(input: &QualityInput) -> (Vec<f64>, f64, f64) {
             *delivered += amount;
             return;
         }
-        let hops = match d.next_hops.get(&node) {
-            Some(h) if !h.is_empty() => h,
-            _ => {
-                *undeliverable += amount;
-                return;
-            }
-        };
+        let hops = input.hops_of(d, node);
+        if hops.is_empty() {
+            *undeliverable += amount;
+            return;
+        }
         let share = amount / hops.len() as f64;
-        for &(edge, succ) in hops {
+        for &edge in hops {
+            let (edge, succ) = (edge as usize, input.edge_head[edge as usize] as usize);
             if input.edge_alive[edge] {
                 per_edge[edge] += share;
                 walk(
@@ -108,7 +107,7 @@ fn assert_differential(net: &Network, label: &str) {
     let loads = LinkLoads::propagate(&input);
     let (bf_edges, bf_delivered, bf_undeliv) = brute_force(&input);
 
-    let prop_q = loads.quantized();
+    let prop_q: Vec<u64> = loads.per_edge.iter().map(|&l| quantize(l)).collect();
     let bf_q: Vec<u64> = bf_edges.iter().map(|&l| quantize(l)).collect();
     assert_eq!(
         prop_q, bf_q,
@@ -246,7 +245,8 @@ proptest! {
             .build();
         let fabric = fabric_links(&topo);
         let net = Network::new(topo, EmuConfig::default()).expect("addressable");
-        let q = LinkLoads::propagate(&net.quality_input()).quantized();
+        let loads = LinkLoads::propagate(&net.quality_input());
+        let q: Vec<u64> = loads.per_edge.iter().map(|&l| quantize(l)).collect();
 
         for &link in &fabric {
             let fwd = q[link.index() * 2];

@@ -75,7 +75,7 @@ targets (default: everything except fig6seeds):
                                 healthy, mid-failover, settled snapshots
   bisection aspen c7x ablation centralized summary unidirectional
                                 beyond-paper extensions
-  fig6seeds                     opt-in: 20-seed Fig. 6 workload stats
+  fig6seeds                     opt-in: 5-seed Fig. 6 workload stats
   chaos                         invariant-oracle failure campaigns
   all                           everything except fig6seeds
 
@@ -255,7 +255,7 @@ fn main() {
 
     let want = |name: &str| {
         if name == "fig6seeds" {
-            // Opt-in only: 20 full workload runs.
+            // Opt-in only: 5 seeds × 4 (design, CF) full workload runs.
             return targets.contains(&name);
         }
         targets.is_empty() || targets.contains(&"all") || targets.contains(&name)

@@ -177,6 +177,23 @@ fn fig6_quick_matches_golden() {
     check_golden("fig6_quick.txt", &out);
 }
 
+/// `repro fig6seeds --quick`, exactly as the binary prints it: the
+/// per-seed Fig. 6 deadline-miss statistics over its five seeds.
+/// Release-only (`ci.sh` runs it): a debug run takes about 14 s.
+#[test]
+#[ignore = "release-only: run with cargo test --release -- --ignored"]
+fn fig6seeds_quick_matches_golden() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig6seeds", "--quick", "--workers", "2"])
+        .output()
+        .expect("repro binary runs");
+    assert!(out.status.success(), "repro fig6seeds --quick failed");
+    check_golden(
+        "fig6seeds_quick.txt",
+        &String::from_utf8(out.stdout).expect("utf8 stdout"),
+    );
+}
+
 /// Fig. 7 (Leaf-Spine and VL2, plain and F²-rewired) on one worker.
 #[test]
 fn fig7_matches_golden() {

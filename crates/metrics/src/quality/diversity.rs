@@ -3,92 +3,142 @@
 //! For a pod pair `(src, dst)` the score is the maximum number of
 //! edge-disjoint paths the *installed routing* actually offers from
 //! `src` to `dst` — max-flow with unit edge capacities on the alive
-//! next-hop DAG edges. Edmonds–Karp (BFS augmenting paths) is chosen
-//! over Dinic because the DAGs are shallow (≤ 4 hops in a fat tree)
-//! and flow values are tiny (≤ ECMP degree), so the simpler algorithm
-//! is both fast enough and easier to keep deterministic: adjacency is
-//! built in sorted node order and BFS scans arcs in insertion order.
+//! next-hop DAG edges. By Menger's theorem that count is an integer any
+//! correct augmenting order reaches, so the search is free to be cheap:
+//! the residual graph is built once per destination DAG over dense node
+//! indices and shared by every pod pair aimed at it, and a pair starts
+//! from zero flow by taking a fresh stamp instead of clearing arrays.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
-use super::dag::NextHopDag;
+use super::dag::{NextHopDag, QualityInput};
 
-/// Maximum number of edge-disjoint `src -> dst` paths through the
-/// alive edges of `dag`, via unit-capacity max-flow.
-pub fn edge_disjoint_paths(dag: &NextHopDag, edge_alive: &[bool], src: usize, dst: usize) -> u32 {
-    if src == dst {
-        return 0;
-    }
-    // Build paired forward/reverse arcs: arc 2i is forward (cap 1),
-    // arc 2i+1 its residual (cap 0). Node ids are remapped densely in
-    // sorted order for a compact adjacency map.
-    let mut arcs: Vec<(usize, usize, u8)> = Vec::new(); // (to, pair base, cap)
-    let mut adj: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for (&node, hops) in &dag.next_hops {
-        if node == dag.dst {
-            continue;
-        }
-        for &(edge, succ) in hops {
-            if !edge_alive.get(edge).copied().unwrap_or(false) {
-                continue;
+/// Edge-disjoint path counts for the pod pairs whose DAG exists, in
+/// [`QualityInput::pod_pairs`] order.
+pub fn pod_pair_diversity(input: &QualityInput) -> Vec<u32> {
+    let mut counts = vec![None; input.pod_pairs.len()];
+    let mut flow = UnitFlow::new(input.slots());
+    for (index, dag) in input.dags.iter().enumerate() {
+        let mut built = false;
+        let aimed = input
+            .pod_pairs
+            .iter()
+            .zip(&mut counts)
+            .filter(|(p, _)| p.2 == index);
+        for (&(src, dst, _), count) in aimed {
+            if !std::mem::replace(&mut built, true) {
+                flow.build(input, dag);
             }
-            let base = arcs.len();
-            arcs.push((succ, base, 1));
-            arcs.push((node, base, 0));
-            adj.entry(node).or_default().push(base);
-            adj.entry(succ).or_default().push(base + 1);
+            *count = Some(flow.max_flow(src, dst));
         }
     }
+    counts.into_iter().flatten().collect()
+}
 
-    let mut flow = 0u32;
-    loop {
-        // BFS for an augmenting path over arcs with residual capacity.
-        let mut prev_arc: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(src);
-        let mut seen: BTreeMap<usize, bool> = BTreeMap::new();
-        seen.insert(src, true);
-        let mut found = false;
-        while let Some(u) = queue.pop_front() {
-            if u == dst {
-                found = true;
-                break;
-            }
-            for &a in adj.get(&u).map(Vec::as_slice).unwrap_or(&[]) {
-                let (to, _, cap) = match arcs.get(a) {
-                    Some(&t) => t,
-                    None => continue,
-                };
-                if cap > 0 && !seen.get(&to).copied().unwrap_or(false) {
-                    seen.insert(to, true);
-                    prev_arc.insert(to, a);
-                    queue.push_back(to);
+/// No arc: ends an adjacency list.
+const NONE: u32 = u32::MAX;
+
+/// Unit-capacity residual graph of one DAG's alive hops, as per-node
+/// arc lists. Arc `2i` is hop `i` forward and arc `2i + 1` its reverse;
+/// hop `i` carries flow iff `flow[i]` is the current pair's stamp, and
+/// a node is reached iff `seen` holds the current search's stamp.
+struct UnitFlow {
+    /// First arc out of each node, then each arc's next sibling.
+    first: Vec<u32>,
+    next: Vec<u32>,
+    /// Head node per arc.
+    head: Vec<u32>,
+    flow: Vec<u32>,
+    seen: Vec<u32>,
+    stamp: u32,
+    /// The arc each node was reached over.
+    via: Vec<u32>,
+    queue: Vec<u32>,
+}
+
+impl UnitFlow {
+    fn new(slots: usize) -> Self {
+        UnitFlow {
+            first: vec![NONE; slots],
+            next: Vec::new(),
+            head: Vec::new(),
+            flow: Vec::new(),
+            seen: vec![0; slots],
+            stamp: 0,
+            via: vec![0; slots],
+            queue: Vec::new(),
+        }
+    }
+
+    /// Rebuilds the residual graph from `dag`'s alive hops.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "first has a slot per QualityInput::slots, which covers every row and head"
+    )]
+    fn build(&mut self, input: &QualityInput, dag: &NextHopDag) {
+        self.first.fill(NONE);
+        self.next.clear();
+        self.head.clear();
+        for u in 0..dag.rows.len() {
+            for v in input
+                .hops_of(dag, u)
+                .iter()
+                .filter_map(|&e| input.live_head(e))
+            {
+                for (from, to) in [(u, v), (v, u)] {
+                    self.next.push(self.first[from]);
+                    self.first[from] = self.head.len() as u32;
+                    self.head.push(to as u32);
                 }
             }
         }
-        if !found {
-            return flow;
+        self.flow.clear();
+        self.flow.resize(self.head.len() / 2, 0);
+    }
+
+    /// Maximum number of edge-disjoint `src -> dst` paths: augment one
+    /// unit along a breadth-first residual path until none is left.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "arc, hop and node ids all come from the graph build; src and dst are bounds-checked"
+    )]
+    fn max_flow(&mut self, src: usize, dst: usize) -> u32 {
+        if src == dst || src >= self.seen.len() || dst >= self.seen.len() {
+            return 0;
         }
-        // Unit capacities: augment by exactly 1 along the path.
-        let mut v = dst;
-        while v != src {
-            let a = match prev_arc.get(&v) {
-                Some(&a) => a,
-                None => return flow,
-            };
-            let partner = a ^ 1;
-            if let Some(arc) = arcs.get_mut(a) {
-                arc.2 -= 1;
+        let pair = self.stamp + 1;
+        let mut paths = 0;
+        loop {
+            self.stamp += 1;
+            self.seen[src] = self.stamp;
+            self.queue.clear();
+            self.queue.push(src as u32);
+            let mut next = 0;
+            while self.seen[dst] != self.stamp {
+                let Some(&u) = self.queue.get(next) else {
+                    return paths;
+                };
+                next += 1;
+                let mut a = self.first[u as usize];
+                while a != NONE {
+                    let v = self.head[a as usize] as usize;
+                    let residual = (self.flow[a as usize / 2] == pair) != (a & 1 == 0);
+                    if residual && self.seen[v] != self.stamp {
+                        self.seen[v] = self.stamp;
+                        self.via[v] = a;
+                        self.queue.push(v as u32);
+                    }
+                    a = self.next[a as usize];
+                }
             }
-            if let Some(arc) = arcs.get_mut(partner) {
-                arc.2 += 1;
-                v = arc.0;
-            } else {
-                return flow;
+            let mut v = dst;
+            while v != src {
+                let a = self.via[v] as usize;
+                self.flow[a / 2] = if a & 1 == 0 { pair } else { 0 };
+                v = self.head[a ^ 1] as usize;
             }
+            paths += 1;
         }
-        flow += 1;
     }
 }
 
@@ -137,57 +187,93 @@ impl fmt::Display for DiversitySummary {
 mod tests {
     use super::*;
 
-    fn diamond() -> NextHopDag {
-        // 0 -> {1, 2} -> 3: two edge-disjoint paths to dst 3.
-        NextHopDag {
-            dst: 3,
-            inject: vec![(0, 1.0)],
-            next_hops: [
-                (0usize, vec![(0usize, 1usize), (1, 2)]),
-                (1, vec![(2, 3)]),
-                (2, vec![(3, 3)]),
-            ]
-            .into_iter()
-            .collect(),
+    /// Scores pod pairs `(src, dst)` on one DAG toward `dst` whose rows
+    /// are `(node, [edge])`, edge `e` leading to `heads[e]`.
+    fn diversity(
+        rows: &[(usize, &[u32])],
+        heads: &[u32],
+        dead: &[usize],
+        pairs: &[(usize, usize)],
+    ) -> Vec<u32> {
+        let mut edge_alive = vec![true; heads.len()];
+        for &e in dead {
+            edge_alive[e] = false;
         }
+        let mut input = QualityInput {
+            nodes: 8,
+            edges: heads.len(),
+            edge_alive,
+            edge_head: heads.to_vec(),
+            fabric_edges: Vec::new(),
+            pod_pairs: pairs.iter().map(|&(src, dst)| (src, dst, 0)).collect(),
+            dags: Vec::new(),
+            hops: Vec::new(),
+        };
+        let rows = rows.iter().map(|&(u, hops)| (u, hops.iter().copied()));
+        input.push_dag(pairs[0].1, Vec::new(), rows);
+        pod_pair_diversity(&input)
     }
+
+    /// 0 -> {1, 2} -> 3: two edge-disjoint paths to dst 3.
+    const DIAMOND: &[(usize, &[u32])] = &[(0, &[0, 1]), (1, &[2]), (2, &[3])];
+    const DIAMOND_HEADS: &[u32] = &[1, 2, 3, 3];
 
     #[test]
     fn diamond_has_two_disjoint_paths() {
-        let alive = vec![true; 4];
-        assert_eq!(edge_disjoint_paths(&diamond(), &alive, 0, 3), 2);
+        assert_eq!(diversity(DIAMOND, DIAMOND_HEADS, &[], &[(0, 3)]), [2]);
     }
 
     #[test]
     fn dead_edge_halves_diversity() {
-        let mut alive = vec![true; 4];
-        alive[1] = false; // kill 0 -> 2
-        assert_eq!(edge_disjoint_paths(&diamond(), &alive, 0, 3), 1);
+        // Kill 0 -> 2.
+        assert_eq!(diversity(DIAMOND, DIAMOND_HEADS, &[1], &[(0, 3)]), [1]);
     }
 
     #[test]
     fn shared_bottleneck_caps_flow() {
         // 0 -> {1, 2} -> 3 -> 4: both branches merge into one edge.
-        let dag = NextHopDag {
-            dst: 4,
-            inject: vec![(0, 1.0)],
-            next_hops: [
-                (0usize, vec![(0usize, 1usize), (1, 2)]),
-                (1, vec![(2, 3)]),
-                (2, vec![(3, 3)]),
-                (3, vec![(4, 4)]),
-            ]
-            .into_iter()
-            .collect(),
-        };
-        assert_eq!(edge_disjoint_paths(&dag, &vec![true; 5], 0, 4), 1);
+        let rows: &[(usize, &[u32])] = &[(0, &[0, 1]), (1, &[2]), (2, &[3]), (3, &[4])];
+        assert_eq!(diversity(rows, &[1, 2, 3, 3, 4], &[], &[(0, 4)]), [1]);
     }
 
     #[test]
     fn unreachable_is_zero() {
-        let alive = vec![false; 4];
-        assert_eq!(edge_disjoint_paths(&diamond(), &alive, 0, 3), 0);
-        assert_eq!(edge_disjoint_paths(&diamond(), &vec![true; 4], 3, 3), 0);
+        assert_eq!(
+            diversity(DIAMOND, DIAMOND_HEADS, &[0, 1, 2, 3], &[(0, 3)]),
+            [0]
+        );
+        assert_eq!(diversity(DIAMOND, DIAMOND_HEADS, &[], &[(3, 3)]), [0]);
+    }
+
+    #[test]
+    fn pairs_sharing_a_dag_each_start_from_zero_flow() {
+        // 1 and 2 each have one path; 0 has two: pair order must not leak.
+        let pairs = [(1, 3), (0, 3), (2, 3), (0, 3)];
+        assert_eq!(diversity(DIAMOND, DIAMOND_HEADS, &[], &pairs), [1, 2, 1, 2]);
+    }
+
+    #[test]
+    fn augmenting_path_may_cancel_earlier_flow() {
+        // s=0 x=1 y=2 t=3. The shortest path s-x-y-t comes first and
+        // blocks every other way to t but one that crosses y->x over the
+        // reverse arc, cancelling x->y. Left uncancelled, that phantom
+        // unit would let s-z-z2-y-x reach t a third time: the cut
+        // {s->x, y->t} caps the count at 2.
+        let rows: &[(usize, &[u32])] = &[
+            (0, &[0, 1, 2]),
+            (1, &[3, 4, 5]),
+            (2, &[6]),
+            (4, &[7]),
+            (5, &[8]),
+            (6, &[9]),
+            (7, &[10]),
+            (8, &[11]),
+            (9, &[12]),
+            (10, &[13]),
+            (11, &[14]),
+        ];
+        let heads = [1, 6, 10, 2, 4, 8, 3, 5, 3, 7, 2, 9, 3, 11, 2];
+        assert_eq!(diversity(rows, &heads, &[], &[(0, 3)]), [2]);
     }
 
     #[test]

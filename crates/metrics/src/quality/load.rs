@@ -15,8 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use super::dag::{NextHopDag, QualityInput};
-use super::quantize;
+use super::dag::QualityInput;
 
 /// Per-directed-edge expected load, plus the mass-balance totals.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,187 +32,163 @@ pub struct LinkLoads {
 }
 
 impl LinkLoads {
-    /// Propagates every DAG's injected demand and sums per-edge loads.
+    /// Propagates every DAG's injected demand and sums per-edge loads,
+    /// one Kahn-topological pass per destination.
+    ///
+    /// Only nodes reachable from the inject sources over *alive* listed
+    /// edges participate; the destination never expands. Shares assigned
+    /// to dead listed edges are charged undeliverable immediately. After
+    /// the pass, any reachable node that never became ready is part of a
+    /// forwarding cycle — its inflow plus injection is charged
+    /// undeliverable too, keeping the balance total. `ready` pops its
+    /// smallest index first and the cycle sweep runs in index order:
+    /// every f64 sum forms in node order. The per-node scratch is sized
+    /// once and reused: a pass resets only the nodes it reached.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the vectors are sized to QualityInput::slots, which covers every node a DAG names"
+    )]
     pub fn propagate(input: &QualityInput) -> Self {
-        let mut per_edge = vec![0.0f64; input.edges];
-        let mut delivered = 0.0f64;
-        let mut undeliverable = 0.0f64;
-        let mut injected = 0.0f64;
+        let mut loads = LinkLoads {
+            per_edge: vec![0.0; input.edges],
+            delivered: 0.0,
+            undeliverable: 0.0,
+            injected: 0.0,
+        };
+        let slots = input.slots();
+        let (mut inject, mut inflow) = (vec![0.0f64; slots], vec![0.0f64; slots]);
+        let (mut indeg, mut reach) = (vec![0u32; slots], vec![false; slots]);
+        let mut reached: Vec<usize> = Vec::new();
+        let mut ready = BinaryHeap::new();
         for dag in &input.dags {
-            propagate_dag(
-                dag,
-                &input.edge_alive,
-                input.nodes,
-                &mut per_edge,
-                &mut delivered,
-                &mut undeliverable,
-                &mut injected,
+            // Injection per node (sources may repeat; fold them), then the
+            // reachable set over alive edges, destination terminal.
+            for &(src, amt) in &dag.inject {
+                inject[src] += amt;
+                loads.injected += amt;
+                if !std::mem::replace(&mut reach[src], true) {
+                    reached.push(src);
+                }
+            }
+            let mut next = 0;
+            while let Some(&u) = reached.get(next) {
+                next += 1;
+                for succ in input
+                    .hops_of(dag, u)
+                    .iter()
+                    .filter_map(|&e| input.live_head(e))
+                {
+                    if !std::mem::replace(&mut reach[succ], true) {
+                        reached.push(succ);
+                    }
+                }
+            }
+            reached.sort_unstable();
+
+            // In-degrees over alive edges within the reachable set; a
+            // reached node is done once its in-degree comes down to zero.
+            for &u in &reached {
+                for succ in input
+                    .hops_of(dag, u)
+                    .iter()
+                    .filter_map(|&e| input.live_head(e))
+                {
+                    indeg[succ] += 1;
+                }
+            }
+            ready.extend(
+                reached
+                    .iter()
+                    .filter(|&&u| indeg[u] == 0)
+                    .map(|&u| Reverse(u)),
             );
-        }
-        LinkLoads {
-            per_edge,
-            delivered,
-            undeliverable,
-            injected,
-        }
-    }
 
-    /// The per-edge loads quantized onto the fixed-point grid.
-    pub fn quantized(&self) -> Vec<u64> {
-        self.per_edge.iter().map(|&l| quantize(l)).collect()
-    }
-}
-
-/// Kahn-topological propagation of one destination DAG.
-///
-/// Only nodes reachable from the inject sources over *alive* listed
-/// edges participate; the destination never expands (its out-edges, if
-/// any, are ignored). Shares assigned to dead listed edges are charged
-/// undeliverable immediately. After the pass, any reachable node that
-/// never became ready is part of a forwarding cycle — its inflow plus
-/// injection is charged undeliverable too, keeping the balance total.
-/// `ready` pops its smallest index first: every f64 sum forms in node order.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "the vectors are sized to the largest node index the DAG names"
-)]
-fn propagate_dag(
-    dag: &NextHopDag,
-    edge_alive: &[bool],
-    nodes: usize,
-    per_edge: &mut [f64],
-    delivered: &mut f64,
-    undeliverable: &mut f64,
-    injected: &mut f64,
-) {
-    let alive = |e: usize| edge_alive.get(e).copied().unwrap_or(false);
-    let hops_of = |u: usize| -> &[(usize, usize)] {
-        if u == dag.dst {
-            return &[];
-        }
-        dag.next_hops.get(&u).map(Vec::as_slice).unwrap_or(&[])
-    };
-
-    // A DAG may name nodes past `nodes` (a destination nothing reaches).
-    let named = dag
-        .next_hops
-        .iter()
-        .flat_map(|(&u, hops)| hops.iter().map(|&(_, succ)| succ).chain([u]));
-    let sources = dag.inject.iter().map(|&(src, _)| src);
-    let slots = named
-        .chain(sources.clone())
-        .fold(nodes.max(dag.dst + 1), |n, u| n.max(u + 1));
-
-    // Injection per node (sources may repeat in principle; fold them).
-    let mut inject = vec![0.0f64; slots];
-    for &(src, amt) in &dag.inject {
-        inject[src] += amt;
-        *injected += amt;
-    }
-
-    // Reachable set over alive edges, destination terminal.
-    let mut reach = vec![false; slots];
-    let mut stack: Vec<usize> = sources.collect();
-    while let Some(u) = stack.pop() {
-        if std::mem::replace(&mut reach[u], true) {
-            continue;
-        }
-        for &(edge, succ) in hops_of(u) {
-            if alive(edge) && !reach[succ] {
-                stack.push(succ);
-            }
-        }
-    }
-    let reached = || (0..slots).filter(|&u| reach[u]);
-
-    // In-degrees over alive edges within the reachable set; a reached node
-    // is done once its in-degree has come down to zero.
-    let mut indeg = vec![0usize; slots];
-    for u in reached() {
-        for &(edge, succ) in hops_of(u) {
-            if alive(edge) {
-                indeg[succ] += 1;
-            }
-        }
-    }
-
-    let mut inflow = vec![0.0f64; slots];
-    let mut ready: BinaryHeap<Reverse<usize>> =
-        reached().filter(|&u| indeg[u] == 0).map(Reverse).collect();
-
-    while let Some(Reverse(u)) = ready.pop() {
-        let total = inflow[u] + inject[u];
-        if u == dag.dst {
-            *delivered += total;
-            continue;
-        }
-        let hops = hops_of(u);
-        if hops.is_empty() {
-            *undeliverable += total;
-            continue;
-        }
-        let share = total / hops.len() as f64;
-        for &(edge, succ) in hops {
-            if alive(edge) {
-                if let Some(slot) = per_edge.get_mut(edge) {
-                    *slot += share;
+            while let Some(Reverse(u)) = ready.pop() {
+                let total = inflow[u] + inject[u];
+                let hops = input.hops_of(dag, u);
+                if u == dag.dst {
+                    loads.delivered += total;
+                    continue;
+                } else if hops.is_empty() {
+                    loads.undeliverable += total;
+                    continue;
                 }
-                inflow[succ] += share;
-                indeg[succ] -= 1;
-                if indeg[succ] == 0 {
-                    ready.push(Reverse(succ));
+                let share = total / hops.len() as f64;
+                for &edge in hops {
+                    let Some(succ) = input.live_head(edge) else {
+                        // Listed but physically dead and not yet locally
+                        // detected: the FIB still sends this share here,
+                        // and the wire drops it.
+                        loads.undeliverable += share;
+                        continue;
+                    };
+                    if let Some(slot) = loads.per_edge.get_mut(edge as usize) {
+                        *slot += share;
+                    }
+                    inflow[succ] += share;
+                    indeg[succ] -= 1;
+                    if indeg[succ] == 0 {
+                        ready.push(Reverse(succ));
+                    }
                 }
-            } else {
-                // Listed but physically dead and not yet locally
-                // detected: the FIB still sends this share here, and
-                // the wire drops it.
-                *undeliverable += share;
+            }
+
+            // Cycle members (reachable, never ready): their inflow plus
+            // injection circulates until TTL death — undeliverable. Then
+            // clear what this pass touched.
+            for u in reached.drain(..) {
+                if indeg[u] > 0 {
+                    loads.undeliverable += inflow[u] + inject[u];
+                }
+                (inject[u], inflow[u], indeg[u], reach[u]) = (0.0, 0.0, 0, false);
             }
         }
-    }
-
-    // Cycle members (reachable, never ready): their accumulated inflow
-    // plus injection circulates until TTL death — undeliverable.
-    for u in reached().filter(|&u| indeg[u] > 0) {
-        *undeliverable += inflow[u] + inject[u];
+        loads
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::dag::{NextHopDag, QualityInput};
+    use super::super::dag::QualityInput;
     use super::*;
 
-    fn input(dags: Vec<NextHopDag>, edges: usize, dead: &[usize]) -> QualityInput {
-        let mut edge_alive = vec![true; edges];
+    /// One DAG: destination, injection, and `(node, [edge])` rows.
+    type Dag<'a> = (usize, Vec<(usize, f64)>, &'a [(usize, &'a [u32])]);
+
+    /// An 8-node input whose edge `e` leads to `heads[e]`.
+    fn input(dags: Vec<Dag<'_>>, heads: &[u32], dead: &[usize]) -> QualityInput {
+        let mut edge_alive = vec![true; heads.len()];
         for &e in dead {
             edge_alive[e] = false;
         }
-        QualityInput {
+        let mut input = QualityInput {
             nodes: 8,
-            edges,
+            edges: heads.len(),
             edge_alive,
-            fabric_edges: (0..edges).collect(),
+            edge_head: heads.to_vec(),
+            fabric_edges: (0..heads.len()).collect(),
             pod_pairs: Vec::new(),
-            dags,
+            dags: Vec::new(),
+            hops: Vec::new(),
+        };
+        for (dst, inject, rows) in dags {
+            input.push_dag(
+                dst,
+                inject,
+                rows.iter().map(|&(u, hops)| (u, hops.iter().copied())),
+            );
         }
+        input
     }
+
+    /// 0 -> {1 (edge 0), 2 (edge 1)} -> 3 (edges 2, 3), dst 3.
+    const DIAMOND: &[(usize, &[u32])] = &[(0, &[0, 1]), (1, &[2]), (2, &[3])];
+    const DIAMOND_HEADS: &[u32] = &[1, 2, 3, 3];
 
     #[test]
     fn ecmp_splits_equally() {
-        // 0 -> {1 (edge 0), 2 (edge 1)} -> 3 (edges 2, 3), dst 3.
-        let dag = NextHopDag {
-            dst: 3,
-            inject: vec![(0, 1.0)],
-            next_hops: [
-                (0usize, vec![(0usize, 1usize), (1, 2)]),
-                (1, vec![(2, 3)]),
-                (2, vec![(3, 3)]),
-            ]
-            .into_iter()
-            .collect(),
-        };
-        let loads = LinkLoads::propagate(&input(vec![dag], 4, &[]));
+        let dags = vec![(3, vec![(0, 1.0)], DIAMOND)];
+        let loads = LinkLoads::propagate(&input(dags, DIAMOND_HEADS, &[]));
         assert_eq!(loads.per_edge, vec![0.5, 0.5, 0.5, 0.5]);
         assert_eq!(loads.delivered, 1.0);
         assert_eq!(loads.undeliverable, 0.0);
@@ -223,18 +198,8 @@ mod tests {
     fn dead_listed_edge_is_undeliverable() {
         // Same diamond, but edge 1 (0 -> 2) physically dead while the
         // FIB still lists it: half the demand drops on the wire.
-        let dag = NextHopDag {
-            dst: 3,
-            inject: vec![(0, 1.0)],
-            next_hops: [
-                (0usize, vec![(0usize, 1usize), (1, 2)]),
-                (1, vec![(2, 3)]),
-                (2, vec![(3, 3)]),
-            ]
-            .into_iter()
-            .collect(),
-        };
-        let loads = LinkLoads::propagate(&input(vec![dag], 4, &[1]));
+        let dags = vec![(3, vec![(0, 1.0)], DIAMOND)];
+        let loads = LinkLoads::propagate(&input(dags, DIAMOND_HEADS, &[1]));
         assert_eq!(loads.per_edge, vec![0.5, 0.0, 0.5, 0.0]);
         assert_eq!(loads.delivered, 0.5);
         assert_eq!(loads.undeliverable, 0.5);
@@ -243,12 +208,8 @@ mod tests {
     #[test]
     fn missing_route_blackholes() {
         // 0 -> 1 (edge 0), node 1 has no entry for dst 2.
-        let dag = NextHopDag {
-            dst: 2,
-            inject: vec![(0, 1.0)],
-            next_hops: [(0usize, vec![(0usize, 1usize)])].into_iter().collect(),
-        };
-        let loads = LinkLoads::propagate(&input(vec![dag], 1, &[]));
+        let dag: Dag<'_> = (2, vec![(0, 1.0)], &[(0, &[0])]);
+        let loads = LinkLoads::propagate(&input(vec![dag], &[1], &[]));
         assert_eq!(loads.per_edge, vec![1.0]);
         assert_eq!(loads.delivered, 0.0);
         assert_eq!(loads.undeliverable, 1.0);
@@ -257,18 +218,8 @@ mod tests {
     #[test]
     fn cycle_mass_is_undeliverable() {
         // 0 -> 1 -> 2 -> 1 ping-pong: nothing delivered, balance total.
-        let dag = NextHopDag {
-            dst: 9,
-            inject: vec![(0, 1.0)],
-            next_hops: [
-                (0usize, vec![(0usize, 1usize)]),
-                (1, vec![(1, 2)]),
-                (2, vec![(2, 1)]),
-            ]
-            .into_iter()
-            .collect(),
-        };
-        let loads = LinkLoads::propagate(&input(vec![dag], 3, &[]));
+        let rows: &[(usize, &[u32])] = &[(0, &[0]), (1, &[1]), (2, &[2])];
+        let loads = LinkLoads::propagate(&input(vec![(9, vec![(0, 1.0)], rows)], &[1, 2, 1], &[]));
         assert_eq!(loads.delivered, 0.0);
         assert!((loads.undeliverable - 1.0).abs() < 1e-12);
         assert_eq!(loads.injected, 1.0);
@@ -276,19 +227,24 @@ mod tests {
 
     #[test]
     fn multiple_dags_sum_per_edge() {
-        let fwd = NextHopDag {
-            dst: 1,
-            inject: vec![(0, 2.0)],
-            next_hops: [(0usize, vec![(0usize, 1usize)])].into_iter().collect(),
-        };
-        let rev = NextHopDag {
-            dst: 0,
-            inject: vec![(1, 3.0)],
-            next_hops: [(1usize, vec![(1usize, 0usize)])].into_iter().collect(),
-        };
-        let loads = LinkLoads::propagate(&input(vec![fwd, rev], 2, &[]));
+        let fwd: Dag<'_> = (1, vec![(0, 2.0)], &[(0, &[0])]);
+        let rev: Dag<'_> = (0, vec![(1, 3.0)], &[(1, &[1])]);
+        let loads = LinkLoads::propagate(&input(vec![fwd, rev], &[1, 0], &[]));
         assert_eq!(loads.per_edge, vec![2.0, 3.0]);
         assert_eq!(loads.delivered, 5.0);
         assert_eq!(loads.injected, 5.0);
+    }
+
+    #[test]
+    fn a_row_repeated_by_the_next_dag_is_stored_once() {
+        // Node 0 lists edge 0 toward both destinations; node 1 changes.
+        let first: Dag<'_> = (2, vec![(0, 1.0)], &[(0, &[0]), (1, &[1])]);
+        let second: Dag<'_> = (3, vec![(0, 1.0)], &[(0, &[0]), (1, &[2])]);
+        let input = input(vec![first, second], &[1, 2, 3], &[]);
+        assert_eq!(input.hops, [0, 1, 2]);
+        assert_eq!(input.dags[1].rows, [(0, 1), (2, 3)]);
+        let loads = LinkLoads::propagate(&input);
+        assert_eq!(loads.per_edge, vec![2.0, 1.0, 1.0]);
+        assert_eq!(loads.delivered, 2.0);
     }
 }

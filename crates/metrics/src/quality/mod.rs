@@ -12,7 +12,7 @@
 //! - [`LoadSummary`] — max / p50 / p90 / p99 link oversubscription over
 //!   the fabric edges ([`oversub`]).
 //! - [`DiversitySummary`] — edge-disjoint path counts per pod pair via
-//!   max-flow on the next-hop DAG ([`diversity`]).
+//!   unit-capacity max-flow on the next-hop DAG ([`diversity`]).
 //!
 //! Everything downstream of the f64 propagation is quantized to a
 //! 2^20 fixed-point grid ([`LOAD_SCALE`]) and rendered with integer
@@ -29,7 +29,7 @@ pub mod oversub;
 use std::fmt;
 
 pub use dag::{NextHopDag, QualityInput};
-pub use diversity::{edge_disjoint_paths, DiversitySummary};
+pub use diversity::{pod_pair_diversity, DiversitySummary};
 pub use load::LinkLoads;
 pub use oversub::LoadSummary;
 
@@ -92,26 +92,14 @@ impl QualityReport {
     /// edge-disjoint paths per pod pair.
     pub fn compute(input: &QualityInput) -> Self {
         let loads = LinkLoads::propagate(input);
-        let per_edge = loads.quantized();
         let fabric: Vec<u64> = input
             .fabric_edges
             .iter()
-            .map(|&e| per_edge.get(e).copied().unwrap_or(0))
+            .map(|&e| loads.per_edge.get(e).map_or(0, |&l| quantize(l)))
             .collect();
         let oversub = LoadSummary::of(&fabric);
         let max_load = oversub.map(|s| s.max).unwrap_or(0);
-
-        let counts: Vec<u32> = input
-            .pod_pairs
-            .iter()
-            .filter_map(|&(src, dst, dag)| {
-                input
-                    .dags
-                    .get(dag)
-                    .map(|d| edge_disjoint_paths(d, &input.edge_alive, src, dst))
-            })
-            .collect();
-        let diversity = DiversitySummary::of(&counts);
+        let diversity = DiversitySummary::of(&pod_pair_diversity(input));
 
         QualityReport {
             max_load,
@@ -170,25 +158,18 @@ mod tests {
     fn report_on_tiny_dag() {
         // Two ToRs joined by one bidirectional fabric edge pair:
         // node 0 -> node 1 (edge 0), node 1 -> node 0 (edge 1).
-        let input = QualityInput {
+        let mut input = QualityInput {
             nodes: 2,
             edges: 2,
             edge_alive: vec![true, true],
+            edge_head: vec![1, 0],
             fabric_edges: vec![0, 1],
             pod_pairs: vec![(0, 1, 0), (1, 0, 1)],
-            dags: vec![
-                NextHopDag {
-                    dst: 1,
-                    inject: vec![(0, 1.0)],
-                    next_hops: [(0usize, vec![(0usize, 1usize)])].into_iter().collect(),
-                },
-                NextHopDag {
-                    dst: 0,
-                    inject: vec![(1, 1.0)],
-                    next_hops: [(1usize, vec![(1usize, 0usize)])].into_iter().collect(),
-                },
-            ],
+            dags: Vec::new(),
+            hops: Vec::new(),
         };
+        input.push_dag(1, vec![(0, 1.0)], [(0, [0])]);
+        input.push_dag(0, vec![(1, 1.0)], [(1, [1])]);
         let report = QualityReport::compute(&input);
         assert_eq!(report.max_load, LOAD_SCALE);
         assert_eq!(report.delivered, 2 * LOAD_SCALE);

@@ -325,10 +325,10 @@ impl Fib {
     /// answers; a `None` falls through to the next route. One binary
     /// search per populated prefix length and no scratch storage: this
     /// backs the per-packet path.
-    fn first_match<T>(
-        &self,
+    fn first_match<'a, T>(
+        &'a self,
         dst: Ipv4Addr,
-        mut pick: impl FnMut(&Route) -> Option<T>,
+        mut pick: impl FnMut(&'a Route) -> Option<T>,
     ) -> Option<T> {
         let mut start = 0;
         for &(len, end) in &self.runs {
@@ -349,32 +349,29 @@ impl Fib {
         None
     }
 
-    /// The complete live ECMP next-hop set the FIB splits `dst`-bound
-    /// traffic over: the winning route under the exact [`Fib::lookup`]
-    /// semantics (longest prefix first, origin preference within a
-    /// prefix, fall-through past routes whose hops are all dead), with
-    /// its locally dead members pruned.
+    /// The live ECMP next hops the FIB splits `dst`-bound traffic over:
+    /// the winning route under the exact [`Fib::lookup`] semantics
+    /// (longest prefix first, origin preference within a prefix,
+    /// fall-through past routes whose hops are all dead), its locally dead
+    /// members skipped.
     ///
     /// Where [`Fib::lookup`] hash-selects a single member per flow, the
     /// routing-quality metrics need every member — under ECMP a uniform
     /// flow population splits equally across the live set, so this is
-    /// the per-destination next-hop DAG extraction seam. Not a per-packet
-    /// path: it allocates, and runs only when a FIB epoch is observed.
-    pub fn live_next_hops(
-        &self,
+    /// the per-destination next-hop DAG extraction seam. It borrows the
+    /// route and allocates nothing.
+    pub fn live_hops<'a>(
+        &'a self,
         dst: Ipv4Addr,
-        is_dead: impl Fn(LinkId) -> bool,
-    ) -> Vec<NextHop> {
-        self.first_match(dst, |route| {
-            let live: Vec<NextHop> = route
-                .next_hops
-                .iter()
-                .filter(|h| !is_dead(h.link))
-                .copied()
-                .collect();
-            (!live.is_empty()).then_some(live)
-        })
-        .unwrap_or_default()
+        is_dead: impl Fn(LinkId) -> bool + 'a,
+    ) -> impl Iterator<Item = NextHop> + 'a {
+        let live = |route: &'a Route| route.next_hops.iter().any(|h| !is_dead(h.link));
+        let route = self.first_match(dst, |route| live(route).then_some(route));
+        route
+            .into_iter()
+            .flat_map(|route| route.next_hops.iter())
+            .filter(move |h| !is_dead(h.link))
+            .copied()
     }
 
     /// Borrowing iterator over every installed route, in deterministic
@@ -630,7 +627,7 @@ mod tests {
         assert!(fib.runs.is_empty(), "no emptied prefix length lingers");
         let dst = Ipv4Addr::new(10, 11, 0, 2);
         assert!(fib.lookup(&flow_to(dst, 1), |_| false).is_none());
-        assert!(fib.live_next_hops(dst, |_| false).is_empty());
+        assert!(fib.live_hops(dst, |_| false).next().is_none());
     }
 
     #[test]

@@ -399,14 +399,17 @@ impl RouterProcess {
         self.fib.lookup(flow, |link| self.dead.contains(&link))
     }
 
-    /// The full live ECMP next-hop set for `dst` — the winning route
-    /// under [`RouterProcess::forward`] semantics with dead members
-    /// pruned, all of them rather than one hash-selected member. This
-    /// is the next-hop-DAG seam for routing-quality metrics; it
-    /// allocates and is only called when a FIB epoch is observed.
+    /// The live ECMP next hops for `dst` — the winning route under
+    /// [`RouterProcess::forward`] semantics with dead members skipped, all
+    /// of them rather than one hash-selected member. This is the
+    /// next-hop-DAG seam for routing-quality metrics; it allocates nothing.
+    pub fn live_hops(&self, dst: Ipv4Addr) -> impl Iterator<Item = NextHop> + '_ {
+        self.fib.live_hops(dst, |link| self.dead.contains(&link))
+    }
+
+    /// [`RouterProcess::live_hops`], collected.
     pub fn live_next_hops(&self, dst: Ipv4Addr) -> Vec<NextHop> {
-        self.fib
-            .live_next_hops(dst, |link| self.dead.contains(&link))
+        self.live_hops(dst).collect()
     }
 }
 
