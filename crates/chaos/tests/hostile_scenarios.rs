@@ -1,10 +1,13 @@
 //! Hostile scenario files: input `ScenarioSpec::parse` accepts but no
 //! fabric can run gets a typed error from `run_scenario`, not a panic.
-//! The files live in `tests/hostile/`.
+//! The files live in `tests/hostile/`; a property test below feeds both
+//! functions text generated from the format's own tokens.
 
 use std::path::Path;
 
-use dcn_chaos::{run_scenario, EngineConfig, ScenarioError, ScenarioSpec};
+use dcn_chaos::{run_scenario, EngineConfig, ScenarioError, ScenarioSpec, MAX_VIOLATIONS};
+use proptest::prelude::*;
+use proptest::sample::Index;
 use dcn_net::LinkId;
 use dcn_sim::{timers, SimTime};
 use f2tree::{Design, TestBed};
@@ -87,4 +90,120 @@ fn a_time_too_large_for_the_clock_is_a_parse_error() {
                 down 18446744073709552 3\n";
     let err = ScenarioSpec::parse(text).expect_err("micros overflow nanoseconds");
     assert!(err.to_string().contains("line 5"), "{err}");
+}
+
+/// The tokens the generator draws from: the format's own, plus one
+/// unknown design, incident kind and keyword.
+const DESIGNS: [&str; 3] = ["fat-tree", "f2tree", "vl2"];
+const KS: [&str; 8] = ["0", "1", "2", "3", "4", "5", "6", "64"];
+const HOSTS_PER_TOR: [&str; 3] = ["0", "1", "2"];
+const KINDS: [&str; 6] = [
+    "single-link",
+    "correlated-links",
+    "switch-down",
+    "flap",
+    "reconvergence",
+    "partition",
+];
+/// Numbers at the edges the parser and the clock meet: zero, `u32` and
+/// `u64` limits, a quarter and a half of the nanosecond clock in µs, the
+/// largest µs it holds and one past it, a number too large for `u64`, a
+/// sign, an exponent and nothing.
+const EDGES: [&str; 13] = [
+    "0",
+    "1",
+    "4294967295",
+    "4294967296",
+    "4611686018427387",
+    "9223372036854775",
+    "18446744073709551",
+    "18446744073709552",
+    "18446744073709551615",
+    "18446744073709551616",
+    "-1",
+    "1e6",
+    "",
+];
+
+fn pick(pool: &[&'static str], at: Index) -> &'static str {
+    pool.get(at.index(pool.len())).copied().unwrap_or_default()
+}
+
+/// An edge number one time in four, else an everyday one.
+fn number(at: Index, free: u64) -> String {
+    match at.index(4 * EDGES.len()) {
+        i if i < EDGES.len() => pick(&EDGES, at).to_string(),
+        _ => (free % 1_500_000).to_string(),
+    }
+}
+
+/// What one line is drawn from: its shape, two token picks, two free
+/// numbers, and whether and where it is cut short.
+type LineDraw = ((Index, Index, Index), (u64, u64), (Index, Index));
+
+fn line_draw() -> impl Strategy<Value = LineDraw> {
+    (
+        (any::<Index>(), any::<Index>(), any::<Index>()),
+        (any::<u64>(), any::<u64>()),
+        (any::<Index>(), any::<Index>()),
+    )
+}
+
+/// One line of the format: a header, an incident, an event, a comment, a
+/// blank or an unknown keyword, cut short one time in five. `shape` forces
+/// a header (0–2) or an incident (3) line.
+fn render_line(draw: LineDraw, shape: Option<usize>) -> String {
+    let ((kind, a, b), (free, free2), (coin, cut)) = draw;
+    let line = match shape.unwrap_or_else(|| kind.index(12)) {
+        0 if shape.is_some() => format!("design {}", pick(&DESIGNS[..2], a)),
+        0 => format!("design {}", pick(&DESIGNS, a)),
+        1 => format!("k {}", pick(&KS, a)),
+        2 => format!("hosts-per-tor {}", pick(&HOSTS_PER_TOR, a)),
+        3 => format!("incident {}", pick(&KINDS, a)),
+        4..=9 => {
+            let dir = if free2 % 2 == 0 { "down" } else { "up" };
+            let link = match b.index(4) {
+                0 => number(b, free2),
+                _ => (free2 % 20).to_string(),
+            };
+            format!("  {dir} {} {link}", number(a, free))
+        }
+        10 => "# dcn-chaos scenario v1".to_string(),
+        _ => pick(&["", "warp 9"], a).to_string(),
+    };
+    match coin.index(5) {
+        0 => line.get(..cut.index(line.len() + 1)).unwrap_or_default().to_string(),
+        _ => line,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Scenario text from the format's own tokens (the three headers and
+    /// an incident line, each possibly cut short, then up to eight lines
+    /// of any kind): parsing and running it answers `Ok` or a typed
+    /// error, and neither panics.
+    #[test]
+    fn hostile_text_gets_an_answer_not_a_panic(
+        headers in (line_draw(), line_draw(), line_draw(), line_draw()),
+        body in prop::collection::vec(line_draw(), 0..8),
+    ) {
+        let (design, k, hosts, incident) = headers;
+        let mut lines = vec![
+            render_line(design, Some(0)),
+            render_line(k, Some(1)),
+            render_line(hosts, Some(2)),
+            render_line(incident, Some(3)),
+        ];
+        lines.extend(body.into_iter().map(|draw| render_line(draw, None)));
+        let text = lines.join("\n");
+        match ScenarioSpec::parse(&text) {
+            Ok(spec) => match run_scenario(&spec, &EngineConfig::default()) {
+                Ok(outcome) => prop_assert!(outcome.violations.len() <= MAX_VIOLATIONS, "{text}"),
+                Err(e) => prop_assert!(!e.to_string().is_empty(), "{text}"),
+            },
+            Err(e) => prop_assert!(!e.to_string().is_empty(), "{text}"),
+        }
+    }
 }

@@ -83,6 +83,18 @@ enum Payload {
     Lsa(Arc<Lsa>),
 }
 
+impl Payload {
+    /// The flow a packet belongs to; `None` for control-plane packets.
+    fn flow(&self) -> Option<FlowId> {
+        match self {
+            Payload::Udp { flow, .. }
+            | Payload::TcpData { flow, .. }
+            | Payload::TcpAckSeg { flow, .. } => Some(*flow),
+            Payload::Lsa(_) => None,
+        }
+    }
+}
+
 /// Packets stay in [`Network::packets`] and the rare bulky variants are
 /// boxed, so an event is 16 bytes and a heap entry 32.
 enum Event {
@@ -175,10 +187,13 @@ struct TcpConnection {
     fixed: Option<FixedSize>,
 }
 
-/// A connection's sender and receiver, freed when the sender completes:
-/// every byte is then delivered and acknowledged, so a late duplicate
-/// only re-ACKs the whole flow and the sender would emit nothing more.
+/// A connection's sender and receiver, built by the flow's `TcpStart` and
+/// freed when the sender completes: every byte is then delivered and
+/// acknowledged, so a late duplicate only re-ACKs the whole flow and the
+/// sender would emit nothing more.
 enum TcpEnds {
+    /// Planned: the pair does not exist yet; reports read as a fresh one.
+    NotStarted,
     Open(Box<(TcpSender, TcpReceiver)>),
     /// All the reports still read of the freed sender.
     Closed { retransmits: u64 },
@@ -201,10 +216,17 @@ impl FlowState {
     }
 }
 
-/// The TCP connection `flow` names; `None` for a UDP probe (or a flow of
-/// another network), so a TCP event naming one does nothing.
-fn tcp_of(flows: &mut [Box<FlowState>], flow: FlowId) -> Option<&mut TcpConnection> {
-    match &mut flows.get_mut(flow.index())?.kind {
+/// The record of `flow`; `None` once released (or for a flow of another
+/// network).
+fn record(flows: &mut [Option<Box<FlowState>>], flow: FlowId) -> Option<&mut FlowState> {
+    flows.get_mut(flow.index())?.as_deref_mut()
+}
+
+/// The TCP connection `flow` names; `None` for a UDP probe (or a released
+/// flow, or a flow of another network), so a TCP event naming one does
+/// nothing.
+fn tcp_of(flows: &mut [Option<Box<FlowState>>], flow: FlowId) -> Option<&mut TcpConnection> {
+    match &mut record(flows, flow)?.kind {
         FlowKind::Tcp(tcp) => Some(tcp),
         FlowKind::UdpProbe(_) => None,
     }
@@ -291,10 +313,19 @@ pub struct Network {
     host_uplink: Vec<Option<(LinkId, NodeId)>>,
     /// Boxed so growth moves pointers, never the states: doubling them in
     /// place crosses glibc's mmap threshold and made peak RSS jump by the
-    /// whole array depending on unrelated allocations. A finished TCP
-    /// flow keeps its 136 B state; its sender and receiver are freed.
-    #[allow(clippy::vec_box)]
-    flows: Vec<Box<FlowState>>,
+    /// whole array depending on unrelated allocations. A TCP flow holds
+    /// its sender and receiver only from its start to its completion; a
+    /// partition-aggregate flow's record is released (`None`) once
+    /// nothing can reach it ([`Network::release_if_unreachable`]). Ids
+    /// are never reused.
+    flows: Vec<Option<Box<FlowState>>>,
+    /// The flow whose last live packet died, or whose retransmission
+    /// timer entry was consumed, in the event being handled; checked for
+    /// release once the handler has returned.
+    settle: Option<FlowId>,
+    /// Packets alive in [`Self::packets`], per flow id. Kept apart from
+    /// the records so the packet path counts without a pointer chase.
+    live_packets: Vec<u32>,
     requests: Vec<RequestState>,
     next_port: u16,
     packet_seq: u64,
@@ -421,6 +452,8 @@ impl Network {
             routers,
             host_uplink,
             flows: Vec::new(),
+            settle: None,
+            live_packets: Vec::new(),
             requests: Vec::new(),
             next_port: 40_000,
             packet_seq: 0,
@@ -466,10 +499,16 @@ impl Network {
         (self.packets.live(), self.packets.slots())
     }
 
+    /// Flow records held right now, and every flow id ever issued (the
+    /// flow table's live count and size).
+    pub fn flow_records(&self) -> (usize, usize) {
+        (self.flows.iter().flatten().count(), self.flows.len())
+    }
+
     /// Flows holding a forwarding memo right now, and the most switch hops
     /// any of them remembers in one direction.
     pub fn path_memos(&self) -> (usize, usize) {
-        let memos = self.flows.iter().filter_map(|f| f.path_memo.as_deref());
+        let memos = self.flows.iter().flatten().filter_map(|f| f.path_memo.as_deref());
         memos.fold((0, 0), |(live, most), memo| {
             (live + 1, most.max(memo.hops.len().div_ceil(2)))
         })
@@ -507,6 +546,12 @@ impl Network {
         self.routers.get_mut(node.index()).and_then(Option::as_mut)
     }
 
+    /// The record of `flow`; `None` once released, or for a flow of
+    /// another network.
+    fn flow(&self, flow: FlowId) -> Option<&FlowState> {
+        self.flows.get(flow.index())?.as_deref()
+    }
+
     /// Installs static routes (F²Tree backup configuration) on switches.
     /// A set-up call: it leaves [`Self::fib_epoch`] alone and drops every
     /// flow's forwarding memo instead.
@@ -523,7 +568,7 @@ impl Network {
                 .unwrap_or_else(|| panic!("{node} is not a switch"))
                 .install_permanent(route);
         }
-        for flow in &mut self.flows {
+        for flow in self.flows.iter_mut().flatten() {
             flow.path_memo = None;
         }
     }
@@ -641,15 +686,8 @@ impl Network {
         fixed: Option<FixedSize>,
     ) -> FlowId {
         let key = self.flow_key_with_port(src, dst, sport, Protocol::Tcp);
-        let app = match &fixed {
-            Some(f) => TcpApp::FixedSize { bytes: f.bytes },
-            None => TcpApp::Paced,
-        };
         let tcp = TcpConnection {
-            ends: TcpEnds::Open(Box::new((
-                TcpSender::new(key, TcpConfig::default(), app),
-                TcpReceiver::new(),
-            ))),
+            ends: TcpEnds::NotStarted,
             rto: RtoTimer::default(),
             fixed,
         };
@@ -661,13 +699,14 @@ impl Network {
     /// Registers a flow; its first event is the caller's to schedule.
     fn push_flow(&mut self, key: FlowKey, src: NodeId, dst: NodeId, kind: FlowKind) -> FlowId {
         let flow = FlowId(self.flows.len() as u32);
-        self.flows.push(Box::new(FlowState {
+        self.live_packets.push(0);
+        self.flows.push(Some(Box::new(FlowState {
             key,
             src,
             dst,
             path_memo: None,
             kind,
-        }));
+        })));
         flow
     }
 
@@ -761,7 +800,18 @@ impl Network {
         self.fib_epoch
     }
 
+    /// Handles one event, then releases the record of the flow it left
+    /// unreachable, if any. The check waits for the handler to return: a
+    /// late duplicate's last packet dies on delivery, before the ACK it
+    /// earns is sent.
     fn dispatch(&mut self, key: EventKey, event: Event) {
+        self.handle(key, event);
+        if let Some(flow) = self.settle.take() {
+            self.release_if_unreachable(flow);
+        }
+    }
+
+    fn handle(&mut self, key: EventKey, event: Event) {
         let now = key.time();
         match event {
             Event::Arrive { link, to, packet } => self.on_arrive(now, link, to, packet),
@@ -770,7 +820,7 @@ impl Network {
                 arrived_on,
                 packet,
             } => {
-                let Payload::Lsa(lsa) = self.packets.remove(packet).payload else {
+                let Payload::Lsa(lsa) = self.take_packet(packet).payload else {
                     return; // on_arrive queues this event for LSA packets only
                 };
                 let mut actions = std::mem::take(&mut self.action_scratch);
@@ -830,7 +880,7 @@ impl Network {
                 }
             }
             Event::UdpTick { flow } => self.on_udp_tick(now, flow),
-            Event::TcpStart { flow } => self.on_tcp_event(now, flow, |s| s.on_start(now)),
+            Event::TcpStart { flow } => self.on_tcp_start(now, flow),
             Event::TcpPace { flow } => self.on_tcp_event(now, flow, |s| s.on_pace(now)),
             Event::TcpRto { flow } => self.on_rto_entry(now, flow, key),
             Event::ControllerRecompute => self.on_controller_recompute(now),
@@ -980,8 +1030,65 @@ impl Network {
     ) -> PacketSlot {
         let id = self.packet_seq;
         self.packet_seq += 1;
+        let live = payload.flow().and_then(|flow| self.live_packets.get_mut(flow.index()));
+        if let Some(live) = live {
+            *live += 1;
+        }
         let packet = Packet::new(id, key, size, now, payload);
         self.packets.insert(packet)
+    }
+
+    /// Takes a packet out of the arena, the one way a packet dies.
+    fn take_packet(&mut self, slot: PacketSlot) -> Packet<Payload> {
+        let packet = self.packets.remove(slot);
+        if let Some(flow) = packet.payload.flow() {
+            if let Some(live) = self.live_packets.get_mut(flow.index()) {
+                *live -= 1;
+                if *live == 0 {
+                    self.settle(flow);
+                }
+            }
+        }
+        packet
+    }
+
+    /// Marks `flow` for the release check that follows the event.
+    fn settle(&mut self, flow: FlowId) {
+        debug_assert!(
+            self.settle.is_none_or(|f| f == flow),
+            "an event touches at most one flow"
+        );
+        self.settle = Some(flow);
+    }
+
+    /// Drops the record of a partition-aggregate flow nothing can reach
+    /// any more: its sender is closed, it is delivered, none of its
+    /// packets is alive and no retransmission-timer entry of it is queued
+    /// (an orphaned entry pops as a no-op either way). No caller holds
+    /// the id of such a flow; transfers and probes keep their records
+    /// because callers and reports read them.
+    fn release_if_unreachable(&mut self, flow: FlowId) {
+        if self.live_packets.get(flow.index()) != Some(&0) {
+            return;
+        }
+        let Some(slot) = self.flows.get_mut(flow.index()) else {
+            return;
+        };
+        if let Some(FlowState {
+            kind:
+                FlowKind::Tcp(TcpConnection {
+                    ends: TcpEnds::Closed { .. },
+                    rto,
+                    fixed: Some(fixed),
+                }),
+            ..
+        }) = slot.as_deref()
+        {
+            let finished = fixed.delivered_at.is_some() && fixed.role != FlowRole::Transfer;
+            if finished && rto.queued.is_none() {
+                *slot = None;
+            }
+        }
     }
 
     /// Transmits from `from` onto `link`; a packet the link drops dies here.
@@ -1001,7 +1108,7 @@ impl Network {
             TransmitVerdict::DroppedLinkDown => self.drops.link_down += 1,
             TransmitVerdict::DroppedQueueFull => self.drops.queue_full += 1,
         }
-        self.packets.remove(packet);
+        self.take_packet(packet);
     }
 
     fn send_from_host(&mut self, now: SimTime, host: NodeId, packet: PacketSlot) {
@@ -1012,7 +1119,7 @@ impl Network {
     fn on_arrive(&mut self, now: SimTime, link: LinkId, to: NodeId, packet: PacketSlot) {
         match self.topo.node(to).kind() {
             NodeKind::Host => {
-                let packet = self.packets.remove(packet);
+                let packet = self.take_packet(packet);
                 self.deliver_to_host(now, to, packet);
             }
             NodeKind::Switch(_) => match self.packets.get_mut(packet).payload {
@@ -1052,7 +1159,7 @@ impl Network {
         let packet = self.packets.get_mut(slot);
         if !packet.hop() {
             self.drops.ttl_expired += 1;
-            self.packets.remove(slot);
+            self.take_packet(slot);
             return;
         }
         let (key, hops_taken) = (packet.flow, usize::from(DEFAULT_TTL - 1 - packet.ttl));
@@ -1061,7 +1168,7 @@ impl Network {
             let hop = router.expect("forwarding switch").forward(&key);
             hop.map(|h| h.link)
         };
-        let state = self.flows.get_mut(flow.index()).expect("packet of a flow");
+        let state = record(&mut self.flows, flow).expect("packet of a live flow");
         let memo = state.path_memo.get_or_insert_with(Box::default);
         if memo.epoch != self.fib_epoch {
             memo.epoch = self.fib_epoch;
@@ -1086,7 +1193,7 @@ impl Network {
             Some(link) => self.transmit(now, link, node, slot),
             None => {
                 self.drops.no_route += 1;
-                self.packets.remove(slot);
+                self.take_packet(slot);
             }
         }
     }
@@ -1097,20 +1204,22 @@ impl Network {
         let sent_at = packet.sent_at;
         match packet.payload {
             Payload::Udp { flow, dgram } => {
-                let kind = self.flows.get_mut(flow.index()).map(|f| &mut f.kind);
+                let kind = record(&mut self.flows, flow).map(|f| &mut f.kind);
                 if let Some(FlowKind::UdpProbe(probe)) = kind {
                     probe.connectivity.record(now, dgram.seq);
                     probe.delay.record(sent_at, now);
                 }
             }
             Payload::TcpData { flow, seg } => {
-                let Some(f) = self.flows.get_mut(flow.index()) else {
+                let Some(f) = record(&mut self.flows, flow) else {
                     return;
                 };
                 let FlowKind::Tcp(tcp) = &mut f.kind else {
                     return;
                 };
                 let ack = match &mut tcp.ends {
+                    // No segment is sent before the flow starts.
+                    TcpEnds::NotStarted => return,
                     TcpEnds::Open(ends) => ends.1.on_segment(now, seg),
                     TcpEnds::Closed { .. } => TcpAck {
                         ack: tcp.fixed.as_ref().map_or(0, |fixed| fixed.bytes),
@@ -1165,8 +1274,24 @@ impl Network {
         }
     }
 
+    /// Builds the sender and receiver of TCP flow `flow` and starts it.
+    fn on_tcp_start(&mut self, now: SimTime, flow: FlowId) {
+        let state = record(&mut self.flows, flow);
+        if let Some(FlowState { key, kind: FlowKind::Tcp(tcp), .. }) = state {
+            if matches!(tcp.ends, TcpEnds::NotStarted) {
+                let app = tcp.fixed.as_ref().map_or(TcpApp::Paced, |fixed| TcpApp::FixedSize {
+                    bytes: fixed.bytes,
+                });
+                let sender = TcpSender::new(*key, TcpConfig::default(), app);
+                tcp.ends = TcpEnds::Open(Box::new((sender, TcpReceiver::new())));
+            }
+        }
+        self.on_tcp_event(now, flow, |s| s.on_start(now));
+    }
+
     /// Feeds an event to the sender of TCP flow `flow` and acts on what it
-    /// outputs; a no-op if `flow` is a UDP probe or its sender completed.
+    /// outputs; a no-op if `flow` is a UDP probe or its sender is not
+    /// running.
     fn on_tcp_event<F>(&mut self, now: SimTime, flow: FlowId, event: F)
     where
         F: FnOnce(&mut TcpSender) -> Vec<TcpSenderOutput>,
@@ -1178,7 +1303,7 @@ impl Network {
     }
 
     fn handle_tcp_outputs(&mut self, now: SimTime, flow: FlowId, outputs: Vec<TcpSenderOutput>) {
-        let Some(state) = self.flows.get(flow.index()) else {
+        let Some(state) = record(&mut self.flows, flow) else {
             return;
         };
         let (key, src) = (state.key, state.src);
@@ -1196,7 +1321,7 @@ impl Network {
                 TcpSenderOutput::Complete { .. } => {
                     // Sender-side completion; delivery-side bookkeeping
                     // happens in on_flow_delivered.
-                    if let Some(state) = self.flows.get_mut(flow.index()) {
+                    if let Some(state) = record(&mut self.flows, flow) {
                         state.path_memo = None;
                     }
                     let retransmits = self.tcp_flow_stats(flow).map_or(0, |s| s.retransmits);
@@ -1243,6 +1368,7 @@ impl Network {
                 let outputs = ends.0.on_rto(now, tcp.rto.token);
                 self.handle_tcp_outputs(now, flow, outputs);
             }
+            self.settle(flow);
         } else {
             let key = tcp.rto.deadline;
             tcp.rto.queued = Some(key);
@@ -1251,7 +1377,7 @@ impl Network {
     }
 
     fn on_udp_tick(&mut self, now: SimTime, flow: FlowId) {
-        let Some(f) = self.flows.get_mut(flow.index()) else {
+        let Some(f) = record(&mut self.flows, flow) else {
             return;
         };
         let FlowKind::UdpProbe(probe) = &mut f.kind else {
@@ -1272,26 +1398,26 @@ impl Network {
     /// Traces the current forwarding path of `flow` from its source host,
     /// honoring locally-detected-dead interfaces (i.e. exactly what the
     /// data plane would do right now). Returns the node sequence; stops
-    /// after 64 hops (a loop).
+    /// after 64 hops (a loop). Empty for a flow this network holds no
+    /// record of.
     pub fn trace_path(&self, flow: FlowId) -> Vec<NodeId> {
-        let f = &self.flows[flow.index()];
-        self.trace(f.key, f.src, f.dst)
+        self.flow(flow).map_or_else(Vec::new, |f| self.trace(f.key, f.src, f.dst))
     }
 
     /// Like [`Self::trace_path`] for an ad-hoc five-tuple.
     pub fn trace(&self, key: FlowKey, src: NodeId, dst: NodeId) -> Vec<NodeId> {
         let mut path = vec![src];
-        let mut current = match self.host_uplink[src.index()] {
-            Some((_, tor)) => tor,
-            None => return path,
+        let mut current = match self.host_uplink.get(src.index()) {
+            Some(&Some((_, tor))) => tor,
+            _ => return path,
         };
         for _ in 0..64 {
             path.push(current);
             if current == dst {
                 break;
             }
-            match self.routers[current.index()] {
-                Some(ref router) => match router.forward(&key) {
+            match self.router(current) {
+                Some(router) => match router.forward(&key) {
                     Some(hop) => current = hop.node,
                     None => break,
                 },
@@ -1307,7 +1433,7 @@ impl Network {
     ///
     /// Panics if `flow` is not a UDP probe.
     pub fn udp_probe_report(&self, flow: FlowId) -> UdpProbeReport<'_> {
-        let Some(FlowKind::UdpProbe(probe)) = self.flows.get(flow.index()).map(|f| &f.kind) else {
+        let Some(FlowKind::UdpProbe(probe)) = self.flow(flow).map(|f| &f.kind) else {
             panic!("{flow:?} is not a UDP probe");
         };
         let sent = probe.source.sent();
@@ -1321,22 +1447,23 @@ impl Network {
     }
 
     /// The receiver-side delivery log of the paced TCP probe (for
-    /// throughput binning). A fixed-size flow keeps no log once it
-    /// completes; read its [`Self::tcp_flow_stats`] instead.
+    /// throughput binning); empty before the probe starts. A fixed-size
+    /// flow keeps no log once it completes; read its
+    /// [`Self::tcp_flow_stats`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `flow` is not a paced TCP probe.
     pub fn tcp_delivery_log(&self, flow: FlowId) -> &[(SimTime, u32)] {
-        let Some(FlowKind::Tcp(TcpConnection {
-            ends: TcpEnds::Open(ends),
-            fixed: None,
-            ..
-        })) = self.flows.get(flow.index()).map(|f| &f.kind)
-        else {
-            panic!("{flow:?} is not a paced TCP probe");
-        };
-        ends.1.delivery_log()
+        match self.flow(flow).map(|f| &f.kind) {
+            Some(FlowKind::Tcp(TcpConnection {
+                ends, fixed: None, ..
+            })) => match ends {
+                TcpEnds::Open(ends) => ends.1.delivery_log(),
+                TcpEnds::NotStarted | TcpEnds::Closed { .. } => &[],
+            },
+            _ => panic!("{flow:?} is not a paced TCP probe"),
+        }
     }
 
     /// Whether a fixed-size flow has been fully delivered.
@@ -1350,11 +1477,18 @@ impl Network {
     /// for fixed-size transfers, `delivered ≤ total_bytes` (the receiver
     /// never conjures bytes the application did not send).
     pub fn tcp_flow_stats(&self, flow: FlowId) -> Option<TcpFlowStats> {
-        let FlowKind::Tcp(tcp) = &self.flows.get(flow.index())?.kind else {
+        let FlowKind::Tcp(tcp) = &self.flow(flow)?.kind else {
             return None;
         };
         let total_bytes = tcp.fixed.as_ref().map_or(0, |fixed| fixed.bytes);
         Some(match &tcp.ends {
+            TcpEnds::NotStarted => TcpFlowStats {
+                total_bytes,
+                acked: 0,
+                delivered: 0,
+                retransmits: 0,
+                complete: false,
+            },
             TcpEnds::Open(ends) => TcpFlowStats {
                 total_bytes,
                 acked: ends.0.acked(),
@@ -1375,7 +1509,7 @@ impl Network {
     /// A fixed-size flow's completion time (start to full delivery), if
     /// it has finished.
     pub fn flow_completion_time(&self, flow: FlowId) -> Option<SimDuration> {
-        let fixed = self.flows.get(flow.index())?.fixed()?;
+        let fixed = self.flow(flow)?.fixed()?;
         fixed.delivered_at.map(|at| at.since(fixed.started_at))
     }
 
@@ -1393,7 +1527,7 @@ impl Network {
     }
 
     fn transfers(&self) -> impl Iterator<Item = &FixedSize> {
-        let fixed = self.flows.iter().filter_map(|f| f.fixed());
+        let fixed = self.flows.iter().flatten().filter_map(|f| f.fixed());
         fixed.filter(|fixed| fixed.role == FlowRole::Transfer)
     }
 
@@ -1577,7 +1711,7 @@ mod tests {
             tcp_of(&mut net.flows, flow).map(|tcp| &tcp.ends),
             Some(TcpEnds::Closed { .. })
         ));
-        let key = net.flows.get(flow.index()).unwrap().key;
+        let key = net.flow(flow).unwrap().key;
         let now = net.now();
         let (queued, in_flight) = (net.queue.len(), net.packets_in_flight().0);
 
@@ -1588,14 +1722,14 @@ mod tests {
         };
         let size = seg.len + HEADER_BYTES;
         let dup = net.make_packet(key, size, now, Payload::TcpData { flow, seg });
-        let dup = net.packets.remove(dup);
+        let dup = net.take_packet(dup);
         net.deliver_to_host(now, dst, dup);
         assert_eq!(net.queue.len(), queued + 1, "exactly one packet queued");
         assert_eq!(net.packets_in_flight().0, in_flight + 1);
         let Some((_, Event::Arrive { packet, .. })) = net.queue.pop() else {
             panic!("the ACK is the next event");
         };
-        let reply = net.packets.remove(packet);
+        let reply = net.take_packet(packet);
         let Payload::TcpAckSeg { flow: to, ack } = &reply.payload else {
             panic!("the queued packet is an ACK");
         };
@@ -1615,5 +1749,59 @@ mod tests {
         assert_eq!(net.queue.len(), queued, "a firing RTO queues nothing");
         assert_eq!(net.packets_in_flight().0, in_flight);
         assert_eq!(reports(&net), before);
+    }
+
+    /// A request flow's record outlives its sender and its timer while a
+    /// packet of it is alive. A duplicate landing on the worker dies
+    /// before the ACK it earns is sent, so the release check waits for
+    /// the handler: the ACK goes out, and the record is released when
+    /// that ACK dies at the requester.
+    #[test]
+    fn a_request_record_is_released_only_when_nothing_can_reach_it() {
+        let topo = FatTree::new(4).unwrap().hosts_per_tor(1).build();
+        let mut net = Network::new(topo, EmuConfig::default()).unwrap();
+        let hosts = net.topology().hosts().to_vec();
+        let (src, dst) = (hosts[0], hosts[hosts.len() - 1]);
+        net.add_request(SimTime::ZERO, src, &[dst], 20_000, 1_000);
+        let flow = FlowId(0);
+        let end = SimTime::ZERO + SimDuration::from_millis(100);
+        let closed = |net: &mut Network| {
+            let ends = tcp_of(&mut net.flows, flow).map(|tcp| &tcp.ends);
+            matches!(ends, Some(TcpEnds::Closed { .. }))
+        };
+        while !closed(&mut net) {
+            net.step(end).expect("the request completes");
+        }
+        let state = net.flow(flow).expect("its timer entry is still queued");
+        let (key, now) = (state.key, net.now());
+        assert_eq!(net.live_packets[flow.index()], 0);
+        assert!(net.is_delivered(flow));
+        // Its one timer entry is spent; only a packet can reach it now.
+        tcp_of(&mut net.flows, flow).unwrap().rto.queued = None;
+
+        let seg = TcpSegment {
+            seq: 0,
+            len: 1_460,
+            retransmit: true,
+        };
+        let size = seg.len + HEADER_BYTES;
+        let dup = net.make_packet(key, size, now, Payload::TcpData { flow, seg });
+        let (link, _) = net.host_uplink[dst.index()].unwrap();
+        let at = net.queue.draw_key(now);
+        let (live, slots) = net.flow_records();
+        let in_flight = net.packets_in_flight().0;
+        let to = dst;
+        net.dispatch(at, Event::Arrive { link, to, packet: dup });
+        assert!(net.flow(flow).is_some(), "the duplicate's ACK is in flight");
+        assert_eq!(net.live_packets[flow.index()], 1);
+        assert_eq!(net.packets_in_flight().0, in_flight, "the ACK replaced it");
+        assert_eq!(net.flow_records(), (live, slots));
+
+        while net.flow(flow).is_some() {
+            net.step(end).expect("the ACK reaches the requester");
+        }
+        assert_eq!(net.flow_records(), (live - 1, slots));
+        assert_eq!(net.tcp_flow_stats(flow), None, "a released flow reports nothing");
+        assert!(net.trace_path(flow).is_empty());
     }
 }

@@ -754,3 +754,132 @@ fn router_of_a_foreign_node_is_none() {
     let foreign = NodeId::new(net.topology().node_slots() as u32 + 7);
     assert!(net.router(foreign).is_none());
 }
+
+/// A partition-aggregate flow's record is released once nothing can reach
+/// it, while transfers and probes keep theirs: after a drained run the
+/// flow table holds only the latter, and every flow id ever issued still
+/// counts as a slot.
+#[test]
+fn a_drained_partition_aggregate_run_keeps_only_transfer_and_probe_records() {
+    let mut net = fat_network(4, 2);
+    let hosts = net.topology().hosts().to_vec();
+    let (src, dst) = probe_endpoints(net.topology());
+    let probe = net.add_udp_probe(src, dst, SimTime::ZERO);
+    let paced = net.add_tcp_probe(dst, src, SimTime::ZERO);
+    let transfer = net.add_transfer(hosts[1], hosts[9], 300_000, ms(2));
+    let mut request_flows = 0;
+    for (i, &requester) in hosts.iter().enumerate().take(4) {
+        let workers: Vec<NodeId> = hosts.iter().copied().filter(|&h| h != requester).collect();
+        net.add_request(ms(i as u64), requester, &workers, 2_000, 10_000);
+        request_flows += 2 * workers.len();
+    }
+    assert_eq!(
+        net.flow_records(),
+        (3 + request_flows / 2, 3 + request_flows / 2)
+    );
+
+    // Base RTO is 200 ms: by 2 s every timer entry a request or response
+    // ever queued has popped.
+    net.run_until(ms(2000));
+    assert!(net.request_outcomes().iter().all(Option::is_some));
+    assert!(net.is_delivered(transfer));
+    assert_eq!(net.flow_records(), (3, 3 + request_flows));
+    // The kept records still answer.
+    assert!(net.udp_probe_report(probe).received > 0);
+    assert!(!net.tcp_delivery_log(paced).is_empty());
+    let stats = net.tcp_flow_stats(transfer).expect("TCP flow");
+    assert_eq!((stats.acked, stats.complete), (300_000, true));
+    assert_eq!(net.trace_path(probe).first(), Some(&src));
+}
+
+/// A planned TCP flow holds no sender or receiver yet; until its start it
+/// reports exactly what a freshly built pair would.
+#[test]
+fn a_flow_that_has_not_started_reports_like_a_fresh_pair() {
+    use dcn_transport::{TcpApp, TcpReceiver, TcpSender};
+
+    let mut net = fat_network(4, 1);
+    let (src, dst) = probe_endpoints(net.topology());
+    let paced = net.add_tcp_probe(src, dst, ms(10));
+    let transfer = net.add_transfer(dst, src, 50_000, ms(10));
+    net.run_until(ms(5));
+
+    let key = net.flow_key_with_port(src, dst, 0, dcn_net::Protocol::Tcp);
+    for (flow, app, total_bytes) in [
+        (paced, TcpApp::Paced, 0),
+        (transfer, TcpApp::FixedSize { bytes: 50_000 }, 50_000),
+    ] {
+        let sender = TcpSender::new(key, TcpConfig::default(), app);
+        let receiver = TcpReceiver::new();
+        let stats = net.tcp_flow_stats(flow).expect("TCP flow");
+        assert_eq!(stats.total_bytes, total_bytes);
+        assert_eq!(
+            (
+                stats.acked,
+                stats.delivered,
+                stats.retransmits,
+                stats.complete
+            ),
+            (
+                sender.acked(),
+                receiver.delivered(),
+                sender.retransmits(),
+                sender.is_complete()
+            )
+        );
+        assert_eq!(net.flow_completion_time(flow), None);
+        assert!(!net.is_delivered(flow));
+    }
+    assert_eq!(
+        net.tcp_delivery_log(paced),
+        TcpReceiver::new().delivery_log()
+    );
+
+    net.run_until(ms(100));
+    assert!(!net.tcp_delivery_log(paced).is_empty(), "started at 10 ms");
+    assert!(net.is_delivered(transfer));
+}
+
+/// A request's data meets a link failure, and after the rerouted
+/// retransmissions one stale segment reaches the worker once the request
+/// is complete (at 602.079 ms, 72 µs after full delivery). It is still
+/// ACKed: every counter equals the emulator's before records were
+/// released (2 841 events, 394 deliveries, 2 702 transmissions). No record
+/// goes before the duplicate lands, and none while a packet is in flight.
+/// (The request's timer entry is also still queued then; the network
+/// unit tests cover a duplicate alone keeping a record.)
+#[test]
+fn a_request_record_outlives_its_late_duplicate() {
+    let mut net = fat_network(4, 1);
+    let hosts = net.topology().hosts().to_vec();
+    net.add_request(SimTime::ZERO, hosts[0], &[hosts[7]], 200_000, 20_000);
+    net.fail_link_at(ms(1), LinkId::new(17));
+    let mut records = vec![net.flow_records()];
+    while let Some(at) = net.step(ms(3000)) {
+        let now = net.flow_records();
+        if records.last() != Some(&now) {
+            if records.last().is_some_and(|&(live, _)| now.0 < live) {
+                assert_eq!(net.packets_in_flight().0, 0, "released with a packet alive");
+                assert!(at.since(SimTime::ZERO).as_micros() > 602_079, "released at {at}");
+            }
+            records.push(now);
+        }
+    }
+    assert_eq!(records, [(1, 1), (2, 2), (1, 2), (0, 2)]);
+    let done = net.request_outcomes()[0].map(|at| at.since(SimTime::ZERO).as_micros());
+    assert_eq!(done, Some(602_278));
+    assert_eq!(
+        (
+            net.events_processed(),
+            net.delivered_packets(),
+            net.total_transmitted()
+        ),
+        (2_841, 394, 2_702)
+    );
+    let drops = DropCounters {
+        no_route: 1,
+        link_down: 83,
+        ..DropCounters::default()
+    };
+    assert_eq!(net.drops(), drops);
+}
