@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use dcn_emu::{EmuConfig, Network};
+use dcn_emu::{EmuConfig, FlowId, Network};
 use dcn_net::{FlowKey, Layer, LinkId, NodeId, Protocol};
 use dcn_routing::RecoveryMode;
 use dcn_sim::{timers, SimDuration, SimTime};
@@ -68,11 +68,14 @@ pub struct ScenarioStats {
     /// Broken-connectivity windows that opened and closed.
     pub broken_windows: u64,
     /// Windows exempted because source and destination were disconnected
-    /// in the dynamic-routing graph at some point during the window.
+    /// in the dynamic-routing graph at some point during the window, plus
+    /// monitors still broken at quiescence after a flood partition (their
+    /// windows never close, so `broken_windows` does not count them).
     pub excused_windows: u64,
     /// Longest non-excused window observed.
     pub max_window: SimDuration,
-    /// Epochs at which some monitor's walk found a (transient) loop.
+    /// Monitor walks that found a (transient) loop, summed over epochs: an
+    /// epoch counts once per looping monitor.
     pub loop_epochs: u64,
     /// Total TCP retransmissions across tracked transfers.
     pub retransmits: u64,
@@ -120,20 +123,6 @@ pub fn monitor_endpoints(net: &Network) -> Vec<(NodeId, NodeId)> {
         }
     }
     pairs
-}
-
-struct Monitor {
-    key: FlowKey,
-    src: NodeId,
-    dst: NodeId,
-    sport: u16,
-    window: Option<Window>,
-}
-
-struct Window {
-    start: SimTime,
-    excused: bool,
-    max_hold: SimDuration,
 }
 
 /// Why [`run_scenario`] refused a spec.
@@ -185,43 +174,15 @@ pub fn run_scenario(
     let emu = EmuConfig::builder().recovery(cfg.recovery).build();
     let mut bed = TestBed::build_with_config(spec.design, spec.k, spec.hosts_per_tor, emu)?;
     let topo = bed.topology();
+    let mut phys_events = Vec::new();
     for e in spec.incidents.iter().flat_map(|i| &i.events) {
         if e.link.index() >= topo.link_slots() || topo.link(e.link).is_removed() {
             return Err(ScenarioError::UnknownLink(e.link));
         }
+        phys_events.push(e.at);
     }
-    let switches: Vec<NodeId> = [Layer::Tor, Layer::Agg, Layer::Core]
-        .into_iter()
-        .flat_map(|l| bed.topology().layer_switches(l))
-        .collect();
-
-    let pairs = monitor_endpoints(&bed.net);
-    let mut monitors: Vec<Monitor> = Vec::new();
-    for &(src, dst) in &pairs {
-        for &sport in &MONITOR_SPORTS {
-            monitors.push(Monitor {
-                key: bed.net.flow_key_with_port(src, dst, sport, Protocol::Udp),
-                src,
-                dst,
-                sport,
-                window: None,
-            });
-        }
-    }
-
-    let schedule = spec.schedule();
-    let phys_events: Vec<SimTime> = {
-        let mut times: Vec<SimTime> = schedule
-            .clone()
-            .into_sorted()
-            .iter()
-            .map(|e| e.at)
-            .collect();
-        times.sort();
-        times
-    };
-    let first_fail = phys_events.first().copied().unwrap_or(SimTime::ZERO);
-    let last_event = spec.last_event_time();
+    phys_events.sort_unstable();
+    let last_event = phys_events.last().copied().unwrap_or(SimTime::ZERO);
 
     // Drain long enough for the worst deferred SPF after the last repair:
     // detection of the repair, a full max-length throttle hold, the SPF
@@ -233,46 +194,23 @@ pub fn run_scenario(
     // No timer the run arms is longer than a minute, so a horizon in the
     // first half of the clock (292 years) leaves every one of them room.
     let horizon = last_event
-        .max(first_fail)
         .as_nanos()
         .checked_add(drain.as_nanos())
         .filter(|&end| end <= u64::MAX / 2)
         .map(SimTime::from_nanos)
         .ok_or(ScenarioError::TimeOverflow(last_event))?;
 
-    // TCP conservation workload: transfers that are mid-flight when the
-    // first failure lands, start exactly at it, and start during the
-    // ensuing reconvergence.
-    let pre = first_fail.since(SimTime::ZERO).min(timers::DETECTION_DELAY);
-    let starts = [
-        first_fail - pre,
-        first_fail,
-        first_fail + timers::DETECTION_DELAY,
-    ];
-    let mut transfers = Vec::new();
-    for (i, &(src, dst)) in pairs.iter().take(starts.len()).enumerate() {
-        transfers.push(bed.net.add_transfer(src, dst, TRANSFER_BYTES, starts[i]));
-    }
+    let mut oracles = Oracles::arm(cfg, &mut bed.net, phys_events);
+    bed.net.apply_failures(spec.schedule());
 
-    bed.net.apply_failures(schedule);
-
-    let mut stats = ScenarioStats::default();
-    let mut violations: Vec<Violation> = Vec::new();
-    let mut flood_ok = true;
     let mut last_epoch = bed.net.fib_epoch();
-
     // Quality baseline: the converged pre-failure forwarding state.
-    let mut quality = if cfg.quality {
+    let mut quality = cfg.quality.then(|| {
         let mut trace = QualityTrace::default();
-        trace.push(
-            bed.net.now(),
-            last_epoch,
-            QualityReport::compute(&bed.net.quality_input()),
-        );
-        Some(trace)
-    } else {
-        None
-    };
+        let report = QualityReport::compute(&bed.net.quality_input());
+        trace.push(bed.net.now(), last_epoch, report);
+        trace
+    });
 
     while let Some(now) = bed.net.step(horizon) {
         let epoch = bed.net.fib_epoch();
@@ -280,154 +218,13 @@ pub fn run_scenario(
             continue;
         }
         last_epoch = epoch;
-        stats.epochs_checked += 1;
-
         if let Some(trace) = &mut quality {
             trace.push(now, epoch, QualityReport::compute(&bed.net.quality_input()));
         }
-
-        let hold = max_hold(&bed.net, &switches);
-        for m in &mut monitors {
-            let outcome = walk(&bed.net, &m.key, m.src, m.dst);
-            if outcome.is_reached() {
-                if let Some(w) = m.window.take() {
-                    close_window(
-                        cfg,
-                        &phys_events,
-                        &mut stats,
-                        &mut violations,
-                        m,
-                        w,
-                        now,
-                        hold,
-                    );
-                }
-            } else {
-                if matches!(outcome, WalkOutcome::Loop(_)) {
-                    stats.loop_epochs += 1;
-                }
-                let excused = !routably_connected(&bed.net, m.src, m.dst);
-                match &mut m.window {
-                    None => {
-                        m.window = Some(Window {
-                            start: now,
-                            excused,
-                            max_hold: hold,
-                        })
-                    }
-                    Some(w) => {
-                        w.excused |= excused;
-                        w.max_hold = w.max_hold.max(hold);
-                    }
-                }
-            }
-        }
-
-        if flood_ok && !flood_graph_connected(&bed.net, &switches) {
-            flood_ok = false;
-        }
-
-        check_tcp_conservation(&bed.net, &transfers, now, &mut violations);
+        oracles.epoch(&bed.net, now);
     }
 
-    // ---------------- quiescence checks ----------------
-    let end = horizon;
-    let hold = max_hold(&bed.net, &switches);
-    for m in &mut monitors {
-        let outcome = walk(&bed.net, &m.key, m.src, m.dst);
-        if outcome.is_reached() {
-            if let Some(w) = m.window.take() {
-                close_window(
-                    cfg,
-                    &phys_events,
-                    &mut stats,
-                    &mut violations,
-                    m,
-                    w,
-                    end,
-                    hold,
-                );
-            }
-            continue;
-        }
-        // Everything is repaired by construction, yet the walk still
-        // fails. After a flood partition stale LSDBs can legitimately
-        // leave the control plane unable to heal (no database exchange on
-        // adjacency-up in this model) — count those as excused.
-        if flood_ok {
-            let kind = if matches!(outcome, WalkOutcome::Loop(_)) {
-                ViolationKind::PersistentLoop
-            } else {
-                ViolationKind::BlackholeBound
-            };
-            record(
-                &mut violations,
-                Violation {
-                    kind,
-                    at: end,
-                    detail: format!(
-                        "{} -> {} sport {} still {:?} after quiescence",
-                        m.src, m.dst, m.sport, outcome
-                    ),
-                },
-            );
-        } else {
-            stats.excused_windows += 1;
-        }
-    }
-
-    for &node in &switches {
-        if let Some(diff) = fib_spf_divergence(&bed.net, node) {
-            record(
-                &mut violations,
-                Violation {
-                    kind: ViolationKind::FibMismatch,
-                    at: end,
-                    detail: diff,
-                },
-            );
-        }
-    }
-
-    if flood_ok {
-        if let Some((&reference, rest)) = switches.split_first() {
-            for &node in rest {
-                if !same_lsdb(&bed.net, node, reference) {
-                    record(
-                        &mut violations,
-                        Violation {
-                            kind: ViolationKind::LsdbDivergence,
-                            at: end,
-                            detail: format!("{node} LSDB differs from {reference:?}"),
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    check_tcp_conservation(&bed.net, &transfers, end, &mut violations);
-    for &flow in &transfers {
-        let Some(s) = bed.net.tcp_flow_stats(flow) else {
-            continue;
-        };
-        stats.retransmits += s.retransmits;
-        if flood_ok && (!s.complete || s.delivered != s.total_bytes) {
-            record(
-                &mut violations,
-                Violation {
-                    kind: ViolationKind::IncompleteTransfer,
-                    at: end,
-                    detail: format!(
-                        "transfer {flow:?}: {}/{} bytes delivered, complete={}",
-                        s.delivered, s.total_bytes, s.complete
-                    ),
-                },
-            );
-        }
-    }
-
-    stats.sim_events = bed.net.events_processed();
+    let (violations, stats) = oracles.quiesce(&bed.net, horizon);
     Ok(ScenarioOutcome {
         violations,
         stats,
@@ -435,82 +232,240 @@ pub fn run_scenario(
     })
 }
 
-fn max_hold(net: &Network, switches: &[NodeId]) -> SimDuration {
-    switches
-        .iter()
-        .filter_map(|&n| net.router(n))
-        .map(|r| r.throttle().hold())
-        .max()
-        .unwrap_or(SimDuration::ZERO)
+/// One monitored flow key and its open broken-connectivity window.
+struct Monitor {
+    key: FlowKey,
+    src: NodeId,
+    dst: NodeId,
+    window: Option<Window>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn close_window(
-    cfg: &EngineConfig,
-    phys_events: &[SimTime],
-    stats: &mut ScenarioStats,
-    violations: &mut Vec<Violation>,
-    m: &Monitor,
-    w: Window,
-    now: SimTime,
-    hold_at_close: SimDuration,
-) {
-    stats.broken_windows += 1;
-    if w.excused {
-        stats.excused_windows += 1;
-        return;
-    }
-    let duration = now.since(w.start);
-    stats.max_window = stats.max_window.max(duration);
-    let n_events = phys_events
-        .iter()
-        .filter(|&&t| t >= w.start && t <= now)
-        .count() as u64;
-    let bound = blackhole_bound(cfg, n_events, w.max_hold.max(hold_at_close));
-    if duration > bound {
-        record(
-            violations,
-            Violation {
-                kind: ViolationKind::BlackholeBound,
-                at: now,
-                detail: format!(
-                    "{} -> {} sport {}: black-holed {} > budget {} ({} phys event(s))",
-                    m.src, m.dst, m.sport, duration, bound, n_events
-                ),
+/// An interval during which a monitor's walk has not reached its
+/// destination.
+struct Window {
+    start: SimTime,
+    /// The pair was cut apart in the dynamic-routing graph at some epoch.
+    excused: bool,
+    /// Largest SPF throttle hold armed at any epoch of the window.
+    max_hold: SimDuration,
+}
+
+/// Everything the oracles keep across one run. [`Oracles::epoch`] runs at
+/// every FIB epoch and [`Oracles::quiesce`] once at the horizon.
+struct Oracles<'a> {
+    switches: Vec<NodeId>,
+    monitors: Vec<Monitor>,
+    /// The conservation workload's TCP transfers.
+    transfers: Vec<FlowId>,
+    /// No epoch so far has seen the flood graph partitioned.
+    flood_ok: bool,
+    verdict: Verdict<'a>,
+}
+
+/// What the oracles have found so far, and the timeline windows are
+/// judged against.
+struct Verdict<'a> {
+    cfg: &'a EngineConfig,
+    /// Times of the scenario's physical link events, sorted.
+    phys_events: Vec<SimTime>,
+    stats: ScenarioStats,
+    violations: Vec<Violation>,
+}
+
+impl<'a> Oracles<'a> {
+    /// Sets up the monitors of `net`'s host pairs and installs the TCP
+    /// conservation workload: transfers that are mid-flight when the
+    /// first failure lands, start exactly at it, and start during the
+    /// ensuing reconvergence.
+    fn arm(cfg: &'a EngineConfig, net: &mut Network, phys_events: Vec<SimTime>) -> Self {
+        let switches = [Layer::Tor, Layer::Agg, Layer::Core]
+            .into_iter()
+            .flat_map(|l| net.topology().layer_switches(l))
+            .collect();
+        let pairs = monitor_endpoints(net);
+        let monitors = pairs
+            .iter()
+            .flat_map(|&(src, dst)| MONITOR_SPORTS.map(|sport| (src, dst, sport)))
+            .map(|(src, dst, sport)| Monitor {
+                key: net.flow_key_with_port(src, dst, sport, Protocol::Udp),
+                src,
+                dst,
+                window: None,
+            })
+            .collect();
+        let first_fail = phys_events.first().copied().unwrap_or(SimTime::ZERO);
+        let pre = first_fail.since(SimTime::ZERO).min(timers::DETECTION_DELAY);
+        let starts = [
+            first_fail - pre,
+            first_fail,
+            first_fail + timers::DETECTION_DELAY,
+        ];
+        let transfers = pairs
+            .iter()
+            .zip(starts)
+            .map(|(&(src, dst), at)| net.add_transfer(src, dst, TRANSFER_BYTES, at))
+            .collect();
+        Oracles {
+            switches,
+            monitors,
+            transfers,
+            flood_ok: true,
+            verdict: Verdict {
+                cfg,
+                phys_events,
+                stats: ScenarioStats::default(),
+                violations: Vec::new(),
             },
-        );
+        }
     }
-}
 
-fn check_tcp_conservation(
-    net: &Network,
-    transfers: &[dcn_emu::FlowId],
-    now: SimTime,
-    violations: &mut Vec<Violation>,
-) {
-    for &flow in transfers {
-        let Some(s) = net.tcp_flow_stats(flow) else {
-            continue;
-        };
-        if s.acked > s.delivered || s.delivered > s.total_bytes {
-            record(
-                violations,
-                Violation {
-                    kind: ViolationKind::TcpConservation,
-                    at: now,
-                    detail: format!(
-                        "transfer {flow:?}: acked={} delivered={} total={}",
-                        s.acked, s.delivered, s.total_bytes
-                    ),
-                },
-            );
+    /// Re-checks `net` after its forwarding state changed at `now`: the
+    /// monitors, the flood graph and TCP conservation.
+    fn epoch(&mut self, net: &Network, now: SimTime) {
+        self.verdict.stats.epochs_checked += 1;
+        self.walk_monitors(net, now, false);
+        self.flood_ok = self.flood_ok && flood_graph_connected(net, &self.switches);
+        self.check_tcp_conservation(net, now);
+    }
+
+    /// The checks once every link is repaired and the control plane has
+    /// drained at `end`; returns the run's verdict.
+    fn quiesce(mut self, net: &Network, end: SimTime) -> (Vec<Violation>, ScenarioStats) {
+        self.walk_monitors(net, end, true);
+        for &node in &self.switches {
+            if let Some(diff) = fib_spf_divergence(net, node) {
+                self.verdict.record(ViolationKind::FibMismatch, end, diff);
+            }
+        }
+        if let (true, Some((&reference, rest))) = (self.flood_ok, self.switches.split_first()) {
+            for &node in rest {
+                if !same_lsdb(net, node, reference) {
+                    let detail = format!("{node} LSDB differs from {reference:?}");
+                    self.verdict
+                        .record(ViolationKind::LsdbDivergence, end, detail);
+                }
+            }
+        }
+        self.check_tcp_conservation(net, end);
+        for &flow in &self.transfers {
+            let Some(s) = net.tcp_flow_stats(flow) else {
+                continue;
+            };
+            self.verdict.stats.retransmits += s.retransmits;
+            if self.flood_ok && (!s.complete || s.delivered != s.total_bytes) {
+                let detail = format!(
+                    "transfer {flow:?}: {}/{} bytes delivered, complete={}",
+                    s.delivered, s.total_bytes, s.complete
+                );
+                self.verdict
+                    .record(ViolationKind::IncompleteTransfer, end, detail);
+            }
+        }
+        self.verdict.stats.sim_events = net.events_processed();
+        (self.verdict.violations, self.verdict.stats)
+    }
+
+    /// Walks every monitor at `now` and closes the window of each one the
+    /// walk reaches. Before quiescence an unreached monitor opens or
+    /// extends its window; once `settled`, it is a violation, unless the
+    /// flood graph was ever partitioned: stale LSDBs can then legitimately
+    /// leave the control plane unable to heal (no database exchange on
+    /// adjacency-up in this model), and the monitor counts as excused.
+    fn walk_monitors(&mut self, net: &Network, now: SimTime, settled: bool) {
+        let hold = self
+            .switches
+            .iter()
+            .filter_map(|&n| Some(net.router(n)?.throttle().hold()))
+            .max()
+            .unwrap_or_default();
+        // A pair's monitors sit next to each other and share one answer.
+        let mut cut: Option<((NodeId, NodeId), bool)> = None;
+        for m in &mut self.monitors {
+            let outcome = walk(net, &m.key, m.src, m.dst);
+            let looped = matches!(outcome, WalkOutcome::Loop(_));
+            if outcome.is_reached() {
+                if let Some(w) = m.window.take() {
+                    self.verdict.close(m, w, now, hold);
+                }
+            } else if settled && self.flood_ok {
+                let kind = match outcome {
+                    WalkOutcome::Loop(_) => ViolationKind::PersistentLoop,
+                    _ => ViolationKind::BlackholeBound,
+                };
+                let detail = format!(
+                    "{} -> {} sport {} still {:?} after quiescence",
+                    m.src, m.dst, m.key.src_port, outcome
+                );
+                self.verdict.record(kind, now, detail);
+            } else if settled {
+                self.verdict.stats.excused_windows += 1;
+            } else {
+                self.verdict.stats.loop_epochs += u64::from(looped);
+                let pair = (m.src, m.dst);
+                if cut.is_none_or(|(seen, _)| seen != pair) {
+                    cut = Some((pair, !routably_connected(net, m.src, m.dst)));
+                }
+                let excused = cut.is_some_and(|(_, excused)| excused);
+                let w = m.window.get_or_insert(Window {
+                    start: now,
+                    excused,
+                    max_hold: hold,
+                });
+                w.excused |= excused;
+                w.max_hold = w.max_hold.max(hold);
+            }
+        }
+    }
+
+    fn check_tcp_conservation(&mut self, net: &Network, now: SimTime) {
+        for &flow in &self.transfers {
+            let Some(s) = net.tcp_flow_stats(flow) else {
+                continue;
+            };
+            if s.acked > s.delivered || s.delivered > s.total_bytes {
+                let detail = format!(
+                    "transfer {flow:?}: acked={} delivered={} total={}",
+                    s.acked, s.delivered, s.total_bytes
+                );
+                self.verdict
+                    .record(ViolationKind::TcpConservation, now, detail);
+            }
         }
     }
 }
 
-fn record(violations: &mut Vec<Violation>, v: Violation) {
-    if violations.len() < MAX_VIOLATIONS {
-        violations.push(v);
+impl Verdict<'_> {
+    /// Closes monitor `m`'s window `w` at `now`, with `hold` the SPF
+    /// throttle hold armed at closing, and holds it to the blackhole
+    /// budget unless it is excused.
+    fn close(&mut self, m: &Monitor, w: Window, now: SimTime, hold: SimDuration) {
+        self.stats.broken_windows += 1;
+        if w.excused {
+            self.stats.excused_windows += 1;
+            return;
+        }
+        let duration = now.since(w.start);
+        self.stats.max_window = self.stats.max_window.max(duration);
+        let n_events = self
+            .phys_events
+            .iter()
+            .filter(|&&t| t >= w.start && t <= now)
+            .count() as u64;
+        let bound = blackhole_bound(self.cfg, n_events, w.max_hold.max(hold));
+        if duration > bound {
+            let detail = format!(
+                "{} -> {} sport {}: black-holed {} > budget {} ({} phys event(s))",
+                m.src, m.dst, m.key.src_port, duration, bound, n_events
+            );
+            self.record(ViolationKind::BlackholeBound, now, detail);
+        }
+    }
+
+    /// Records a violation, keeping at most [`MAX_VIOLATIONS`].
+    fn record(&mut self, kind: ViolationKind, at: SimTime, detail: String) {
+        if self.violations.len() < MAX_VIOLATIONS {
+            self.violations.push(Violation { kind, at, detail });
+        }
     }
 }
 

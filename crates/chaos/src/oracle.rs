@@ -163,32 +163,11 @@ pub fn routably_connected(net: &Network, src: NodeId, dst: NodeId) -> bool {
     // Host links have one non-router endpoint and are always usable
     // (directly connected routes).
     let usable = |link, a, b| {
-        [a, b].into_iter().all(|n| {
-            net.router(n)
-                .map(|r| !r.is_passive(link))
-                .unwrap_or(true)
-        })
+        [a, b]
+            .into_iter()
+            .all(|n| net.router(n).is_none_or(|r| !r.is_passive(link)))
     };
-    let topo = net.topology();
-    let mut visited = vec![false; topo.node_slots()];
-    let mut queue = std::collections::VecDeque::new();
-    visited[src.index()] = true;
-    queue.push_back(src);
-    while let Some(node) = queue.pop_front() {
-        if node == dst {
-            return true;
-        }
-        for (link, neighbor) in topo.neighbors(node) {
-            if net.link_state(link).is_up()
-                && !visited[neighbor.index()]
-                && usable(link, node, neighbor)
-            {
-                visited[neighbor.index()] = true;
-                queue.push_back(neighbor);
-            }
-        }
-    }
-    false
+    search(net, src, usable, |node| node == dst)
 }
 
 /// Whether the OSPF flood graph (switch-to-switch, non-passive, physically
@@ -199,30 +178,45 @@ pub fn flood_graph_connected(net: &Network, switches: &[NodeId]) -> bool {
     let Some(&start) = switches.first() else {
         return true;
     };
+    let floods =
+        |link, a, b| net.router(b).is_some() && net.router(a).is_some_and(|r| !r.is_passive(link));
+    let mut seen = 0;
+    search(net, start, floods, |_| {
+        seen += 1;
+        seen == switches.len()
+    })
+}
+
+/// Breadth-first search from `start` over physically-up links that
+/// `usable(link, from, to)` admits; answers `true` as soon as `stop`
+/// accepts a visited node, `false` once every reachable node was visited.
+fn search(
+    net: &Network,
+    start: NodeId,
+    usable: impl Fn(LinkId, NodeId, NodeId) -> bool,
+    mut stop: impl FnMut(NodeId) -> bool,
+) -> bool {
     let topo = net.topology();
     let mut visited = vec![false; topo.node_slots()];
-    let mut queue = std::collections::VecDeque::new();
-    visited[start.index()] = true;
-    queue.push_back(start);
-    let mut seen = 1usize;
+    // Marks `node` visited; whether it was new.
+    let mut visit = |node: NodeId| {
+        visited
+            .get_mut(node.index())
+            .is_some_and(|v| !std::mem::replace(v, true))
+    };
+    visit(start);
+    let mut queue = std::collections::VecDeque::from([start]);
     while let Some(node) = queue.pop_front() {
-        let Some(router) = net.router(node) else {
-            continue;
-        };
+        if stop(node) {
+            return true;
+        }
         for (link, neighbor) in topo.neighbors(node) {
-            if net.router(neighbor).is_none()
-                || visited[neighbor.index()]
-                || !net.link_state(link).is_up()
-                || router.is_passive(link)
-            {
-                continue;
+            if net.link_state(link).is_up() && usable(link, node, neighbor) && visit(neighbor) {
+                queue.push_back(neighbor);
             }
-            visited[neighbor.index()] = true;
-            seen += 1;
-            queue.push_back(neighbor);
         }
     }
-    seen == switches.len()
+    false
 }
 
 /// The per-window blackhole budget: `slack + n_events × (detection +

@@ -19,7 +19,8 @@ pub enum TestBedError {
     /// The topology builder rejected the parameters (e.g. odd or
     /// too-small `k`), mirroring the `FatTree::new` contract.
     Topology(TopologyError),
-    /// The topology was valid but exceeds the addressing scheme.
+    /// The topology was valid but cannot be addressed: it exceeds the
+    /// addressing scheme, or a host does not hang off exactly one ToR.
     Addressing(AddressingError),
 }
 
@@ -27,7 +28,7 @@ impl std::fmt::Display for TestBedError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TestBedError::Topology(e) => write!(f, "invalid topology parameters: {e}"),
-            TestBedError::Addressing(e) => write!(f, "unaddressable scale: {e}"),
+            TestBedError::Addressing(e) => write!(f, "unaddressable topology: {e}"),
         }
     }
 }
@@ -137,7 +138,8 @@ impl TestBed {
     ///
     /// # Errors
     ///
-    /// Returns [`TestBedError`] on unaddressable scale.
+    /// Returns [`TestBedError`] on unaddressable scale, or if a host of
+    /// the rewired topology does not hang off exactly one ToR.
     pub fn from_f2tree(f2: F2TreeNetwork, config: EmuConfig) -> Result<Self, TestBedError> {
         // The design's static backup routes embody the F²TreeRewiring
         // recovery mode; the other modes run the rewired fabric bare

@@ -355,8 +355,9 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Returns an error if address assignment fails (topology too large
-    /// for the paper's addressing scheme).
+    /// Returns an error if address assignment fails: the topology is too
+    /// large for the paper's addressing scheme, or a host does not hang
+    /// off exactly one ToR.
     pub fn new(mut topo: Topology, config: EmuConfig) -> Result<Self, AddressingError> {
         let plan = assign_addresses(&mut topo)?;
         let n_nodes = topo.node_slots();
@@ -389,10 +390,12 @@ impl Network {
             }
         }
 
-        // Connected /32 routes for each ToR's hosts.
+        // Connected /32 routes for each ToR's hosts (`assign_addresses`
+        // checked that each host hangs off exactly one ToR).
         for node in topo.nodes().filter(|n| n.kind() == NodeKind::Host) {
-            let (link, tor) = host_uplink[node.id().index()]
-                .expect("every host attaches to a ToR");
+            let Some((link, tor)) = host_uplink[node.id().index()] else {
+                continue;
+            };
             let route = Route::new(
                 Prefix::host(node.addr()),
                 RouteOrigin::Connected,
@@ -402,10 +405,9 @@ impl Network {
                     link,
                 }],
             );
-            routers[tor.index()]
-                .as_mut()
-                .expect("ToR has a router")
-                .install_permanent(route);
+            if let Some(router) = routers[tor.index()].as_mut() {
+                router.install_permanent(route);
+            }
         }
 
         // Warm start: everyone originates, everyone installs everything.

@@ -3,11 +3,11 @@
 use dcn_emu::{DropCounters, EmuConfig, FlowId, Network};
 use dcn_failure::Condition;
 use dcn_metrics::ThroughputSeries;
-use dcn_net::{FatTree, LinkId, NodeId, Prefix, Topology};
+use dcn_net::{AddressingError, FatTree, LinkClass, LinkId, NodeId, Prefix, Topology};
 use dcn_routing::{NextHop, Route, RouteOrigin};
 use dcn_sim::{SimDuration, SimTime, DEFAULT_TTL};
 use dcn_transport::TcpConfig;
-use f2tree::{network_backup_routes, Design, F2TreeNetwork, TestBed};
+use f2tree::{network_backup_routes, Design, F2TreeNetwork, TestBed, TestBedError};
 
 fn ms(v: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(v)
@@ -882,4 +882,38 @@ fn a_request_record_outlives_its_late_duplicate() {
         ..DropCounters::default()
     };
     assert_eq!(net.drops(), drops);
+}
+
+/// A host that does not hang off exactly one ToR is a typed addressing
+/// error from `Network::new` and `TestBed::from_f2tree`, never a panic:
+/// a host that lost its only link, a host linked to another host, and a
+/// host added but never linked.
+#[test]
+fn a_host_off_every_rack_is_an_error_not_a_panic() {
+    let orphan = |mut topo: Topology| {
+        let host = topo.hosts()[0];
+        let (uplink, _) = topo.neighbors(host).next().expect("a host link");
+        topo.remove_link(uplink).expect("a live link");
+        (topo, host)
+    };
+    let fat_tree = || FatTree::new(4).expect("k = 4 builds").build();
+    let mut chained = fat_tree();
+    let (first, extra) = (chained.hosts()[0], chained.add_host("extra"));
+    chained
+        .add_link(first, extra, LinkClass::HostAccess)
+        .expect("both live");
+    let mut unlinked = fat_tree();
+    let lone = unlinked.add_host("lone");
+    // The first host now has two links, so it is the one reported.
+    for (topo, host) in [orphan(fat_tree()), (chained, first), (unlinked, lone)] {
+        let err = Network::new(topo, EmuConfig::default()).err();
+        assert_eq!(err, Some(AddressingError::HostOffRack(host)));
+    }
+
+    let mut f2 = F2TreeNetwork::build_with_hosts(4, 1).expect("k = 4 builds");
+    let (topo, host) = orphan(f2.topology);
+    f2.topology = topo;
+    let err = TestBed::from_f2tree(f2, EmuConfig::default()).err();
+    let expected = TestBedError::Addressing(AddressingError::HostOffRack(host));
+    assert_eq!(err, Some(expected));
 }

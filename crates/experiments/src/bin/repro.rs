@@ -330,7 +330,7 @@ fn main() {
         } else {
             WorkloadConfig::default()
         };
-        let results = run_fig6(&cfg);
+        let results = run_fig6(&cfg, cli.workers);
         println!("{}", format_fig6(&results));
         if let Some(dir) = &cli.out_dir {
             artifacts::export_fig6(dir, &results).expect("write fig6 csv");

@@ -191,15 +191,27 @@ pub fn run_workload(design: Design, config: &WorkloadConfig) -> WorkloadResult {
     }
 }
 
-/// Runs Fig. 6 in full: both designs under both regimes.
-pub fn run_fig6(config: &WorkloadConfig) -> Vec<WorkloadResult> {
-    let mut results = Vec::new();
-    for concurrent in [1usize, 5] {
-        let cfg = config.clone().with_concurrency(concurrent);
-        results.push(run_workload(Design::FatTree, &cfg));
-        results.push(run_workload(Design::F2Tree, &cfg));
-    }
-    results
+/// Fig. 6's cells, in table order: both designs under one, then five,
+/// concurrent failures.
+const FIG6_CELLS: [(Design, usize); 4] = [
+    (Design::FatTree, 1),
+    (Design::F2Tree, 1),
+    (Design::FatTree, 5),
+    (Design::F2Tree, 5),
+];
+
+/// Runs Fig. 6 in full — both designs under both regimes — on an explicit
+/// worker count via the sweep engine. Output order (and every result in
+/// it) is identical for every `workers` value.
+pub fn run_fig6(config: &WorkloadConfig, workers: Workers) -> Vec<WorkloadResult> {
+    ExperimentSpec::new("fig6")
+        .cells(FIG6_CELLS)
+        .workers(workers)
+        .build()
+        .run(|ctx| {
+            let (design, concurrent) = *ctx.cell();
+            run_workload(design, &config.clone().with_concurrency(concurrent))
+        })
 }
 
 /// Multi-seed statistics for one (design, regime) cell.
@@ -256,14 +268,8 @@ pub fn run_fig6_multiseed_sweep(
     seeds: &[u64],
     workers: Workers,
 ) -> Vec<Fig6Statistics> {
-    let cells: Vec<(Design, usize)> = vec![
-        (Design::FatTree, 1),
-        (Design::F2Tree, 1),
-        (Design::FatTree, 5),
-        (Design::F2Tree, 5),
-    ];
     ExperimentSpec::new("fig6-multiseed")
-        .cells(cells)
+        .cells(FIG6_CELLS)
         .workers(workers)
         .build()
         .run(|ctx| {

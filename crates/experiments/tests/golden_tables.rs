@@ -152,7 +152,7 @@ fn fig2_throughput_csv_matches_golden() {
 /// request, response and transfer paths of the emulator.
 #[test]
 fn fig6_quick_matches_golden() {
-    let results = run_fig6(&WorkloadConfig::quick());
+    let results = run_fig6(&WorkloadConfig::quick(), Workers::SERIAL);
     let mut out = format_fig6(&results);
     for r in &results {
         let fct = r

@@ -32,6 +32,9 @@ pub enum AddressingError {
     TooManySwitches(Layer, usize),
     /// A rack had more hosts than fit in a /24.
     TooManyHostsInRack(NodeId, usize),
+    /// A host is not attached by exactly one link to a ToR, so it has no
+    /// rack subnet.
+    HostOffRack(NodeId),
 }
 
 impl fmt::Display for AddressingError {
@@ -45,6 +48,9 @@ impl fmt::Display for AddressingError {
             }
             AddressingError::TooManyHostsInRack(tor, n) => {
                 write!(f, "rack under {tor} has {n} hosts, exceeding a /24")
+            }
+            AddressingError::HostOffRack(host) => {
+                write!(f, "host {host} does not hang off exactly one ToR")
             }
         }
     }
@@ -109,7 +115,8 @@ impl AddressPlan {
 ///
 /// Returns an error if a layer has more than 256 switches or a rack more
 /// than 254 hosts — beyond the paper's example scheme (such topologies are
-/// analyzed, not packet-simulated).
+/// analyzed, not packet-simulated) — or if a host does not hang off
+/// exactly one ToR by exactly one link.
 pub fn assign_addresses(topo: &mut Topology) -> Result<AddressPlan, AddressingError> {
     let tors: Vec<NodeId> = topo.layer_switches(Layer::Tor).collect();
     let aggs: Vec<NodeId> = topo.layer_switches(Layer::Agg).collect();
@@ -122,6 +129,13 @@ pub fn assign_addresses(topo: &mut Topology) -> Result<AddressPlan, AddressingEr
     }
     if cores.len() > 256 {
         return Err(AddressingError::TooManySwitches(Layer::Core, cores.len()));
+    }
+    for &host in topo.hosts() {
+        let mut uplinks = topo.neighbors(host);
+        match (uplinks.next(), uplinks.next()) {
+            (Some((_, tor)), None) if topo.node(tor).kind() == NodeKind::Switch(Layer::Tor) => {}
+            _ => return Err(AddressingError::HostOffRack(host)),
+        }
     }
 
     let mut rack_subnets = Vec::with_capacity(tors.len());
