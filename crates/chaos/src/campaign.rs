@@ -342,7 +342,9 @@ mod tests {
             for inc in &spec.incidents {
                 for e in inc.events.iter().filter(|e| !e.up) {
                     assert!(
-                        inc.events.iter().any(|r| r.up && r.link == e.link && r.at > e.at),
+                        inc.events
+                            .iter()
+                            .any(|r| r.up && r.link == e.link && r.at > e.at),
                         "unrepaired link {:?} in {:?}",
                         e.link,
                         inc.kind

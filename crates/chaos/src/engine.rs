@@ -149,10 +149,17 @@ impl fmt::Display for ScenarioError {
         match self {
             ScenarioError::TestBed(e) => write!(f, "testbed error: {e}"),
             ScenarioError::UnknownLink(link) => {
-                write!(f, "scenario names link {}, which the topology lacks", link.index())
+                write!(
+                    f,
+                    "scenario names link {}, which the topology lacks",
+                    link.index()
+                )
             }
             ScenarioError::TimeOverflow(at) => {
-                write!(f, "scenario event at {at} runs past the end of the simulation clock")
+                write!(
+                    f,
+                    "scenario event at {at} runs past the end of the simulation clock"
+                )
             }
         }
     }
@@ -546,7 +553,10 @@ pub struct ChaosReport {
 impl ChaosReport {
     /// Total violations across all campaigns.
     pub fn total_violations(&self) -> usize {
-        self.results.iter().map(|r| r.outcome.violations.len()).sum()
+        self.results
+            .iter()
+            .map(|r| r.outcome.violations.len())
+            .sum()
     }
 
     /// The campaigns whose oracles fired.

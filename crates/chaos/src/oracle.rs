@@ -242,8 +242,7 @@ pub fn blackhole_bound(cfg: &EngineConfig, n_events: u64, max_hold: SimDuration)
     let per_event = if cfg.recovery == RecoveryMode::PrecomputedFrr {
         timers::DETECTION_DELAY + timers::FIB_UPDATE_DELAY
     } else {
-        timers::DETECTION_DELAY + max_hold.max(timers::SPF_INITIAL_DELAY)
-            + timers::FIB_UPDATE_DELAY
+        timers::DETECTION_DELAY + max_hold.max(timers::SPF_INITIAL_DELAY) + timers::FIB_UPDATE_DELAY
     };
     SLACK + per_event * n_events.max(1)
 }

@@ -46,7 +46,11 @@ impl QualityTrace {
 
     /// The worst (maximum) fabric-edge load seen across the trace.
     pub fn peak_load(&self) -> u64 {
-        self.epochs.iter().map(|e| e.report.max_load).max().unwrap_or(0)
+        self.epochs
+            .iter()
+            .map(|e| e.report.max_load)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The worst quantized undeliverable demand seen across the trace.

@@ -206,10 +206,13 @@ impl ScenarioSpec {
                 }
                 "down" | "up" => {
                     let micros: u64 = parse_num(lineno, parts.next(), "time")?;
-                    let at = micros.checked_mul(1_000).map(SimTime::from_nanos).ok_or_else(|| {
-                        let message = format!("time `{micros}` overflows the clock");
-                        ScenarioParseError::bad(lineno, message)
-                    })?;
+                    let at = micros
+                        .checked_mul(1_000)
+                        .map(SimTime::from_nanos)
+                        .ok_or_else(|| {
+                            let message = format!("time `{micros}` overflows the clock");
+                            ScenarioParseError::bad(lineno, message)
+                        })?;
                     let link: u32 = parse_num(lineno, parts.next(), "link")?;
                     let incident = incidents.last_mut().ok_or_else(|| {
                         ScenarioParseError::bad(lineno, "event before any `incident` line".into())
@@ -235,7 +238,8 @@ impl ScenarioSpec {
         Ok(ScenarioSpec {
             design: design.ok_or(ScenarioParseError::MissingField("design"))?,
             k: k.ok_or(ScenarioParseError::MissingField("k"))?,
-            hosts_per_tor: hosts_per_tor.ok_or(ScenarioParseError::MissingField("hosts-per-tor"))?,
+            hosts_per_tor: hosts_per_tor
+                .ok_or(ScenarioParseError::MissingField("hosts-per-tor"))?,
             incidents,
         })
     }

@@ -30,7 +30,11 @@ fn campaign_of_200_is_clean_and_worker_count_invariant() {
     let parallel = run_chaos(&cfg, Workers::new(4)).expect("campaign builds");
 
     let serial_text = serial.render();
-    assert_eq!(serial_text, parallel.render(), "worker count changed output");
+    assert_eq!(
+        serial_text,
+        parallel.render(),
+        "worker count changed output"
+    );
 
     assert_eq!(
         serial.total_violations(),
@@ -56,9 +60,12 @@ fn c1_scenario_with_decoys() -> ScenarioSpec {
     let bed = TestBed::build(Design::FatTree, 4, 1).expect("testbed builds");
     let pairs = dcn_chaos::monitor_endpoints(&bed.net);
     let (src, dst) = pairs[0];
-    let key = bed
-        .net
-        .flow_key_with_port(src, dst, dcn_chaos::MONITOR_SPORTS[0], dcn_net::Protocol::Udp);
+    let key = bed.net.flow_key_with_port(
+        src,
+        dst,
+        dcn_chaos::MONITOR_SPORTS[0],
+        dcn_net::Protocol::Udp,
+    );
     let path = bed.net.trace(key, src, dst);
     // Last switch-to-switch hop on the path: the agg→ToR downward link.
     let topo = bed.topology();
@@ -69,7 +76,10 @@ fn c1_scenario_with_decoys() -> ScenarioSpec {
     // Two decoy links that are NOT on the monitored path (failing them is
     // harmless to this flow): any fabric link whose endpoints are both
     // core switches' links away from the path.
-    let on_path: Vec<_> = path.windows(2).filter_map(|w| topo.link_between(w[0], w[1])).collect();
+    let on_path: Vec<_> = path
+        .windows(2)
+        .filter_map(|w| topo.link_between(w[0], w[1]))
+        .collect();
     let decoys: Vec<_> = bed
         .fabric_links()
         .into_iter()
@@ -200,9 +210,12 @@ fn frr_recovers_a_single_link_within_the_tightened_bound() {
     let bed = TestBed::build(Design::F2Tree, 4, 1).expect("testbed builds");
     let pairs = dcn_chaos::monitor_endpoints(&bed.net);
     let (src, dst) = pairs[0];
-    let key = bed
-        .net
-        .flow_key_with_port(src, dst, dcn_chaos::MONITOR_SPORTS[0], dcn_net::Protocol::Udp);
+    let key = bed.net.flow_key_with_port(
+        src,
+        dst,
+        dcn_chaos::MONITOR_SPORTS[0],
+        dcn_net::Protocol::Udp,
+    );
     let path = bed.net.trace(key, src, dst);
     let topo = bed.topology();
     let n = path.len();
@@ -283,9 +296,20 @@ fn quality_traces_are_worker_count_invariant() {
     let serial = run_chaos(&cfg, Workers::new(1)).expect("campaign builds");
     let parallel = run_chaos(&cfg, Workers::new(4)).expect("campaign builds");
     let traces = serial.render_quality();
-    assert!(traces.contains("snapshot(s)"), "observer was armed:\n{traces}");
-    assert_eq!(traces, parallel.render_quality(), "worker count changed the traces");
-    assert_eq!(serial.render(), parallel.render(), "worker count changed output");
+    assert!(
+        traces.contains("snapshot(s)"),
+        "observer was armed:\n{traces}"
+    );
+    assert_eq!(
+        traces,
+        parallel.render_quality(),
+        "worker count changed the traces"
+    );
+    assert_eq!(
+        serial.render(),
+        parallel.render(),
+        "worker count changed output"
+    );
 }
 
 /// Sanity: scenario generation never emits a link outside the topology it
@@ -297,8 +321,7 @@ fn generated_links_exist_in_topology() {
     assert!(bed.topology().layer_switches(Layer::Core).count() > 0);
     let mut rng = dcn_sim::SimRng::new(99);
     for _ in 0..10 {
-        let spec =
-            dcn_chaos::generate_scenario(Design::F2Tree, &mut rng, &cfg).expect("generates");
+        let spec = dcn_chaos::generate_scenario(Design::F2Tree, &mut rng, &cfg).expect("generates");
         for e in spec.schedule().into_sorted() {
             assert!(bed.topology().links().any(|l| l.id() == e.link));
         }

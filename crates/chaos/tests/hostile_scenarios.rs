@@ -6,14 +6,16 @@
 use std::path::Path;
 
 use dcn_chaos::{run_scenario, EngineConfig, ScenarioError, ScenarioSpec, MAX_VIOLATIONS};
-use proptest::prelude::*;
-use proptest::sample::Index;
 use dcn_net::LinkId;
 use dcn_sim::{timers, SimTime};
 use f2tree::{Design, TestBed};
+use proptest::prelude::*;
+use proptest::sample::Index;
 
 fn parse(name: &str) -> ScenarioSpec {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/hostile").join(name);
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/hostile")
+        .join(name);
     let text = std::fs::read_to_string(&path).expect("fixture exists");
     ScenarioSpec::parse(&text).expect("the fixture parses")
 }
@@ -172,7 +174,10 @@ fn render_line(draw: LineDraw, shape: Option<usize>) -> String {
         _ => pick(&["", "warp 9"], a).to_string(),
     };
     match coin.index(5) {
-        0 => line.get(..cut.index(line.len() + 1)).unwrap_or_default().to_string(),
+        0 => line
+            .get(..cut.index(line.len() + 1))
+            .unwrap_or_default()
+            .to_string(),
         _ => line,
     }
 }

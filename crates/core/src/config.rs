@@ -77,9 +77,8 @@ mod tests {
     fn every_agg_and_core_switch_gets_exactly_two_backups() {
         let net = F2TreeNetwork::build(8).unwrap();
         let backups = network_backup_routes(&net);
-        let expected =
-            net.topology.layer_switches(Layer::Agg).count()
-                + net.topology.layer_switches(Layer::Core).count();
+        let expected = net.topology.layer_switches(Layer::Agg).count()
+            + net.topology.layer_switches(Layer::Core).count();
         assert_eq!(backups.len(), expected);
         for (_, routes) in &backups {
             assert_eq!(routes.len(), 2);
@@ -127,8 +126,7 @@ mod tests {
     #[test]
     fn backup_links_are_across_links() {
         let net = F2TreeNetwork::build(6).unwrap();
-        let across: std::collections::HashSet<LinkId> =
-            net.across_links().into_iter().collect();
+        let across: std::collections::HashSet<LinkId> = net.across_links().into_iter().collect();
         for (_, routes) in network_backup_routes(&net) {
             for route in routes {
                 assert!(across.contains(&route.next_hops[0].link));

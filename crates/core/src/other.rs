@@ -37,9 +37,7 @@ pub fn f2_leaf_spine(leaves: u32, spines: u32) -> Result<F2Network, TopologyErro
             "a spine ring needs at least 2 spines".into(),
         ));
     }
-    let mut topo = LeafSpine::new(leaves, spines)?
-        .spare_spine_ports(2)
-        .build();
+    let mut topo = LeafSpine::new(leaves, spines)?.spare_spine_ports(2).build();
     let members: Vec<NodeId> = topo.layer_switches(Layer::Core).collect();
     let ring = add_ring(&mut topo, members, 1)?;
     topo.set_name(format!("f2-leaf-spine-{leaves}x{spines}"));

@@ -97,10 +97,7 @@ mod tests {
         let (agg, _) = backups[0];
         let block = backups.iter().find(|(o, _)| *o == agg);
         let cfg = switch_config(&topo, &plan, agg, block);
-        let static_lines: Vec<&str> = cfg
-            .lines()
-            .filter(|l| l.starts_with("ip route "))
-            .collect();
+        let static_lines: Vec<&str> = cfg.lines().filter(|l| l.starts_with("ip route ")).collect();
         assert_eq!(static_lines.len(), 2, "{cfg}");
         assert!(static_lines[0].starts_with("ip route 10.11.0.0/16 10.12."));
         assert!(static_lines[1].starts_with("ip route 10.10.0.0/15 10.12."));
@@ -133,12 +130,7 @@ mod tests {
     fn backup_next_hops_are_rendered_as_neighbor_addresses() {
         let (topo, plan, backups) = addressed();
         let (agg, routes) = &backups[0];
-        let cfg = switch_config(
-            &topo,
-            &plan,
-            *agg,
-            backups.iter().find(|(o, _)| o == agg),
-        );
+        let cfg = switch_config(&topo, &plan, *agg, backups.iter().find(|(o, _)| o == agg));
         for route in routes {
             let neighbor_addr = topo.node(route.next_hops[0].node).addr().to_string();
             assert!(

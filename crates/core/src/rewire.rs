@@ -396,7 +396,10 @@ mod tests {
         let net = wide(12, 4).unwrap();
         let topo = &net.topology;
         assert_eq!(
-            topo.pods(Layer::Agg).iter().filter(|p| !p.is_empty()).count(),
+            topo.pods(Layer::Agg)
+                .iter()
+                .filter(|p| !p.is_empty())
+                .count(),
             8
         );
         assert_eq!(topo.layer_switches(Layer::Tor).count(), 32);
@@ -459,10 +462,7 @@ mod tests {
     fn reach_one_matches_plain_f2tree_shape() {
         let wide = wide(8, 2).unwrap();
         let plain = F2TreeNetwork::build(8).unwrap();
-        assert_eq!(
-            wide.topology.switch_count(),
-            plain.topology.switch_count()
-        );
+        assert_eq!(wide.topology.switch_count(), plain.topology.switch_count());
         assert_eq!(wide.topology.host_count(), plain.topology.host_count());
     }
 

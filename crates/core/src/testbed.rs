@@ -7,8 +7,8 @@
 
 use dcn_emu::{EmuConfig, FlowId, Network};
 use dcn_failure::{condition_links, Condition, ScenarioContext};
-use dcn_routing::RecoveryMode;
 use dcn_net::{AddressingError, FatTree, Layer, LinkId, NodeId, PodRing, Topology, TopologyError};
+use dcn_routing::RecoveryMode;
 use serde::{Deserialize, Serialize};
 
 use crate::{network_backup_routes, F2TreeNetwork};

@@ -370,7 +370,10 @@ mod reference {
     /// Returns an error unless `k` and `across_ports` are even,
     /// `across_ports >= 2`, and the resulting rings have enough members for
     /// distinct chords (`N/2 > across_ports / 2` and `(N − r)/2 >= 2`).
-    pub fn build_chorded_f2tree(k: u32, across_ports: u32) -> Result<WideF2TreeNetwork, TopologyError> {
+    pub fn build_chorded_f2tree(
+        k: u32,
+        across_ports: u32,
+    ) -> Result<WideF2TreeNetwork, TopologyError> {
         if across_ports < 2 || !across_ports.is_multiple_of(2) {
             return Err(TopologyError::InvalidParameter(format!(
                 "across_ports must be even and >= 2, got {across_ports}"
@@ -429,7 +432,9 @@ mod reference {
         // Retire the last `r/2` cores of every group.
         for group in 0..half {
             for _ in 0..(r / 2) {
-                let core = *topo.pods(Layer::Core)[group].last().expect("group has cores");
+                let core = *topo.pods(Layer::Core)[group]
+                    .last()
+                    .expect("group has cores");
                 topo.remove_node(core)?;
             }
         }
@@ -517,19 +522,33 @@ mod reference {
 
 /// A node as the transform leaves it: identity, placement, and its
 /// adjacency in order (forwarding walks it).
-type NodeRow = (NodeId, String, Option<Layer>, Option<PodId>, Vec<(LinkId, NodeId)>);
+type NodeRow = (
+    NodeId,
+    String,
+    Option<Layer>,
+    Option<PodId>,
+    Vec<(LinkId, NodeId)>,
+);
 
 fn nodes(topo: &Topology) -> Vec<NodeRow> {
     topo.nodes()
         .map(|n| {
             let id = n.id();
-            (id, n.name().to_string(), n.layer(), n.pod(), topo.neighbors(id).collect())
+            (
+                id,
+                n.name().to_string(),
+                n.layer(),
+                n.pod(),
+                topo.neighbors(id).collect(),
+            )
         })
         .collect()
 }
 
 fn links(topo: &Topology) -> Vec<(LinkId, (NodeId, NodeId), LinkClass)> {
-    topo.links().map(|l| (l.id(), l.endpoints(), l.class())).collect()
+    topo.links()
+        .map(|l| (l.id(), l.endpoints(), l.class()))
+        .collect()
 }
 
 /// A ring as `(members, chords by distance)`.
@@ -583,7 +602,11 @@ fn assert_matches_wide(
         .map(|r| (r.members.clone(), r.chords.clone()))
         .collect();
     assert_eq!(rings(new), old_rings, "{what}: rings");
-    assert_eq!(network_backup_routes(new), reference::chorded_backup_routes(old), "{what}: backups");
+    assert_eq!(
+        network_backup_routes(new),
+        reference::chorded_backup_routes(old),
+        "{what}: backups"
+    );
 }
 
 #[test]

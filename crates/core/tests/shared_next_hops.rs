@@ -28,10 +28,7 @@ const MODES: [RecoveryMode; 3] = [
 
 /// The number of distinct sets among `sets`, after checking that equal
 /// sets are one allocation.
-fn distinct_sets<'a>(
-    what: &str,
-    sets: impl IntoIterator<Item = &'a Arc<[NextHop]>>,
-) -> usize {
+fn distinct_sets<'a>(what: &str, sets: impl IntoIterator<Item = &'a Arc<[NextHop]>>) -> usize {
     let mut seen: Vec<&Arc<[NextHop]>> = Vec::new();
     for set in sets {
         match seen.iter().find(|have| have[..] == set[..]) {
@@ -75,8 +72,15 @@ fn ospf_table(bed: &TestBed) -> Vec<String> {
     let mut table = Vec::new();
     for node in switches(bed) {
         let router = bed.net.router(node).expect("switches run routers");
-        for r in router.fib().routes().filter(|r| r.origin == RouteOrigin::Ospf) {
-            table.push(format!("{node} {} {} {:?}", r.prefix, r.metric, r.next_hops));
+        for r in router
+            .fib()
+            .routes()
+            .filter(|r| r.origin == RouteOrigin::Ospf)
+        {
+            table.push(format!(
+                "{node} {} {} {:?}",
+                r.prefix, r.metric, r.next_hops
+            ));
         }
     }
     table
@@ -103,7 +107,11 @@ fn equal_ospf_sets_are_one_allocation_after_bootstrap_and_after_c1() {
                 bed.net.fail_link_at(FAIL_AT, link);
             }
             bed.net.run_until(PATCHED_BY);
-            assert_ne!(ospf_table(&bed), before, "{case}: no SPF run patched a route");
+            assert_ne!(
+                ospf_table(&bed),
+                before,
+                "{case}: no SPF run patched a route"
+            );
             check_ospf(&bed, &format!("{case} after C1"));
         }
     }
@@ -117,7 +125,11 @@ fn equal_repair_sets_are_one_allocation_per_switch() {
             let bed = bed(design, recovery);
             let (mut routes, mut sets) = (0, 0);
             for node in switches(&bed) {
-                let plan = bed.net.router(node).expect("switches run routers").frr_plan();
+                let plan = bed
+                    .net
+                    .router(node)
+                    .expect("switches run routers")
+                    .frr_plan();
                 let repairs: Vec<_> = plan
                     .values()
                     .flat_map(|delta| &delta.ops)
@@ -132,7 +144,10 @@ fn equal_repair_sets_are_one_allocation_per_switch() {
             // Only the FRR mode precomputes repairs, and only the F²Tree's
             // across links give every switch an alternate to share.
             if recovery == RecoveryMode::PrecomputedFrr && design == Design::F2Tree {
-                assert!(sets < routes, "{case}: {sets} sets for {routes} repair routes");
+                assert!(
+                    sets < routes,
+                    "{case}: {sets} sets for {routes} repair routes"
+                );
             } else if recovery != RecoveryMode::PrecomputedFrr {
                 assert_eq!(routes, 0, "{case} has no failure map");
             }

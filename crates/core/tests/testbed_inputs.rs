@@ -60,7 +60,5 @@ fn small_even_fabrics_build_with_and_without_hosts() {
 }
 
 fn tors(bed: &TestBed) -> usize {
-    bed.topology()
-        .layer_switches(dcn_net::Layer::Tor)
-        .count()
+    bed.topology().layer_switches(dcn_net::Layer::Tor).count()
 }

@@ -169,7 +169,10 @@ mod tests {
 
     #[test]
     fn recovery_setter_is_read_back() {
-        assert_eq!(EmuConfig::default().recovery(), RecoveryMode::F2TreeRewiring);
+        assert_eq!(
+            EmuConfig::default().recovery(),
+            RecoveryMode::F2TreeRewiring
+        );
         let c = EmuConfig::builder()
             .recovery(RecoveryMode::PrecomputedFrr)
             .build();

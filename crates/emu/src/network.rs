@@ -196,7 +196,9 @@ enum TcpEnds {
     NotStarted,
     Open(Box<(TcpSender, TcpReceiver)>),
     /// All the reports still read of the freed sender.
-    Closed { retransmits: u64 },
+    Closed {
+        retransmits: u64,
+    },
 }
 
 /// A TCP flow of a fixed size, and when it started and was fully delivered.
@@ -510,7 +512,11 @@ impl Network {
     /// Flows holding a forwarding memo right now, and the most switch hops
     /// any of them remembers in one direction.
     pub fn path_memos(&self) -> (usize, usize) {
-        let memos = self.flows.iter().flatten().filter_map(|f| f.path_memo.as_deref());
+        let memos = self
+            .flows
+            .iter()
+            .flatten()
+            .filter_map(|f| f.path_memo.as_deref());
         memos.fold((0, 0), |(live, most), memo| {
             (live + 1, most.max(memo.hops.len().div_ceil(2)))
         })
@@ -650,13 +656,7 @@ impl Network {
 
     /// Adds a fixed-size TCP transfer (background traffic) starting at
     /// `start`.
-    pub fn add_transfer(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        start: SimTime,
-    ) -> FlowId {
+    pub fn add_transfer(&mut self, src: NodeId, dst: NodeId, bytes: u64, start: SimTime) -> FlowId {
         self.add_fixed_flow(src, dst, bytes, start, FlowRole::Transfer)
     }
 
@@ -732,7 +732,13 @@ impl Network {
             completed: None,
         });
         for &worker in workers {
-            self.add_fixed_flow(requester, worker, request_bytes, start, FlowRole::Request(id));
+            self.add_fixed_flow(
+                requester,
+                worker,
+                request_bytes,
+                start,
+                FlowRole::Request(id),
+            );
         }
         id
     }
@@ -753,7 +759,8 @@ impl Network {
     /// Fails a single link at `at` (convenience for the deterministic
     /// experiments).
     pub fn fail_link_at(&mut self, at: SimTime, link: LinkId) {
-        self.queue.schedule(at, Event::LinkChange { link, up: false });
+        self.queue
+            .schedule(at, Event::LinkChange { link, up: false });
     }
 
     /// Fails only the `from` → other-end direction of a link at `at`
@@ -761,8 +768,14 @@ impl Network {
     /// semantics: both endpoints mark the whole interface dead one
     /// detection delay later, since BFD requires two-way liveness.
     pub fn fail_link_direction_at(&mut self, at: SimTime, link: LinkId, from: NodeId) {
-        self.queue
-            .schedule(at, Event::LinkDirChange { link, from, up: false });
+        self.queue.schedule(
+            at,
+            Event::LinkDirChange {
+                link,
+                from,
+                up: false,
+            },
+        );
     }
 
     // ------------------------------------------------------------------
@@ -1032,7 +1045,9 @@ impl Network {
     ) -> PacketSlot {
         let id = self.packet_seq;
         self.packet_seq += 1;
-        let live = payload.flow().and_then(|flow| self.live_packets.get_mut(flow.index()));
+        let live = payload
+            .flow()
+            .and_then(|flow| self.live_packets.get_mut(flow.index()));
         if let Some(live) = live {
             *live += 1;
         }
@@ -1279,11 +1294,19 @@ impl Network {
     /// Builds the sender and receiver of TCP flow `flow` and starts it.
     fn on_tcp_start(&mut self, now: SimTime, flow: FlowId) {
         let state = record(&mut self.flows, flow);
-        if let Some(FlowState { key, kind: FlowKind::Tcp(tcp), .. }) = state {
+        if let Some(FlowState {
+            key,
+            kind: FlowKind::Tcp(tcp),
+            ..
+        }) = state
+        {
             if matches!(tcp.ends, TcpEnds::NotStarted) {
-                let app = tcp.fixed.as_ref().map_or(TcpApp::Paced, |fixed| TcpApp::FixedSize {
-                    bytes: fixed.bytes,
-                });
+                let app = tcp
+                    .fixed
+                    .as_ref()
+                    .map_or(TcpApp::Paced, |fixed| TcpApp::FixedSize {
+                        bytes: fixed.bytes,
+                    });
                 let sender = TcpSender::new(*key, TcpConfig::default(), app);
                 tcp.ends = TcpEnds::Open(Box::new((sender, TcpReceiver::new())));
             }
@@ -1403,7 +1426,8 @@ impl Network {
     /// after 64 hops (a loop). Empty for a flow this network holds no
     /// record of.
     pub fn trace_path(&self, flow: FlowId) -> Vec<NodeId> {
-        self.flow(flow).map_or_else(Vec::new, |f| self.trace(f.key, f.src, f.dst))
+        self.flow(flow)
+            .map_or_else(Vec::new, |f| self.trace(f.key, f.src, f.dst))
     }
 
     /// Like [`Self::trace_path`] for an ad-hoc five-tuple.
@@ -1793,7 +1817,14 @@ mod tests {
         let (live, slots) = net.flow_records();
         let in_flight = net.packets_in_flight().0;
         let to = dst;
-        net.dispatch(at, Event::Arrive { link, to, packet: dup });
+        net.dispatch(
+            at,
+            Event::Arrive {
+                link,
+                to,
+                packet: dup,
+            },
+        );
         assert!(net.flow(flow).is_some(), "the duplicate's ACK is in flight");
         assert_eq!(net.live_packets[flow.index()], 1);
         assert_eq!(net.packets_in_flight().0, in_flight, "the ACK replaced it");
@@ -1803,7 +1834,11 @@ mod tests {
             net.step(end).expect("the ACK reaches the requester");
         }
         assert_eq!(net.flow_records(), (live - 1, slots));
-        assert_eq!(net.tcp_flow_stats(flow), None, "a released flow reports nothing");
+        assert_eq!(
+            net.tcp_flow_stats(flow),
+            None,
+            "a released flow reports nothing"
+        );
         assert!(net.trace_path(flow).is_empty());
     }
 }

@@ -160,8 +160,14 @@ fn tcp_collapse_is_rto_bound_in_f2tree_and_double_rto_in_fat_tree() {
     let f2 = run(f2_network(4, 1)).as_millis();
     let fat = run(fat_network(4, 1)).as_millis();
     // Paper Table III / Fig. 4(c): ~220ms vs ~600-700ms.
-    assert!((180..=260).contains(&f2), "F2Tree collapse ~220ms, got {f2}ms");
-    assert!((560..=720).contains(&fat), "fat tree collapse ~600-700ms, got {fat}ms");
+    assert!(
+        (180..=260).contains(&f2),
+        "F2Tree collapse ~220ms, got {f2}ms"
+    );
+    assert!(
+        (560..=720).contains(&fat),
+        "fat tree collapse ~600-700ms, got {fat}ms"
+    );
     assert!(fat > 2 * f2, "fat tree eats at least one doubled RTO");
 }
 
@@ -191,7 +197,10 @@ fn partition_aggregate_request_completes_quickly_when_healthy() {
         completion.as_millis() < 5,
         "healthy request should finish in a few ms, took {completion}"
     );
-    assert_eq!(stats.deadline_miss_ratio(SimDuration::from_millis(250)), 0.0);
+    assert_eq!(
+        stats.deadline_miss_ratio(SimDuration::from_millis(250)),
+        0.0
+    );
 }
 
 #[test]
@@ -342,7 +351,10 @@ fn centralized_control_plane_converges_after_report_compute_push() {
     let loss = report.connectivity.loss_around(ms(FAIL_AT)).unwrap();
     // detect (60) + report (5) + compute (50) + push (5) = 120ms.
     let got = loss.duration.as_millis();
-    assert!((118..=126).contains(&got), "centralized recovery ~120ms, got {got}ms");
+    assert!(
+        (118..=126).contains(&got),
+        "centralized recovery ~120ms, got {got}ms"
+    );
 }
 
 #[test]
@@ -418,7 +430,11 @@ fn flapping_link_grows_the_spf_backoff_but_never_wedges_the_network() {
     // The detecting switch's throttle backed off beyond the initial
     // 200ms hold under the churn.
     let (a, b) = net.topology().link(victim).endpoints();
-    let detecting = if net.topology().node(a).kind().is_switch() { a } else { b };
+    let detecting = if net.topology().node(a).kind().is_switch() {
+        a
+    } else {
+        b
+    };
     let hold = net.router(detecting).unwrap().throttle().hold();
     assert!(
         hold > SimDuration::from_millis(200),
@@ -860,7 +876,10 @@ fn a_request_record_outlives_its_late_duplicate() {
         if records.last() != Some(&now) {
             if records.last().is_some_and(|&(live, _)| now.0 < live) {
                 assert_eq!(net.packets_in_flight().0, 0, "released with a packet alive");
-                assert!(at.since(SimTime::ZERO).as_micros() > 602_079, "released at {at}");
+                assert!(
+                    at.since(SimTime::ZERO).as_micros() > 602_079,
+                    "released at {at}"
+                );
             }
             records.push(now);
         }

@@ -30,9 +30,7 @@ fn f2_network(k: u32) -> Network {
 
 fn fabric_links(topo: &Topology) -> Vec<LinkId> {
     topo.links()
-        .filter(|l| {
-            topo.node(l.a()).kind().is_switch() && topo.node(l.b()).kind().is_switch()
-        })
+        .filter(|l| topo.node(l.a()).kind().is_switch() && topo.node(l.b()).kind().is_switch())
         .map(|l| l.id())
         .collect()
 }

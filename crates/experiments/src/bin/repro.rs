@@ -94,14 +94,39 @@ flags:
 
 /// Every recognized target word.
 const TARGETS: &[&str] = &[
-    "table1", "table2", "table3", "fig2", "table4", "fig4", "fig5", "fig6", "fig6seeds", "fig7",
-    "recovery", "quality", "bisection", "aspen", "c7x", "ablation", "centralized", "summary",
-    "unidirectional", "chaos", "all",
+    "table1",
+    "table2",
+    "table3",
+    "fig2",
+    "table4",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig6seeds",
+    "fig7",
+    "recovery",
+    "quality",
+    "bisection",
+    "aspen",
+    "c7x",
+    "ablation",
+    "centralized",
+    "summary",
+    "unidirectional",
+    "chaos",
+    "all",
 ];
 
 /// Every recognized flag (the did-you-mean candidates for a typo).
 const FLAGS: &[&str] = &[
-    "--quick", "--out", "--workers", "--recovery", "--seed", "--campaigns", "--quality", "--help",
+    "--quick",
+    "--out",
+    "--workers",
+    "--recovery",
+    "--seed",
+    "--campaigns",
+    "--quality",
+    "--help",
 ];
 
 /// Accepted `--recovery` values.
@@ -274,8 +299,16 @@ fn main() {
         println!("{}", format_table3(&results));
         println!("Fig. 2 receiving throughput (each char = one 20ms bin):");
         for r in &results {
-            println!("  {:<9} UDP |{}|", r.design.to_string(), sparkline_values(&r.udp_throughput_mbps));
-            println!("  {:<9} TCP |{}|", r.design.to_string(), sparkline_values(&r.tcp_throughput_mbps));
+            println!(
+                "  {:<9} UDP |{}|",
+                r.design.to_string(),
+                sparkline_values(&r.udp_throughput_mbps)
+            );
+            println!(
+                "  {:<9} TCP |{}|",
+                r.design.to_string(),
+                sparkline_values(&r.tcp_throughput_mbps)
+            );
         }
         println!();
         if let Some(dir) = &cli.out_dir {
@@ -440,7 +473,10 @@ fn run_chaos_cli(cli: &Cli) {
     let Some(bad) = report.violating().next() else {
         return;
     };
-    eprintln!("shrinking campaign #{} to a minimal reproducer...", bad.index);
+    eprintln!(
+        "shrinking campaign #{} to a minimal reproducer...",
+        bad.index
+    );
     let engine = cfg.engine.clone();
     let minimal = shrink_scenario(&bad.spec, |s| {
         run_scenario(s, &engine)

@@ -339,9 +339,11 @@ pub fn grid_cells() -> Vec<(Design, RecoveryMode, Condition)> {
         .into_iter()
         .filter(|c| !c.requires_across_links())
         .map(|c| (Design::FatTree, RecoveryMode::OspfReconvergence, c));
-    let f2tree = RecoveryMode::ALL
-        .into_iter()
-        .flat_map(|mode| Condition::ALL.into_iter().map(move |c| (Design::F2Tree, mode, c)));
+    let f2tree = RecoveryMode::ALL.into_iter().flat_map(|mode| {
+        Condition::ALL
+            .into_iter()
+            .map(move |c| (Design::F2Tree, mode, c))
+    });
     fat_tree.chain(f2tree).collect()
 }
 
@@ -353,7 +355,10 @@ pub(crate) fn run_cell(
     condition: Condition,
     config: &ConditionConfig,
 ) -> CellResult {
-    let config = ConditionConfig { recovery, ..*config };
+    let config = ConditionConfig {
+        recovery,
+        ..*config
+    };
     let run = run_condition_bed(design, condition, &config);
     CellResult {
         recovery,
@@ -435,8 +440,7 @@ pub fn format_fig4(grid: &ConditionGrid, mode: RecoveryMode) -> String {
             "{:<4} | {:<9} | {:>9} | {:>9} | {:>17}\n",
             r.condition,
             r.design.to_string(),
-            r.connectivity_loss_us
-                .map_or("-".into(), |v| v.to_string()),
+            r.connectivity_loss_us.map_or("-".into(), |v| v.to_string()),
             r.packets_lost,
             r.throughput_collapse_us
                 .map_or("-".into(), |v| v.to_string()),
@@ -499,7 +503,11 @@ mod tests {
         let f2 = run_condition(Design::F2Tree, Condition::C1, &cfg());
         let fat = run_condition(Design::FatTree, Condition::C1, &cfg());
         assert!((58..=65).contains(&loss_ms(&f2)), "f2 {}", loss_ms(&f2));
-        assert!((265..=290).contains(&loss_ms(&fat)), "fat {}", loss_ms(&fat));
+        assert!(
+            (265..=290).contains(&loss_ms(&fat)),
+            "fat {}",
+            loss_ms(&fat)
+        );
         // ~78% reduction, as the paper headlines.
         let reduction = 1.0 - loss_ms(&f2) as f64 / loss_ms(&fat) as f64;
         assert!((0.70..=0.85).contains(&reduction));
@@ -619,9 +627,16 @@ mod tests {
         // The grid serves every `--recovery` value's fat-tree rows from
         // the fat tree's OSPF cells: the plain fat tree has no backups and
         // no across ring, so no mode can change what it measures.
-        for condition in Condition::ALL.into_iter().filter(|c| !c.requires_across_links()) {
+        for condition in Condition::ALL
+            .into_iter()
+            .filter(|c| !c.requires_across_links())
+        {
             let run = |recovery| {
-                run_condition(Design::FatTree, condition, &ConditionConfig { recovery, ..cfg() })
+                run_condition(
+                    Design::FatTree,
+                    condition,
+                    &ConditionConfig { recovery, ..cfg() },
+                )
             };
             let ospf = run(RecoveryMode::OspfReconvergence);
             for mode in [RecoveryMode::F2TreeRewiring, RecoveryMode::PrecomputedFrr] {

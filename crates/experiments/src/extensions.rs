@@ -56,10 +56,16 @@ fn c1_loss(design: Design, config: EmuConfig) -> SimDuration {
     #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
     let mut bed = TestBed::build_with_config(design, 8, 4, config).expect("testbed builds");
     let endpoints = bed.probe_endpoints();
-    probe_loss(&mut bed, |b| &mut b.net, endpoints, 3000, |bed, probe, at| {
-        let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
-        bed.net.fail_link_at(at, link);
-    })
+    probe_loss(
+        &mut bed,
+        |b| &mut b.net,
+        endpoints,
+        3000,
+        |bed, probe, at| {
+            let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
+            bed.net.fail_link_at(at, link);
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -90,14 +96,20 @@ pub fn run_c7_with_across(across_ports: u32) -> C7WideResult {
         .expect("feasible at k=12");
     let mut bed = TestBed::from_f2tree(f2, EmuConfig::default()).expect("addressable");
     let endpoints = bed.probe_endpoints();
-    let loss = probe_loss(&mut bed, |b| &mut b.net, endpoints, 2000, |bed, probe, at| {
-        let anatomy = bed.path_anatomy(probe);
-        // C7 on the distance-1 ring: Sx->T, right(Sx)->T and right(Sx)'s
-        // rightward across link.
-        for link in bed.scenario_links(&anatomy, Condition::C7) {
-            bed.net.fail_link_at(at, link);
-        }
-    });
+    let loss = probe_loss(
+        &mut bed,
+        |b| &mut b.net,
+        endpoints,
+        2000,
+        |bed, probe, at| {
+            let anatomy = bed.path_anatomy(probe);
+            // C7 on the distance-1 ring: Sx->T, right(Sx)->T and right(Sx)'s
+            // rightward across link.
+            for link in bed.scenario_links(&anatomy, Condition::C7) {
+                bed.net.fail_link_at(at, link);
+            }
+        },
+    );
     C7WideResult {
         across_ports,
         connectivity_loss_us: loss.as_micros(),
@@ -149,11 +161,17 @@ pub fn run_unidirectional(design: Design) -> UnidirectionalResult {
     #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
     let mut bed = TestBed::build(design, 8, 4).expect("testbed builds");
     let endpoints = bed.probe_endpoints();
-    let loss = probe_loss(&mut bed, |b| &mut b.net, endpoints, 2000, |bed, probe, at| {
-        let anatomy = bed.path_anatomy(probe);
-        let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
-        bed.net.fail_link_direction_at(at, link, anatomy.path_agg);
-    });
+    let loss = probe_loss(
+        &mut bed,
+        |b| &mut b.net,
+        endpoints,
+        2000,
+        |bed, probe, at| {
+            let anatomy = bed.path_anatomy(probe);
+            let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
+            bed.net.fail_link_direction_at(at, link, anatomy.path_agg);
+        },
+    );
     UnidirectionalResult {
         design,
         connectivity_loss_us: loss.as_micros(),
@@ -186,13 +204,23 @@ pub fn run_aspen_baseline() -> [AspenResult; 2] {
         let mut net = Network::new(topo, EmuConfig::default()).expect("addressable");
         let hosts = net.topology().hosts();
         let endpoints = (hosts[0], *hosts.last().expect("hosts"));
-        probe_loss(&mut net, |n| n, endpoints, 2000, |net, probe, at| {
-            let path: [NodeId; 7] = net.trace_path(probe).try_into().expect("a cross-pod path");
-            let [_host, _tor, up_agg, core, down_agg, down_tor, _dst] = path;
-            let (a, b) = if fail_top { (up_agg, core) } else { (down_agg, down_tor) };
-            let link = net.topology().link_between(a, b).expect("link on path");
-            net.fail_link_at(at, link);
-        })
+        probe_loss(
+            &mut net,
+            |n| n,
+            endpoints,
+            2000,
+            |net, probe, at| {
+                let path: [NodeId; 7] = net.trace_path(probe).try_into().expect("a cross-pod path");
+                let [_host, _tor, up_agg, core, down_agg, down_tor, _dst] = path;
+                let (a, b) = if fail_top {
+                    (up_agg, core)
+                } else {
+                    (down_agg, down_tor)
+                };
+                let link = net.topology().link_between(a, b).expect("link on path");
+                net.fail_link_at(at, link);
+            },
+        )
         .as_micros()
     };
     [
@@ -317,12 +345,8 @@ pub fn run_bisection(design: Design) -> BisectionResult {
     // the last pod. Use 12 on both designs for comparability.
     let flows: Vec<_> = (0..12)
         .map(|i| {
-            bed.net.add_transfer(
-                hosts[i],
-                hosts[hosts.len() - 12 + i],
-                BYTES,
-                SimTime::ZERO,
-            )
+            bed.net
+                .add_transfer(hosts[i], hosts[hosts.len() - 12 + i], BYTES, SimTime::ZERO)
         })
         .collect();
     bed.net.run_until(ms(5_000));

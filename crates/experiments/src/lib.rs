@@ -37,11 +37,11 @@
 pub mod artifacts;
 pub mod conditions;
 pub mod extensions;
+pub mod fig7;
 pub mod plot;
 pub mod quality;
 pub mod recovery;
 pub mod summary;
-pub mod fig7;
 pub mod table1;
 pub mod table2;
 pub mod testbed;

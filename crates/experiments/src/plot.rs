@@ -5,11 +5,11 @@
 /// Renders a sparkline (`▁▂▃▄▅▆▇█`) scaled to the series' own maximum.
 /// Gaps (`None`) render as spaces — Fig. 5's connectivity-loss windows.
 pub fn sparkline(values: &[Option<f64>]) -> String {
-    const BARS: [char; 8] = ['\u{2581}', '\u{2582}', '\u{2583}', '\u{2584}', '\u{2585}', '\u{2586}', '\u{2587}', '\u{2588}'];
-    let max = values
-        .iter()
-        .flatten()
-        .fold(0.0f64, |acc, &v| acc.max(v));
+    const BARS: [char; 8] = [
+        '\u{2581}', '\u{2582}', '\u{2583}', '\u{2584}', '\u{2585}', '\u{2586}', '\u{2587}',
+        '\u{2588}',
+    ];
+    let max = values.iter().flatten().fold(0.0f64, |acc, &v| acc.max(v));
     values
         .iter()
         .map(|v| match v {

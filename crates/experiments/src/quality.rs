@@ -59,10 +59,8 @@ mod tests {
     fn grid_covers_fat_tree_and_all_three_modes() {
         let cells = grid_cells();
         assert_eq!(cells.len(), 5 + 3 * 7);
-        assert!(cells
-            .iter()
-            .all(|&(d, m, c)| d == Design::F2Tree
-                || (m == RecoveryMode::OspfReconvergence && !c.requires_across_links())));
+        assert!(cells.iter().all(|&(d, m, c)| d == Design::F2Tree
+            || (m == RecoveryMode::OspfReconvergence && !c.requires_across_links())));
     }
 
     #[test]

@@ -37,7 +37,12 @@ pub fn format_recovery(grid: &ConditionGrid) -> String {
          loss = connectivity-loss duration in us; '-' = no loss observed\n\
          maxload = mid-failover max fabric-edge load (multiples of one access link)\n",
     );
-    let healthy = grid.cell(Design::F2Tree, RecoveryMode::OspfReconvergence, Condition::C1)
+    let healthy = grid
+        .cell(
+            Design::F2Tree,
+            RecoveryMode::OspfReconvergence,
+            Condition::C1,
+        )
         .map_or(0, |r| r.result.healthy_max_load);
     out.push_str(&format!(
         "healthy baseline max fabric-edge load: {}\n",
@@ -59,11 +64,8 @@ pub fn format_recovery(grid: &ConditionGrid) -> String {
             })
         };
         let pkts = |mode| cell(mode).map_or("?".into(), |r| r.result.packets_lost.to_string());
-        let maxload = |mode| {
-            cell(mode).map_or("?".into(), |r| {
-                format_load(r.result.post_failover_max_load)
-            })
-        };
+        let maxload =
+            |mode| cell(mode).map_or("?".into(), |r| format_load(r.result.post_failover_max_load));
         out.push_str(&format!(
             "{:<4} | {:>10} | {:>11} | {:>10} | {:>9} | {:>11} | {:>8} | {:>12} | {:>14} | {:>11}\n",
             condition.to_string(),

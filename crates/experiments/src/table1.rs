@@ -109,7 +109,12 @@ mod tests {
             let rows = run_table1(n);
             for row in rows {
                 if let Some((sw, hosts)) = row.verified {
-                    assert_eq!(sw as f64, row.switches.unwrap(), "{}: switches", row.solution);
+                    assert_eq!(
+                        sw as f64,
+                        row.switches.unwrap(),
+                        "{}: switches",
+                        row.solution
+                    );
                     assert_eq!(hosts as f64, row.nodes.unwrap(), "{}: hosts", row.solution);
                 }
             }
@@ -121,7 +126,9 @@ mod tests {
         let rows = run_table1(128);
         assert!(rows.iter().all(|r| r.verified.is_none()));
         // But the closed forms are still present.
-        assert!(rows.iter().any(|r| r.solution == "F2Tree" && r.nodes.is_some()));
+        assert!(rows
+            .iter()
+            .any(|r| r.solution == "F2Tree" && r.nodes.is_some()));
     }
 
     #[test]

@@ -37,7 +37,12 @@ pub fn run_table2(k: u32) -> Vec<Table2Row> {
     let mut routes: Vec<_> = router.fib().routes().collect();
     // The FIB iterator yields (address, length) order; the table reads
     // top-down in lookup order, so sort longest prefixes first.
-    routes.sort_by(|a, b| b.prefix.len().cmp(&a.prefix.len()).then(a.prefix.cmp(&b.prefix)));
+    routes.sort_by(|a, b| {
+        b.prefix
+            .len()
+            .cmp(&a.prefix.len())
+            .then(a.prefix.cmp(&b.prefix))
+    });
     routes
         .into_iter()
         .map(|route| Table2Row {
@@ -88,7 +93,12 @@ pub fn verify_table2_shape(k: u32) -> Result<(), String> {
         .routes()
         .filter(|r| r.origin == RouteOrigin::Static)
         .collect();
-    let expected_racks = bed.topology().pods(dcn_net::Layer::Tor).iter().flatten().count()
+    let expected_racks = bed
+        .topology()
+        .pods(dcn_net::Layer::Tor)
+        .iter()
+        .flatten()
+        .count()
         - bed.topology().downward_links(agg).len();
     if ospf24 < expected_racks {
         return Err(format!(
@@ -96,7 +106,10 @@ pub fn verify_table2_shape(k: u32) -> Result<(), String> {
         ));
     }
     if statics.len() != 2 {
-        return Err(format!("expected 2 static backups, found {}", statics.len()));
+        return Err(format!(
+            "expected 2 static backups, found {}",
+            statics.len()
+        ));
     }
     let mut lens: Vec<u8> = statics.iter().map(|r| r.prefix.len()).collect();
     lens.sort_unstable();
@@ -119,8 +132,7 @@ mod tests {
     #[test]
     fn dump_contains_the_two_backup_rows() {
         let rows = run_table2(6);
-        let statics: Vec<&Table2Row> =
-            rows.iter().filter(|r| r.origin == "static").collect();
+        let statics: Vec<&Table2Row> = rows.iter().filter(|r| r.origin == "static").collect();
         assert_eq!(statics.len(), 2);
         assert!(statics.iter().any(|r| r.destination == "10.11.0.0/16"));
         assert!(statics.iter().any(|r| r.destination == "10.10.0.0/15"));

@@ -125,8 +125,7 @@ mod tests {
             f2.connectivity_loss_us
         );
         // ~78% reduction in loss duration.
-        let reduction =
-            1.0 - f2.connectivity_loss_us as f64 / fat.connectivity_loss_us as f64;
+        let reduction = 1.0 - f2.connectivity_loss_us as f64 / fat.connectivity_loss_us as f64;
         assert!((0.70..=0.85).contains(&reduction), "reduction {reduction}");
 
         // ~75% fewer packets lost.

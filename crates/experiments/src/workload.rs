@@ -111,8 +111,8 @@ pub fn run_workload(design: Design, config: &WorkloadConfig) -> WorkloadResult {
         reason = "WorkloadConfig scales (k=8 class) are valid and addressable; \
                   a bad hand-written config should fail loudly"
     )]
-    let mut bed = TestBed::build(design, config.k, config.hosts_per_tor)
-        .expect("workload testbed builds");
+    let mut bed =
+        TestBed::build(design, config.k, config.hosts_per_tor).expect("workload testbed builds");
     let hosts: Vec<NodeId> = bed.topology().hosts().to_vec();
     let duration = SimDuration::from_secs(config.duration_s);
 
@@ -234,11 +234,7 @@ pub struct Fig6Statistics {
 /// Runs one (design, regime) cell over several seeds and summarizes the
 /// deadline-miss ratio — the honest way to report a random-failure
 /// experiment.
-pub fn run_fig6_statistics(
-    design: Design,
-    base: &WorkloadConfig,
-    seeds: &[u64],
-) -> Fig6Statistics {
+pub fn run_fig6_statistics(design: Design, base: &WorkloadConfig, seeds: &[u64]) -> Fig6Statistics {
     assert!(!seeds.is_empty(), "need at least one seed");
     let ratios: Vec<f64> = seeds
         .iter()

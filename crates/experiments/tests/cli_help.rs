@@ -65,9 +65,15 @@ fn unknown_flags_are_rejected_not_skipped() {
 #[test]
 fn non_numeric_seed_and_campaigns_are_rejected_not_defaulted() {
     let err = rejected(&["chaos", "--seed", "abc", "--campaigns", "x"]);
-    assert!(err.contains("--seed takes a non-negative integer, got 'abc'"), "{err}");
+    assert!(
+        err.contains("--seed takes a non-negative integer, got 'abc'"),
+        "{err}"
+    );
     let err = rejected(&["chaos", "--campaigns", "x"]);
-    assert!(err.contains("--campaigns takes a non-negative integer, got 'x'"), "{err}");
+    assert!(
+        err.contains("--campaigns takes a non-negative integer, got 'x'"),
+        "{err}"
+    );
     let err = rejected(&["chaos", "--seed"]);
     assert!(err.contains("--seed needs a value"), "{err}");
 }
@@ -109,7 +115,11 @@ fn hopeless_typo_points_at_help_instead_of_guessing() {
 fn recovery_alias_lfa_is_accepted_on_a_cheap_target() {
     // table4 is a pure rendering: accepts the flag, runs in milliseconds.
     let out = repro(&["table4", "--recovery", "lfa"]);
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8(out.stdout).expect("utf8 stdout");
     assert!(text.contains("Table IV"), "{text}");
 }
@@ -139,7 +149,10 @@ fn chaos_smoke_is_clean_and_worker_count_invariant() {
             String::from_utf8(out.stdout).expect("utf8 stdout")
         };
         let [few, many] = worker_counts.map(run);
-        assert!(few.contains("violation"), "{mode:?} printed a report:\n{few}");
+        assert!(
+            few.contains("violation"),
+            "{mode:?} printed a report:\n{few}"
+        );
         assert_eq!(few, many, "{mode:?}: worker count changed stdout");
     }
 }

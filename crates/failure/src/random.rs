@@ -60,10 +60,8 @@ impl RandomFailureConfig {
     /// shorter test runs keep the same failure density.
     pub fn scaled_to(mut self, horizon: SimDuration) -> Self {
         let factor = horizon.as_secs_f64() / self.horizon.as_secs_f64();
-        self.time_between = LogNormal::from_mean_sigma(
-            self.time_between.mean() * factor,
-            self.time_between.sigma,
-        );
+        self.time_between =
+            LogNormal::from_mean_sigma(self.time_between.mean() * factor, self.time_between.sigma);
         self.duration =
             LogNormal::from_mean_sigma(self.duration.mean() * factor, self.duration.sigma);
         self.horizon = horizon;

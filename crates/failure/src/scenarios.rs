@@ -188,10 +188,7 @@ pub fn condition_links(
             }
             Ok(links)
         }
-        Condition::C6 => Ok(vec![
-            ctx.link(sx, tor)?,
-            ctx.right_across(sx, condition)?,
-        ]),
+        Condition::C6 => Ok(vec![ctx.link(sx, tor)?, ctx.right_across(sx, condition)?]),
         Condition::C7 => {
             let right = ctx.right_of(sx)?;
             Ok(vec![

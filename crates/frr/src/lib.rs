@@ -261,9 +261,7 @@ impl FailureMap {
     }
 
     /// Every precomputed alternate, in deterministic key order.
-    pub fn alternates(
-        &self,
-    ) -> impl Iterator<Item = (&(NodeId, LinkId, NodeId), &Alternate)> + '_ {
+    pub fn alternates(&self) -> impl Iterator<Item = (&(NodeId, LinkId, NodeId), &Alternate)> + '_ {
         self.alternates.iter()
     }
 
@@ -417,7 +415,14 @@ pub fn compute_failure_map(
                     new
                 }
             };
-            alternates.insert((s, failed, origin), Alternate { next_hops, distance, kind });
+            alternates.insert(
+                (s, failed, origin),
+                Alternate {
+                    next_hops,
+                    distance,
+                    kind,
+                },
+            );
             let routes = repairs.entry(failed).or_default();
             for &prefix in prefixes {
                 let route = Route {
@@ -515,7 +520,13 @@ mod tests {
         let failed = topo.link_between(a0, t0).unwrap();
         let alt = map.alternate(a0, failed, t0).expect("across covers a0");
         assert_eq!(alt.kind, AlternateKind::RemoteLfa);
-        assert_eq!(alt.next_hops, vec![NextHop { node: a1, link: across }]);
+        assert_eq!(
+            alt.next_hops,
+            vec![NextHop {
+                node: a1,
+                link: across
+            }]
+        );
         // And the emitted plan carries it as a ready-to-install delta.
         let plan = map.plan(a0).unwrap();
         let delta = plan.get(&failed).unwrap();
@@ -536,7 +547,9 @@ mod tests {
         }
         let origins = BTreeMap::from([(bt0, vec![prefix])]);
         let map = compute_failure_map(&no_across, &BTreeSet::new(), &origins);
-        assert!(map.alternate(ba0, no_across.link_between(ba0, bt0).unwrap(), bt0).is_none());
+        assert!(map
+            .alternate(ba0, no_across.link_between(ba0, bt0).unwrap(), bt0)
+            .is_none());
         assert!(map.stats().uncovered > 0);
     }
 

@@ -401,7 +401,10 @@ fn a_tor_with_every_uplink_removed_has_no_plan_and_is_no_destination() {
     let map = compute_failure_map(&topo, &passive, &origins);
     assert!(map.plan(tor).is_none());
     assert!(map.alternates().all(|(&(s, _, d), _)| s != tor && d != tor));
-    assert!(map.stats().total() > 0, "the rest of the fabric is still mapped");
+    assert!(
+        map.stats().total() > 0,
+        "the rest of the fabric is still mapped"
+    );
     assert_same_map(&topo, &passive, &origins);
 }
 

@@ -22,12 +22,18 @@ use proptest::prelude::*;
 /// Builds one of the three sampled topology families.
 fn build_topology(family: usize, a: u32, b: u32) -> Topology {
     match family {
-        0 => FatTree::new(4 + 2 * (a % 2)).unwrap().hosts_per_tor(1).build(),
+        0 => FatTree::new(4 + 2 * (a % 2))
+            .unwrap()
+            .hosts_per_tor(1)
+            .build(),
         1 => LeafSpine::new(2 + a % 4, 2 + b % 3)
             .unwrap()
             .hosts_per_leaf(1)
             .build(),
-        _ => Vl2::new(4 + 2 * (a % 2), 4).unwrap().hosts_per_tor(1).build(),
+        _ => Vl2::new(4 + 2 * (a % 2), 4)
+            .unwrap()
+            .hosts_per_tor(1)
+            .build(),
     }
 }
 
@@ -43,9 +49,7 @@ fn switch_origins(topo: &mut Topology) -> BTreeMap<NodeId, Vec<Prefix>> {
 /// Switch-to-switch links (the ones whose failure the map covers).
 fn fabric_links(topo: &Topology) -> Vec<LinkId> {
     topo.links()
-        .filter(|l| {
-            topo.node(l.a()).kind().is_switch() && topo.node(l.b()).kind().is_switch()
-        })
+        .filter(|l| topo.node(l.a()).kind().is_switch() && topo.node(l.b()).kind().is_switch())
         .map(|l| l.id())
         .collect()
 }

@@ -50,8 +50,8 @@ impl CompletionStats {
         if total == 0 {
             return 0.0;
         }
-        let missed = self.completions.iter().filter(|&&d| d > deadline).count() as u64
-            + self.unfinished;
+        let missed =
+            self.completions.iter().filter(|&&d| d > deadline).count() as u64 + self.unfinished;
         missed as f64 / total as f64
     }
 
@@ -101,8 +101,8 @@ impl CompletionStats {
         if total == 0 {
             return 0.0;
         }
-        let longer = self.completions.iter().filter(|&&d| d > threshold).count() as u64
-            + self.unfinished;
+        let longer =
+            self.completions.iter().filter(|&&d| d > threshold).count() as u64 + self.unfinished;
         longer as f64 / total as f64
     }
 }

@@ -51,7 +51,10 @@ impl ThroughputSeries {
             }
         }
         let bin_secs = bin.as_secs_f64();
-        bytes.into_iter().map(|b| b as f64 * 8.0 / bin_secs).collect()
+        bytes
+            .into_iter()
+            .map(|b| b as f64 * 8.0 / bin_secs)
+            .collect()
     }
 
     /// The paper's *duration of throughput collapse*: starting at

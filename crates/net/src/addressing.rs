@@ -41,7 +41,10 @@ impl fmt::Display for AddressingError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             AddressingError::TooManyTors(n) => {
-                write!(f, "{n} ToRs exceed the 256 /24 subnets under the DCN prefix")
+                write!(
+                    f,
+                    "{n} ToRs exceed the 256 /24 subnets under the DCN prefix"
+                )
             }
             AddressingError::TooManySwitches(layer, n) => {
                 write!(f, "{n} {layer} switches exceed the 256 supported")

@@ -90,12 +90,7 @@ impl FatTree {
             let group = PodId::new(g);
             let mut group_cores = Vec::with_capacity(half as usize);
             for c in 0..half {
-                group_cores.push(topo.add_switch(
-                    format!("core-g{g}-c{c}"),
-                    Layer::Core,
-                    group,
-                    c,
-                ));
+                group_cores.push(topo.add_switch(format!("core-g{g}-c{c}"), Layer::Core, group, c));
             }
             cores.push(group_cores);
         }

@@ -53,7 +53,13 @@ pub struct FlowKey {
 
 impl FlowKey {
     /// Creates a flow key.
-    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, src_port: u16, dst_port: u16, proto: Protocol) -> Self {
+    pub fn new(
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        src_port: u16,
+        dst_port: u16,
+        proto: Protocol,
+    ) -> Self {
         FlowKey {
             src,
             dst,

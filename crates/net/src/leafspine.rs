@@ -65,8 +65,7 @@ impl LeafSpine {
 
     /// Builds the topology.
     pub fn build(&self) -> Topology {
-        let ports = (self.leaves + self.spare_spine_ports)
-            .max(self.spines + self.hosts_per_leaf);
+        let ports = (self.leaves + self.spare_spine_ports).max(self.spines + self.hosts_per_leaf);
         let mut topo = Topology::new(
             format!("leaf-spine-{}x{}", self.leaves, self.spines),
             Some(ports),

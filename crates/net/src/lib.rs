@@ -51,10 +51,10 @@ mod topology;
 mod vl2;
 
 pub use addr::{Ipv4Addr, ParseAddrError, Prefix, PrefixError};
-pub use aspen::AspenTree;
 pub use addressing::{
     assign_addresses, AddressPlan, AddressingError, RackSubnet, COVERING_PREFIX, DCN_PREFIX,
 };
+pub use aspen::AspenTree;
 pub use fattree::FatTree;
 pub use flow::{FlowKey, Protocol};
 pub use id::{LinkId, NodeId, PodId};

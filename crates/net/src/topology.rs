@@ -191,7 +191,10 @@ impl Link {
     /// # Panics
     ///
     /// Panics if `node` is not an endpoint of this link.
-    #[expect(clippy::panic, reason = "documented contract: callers pass an endpoint")]
+    #[expect(
+        clippy::panic,
+        reason = "documented contract: callers pass an endpoint"
+    )]
     pub fn other_end(&self, node: NodeId) -> NodeId {
         if node == self.a {
             self.b

@@ -274,7 +274,15 @@ impl Fib {
                     // Ops are absolute, so a patch against a missing
                     // entry upserts (tolerates replayed sequences); its
                     // set arrives sorted and deduplicated.
-                    Err(i) => self.routes.insert(i, Route { prefix, origin, metric, next_hops }),
+                    Err(i) => self.routes.insert(
+                        i,
+                        Route {
+                            prefix,
+                            origin,
+                            metric,
+                            next_hops,
+                        },
+                    ),
                 },
             }
         }
@@ -550,8 +558,9 @@ mod tests {
             .unwrap();
         assert_eq!(h.node, NodeId::new(9));
         // Statics survived.
-        assert!(fib.routes().any(|r| r.origin == RouteOrigin::Static
-            && r.prefix.to_string() == "10.10.0.0/15"));
+        assert!(fib
+            .routes()
+            .any(|r| r.origin == RouteOrigin::Static && r.prefix.to_string() == "10.10.0.0/15"));
     }
 
     #[test]
@@ -670,9 +679,7 @@ mod tests {
             .unwrap();
         assert_eq!(patched.metric, 7);
         assert_eq!(patched.next_hops, vec![hop(9, 1)].into());
-        assert!(!fib
-            .routes()
-            .any(|r| r.prefix.to_string() == "10.11.4.0/24"));
+        assert!(!fib.routes().any(|r| r.prefix.to_string() == "10.11.4.0/24"));
     }
 
     #[test]
@@ -691,8 +698,18 @@ mod tests {
         // applying them leaves exactly the desired OSPF set beside the
         // untouched statics.
         let desired = vec![
-            Route::new("10.11.0.0/24".parse().unwrap(), RouteOrigin::Ospf, 9, vec![hop(9, 1)]),
-            Route::new("10.11.9.0/24".parse().unwrap(), RouteOrigin::Ospf, 2, vec![hop(20, 5)]),
+            Route::new(
+                "10.11.0.0/24".parse().unwrap(),
+                RouteOrigin::Ospf,
+                9,
+                vec![hop(9, 1)],
+            ),
+            Route::new(
+                "10.11.9.0/24".parse().unwrap(),
+                RouteOrigin::Ospf,
+                2,
+                vec![hop(20, 5)],
+            ),
         ];
         let delta = fib.diff_origin(RouteOrigin::Ospf, &by_prefix(desired.clone()));
         assert_eq!(delta.len(), 3);

@@ -44,7 +44,10 @@ pub fn compute_routes(lsdb: &Lsdb, root: NodeId) -> Vec<Route> {
     let tree = SpfTree::build(lsdb, root);
     let listed = tree.listed(lsdb);
     let mut sets = Sets::default();
-    listed.into_iter().map(|want| tree.route(want, &mut sets)).collect()
+    listed
+        .into_iter()
+        .map(|want| tree.route(want, &mut sets))
+        .collect()
 }
 
 /// Runs SPF for `root` and merges its result into `emitted` — the
@@ -132,7 +135,10 @@ impl<'a> Sets<'a> {
                 held.push(Arc::clone(set));
             }
         }
-        Sets { written: Vec::new(), held }
+        Sets {
+            written: Vec::new(),
+            held,
+        }
     }
 
     /// The set `mask` stands for; its members, `hops`, are read on the
@@ -281,7 +287,11 @@ impl SpfTree {
                 let at = lsa.origin.index();
                 let metric = *self.dist.get(at).filter(|d| **d != UNREACHED)?;
                 let mask = self.masks.get(at * self.words..(at + 1) * self.words)?;
-                Some(lsa.prefixes.iter().map(move |&prefix| (prefix, metric, mask)))
+                Some(
+                    lsa.prefixes
+                        .iter()
+                        .map(move |&prefix| (prefix, metric, mask)),
+                )
             })
             .flatten()
             .collect();
@@ -409,7 +419,12 @@ impl SpfTable {
 
 impl fmt::Debug for SpfTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SpfTable({} slots, {} builds)", self.snapshot.len(), self.builds)
+        write!(
+            f,
+            "SpfTable({} slots, {} builds)",
+            self.snapshot.len(),
+            self.builds
+        )
     }
 }
 

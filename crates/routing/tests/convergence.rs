@@ -60,7 +60,12 @@ fn converge(topo: &Topology, routers: &mut HashMap<NodeId, RouterProcess>, dead:
         for lsa in &lsas {
             if lsa.origin != *node {
                 scratch.clear();
-                router.on_lsa(now, lsa.clone(), topo.neighbors(*node).next().unwrap().0, &mut scratch);
+                router.on_lsa(
+                    now,
+                    lsa.clone(),
+                    topo.neighbors(*node).next().unwrap().0,
+                    &mut scratch,
+                );
             }
         }
     }
@@ -69,7 +74,11 @@ fn converge(topo: &Topology, routers: &mut HashMap<NodeId, RouterProcess>, dead:
     for node in &switch_ids {
         let router = routers.get_mut(node).unwrap();
         scratch.clear();
-        router.on_spf_timer(now + SimDuration::from_millis(200), &mut table, &mut scratch);
+        router.on_spf_timer(
+            now + SimDuration::from_millis(200),
+            &mut table,
+            &mut scratch,
+        );
         for action in scratch.drain(..) {
             if let dcn_routing::RouterAction::Install {
                 generation, delta, ..

@@ -105,8 +105,7 @@ mod reference {
                         next_hops,
                     } => {
                         let node = self.node_mut(prefix);
-                        if let Some(existing) =
-                            node.routes.iter_mut().find(|r| r.origin == origin)
+                        if let Some(existing) = node.routes.iter_mut().find(|r| r.origin == origin)
                         {
                             existing.metric = metric;
                             existing.next_hops = next_hops;
@@ -125,7 +124,11 @@ mod reference {
         /// table). Walks the whole trie: it serves the installs that must
         /// supersede whatever is in flight (controller pushes, the FRR
         /// reconcile), not the per-SPF path.
-        pub fn diff_origin(&self, origin: RouteOrigin, desired: &BTreeMap<Prefix, Route>) -> FibDelta {
+        pub fn diff_origin(
+            &self,
+            origin: RouteOrigin,
+            desired: &BTreeMap<Prefix, Route>,
+        ) -> FibDelta {
             let current: BTreeMap<Prefix, &Route> = self
                 .routes()
                 .filter(|r| r.origin == origin)

@@ -67,9 +67,11 @@ fn any_frr_route(bed: &TestBed) -> bool {
         .nodes()
         .filter(|n| n.kind().is_switch())
         .any(|n| {
-            bed.net
-                .router(n.id())
-                .is_some_and(|r| r.fib().routes().any(|route| route.origin == RouteOrigin::Frr))
+            bed.net.router(n.id()).is_some_and(|r| {
+                r.fib()
+                    .routes()
+                    .any(|route| route.origin == RouteOrigin::Frr)
+            })
         })
 }
 

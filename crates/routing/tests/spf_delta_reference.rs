@@ -57,10 +57,16 @@ const EDGES: [(u32, u32, u32); 14] = [
 /// the common case; one /16 covers the /24s (nesting is the FIB's
 /// business, the delta treats it as one more key).
 fn pool() -> Vec<Prefix> {
-    ["10.11.0.0/24", "10.11.1.0/24", "10.11.2.0/24", "10.11.0.0/16", "10.12.0.0/24"]
-        .iter()
-        .map(|p| p.parse().unwrap())
-        .collect()
+    [
+        "10.11.0.0/24",
+        "10.11.1.0/24",
+        "10.11.2.0/24",
+        "10.11.0.0/16",
+        "10.12.0.0/24",
+    ]
+    .iter()
+    .map(|p| p.parse().unwrap())
+    .collect()
 }
 
 fn interfaces_of(node: u32) -> Vec<Adjacency> {
@@ -167,7 +173,8 @@ impl Harness {
         }
         self.now += SimDuration::from_millis(250);
         let mut actions = Vec::new();
-        self.router.on_spf_timer(self.now, &mut self.spf, &mut actions);
+        self.router
+            .on_spf_timer(self.now, &mut self.spf, &mut actions);
         let [RouterAction::Install {
             generation, delta, ..
         }] = &actions[..]
@@ -186,7 +193,8 @@ impl Harness {
 
     fn lsa(&mut self, lsa: Arc<Lsa>) {
         let mut actions = Vec::new();
-        self.router.on_lsa(self.now, lsa, LinkId::new(0), &mut actions);
+        self.router
+            .on_lsa(self.now, lsa, LinkId::new(0), &mut actions);
     }
 
     fn random_step(&mut self, rng: &mut TestRng) {
@@ -202,7 +210,8 @@ impl Harness {
                 let link = LinkId::new(rng.next_below(4) as u32);
                 let up = rng.next_below(2) == 0;
                 let mut actions = Vec::new();
-                self.router.on_link_detected(self.now, link, up, &mut actions);
+                self.router
+                    .on_link_detected(self.now, link, up, &mut actions);
             }
             7 | 8 => {
                 self.spf();
@@ -272,8 +281,10 @@ fn the_random_walk_emits_every_kind_of_op() {
         }
         harness.spf();
     }
-    assert!(removes > 50 && patches > 50 && inserts > 50 && mixed > 0,
-        "{removes} removes, {patches} patches, {inserts} inserts, {mixed} mixed");
+    assert!(
+        removes > 50 && patches > 50 && inserts > 50 && mixed > 0,
+        "{removes} removes, {patches} patches, {inserts} inserts, {mixed} mixed"
+    );
 }
 
 /// Two LSAs advertise one prefix: the table keeps the later origin's
@@ -302,7 +313,10 @@ fn of_two_origins_advertising_one_prefix_the_later_wins() {
     harness.lsa(lsa(1, 11, vec![shared]));
     harness.lsa(lsa(6, 11, vec![shared, shared]));
     harness.spf();
-    assert_eq!(harness.table[&shared].metric, 3, "node 6 stands later in the LSDB");
+    assert_eq!(
+        harness.table[&shared].metric, 3,
+        "node 6 stands later in the LSDB"
+    );
 
     // Node 6 drops off the graph: the prefix falls back to node 1 — a
     // patch, not a remove + insert.

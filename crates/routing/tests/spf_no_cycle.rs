@@ -47,7 +47,11 @@ fn has_cycle(edges: &BTreeMap<NodeId, Vec<NodeId>>) -> bool {
     const GRAY: u8 = 1;
     const BLACK: u8 = 2;
     let mut color: BTreeMap<NodeId, u8> = edges.keys().map(|&n| (n, WHITE)).collect();
-    fn visit(n: NodeId, edges: &BTreeMap<NodeId, Vec<NodeId>>, color: &mut BTreeMap<NodeId, u8>) -> bool {
+    fn visit(
+        n: NodeId,
+        edges: &BTreeMap<NodeId, Vec<NodeId>>,
+        color: &mut BTreeMap<NodeId, u8>,
+    ) -> bool {
         color.insert(n, GRAY);
         for &next in edges.get(&n).map(Vec::as_slice).unwrap_or(&[]) {
             match color.get(&next).copied().unwrap_or(WHITE) {

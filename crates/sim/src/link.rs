@@ -48,7 +48,9 @@ impl LinkSpec {
 
     /// Serialization time for a packet of `bytes` bytes.
     pub fn tx_time(&self, bytes: u32) -> SimDuration {
-        SimDuration::from_nanos((bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bandwidth_bps)
+        SimDuration::from_nanos(
+            (bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bandwidth_bps,
+        )
     }
 }
 

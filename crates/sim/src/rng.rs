@@ -23,8 +23,8 @@ use std::fmt;
 ///
 /// `stream + 1` keeps stream 0 distinct from the master seed itself.
 fn mix_stream(master_seed: u64, stream: u64) -> u64 {
-    let mut z = master_seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
+    let mut z =
+        master_seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(stream.wrapping_add(1)));
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

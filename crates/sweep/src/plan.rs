@@ -2,8 +2,8 @@
 
 use dcn_sim::SimRng;
 
-use crate::workers::Workers;
 use crate::pool;
+use crate::workers::Workers;
 
 /// Builder for a sweep: what to run (the cells), under which master seed,
 /// on how many workers.

@@ -54,11 +54,7 @@ where
 
 /// One worker's claim loop: grab the next unclaimed cell index, run it,
 /// keep the result local.
-fn run_span<C, R, F>(
-    plan: &RunPlan<C>,
-    run_cell: &F,
-    cursor: &AtomicUsize,
-) -> Vec<(usize, R)>
+fn run_span<C, R, F>(plan: &RunPlan<C>, run_cell: &F, cursor: &AtomicUsize) -> Vec<(usize, R)>
 where
     C: Sync,
     F: Fn(&mut CellCtx<'_, C>) -> R + Sync,

@@ -30,9 +30,7 @@ impl Workers {
     pub fn auto() -> Workers {
         match Self::from_env() {
             Some(w) => w,
-            None => Workers(
-                std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
-            ),
+            None => Workers(std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)),
         }
     }
 

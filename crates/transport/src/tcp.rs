@@ -317,7 +317,8 @@ impl TcpSender {
             self.segments.remove(&seq);
         }
 
-        let was_cwnd_limited = (self.snd_nxt - self.snd_una) as f64 >= self.cwnd - self.config.mss as f64;
+        let was_cwnd_limited =
+            (self.snd_nxt - self.snd_una) as f64 >= self.cwnd - self.config.mss as f64;
         self.snd_una = ack;
         self.dupacks = 0;
         self.rto = self.rto_base; // successful delivery resets backoff
@@ -794,21 +795,53 @@ mod tests {
         let mut rx = TcpReceiver::new();
         let t = ms(1);
         assert_eq!(
-            rx.on_segment(t, TcpSegment { seq: 1448, len: 1448, retransmit: false }).ack,
+            rx.on_segment(
+                t,
+                TcpSegment {
+                    seq: 1448,
+                    len: 1448,
+                    retransmit: false
+                }
+            )
+            .ack,
             0
         );
         assert_eq!(
-            rx.on_segment(t, TcpSegment { seq: 4344, len: 1448, retransmit: false }).ack,
+            rx.on_segment(
+                t,
+                TcpSegment {
+                    seq: 4344,
+                    len: 1448,
+                    retransmit: false
+                }
+            )
+            .ack,
             0
         );
         // Filling the first hole advances past the buffered 1448..2896.
         assert_eq!(
-            rx.on_segment(t, TcpSegment { seq: 0, len: 1448, retransmit: false }).ack,
+            rx.on_segment(
+                t,
+                TcpSegment {
+                    seq: 0,
+                    len: 1448,
+                    retransmit: false
+                }
+            )
+            .ack,
             2896
         );
         // Filling the second hole drains the rest.
         assert_eq!(
-            rx.on_segment(t, TcpSegment { seq: 2896, len: 1448, retransmit: false }).ack,
+            rx.on_segment(
+                t,
+                TcpSegment {
+                    seq: 2896,
+                    len: 1448,
+                    retransmit: false
+                }
+            )
+            .ack,
             5792
         );
         assert_eq!(rx.delivered(), 5792);

@@ -167,8 +167,8 @@ pub fn generate_background(
                 break d;
             }
         };
-        let bytes = (rng.gen_lognormal(config.size) as u64)
-            .clamp(config.min_bytes, config.max_bytes);
+        let bytes =
+            (rng.gen_lognormal(config.size) as u64).clamp(config.min_bytes, config.max_bytes);
         flows.push(BackgroundFlow {
             id,
             start: now,

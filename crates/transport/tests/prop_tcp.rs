@@ -76,7 +76,11 @@ fn run_lossy(bytes: u64, loss: &[bool]) -> (u64, u64, bool) {
             None => break,
         }
     }
-    (rx.delivered(), tx.retransmits(), completed || tx.is_complete())
+    (
+        rx.delivered(),
+        tx.retransmits(),
+        completed || tx.is_complete(),
+    )
 }
 
 proptest! {

@@ -62,10 +62,7 @@ impl Allowlist {
                     message: format!("expected `\"path\" = count`, got: {line}"),
                 });
             };
-            let path = key
-                .trim()
-                .trim_matches('"')
-                .to_string();
+            let path = key.trim().trim_matches('"').to_string();
             let count: usize = value.trim().parse().map_err(|_| ParseError {
                 line: lineno,
                 message: format!("count is not a number: {}", value.trim()),

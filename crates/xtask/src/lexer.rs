@@ -160,8 +160,8 @@ pub fn lex(source: &str) -> Lexed {
                 // Lifetime (`'a`) vs char literal (`'a'`, `'\n'`).
                 let next = chars.get(i + 1).copied();
                 let after = chars.get(i + 2).copied();
-                let is_lifetime = matches!(next, Some(n) if n == '_' || n.is_alphabetic())
-                    && after != Some('\'');
+                let is_lifetime =
+                    matches!(next, Some(n) if n == '_' || n.is_alphabetic()) && after != Some('\'');
                 if is_lifetime {
                     i += 1; // consume the quote; the ident lexes next round
                 } else {
@@ -180,7 +180,12 @@ pub fn lex(source: &str) -> Lexed {
                     i += 1;
                 }
                 let raw: String = chars[start..i].iter().collect();
-                push(&mut out.tokens, &table, start, TokenKind::Int(parse_int(&raw), raw));
+                push(
+                    &mut out.tokens,
+                    &table,
+                    start,
+                    TokenKind::Int(parse_int(&raw), raw),
+                );
             }
             c if c == '_' || c.is_alphabetic() => {
                 i = lex_ident(&chars, i, &table, &mut out.tokens);
@@ -246,7 +251,9 @@ fn classify_rb(chars: &[char], i: usize) -> RbForm {
     match chars.get(j) {
         Some('"') => RbForm::RawString { hashes },
         // `r#ident` — exactly one hash then an ident start.
-        Some(&c) if hashes == 1 && chars.get(i) == Some(&'r') && (c == '_' || c.is_alphabetic()) => {
+        Some(&c)
+            if hashes == 1 && chars.get(i) == Some(&'r') && (c == '_' || c.is_alphabetic()) =>
+        {
             RbForm::RawIdent
         }
         _ => RbForm::Plain,

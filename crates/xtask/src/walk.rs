@@ -33,11 +33,8 @@ pub fn workspace_rs_files(root: &Path) -> Result<Vec<PathBuf>, String> {
 }
 
 fn visit(root: &Path, dir: &Path, files: &mut Vec<PathBuf>) -> Result<(), String> {
-    let entries =
-        std::fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
-    let mut entries: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .collect();
+    let entries = std::fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
+    let mut entries: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
     entries.sort();
     for path in entries {
         if path.is_dir() {

@@ -20,7 +20,10 @@ fn main() {
     println!("2) Unidirectional agg->ToR failure\n");
     for design in [Design::FatTree, Design::F2Tree] {
         let r = run_unidirectional(design);
-        println!("   {design}: connectivity loss {}us", r.connectivity_loss_us);
+        println!(
+            "   {design}: connectivity loss {}us",
+            r.connectivity_loss_us
+        );
     }
     println!();
 

@@ -67,7 +67,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "fast-reroute delay: {} (baseline {})",
         report
             .delay
-            .mean_in(fail_at + SimDuration::from_millis(80), fail_at + SimDuration::from_millis(200))
+            .mean_in(
+                fail_at + SimDuration::from_millis(80),
+                fail_at + SimDuration::from_millis(200)
+            )
             .expect("rerouted traffic flows"),
         report
             .delay
@@ -80,10 +83,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    operator would paste onto the rerouting switch.
     let agg = path[path.len() - 3];
     let backups = f2tree::network_backup_routes(&F2TreeNetwork::build_with_hosts(4, 1)?);
-    let block = backups.iter().find(|(owner, _)| {
-        net.topology().node(*owner).name() == net.topology().node(agg).name()
-    });
-    println!("\n--- {} configuration ---", net.topology().node(agg).name());
+    let block = backups
+        .iter()
+        .find(|(owner, _)| net.topology().node(*owner).name() == net.topology().node(agg).name());
+    println!(
+        "\n--- {} configuration ---",
+        net.topology().node(agg).name()
+    );
     print!(
         "{}",
         f2tree::quagga::switch_config(net.topology(), net.plan(), agg, block)

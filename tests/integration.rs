@@ -104,7 +104,10 @@ fn structural_and_behavioural_backup_counts_agree() {
             .link_between(pair[0], pair[1])
             .is_some_and(|l| bed.net.topology().link(l).class() == LinkClass::Across)
     });
-    assert!(uses_across, "fast reroute path uses an across link: {path:?}");
+    assert!(
+        uses_across,
+        "fast reroute path uses an across link: {path:?}"
+    );
 }
 
 #[test]

@@ -63,7 +63,11 @@ fn c1_reroutes_one_hop_rightward() {
     let (right, _) = ring_neighbors(&d);
     let path = d.bed.net.trace_path(d.probe);
     let sx_pos = path.iter().position(|&n| n == d.sx).expect("path via Sx");
-    assert_eq!(path[sx_pos + 1], right, "Sx hands off to its right neighbor");
+    assert_eq!(
+        path[sx_pos + 1],
+        right,
+        "Sx hands off to its right neighbor"
+    );
     assert_eq!(path[sx_pos + 2], d.dest_tor, "which delivers directly");
 }
 
