@@ -3,6 +3,9 @@
 #
 #   ./ci.sh
 #
+# 0. `cargo fmt --all -- --check`: every workspace crate and the path
+#    crates it builds from are rustfmt-clean (bench/ is its own
+#    workspace and is not checked),
 # 1. release build of every workspace member (warnings from the
 #    [workspace.lints] table are part of the build),
 # 2. the whole test suite (unit + integration + property + doc tests) —
@@ -34,6 +37,9 @@
 set -eu
 
 cd "$(dirname "$0")"
+
+echo "==> cargo fmt --all -- --check"
+cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release

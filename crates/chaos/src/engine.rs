@@ -21,7 +21,7 @@ use dcn_metrics::quality::QualityReport;
 use crate::campaign::{generate_scenario, CampaignConfig};
 use crate::oracle::{
     blackhole_bound, fib_spf_divergence, flood_graph_connected, routably_connected, same_lsdb,
-    walk, Violation, ViolationKind, WalkOutcome,
+    Trail, Violation, ViolationKind, WalkOutcome,
 };
 use crate::quality::QualityTrace;
 use crate::scenario::{design_token, ScenarioSpec};
@@ -245,6 +245,11 @@ struct Monitor {
     src: NodeId,
     dst: NodeId,
     window: Option<Window>,
+    /// The last walk, reused while nothing on it changes.
+    trail: Trail,
+    /// Whether the pair is cut apart in the dynamic-routing graph, once
+    /// asked at the current link state.
+    cut: Option<bool>,
 }
 
 /// An interval during which a monitor's walk has not reached its
@@ -266,6 +271,9 @@ struct Oracles<'a> {
     transfers: Vec<FlowId>,
     /// No epoch so far has seen the flood graph partitioned.
     flood_ok: bool,
+    /// Every link's up state at the last epoch: the flood graph and the
+    /// monitors' cuts read nothing else.
+    links_up: Vec<bool>,
     verdict: Verdict<'a>,
 }
 
@@ -298,6 +306,8 @@ impl<'a> Oracles<'a> {
                 src,
                 dst,
                 window: None,
+                trail: Trail::default(),
+                cut: None,
             })
             .collect();
         let first_fail = phys_events.first().copied().unwrap_or(SimTime::ZERO);
@@ -317,6 +327,7 @@ impl<'a> Oracles<'a> {
             monitors,
             transfers,
             flood_ok: true,
+            links_up: Vec::new(),
             verdict: Verdict {
                 cfg,
                 phys_events,
@@ -330,8 +341,17 @@ impl<'a> Oracles<'a> {
     /// monitors, the flood graph and TCP conservation.
     fn epoch(&mut self, net: &Network, now: SimTime) {
         self.verdict.stats.epochs_checked += 1;
+        let up = || {
+            net.topology()
+                .links()
+                .map(|l| net.link_state(l.id()).is_up())
+        };
+        if self.links_up.is_empty() || !self.links_up.iter().copied().eq(up()) {
+            self.links_up = up().collect();
+            self.monitors.iter_mut().for_each(|m| m.cut = None);
+            self.flood_ok = self.flood_ok && flood_graph_connected(net, &self.switches);
+        }
         self.walk_monitors(net, now, false);
-        self.flood_ok = self.flood_ok && flood_graph_connected(net, &self.switches);
         self.check_tcp_conservation(net, now);
     }
 
@@ -385,10 +405,8 @@ impl<'a> Oracles<'a> {
             .filter_map(|&n| Some(net.router(n)?.throttle().hold()))
             .max()
             .unwrap_or_default();
-        // A pair's monitors sit next to each other and share one answer.
-        let mut cut: Option<((NodeId, NodeId), bool)> = None;
         for m in &mut self.monitors {
-            let outcome = walk(net, &m.key, m.src, m.dst);
+            let outcome = m.trail.walk(net, &m.key, m.src, m.dst);
             let looped = matches!(outcome, WalkOutcome::Loop(_));
             if outcome.is_reached() {
                 if let Some(w) = m.window.take() {
@@ -408,11 +426,9 @@ impl<'a> Oracles<'a> {
                 self.verdict.stats.excused_windows += 1;
             } else {
                 self.verdict.stats.loop_epochs += u64::from(looped);
-                let pair = (m.src, m.dst);
-                if cut.is_none_or(|(seen, _)| seen != pair) {
-                    cut = Some((pair, !routably_connected(net, m.src, m.dst)));
-                }
-                let excused = cut.is_some_and(|(_, excused)| excused);
+                let excused = *m
+                    .cut
+                    .get_or_insert_with(|| !routably_connected(net, m.src, m.dst));
                 let w = m.window.get_or_insert(Window {
                     start: now,
                     excused,

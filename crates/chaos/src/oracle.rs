@@ -115,35 +115,81 @@ impl WalkOutcome {
 /// FIB + locally-detected-dead set *and* physical link liveness (an
 /// undetected failure still drops packets in flight).
 pub fn walk(net: &Network, key: &FlowKey, src: NodeId, dst: NodeId) -> WalkOutcome {
-    let topo = net.topology();
-    let Some((uplink, tor)) = topo.neighbors(src).next() else {
-        return WalkOutcome::NoRoute(src);
-    };
-    if !net.link_state(uplink).is_up() {
-        return WalkOutcome::DeadLink(uplink);
+    Trail::default().trace(net, key, src, dst)
+}
+
+/// What one [`walk`] read: each router it consulted with that router's
+/// [`forwarding_version`](dcn_routing::RouterProcess::forwarding_version),
+/// each link with its up state, and where it ended. Nothing else a walk
+/// reads changes during a run, so while every entry reads the same, a new
+/// walk would retrace the same hops to the same outcome.
+#[derive(Default)]
+pub(crate) struct Trail {
+    routers: Vec<(NodeId, u64)>,
+    links: Vec<(LinkId, bool)>,
+    outcome: Option<WalkOutcome>,
+}
+
+impl Trail {
+    /// [`walk`]: the last walk's outcome while its trail holds, else a new
+    /// walk, recorded.
+    pub fn walk(&mut self, net: &Network, key: &FlowKey, src: NodeId, dst: NodeId) -> WalkOutcome {
+        let version = |node| net.router(node).map(|r| r.forwarding_version());
+        let up = |link| net.link_state(link).is_up();
+        let holds = self.routers.iter().all(|&(n, v)| version(n) == Some(v))
+            && self.links.iter().all(|&(link, was)| up(link) == was);
+        match self.outcome {
+            Some(outcome) if holds => {
+                debug_assert_eq!(outcome, walk(net, key, src, dst), "stale walk of {key:?}");
+                outcome
+            }
+            _ => self.trace(net, key, src, dst),
+        }
     }
-    let mut visited = vec![false; topo.node_slots()];
-    visited[src.index()] = true;
-    let mut current = tor;
-    loop {
-        if current == dst {
-            return WalkOutcome::Reached;
-        }
-        if visited[current.index()] {
-            return WalkOutcome::Loop(current);
-        }
-        visited[current.index()] = true;
-        let Some(router) = net.router(current) else {
-            // A non-switch mid-path that is not the destination.
-            return WalkOutcome::NoRoute(current);
+
+    /// Walks afresh, recording the trail. The routers on it, plus `src`,
+    /// are the nodes visited so far: they are the loop check too.
+    fn trace(&mut self, net: &Network, key: &FlowKey, src: NodeId, dst: NodeId) -> WalkOutcome {
+        self.routers.clear();
+        self.links.clear();
+        let outcome = 'walk: {
+            let Some((uplink, tor)) = net.topology().neighbors(src).next() else {
+                break 'walk WalkOutcome::NoRoute(src);
+            };
+            if !self.link_up(net, uplink) {
+                break 'walk WalkOutcome::DeadLink(uplink);
+            }
+            let mut current = tor;
+            loop {
+                if current == dst {
+                    break 'walk WalkOutcome::Reached;
+                }
+                if current == src || self.routers.iter().any(|&(node, _)| node == current) {
+                    break 'walk WalkOutcome::Loop(current);
+                }
+                let Some(router) = net.router(current) else {
+                    // A non-switch mid-path that is not the destination.
+                    break 'walk WalkOutcome::NoRoute(current);
+                };
+                self.routers.push((current, router.forwarding_version()));
+                let Some(hop) = router.forward(key) else {
+                    break 'walk WalkOutcome::NoRoute(current);
+                };
+                if !self.link_up(net, hop.link) {
+                    break 'walk WalkOutcome::DeadLink(hop.link);
+                }
+                current = hop.node;
+            }
         };
-        let Some(hop) = router.forward(key) else {
-            return WalkOutcome::NoRoute(current);
-        };
-        if !net.link_state(hop.link).is_up() {
-            return WalkOutcome::DeadLink(hop.link);
-        }
-        current = hop.node;
+        self.outcome = Some(outcome);
+        outcome
+    }
+
+    /// Whether `link` is up, recorded.
+    fn link_up(&mut self, net: &Network, link: LinkId) -> bool {
+        let up = net.link_state(link).is_up();
+        self.links.push((link, up));
+        up
     }
 }
 

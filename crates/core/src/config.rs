@@ -58,13 +58,21 @@ pub fn ring_backup_routes(ring: &PodRing) -> Vec<SwitchBackup> {
 
 /// Generates the full backup configuration for an F²Tree network: the
 /// static routes of every aggregation and core switch (on the paper's
-/// design, Table II's last two rows, replicated everywhere).
+/// design, Table II's last two rows, replicated everywhere). A ring member
+/// or across link since removed from the topology gets no route: a
+/// damaged fabric keeps the backups it still has.
 pub fn network_backup_routes(network: &F2TreeNetwork) -> Vec<SwitchBackup> {
+    let topo = &network.topology;
     network
         .agg_rings
         .iter()
         .chain(network.core_rings.iter())
         .flat_map(ring_backup_routes)
+        .filter(|&(member, _)| !topo.node(member).is_removed())
+        .map(|(member, mut routes)| {
+            routes.retain(|r| r.next_hops.iter().all(|h| !topo.link(h.link).is_removed()));
+            (member, routes)
+        })
         .collect()
 }
 
@@ -86,6 +94,28 @@ mod tests {
                 assert_eq!(route.origin, RouteOrigin::Static);
                 assert_eq!(route.next_hops.len(), 1);
             }
+        }
+    }
+
+    #[test]
+    fn removed_members_and_across_links_get_no_backup() {
+        let mut net = F2TreeNetwork::build(8).unwrap();
+        let ring = net.agg_rings[0].clone();
+        let (member, (_, across)) = (ring.members[0], ring.right(ring.members[1], 1).unwrap());
+        net.topology.remove_node(member).unwrap();
+        net.topology.remove_link(across).unwrap();
+        let backups = network_backup_routes(&net);
+        let routes = backups.iter().flat_map(|(_, rs)| rs);
+        // The removed member's two routes, the right route of its left
+        // neighbour, and the left route of its right neighbour (both over
+        // its removed links), and one route at each end of `across`.
+        let intact = network_backup_routes(&F2TreeNetwork::build(8).unwrap());
+        let count = |b: &[SwitchBackup]| b.iter().map(|(_, rs)| rs.len()).sum::<usize>();
+        assert_eq!(count(&intact) - count(&backups), 6);
+        assert!(backups.iter().all(|&(node, _)| node != member));
+        for route in routes {
+            let hop = route.next_hops[0];
+            assert!(!net.topology.link(hop.link).is_removed(), "{route:?}");
         }
     }
 

@@ -341,6 +341,8 @@ pub struct Network {
     /// Reusable buffer router handlers append [`RouterAction`]s into, so
     /// per-event dispatch doesn't heap-allocate on the hot path.
     action_scratch: Vec<RouterAction>,
+    /// The same for the [`TcpSenderOutput`]s a sender appends.
+    tcp_scratch: Vec<TcpSenderOutput>,
     /// The SPF distances every router's run reads (DESIGN.md §10.1).
     spf_table: SpfTable,
     /// Bumped whenever forwarding-relevant state may have changed (a
@@ -466,6 +468,7 @@ impl Network {
             recompute_pending: false,
             flood_scratch: Vec::new(),
             action_scratch: Vec::new(),
+            tcp_scratch: Vec::new(),
             spf_table,
             fib_epoch: 0,
         })
@@ -896,7 +899,7 @@ impl Network {
             }
             Event::UdpTick { flow } => self.on_udp_tick(now, flow),
             Event::TcpStart { flow } => self.on_tcp_start(now, flow),
-            Event::TcpPace { flow } => self.on_tcp_event(now, flow, |s| s.on_pace(now)),
+            Event::TcpPace { flow } => self.on_tcp_event(now, flow, |s, o| s.on_pace_into(now, o)),
             Event::TcpRto { flow } => self.on_rto_entry(now, flow, key),
             Event::ControllerRecompute => self.on_controller_recompute(now),
             Event::ControllerInstall(install) => {
@@ -1259,7 +1262,7 @@ impl Network {
                 }
             }
             Payload::TcpAckSeg { flow, ack } => {
-                self.on_tcp_event(now, flow, |s| s.on_ack(now, ack));
+                self.on_tcp_event(now, flow, |s, o| s.on_ack_into(now, ack, o));
             }
             Payload::Lsa(_) => {
                 // Hosts do not run the routing protocol; stray LSAs are
@@ -1311,7 +1314,7 @@ impl Network {
                 tcp.ends = TcpEnds::Open(Box::new((sender, TcpReceiver::new())));
             }
         }
-        self.on_tcp_event(now, flow, |s| s.on_start(now));
+        self.on_tcp_event(now, flow, |s, o| s.on_start_into(now, o));
     }
 
     /// Feeds an event to the sender of TCP flow `flow` and acts on what it
@@ -1319,20 +1322,22 @@ impl Network {
     /// running.
     fn on_tcp_event<F>(&mut self, now: SimTime, flow: FlowId, event: F)
     where
-        F: FnOnce(&mut TcpSender) -> Vec<TcpSenderOutput>,
+        F: FnOnce(&mut TcpSender, &mut Vec<TcpSenderOutput>),
     {
         if let Some(TcpEnds::Open(ends)) = tcp_of(&mut self.flows, flow).map(|tcp| &mut tcp.ends) {
-            let outputs = event(&mut ends.0);
-            self.handle_tcp_outputs(now, flow, outputs);
+            event(&mut ends.0, &mut self.tcp_scratch);
+            self.handle_tcp_outputs(now, flow);
         }
     }
 
-    fn handle_tcp_outputs(&mut self, now: SimTime, flow: FlowId, outputs: Vec<TcpSenderOutput>) {
+    /// Realizes (and drains) the outputs the sender left in `tcp_scratch`.
+    fn handle_tcp_outputs(&mut self, now: SimTime, flow: FlowId) {
+        let mut outputs = std::mem::take(&mut self.tcp_scratch);
         let Some(state) = record(&mut self.flows, flow) else {
             return;
         };
         let (key, src) = (state.key, state.src);
-        for output in outputs {
+        for output in outputs.drain(..) {
             match output {
                 TcpSenderOutput::Send(seg) => {
                     let size = seg.len + HEADER_BYTES;
@@ -1356,6 +1361,7 @@ impl Network {
                 }
             }
         }
+        self.tcp_scratch = outputs;
     }
 
     /// Realizes an `ArmRto` without queueing one entry per ACK. The key is
@@ -1389,10 +1395,8 @@ impl Network {
         };
         if tcp.rto.deadline == key {
             tcp.rto.queued = None;
-            if let TcpEnds::Open(ends) = &mut tcp.ends {
-                let outputs = ends.0.on_rto(now, tcp.rto.token);
-                self.handle_tcp_outputs(now, flow, outputs);
-            }
+            let token = tcp.rto.token;
+            self.on_tcp_event(now, flow, |s, o| s.on_rto_into(now, token, o));
             self.settle(flow);
         } else {
             let key = tcp.rto.deadline;

@@ -122,6 +122,8 @@ pub struct RouterProcess {
     /// Precomputed per-link repair deltas (empty unless one was handed in
     /// — see [`Self::set_frr_plan`]).
     frr_plan: FrrPlan,
+    /// [`Self::forwarding_version`].
+    version: u64,
 }
 
 impl RouterProcess {
@@ -148,6 +150,7 @@ impl RouterProcess {
             installed_gen: 0,
             my_prefixes,
             frr_plan: FrrPlan::new(),
+            version: 0,
         }
     }
 
@@ -164,6 +167,13 @@ impl RouterProcess {
     /// Read access to the LSDB.
     pub fn lsdb(&self) -> &Lsdb {
         &self.lsdb
+    }
+
+    /// Advances whenever an answer of [`Self::forward`] or [`Self::live_hops`]
+    /// may change: a non-empty FIB delta lands (FRR repairs retired too),
+    /// the dead set changes, or a route is installed directly.
+    pub fn forwarding_version(&self) -> u64 {
+        self.version
     }
 
     /// Read access to the SPF throttle (hold-time observability).
@@ -224,6 +234,7 @@ impl RouterProcess {
             "OSPF routes must go through SPF"
         );
         self.fib.insert(route);
+        self.version += 1;
     }
 
     /// The router's own LSA at the current sequence number.
@@ -252,7 +263,7 @@ impl RouterProcess {
             self.lsdb.install(lsa);
         }
         let delta = emit_delta(&self.lsdb, self.node, table, &mut self.emitted);
-        self.fib.apply(delta);
+        self.apply(delta);
     }
 
     // ------------------------------------------------------------------
@@ -278,6 +289,7 @@ impl RouterProcess {
         if !changed {
             return;
         }
+        self.version += 1;
         if self.passive.contains(&link) {
             // Passive interfaces are invisible to OSPF: the dead-set
             // update (which drives fast-reroute fall-through) is all that
@@ -367,7 +379,7 @@ impl RouterProcess {
         let desired = by_prefix(routes);
         let delta = self.fib.diff_origin(RouteOrigin::Ospf, &desired);
         self.emitted = desired.into_values().collect();
-        self.fib.apply(delta);
+        self.apply(delta);
     }
 
     /// The scheduled FIB install completed: apply the delta. Deltas
@@ -386,10 +398,18 @@ impl RouterProcess {
         }
         self.installed_gen = generation;
         let reconcile = !self.frr_plan.is_empty() && delta.origin == RouteOrigin::Ospf;
-        self.fib.apply(delta);
+        self.apply(delta);
         if reconcile {
             let retire = self.fib.diff_origin(RouteOrigin::Frr, &BTreeMap::new());
-            self.fib.apply(retire);
+            self.apply(retire);
+        }
+    }
+
+    /// Applies `delta`; only a non-empty one advances the version.
+    fn apply(&mut self, delta: FibDelta) {
+        if !delta.is_empty() {
+            self.version += 1;
+            self.fib.apply(delta);
         }
     }
 
@@ -847,6 +867,66 @@ mod tests {
         // The OSPF install touched OSPF routes only.
         assert!(routers[0].fib().routes().any(|r| *r == backup));
         assert_eq!(routers[0].forward(&flow()).unwrap().node, NodeId::new(2));
+    }
+
+    #[test]
+    fn forwarding_version_advances_exactly_when_forwarding_may_change() {
+        let mut routers = diamond();
+        let r = &mut routers[0];
+        let t0 = SimTime::ZERO;
+        let mut scratch = Vec::new();
+        let mut last = r.forwarding_version();
+        let mut advanced = |r: &RouterProcess| {
+            let moved = r.forwarding_version() != last;
+            last = r.forwarding_version();
+            moved
+        };
+        // An LSA of an unreachable router: it triggers SPF runs that change
+        // no route.
+        let stray = |seq| {
+            Arc::new(Lsa {
+                origin: NodeId::new(9),
+                seq,
+                neighbors: vec![],
+                prefixes: vec![],
+            })
+        };
+        r.on_lsa(t0, stray(5), LinkId::new(1), &mut scratch);
+        assert!(!advanced(r), "an LSA alone changes no lookup");
+        r.on_link_detected(t0, LinkId::new(0), false, &mut scratch);
+        assert!(advanced(r), "the dead set changed");
+        r.on_link_detected(t0, LinkId::new(0), false, &mut scratch);
+        assert!(!advanced(r), "a repeated detection changes nothing");
+        let install = |actions: Vec<RouterAction>| match actions.into_iter().next() {
+            Some(RouterAction::Install {
+                generation, delta, ..
+            }) => (generation, delta),
+            other => panic!("expected an install, got {other:?}"),
+        };
+        let (g1, d1) = install(spf_run(r, t0 + SimDuration::from_millis(200)));
+        assert!(!advanced(r), "an SPF run installs nothing yet");
+        assert!(!d1.is_empty());
+        r.on_install(g1, d1.clone());
+        assert!(advanced(r), "a delta landed");
+        r.on_install(g1, d1);
+        assert!(!advanced(r), "a replay is dropped");
+        r.on_lsa(t0, stray(6), LinkId::new(1), &mut scratch);
+        let (g2, d2) = install(spf_run(r, t0 + SimDuration::from_millis(400)));
+        assert!(d2.is_empty());
+        r.on_install(g2, d2);
+        assert!(!advanced(r), "an empty delta changes no lookup");
+        r.install_permanent(Route::new(
+            "10.0.0.0/8".parse().unwrap(),
+            RouteOrigin::Static,
+            1,
+            vec![NextHop {
+                node: NodeId::new(2),
+                link: LinkId::new(1),
+            }],
+        ));
+        assert!(advanced(r), "a static route went in");
+        r.force_install(Vec::new());
+        assert!(advanced(r), "the controller withdrew every OSPF route");
     }
 
     #[test]

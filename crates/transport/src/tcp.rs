@@ -20,7 +20,7 @@
 //! (flows start in established state, as the paper's long-lived testbed
 //! flows effectively do), SACK, and delayed ACKs.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use dcn_net::FlowKey;
@@ -129,6 +129,43 @@ struct SentInfo {
     retransmitted: bool,
 }
 
+/// The sender's record of transmitted segments, sorted by sequence number:
+/// sends extend the back and ACKs trim the front, so once grown to the
+/// window the ring buffer allocates no more.
+#[derive(Default)]
+struct SegmentBook(VecDeque<(u64, SentInfo)>);
+
+impl SegmentBook {
+    fn get(&self, seq: u64) -> Option<&SentInfo> {
+        let i = self.0.binary_search_by_key(&seq, |&(s, _)| s).ok()?;
+        self.0.get(i).map(|(_, info)| info)
+    }
+
+    /// Records `info` at `seq`, replacing any entry already there.
+    fn insert(&mut self, seq: u64, info: SentInfo) {
+        match self.0.binary_search_by_key(&seq, |&(s, _)| s) {
+            Ok(i) => {
+                if let Some(entry) = self.0.get_mut(i) {
+                    entry.1 = info;
+                }
+            }
+            Err(i) => self.0.insert(i, (seq, info)),
+        }
+    }
+
+    /// Drops every entry that ends at or below `ack`, skipping entries a
+    /// go-back-N re-segmentation left straddling it.
+    fn drop_acked(&mut self, ack: u64) {
+        let acked = |&(seq, info): &(u64, SentInfo)| seq < ack && seq + u64::from(info.len) <= ack;
+        while self.0.front().is_some_and(acked) {
+            self.0.pop_front();
+        }
+        if self.0.front().is_some_and(|&(seq, _)| seq < ack) {
+            self.0.retain(|entry| !acked(entry));
+        }
+    }
+}
+
 /// The sending half of a TCP connection.
 pub struct TcpSender {
     flow: FlowKey,
@@ -154,7 +191,7 @@ pub struct TcpSender {
     rto_base: SimDuration,
     rto_token: u64,
     rto_armed: bool,
-    segments: BTreeMap<u64, SentInfo>,
+    segments: SegmentBook,
     /// Highest sequence ever transmitted; transmissions below it after an
     /// RTO rollback are retransmissions (go-back-N recovery).
     high_water: u64,
@@ -187,7 +224,7 @@ impl TcpSender {
             rto_base: config.min_rto,
             rto_token: 0,
             rto_armed: false,
-            segments: BTreeMap::new(),
+            segments: SegmentBook::default(),
             high_water: 0,
             completed: false,
             total_retransmits: 0,
@@ -219,30 +256,35 @@ impl TcpSender {
         self.cwnd
     }
 
-    /// Starts the flow at `now`.
+    /// [`Self::on_start_into`], into a fresh `Vec`.
     pub fn on_start(&mut self, now: SimTime) -> Vec<TcpSenderOutput> {
         let mut out = Vec::new();
+        self.on_start_into(now, &mut out);
+        out
+    }
+
+    /// Starts the flow at `now`. Outputs are *appended* to `out`; the
+    /// caller owns (and reuses) the buffer, as with every `_into` event.
+    pub fn on_start_into(&mut self, now: SimTime, out: &mut Vec<TcpSenderOutput>) {
         if self.app == TcpApp::Paced {
             self.release_paced();
             out.push(TcpSenderOutput::ArmPace {
                 at: now + PROBE_INTERVAL,
             });
         }
-        self.transmit_window(now, &mut out);
-        out
+        self.transmit_window(now, out);
     }
 
     /// The application pacing tick fired.
-    pub fn on_pace(&mut self, now: SimTime) -> Vec<TcpSenderOutput> {
+    pub fn on_pace_into(&mut self, now: SimTime, out: &mut Vec<TcpSenderOutput>) {
         if self.app != TcpApp::Paced {
-            return Vec::new();
+            return;
         }
         self.release_paced();
-        let mut out = vec![TcpSenderOutput::ArmPace {
+        out.push(TcpSenderOutput::ArmPace {
             at: now + PROBE_INTERVAL,
-        }];
-        self.transmit_window(now, &mut out);
-        out
+        });
+        self.transmit_window(now, out);
     }
 
     /// Accepts paced application data up to the send-buffer bound.
@@ -251,31 +293,35 @@ impl TcpSender {
         self.released = (self.released + u64::from(PROBE_BYTES)).min(cap);
     }
 
-    /// An ACK arrived.
+    /// [`Self::on_ack_into`], into a fresh `Vec`.
     pub fn on_ack(&mut self, now: SimTime, ack: TcpAck) -> Vec<TcpSenderOutput> {
         let mut out = Vec::new();
-        if self.completed {
-            return out;
-        }
-        if ack.ack > self.snd_una {
-            self.handle_new_ack(now, ack.ack, &mut out);
-        } else if ack.ack == self.snd_una && self.snd_nxt > self.snd_una {
-            self.handle_dupack(now, &mut out);
-        }
-        self.transmit_window(now, &mut out);
-        self.finish_or_rearm(now, &mut out);
+        self.on_ack_into(now, ack, &mut out);
         out
     }
 
+    /// An ACK arrived.
+    pub fn on_ack_into(&mut self, now: SimTime, ack: TcpAck, out: &mut Vec<TcpSenderOutput>) {
+        if self.completed {
+            return;
+        }
+        if ack.ack > self.snd_una {
+            self.handle_new_ack(now, ack.ack, out);
+        } else if ack.ack == self.snd_una && self.snd_nxt > self.snd_una {
+            self.handle_dupack(now, out);
+        }
+        self.transmit_window(now, out);
+        self.finish_or_rearm(now, out);
+    }
+
     /// The retransmission timer fired (ignore if `token` is stale).
-    pub fn on_rto(&mut self, now: SimTime, token: u64) -> Vec<TcpSenderOutput> {
-        let mut out = Vec::new();
+    pub fn on_rto_into(&mut self, now: SimTime, token: u64, out: &mut Vec<TcpSenderOutput>) {
         if self.completed || token != self.rto_token || !self.rto_armed {
-            return out;
+            return;
         }
         self.rto_armed = false;
         if self.snd_nxt == self.snd_una {
-            return out; // nothing outstanding
+            return; // nothing outstanding
         }
         // RFC 6298 5.5–5.7: collapse the window, back the timer off, and
         // slow-start again from snd_una (go-back-N: the retransmission
@@ -289,8 +335,7 @@ impl TcpSender {
         self.snd_nxt = self.snd_una;
         // transmit_window re-sends the first hole (cwnd is one MSS) and
         // re-arms the timer via finish_or_rearm.
-        self.transmit_window(now, &mut out);
-        out
+        self.transmit_window(now, out);
     }
 
     // ------------------------------------------------------------------
@@ -298,24 +343,12 @@ impl TcpSender {
     fn handle_new_ack(&mut self, now: SimTime, ack: u64, out: &mut Vec<TcpSenderOutput>) {
         // RTT sample from the first acked, never-retransmitted segment
         // (Karn's algorithm).
-        if let Some(info) = self.segments.get(&self.snd_una) {
+        if let Some(info) = self.segments.get(self.snd_una) {
             if !info.retransmitted && self.snd_una + info.len as u64 <= ack {
                 self.sample_rtt(now.since(info.sent_at));
             }
         }
-        // Drop bookkeeping for fully acked segments, skipping entries a
-        // go-back-N re-segmentation left straddling `ack`.
-        let mut from = 0;
-        while from < ack {
-            let mut acked = self
-                .segments
-                .range(from..ack)
-                .filter(|(&seq, info)| seq + info.len as u64 <= ack)
-                .map(|(&seq, _)| seq);
-            let Some(seq) = acked.next() else { break };
-            from = acked.next().unwrap_or(ack);
-            self.segments.remove(&seq);
-        }
+        self.segments.drop_acked(ack);
 
         let was_cwnd_limited =
             (self.snd_nxt - self.snd_una) as f64 >= self.cwnd - self.config.mss as f64;
@@ -366,7 +399,7 @@ impl TcpSender {
     fn retransmit_first(&mut self, now: SimTime, out: &mut Vec<TcpSenderOutput>) {
         let len = self
             .segments
-            .get(&self.snd_una)
+            .get(self.snd_una)
             .map(|i| i.len)
             .unwrap_or_else(|| {
                 // The bookkeeping entry can be gone after a partial ACK
@@ -580,6 +613,13 @@ mod tests {
             .collect()
     }
 
+    /// Test convenience: collect one event's appended outputs.
+    fn collected(event: impl FnOnce(&mut Vec<TcpSenderOutput>)) -> Vec<TcpSenderOutput> {
+        let mut out = Vec::new();
+        event(&mut out);
+        out
+    }
+
     fn ms(v: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(v)
     }
@@ -645,7 +685,7 @@ mod tests {
         assert_eq!((*at - SimTime::ZERO).as_millis(), 200, "initial RTO 200ms");
 
         // First timeout: retransmit + rearm at 400ms.
-        let out = tx.on_rto(*at, *token);
+        let out = collected(|o| tx.on_rto_into(*at, *token, o));
         let segs = sends(&out);
         assert_eq!(segs.len(), 1);
         assert!(segs[0].retransmit);
@@ -660,7 +700,7 @@ mod tests {
         assert_eq!((*at2 - *at).as_millis(), 400, "doubled RTO");
 
         // Second timeout: 800ms.
-        let out = tx.on_rto(*at2, *t2);
+        let out = collected(|o| tx.on_rto_into(*at2, *t2, o));
         let TcpSenderOutput::ArmRto { at: at3, .. } = out
             .iter()
             .find(|o| matches!(o, TcpSenderOutput::ArmRto { .. }))
@@ -699,7 +739,7 @@ mod tests {
         );
         tx.on_ack(ms(1), ack);
         // The old token must now be inert.
-        let out = tx.on_rto(ms(200), first_token);
+        let out = collected(|o| tx.on_rto_into(ms(200), first_token, o));
         assert!(out.is_empty());
         assert_eq!(tx.retransmits(), 0);
     }
@@ -760,7 +800,7 @@ mod tests {
                 let ack = rx.on_segment(now, seg);
                 tx.on_ack(now, ack);
             }
-            outputs = tx.on_pace(now);
+            outputs = collected(|o| tx.on_pace_into(now, o));
         }
         let init = (cfg.init_cwnd * cfg.mss) as f64;
         assert!(
@@ -887,7 +927,7 @@ mod tests {
                     }
                 }
             }
-            outputs = tx.on_pace(now);
+            outputs = collected(|o| tx.on_pace_into(now, o));
             for o in &outputs {
                 if let TcpSenderOutput::ArmRto { at, token } = o {
                     rto_deadline = Some(*at);
@@ -901,7 +941,7 @@ mod tests {
         for _ in 0..100 {
             now += SimDuration::from_micros(100);
             sent_during_outage += sends(&outputs).len();
-            outputs = tx.on_pace(now);
+            outputs = collected(|o| tx.on_pace_into(now, o));
         }
         // App-limited cwnd means at most a handful of segments leaked out.
         assert!(
@@ -916,7 +956,7 @@ mod tests {
             "RTO should fire ~200ms after the last good ack, got {wait}ms"
         );
         // Fire it: exactly one retransmission of the first hole.
-        let out = tx.on_rto(deadline, rto_token);
+        let out = collected(|o| tx.on_rto_into(deadline, rto_token, o));
         let segs = sends(&out);
         assert_eq!(segs.len(), 1);
         assert!(segs[0].retransmit);
@@ -940,8 +980,15 @@ mod tests {
             retransmitted: true,
         };
         tx.segments.insert(100, straddler); // [100, 100 + 4 mss)
+                                            // The book's seqs below `end`; the book must stay sorted.
         let below = |tx: &TcpSender, end: u64| -> Vec<u64> {
-            tx.segments.range(..end).map(|(&seq, _)| seq).collect()
+            let seqs = tx.segments.0.iter().map(|&(seq, _)| seq);
+            assert!(
+                seqs.clone().is_sorted_by(|a, b| a < b),
+                "{:?}",
+                tx.segments.0
+            );
+            seqs.take_while(|&seq| seq < end).collect()
         };
         assert_eq!(
             below(&tx, 5 * mss),
@@ -955,5 +1002,27 @@ mod tests {
         // Now the straddler is covered too.
         tx.on_ack(ms(2), TcpAck { ack: 5 * mss });
         assert_eq!(below(&tx, 5 * mss), []);
+    }
+
+    /// A send at a seq the book holds (front, middle or back) replaces
+    /// that entry; anywhere else it slots in, and the book stays sorted.
+    #[test]
+    fn the_book_replaces_an_entry_at_a_seq_it_holds() {
+        let info = |len: u32| SentInfo {
+            len,
+            sent_at: SimTime::ZERO,
+            retransmitted: false,
+        };
+        let mut book = SegmentBook::default();
+        for seq in [10, 30, 50] {
+            book.insert(seq, info(1));
+        }
+        for (seq, len) in [(50, 2), (10, 3), (30, 4), (20, 5), (0, 6), (60, 7)] {
+            book.insert(seq, info(len));
+            assert_eq!(book.get(seq).map(|i| i.len), Some(len));
+        }
+        let seqs: Vec<u64> = book.0.iter().map(|&(seq, _)| seq).collect();
+        assert_eq!(seqs, [0, 10, 20, 30, 50, 60]);
+        assert!(book.get(40).is_none());
     }
 }

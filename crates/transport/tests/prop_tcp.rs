@@ -71,7 +71,7 @@ fn run_lossy(bytes: u64, loss: &[bool]) -> (u64, u64, bool) {
         match rto.take() {
             Some((at, token)) => {
                 now = at.max(now);
-                outputs = tx.on_rto(now, token);
+                tx.on_rto_into(now, token, &mut outputs);
             }
             None => break,
         }
