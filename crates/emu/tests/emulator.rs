@@ -936,3 +936,54 @@ fn a_host_off_every_rack_is_an_error_not_a_panic() {
     let expected = TestBedError::Addressing(AddressingError::HostOffRack(host));
     assert_eq!(err, Some(expected));
 }
+
+/// The centralized control plane's counters, pinned: C1 failed at 100 ms
+/// and repaired at 600 ms under a 50 ms controller at k = 8, so two
+/// controller recomputes land and every switch takes two pushes.
+#[test]
+fn centralized_control_plane_counters_are_pinned() {
+    use dcn_emu::ControlPlaneMode;
+    for (design, events, epochs, delivered, drops) in [
+        (
+            Design::FatTree,
+            378_997,
+            166,
+            55_661,
+            DropCounters {
+                no_route: 600,
+                link_down: 610,
+                ..DropCounters::default()
+            },
+        ),
+        (
+            Design::F2Tree,
+            380_748,
+            114,
+            56_262,
+            DropCounters {
+                link_down: 610,
+                ..DropCounters::default()
+            },
+        ),
+    ] {
+        let config = EmuConfig::builder()
+            .control_plane(ControlPlaneMode::Centralized {
+                compute_delay: dcn_sim::timers::CONTROLLER_COMPUTE_DELAY,
+            })
+            .build();
+        let mut bed = TestBed::build_with_config(design, 8, 4, config).expect("valid k");
+        let (udp, _tcp) = bed.add_aligned_probes(SimTime::ZERO);
+        let anatomy = bed.path_anatomy(udp);
+        let mut schedule = dcn_failure::FailureSchedule::new();
+        for link in bed.scenario_links(&anatomy, Condition::C1) {
+            bed.net.fail_link_at(ms(100), link);
+            schedule.repair(ms(600), link);
+        }
+        bed.net.apply_failures(schedule);
+        bed.net.run_until(ms(2000));
+        assert_eq!(bed.net.events_processed(), events, "{design}");
+        assert_eq!(bed.net.fib_epoch(), epochs, "{design}");
+        assert_eq!(bed.net.delivered_packets(), delivered, "{design}");
+        assert_eq!(bed.net.drops(), drops, "{design}");
+    }
+}

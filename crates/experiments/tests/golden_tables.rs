@@ -322,3 +322,55 @@ fn quality_modes_match_golden_and_fast_reroute_pays_congestion() {
         );
     }
 }
+
+/// `repro <target>` exactly as the binary prints it, to stdout and with
+/// nothing on stderr.
+fn check_repro_golden(target: &str) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg(target)
+        .output()
+        .expect("repro binary runs");
+    assert!(out.status.success(), "repro {target} failed");
+    assert!(out.stderr.is_empty(), "repro {target} wrote to stderr");
+    check_golden(
+        &format!("{target}.txt"),
+        &String::from_utf8(out.stdout).expect("utf8 stdout"),
+    );
+}
+
+/// The centralized control plane (§V): C1 loss against the controller's
+/// compute delay, both designs.
+#[test]
+fn centralized_matches_golden() {
+    check_repro_golden("centralized");
+}
+
+/// The timer ablation: loss against the detection, SPF and FIB timers.
+#[test]
+fn ablation_matches_golden() {
+    check_repro_golden("ablation");
+}
+
+/// The Aspen baseline (§VI).
+#[test]
+fn aspen_matches_golden() {
+    check_repro_golden("aspen");
+}
+
+/// C7 with wider across-port budgets (§II-C).
+#[test]
+fn c7x_matches_golden() {
+    check_repro_golden("c7x");
+}
+
+/// The unidirectional agg-to-ToR failure, both designs.
+#[test]
+fn unidirectional_matches_golden() {
+    check_repro_golden("unidirectional");
+}
+
+/// The paper-vs-measured scorecard.
+#[test]
+fn summary_matches_golden() {
+    check_repro_golden("summary");
+}
