@@ -51,10 +51,6 @@ pub struct EngineConfig {
     /// observer never fails a run, but it does cost a FIB sweep per
     /// epoch.
     pub quality: bool,
-    /// Replaces the computed per-window blackhole bound outright. Only
-    /// used by tests that need a deliberately broken oracle to prove the
-    /// shrinker finds a minimal reproducer.
-    pub bound_override: Option<SimDuration>,
 }
 
 /// Aggregate counters from one scenario run (all simulation-derived, so

@@ -277,14 +277,11 @@ fn search(
 ///
 /// When the engine runs [`RecoveryMode::PrecomputedFrr`] the SPF terms
 /// vanish: the repair route was precomputed, so per event the flow waits
-/// only for detection plus one FIB update — `slack + n_events × (detection
-/// + fib_update)` — no matter how long the throttled SPF is held. This is
-/// the tightened bound the FRR campaigns exist to enforce.
-/// [`EngineConfig::bound_override`] replaces the bound outright.
+/// only for detection plus one FIB update —
+/// `slack + n_events × (detection + fib_update)` — no matter how long the
+/// throttled SPF is held. This is the tightened bound the FRR campaigns
+/// exist to enforce.
 pub fn blackhole_bound(cfg: &EngineConfig, n_events: u64, max_hold: SimDuration) -> SimDuration {
-    if let Some(bound) = cfg.bound_override {
-        return bound;
-    }
     let per_event = if cfg.recovery == RecoveryMode::PrecomputedFrr {
         timers::DETECTION_DELAY + timers::FIB_UPDATE_DELAY
     } else {
@@ -450,17 +447,5 @@ mod tests {
         assert_eq!(one.as_millis(), 130);
         assert_eq!(blackhole_bound(&cfg, 2, SimDuration::ZERO).as_millis(), 200);
         assert_eq!(blackhole_bound(&cfg, 0, SimDuration::ZERO), one);
-    }
-
-    #[test]
-    fn bound_override_wins() {
-        let cfg = EngineConfig {
-            bound_override: Some(SimDuration::ZERO),
-            ..EngineConfig::default()
-        };
-        assert_eq!(
-            blackhole_bound(&cfg, 5, SimDuration::from_millis(999)),
-            SimDuration::ZERO
-        );
     }
 }

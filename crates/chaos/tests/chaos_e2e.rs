@@ -2,9 +2,10 @@
 //!
 //! * A seeded campaign of 200 scenarios runs loop-free and
 //!   blackhole-bounded on both designs, byte-identical at 1 and 4 workers.
-//! * A deliberately broken oracle (zero blackhole budget) fires, and the
-//!   shrinker reduces a multi-incident scenario to a one-incident minimal
-//!   reproducer that survives a render/parse round trip.
+//! * A predicate over a run's outcome (an outage longer than the SPF
+//!   timer) fires, and the shrinker reduces a multi-incident scenario to a
+//!   one-incident minimal reproducer that survives a render/parse round
+//!   trip.
 
 use dcn_chaos::{
     run_chaos, run_scenario, shrink_scenario, ChaosConfig, EngineConfig, Incident, IncidentKind,
@@ -13,7 +14,7 @@ use dcn_chaos::{
 use dcn_failure::FailureEvent;
 use dcn_net::Layer;
 use dcn_routing::RecoveryMode;
-use dcn_sim::{SimDuration, SimTime};
+use dcn_sim::{timers, SimDuration, SimTime};
 use dcn_sweep::Workers;
 use f2tree::{Design, TestBed};
 
@@ -116,24 +117,22 @@ fn c1_scenario_with_decoys() -> ScenarioSpec {
     }
 }
 
-/// The broken-oracle fixture: with a zero blackhole budget the C1 outage
-/// (~270 ms on a fat tree) must fire the oracle; ddmin must then strip
+/// An outage longer than the SPF timer: on a fat tree only the culprit's
+/// C1 outage (~270 ms: detection + SPF + FIB update) is one.
+fn outlasts_spf(spec: &ScenarioSpec) -> bool {
+    run_scenario(spec, &EngineConfig::default())
+        .is_ok_and(|o| o.stats.max_window > timers::SPF_INITIAL_DELAY)
+}
+
+/// The shrinker on a real predicate: the C1 outage outlasts the SPF
+/// timer, yet the default oracle passes the scenario; ddmin must strip
 /// both decoy incidents, and the minimal reproducer must replay from its
 /// scenario-file rendering.
 #[test]
-fn broken_oracle_fixture_shrinks_to_minimal_reproducer() {
+fn a_long_outage_shrinks_to_minimal_reproducer() {
     let spec = c1_scenario_with_decoys();
-    let broken = EngineConfig {
-        bound_override: Some(SimDuration::ZERO),
-        ..EngineConfig::default()
-    };
-
-    let outcome = run_scenario(&spec, &broken).expect("scenario runs");
-    assert!(
-        !outcome.violations.is_empty(),
-        "zero budget must trip the blackhole oracle"
-    );
-    // The healthy oracle accepts the very same scenario.
+    assert!(outlasts_spf(&spec), "the C1 outage must fire the predicate");
+    // The default oracle accepts the very same scenario.
     let healthy = run_scenario(&spec, &EngineConfig::default()).expect("scenario runs");
     assert!(
         healthy.violations.is_empty(),
@@ -141,11 +140,7 @@ fn broken_oracle_fixture_shrinks_to_minimal_reproducer() {
         healthy.violations
     );
 
-    let minimal = shrink_scenario(&spec, |s| {
-        run_scenario(s, &broken)
-            .map(|o| !o.violations.is_empty())
-            .unwrap_or(false)
-    });
+    let minimal = shrink_scenario(&spec, outlasts_spf);
     assert_eq!(
         minimal.incidents.len(),
         1,
@@ -156,8 +151,8 @@ fn broken_oracle_fixture_shrinks_to_minimal_reproducer() {
     // The minimal reproducer is replayable from its file form.
     let reparsed = ScenarioSpec::parse(&minimal.render()).expect("round trip");
     assert_eq!(reparsed, minimal);
-    let replay = run_scenario(&reparsed, &broken).expect("replay runs");
-    assert!(!replay.violations.is_empty(), "replay must still reproduce");
+    assert!(outlasts_spf(&reparsed), "replay must still reproduce");
+    assert_eq!(minimal.incidents, spec.incidents[1..2], "the culprit stays");
 }
 
 /// A switch failure that severs a ToR from the fabric physically

@@ -11,9 +11,11 @@ pub enum ControlPlaneMode {
     /// with SPF throttling).
     Distributed,
     /// A PortLand-style central controller: the detecting switch reports
-    /// the failure (`timers::CONTROLLER_REPORT_DELAY`), the controller
-    /// recomputes global routes, and pushes new tables to every switch
-    /// (`timers::CONTROLLER_PUSH_DELAY`).
+    /// its new LSA instead of flooding it
+    /// (`timers::CONTROLLER_REPORT_DELAY`), the controller recomputes
+    /// global routes from the LSAs the switches reported, and pushes new
+    /// tables to every switch (`timers::CONTROLLER_PUSH_DELAY`). A
+    /// precomputed repair still lands at detection.
     Centralized {
         /// Controller route recomputation time (grows with DCN scale,
         /// per the paper's discussion).

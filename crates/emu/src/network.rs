@@ -18,7 +18,7 @@ use dcn_net::{
     NodeKind, Prefix, Protocol, Topology,
 };
 use dcn_routing::{
-    Adjacency, FibDelta, Lsa, Lsdb, NextHop, RecoveryMode, Route, RouteOrigin, RouterAction,
+    Adjacency, FibDelta, Lsa, NextHop, RecoveryMode, Route, RouteOrigin, RouterAction,
     RouterProcess, SpfTable,
 };
 use dcn_sim::{
@@ -95,7 +95,7 @@ impl Payload {
     }
 }
 
-/// Packets stay in [`Network::packets`] and the rare bulky variants are
+/// Packets stay in [`Network::packets`] and the one rare bulky variant is
 /// boxed, so an event is 16 bytes and a heap entry 32.
 enum Event {
     Arrive {
@@ -147,8 +147,6 @@ enum Event {
     /// Centralized control plane: the controller finishes recomputation
     /// and pushes tables.
     ControllerRecompute,
-    /// Centralized control plane: a pushed table lands at a switch.
-    ControllerInstall(Box<(NodeId, Vec<Route>)>),
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
@@ -339,7 +337,8 @@ pub struct Network {
     /// don't heap-allocate on the event hot path.
     flood_scratch: Vec<Adjacency>,
     /// Reusable buffer router handlers append [`RouterAction`]s into, so
-    /// per-event dispatch doesn't heap-allocate on the hot path.
+    /// per-event dispatch doesn't heap-allocate on the hot path
+    /// ([`Self::run_router`]).
     action_scratch: Vec<RouterAction>,
     /// The same for the [`TcpSenderOutput`]s a sender appends.
     tcp_scratch: Vec<TcpSenderOutput>,
@@ -551,12 +550,6 @@ impl Network {
         self.routers.get(node.index()).and_then(Option::as_ref)
     }
 
-    /// [`Self::router`], mutably: what every event that names a node
-    /// goes through, so one naming a host or a foreign node does nothing.
-    fn router_mut(&mut self, node: NodeId) -> Option<&mut RouterProcess> {
-        self.routers.get_mut(node.index()).and_then(Option::as_mut)
-    }
-
     /// The record of `flow`; `None` once released, or for a flow of
     /// another network.
     fn flow(&self, flow: FlowId) -> Option<&FlowState> {
@@ -575,7 +568,9 @@ impl Network {
         I: IntoIterator<Item = (NodeId, Route)>,
     {
         for (node, route) in routes {
-            self.router_mut(node)
+            self.routers
+                .get_mut(node.index())
+                .and_then(Option::as_mut)
                 .unwrap_or_else(|| panic!("{node} is not a switch"))
                 .install_permanent(route);
         }
@@ -841,59 +836,33 @@ impl Network {
                 let Payload::Lsa(lsa) = self.take_packet(packet).payload else {
                     return; // on_arrive queues this event for LSA packets only
                 };
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                actions.clear();
-                if let Some(router) = self.router_mut(node) {
-                    router.on_lsa(now, lsa, arrived_on, &mut actions);
-                }
-                self.handle_router_actions(now, node, &mut actions);
-                self.action_scratch = actions;
+                self.run_router(now, node, |router, _, actions| {
+                    router.on_lsa(now, lsa, arrived_on, actions);
+                });
             }
             Event::LinkChange { link, up } => self.on_link_change(now, link, None, up),
             Event::LinkDirChange { link, from, up } => {
                 self.on_link_change(now, link, Some(from), up)
             }
             Event::Detect { node, link, up } => {
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                actions.clear();
-                if let Some(router) = self.router_mut(node) {
-                    router.on_link_detected(now, link, up, &mut actions);
+                let ran = self.run_router(now, node, |router, _, actions| {
+                    router.on_link_detected(now, link, up, actions);
+                });
+                if ran {
                     self.fib_epoch += 1;
-                    match self.config.control_plane {
-                        ControlPlaneMode::Distributed => {
-                            self.handle_router_actions(now, node, &mut actions);
-                        }
-                        ControlPlaneMode::Centralized { compute_delay } => {
-                            // The dead-set update above still drives fast
-                            // reroute; instead of flooding + SPF, the
-                            // switch reports to the controller.
-                            if !actions.is_empty() && !self.recompute_pending {
-                                self.recompute_pending = true;
-                                self.queue.schedule(
-                                    now + timers::CONTROLLER_REPORT_DELAY + compute_delay,
-                                    Event::ControllerRecompute,
-                                );
-                            }
-                        }
-                    }
                 }
-                self.action_scratch = actions;
             }
             Event::SpfTimer { node } => {
-                let mut actions = std::mem::take(&mut self.action_scratch);
-                actions.clear();
-                let mut table = std::mem::take(&mut self.spf_table);
-                if let Some(router) = self.router_mut(node) {
-                    router.on_spf_timer(now, &mut table, &mut actions);
-                }
-                self.spf_table = table;
-                self.handle_router_actions(now, node, &mut actions);
-                self.action_scratch = actions;
+                self.run_router(now, node, |router, table, actions| {
+                    router.on_spf_timer(now, table, actions);
+                });
             }
             Event::FibInstall { node, install } => {
                 let (generation, delta) = *install;
-                if let Some(router) = self.router_mut(node) {
+                let ran = self.run_router(now, node, |router, _, _| {
                     router.on_install(generation, delta);
+                });
+                if ran {
                     self.fib_epoch += 1;
                 }
             }
@@ -902,54 +871,44 @@ impl Network {
             Event::TcpPace { flow } => self.on_tcp_event(now, flow, |s, o| s.on_pace_into(now, o)),
             Event::TcpRto { flow } => self.on_rto_entry(now, flow, key),
             Event::ControllerRecompute => self.on_controller_recompute(now),
-            Event::ControllerInstall(install) => {
-                let (node, routes) = *install;
-                if let Some(router) = self.router_mut(node) {
-                    router.force_install(routes);
-                    self.fib_epoch += 1;
-                }
-            }
         }
     }
 
-    /// Centralized mode: the controller recomputes global routes from the
-    /// current physical topology and pushes per-switch tables.
+    /// Centralized mode: the controller collects the LSA every switch
+    /// last reported and pushes that set to every switch, which installs
+    /// its routes through the ordinary pipeline. The routers adopt the
+    /// same LSAs, so their SPF runs share one table build.
     fn on_controller_recompute(&mut self, now: SimTime) {
         self.recompute_pending = false;
-        // Global view: live non-passive fabric links + ToR rack subnets.
-        let mut lsdb = Lsdb::new();
-        let switches: Vec<NodeId> = self
-            .topo
-            .nodes()
-            .filter(|n| n.kind().is_switch())
-            .map(|n| n.id())
+        let reports: Vec<Arc<Lsa>> = self
+            .routers
+            .iter()
+            .flatten()
+            .filter_map(RouterProcess::report)
             .collect();
-        for router in switches.iter().filter_map(|&sw| self.router(sw)) {
-            let sw = router.node();
-            let neighbors: Vec<Adjacency> = self
-                .topo
-                .neighbors(sw)
-                .filter(|&(l, n)| {
-                    self.topo.node(n).kind().is_switch()
-                        && self.links.get(l.index()).is_some_and(LinkState::is_up)
-                        && !router.is_passive(l)
-                })
-                .map(|(link, neighbor)| Adjacency { neighbor, link })
-                .collect();
-            lsdb.install(Lsa {
-                origin: sw,
-                seq: 1,
-                neighbors,
-                prefixes: self.plan.subnet_of(sw).into_iter().collect(),
+        for node in reports.iter().map(|lsa| lsa.origin) {
+            self.run_router(now, node, |router, table, actions| {
+                router.on_controller_push(now, reports.iter().cloned(), table, actions);
             });
         }
-        for &sw in &switches {
-            let routes = dcn_routing::compute_routes(&lsdb, sw);
-            self.queue.schedule(
-                now + timers::CONTROLLER_PUSH_DELAY,
-                Event::ControllerInstall(Box::new((sw, routes))),
-            );
-        }
+    }
+
+    /// Runs `handler` on `node`'s router with the shared SPF table and the
+    /// reusable action buffer, then realizes the actions it appended. Every
+    /// event that names a node goes through here, so one naming a host or
+    /// a foreign node does nothing; returns whether `node` runs a router.
+    fn run_router(
+        &mut self,
+        now: SimTime,
+        node: NodeId,
+        handler: impl FnOnce(&mut RouterProcess, &mut SpfTable, &mut Vec<RouterAction>),
+    ) -> bool {
+        let Some(router) = self.routers.get_mut(node.index()).and_then(Option::as_mut) else {
+            return false;
+        };
+        handler(router, &mut self.spf_table, &mut self.action_scratch);
+        self.handle_router_actions(now, node);
+        true
     }
 
     /// A physical link transition of both directions (`from: None`) or of
@@ -976,56 +935,41 @@ impl Network {
         }
     }
 
-    /// Drains `actions` (the reusable scratch buffer) into scheduled
-    /// events and link transmissions.
-    fn handle_router_actions(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        actions: &mut Vec<RouterAction>,
-    ) {
+    /// Drains the action buffer into scheduled events and link
+    /// transmissions. Under a central controller a switch neither floods
+    /// nor runs SPF: a new LSA is its report, and the first report
+    /// schedules the controller's recomputation.
+    fn handle_router_actions(&mut self, now: SimTime, node: NodeId) {
+        let mut actions = std::mem::take(&mut self.action_scratch);
         for action in actions.drain(..) {
-            match action {
-                RouterAction::FloodLsa { lsa, except } => {
-                    // Reuse the scratch buffer: the target list has to be
-                    // materialized (transmit needs `&mut self` while the
-                    // interface list borrows the router), but it must not
-                    // allocate per flood.
-                    let mut targets = std::mem::take(&mut self.flood_scratch);
-                    targets.clear();
-                    targets.extend(
-                        self.router(node)
-                            .into_iter()
-                            .flat_map(RouterProcess::live_interfaces)
-                            .filter(|a| Some(a.link) != except)
-                            .copied(),
-                    );
-                    for &adj in &targets {
-                        let key = FlowKey::new(
-                            self.topo.node(node).addr(),
-                            self.topo.node(adj.neighbor).addr(),
-                            0,
-                            0,
-                            Protocol::Control,
-                        );
-                        let packet = self.make_packet(
-                            key,
-                            LSA_PACKET_BYTES,
-                            now,
-                            Payload::Lsa(Arc::clone(&lsa)),
-                        );
-                        self.transmit(now, adj.link, node, packet);
-                    }
-                    self.flood_scratch = targets;
+            match (action, self.config.control_plane) {
+                (RouterAction::FloodLsa { lsa, except }, ControlPlaneMode::Distributed) => {
+                    self.flood(now, node, &lsa, except);
                 }
-                RouterAction::ScheduleSpf { at } => {
+                (
+                    RouterAction::FloodLsa { .. },
+                    ControlPlaneMode::Centralized { compute_delay },
+                ) => {
+                    if !self.recompute_pending {
+                        self.recompute_pending = true;
+                        self.queue.schedule(
+                            now + timers::CONTROLLER_REPORT_DELAY + compute_delay,
+                            Event::ControllerRecompute,
+                        );
+                    }
+                }
+                (RouterAction::ScheduleSpf { at }, ControlPlaneMode::Distributed) => {
                     self.queue.schedule(at, Event::SpfTimer { node });
                 }
-                RouterAction::Install {
-                    at,
-                    generation,
-                    delta,
-                } => {
+                (RouterAction::ScheduleSpf { .. }, ControlPlaneMode::Centralized { .. }) => {}
+                (
+                    RouterAction::Install {
+                        at,
+                        generation,
+                        delta,
+                    },
+                    _,
+                ) => {
                     self.queue.schedule(
                         at,
                         Event::FibInstall {
@@ -1036,6 +980,36 @@ impl Network {
                 }
             }
         }
+        self.action_scratch = actions;
+    }
+
+    /// Floods `lsa` out of `node`'s live interfaces but `except`.
+    fn flood(&mut self, now: SimTime, node: NodeId, lsa: &Arc<Lsa>, except: Option<LinkId>) {
+        // Reuse the scratch buffer: the target list has to be
+        // materialized (transmit needs `&mut self` while the interface
+        // list borrows the router), but it must not allocate per flood.
+        let mut targets = std::mem::take(&mut self.flood_scratch);
+        targets.clear();
+        targets.extend(
+            self.router(node)
+                .into_iter()
+                .flat_map(RouterProcess::live_interfaces)
+                .filter(|a| Some(a.link) != except)
+                .copied(),
+        );
+        for &adj in &targets {
+            let key = FlowKey::new(
+                self.topo.node(node).addr(),
+                self.topo.node(adj.neighbor).addr(),
+                0,
+                0,
+                Protocol::Control,
+            );
+            let packet =
+                self.make_packet(key, LSA_PACKET_BYTES, now, Payload::Lsa(Arc::clone(lsa)));
+            self.transmit(now, adj.link, node, packet);
+        }
+        self.flood_scratch = targets;
     }
 
     /// Writes a new packet into the arena, the one time it is written.
@@ -1667,7 +1641,6 @@ mod tests {
                     node,
                     install: Box::new((1, delta)),
                 },
-                Event::ControllerInstall(Box::new((node, Vec::new()))),
             ] {
                 let key = net.queue.draw_key(SimTime::ZERO);
                 net.dispatch(key, event);
@@ -1676,6 +1649,36 @@ mod tests {
         assert_eq!(net.fib_epoch(), 0);
         assert!(net.queue.is_empty());
         assert_eq!(net.packets_in_flight().0, 0);
+    }
+
+    /// A controller push hands every switch the same reported LSAs, so
+    /// the whole fabric's route computation is one SPF table build.
+    #[test]
+    fn a_controller_push_builds_the_spf_table_once() {
+        let topo = FatTree::new(4).unwrap().hosts_per_tor(1).build();
+        let config = EmuConfig::builder()
+            .control_plane(ControlPlaneMode::Centralized {
+                compute_delay: timers::CONTROLLER_COMPUTE_DELAY,
+            })
+            .build();
+        let mut net = Network::new(topo, config).unwrap();
+        assert_eq!(net.spf_table.builds(), 1, "warm start");
+        let topo = net.topology();
+        let link = topo
+            .links()
+            .find(|l| {
+                let (a, b) = l.endpoints();
+                topo.node(a).kind().is_switch() && topo.node(b).kind().is_switch()
+            })
+            .unwrap()
+            .id();
+        net.fail_link_at(SimTime::ZERO, link);
+        net.run_until(SimTime::ZERO + SimDuration::from_millis(500));
+        assert!(net
+            .router(net.topology().link(link).endpoints().0)
+            .unwrap()
+            .is_dead(link));
+        assert_eq!(net.spf_table.builds(), 2, "one push, one build");
     }
 
     /// Flow events are only ever scheduled for a flow of their kind;

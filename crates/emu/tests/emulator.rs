@@ -987,3 +987,33 @@ fn centralized_control_plane_counters_are_pinned() {
         assert_eq!(bed.net.drops(), drops, "{design}");
     }
 }
+
+/// Precomputed fast reroute is a data-plane property: under a 200 ms
+/// controller the C2 repair still lands one FIB update after detection,
+/// so the probe loses exactly what it loses under distributed OSPF.
+#[test]
+fn precomputed_frr_repairs_as_fast_under_a_central_controller() {
+    use dcn_emu::ControlPlaneMode;
+    use dcn_routing::RecoveryMode;
+    let c2_loss = |control_plane| {
+        let config = EmuConfig::builder()
+            .recovery(RecoveryMode::PrecomputedFrr)
+            .control_plane(control_plane)
+            .build();
+        let mut bed = TestBed::build_with_config(Design::F2Tree, 8, 4, config).expect("valid k");
+        let (udp, _tcp) = bed.add_aligned_probes(SimTime::ZERO);
+        let anatomy = bed.path_anatomy(udp);
+        for link in bed.scenario_links(&anatomy, Condition::C2) {
+            bed.net.fail_link_at(ms(100), link);
+        }
+        bed.net.run_until(ms(1000));
+        let report = bed.net.udp_probe_report(udp);
+        report.connectivity.loss_around(ms(100)).unwrap().duration
+    };
+    let distributed = c2_loss(ControlPlaneMode::Distributed);
+    let centralized = c2_loss(ControlPlaneMode::Centralized {
+        compute_delay: SimDuration::from_millis(200),
+    });
+    assert_eq!(distributed.as_micros(), 70_116);
+    assert_eq!(centralized, distributed);
+}

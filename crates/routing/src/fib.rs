@@ -58,8 +58,8 @@ pub enum FibOp {
 }
 
 /// A batch of per-prefix FIB mutations for one route origin — the only
-/// currency [`Fib::apply`] accepts: SPF runs, precomputed repairs and the
-/// centralized controller all install through it.
+/// currency [`Fib::apply`] accepts: SPF runs (a controller push among
+/// them) and precomputed repairs all install through it.
 ///
 /// # Ordering law
 ///
@@ -67,8 +67,8 @@ pub enum FibOp {
 /// against the route set the *previous* delta leaves behind (the router's
 /// emitted-route memory), not against the live FIB — an earlier delta may
 /// still be waiting out its FIB-update delay. They must therefore be
-/// applied in generation order. The emulator guarantees this (the
-/// FIB-update delay is constant, so installs land in SPF order); the
+/// applied in generation order. The router guarantees this (it never
+/// queues an install to land before one it queued earlier); the
 /// generation guard in `RouterProcess::on_install` only drops exact
 /// replays defensively.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -291,9 +291,8 @@ impl Fib {
 
     /// The [`FibDelta`] that transforms this FIB's installed `origin`
     /// routes into exactly `desired` ([`FibDelta::diff`] against the live
-    /// table). Walks the whole table: it serves the installs that must
-    /// supersede whatever is in flight (controller pushes, the FRR
-    /// reconcile), not the per-SPF path.
+    /// table). Walks the whole table: it serves the FRR reconcile, which
+    /// must supersede whatever is in flight, not the per-SPF path.
     pub fn diff_origin(&self, origin: RouteOrigin, desired: &BTreeMap<Prefix, Route>) -> FibDelta {
         let current: BTreeMap<Prefix, &Route> = self
             .routes

@@ -14,7 +14,9 @@
 //!   next-hop sets, and [`SpfTable`] — one snapshot's distances, shared by
 //!   every router whose SPF runs read the same LSDB,
 //! * [`FibDelta`] — the one FIB install currency: every SPF run, repair
-//!   activation and controller push is a delta through [`Fib::apply`],
+//!   activation and controller push is a delta through [`Fib::apply`] (a
+//!   push is an SPF run over the LSAs the switches reported to the
+//!   controller),
 //! * [`SpfThrottle`] — Cisco-style SPF throttling with exponential
 //!   backoff (the source of the paper's multi-second recovery tail),
 //! * [`RecoveryMode`] — the pluggable recovery seam: wait for OSPF, fall

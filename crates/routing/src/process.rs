@@ -118,6 +118,8 @@ pub struct RouterProcess {
     seq: u64,
     install_gen: u64,
     installed_gen: u64,
+    /// When the latest queued install lands ([`Self::queue_install`]).
+    install_due: SimTime,
     my_prefixes: Vec<Prefix>,
     /// Precomputed per-link repair deltas (empty unless one was handed in
     /// — see [`Self::set_frr_plan`]).
@@ -148,6 +150,7 @@ impl RouterProcess {
             seq: 0,
             install_gen: 0,
             installed_gen: 0,
+            install_due: SimTime::ZERO,
             my_prefixes,
             frr_plan: FrrPlan::new(),
             version: 0,
@@ -255,15 +258,31 @@ impl RouterProcess {
         lsa
     }
 
-    /// Warm start: installs a pre-converged LSDB and computes the initial
+    /// This switch's current LSA: what it reports to a central controller.
+    pub fn report(&self) -> Option<Arc<Lsa>> {
+        self.lsdb.slots().get(self.node.index())?.clone()
+    }
+
+    /// Warm start: adopts a pre-converged LSA set and installs the initial
     /// OSPF routes synchronously, as if the protocol had long converged
     /// before the experiment begins, reading its tree out of `table`.
     pub fn bootstrap(&mut self, lsas: impl IntoIterator<Item = Arc<Lsa>>, table: &mut SpfTable) {
+        let delta = self.adopt(lsas, table);
+        self.apply(delta);
+    }
+
+    /// Installs each of `lsas` that is newer than the LSDB's copy and
+    /// emits the delta from the routes last emitted, its tree read out of
+    /// `table`.
+    fn adopt(
+        &mut self,
+        lsas: impl IntoIterator<Item = Arc<Lsa>>,
+        table: &mut SpfTable,
+    ) -> FibDelta {
         for lsa in lsas {
             self.lsdb.install(lsa);
         }
-        let delta = emit_delta(&self.lsdb, self.node, table, &mut self.emitted);
-        self.apply(delta);
+        emit_delta(&self.lsdb, self.node, table, &mut self.emitted)
     }
 
     // ------------------------------------------------------------------
@@ -302,17 +321,11 @@ impl RouterProcess {
             // delay after detection — no flood, no SPF timer wait. The
             // delta shares the SPF installs' generation sequence, so the
             // replay guard and ordering law hold across both kinds.
-            if let Some(delta) = self.frr_plan.get(&link) {
-                if !delta.is_empty() {
-                    self.install_gen += 1;
-                    actions.push(RouterAction::Install {
-                        at: now + self.config.fib_update_delay,
-                        generation: self.install_gen,
-                        // The plan outlives this activation (the link may
-                        // flap and fail again later).
-                        delta: delta.clone(),
-                    });
-                }
+            if let Some(delta) = self.frr_plan.get(&link).filter(|d| !d.is_empty()) {
+                // The plan outlives this activation (the link may flap
+                // and fail again later).
+                let delta = delta.clone();
+                self.queue_install(now + self.config.fib_update_delay, delta, actions);
             }
         }
         let lsa = self.originate_lsa();
@@ -359,32 +372,41 @@ impl RouterProcess {
     ) {
         self.throttle.on_run(now);
         let delta = emit_delta(&self.lsdb, self.node, table, &mut self.emitted);
+        self.queue_install(now + self.config.fib_update_delay, delta, actions);
+    }
+
+    /// A central controller pushes routes (paper §V, centralized routing
+    /// DCNs): the switch adopts `lsas`, the LSA set every switch
+    /// reported, and its delta lands [`timers::CONTROLLER_PUSH_DELAY`]
+    /// later — the warm start, replayed, through the install pipeline.
+    pub fn on_controller_push(
+        &mut self,
+        now: SimTime,
+        lsas: impl IntoIterator<Item = Arc<Lsa>>,
+        table: &mut SpfTable,
+        actions: &mut Vec<RouterAction>,
+    ) {
+        let delta = self.adopt(lsas, table);
+        self.queue_install(now + timers::CONTROLLER_PUSH_DELAY, delta, actions);
+    }
+
+    /// Queues `delta` as the next install generation, landing at `at` or
+    /// with the latest install already queued, whichever is later: a
+    /// switch applies its installs in the order it queued them, whatever
+    /// delay each waits out (a controller push waits less than a repair).
+    fn queue_install(&mut self, at: SimTime, delta: FibDelta, actions: &mut Vec<RouterAction>) {
         self.install_gen += 1;
+        self.install_due = self.install_due.max(at);
         actions.push(RouterAction::Install {
-            at: now + self.config.fib_update_delay,
+            at: self.install_due,
             generation: self.install_gen,
             delta,
         });
     }
 
-    /// Installs a route set pushed by a central controller, bypassing the
-    /// distributed SPF/generation pipeline (paper §V, centralized
-    /// routing DCNs). In-flight SPF installs are superseded, so the delta
-    /// is taken against the live FIB, and the emitted-route memory is
-    /// re-synced so a later distributed run diffs against what is
-    /// actually installed.
-    pub fn force_install(&mut self, routes: Vec<Route>) {
-        self.install_gen += 1;
-        self.installed_gen = self.install_gen;
-        let desired = by_prefix(routes);
-        let delta = self.fib.diff_origin(RouteOrigin::Ospf, &desired);
-        self.emitted = desired.into_values().collect();
-        self.apply(delta);
-    }
-
     /// The scheduled FIB install completed: apply the delta. Deltas
-    /// arrive in generation order (the FIB-update delay is constant), so
-    /// the guard only drops exact replays.
+    /// arrive in generation order ([`Self::queue_install`]), so the guard
+    /// only drops exact replays.
     ///
     /// On a router holding a fast-reroute plan, an OSPF-origin install is
     /// the reconciliation point: the SPF result now routes around every
@@ -431,12 +453,6 @@ impl RouterProcess {
     pub fn live_next_hops(&self, dst: Ipv4Addr) -> Vec<NextHop> {
         self.live_hops(dst).collect()
     }
-}
-
-/// Keys a route list by prefix (duplicate prefixes: last wins, matching
-/// sequential FIB inserts).
-fn by_prefix(routes: Vec<Route>) -> BTreeMap<Prefix, Route> {
-    routes.into_iter().map(|r| (r.prefix, r)).collect()
 }
 
 impl fmt::Debug for RouterProcess {
@@ -825,6 +841,50 @@ mod tests {
         assert_eq!(routers[0].forward(&flow()).unwrap().node, NodeId::new(2));
     }
 
+    /// A controller push waits less than a repair does; queued just after
+    /// one, it lands with it rather than before it, so the repair is not
+    /// dropped as a replay and the push retires it.
+    #[test]
+    fn a_push_never_lands_before_an_install_queued_earlier() {
+        let mut routers = frr_diamond();
+        let t0 = SimTime::ZERO + SimDuration::from_millis(100);
+        let mut actions = collected(|a| routers[0].on_link_detected(t0, LinkId::new(0), false, a));
+        let reports: Vec<Arc<Lsa>> = routers.iter().filter_map(RouterProcess::report).collect();
+        let t1 = t0 + SimDuration::from_millis(1);
+        let mut table = SpfTable::default();
+        routers[0].on_controller_push(t1, reports, &mut table, &mut actions);
+        let installs: Vec<(SimTime, u64, FibDelta)> = actions
+            .into_iter()
+            .filter_map(|a| match a {
+                RouterAction::Install {
+                    at,
+                    generation,
+                    delta,
+                } => Some((at, generation, delta)),
+                _ => None,
+            })
+            .collect();
+        let [(repair_at, g1, repair), (push_at, g2, push)] = &installs[..] else {
+            panic!("expected a repair and a push, got {installs:?}");
+        };
+        assert_eq!(repair.origin, RouteOrigin::Frr);
+        assert_eq!(
+            *push_at,
+            *repair_at,
+            "not at {}",
+            t1 + timers::CONTROLLER_PUSH_DELAY
+        );
+        assert!(g1 < g2);
+        routers[0].on_install(*g1, repair.clone());
+        let version = routers[0].forwarding_version();
+        routers[0].on_install(*g2, push.clone());
+        assert_ne!(routers[0].forwarding_version(), version, "the push landed");
+        assert!(routers[0]
+            .fib()
+            .routes()
+            .all(|r| r.origin != RouteOrigin::Frr));
+    }
+
     #[test]
     fn default_mode_never_emits_repair_installs() {
         let mut routers = diamond();
@@ -925,7 +985,18 @@ mod tests {
             }],
         ));
         assert!(advanced(r), "a static route went in");
-        r.force_install(Vec::new());
+        // r3 stops advertising its prefix, and a controller push says so.
+        let silent = Arc::new(Lsa {
+            origin: NodeId::new(3),
+            seq: 9,
+            neighbors: vec![adj(1, 2), adj(2, 3)],
+            prefixes: vec![],
+        });
+        let mut table = SpfTable::default();
+        let push = collected(|a| r.on_controller_push(t0, [silent], &mut table, a));
+        let (g3, d3) = install(push);
+        assert!(!advanced(r), "a push installs nothing yet");
+        r.on_install(g3, d3);
         assert!(advanced(r), "the controller withdrew every OSPF route");
     }
 
@@ -1051,24 +1122,39 @@ mod passive_tests {
         assert_eq!(hop.link, LinkId::new(1));
     }
 
+    /// A controller push replaces the OSPF routes with what the reported
+    /// LSAs say, one push delay later, through the install pipeline.
     #[test]
-    fn centralized_force_install_replaces_ospf_routes() {
+    fn centralized_push_replaces_ospf_routes() {
         let mut routers = pair();
-        routers[0].force_install(vec![Route::new(
-            "10.11.0.0/24".parse().unwrap(),
-            RouteOrigin::Ospf,
-            9,
-            vec![NextHop {
-                node: NodeId::new(1),
-                link: LinkId::new(0),
-            }],
-        )]);
+        let moved: Prefix = "10.11.9.0/24".parse().unwrap();
+        let report = Arc::new(Lsa {
+            origin: NodeId::new(1),
+            seq: 2,
+            neighbors: vec![adj(0, 0)],
+            prefixes: vec![moved],
+        });
+        let own = routers[0].report().expect("originated at warm start");
+        let now = SimTime::ZERO + SimDuration::from_millis(100);
+        let mut actions = Vec::new();
+        routers[0].on_controller_push(now, [own, report], &mut SpfTable::default(), &mut actions);
+        let [RouterAction::Install {
+            at,
+            generation,
+            delta,
+        }] = &actions[..]
+        else {
+            panic!("a push queues exactly one install, got {actions:?}");
+        };
+        assert_eq!(*at - now, timers::CONTROLLER_PUSH_DELAY);
+        routers[0].on_install(*generation, delta.clone());
         let ospf: Vec<_> = routers[0]
             .fib()
             .routes()
             .filter(|r| r.origin == RouteOrigin::Ospf)
             .collect();
         assert_eq!(ospf.len(), 1);
-        assert_eq!(ospf[0].metric, 9);
+        assert_eq!(ospf[0].prefix, moved);
+        assert_eq!(ospf[0].metric, 1);
     }
 }

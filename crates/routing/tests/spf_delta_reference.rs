@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use dcn_net::{FatTree, Ipv4Addr, Layer, LinkId, NodeId, Prefix, Topology};
 use dcn_routing::{
-    compute_routes, Adjacency, FibDelta, FibOp, Lsa, NextHop, Route, RouteOrigin, RouterAction,
+    compute_routes, Adjacency, FibDelta, FibOp, Lsa, Route, RouteOrigin, RouterAction,
     RouterConfig, RouterProcess, SpfTable,
 };
 use dcn_sim::{SimDuration, SimTime};
@@ -105,7 +105,7 @@ fn random_lsa(rng: &mut TestRng, origin: u32, seq: u64, keep: u64) -> Arc<Lsa> {
 }
 
 /// The router under test plus the reference's memory of the table the
-/// last run (or `force_install`) left behind.
+/// last run (an SPF run or a controller push) left behind.
 struct Harness {
     router: RouterProcess,
     spf: SpfTable,
@@ -113,6 +113,8 @@ struct Harness {
     now: SimTime,
     seq: u64,
     runs: usize,
+    /// Ops the controller pushes emitted.
+    pushed_ops: usize,
 }
 
 impl Harness {
@@ -134,6 +136,7 @@ impl Harness {
             now: SimTime::ZERO,
             seq: 1,
             runs: 0,
+            pushed_ops: 0,
         };
         // Bootstrap applied its delta itself: the FIB is the witness.
         harness.table = harness.current_table();
@@ -175,11 +178,17 @@ impl Harness {
         let mut actions = Vec::new();
         self.router
             .on_spf_timer(self.now, &mut self.spf, &mut actions);
+        self.land(&actions)
+    }
+
+    /// Checks a run's one install against the reference diff and applies
+    /// it: the FIB then holds the new table. Returns the number of ops.
+    fn land(&mut self, actions: &[RouterAction]) -> usize {
         let [RouterAction::Install {
             generation, delta, ..
-        }] = &actions[..]
+        }] = actions
         else {
-            panic!("an SPF run emits exactly one install, got {actions:?}");
+            panic!("a run emits exactly one install, got {actions:?}");
         };
         let desired = self.current_table();
         let want = FibDelta::diff(RouteOrigin::Ospf, &self.table, &desired);
@@ -218,24 +227,21 @@ impl Harness {
             }
             _ => {
                 // A controller push between two distributed runs: the
-                // next delta is taken against what it installed.
-                let mut routes = compute_routes(self.router.lsdb(), ROOT);
-                routes.retain(|_| rng.next_below(4) > 0);
-                if let Some(first) = routes.first_mut() {
-                    first.metric += 5;
+                // router adopts a reported LSA set, some origins' LSAs
+                // newly drawn, and its delta obeys the same law.
+                let mut reports = Vec::new();
+                for origin in 1..NODES {
+                    if rng.next_below(2) == 0 {
+                        self.seq += 1;
+                        let keep = 2 + rng.next_below(7);
+                        reports.push(random_lsa(rng, origin, self.seq, keep));
+                    }
                 }
-                routes.push(Route::new(
-                    "10.14.0.0/24".parse().unwrap(),
-                    RouteOrigin::Ospf,
-                    9,
-                    vec![NextHop {
-                        node: NodeId::new(3),
-                        link: LinkId::new(3),
-                    }],
-                ));
-                self.router.force_install(routes.clone());
-                self.table = by_prefix(routes);
-                self.assert_fib_holds_the_table();
+                self.now += SimDuration::from_millis(250);
+                let mut actions = Vec::new();
+                self.router
+                    .on_controller_push(self.now, reports, &mut self.spf, &mut actions);
+                self.pushed_ops += self.land(&actions);
             }
         }
     }
@@ -258,10 +264,11 @@ proptest! {
 }
 
 /// The walk above is not vacuous: over a fixed set of seeds it emits
-/// removes, patches and inserts, mixed in one delta, in `diff`'s order.
+/// removes, patches and inserts, mixed in one delta, in `diff`'s order,
+/// and its controller pushes change routes too.
 #[test]
 fn the_random_walk_emits_every_kind_of_op() {
-    let (mut removes, mut patches, mut inserts, mut mixed) = (0, 0, 0, 0);
+    let (mut removes, mut patches, mut inserts, mut mixed, mut pushed) = (0, 0, 0, 0, 0);
     for case in 0..64 {
         let mut rng = TestRng::for_case(case);
         let mut harness = Harness::new(&mut rng);
@@ -280,10 +287,12 @@ fn the_random_walk_emits_every_kind_of_op() {
             mixed += usize::from(r > 0 && p > 0 && i > 0);
         }
         harness.spf();
+        pushed += harness.pushed_ops;
     }
     assert!(
-        removes > 50 && patches > 50 && inserts > 50 && mixed > 0,
-        "{removes} removes, {patches} patches, {inserts} inserts, {mixed} mixed"
+        removes > 50 && patches > 50 && inserts > 50 && mixed > 0 && pushed > 50,
+        "{removes} removes, {patches} patches, {inserts} inserts, {mixed} mixed, \
+         {pushed} pushed"
     );
 }
 
