@@ -71,3 +71,41 @@ fn fig4_sweep_is_byte_identical_across_worker_counts() {
     );
     assert!(serial.contains("C7"), "unexpectedly empty grid:\n{serial}");
 }
+
+/// `repro <args>`'s stdout, which must exit 0 with nothing on stderr.
+fn repro_stdout(args: &[&str]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro binary runs");
+    assert!(out.status.success(), "repro {args:?} failed");
+    assert!(out.stderr.is_empty(), "repro {args:?} wrote to stderr");
+    String::from_utf8(out.stdout).expect("utf8 stdout")
+}
+
+fn golden(name: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    std::fs::read_to_string(path.join(name)).expect("golden fixture")
+}
+
+/// Every `repro` target at once prints the same bytes on one worker and
+/// on two, and the scorecard among them is its fixture. Release-only
+/// (`ci.sh` runs it): each run takes about 2 s in a release build.
+#[test]
+#[ignore = "release-only: run with cargo test --release -- --ignored"]
+fn repro_all_is_byte_identical_across_worker_counts() {
+    let one = repro_stdout(&["all", "--quick", "--workers", "1"]);
+    let two = repro_stdout(&["all", "--quick", "--workers", "2"]);
+    assert!(one == two, "the worker count changed `repro all`'s stdout");
+    assert!(one.contains(&golden("summary.txt")), "{one}");
+}
+
+/// Fig. 6 and its multi-seed statistics side by side print what each
+/// prints alone, in target order.
+#[test]
+#[ignore = "release-only: run with cargo test --release -- --ignored"]
+fn fig6seeds_beside_fig6_prints_both_unchanged() {
+    let fig6 = repro_stdout(&["fig6", "--quick"]);
+    let both = repro_stdout(&["fig6", "fig6seeds", "--quick"]);
+    assert_eq!(both, fig6 + &golden("fig6seeds_quick.txt"));
+}

@@ -374,3 +374,22 @@ fn unidirectional_matches_golden() {
 fn summary_matches_golden() {
     check_repro_golden("summary");
 }
+
+/// The scorecard does not depend on what runs beside it: under another
+/// `--recovery` value it prints the fixture's bytes, and next to a
+/// figure that reads other grid cells it prints them among its output.
+#[test]
+fn summary_does_not_depend_on_what_runs_beside_it() {
+    let golden = std::fs::read_to_string(golden_path("summary.txt")).expect("summary fixture");
+    let stdout = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("repro binary runs");
+        assert!(out.status.success(), "repro {args:?} failed");
+        String::from_utf8(out.stdout).expect("utf8 stdout")
+    };
+    assert_eq!(stdout(&["--recovery", "ospf", "summary"]), golden);
+    let beside = stdout(&["--recovery", "frr", "fig4", "summary"]);
+    assert!(beside.contains(&golden), "{beside}");
+}
