@@ -23,7 +23,7 @@
 #    and F²Tree, intact and damaged (< 1 s), the `repro fig6seeds
 #    --quick` golden (about 14 s in a debug build, 1 s in release), and
 #    `repro all --quick` byte-identical on one worker and on two, with
-#    `repro fig6 fig6seeds --quick` printing each target's bytes (~6 s),
+#    `repro fig6 fig6seeds --quick` printing each target's bytes (~4 s),
 # 3. the lint pass: `cargo clippy` over the workspace with the
 #    restriction lints of Cargo.toml's [workspace.lints.clippy] and the
 #    bans of clippy.toml, plus the two token rules, under the strict

@@ -14,8 +14,10 @@
 //! `quality` targets show every mode.
 //!
 //! Anything the parser does not recognize — an unknown flag or target, a
-//! non-numeric `--seed`, an uncreatable `--out` — is rejected with a
-//! one-line message on stderr and exit status 2 before any work starts.
+//! non-numeric `--seed`, an uncreatable `--out` — or would leave unread —
+//! `chaos` beside another target, a chaos flag without it — is rejected
+//! with a one-line message on stderr and exit status 2 before any work
+//! starts. A reader that closes stdout early ends the run quietly.
 //!
 //! `repro chaos` runs a deterministic failure-injection campaign under
 //! the `dcn-chaos` invariant oracles instead of the paper artifacts:
@@ -28,8 +30,11 @@
 //! written to `--out DIR` as a replayable `.scenario` file), and the exit
 //! status is 1.
 
+use std::cell::LazyCell;
 use std::fmt;
+use std::io::{self, Write};
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use dcn_chaos::{run_chaos, run_scenario, shrink_scenario, ChaosConfig};
 
@@ -49,12 +54,12 @@ use f2tree_experiments::fig7::{format_fig7, run_fig7_sweep};
 use f2tree_experiments::plot::sparkline_values;
 use f2tree_experiments::quality::format_quality;
 use f2tree_experiments::recovery::{congestion_cost, format_recovery, frr_wins};
-use f2tree_experiments::summary::{format_summary, run_summary};
+use f2tree_experiments::summary::{format_summary, scorecard};
 use f2tree_experiments::table1::{format_table1, run_table1};
 use f2tree_experiments::table2::{format_table2, run_table2};
 use f2tree_experiments::testbed::{format_table3, run_table3};
 use f2tree_experiments::workload::{
-    format_fig6, format_fig6_stats, run_fig6, run_fig6_multiseed_sweep, WorkloadConfig,
+    format_fig6, format_fig6_stats, Fig6Sweep, WorkloadConfig, FIG6_SEEDS,
 };
 
 /// The `--help` text: every target, every flag, every accepted value.
@@ -76,7 +81,7 @@ targets (default: everything except fig6seeds):
   bisection aspen c7x ablation centralized summary unidirectional
                                 beyond-paper extensions
   fig6seeds                     opt-in: 5-seed Fig. 6 workload stats
-  chaos                         invariant-oracle failure campaigns
+  chaos                         invariant-oracle failure campaigns (alone)
   all                           everything except fig6seeds
 
 flags:
@@ -148,6 +153,8 @@ enum CliError {
         accepted: &'static [&'static str],
         value: String,
     },
+    NotWithChaos(&'static str),
+    ChaosOnly(&'static str),
     OutDir(PathBuf, std::io::Error),
 }
 
@@ -185,6 +192,10 @@ impl fmt::Display for CliError {
                 )?;
                 hint(f, value, accepted, "")
             }
+            CliError::NotWithChaos(target) => {
+                write!(f, "chaos runs alone; run '{target}' in its own repro call")
+            }
+            CliError::ChaosOnly(flag) => write!(f, "{flag} applies only to the chaos target"),
             CliError::OutDir(dir, e) => {
                 write!(f, "--out: cannot create directory '{}': {e}", dir.display())
             }
@@ -255,29 +266,56 @@ fn parse_cli(args: &[String]) -> Result<Cli, CliError> {
             },
         }
     }
+    // Nothing given is dropped unread: chaos shares a call with no other
+    // target, and its own flags come with it.
+    let chaos_only = [
+        ("--seed", cli.seed.is_some()),
+        ("--campaigns", cli.campaigns.is_some()),
+        ("--quality", cli.quality),
+    ];
+    if cli.targets.contains(&"chaos") {
+        if let Some(other) = cli.targets.iter().find(|&&t| t != "chaos") {
+            return Err(CliError::NotWithChaos(other));
+        }
+    } else if let Some((flag, _)) = chaos_only.into_iter().find(|&(_, given)| given) {
+        return Err(CliError::ChaosOnly(flag));
+    }
     if let Some(dir) = &cli.out_dir {
         std::fs::create_dir_all(dir).map_err(|e| CliError::OutDir(dir.clone(), e))?;
     }
     Ok(cli)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
-        return;
+    let mut out = io::stdout().lock();
+    let status = if args.iter().any(|a| a == "--help" || a == "-h") {
+        out.write_all(USAGE.as_bytes()).map(|()| 0)
+    } else {
+        match parse_cli(&args) {
+            Ok(cli) if cli.targets.contains(&"chaos") => run_chaos_cli(&cli, &mut out),
+            Ok(cli) => run_targets(&cli, &mut out).map(|()| 0),
+            Err(e) => {
+                eprintln!("error: {e}");
+                Ok(2)
+            }
+        }
+    };
+    // Every line goes through `out`; a reader that closed the pipe wants
+    // none after it, so that ends the run quietly.
+    match status.and_then(|status| out.flush().map(|()| status)) {
+        Ok(status) => ExitCode::from(status),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
     }
-    let cli = parse_cli(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+}
+
+/// Prints every wanted paper target to `out`, in `USAGE` order.
+fn run_targets(cli: &Cli, out: &mut impl Write) -> io::Result<()> {
     let targets = &cli.targets;
-
-    if targets.contains(&"chaos") {
-        run_chaos_cli(&cli);
-        return;
-    }
-
     let want = |name: &str| {
         if name == "fig6seeds" {
             // Opt-in only: 5 seeds × 4 (design, CF) full workload runs.
@@ -285,134 +323,139 @@ fn main() {
         }
         targets.is_empty() || targets.contains(&"all") || targets.contains(&name)
     };
+    // What the scorecard reads besides the grid: each is computed once,
+    // by the first wanted target that reads it.
+    let table3 = LazyCell::new(run_table3);
+    let fig7 = LazyCell::new(|| run_fig7_sweep(cli.workers));
+    let c7_wide = LazyCell::new(run_c7_wide);
+    let centralized = LazyCell::new(run_centralized_sweep);
+    let aspen = LazyCell::new(run_aspen_baseline);
 
     if want("table1") {
         for n in [8u32, 16, 48, 128] {
-            println!("{}", format_table1(n, &run_table1(n)));
+            writeln!(out, "{}", format_table1(n, &run_table1(n)))?;
         }
     }
     if want("table2") {
-        println!("{}", format_table2(&run_table2(8)));
+        writeln!(out, "{}", format_table2(&run_table2(8)))?;
     }
     if want("table3") || want("fig2") {
-        let results = run_table3();
-        println!("{}", format_table3(&results));
-        println!("Fig. 2 receiving throughput (each char = one 20ms bin):");
-        for r in &results {
-            println!(
-                "  {:<9} UDP |{}|",
-                r.design.to_string(),
-                sparkline_values(&r.udp_throughput_mbps)
-            );
-            println!(
-                "  {:<9} TCP |{}|",
-                r.design.to_string(),
-                sparkline_values(&r.tcp_throughput_mbps)
-            );
+        writeln!(out, "{}", format_table3(&*table3))?;
+        writeln!(
+            out,
+            "Fig. 2 receiving throughput (each char = one 20ms bin):"
+        )?;
+        for r in &*table3 {
+            let design = r.design.to_string();
+            let udp = sparkline_values(&r.udp_throughput_mbps);
+            writeln!(out, "  {design:<9} UDP |{udp}|")?;
+            let tcp = sparkline_values(&r.tcp_throughput_mbps);
+            writeln!(out, "  {design:<9} TCP |{tcp}|")?;
         }
-        println!();
+        writeln!(out)?;
         if let Some(dir) = &cli.out_dir {
-            artifacts::export_fig2(dir, &results).expect("write fig2 csv");
+            artifacts::export_fig2(dir, &*table3).expect("write fig2 csv");
         }
     }
     if want("table4") {
-        println!("{}", format_table4());
+        writeln!(out, "{}", format_table4())?;
     }
-    // Fig. 4, Fig. 5, recovery and quality are views of one condition
-    // grid; each cell a wanted view reads runs once.
+    // Fig. 4, Fig. 5, recovery, quality and the scorecard are views of one
+    // condition grid; each cell a wanted view reads runs once.
     let views: Vec<View> = [
         ("fig4", View::Fig4(cli.recovery)),
         ("fig5", View::Fig5(cli.recovery)),
         ("recovery", View::Recovery),
         ("quality", View::Quality),
+        ("summary", View::Summary),
     ]
     .into_iter()
     .filter_map(|(target, view)| want(target).then_some(view))
     .collect();
     let grid = ConditionGrid::run(&ConditionConfig::default(), &views, cli.workers);
     if want("fig4") {
-        println!("{}", format_fig4(&grid, cli.recovery));
+        writeln!(out, "{}", format_fig4(&grid, cli.recovery))?;
         if let Some(dir) = &cli.out_dir {
             artifacts::export_fig4(dir, &grid, cli.recovery).expect("write fig4 csv");
         }
     }
     if want("fig5") {
-        println!("{}", format_fig5(&grid, cli.recovery));
+        writeln!(out, "{}", format_fig5(&grid, cli.recovery))?;
         if let Some(dir) = &cli.out_dir {
             artifacts::export_fig5(dir, &grid, cli.recovery).expect("write fig5 csv");
         }
     }
     if want("recovery") {
-        println!("{}", format_recovery(&grid));
-        println!("frr beats ospf on: {}", frr_wins(&grid).join(" "));
-        println!(
-            "f2tree pays congestion on: {}",
-            congestion_cost(&grid, RecoveryMode::F2TreeRewiring).join(" ")
-        );
-        println!(
-            "frr pays congestion on: {}\n",
-            congestion_cost(&grid, RecoveryMode::PrecomputedFrr).join(" ")
-        );
+        writeln!(out, "{}", format_recovery(&grid))?;
+        writeln!(out, "frr beats ospf on: {}", frr_wins(&grid).join(" "))?;
+        let cost = |mode| congestion_cost(&grid, mode).join(" ");
+        let f2tree = cost(RecoveryMode::F2TreeRewiring);
+        writeln!(out, "f2tree pays congestion on: {f2tree}")?;
+        let frr = cost(RecoveryMode::PrecomputedFrr);
+        writeln!(out, "frr pays congestion on: {frr}\n")?;
     }
     if want("quality") {
-        println!("{}", format_quality(&grid));
+        writeln!(out, "{}", format_quality(&grid))?;
     }
-    if want("fig6") {
+    // Fig. 6 and its multi-seed statistics are views of one sweep: Fig. 6
+    // shows its first seed, which runs alone when fig6seeds is not wanted.
+    if want("fig6") || want("fig6seeds") {
         let cfg = if cli.quick {
             WorkloadConfig::quick()
         } else {
             WorkloadConfig::default()
         };
-        let results = run_fig6(&cfg, cli.workers);
-        println!("{}", format_fig6(&results));
-        if let Some(dir) = &cli.out_dir {
-            artifacts::export_fig6(dir, &results).expect("write fig6 csv");
-        }
-    }
-    if want("fig6seeds") {
-        let base = if cli.quick {
-            WorkloadConfig::quick()
+        let seeds: &[u64] = if want("fig6seeds") {
+            &FIG6_SEEDS
         } else {
-            WorkloadConfig::default()
+            &[cfg.seed]
         };
-        let stats = run_fig6_multiseed_sweep(&base, &[20150701, 42, 7, 1234, 99], cli.workers);
-        println!("{}", format_fig6_stats(&stats));
+        let sweep = Fig6Sweep::run(&cfg, seeds, cli.workers);
+        if want("fig6") {
+            writeln!(out, "{}", format_fig6(sweep.fig6()))?;
+            if let Some(dir) = &cli.out_dir {
+                artifacts::export_fig6(dir, sweep.fig6()).expect("write fig6 csv");
+            }
+        }
+        if want("fig6seeds") {
+            writeln!(out, "{}", format_fig6_stats(&sweep.statistics()))?;
+        }
     }
     if want("fig7") {
-        println!("{}", format_fig7(&run_fig7_sweep(cli.workers)));
+        writeln!(out, "{}", format_fig7(&fig7))?;
     }
     if want("bisection") {
-        println!(
-            "{}",
-            format_bisection(&[
-                run_bisection(Design::FatTree),
-                run_bisection(Design::F2Tree)
-            ])
-        );
+        let rows = [Design::FatTree, Design::F2Tree].map(run_bisection);
+        writeln!(out, "{}", format_bisection(&rows))?;
     }
     if want("aspen") {
-        println!("{}", format_aspen(&run_aspen_baseline()));
+        writeln!(out, "{}", format_aspen(&*aspen))?;
     }
     if want("c7x") {
-        println!("{}", format_c7_wide(&run_c7_wide()));
+        writeln!(out, "{}", format_c7_wide(&*c7_wide))?;
     }
     if want("ablation") {
-        println!("{}", format_ablation(&run_timer_ablation()));
+        writeln!(out, "{}", format_ablation(&run_timer_ablation()))?;
     }
     if want("centralized") {
-        println!("{}", format_centralized(&run_centralized_sweep()));
+        writeln!(out, "{}", format_centralized(&centralized))?;
     }
     if want("summary") {
-        println!("{}", format_summary(&run_summary()));
+        let rows = scorecard(&table3, &grid, &fig7, &c7_wide, &centralized, &aspen);
+        writeln!(out, "{}", format_summary(&rows))?;
     }
     if want("unidirectional") {
-        println!("Unidirectional agg->ToR failure (BFD detects both ways):");
+        writeln!(
+            out,
+            "Unidirectional agg->ToR failure (BFD detects both ways):"
+        )?;
         for design in [Design::FatTree, Design::F2Tree] {
             let r = run_unidirectional(design);
-            println!("  {design}: loss {}us", r.connectivity_loss_us);
+            writeln!(out, "  {design}: loss {}us", r.connectivity_loss_us)?;
         }
-        println!();
+        writeln!(out)?;
     }
+    Ok(())
 }
 
 /// The closest candidate within edit distance 2, for typo hints.
@@ -446,8 +489,8 @@ fn levenshtein(a: &str, b: &str) -> usize {
 }
 
 /// The `repro chaos` subcommand: seeded invariant-oracle campaigns with
-/// minimal-reproducer shrinking on failure.
-fn run_chaos_cli(cli: &Cli) {
+/// minimal-reproducer shrinking on failure. Returns the exit status.
+fn run_chaos_cli(cli: &Cli, out: &mut impl Write) -> io::Result<u8> {
     let mut cfg = ChaosConfig::for_recovery(cli.recovery);
     if let Some(seed) = cli.seed {
         cfg.master_seed = seed;
@@ -460,41 +503,36 @@ fn run_chaos_cli(cli: &Cli) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("chaos: {e}");
-            std::process::exit(2);
+            return Ok(2);
         }
     };
-    print!("{}", report.render());
+    out.write_all(report.render().as_bytes())?;
     if cfg.engine.quality {
-        print!("{}", report.render_quality());
-    }
-    if report.total_violations() == 0 {
-        return;
+        out.write_all(report.render_quality().as_bytes())?;
     }
     let Some(bad) = report.violating().next() else {
-        return;
+        return Ok(0);
     };
     eprintln!(
         "shrinking campaign #{} to a minimal reproducer...",
         bad.index
     );
-    let engine = cfg.engine.clone();
     let minimal = shrink_scenario(&bad.spec, |s| {
-        run_scenario(s, &engine)
-            .map(|o| !o.violations.is_empty())
-            .unwrap_or(false)
+        run_scenario(s, &cfg.engine).is_ok_and(|o| !o.violations.is_empty())
     });
-    println!(
+    writeln!(
+        out,
         "minimal reproducer ({} of {} incident(s)):",
         minimal.incidents.len(),
         bad.spec.incidents.len()
-    );
-    print!("{}", minimal.render());
+    )?;
+    out.write_all(minimal.render().as_bytes())?;
     if let Some(dir) = &cli.out_dir {
         let path = dir.join(format!("chaos-minimal-{}.scenario", bad.index));
         match std::fs::write(&path, minimal.render()) {
-            Ok(()) => println!("wrote {}", path.display()),
+            Ok(()) => writeln!(out, "wrote {}", path.display())?,
             Err(e) => eprintln!("chaos: failed to write {}: {e}", path.display()),
         }
     }
-    std::process::exit(1);
+    Ok(1)
 }

@@ -8,9 +8,10 @@
 //! quality before, during and after the failover. The grid is the plain
 //! fat tree under OSPF on C1–C5 (C6/C7 involve across links and exist
 //! only on F²Tree) plus F²Tree under every recovery mode on C1–C7. Fig. 4,
-//! Fig. 5, the mode comparison ([`crate::recovery`]) and the quality grid
-//! ([`crate::quality`]) are [`View`]s that look cells up by (design, mode,
-//! condition); [`ConditionGrid::run`] runs each cell its views read once.
+//! Fig. 5, the mode comparison ([`crate::recovery`]), the quality grid
+//! ([`crate::quality`]) and the scorecard ([`crate::summary`]) are
+//! [`View`]s that look cells up by (design, mode, condition);
+//! [`ConditionGrid::run`] runs each cell its views read once.
 
 use dcn_emu::{EmuConfig, FlowId};
 use dcn_failure::Condition;
@@ -299,6 +300,9 @@ pub enum View {
     Recovery,
     /// The quality grid: every cell.
     Quality,
+    /// The scorecard: F²Tree's C1 and C7 cells under rewiring, whatever
+    /// `--recovery` the figures are drawn under.
+    Summary,
 }
 
 /// Fig. 5's delay series, in plot order.
@@ -327,6 +331,11 @@ impl View {
             View::Fig5(m) => mode == figure_mode(design, m) && FIG5.contains(&(design, condition)),
             View::Recovery => design == Design::F2Tree,
             View::Quality => true,
+            View::Summary => {
+                design == Design::F2Tree
+                    && mode == RecoveryMode::F2TreeRewiring
+                    && matches!(condition, Condition::C1 | Condition::C7)
+            }
         }
     }
 }
@@ -619,6 +628,18 @@ mod tests {
         }
         assert_eq!(count(&[View::Recovery]), 21);
         assert_eq!(count(&[View::Quality]), 26);
+        // The scorecard's two cells are among the figures' own: `repro
+        // all` runs no cell for it.
+        assert_eq!(count(&[View::Summary]), 2);
+        for mode in RecoveryMode::ALL {
+            let all = [
+                View::Fig4(mode),
+                View::Fig5(mode),
+                View::Recovery,
+                View::Summary,
+            ];
+            assert_eq!(count(&all), 26, "{mode}");
+        }
         assert_eq!(count(&[]), 0);
     }
 

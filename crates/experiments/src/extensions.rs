@@ -24,29 +24,34 @@ fn ms(v: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(v)
 }
 
-/// The probe-loss body every cell below shares: a UDP probe from `src`
-/// to `dst` starts at time zero, `fail` breaks what it picks off the
-/// probe's path at 100 ms, the run goes on to `horizon_ms`, and the
-/// probe's connectivity-loss window around the failure comes back. `net`
-/// reaches the emulator inside `bed` (a [`TestBed`] or a bare
-/// [`Network`]).
-fn probe_loss<B>(
+/// The probe-loss body every cell below and Fig. 7 share: `probe` adds a
+/// UDP probe from the fabric's first host to its last, `fail` breaks what
+/// it picks off the probe's path at 100 ms, the run goes on to
+/// `horizon_ms`, and the probe's connectivity-loss window around the
+/// failure and its lost packets come back. `net` reaches the emulator
+/// inside `bed` (a [`TestBed`] or a bare [`Network`]).
+pub(crate) fn probe_loss<B>(
     bed: &mut B,
     net: fn(&mut B) -> &mut Network,
-    (src, dst): (NodeId, NodeId),
+    probe: impl FnOnce(&mut Network, NodeId, NodeId) -> FlowId,
     horizon_ms: u64,
     fail: impl FnOnce(&mut B, FlowId, SimTime),
-) -> SimDuration {
+) -> (SimDuration, u64) {
     let fail_at = ms(100);
-    let probe = net(bed).add_udp_probe(src, dst, SimTime::ZERO);
+    let hosts = net(bed).topology().hosts();
+    let (src, dst) = (hosts[0], *hosts.last().expect("hosts exist"));
+    let probe = probe(net(bed), src, dst);
     fail(bed, probe, fail_at);
     let net = net(bed);
     net.run_until(ms(horizon_ms));
-    net.udp_probe_report(probe)
-        .connectivity
-        .loss_around(fail_at)
-        .expect("probe recovers")
-        .duration
+    let report = net.udp_probe_report(probe);
+    let loss = report.connectivity.loss_around(fail_at);
+    (loss.expect("probe recovers").duration, report.lost)
+}
+
+/// The probe every cell but Fig. 7's runs: unpinned, from time zero.
+pub(crate) fn unpinned(net: &mut Network, src: NodeId, dst: NodeId) -> FlowId {
+    net.add_udp_probe(src, dst, SimTime::ZERO)
 }
 
 /// The C1 cell of the controller sweep and the timer ablation: the
@@ -55,17 +60,11 @@ fn probe_loss<B>(
 fn c1_loss(design: Design, config: EmuConfig) -> SimDuration {
     #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
     let mut bed = TestBed::build_with_config(design, 8, 4, config).expect("testbed builds");
-    let endpoints = bed.probe_endpoints();
-    probe_loss(
-        &mut bed,
-        |b| &mut b.net,
-        endpoints,
-        3000,
-        |bed, probe, at| {
-            let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
-            bed.net.fail_link_at(at, link);
-        },
-    )
+    let fail = |bed: &mut TestBed, probe, at| {
+        let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
+        bed.net.fail_link_at(at, link);
+    };
+    probe_loss(&mut bed, |b| &mut b.net, unpinned, 3000, fail).0
 }
 
 // ---------------------------------------------------------------------
@@ -83,43 +82,30 @@ pub struct C7WideResult {
     pub looped: bool,
 }
 
-/// Runs the C7 condition on a k=12 F²Tree with `across_ports` (2 = the
-/// paper's design, degrading to fat tree; 4 = the §II-C extension,
-/// staying detection-bounded).
-///
-/// # Panics
-///
-/// Panics if `across_ports` is infeasible at k=12.
-pub fn run_c7_with_across(across_ports: u32) -> C7WideResult {
-    let f2 = FatTree::new(12)
-        .and_then(|fat| rewire_fat_tree(fat.build(), across_ports))
-        .expect("feasible at k=12");
-    let mut bed = TestBed::from_f2tree(f2, EmuConfig::default()).expect("addressable");
-    let endpoints = bed.probe_endpoints();
-    let loss = probe_loss(
-        &mut bed,
-        |b| &mut b.net,
-        endpoints,
-        2000,
-        |bed, probe, at| {
+/// Runs the C7 condition on a k=12 F²Tree with 2 across ports (the
+/// paper's design, degrading to fat tree) and with 4 (the §II-C
+/// extension, staying detection-bounded).
+pub fn run_c7_wide() -> [C7WideResult; 2] {
+    [2, 4].map(|across_ports| {
+        let f2 = FatTree::new(12)
+            .and_then(|fat| rewire_fat_tree(fat.build(), across_ports))
+            .expect("feasible at k=12");
+        let mut bed = TestBed::from_f2tree(f2, EmuConfig::default()).expect("addressable");
+        let fail = |bed: &mut TestBed, probe, at| {
             let anatomy = bed.path_anatomy(probe);
             // C7 on the distance-1 ring: Sx->T, right(Sx)->T and right(Sx)'s
             // rightward across link.
             for link in bed.scenario_links(&anatomy, Condition::C7) {
                 bed.net.fail_link_at(at, link);
             }
-        },
-    );
-    C7WideResult {
-        across_ports,
-        connectivity_loss_us: loss.as_micros(),
-        looped: bed.net.drops().ttl_expired > 0,
-    }
-}
-
-/// Runs the full wide-ring comparison (2 vs 4 across ports).
-pub fn run_c7_wide() -> [C7WideResult; 2] {
-    [run_c7_with_across(2), run_c7_with_across(4)]
+        };
+        let (loss, _) = probe_loss(&mut bed, |b| &mut b.net, unpinned, 2000, fail);
+        C7WideResult {
+            across_ports,
+            connectivity_loss_us: loss.as_micros(),
+            looped: bed.net.drops().ttl_expired > 0,
+        }
+    })
 }
 
 /// Renders the comparison.
@@ -160,18 +146,12 @@ pub struct UnidirectionalResult {
 pub fn run_unidirectional(design: Design) -> UnidirectionalResult {
     #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
     let mut bed = TestBed::build(design, 8, 4).expect("testbed builds");
-    let endpoints = bed.probe_endpoints();
-    let loss = probe_loss(
-        &mut bed,
-        |b| &mut b.net,
-        endpoints,
-        2000,
-        |bed, probe, at| {
-            let anatomy = bed.path_anatomy(probe);
-            let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
-            bed.net.fail_link_direction_at(at, link, anatomy.path_agg);
-        },
-    );
+    let fail = |bed: &mut TestBed, probe, at| {
+        let anatomy = bed.path_anatomy(probe);
+        let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
+        bed.net.fail_link_direction_at(at, link, anatomy.path_agg);
+    };
+    let (loss, _) = probe_loss(&mut bed, |b| &mut b.net, unpinned, 2000, fail);
     UnidirectionalResult {
         design,
         connectivity_loss_us: loss.as_micros(),
@@ -202,26 +182,19 @@ pub fn run_aspen_baseline() -> [AspenResult; 2] {
             .expect("valid aspen dims")
             .build();
         let mut net = Network::new(topo, EmuConfig::default()).expect("addressable");
-        let hosts = net.topology().hosts();
-        let endpoints = (hosts[0], *hosts.last().expect("hosts"));
-        probe_loss(
-            &mut net,
-            |n| n,
-            endpoints,
-            2000,
-            |net, probe, at| {
-                let path: [NodeId; 7] = net.trace_path(probe).try_into().expect("a cross-pod path");
-                let [_host, _tor, up_agg, core, down_agg, down_tor, _dst] = path;
-                let (a, b) = if fail_top {
-                    (up_agg, core)
-                } else {
-                    (down_agg, down_tor)
-                };
-                let link = net.topology().link_between(a, b).expect("link on path");
-                net.fail_link_at(at, link);
-            },
-        )
-        .as_micros()
+        let fail = |net: &mut Network, probe, at| {
+            let path: [NodeId; 7] = net.trace_path(probe).try_into().expect("a cross-pod path");
+            let [_host, _tor, up_agg, core, down_agg, down_tor, _dst] = path;
+            let (a, b) = if fail_top {
+                (up_agg, core)
+            } else {
+                (down_agg, down_tor)
+            };
+            let link = net.topology().link_between(a, b).expect("link on path");
+            net.fail_link_at(at, link);
+        };
+        let (loss, _) = probe_loss(&mut net, |n| n, unpinned, 2000, fail);
+        loss.as_micros()
     };
     [
         AspenResult {
@@ -269,31 +242,27 @@ pub struct CentralizedResult {
 }
 
 /// Runs the C1 failure under a PortLand-style centralized control plane
-/// with the given controller compute delay. Without F²Tree, recovery
-/// waits for detect + report + compute + push; with the backup routes,
-/// the data plane repairs itself at detection time and the controller
-/// merely tidies up afterwards.
-pub fn run_centralized(design: Design, compute_ms: u64) -> CentralizedResult {
-    let config = EmuConfig::builder()
-        .control_plane(ControlPlaneMode::Centralized {
-            compute_delay: SimDuration::from_millis(compute_ms),
-        })
-        .build();
-    CentralizedResult {
-        design,
-        compute_ms,
-        connectivity_loss_us: c1_loss(design, config).as_micros(),
-    }
-}
-
-/// Sweeps controller compute delays for both designs.
+/// for both designs at controller compute delays of 10, 50 and 200 ms.
+/// Without F²Tree, recovery waits for detect + report + compute + push;
+/// with the backup routes, the data plane repairs itself at detection
+/// time and the controller merely tidies up afterwards.
 pub fn run_centralized_sweep() -> Vec<CentralizedResult> {
-    let mut out = Vec::new();
+    let mut rows = Vec::new();
     for compute_ms in [10u64, 50, 200] {
-        out.push(run_centralized(Design::FatTree, compute_ms));
-        out.push(run_centralized(Design::F2Tree, compute_ms));
+        let config = EmuConfig::builder()
+            .control_plane(ControlPlaneMode::Centralized {
+                compute_delay: SimDuration::from_millis(compute_ms),
+            })
+            .build();
+        for design in [Design::FatTree, Design::F2Tree] {
+            rows.push(CentralizedResult {
+                design,
+                compute_ms,
+                connectivity_loss_us: c1_loss(design, config).as_micros(),
+            });
+        }
     }
-    out
+    rows
 }
 
 /// Renders the centralized comparison.
@@ -533,9 +502,11 @@ mod tests {
 
     #[test]
     fn centralized_recovery_scales_with_compute_unless_f2tree_masks_it() {
-        for compute_ms in [10u64, 200] {
-            let fat = run_centralized(Design::FatTree, compute_ms);
-            let f2 = run_centralized(Design::F2Tree, compute_ms);
+        for pair in run_centralized_sweep().chunks(2) {
+            let (fat, f2) = (&pair[0], &pair[1]);
+            assert_eq!((fat.design, f2.design), (Design::FatTree, Design::F2Tree));
+            let compute_ms = fat.compute_ms;
+            assert_eq!(f2.compute_ms, compute_ms);
             // Fat tree: detect (60) + report (5) + compute + push (5).
             let expected = (60 + 5 + compute_ms + 5) * 1000;
             assert!(

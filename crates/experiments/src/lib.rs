@@ -9,14 +9,17 @@
 //! | Table II | [`table2`] | [`table2::run_table2`] |
 //! | Fig. 2 + Table III | [`testbed`] | [`testbed::run_table3`] (the C1 cell of [`conditions`] at k = 4) |
 //! | Fig. 4 + Fig. 5 + Table IV | [`conditions`] | [`conditions::ConditionGrid::run`] |
-//! | Fig. 6 | [`workload`] | [`workload::run_fig6`] |
+//! | Fig. 6 + its multi-seed statistics | [`workload`] | [`workload::Fig6Sweep::run`] |
 //! | Fig. 7 | [`fig7`] | [`fig7::run_fig7_sweep`] |
 //! | Recovery modes (ospf/f2tree/frr) | [`recovery`] | the same grid |
 //! | Routing quality per mode | [`quality`] | the same grid |
+//! | Paper-vs-measured scorecard | [`summary`] | [`summary::scorecard`], over the results above |
 //!
-//! Fig. 4, Fig. 5, the mode comparison and the quality grid are views
-//! ([`conditions::View`]) of one condition grid; a run computes each cell
-//! its views read once.
+//! Fig. 4, Fig. 5, the mode comparison, the quality grid and the
+//! scorecard's two cells are views ([`conditions::View`]) of one condition
+//! grid; a run computes each cell its views read once. No runner re-runs
+//! another's simulation: the scorecard reads what the targets it grades
+//! computed, and Fig. 6 is the first seed of the multi-seed sweep.
 //!
 //! The `repro` binary runs everything at paper scale and prints each
 //! table; `EXPERIMENTS.md` records paper-vs-measured values.

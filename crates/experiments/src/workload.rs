@@ -200,18 +200,63 @@ const FIG6_CELLS: [(Design, usize); 4] = [
     (Design::F2Tree, 5),
 ];
 
-/// Runs Fig. 6 in full — both designs under both regimes — on an explicit
-/// worker count via the sweep engine. Output order (and every result in
-/// it) is identical for every `workers` value.
-pub fn run_fig6(config: &WorkloadConfig, workers: Workers) -> Vec<WorkloadResult> {
-    ExperimentSpec::new("fig6")
-        .cells(FIG6_CELLS)
-        .workers(workers)
-        .build()
-        .run(|ctx| {
-            let (design, concurrent) = *ctx.cell();
-            run_workload(design, &config.clone().with_concurrency(concurrent))
-        })
+/// The seeds `repro fig6seeds` folds over, in fold order. The first is
+/// [`WorkloadConfig`]'s default, the one Fig. 6 shows.
+pub const FIG6_SEEDS: [u64; 5] = [20150701, 42, 7, 1234, 99];
+
+/// Fig. 6's sweep: its four (design, regime) cells under each seed, every
+/// run once. Fig. 6 and the multi-seed statistics are views of it.
+#[derive(Clone, Debug)]
+pub struct Fig6Sweep {
+    /// Seed-major: the four cells in table order under the first seed,
+    /// then under the second, and so on.
+    pub results: Vec<WorkloadResult>,
+}
+
+impl Fig6Sweep {
+    /// Runs each cell under each of `seeds` (`config` with that regime
+    /// and seed) on the sweep engine; output order and every result in
+    /// it are identical for every `workers` value.
+    pub fn run(config: &WorkloadConfig, seeds: &[u64], workers: Workers) -> Fig6Sweep {
+        let cells = seeds
+            .iter()
+            .flat_map(|&seed| FIG6_CELLS.map(|(design, concurrent)| (design, concurrent, seed)));
+        let results = ExperimentSpec::new("fig6")
+            .cells(cells)
+            .workers(workers)
+            .build()
+            .run(|ctx| {
+                let (design, concurrent, seed) = *ctx.cell();
+                let cfg = config.clone().with_concurrency(concurrent);
+                run_workload(design, &WorkloadConfig { seed, ..cfg })
+            });
+        Fig6Sweep { results }
+    }
+
+    /// Fig. 6: the first seed's cells, in table order.
+    pub fn fig6(&self) -> &[WorkloadResult] {
+        self.results.get(..FIG6_CELLS.len()).unwrap_or_default()
+    }
+
+    /// Each cell's deadline-miss ratio summarized over the seeds — the
+    /// honest way to report a random-failure experiment.
+    pub fn statistics(&self) -> Vec<Fig6Statistics> {
+        let cells = FIG6_CELLS.into_iter().enumerate();
+        cells
+            .map(|(i, (design, concurrent_failures))| {
+                let ratios = self.results.iter().skip(i).step_by(FIG6_CELLS.len());
+                let ratios: Vec<f64> = ratios.map(|r| r.deadline_miss_ratio).collect();
+                Fig6Statistics {
+                    design,
+                    concurrent_failures,
+                    seeds: ratios.len(),
+                    mean_miss_ratio: ratios.iter().sum::<f64>() / ratios.len() as f64,
+                    min_miss_ratio: ratios.iter().copied().fold(f64::INFINITY, f64::min),
+                    max_miss_ratio: ratios.iter().copied().fold(0.0, f64::max),
+                }
+            })
+            .collect()
+    }
 }
 
 /// Multi-seed statistics for one (design, regime) cell.
@@ -229,50 +274,6 @@ pub struct Fig6Statistics {
     pub min_miss_ratio: f64,
     /// Maximum across seeds.
     pub max_miss_ratio: f64,
-}
-
-/// Runs one (design, regime) cell over several seeds and summarizes the
-/// deadline-miss ratio — the honest way to report a random-failure
-/// experiment.
-pub fn run_fig6_statistics(design: Design, base: &WorkloadConfig, seeds: &[u64]) -> Fig6Statistics {
-    assert!(!seeds.is_empty(), "need at least one seed");
-    let ratios: Vec<f64> = seeds
-        .iter()
-        .map(|&seed| {
-            let cfg = WorkloadConfig {
-                seed,
-                ..base.clone()
-            };
-            run_workload(design, &cfg).deadline_miss_ratio
-        })
-        .collect();
-    Fig6Statistics {
-        design,
-        concurrent_failures: base.concurrent_failures,
-        seeds: seeds.len(),
-        mean_miss_ratio: ratios.iter().sum::<f64>() / ratios.len() as f64,
-        min_miss_ratio: ratios.iter().copied().fold(f64::INFINITY, f64::min),
-        max_miss_ratio: ratios.iter().copied().fold(0.0, f64::max),
-    }
-}
-
-/// Runs the Fig. 6 multi-seed grid — both designs under both regimes —
-/// on an explicit worker count via the sweep engine. Output order (and
-/// every statistic in it) is identical for every `workers` value.
-pub fn run_fig6_multiseed_sweep(
-    base: &WorkloadConfig,
-    seeds: &[u64],
-    workers: Workers,
-) -> Vec<Fig6Statistics> {
-    ExperimentSpec::new("fig6-multiseed")
-        .cells(FIG6_CELLS)
-        .workers(workers)
-        .build()
-        .run(|ctx| {
-            let (design, concurrent) = *ctx.cell();
-            let cfg = base.clone().with_concurrency(concurrent);
-            run_fig6_statistics(design, &cfg, seeds)
-        })
 }
 
 /// Renders the multi-seed statistics table.
@@ -328,6 +329,12 @@ pub fn format_fig6(results: &[WorkloadResult]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fig6_shows_the_default_seed() {
+        assert_eq!(FIG6_SEEDS.first(), Some(&WorkloadConfig::default().seed));
+        assert_eq!(WorkloadConfig::quick().seed, WorkloadConfig::default().seed);
+    }
 
     #[test]
     fn quick_one_concurrent_regime_shows_the_papers_gap() {

@@ -2,8 +2,11 @@
 //! documents every flag's accepted values; anything the parser does
 //! not recognize — flags, flag values, targets, non-numeric numbers, an
 //! uncreatable `--out` — is rejected with exit status 2 and a one-line
-//! message on stderr, before anything reaches stdout; and `repro chaos`
-//! prints the same bytes for every `--workers` value.
+//! message on stderr, before anything reaches stdout, and so is anything
+//! it would drop unread (`chaos` beside another target, a chaos-only
+//! flag without `chaos`); a reader that closes the pipe ends the run
+//! quietly; and `repro chaos` prints the same bytes for every
+//! `--workers` value.
 
 use std::process::{Command, Output};
 
@@ -109,6 +112,49 @@ fn hopeless_typo_points_at_help_instead_of_guessing() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8(out.stderr).expect("utf8 stderr");
     assert!(err.contains("run with --help"), "{err}");
+}
+
+#[test]
+fn chaos_runs_alone_and_its_flags_need_it() {
+    let err = rejected(&["chaos", "table4", "--campaigns", "2"]);
+    assert!(
+        err.contains("chaos runs alone; run 'table4' in its own repro call"),
+        "{err}"
+    );
+    let err = rejected(&["table4", "chaos"]);
+    assert!(err.contains("chaos runs alone"), "{err}");
+
+    let err = rejected(&["table4", "--seed", "5", "--campaigns", "3", "--quality"]);
+    assert!(
+        err.contains("--seed applies only to the chaos target"),
+        "{err}"
+    );
+    for flag in [&["--campaigns", "3"][..], &["--quality"]] {
+        let args = [&["table4"][..], flag].concat();
+        let err = rejected(&args);
+        let expected = format!("{} applies only to the chaos target", flag[0]);
+        assert!(err.contains(&expected), "{err}");
+    }
+    // With no target, everything but chaos runs: its flags stay unread.
+    let err = rejected(&["--quality"]);
+    assert!(err.contains("--quality applies only"), "{err}");
+}
+
+/// `repro table1 | head -1`: once the reader has gone, the run stops
+/// without a panic. The pipe's read end is closed before `repro` starts,
+/// so its first write always meets the closed pipe.
+#[test]
+fn a_closed_stdout_pipe_ends_the_run_quietly() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("table1")
+        .stdout(writer)
+        .output()
+        .expect("repro binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_ne!(out.status.code(), Some(101), "{err}");
 }
 
 #[test]

@@ -31,7 +31,7 @@ use f2tree_experiments::recovery::{congestion_cost, format_recovery, frr_wins};
 use f2tree_experiments::table1::{format_table1, run_table1};
 use f2tree_experiments::table2::{format_table2, run_table2};
 use f2tree_experiments::testbed::{format_table3, run_table3};
-use f2tree_experiments::workload::{format_fig6, run_fig6, WorkloadConfig};
+use f2tree_experiments::workload::{format_fig6, Fig6Sweep, WorkloadConfig};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -152,9 +152,11 @@ fn fig2_throughput_csv_matches_golden() {
 /// request, response and transfer paths of the emulator.
 #[test]
 fn fig6_quick_matches_golden() {
-    let results = run_fig6(&WorkloadConfig::quick(), Workers::SERIAL);
-    let mut out = format_fig6(&results);
-    for r in &results {
+    let cfg = WorkloadConfig::quick();
+    let sweep = Fig6Sweep::run(&cfg, &[cfg.seed], Workers::SERIAL);
+    let results = sweep.fig6();
+    let mut out = format_fig6(results);
+    for r in results {
         let fct = r
             .background_fct
             .as_ref()
@@ -168,7 +170,7 @@ fn fig6_quick_matches_golden() {
     }
     let dir = std::env::temp_dir().join(format!("f2tree-fig6-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    export_fig6(&dir, &results).expect("write fig6 csvs");
+    export_fig6(&dir, results).expect("write fig6 csvs");
     for name in ["fig6_summary.csv", "fig6_cdf.csv"] {
         let csv = std::fs::read_to_string(dir.join(name)).expect("read fig6 csv");
         write!(out, "{name}\n{csv}").unwrap();

@@ -128,13 +128,28 @@ fn deadline_is_the_papers_250ms() {
 
 #[test]
 fn multi_seed_statistics_bracket_single_runs() {
-    use f2tree_experiments::workload::run_fig6_statistics;
+    use dcn_sweep::Workers;
+    use f2tree_experiments::workload::Fig6Sweep;
     let base = quick(1, 0);
-    let stats = run_fig6_statistics(Design::F2Tree, &base, &[101, 102, 103]);
-    assert_eq!(stats.seeds, 3);
-    assert!(stats.min_miss_ratio <= stats.mean_miss_ratio);
-    assert!(stats.mean_miss_ratio <= stats.max_miss_ratio);
-    assert!(stats.max_miss_ratio <= 1.0);
+    let sweep = Fig6Sweep::run(&base, &[101, 102, 103], Workers::auto());
+    let stats = sweep.statistics();
+    assert_eq!(stats.len(), 4);
+    for s in &stats {
+        assert_eq!(s.seeds, 3);
+        assert!(s.min_miss_ratio <= s.mean_miss_ratio);
+        assert!(s.mean_miss_ratio <= s.max_miss_ratio);
+        assert!(s.max_miss_ratio <= 1.0);
+    }
+    // Every single run lies within its cell's bracket.
+    assert_eq!(sweep.results.len(), 12);
+    for r in &sweep.results {
+        let cell = (r.design, r.concurrent_failures);
+        let s = stats
+            .iter()
+            .find(|s| (s.design, s.concurrent_failures) == cell)
+            .expect("every cell has statistics");
+        assert!((s.min_miss_ratio..=s.max_miss_ratio).contains(&r.deadline_miss_ratio));
+    }
 }
 
 #[test]
