@@ -7,7 +7,9 @@
 #    crates it builds from are rustfmt-clean (bench/ is its own
 #    workspace and is not checked),
 # 1. release build of every workspace member (warnings from the
-#    [workspace.lints] table are part of the build),
+#    [workspace.lints] table are part of the build), then the five
+#    examples run in release — `cargo test` only compiles them, and the
+#    quickstart is README's first command — each must exit 0,
 # 2. the whole test suite (unit + integration + property + doc tests) —
 #    which carries the end-to-end smokes: the Fig. 7 grid through the
 #    sweep pool, fixed-seed chaos campaigns in every mode (library level
@@ -45,6 +47,11 @@ cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> the five examples, release"
+for example in quickstart failure_drill topology_explorer extensions_tour partition_aggregate; do
+    cargo run -q --release --example "$example" >/dev/null
+done
 
 echo "==> cargo test -q (+ the release-only k=16 SPF, shared-table and failure-map equivalences, the fig6seeds golden and repro's worker-count determinism)"
 cargo test -q

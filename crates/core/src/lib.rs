@@ -16,7 +16,11 @@
 //!   backups with zero protocol changes,
 //! * [`immediate_backup_links`] — the §II-A structural analysis, and
 //! * [`f2_leaf_spine`] / [`f2_vl2`] — the same scheme applied to the
-//!   other multi-rooted topologies of §V (Fig. 7).
+//!   other multi-rooted topologies of §V (Fig. 7), each returning an
+//!   [`F2TreeNetwork`] whose one ring the same generators configure, and
+//! * [`TestBed`] — the one way a fabric reaches the emulator:
+//!   [`TestBed::from_topology`] as built, [`TestBed::from_f2tree`]
+//!   rewired, with the backup routes installed.
 //!
 //! # Examples
 //!
@@ -48,6 +52,6 @@ pub mod testbed;
 
 pub use analysis::{immediate_backup_links, layer_backup_summary, BackupSummary};
 pub use config::{network_backup_routes, ring_backup_routes, SwitchBackup};
-pub use other::{f2_leaf_spine, f2_vl2, F2Network};
+pub use other::{f2_leaf_spine, f2_vl2};
 pub use rewire::{rewire_fat_tree, F2TreeNetwork};
 pub use testbed::{Design, PathAnatomy, TestBed, TestBedError};

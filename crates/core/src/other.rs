@@ -10,28 +10,25 @@
 //! * **VL2** (Fig. 7(b)): the dense agg↔intermediate mesh already backs
 //!   core→agg links, but agg→ToR links do not — an aggregation-layer ring
 //!   fixes exactly that gap.
+//!
+//! Both return an [`F2TreeNetwork`], like the fat-tree rewiring: the
+//! spine ring is a core ring (spines sit at [`Layer::Core`]), VL2's is an
+//! aggregation ring, so [`network_backup_routes`](crate::network_backup_routes)
+//! and [`TestBed::from_f2tree`](crate::TestBed::from_f2tree) take all
+//! three fabrics alike.
 
-use dcn_net::{Layer, LeafSpine, NodeId, PodRing, Topology, TopologyError, Vl2};
+use dcn_net::{Layer, LeafSpine, NodeId, TopologyError, Vl2};
 
-use crate::rewire::add_ring;
-
-/// A rewired two-layer or VL2 network: the topology plus its ring.
-#[derive(Clone, Debug)]
-pub struct F2Network {
-    /// The rewired topology.
-    pub topology: Topology,
-    /// The across-link ring added by the rewiring.
-    pub ring: PodRing,
-}
+use crate::rewire::{add_ring, F2TreeNetwork};
 
 /// Builds an F²-Leaf-Spine: a standard Leaf-Spine fabric plus a spine
-/// ring.
+/// ring, its one core ring.
 ///
 /// # Errors
 ///
 /// Returns an error for invalid dimensions or if fewer than two spines
 /// are requested (a ring needs two members).
-pub fn f2_leaf_spine(leaves: u32, spines: u32) -> Result<F2Network, TopologyError> {
+pub fn f2_leaf_spine(leaves: u32, spines: u32) -> Result<F2TreeNetwork, TopologyError> {
     if spines < 2 {
         return Err(TopologyError::InvalidParameter(
             "a spine ring needs at least 2 spines".into(),
@@ -41,25 +38,28 @@ pub fn f2_leaf_spine(leaves: u32, spines: u32) -> Result<F2Network, TopologyErro
     let members: Vec<NodeId> = topo.layer_switches(Layer::Core).collect();
     let ring = add_ring(&mut topo, members, 1)?;
     topo.set_name(format!("f2-leaf-spine-{leaves}x{spines}"));
-    Ok(F2Network {
+    Ok(F2TreeNetwork {
         topology: topo,
-        ring,
+        agg_rings: Vec::new(),
+        core_rings: vec![ring],
     })
 }
 
-/// Builds an F²-VL2: a standard VL2 fabric plus an aggregation ring.
+/// Builds an F²-VL2: a standard VL2 fabric plus an aggregation ring, its
+/// one aggregation ring.
 ///
 /// # Errors
 ///
 /// Returns an error for invalid dimensions.
-pub fn f2_vl2(d_a: u32, d_i: u32) -> Result<F2Network, TopologyError> {
+pub fn f2_vl2(d_a: u32, d_i: u32) -> Result<F2TreeNetwork, TopologyError> {
     let mut topo = Vl2::new(d_a, d_i)?.spare_agg_ports(2).build();
     let members: Vec<NodeId> = topo.layer_switches(Layer::Agg).collect();
     let ring = add_ring(&mut topo, members, 1)?;
     topo.set_name(format!("f2-vl2-da{d_a}-di{d_i}"));
-    Ok(F2Network {
+    Ok(F2TreeNetwork {
         topology: topo,
-        ring,
+        agg_rings: vec![ring],
+        core_rings: Vec::new(),
     })
 }
 
@@ -71,7 +71,9 @@ mod tests {
     #[test]
     fn leaf_spine_ring_spans_all_spines() {
         let net = f2_leaf_spine(4, 4).unwrap();
-        assert_eq!(net.ring.len(), 4);
+        assert!(net.agg_rings.is_empty());
+        assert_eq!(net.core_rings.len(), 1);
+        assert_eq!(net.core_rings[0].len(), 4);
         for spine in net.topology.layer_switches(Layer::Core) {
             assert_eq!(net.topology.across_links(spine).len(), 2);
         }

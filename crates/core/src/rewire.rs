@@ -36,15 +36,19 @@ use dcn_net::{
     FatTree, Layer, LinkClass, LinkId, NodeId, PodRing, Topology, TopologyError, DCN_PREFIX,
 };
 
-/// A rewired F²Tree network: the topology plus its across-link rings.
+/// A rewired fabric — the F²Tree, or the F²-Leaf-Spine and F²-VL2 of
+/// [`f2_leaf_spine`](crate::f2_leaf_spine) and [`f2_vl2`](crate::f2_vl2)
+/// — the topology plus its across-link rings.
 #[derive(Clone, Debug)]
 pub struct F2TreeNetwork {
     /// The rewired topology.
     pub topology: Topology,
-    /// One across-link ring per pod, over its aggregation switches.
+    /// Rings over aggregation switches: one per pod on the F²Tree, one
+    /// over every aggregation switch on F²-VL2, none on F²-Leaf-Spine.
     pub agg_rings: Vec<PodRing>,
-    /// One across-link ring per core group (a single all-core ring when
-    /// groups degenerate to singletons, as at `k = 4`).
+    /// Rings over core switches: one per core group on the F²Tree (a
+    /// single all-core ring when groups degenerate to singletons, as at
+    /// `k = 4`), the spine ring on F²-Leaf-Spine, none on F²-VL2.
     pub core_rings: Vec<PodRing>,
 }
 

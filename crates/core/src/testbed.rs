@@ -3,11 +3,17 @@
 //!
 //! Lives in the core crate (rather than the experiment harness) so that
 //! every consumer — the paper-reproduction experiments, the chaos engine,
-//! ad-hoc examples — builds its networks through one door.
+//! the examples and the end-to-end tests — brings a fabric up in the
+//! emulator through one door: [`TestBed::from_topology`] for a fabric as
+//! built, [`TestBed::from_f2tree`] for a rewired one, which alone
+//! installs the F²Tree backup routes. [`TestBed::build`] picks one of the
+//! two for a `k`-port fat tree.
 
 use dcn_emu::{EmuConfig, FlowId, Network};
 use dcn_failure::{condition_links, Condition, ScenarioContext};
-use dcn_net::{AddressingError, FatTree, Layer, LinkId, NodeId, PodRing, Topology, TopologyError};
+use dcn_net::{
+    AddressingError, FatTree, Layer, LinkId, NodeId, PodRing, Protocol, Topology, TopologyError,
+};
 use dcn_routing::RecoveryMode;
 use serde::{Deserialize, Serialize};
 
@@ -57,9 +63,12 @@ impl From<AddressingError> for TestBedError {
 /// Which data-center design an experiment instance runs on.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Design {
-    /// Standard fat tree (the baseline).
+    /// The baseline: a fabric as built, without across links or backup
+    /// routes — the standard fat tree, and the original Leaf-Spine, VL2
+    /// and Aspen tree of Fig. 7 and the Aspen baseline.
     FatTree,
-    /// F²Tree: rewired links + backup routes.
+    /// F²Tree: rewired links + backup routes, on a fat tree, Leaf-Spine
+    /// or VL2.
     F2Tree,
 }
 
@@ -120,12 +129,7 @@ impl TestBed {
         match design {
             Design::FatTree => {
                 let topo = FatTree::new(k)?.hosts_per_tor(hosts_per_tor).build();
-                Ok(TestBed {
-                    net: Network::new(topo, config)?,
-                    design,
-                    agg_rings: Vec::new(),
-                    core_rings: Vec::new(),
-                })
+                Self::from_topology(topo, config)
             }
             Design::F2Tree => {
                 Self::from_f2tree(F2TreeNetwork::build_with_hosts(k, hosts_per_tor)?, config)
@@ -133,8 +137,26 @@ impl TestBed {
         }
     }
 
-    /// Brings up an already rewired F²Tree — at any across-port budget —
-    /// under `config`.
+    /// Brings up a fabric without across-link rings — a fat tree, or the
+    /// un-rewired Leaf-Spine, VL2 or Aspen tree — under `config`, as
+    /// [`Design::FatTree`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TestBedError`] on unaddressable scale, or if a host does
+    /// not hang off exactly one ToR.
+    pub fn from_topology(topo: Topology, config: EmuConfig) -> Result<Self, TestBedError> {
+        Ok(TestBed {
+            net: Network::new(topo, config)?,
+            design: Design::FatTree,
+            agg_rings: Vec::new(),
+            core_rings: Vec::new(),
+        })
+    }
+
+    /// Brings up a rewired fabric — the F²Tree at any across-port budget,
+    /// or [`f2_leaf_spine`](crate::f2_leaf_spine) /
+    /// [`f2_vl2`](crate::f2_vl2) — under `config`, as [`Design::F2Tree`].
     ///
     /// # Errors
     ///
@@ -177,8 +199,8 @@ impl TestBed {
 
     /// Adds the testbed's UDP and TCP probes pinned to the **same**
     /// forwarding path (in the paper's testbed both flows traverse one
-    /// path and observe one failure). The TCP source port is searched
-    /// until its five-tuple ECMP-hashes onto the UDP probe's path.
+    /// path and observe one failure). The TCP source port is the first
+    /// whose five-tuple ECMP-hashes onto the UDP probe's path.
     ///
     /// # Panics
     ///
@@ -188,16 +210,27 @@ impl TestBed {
         let (src, dst) = self.probe_endpoints();
         let udp = self.net.add_udp_probe(src, dst, start);
         let udp_path = self.net.trace_path(udp);
-        for sport in 41_000..43_000u16 {
-            let key = self
-                .net
-                .flow_key_with_port(src, dst, sport, dcn_net::Protocol::Tcp);
-            if self.net.trace(key, src, dst) == udp_path {
-                let tcp = self.net.add_tcp_probe_with_port(src, dst, sport, start);
-                return (udp, tcp);
-            }
-        }
-        panic!("no TCP source port hashes onto the UDP probe's path");
+        let sport = self
+            .source_port(src, dst, Protocol::Tcp, |path| path == udp_path)
+            .expect("a TCP source port hashes onto the UDP probe's path");
+        let tcp = self.net.add_tcp_probe_with_port(src, dst, sport, start);
+        (udp, tcp)
+    }
+
+    /// The first source port, from 41 000 up, whose `protocol` flow from
+    /// `src` to `dst` the ECMP hash sends along a path `accept` takes;
+    /// `None` if no port below 44 000 does.
+    pub fn source_port(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        protocol: Protocol,
+        accept: impl Fn(&[NodeId]) -> bool,
+    ) -> Option<u16> {
+        (41_000..44_000u16).find(|&sport| {
+            let key = self.net.flow_key_with_port(src, dst, sport, protocol);
+            accept(&self.net.trace(key, src, dst))
+        })
     }
 
     /// The path anatomy of a probe flow: destination ToR, the aggregation
@@ -349,6 +382,45 @@ mod tests {
         for condition in Condition::ALL {
             let links = bed.scenario_links(&anatomy, condition);
             assert!(!links.is_empty(), "{condition} resolves");
+        }
+    }
+
+    #[test]
+    fn rewired_leaf_spine_and_vl2_carry_exactly_their_rings_backups() {
+        use crate::{f2_leaf_spine, f2_vl2, ring_backup_routes};
+        use dcn_routing::{Route, RouteOrigin};
+        // The spine ring is a core ring, VL2's an aggregation ring:
+        // [agg rings, core rings].
+        for (f2, ring_counts) in [(f2_leaf_spine(6, 4), [0, 1]), (f2_vl2(6, 6), [1, 0])] {
+            let f2 = f2.expect("valid dims");
+            for recovery in [
+                RecoveryMode::F2TreeRewiring,
+                RecoveryMode::OspfReconvergence,
+            ] {
+                let config = EmuConfig::builder().recovery(recovery).build();
+                let bed = TestBed::from_f2tree(f2.clone(), config).expect("addressable");
+                let name = bed.topology().name();
+                assert_eq!([bed.agg_rings.len(), bed.core_rings.len()], ring_counts);
+                let ring = bed.agg_rings.iter().chain(&bed.core_rings).next();
+                let mut want: std::collections::BTreeMap<_, _> = match (ring, recovery) {
+                    (Some(ring), RecoveryMode::F2TreeRewiring) => {
+                        ring_backup_routes(ring).into_iter().collect()
+                    }
+                    _ => Default::default(),
+                };
+                for switch in bed.topology().nodes().filter(|n| n.kind().is_switch()) {
+                    let fib = bed.net.router(switch.id()).expect("switches route").fib();
+                    let statics: Vec<Route> = fib
+                        .routes()
+                        .filter(|r| r.origin == RouteOrigin::Static)
+                        .cloned()
+                        .collect();
+                    let mut routes = want.remove(&switch.id()).unwrap_or_default();
+                    routes.sort_by_key(|r| r.prefix);
+                    assert_eq!(statics, routes, "{name} {recovery:?} {}", switch.name());
+                }
+                assert!(want.is_empty(), "{name}: every ring member is a switch");
+            }
         }
     }
 

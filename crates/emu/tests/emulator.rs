@@ -7,7 +7,7 @@ use dcn_net::{AddressingError, FatTree, LinkClass, LinkId, NodeId, Prefix, Topol
 use dcn_routing::{NextHop, Route, RouteOrigin};
 use dcn_sim::{SimDuration, SimTime, DEFAULT_TTL};
 use dcn_transport::TcpConfig;
-use f2tree::{network_backup_routes, Design, F2TreeNetwork, TestBed, TestBedError};
+use f2tree::{Design, F2TreeNetwork, TestBed, TestBedError};
 
 fn ms(v: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(v)
@@ -17,23 +17,15 @@ const FAIL_AT: u64 = 380;
 
 /// Builds a network with the F²Tree backup configuration installed.
 fn f2_network(k: u32, hosts_per_tor: u32) -> Network {
-    let f2 = F2TreeNetwork::build_with_hosts(k, hosts_per_tor).expect("valid k");
-    let backups = network_backup_routes(&f2);
-    let mut net = Network::new(f2.topology, EmuConfig::default()).expect("addressable");
-    net.install_static_routes(
-        backups
-            .into_iter()
-            .flat_map(|(n, rs)| rs.into_iter().map(move |r| (n, r))),
-    );
-    net
+    TestBed::build(Design::F2Tree, k, hosts_per_tor)
+        .expect("valid k")
+        .net
 }
 
 fn fat_network(k: u32, hosts_per_tor: u32) -> Network {
-    let topo = FatTree::new(k)
+    TestBed::build(Design::FatTree, k, hosts_per_tor)
         .expect("valid k")
-        .hosts_per_tor(hosts_per_tor)
-        .build();
-    Network::new(topo, EmuConfig::default()).expect("addressable")
+        .net
 }
 
 /// End hosts for the probe: leftmost and rightmost.

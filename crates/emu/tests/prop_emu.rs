@@ -6,10 +6,10 @@
 //! more than 2 concurrent link failures" (modulo the stated exceptions:
 //! both across links of one switch, and the 3-link fourth condition).
 
-use dcn_emu::{EmuConfig, Network};
+use dcn_emu::Network;
 use dcn_net::{LinkId, Topology};
 use dcn_sim::{SimDuration, SimTime};
-use f2tree::{network_backup_routes, F2TreeNetwork};
+use f2tree::{Design, TestBed};
 use proptest::prelude::*;
 
 fn ms(v: u64) -> SimTime {
@@ -17,15 +17,7 @@ fn ms(v: u64) -> SimTime {
 }
 
 fn f2_network(k: u32) -> Network {
-    let f2 = F2TreeNetwork::build_with_hosts(k, 1).expect("valid k");
-    let backups = network_backup_routes(&f2);
-    let mut net = Network::new(f2.topology, EmuConfig::default()).expect("addressable");
-    net.install_static_routes(
-        backups
-            .into_iter()
-            .flat_map(|(n, rs)| rs.into_iter().map(move |r| (n, r))),
-    );
-    net
+    TestBed::build(Design::F2Tree, k, 1).expect("valid k").net
 }
 
 fn fabric_links(topo: &Topology) -> Vec<LinkId> {

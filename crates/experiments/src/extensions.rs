@@ -12,9 +12,9 @@
 //!   FIB-install terms and shows F²Tree's recovery tracks the detection
 //!   delay alone.
 
-use dcn_emu::{ControlPlaneMode, EmuConfig, FlowId, Network};
+use dcn_emu::{ControlPlaneMode, EmuConfig, FlowId};
 use dcn_failure::Condition;
-use dcn_net::{FatTree, Layer, NodeId};
+use dcn_net::{AspenTree, FatTree, Layer, NodeId};
 use dcn_routing::RouterConfig;
 use dcn_sim::{SimDuration, SimTime};
 use f2tree::{rewire_fat_tree, Design, TestBed};
@@ -25,33 +25,29 @@ fn ms(v: u64) -> SimTime {
 }
 
 /// The probe-loss body every cell below and Fig. 7 share: `probe` adds a
-/// UDP probe from the fabric's first host to its last, `fail` breaks what
+/// UDP probe from the bed's first host to its last, `fail` breaks what
 /// it picks off the probe's path at 100 ms, the run goes on to
 /// `horizon_ms`, and the probe's connectivity-loss window around the
-/// failure and its lost packets come back. `net` reaches the emulator
-/// inside `bed` (a [`TestBed`] or a bare [`Network`]).
-pub(crate) fn probe_loss<B>(
-    bed: &mut B,
-    net: fn(&mut B) -> &mut Network,
-    probe: impl FnOnce(&mut Network, NodeId, NodeId) -> FlowId,
+/// failure and its lost packets come back.
+pub(crate) fn probe_loss(
+    bed: &mut TestBed,
+    probe: impl FnOnce(&mut TestBed, NodeId, NodeId) -> FlowId,
     horizon_ms: u64,
-    fail: impl FnOnce(&mut B, FlowId, SimTime),
+    fail: impl FnOnce(&mut TestBed, FlowId, SimTime),
 ) -> (SimDuration, u64) {
     let fail_at = ms(100);
-    let hosts = net(bed).topology().hosts();
-    let (src, dst) = (hosts[0], *hosts.last().expect("hosts exist"));
-    let probe = probe(net(bed), src, dst);
+    let (src, dst) = bed.probe_endpoints();
+    let probe = probe(bed, src, dst);
     fail(bed, probe, fail_at);
-    let net = net(bed);
-    net.run_until(ms(horizon_ms));
-    let report = net.udp_probe_report(probe);
+    bed.net.run_until(ms(horizon_ms));
+    let report = bed.net.udp_probe_report(probe);
     let loss = report.connectivity.loss_around(fail_at);
     (loss.expect("probe recovers").duration, report.lost)
 }
 
 /// The probe every cell but Fig. 7's runs: unpinned, from time zero.
-pub(crate) fn unpinned(net: &mut Network, src: NodeId, dst: NodeId) -> FlowId {
-    net.add_udp_probe(src, dst, SimTime::ZERO)
+pub(crate) fn unpinned(bed: &mut TestBed, src: NodeId, dst: NodeId) -> FlowId {
+    bed.net.add_udp_probe(src, dst, SimTime::ZERO)
 }
 
 /// The C1 cell of the controller sweep and the timer ablation: the
@@ -64,7 +60,7 @@ fn c1_loss(design: Design, config: EmuConfig) -> SimDuration {
         let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
         bed.net.fail_link_at(at, link);
     };
-    probe_loss(&mut bed, |b| &mut b.net, unpinned, 3000, fail).0
+    probe_loss(&mut bed, unpinned, 3000, fail).0
 }
 
 // ---------------------------------------------------------------------
@@ -99,7 +95,7 @@ pub fn run_c7_wide() -> [C7WideResult; 2] {
                 bed.net.fail_link_at(at, link);
             }
         };
-        let (loss, _) = probe_loss(&mut bed, |b| &mut b.net, unpinned, 2000, fail);
+        let (loss, _) = probe_loss(&mut bed, unpinned, 2000, fail);
         C7WideResult {
             across_ports,
             connectivity_loss_us: loss.as_micros(),
@@ -151,7 +147,7 @@ pub fn run_unidirectional(design: Design) -> UnidirectionalResult {
         let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
         bed.net.fail_link_direction_at(at, link, anatomy.path_agg);
     };
-    let (loss, _) = probe_loss(&mut bed, |b| &mut b.net, unpinned, 2000, fail);
+    let (loss, _) = probe_loss(&mut bed, unpinned, 2000, fail);
     UnidirectionalResult {
         design,
         connectivity_loss_us: loss.as_micros(),
@@ -178,22 +174,24 @@ pub struct AspenResult {
 /// paper contrasts F²Tree against in §VI.
 pub fn run_aspen_baseline() -> [AspenResult; 2] {
     let run = |fail_top: bool| {
-        let topo = dcn_net::AspenTree::new(8, 1)
-            .expect("valid aspen dims")
-            .build();
-        let mut net = Network::new(topo, EmuConfig::default()).expect("addressable");
-        let fail = |net: &mut Network, probe, at| {
-            let path: [NodeId; 7] = net.trace_path(probe).try_into().expect("a cross-pod path");
+        let topo = AspenTree::new(8, 1).expect("valid aspen dims").build();
+        let mut bed = TestBed::from_topology(topo, EmuConfig::default()).expect("addressable");
+        let fail = |bed: &mut TestBed, probe, at| {
+            let path: [NodeId; 7] = bed
+                .net
+                .trace_path(probe)
+                .try_into()
+                .expect("a cross-pod path");
             let [_host, _tor, up_agg, core, down_agg, down_tor, _dst] = path;
             let (a, b) = if fail_top {
                 (up_agg, core)
             } else {
                 (down_agg, down_tor)
             };
-            let link = net.topology().link_between(a, b).expect("link on path");
-            net.fail_link_at(at, link);
+            let link = bed.topology().link_between(a, b).expect("link on path");
+            bed.net.fail_link_at(at, link);
         };
-        let (loss, _) = probe_loss(&mut net, |n| n, unpinned, 2000, fail);
+        let (loss, _) = probe_loss(&mut bed, unpinned, 2000, fail);
         loss.as_micros()
     };
     [

@@ -2,13 +2,18 @@
 //!
 //! For each fabric the runner fails the downward link on the probe's path
 //! (spine→leaf for Leaf-Spine, agg→ToR for VL2) and compares recovery
-//! with and without the F² rewiring + backup routes.
+//! with and without the F² rewiring + backup routes. The original fabric
+//! comes up through [`TestBed::from_topology`], the rewired one — the
+//! [`F2TreeNetwork`](f2tree::F2TreeNetwork) of [`f2_leaf_spine`] or
+//! [`f2_vl2`] — through [`TestBed::from_f2tree`], which installs its
+//! ring's backup routes; the cell then runs through
+//! `extensions::probe_loss`, like the extension targets.
 
-use dcn_emu::{EmuConfig, FlowId, Network};
-use dcn_net::{LeafSpine, NodeId, PodRing, Protocol, Vl2};
+use dcn_emu::EmuConfig;
+use dcn_net::{LeafSpine, NodeId, Protocol, Vl2};
 use dcn_sim::SimTime;
 use dcn_sweep::{ExperimentSpec, Workers};
-use f2tree::{f2_leaf_spine, f2_vl2, ring_backup_routes, Design};
+use f2tree::{f2_leaf_spine, f2_vl2, Design, TestBed, TestBedError};
 use serde::{Deserialize, Serialize};
 
 use crate::extensions::probe_loss;
@@ -51,84 +56,63 @@ pub struct Fig7Result {
     pub packets_lost: u64,
 }
 
-fn build_network(fabric: Fabric, design: Design) -> (Network, Option<PodRing>) {
-    let (topo, ring) = match (fabric, design) {
-        (Fabric::LeafSpine, Design::FatTree) => (
-            LeafSpine::new(LEAVES, SPINES).expect("valid dims").build(),
-            None,
-        ),
-        (Fabric::Vl2, Design::FatTree) => (Vl2::new(D_A, D_I).expect("valid dims").build(), None),
-        (_, Design::F2Tree) => {
-            let f2 = match fabric {
-                Fabric::LeafSpine => f2_leaf_spine(LEAVES, SPINES),
-                Fabric::Vl2 => f2_vl2(D_A, D_I),
-            }
-            .expect("valid dims");
-            (f2.topology, Some(f2.ring))
+/// `fabric` as built, or F²-rewired, through the testbed's two doors.
+fn testbed(fabric: Fabric, design: Design) -> Result<TestBed, TestBedError> {
+    let config = EmuConfig::default();
+    match (fabric, design) {
+        (Fabric::LeafSpine, Design::FatTree) => {
+            TestBed::from_topology(LeafSpine::new(LEAVES, SPINES)?.build(), config)
         }
-    };
-    let mut net = Network::new(topo, EmuConfig::default()).expect("addressable");
-    if let Some(ring) = &ring {
-        net.install_static_routes(
-            ring_backup_routes(ring)
-                .into_iter()
-                .flat_map(|(n, rs)| rs.into_iter().map(move |r| (n, r))),
-        );
-    }
-    (net, ring)
-}
-
-/// Adds a UDP probe whose path's penultimate switch is `via`, or any
-/// (source-port search over the ECMP hash, first port first).
-fn add_probe_via(net: &mut Network, src: NodeId, dst: NodeId, via: Option<NodeId>) -> FlowId {
-    for sport in 41_000..44_000u16 {
-        let key = net.flow_key_with_port(src, dst, sport, Protocol::Udp);
-        let path = net.trace(key, src, dst);
-        if matches!(*path.as_slice(), [.., upper, _, _] if via.is_none_or(|v| v == upper)) {
-            return net.add_udp_probe_with_port(src, dst, sport, SimTime::ZERO);
+        (Fabric::Vl2, Design::FatTree) => {
+            TestBed::from_topology(Vl2::new(D_A, D_I)?.build(), config)
         }
+        (Fabric::LeafSpine, Design::F2Tree) => {
+            TestBed::from_f2tree(f2_leaf_spine(LEAVES, SPINES)?, config)
+        }
+        (Fabric::Vl2, Design::F2Tree) => TestBed::from_f2tree(f2_vl2(D_A, D_I)?, config),
     }
-    panic!("no source port routes the probe via {via:?}");
 }
 
 /// Runs one Fig. 7 cell: the probe's last downward link fails.
 pub fn run_fig7_cell(fabric: Fabric, design: Design) -> Fig7Result {
-    let (mut net, ring) = build_network(fabric, design);
-    // For VL2's F² variant the dest ToR is dual-homed, and the paper's
-    // Fig. 7(b) scheme locally repairs the failure of the home whose
-    // ring-rightward neighbor is the *other* home — that is the depicted
-    // case we reproduce, so the probe is pinned through it (see DESIGN.md
-    // for the secondary-home caveat). Elsewhere it takes the first
-    // port's path.
-    let pinned = |net: &mut Network, src, dst| {
-        let topo = net.topology();
-        let via = match (&ring, fabric) {
-            (Some(ring), Fabric::Vl2) => {
-                let dest_tor = topo.host_tor(dst).expect("dst attaches to a ToR");
-                let home = topo
-                    .upward_links(dest_tor)
-                    .iter()
-                    .map(|&l| topo.link(l).other_end(dest_tor))
-                    .find(|&agg| {
-                        ring.right(agg, 1)
-                            .and_then(|(r, _)| topo.link_between(r, dest_tor))
-                            .is_some()
-                    });
-                Some(home.expect("one home's right neighbor is the other home"))
-            }
-            _ => None,
-        };
-        add_probe_via(net, src, dst, via)
+    let mut bed = testbed(fabric, design).expect("Fig. 7's fabrics build");
+    // Only F²-VL2 has an aggregation ring. Its dest ToR is dual-homed, and
+    // the paper's Fig. 7(b) scheme locally repairs the failure of the home
+    // whose ring-rightward neighbor is the *other* home — that is the
+    // depicted case we reproduce, so the probe is pinned through it (see
+    // DESIGN.md for the secondary-home caveat). Elsewhere it takes the
+    // first port's path.
+    let pinned = |bed: &mut TestBed, src, dst| {
+        let topo = bed.topology();
+        let via = bed.agg_rings.first().map(|ring| {
+            let dest_tor = topo.host_tor(dst).expect("dst attaches to a ToR");
+            let home = topo
+                .upward_links(dest_tor)
+                .iter()
+                .map(|&l| topo.link(l).other_end(dest_tor))
+                .find(|&agg| {
+                    ring.right(agg, 1)
+                        .and_then(|(r, _)| topo.link_between(r, dest_tor))
+                        .is_some()
+                });
+            home.expect("one home's right neighbor is the other home")
+        });
+        let through_via =
+            |path: &[NodeId]| matches!(*path, [.., upper, _, _] if via.is_none_or(|v| v == upper));
+        let sport = bed.source_port(src, dst, Protocol::Udp, through_via);
+        let sport = sport.unwrap_or_else(|| panic!("no source port routes the probe via {via:?}"));
+        bed.net
+            .add_udp_probe_with_port(src, dst, sport, SimTime::ZERO)
     };
-    let fail = |net: &mut Network, probe, at| {
-        let path = net.trace_path(probe);
+    let fail = |bed: &mut TestBed, probe, at| {
+        let path = bed.net.trace_path(probe);
         let &[.., via, dest_tor, _dst] = path.as_slice() else {
             panic!("the probe crosses the fabric");
         };
-        let link = net.topology().link_between(via, dest_tor);
-        net.fail_link_at(at, link.expect("path link exists"));
+        let link = bed.topology().link_between(via, dest_tor);
+        bed.net.fail_link_at(at, link.expect("path link exists"));
     };
-    let (loss, packets_lost) = probe_loss(&mut net, |n| n, pinned, 2000, fail);
+    let (loss, packets_lost) = probe_loss(&mut bed, pinned, 2000, fail);
     Fig7Result {
         fabric,
         design,

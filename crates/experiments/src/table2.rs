@@ -75,9 +75,9 @@ pub fn format_table2(rows: &[Table2Row]) -> String {
     out
 }
 
-/// Structural check used by tests and the repro binary: the table must
-/// contain OSPF /24 rack routes and exactly the two static backups with
-/// graduated prefix lengths.
+/// Structural check of the `k`-port F²Tree's Table II, run by this
+/// module's unit test: the table must contain OSPF /24 rack routes and
+/// exactly the two static backups with graduated prefix lengths.
 pub fn verify_table2_shape(k: u32) -> Result<(), String> {
     let mut bed = TestBed::build(Design::F2Tree, k, 1).map_err(|e| e.to_string())?;
     bed.net.run_until(SimTime::ZERO);

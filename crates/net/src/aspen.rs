@@ -6,15 +6,16 @@
 //! aggregation switch connects to each of its core switches with `f + 1`
 //! parallel links. The duplication consumes ports, shrinking the fabric
 //! to `N/(f+1)` pods — Table I's `5N²/(4(f+1))` switches supporting
-//! `N³/(4(f+1))` hosts.
+//! `N³/(4(f+1))` hosts. With `f = 0` that is the fat tree, and one
+//! builder lays out both, in the fat tree's node and link order.
 //!
 //! The structural consequence the paper leans on: Aspen gains immediate
 //! backup links **only** for links in the fault-tolerant (agg–core)
 //! layer; agg→ToR downward links remain unprotected, so ToR-level
 //! failures still pay the full control-plane convergence cost.
 
-use crate::id::{NodeId, PodId};
-use crate::topology::{Layer, LinkClass, Topology, TopologyError};
+use crate::fattree::build_tree;
+use crate::topology::{Topology, TopologyError};
 
 /// Builder for an Aspen tree ⟨f, 0⟩.
 ///
@@ -35,7 +36,6 @@ use crate::topology::{Layer, LinkClass, Topology, TopologyError};
 pub struct AspenTree {
     k: u32,
     f: u32,
-    hosts_per_tor: u32,
 }
 
 impl AspenTree {
@@ -64,94 +64,21 @@ impl AspenTree {
                 "f + 1 = {c} must divide both k = {k} and k/2"
             )));
         }
-        Ok(AspenTree {
-            k,
-            f,
-            hosts_per_tor: k / 2,
-        })
+        Ok(AspenTree { k, f })
     }
 
-    /// Overrides the number of hosts per ToR (default `k/2`).
-    pub fn hosts_per_tor(mut self, hosts: u32) -> Self {
-        self.hosts_per_tor = hosts;
-        self
-    }
-
-    /// The fault-tolerance value.
-    pub fn f(&self) -> u32 {
-        self.f
-    }
-
-    /// Builds the topology.
+    /// Builds the topology: the fat tree's wiring with every agg–core
+    /// link laid `f + 1` times, `k/2` hosts per ToR.
     pub fn build(&self) -> Topology {
-        let k = self.k;
-        let c = self.f + 1; // link duplication factor
-        let pods = k / c;
-        let half = k / 2;
-        let cores_per_group = half / c;
-        let mut topo = Topology::new(format!("aspen-k{k}-f{}", self.f), Some(k));
-
-        let mut tors: Vec<Vec<NodeId>> = Vec::with_capacity(pods as usize);
-        let mut aggs: Vec<Vec<NodeId>> = Vec::with_capacity(pods as usize);
-        for p in 0..pods {
-            let pod = PodId::new(p);
-            tors.push(
-                (0..half)
-                    .map(|t| topo.add_switch(format!("tor-p{p}-t{t}"), Layer::Tor, pod, t))
-                    .collect(),
-            );
-            aggs.push(
-                (0..half)
-                    .map(|a| topo.add_switch(format!("agg-p{p}-a{a}"), Layer::Agg, pod, a))
-                    .collect(),
-            );
-        }
-        // Core groups: one per aggregation index, each with half/c cores;
-        // every core connects to its agg in every pod with c parallel
-        // links (the fault-tolerant layer). Core ports: pods * c = k.
-        let mut cores: Vec<Vec<NodeId>> = Vec::with_capacity(half as usize);
-        for g in 0..half {
-            let group = PodId::new(g);
-            cores.push(
-                (0..cores_per_group)
-                    .map(|i| topo.add_switch(format!("core-g{g}-c{i}"), Layer::Core, group, i))
-                    .collect(),
-            );
-        }
-
-        for p in 0..pods as usize {
-            for &tor in &tors[p] {
-                for &agg in &aggs[p] {
-                    topo.add_link(tor, agg, LinkClass::Vertical)
-                        .expect("aspen wiring fits the port budget");
-                }
-            }
-            for (a, &agg) in aggs[p].iter().enumerate() {
-                for &core in &cores[a] {
-                    for _ in 0..c {
-                        topo.add_link(agg, core, LinkClass::Vertical)
-                            .expect("aspen wiring fits the port budget");
-                    }
-                }
-            }
-        }
-        #[allow(clippy::needless_range_loop)] // p names the pod in host names
-        for p in 0..pods as usize {
-            for (t, &tor) in tors[p].iter().enumerate() {
-                for h in 0..self.hosts_per_tor {
-                    let host = topo.add_host(format!("host-p{p}-t{t}-h{h}"));
-                    topo.add_link(host, tor, LinkClass::HostAccess)
-                        .expect("aspen wiring fits the port budget");
-                }
-            }
-        }
-        topo
+        let (k, f) = (self.k, self.f);
+        build_tree(k, f + 1, k / 2, format!("aspen-k{k}-f{f}"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Layer, NodeId};
 
     #[test]
     fn counts_match_table1_closed_forms() {

@@ -4,7 +4,9 @@
 //! `k/2` aggregation switches; `(k/2)²` core switches are arranged in `k/2`
 //! groups of `k/2`, where every core in group `g` connects to aggregation
 //! switch index `g` of every pod. This is the baseline topology the paper
-//! compares F²Tree against (Fig. 1(a)).
+//! compares F²Tree against (Fig. 1(a)); [`AspenTree`](crate::AspenTree)
+//! is the same tree with duplicated agg–core links, built by the same
+//! loops.
 
 use crate::id::{NodeId, PodId};
 use crate::topology::{Layer, LinkClass, Topology, TopologyError};
@@ -65,68 +67,79 @@ impl FatTree {
 
     /// Builds the topology.
     pub fn build(&self) -> Topology {
-        let k = self.k;
-        let half = k / 2;
-        let mut topo = Topology::new(format!("fat-tree-k{k}"), Some(k));
-
-        // Switches: per pod, ToRs then aggs; cores in groups afterwards.
-        let mut tors: Vec<Vec<NodeId>> = Vec::with_capacity(k as usize);
-        let mut aggs: Vec<Vec<NodeId>> = Vec::with_capacity(k as usize);
-        for p in 0..k {
-            let pod = PodId::new(p);
-            let mut pod_tors = Vec::with_capacity(half as usize);
-            let mut pod_aggs = Vec::with_capacity(half as usize);
-            for t in 0..half {
-                pod_tors.push(topo.add_switch(format!("tor-p{p}-t{t}"), Layer::Tor, pod, t));
-            }
-            for a in 0..half {
-                pod_aggs.push(topo.add_switch(format!("agg-p{p}-a{a}"), Layer::Agg, pod, a));
-            }
-            tors.push(pod_tors);
-            aggs.push(pod_aggs);
-        }
-        let mut cores: Vec<Vec<NodeId>> = Vec::with_capacity(half as usize);
-        for g in 0..half {
-            let group = PodId::new(g);
-            let mut group_cores = Vec::with_capacity(half as usize);
-            for c in 0..half {
-                group_cores.push(topo.add_switch(format!("core-g{g}-c{c}"), Layer::Core, group, c));
-            }
-            cores.push(group_cores);
-        }
-
-        // ToR <-> Agg full bipartite within each pod.
-        for p in 0..k as usize {
-            for &tor in &tors[p] {
-                for &agg in &aggs[p] {
-                    topo.add_link(tor, agg, LinkClass::Vertical)
-                        .expect("fat tree wiring fits the port budget");
-                }
-            }
-        }
-        // Agg index a of every pod <-> every core of group a.
-        #[allow(clippy::needless_range_loop)] // symmetric with the pod loops above
-        for p in 0..k as usize {
-            for (a, &agg) in aggs[p].iter().enumerate() {
-                for &core in &cores[a] {
-                    topo.add_link(agg, core, LinkClass::Vertical)
-                        .expect("fat tree wiring fits the port budget");
-                }
-            }
-        }
-        // Hosts, pod-major so hosts()[0] is the leftmost rack's first host.
-        #[allow(clippy::needless_range_loop)] // p names the pod in host names
-        for p in 0..k as usize {
-            for (t, &tor) in tors[p].iter().enumerate() {
-                for h in 0..self.hosts_per_tor {
-                    let host = topo.add_host(format!("host-p{p}-t{t}-h{h}"));
-                    topo.add_link(host, tor, LinkClass::HostAccess)
-                        .expect("fat tree wiring fits the port budget");
-                }
-            }
-        }
-        topo
+        let name = format!("fat-tree-k{}", self.k);
+        build_tree(self.k, 1, self.hosts_per_tor, name)
     }
+}
+
+/// Builds a `k`-port, 3-layer tree whose aggregation switches reach each
+/// of their cores over `dup` parallel links: the fat tree at `dup = 1`,
+/// the Aspen tree ⟨dup − 1, 0⟩ above it. The duplication spends ports,
+/// so the tree keeps `k/dup` pods and core groups of `k/(2·dup)`; the
+/// caller checks that `dup` divides both `k` and `k/2`.
+///
+/// Ids are laid out switches first (per pod ToRs then aggs, then the core
+/// groups), then every ToR–agg link, every agg–core link, and last the
+/// hosts pod-major, so `hosts()[0]` is the leftmost rack's first host.
+pub(crate) fn build_tree(k: u32, dup: u32, hosts_per_tor: u32, name: String) -> Topology {
+    let half = k / 2;
+    let mut topo = Topology::new(name, Some(k));
+    let mut tors: Vec<Vec<NodeId>> = Vec::new();
+    let mut aggs: Vec<Vec<NodeId>> = Vec::new();
+    for p in 0..k / dup {
+        let pod = PodId::new(p);
+        tors.push(
+            (0..half)
+                .map(|t| topo.add_switch(format!("tor-p{p}-t{t}"), Layer::Tor, pod, t))
+                .collect(),
+        );
+        aggs.push(
+            (0..half)
+                .map(|a| topo.add_switch(format!("agg-p{p}-a{a}"), Layer::Agg, pod, a))
+                .collect(),
+        );
+    }
+    // Core group `g` serves aggregation index `g` of every pod.
+    let cores: Vec<Vec<NodeId>> = (0..half)
+        .map(|g| {
+            (0..half / dup)
+                .map(|c| topo.add_switch(format!("core-g{g}-c{c}"), Layer::Core, PodId::new(g), c))
+                .collect()
+        })
+        .collect();
+
+    let mut wire = |a, b, class| {
+        topo.add_link(a, b, class)
+            .expect("tree wiring fits the port budget");
+    };
+    // ToR <-> Agg full bipartite within each pod.
+    for (pod_tors, pod_aggs) in tors.iter().zip(&aggs) {
+        for &tor in pod_tors {
+            for &agg in pod_aggs {
+                wire(tor, agg, LinkClass::Vertical);
+            }
+        }
+    }
+    // Agg index a of every pod <-> every core of group a, `dup` times.
+    for pod_aggs in &aggs {
+        for (&agg, group) in pod_aggs.iter().zip(&cores) {
+            for &core in group {
+                for _ in 0..dup {
+                    wire(agg, core, LinkClass::Vertical);
+                }
+            }
+        }
+    }
+    for (p, pod_tors) in tors.iter().enumerate() {
+        for (t, &tor) in pod_tors.iter().enumerate() {
+            for h in 0..hosts_per_tor {
+                let host = topo.add_host(format!("host-p{p}-t{t}-h{h}"));
+                topo.add_link(host, tor, LinkClass::HostAccess)
+                    .expect("tree wiring fits the port budget");
+            }
+        }
+    }
+    topo
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use dcn_emu::{EmuConfig, Network};
+use dcn_emu::EmuConfig;
 use dcn_sim::{SimDuration, SimTime};
-use f2tree::{network_backup_routes, F2TreeNetwork};
+use f2tree::{network_backup_routes, F2TreeNetwork, TestBed};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build the paper's testbed: a rewired 4-port, 3-layer fat tree
@@ -23,13 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let backups = network_backup_routes(&f2);
     println!("generated {} backup-route pairs", backups.len());
 
-    // 3. Bring the network up in the packet-level emulator.
-    let mut net = Network::new(f2.topology, EmuConfig::default())?;
-    net.install_static_routes(
-        backups
-            .into_iter()
-            .flat_map(|(n, rs)| rs.into_iter().map(move |r| (n, r))),
-    );
+    // 3. Bring the network up in the packet-level emulator, which installs
+    //    those routes.
+    let mut bed = TestBed::from_f2tree(f2, EmuConfig::default())?;
+    let net = &mut bed.net;
 
     // 4. Start the paper's probe: 1448B UDP datagrams every 100us from the
     //    leftmost host to the rightmost host.
@@ -82,10 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 7. The deployability artifact: the exact Quagga config block an
     //    operator would paste onto the rerouting switch.
     let agg = path[path.len() - 3];
-    let backups = f2tree::network_backup_routes(&F2TreeNetwork::build_with_hosts(4, 1)?);
-    let block = backups
-        .iter()
-        .find(|(owner, _)| net.topology().node(*owner).name() == net.topology().node(agg).name());
+    let block = backups.iter().find(|&&(owner, _)| owner == agg);
     println!(
         "\n--- {} configuration ---",
         net.topology().node(agg).name()

@@ -1,7 +1,7 @@
 //! Cross-crate integration: topology → rewiring → configuration →
 //! emulation, verified end to end.
 
-use dcn_emu::{EmuConfig, Network};
+use dcn_emu::EmuConfig;
 use dcn_net::{scalability::F2TreeDimensions, FatTree, Layer, LinkClass};
 use dcn_routing::RouteOrigin;
 use dcn_sim::{SimDuration, SimTime};
@@ -33,17 +33,13 @@ fn the_full_pipeline_from_fat_tree_to_running_f2tree() {
             + f2.core_rings.iter().map(|r| r.len()).sum::<usize>()
     );
 
-    // 4. ...and brought up in the emulator with working forwarding.
-    let mut net = Network::new(f2.topology, EmuConfig::default()).unwrap();
-    net.install_static_routes(
-        backups
-            .into_iter()
-            .flat_map(|(n, rs)| rs.into_iter().map(move |r| (n, r))),
-    );
-    let hosts = net.topology().hosts().to_vec();
-    let probe = net.add_udp_probe(hosts[0], *hosts.last().unwrap(), SimTime::ZERO);
-    net.run_until(ms(100));
-    let report = net.udp_probe_report(probe);
+    // 4. ...and brought up in the emulator, those routes installed, with
+    // working forwarding.
+    let mut bed = TestBed::from_f2tree(f2, EmuConfig::default()).unwrap();
+    let (src, dst) = bed.probe_endpoints();
+    let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
+    bed.net.run_until(ms(100));
+    let report = bed.net.udp_probe_report(probe);
     assert!(report.lost <= 2, "healthy network loses nothing");
 }
 
