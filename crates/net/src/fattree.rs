@@ -108,15 +108,15 @@ pub(crate) fn build_tree(k: u32, dup: u32, hosts_per_tor: u32, name: String) -> 
         })
         .collect();
 
-    let mut wire = |a, b, class| {
-        topo.add_link(a, b, class)
+    let mut wire = |a, b| {
+        topo.add_link(a, b, LinkClass::Vertical)
             .expect("tree wiring fits the port budget");
     };
     // ToR <-> Agg full bipartite within each pod.
     for (pod_tors, pod_aggs) in tors.iter().zip(&aggs) {
         for &tor in pod_tors {
             for &agg in pod_aggs {
-                wire(tor, agg, LinkClass::Vertical);
+                wire(tor, agg);
             }
         }
     }
@@ -125,7 +125,7 @@ pub(crate) fn build_tree(k: u32, dup: u32, hosts_per_tor: u32, name: String) -> 
         for (&agg, group) in pod_aggs.iter().zip(&cores) {
             for &core in group {
                 for _ in 0..dup {
-                    wire(agg, core, LinkClass::Vertical);
+                    wire(agg, core);
                 }
             }
         }
