@@ -9,7 +9,10 @@
 # 1. release build of every workspace member (warnings from the
 #    [workspace.lints] table are part of the build), then the five
 #    examples run in release — `cargo test` only compiles them, and the
-#    quickstart is README's first command — each must exit 0,
+#    quickstart is README's first command — each must exit 0 — and the
+#    API docs of every workspace member build without a rustdoc warning
+#    (`cargo test` checks no intra-doc link; a renamed or removed item
+#    leaves the docs that name it dangling),
 # 2. the whole test suite (unit + integration + property + doc tests) —
 #    which carries the end-to-end smokes: the Fig. 7 grid through the
 #    sweep pool, fixed-seed chaos campaigns in every mode (library level
@@ -47,6 +50,9 @@ cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> cargo doc, warnings denied"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
 echo "==> the five examples, release"
 for example in quickstart failure_drill topology_explorer extensions_tour partition_aggregate; do

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use dcn_emu::{EmuConfig, FlowId, Network};
+use dcn_emu::{EmuConfig, FlowId, Network, WalkOutcome};
 use dcn_net::{FlowKey, Layer, LinkId, NodeId, Protocol};
 use dcn_routing::RecoveryMode;
 use dcn_sim::{timers, SimDuration, SimTime};
@@ -21,7 +21,7 @@ use dcn_metrics::quality::QualityReport;
 use crate::campaign::{generate_scenario, CampaignConfig};
 use crate::oracle::{
     blackhole_bound, fib_spf_divergence, flood_graph_connected, routably_connected, same_lsdb,
-    Trail, Violation, ViolationKind, WalkOutcome,
+    Trail, Violation, ViolationKind,
 };
 use crate::quality::QualityTrace;
 use crate::scenario::{design_token, ScenarioSpec};
@@ -404,7 +404,7 @@ impl<'a> Oracles<'a> {
         for m in &mut self.monitors {
             let outcome = m.trail.walk(net, &m.key, m.src, m.dst);
             let looped = matches!(outcome, WalkOutcome::Loop(_));
-            if outcome.is_reached() {
+            if outcome == WalkOutcome::Reached {
                 if let Some(w) = m.window.take() {
                     self.verdict.close(m, w, now, hold);
                 }

@@ -11,6 +11,9 @@
 //!    the event loop and re-checking four invariant families at every FIB
 //!    epoch: loop-freedom, timer-bounded blackholes, FIB/LSDB consistency
 //!    at quiescence, and TCP conservation (see [`oracle`] and DESIGN.md §9).
+//!    The first two read each monitored flow's
+//!    [`Network::walk`](dcn_emu::Network::walk), the emulator's one walk
+//!    of its forwarding state, reused while nothing on it changed.
 //! 3. [`run_chaos`] fans a whole campaign out over the `dcn-sweep` worker
 //!    pool — campaign `i` is cell `i`, alternating designs — so the
 //!    summary is byte-identical at any `--workers` count.
@@ -52,9 +55,7 @@ pub use engine::{
     EngineConfig, ScenarioError, ScenarioOutcome, ScenarioStats, MAX_VIOLATIONS, MONITOR_SPORTS,
     TRANSFER_BYTES,
 };
-pub use oracle::{
-    blackhole_bound, routably_connected, walk, Violation, ViolationKind, WalkOutcome,
-};
+pub use oracle::{blackhole_bound, routably_connected, Violation, ViolationKind};
 pub use quality::{EpochQuality, QualityTrace};
 pub use scenario::{Incident, IncidentKind, ScenarioParseError, ScenarioSpec};
 pub use shrink::shrink_scenario;

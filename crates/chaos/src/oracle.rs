@@ -30,7 +30,7 @@
 
 use std::fmt;
 
-use dcn_emu::Network;
+use dcn_emu::{Hop, Network, WalkOutcome};
 use dcn_net::{FlowKey, LinkId, NodeId};
 use dcn_routing::{compute_routes, Lsa, RecoveryMode, Route, RouteOrigin};
 use dcn_sim::{timers, SimDuration, SimTime};
@@ -91,105 +91,52 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Where a forwarding walk ended up.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum WalkOutcome {
-    /// The walk reached the destination over physically-live links.
-    Reached,
-    /// The walk revisited a node (forwarding loop).
-    Loop(NodeId),
-    /// The chosen next-hop link is physically down.
-    DeadLink(LinkId),
-    /// A router had no route for the flow.
-    NoRoute(NodeId),
-}
-
-impl WalkOutcome {
-    /// Whether packets on this chain currently reach the destination.
-    pub fn is_reached(self) -> bool {
-        self == WalkOutcome::Reached
-    }
-}
-
-/// Follows `key`'s forwarding chain hop by hop, honoring each router's
-/// FIB + locally-detected-dead set *and* physical link liveness (an
-/// undetected failure still drops packets in flight).
-pub fn walk(net: &Network, key: &FlowKey, src: NodeId, dst: NodeId) -> WalkOutcome {
-    Trail::default().trace(net, key, src, dst)
-}
-
-/// What one [`walk`] read: each router it consulted with that router's
+/// What one [`Network::walk`] read: each hop it took, each router it
+/// consulted with that router's
 /// [`forwarding_version`](dcn_routing::RouterProcess::forwarding_version),
-/// each link with its up state, and where it ended. Nothing else a walk
-/// reads changes during a run, so while every entry reads the same, a new
-/// walk would retrace the same hops to the same outcome.
+/// and where it ended. Nothing else a walk reads changes during a run, so
+/// while every router reads the same version and every link taken is up
+/// but the dead one it ended on, a new walk would retrace the same hops
+/// to the same outcome.
 #[derive(Default)]
 pub(crate) struct Trail {
+    hops: Vec<Hop>,
     routers: Vec<(NodeId, u64)>,
-    links: Vec<(LinkId, bool)>,
     outcome: Option<WalkOutcome>,
 }
 
 impl Trail {
-    /// [`walk`]: the last walk's outcome while its trail holds, else a new
-    /// walk, recorded.
+    /// [`Network::walk`]: the last walk's outcome while its trail holds,
+    /// else a new walk, recorded.
     pub fn walk(&mut self, net: &Network, key: &FlowKey, src: NodeId, dst: NodeId) -> WalkOutcome {
         let version = |node| net.router(node).map(|r| r.forwarding_version());
-        let up = |link| net.link_state(link).is_up();
-        let holds = self.routers.iter().all(|&(n, v)| version(n) == Some(v))
-            && self.links.iter().all(|&(link, was)| up(link) == was);
-        match self.outcome {
-            Some(outcome) if holds => {
-                debug_assert_eq!(outcome, walk(net, key, src, dst), "stale walk of {key:?}");
-                outcome
-            }
-            _ => self.trace(net, key, src, dst),
-        }
-    }
-
-    /// Walks afresh, recording the trail. The routers on it, plus `src`,
-    /// are the nodes visited so far: they are the loop check too.
-    fn trace(&mut self, net: &Network, key: &FlowKey, src: NodeId, dst: NodeId) -> WalkOutcome {
-        self.routers.clear();
-        self.links.clear();
-        let outcome = 'walk: {
-            let Some((uplink, tor)) = net.topology().neighbors(src).next() else {
-                break 'walk WalkOutcome::NoRoute(src);
+        if let Some(outcome) = self.outcome {
+            let as_walked = |hop: &Hop| {
+                net.link_state(hop.link).is_up() != (outcome == WalkOutcome::DeadLink(hop.link))
             };
-            if !self.link_up(net, uplink) {
-                break 'walk WalkOutcome::DeadLink(uplink);
+            if self.routers.iter().all(|&(n, v)| version(n) == Some(v))
+                && self.hops.iter().all(as_walked)
+            {
+                debug_assert_eq!(
+                    outcome,
+                    net.walk(key, src, dst, &mut Vec::new()),
+                    "stale walk of {key:?}"
+                );
+                return outcome;
             }
-            let mut current = tor;
-            loop {
-                if current == dst {
-                    break 'walk WalkOutcome::Reached;
-                }
-                if current == src || self.routers.iter().any(|&(node, _)| node == current) {
-                    break 'walk WalkOutcome::Loop(current);
-                }
-                let Some(router) = net.router(current) else {
-                    // A non-switch mid-path that is not the destination.
-                    break 'walk WalkOutcome::NoRoute(current);
-                };
-                self.routers.push((current, router.forwarding_version()));
-                let Some(hop) = router.forward(key) else {
-                    break 'walk WalkOutcome::NoRoute(current);
-                };
-                if !self.link_up(net, hop.link) {
-                    break 'walk WalkOutcome::DeadLink(hop.link);
-                }
-                current = hop.node;
-            }
+        }
+        let outcome = net.walk(key, src, dst, &mut self.hops);
+        // The routers left on the way, and the one that had no route.
+        let stuck = match outcome {
+            WalkOutcome::NoRoute(node) => Some(node),
+            _ => None,
         };
+        let consulted = self.hops.iter().map(|hop| hop.node).chain(stuck);
+        self.routers.clear();
+        self.routers
+            .extend(consulted.filter_map(|node| Some((node, version(node)?))));
         self.outcome = Some(outcome);
         outcome
-    }
-
-    /// Whether `link` is up, recorded.
-    fn link_up(&mut self, net: &Network, link: LinkId) -> bool {
-        let up = net.link_state(link).is_up();
-        self.links.push((link, up));
-        up
     }
 }
 

@@ -7,8 +7,8 @@
 //! text form so a failing campaign can be replayed from a file with no
 //! random state involved.
 //!
-//! The text format is deliberately trivial (the workspace's vendored `serde`
-//! is a no-op stub, so there is no derive-based serialization to lean on):
+//! The text format is deliberately trivial (the workspace has no
+//! serialization library to lean on):
 //!
 //! ```text
 //! # dcn-chaos scenario v1

@@ -11,8 +11,9 @@ use dcn_chaos::{
     run_chaos, run_scenario, shrink_scenario, ChaosConfig, EngineConfig, Incident, IncidentKind,
     ScenarioSpec,
 };
+use dcn_emu::{Hop, WalkOutcome};
 use dcn_failure::FailureEvent;
-use dcn_net::Layer;
+use dcn_net::{FlowKey, Layer, NodeId};
 use dcn_routing::RecoveryMode;
 use dcn_sim::{timers, SimDuration, SimTime};
 use dcn_sweep::Workers;
@@ -54,6 +55,14 @@ fn campaign_of_200_is_clean_and_worker_count_invariant() {
     assert!(windows > 0, "no scenario ever broke connectivity");
 }
 
+/// The hops of `key`'s walk from `src`, which reaches `dst`.
+fn walked(bed: &TestBed, key: FlowKey, src: NodeId, dst: NodeId) -> Vec<Hop> {
+    let mut hops = Vec::new();
+    let outcome = bed.net.walk(&key, src, dst, &mut hops);
+    assert_eq!(outcome, WalkOutcome::Reached, "{hops:?}");
+    hops
+}
+
 /// Builds a fat-tree scenario whose first incident provably black-holes a
 /// monitored flow (the agg→ToR downward link on a monitored path — the
 /// paper's C1 condition), padded with two unrelated incidents.
@@ -67,24 +76,15 @@ fn c1_scenario_with_decoys() -> ScenarioSpec {
         dcn_chaos::MONITOR_SPORTS[0],
         dcn_net::Protocol::Udp,
     );
-    let path = bed.net.trace(key, src, dst);
+    let hops = walked(&bed, key, src, dst);
     // Last switch-to-switch hop on the path: the agg→ToR downward link.
-    let topo = bed.topology();
-    let n = path.len();
-    let culprit = topo
-        .link_between(path[n - 3], path[n - 2])
-        .expect("path hop is a link");
+    let culprit = hops[hops.len() - 2].link;
     // Two decoy links that are NOT on the monitored path (failing them is
-    // harmless to this flow): any fabric link whose endpoints are both
-    // core switches' links away from the path.
-    let on_path: Vec<_> = path
-        .windows(2)
-        .filter_map(|w| topo.link_between(w[0], w[1]))
-        .collect();
+    // harmless to this flow).
     let decoys: Vec<_> = bed
         .fabric_links()
         .into_iter()
-        .filter(|l| !on_path.contains(l) && *l != culprit)
+        .filter(|&l| hops.iter().all(|hop| hop.link != l))
         .take(2)
         .collect();
     assert_eq!(decoys.len(), 2);
@@ -211,12 +211,8 @@ fn frr_recovers_a_single_link_within_the_tightened_bound() {
         dcn_chaos::MONITOR_SPORTS[0],
         dcn_net::Protocol::Udp,
     );
-    let path = bed.net.trace(key, src, dst);
-    let topo = bed.topology();
-    let n = path.len();
-    let culprit = topo
-        .link_between(path[n - 3], path[n - 2])
-        .expect("path hop is a link");
+    let hops = walked(&bed, key, src, dst);
+    let culprit = hops[hops.len() - 2].link;
     let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
     let spec = ScenarioSpec {
         design: Design::F2Tree,

@@ -9,13 +9,12 @@
 //! installs the F²Tree backup routes. [`TestBed::build`] picks one of the
 //! two for a `k`-port fat tree.
 
-use dcn_emu::{EmuConfig, FlowId, Network};
+use dcn_emu::{EmuConfig, FlowId, Hop, Network};
 use dcn_failure::{condition_links, Condition, ScenarioContext};
 use dcn_net::{
     AddressingError, FatTree, Layer, LinkId, NodeId, PodRing, Protocol, Topology, TopologyError,
 };
 use dcn_routing::RecoveryMode;
-use serde::{Deserialize, Serialize};
 
 use crate::{network_backup_routes, F2TreeNetwork};
 
@@ -61,7 +60,7 @@ impl From<AddressingError> for TestBedError {
 }
 
 /// Which data-center design an experiment instance runs on.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Design {
     /// The baseline: a fabric as built, without across links or backup
     /// routes — the standard fat tree, and the original Leaf-Spine, VL2
@@ -191,60 +190,68 @@ impl TestBed {
         self.net.topology()
     }
 
-    /// The probe endpoints the paper uses: leftmost and rightmost host.
-    pub fn probe_endpoints(&self) -> (NodeId, NodeId) {
+    /// The probe endpoints the paper uses: leftmost and rightmost host;
+    /// `None` on a bed without hosts.
+    pub fn probe_endpoints(&self) -> Option<(NodeId, NodeId)> {
         let hosts = self.topology().hosts();
-        (hosts[0], *hosts.last().expect("hosts exist"))
+        Some((*hosts.first()?, *hosts.last()?))
     }
 
     /// Adds the testbed's UDP and TCP probes pinned to the **same**
     /// forwarding path (in the paper's testbed both flows traverse one
     /// path and observe one failure). The TCP source port is the first
-    /// whose five-tuple ECMP-hashes onto the UDP probe's path.
+    /// whose five-tuple ECMP-hashes onto the UDP probe's links.
     ///
     /// # Panics
     ///
-    /// Panics if no port in the search window aligns the paths (cannot
-    /// happen on the topologies used here).
+    /// Panics on a bed without hosts, or if no port in the search window
+    /// aligns the paths (cannot happen on the topologies used here).
     pub fn add_aligned_probes(&mut self, start: dcn_sim::SimTime) -> (FlowId, FlowId) {
-        let (src, dst) = self.probe_endpoints();
+        let (src, dst) = self
+            .probe_endpoints()
+            .expect("aligned probes need a bed with hosts");
         let udp = self.net.add_udp_probe(src, dst, start);
-        let udp_path = self.net.trace_path(udp);
+        let mut udp_hops = Vec::new();
+        self.net.walk_flow(udp, &mut udp_hops);
         let sport = self
-            .source_port(src, dst, Protocol::Tcp, |path| path == udp_path)
-            .expect("a TCP source port hashes onto the UDP probe's path");
+            .source_port(src, dst, Protocol::Tcp, |hops| hops == udp_hops)
+            .expect("a TCP source port hashes onto the UDP probe's links");
         let tcp = self.net.add_tcp_probe_with_port(src, dst, sport, start);
         (udp, tcp)
     }
 
     /// The first source port, from 41 000 up, whose `protocol` flow from
-    /// `src` to `dst` the ECMP hash sends along a path `accept` takes;
-    /// `None` if no port below 44 000 does.
+    /// `src` to `dst` the forwarding state walks along hops `accept`
+    /// takes; `None` if no port below 44 000 does.
     pub fn source_port(
         &self,
         src: NodeId,
         dst: NodeId,
         protocol: Protocol,
-        accept: impl Fn(&[NodeId]) -> bool,
+        accept: impl Fn(&[Hop]) -> bool,
     ) -> Option<u16> {
+        let mut hops = Vec::new();
         (41_000..44_000u16).find(|&sport| {
             let key = self.net.flow_key_with_port(src, dst, sport, protocol);
-            accept(&self.net.trace(key, src, dst))
+            self.net.walk(&key, src, dst, &mut hops);
+            accept(&hops)
         })
     }
 
     /// The path anatomy of a probe flow: destination ToR, the aggregation
-    /// switch on its downward path (`Sx`), and the core on the path.
+    /// switch on its downward path (`Sx`), and the core on the path — the
+    /// last three switches its walk leaves.
     ///
     /// # Panics
     ///
     /// Panics if the flow does not traverse a 5-switch inter-pod path.
     pub fn path_anatomy(&self, probe: FlowId) -> PathAnatomy {
-        let path = self.net.trace_path(probe);
-        assert!(path.len() >= 6, "expected an inter-pod path, got {path:?}");
-        let dest_tor = path[path.len() - 2];
-        let path_agg = path[path.len() - 3];
-        let path_core = path[path.len() - 4];
+        let mut hops = Vec::new();
+        self.net.walk_flow(probe, &mut hops);
+        let n = hops.len();
+        assert!(n >= 5, "expected an inter-pod path, got {hops:?}");
+        let nth_last = |i: usize| hops[n - i].node;
+        let (dest_tor, path_agg, path_core) = (nth_last(1), nth_last(2), nth_last(3));
         assert_eq!(self.topology().node(dest_tor).layer(), Some(Layer::Tor));
         assert_eq!(self.topology().node(path_agg).layer(), Some(Layer::Agg));
         assert_eq!(self.topology().node(path_core).layer(), Some(Layer::Core));
@@ -255,20 +262,16 @@ impl TestBed {
         }
     }
 
-    /// The link a probe's path takes **down** out of the last node at
-    /// `layer`: traces the flow's current path, finds the final node at
-    /// that layer, and returns the link to the next hop. With
-    /// `Layer::Agg` this is the agg→ToR link on the downward path — the
-    /// link the paper's testbed experiment fails.
+    /// The link a probe's walk takes **down** out of the last node at
+    /// `layer` it leaves. With `Layer::Agg` this is the agg→ToR link on
+    /// the downward path — the link the paper's testbed experiment fails.
     ///
-    /// Returns `None` if the path never visits `layer` or ends there.
+    /// Returns `None` if the walk leaves no node at `layer`.
     pub fn probe_path_link(&self, probe: FlowId, layer: Layer) -> Option<LinkId> {
-        let path = self.net.trace_path(probe);
-        let pos = path
-            .iter()
-            .rposition(|&n| self.topology().node(n).layer() == Some(layer))?;
-        let next = *path.get(pos + 1)?;
-        self.topology().link_between(path[pos], next)
+        let mut hops = Vec::new();
+        self.net.walk_flow(probe, &mut hops)?;
+        let at_layer = |hop: &&Hop| self.topology().node(hop.node).layer() == Some(layer);
+        hops.iter().rev().find(at_layer).map(|hop| hop.link)
     }
 
     /// Resolves a Table IV condition to concrete links for a probe.
@@ -346,7 +349,7 @@ mod tests {
     #[test]
     fn path_anatomy_finds_the_downward_path() {
         let mut bed = TestBed::build(Design::F2Tree, 8, 4).expect("valid k");
-        let (src, dst) = bed.probe_endpoints();
+        let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
         let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
         let anatomy = bed.path_anatomy(probe);
         assert!(bed
@@ -358,7 +361,7 @@ mod tests {
     #[test]
     fn probe_path_link_matches_the_anatomy() {
         let mut bed = TestBed::build(Design::F2Tree, 8, 4).expect("valid k");
-        let (src, dst) = bed.probe_endpoints();
+        let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
         let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
         let anatomy = bed.path_anatomy(probe);
         assert_eq!(
@@ -373,10 +376,45 @@ mod tests {
         );
     }
 
+    /// Aspen ⟨1, 0⟩ joins every agg–core pair by two parallel links and
+    /// the ECMP hash picks one per flow: the probe's core-layer link is
+    /// the one its walk took, not the pair's first, and failing it opens
+    /// a connectivity-loss window.
+    #[test]
+    fn probe_path_link_is_the_parallel_link_the_walk_took() {
+        use dcn_net::AspenTree;
+        use dcn_sim::{timers, SimDuration};
+        let at = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+        for sport in 41_000..41_050 {
+            let topo = AspenTree::new(8, 1).expect("valid dims").build();
+            let mut bed = TestBed::from_topology(topo, EmuConfig::default()).expect("addressable");
+            let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
+            let probe = bed
+                .net
+                .add_udp_probe_with_port(src, dst, sport, SimTime::ZERO);
+            let mut hops = Vec::new();
+            bed.net.walk_flow(probe, &mut hops);
+            let core = |hop: &&Hop| bed.topology().node(hop.node).layer() == Some(Layer::Core);
+            let taken = hops.iter().find(core).expect("a cross-pod walk").link;
+            let link = bed.probe_path_link(probe, Layer::Core);
+            assert_eq!(link, Some(taken), "sport {sport}");
+            bed.net.fail_link_at(at(100), taken);
+            bed.net.run_until(at(400));
+            let report = bed.net.udp_probe_report(probe);
+            // The probe paces at 100 µs; losing its link costs it the
+            // detection delay before ECMP drops the dead member.
+            let loss = report.connectivity.loss_around(at(100)).map(|l| l.duration);
+            assert!(
+                loss >= Some(timers::DETECTION_DELAY),
+                "sport {sport}: failing {taken} cost the probe only {loss:?}"
+            );
+        }
+    }
+
     #[test]
     fn all_conditions_resolve_on_f2tree() {
         let mut bed = TestBed::build(Design::F2Tree, 8, 4).expect("valid k");
-        let (src, dst) = bed.probe_endpoints();
+        let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
         let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
         let anatomy = bed.path_anatomy(probe);
         for condition in Condition::ALL {

@@ -1,9 +1,9 @@
 //! `TestBed` answers every scale with a typed result, never a panic: bad
 //! port counts are `Topology` errors, fabrics beyond the addressing plan
 //! are `Addressing` errors, and every small even fabric builds — racks
-//! without hosts included. The same holds for the other fabrics its two
-//! doors take: the Aspen tree, Leaf-Spine and VL2 as built, and their
-//! rewired F² forms.
+//! without hosts included, where the bed then names no probe endpoints.
+//! The same holds for the other fabrics its two doors take: the Aspen
+//! tree, Leaf-Spine and VL2 as built, and their rewired F² forms.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -39,6 +39,7 @@ fn check(
         Ok(bed) => {
             let hosts = (per_rack as usize) * tors(&bed);
             assert_eq!(bed.topology().host_count(), hosts, "{what}");
+            assert_eq!(bed.probe_endpoints().is_some(), hosts > 0, "{what}");
             true
         }
         Err(err) => {
@@ -88,6 +89,8 @@ fn small_even_fabrics_build_with_and_without_hosts() {
                 let bed = build(design, k, hosts)
                     .unwrap_or_else(|e| panic!("{design} k = {k}, {hosts} hosts: {e}"));
                 assert_eq!(bed.topology().host_count(), (hosts as usize) * tors(&bed));
+                // A bed without hosts has no probe endpoints, and says so.
+                assert_eq!(bed.probe_endpoints().is_none(), hosts == 0);
             }
         }
     }

@@ -21,7 +21,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut bed = TestBed::build(Design::FatTree, 4, 1)?;
-//! let (src, dst) = bed.probe_endpoints();
+//! let (src, dst) = bed.probe_endpoints().ok_or("the bed has hosts")?;
 //! let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
 //!
 //! // Find the agg->ToR link on the probe's current path and fail it.
@@ -46,4 +46,6 @@ mod network;
 mod quality;
 
 pub use config::{ControlPlaneMode, EmuConfig, EmuConfigBuilder};
-pub use network::{DropCounters, FlowId, Network, RequestId, TcpFlowStats, UdpProbeReport};
+pub use network::{
+    DropCounters, FlowId, Hop, Network, RequestId, TcpFlowStats, UdpProbeReport, WalkOutcome,
+};

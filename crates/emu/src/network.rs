@@ -65,6 +65,29 @@ impl FlowId {
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RequestId(u32);
 
+/// One hop of a [`Network::walk`]: the node a packet leaves, and the link
+/// it leaves by.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Hop {
+    /// The source host for the first hop, a switch for every later one.
+    pub node: NodeId,
+    /// The link taken out of `node`.
+    pub link: LinkId,
+}
+
+/// Where a [`Network::walk`] ended.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum WalkOutcome {
+    /// The walk reached the destination over physically-live links.
+    Reached,
+    /// The walk revisited a node (forwarding loop).
+    Loop(NodeId),
+    /// The chosen next-hop link is physically down.
+    DeadLink(LinkId),
+    /// A router had no route for the flow.
+    NoRoute(NodeId),
+}
+
 /// What a fixed-size TCP flow is for (determines bookkeeping on delivery).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum FlowRole {
@@ -590,7 +613,7 @@ impl Network {
     }
 
     /// The five-tuple a probe with this source port would use (for path
-    /// planning with [`Self::trace`] before committing to a port).
+    /// planning with [`Self::walk`] before committing to a port).
     pub fn flow_key_with_port(
         &self,
         src: NodeId,
@@ -1398,37 +1421,68 @@ impl Network {
     // Reports
     // ------------------------------------------------------------------
 
-    /// Traces the current forwarding path of `flow` from its source host,
-    /// honoring locally-detected-dead interfaces (i.e. exactly what the
-    /// data plane would do right now). Returns the node sequence; stops
-    /// after 64 hops (a loop). Empty for a flow this network holds no
-    /// record of.
+    /// The node sequence of `flow`'s [`Self::walk`]: its source host, each
+    /// switch it leaves, and the node its last hop leads to (the
+    /// destination, the node a loop revisits, the switch with no route, or
+    /// the far end of the dead link). Empty for a flow this network holds
+    /// no record of.
     pub fn trace_path(&self, flow: FlowId) -> Vec<NodeId> {
-        self.flow(flow)
-            .map_or_else(Vec::new, |f| self.trace(f.key, f.src, f.dst))
+        let Some(f) = self.flow(flow) else {
+            return Vec::new();
+        };
+        let mut hops = Vec::new();
+        self.walk(&f.key, f.src, f.dst, &mut hops);
+        let end = hops
+            .last()
+            .map_or(f.src, |h| self.topo.link(h.link).other_end(h.node));
+        hops.iter().map(|hop| hop.node).chain([end]).collect()
     }
 
-    /// Like [`Self::trace_path`] for an ad-hoc five-tuple.
-    pub fn trace(&self, key: FlowKey, src: NodeId, dst: NodeId) -> Vec<NodeId> {
-        let mut path = vec![src];
-        let mut current = match self.host_uplink.get(src.index()) {
-            Some(&Some((_, tor))) => tor,
-            _ => return path,
+    /// [`Self::walk`] of `flow` between its endpoints; `None` (and no
+    /// hops) for a flow this network holds no record of.
+    pub fn walk_flow(&self, flow: FlowId, hops: &mut Vec<Hop>) -> Option<WalkOutcome> {
+        hops.clear();
+        let f = self.flow(flow)?;
+        Some(self.walk(&f.key, f.src, f.dst, hops))
+    }
+
+    /// Follows `key`'s forwarding chain from host `src` towards `dst` as
+    /// the data plane would take it right now: up the host's access link,
+    /// then out of each switch by [`RouterProcess::forward`] — its FIB
+    /// minus the interfaces it has detected dead. Each hop taken goes into
+    /// `hops`, cleared first. The walk ends at `dst`, at the first node it
+    /// revisits, at a node with no route (or a host that is not `dst`),
+    /// or on the first physically down link taken — an undetected failure
+    /// still drops packets in flight — which is then the last hop.
+    pub fn walk(
+        &self,
+        key: &FlowKey,
+        src: NodeId,
+        dst: NodeId,
+        hops: &mut Vec<Hop>,
+    ) -> WalkOutcome {
+        hops.clear();
+        let Some(&Some((mut link, mut next))) = self.host_uplink.get(src.index()) else {
+            return WalkOutcome::NoRoute(src);
         };
-        for _ in 0..64 {
-            path.push(current);
-            if current == dst {
-                break;
+        let mut node = src;
+        loop {
+            hops.push(Hop { node, link });
+            if !self.link_state(link).is_up() {
+                return WalkOutcome::DeadLink(link);
             }
-            match self.router(current) {
-                Some(router) => match router.forward(&key) {
-                    Some(hop) => current = hop.node,
-                    None => break,
-                },
-                None => break, // reached a host
+            node = next;
+            if node == dst {
+                return WalkOutcome::Reached;
             }
+            if hops.iter().any(|hop| hop.node == node) {
+                return WalkOutcome::Loop(node);
+            }
+            let Some(hop) = self.router(node).and_then(|router| router.forward(key)) else {
+                return WalkOutcome::NoRoute(node);
+            };
+            (link, next) = (hop.link, hop.node);
         }
-        path
     }
 
     /// The probe report for a UDP probe flow.
@@ -1847,5 +1901,38 @@ mod tests {
             "a released flow reports nothing"
         );
         assert!(net.trace_path(flow).is_empty());
+    }
+
+    /// The walk takes what the data plane takes: the whole path while it
+    /// stands, the physically down link first (before any switch has
+    /// noticed it), then the detecting switch's missing route.
+    #[test]
+    fn a_walk_ends_where_the_data_plane_drops_the_packet() {
+        let topo = FatTree::new(4).unwrap().hosts_per_tor(1).build();
+        let mut net = Network::new(topo, EmuConfig::default()).unwrap();
+        let hosts = net.topology().hosts().to_vec();
+        let (src, dst) = (hosts[0], hosts[hosts.len() - 1]);
+        let probe = net.add_udp_probe(src, dst, SimTime::ZERO);
+        let mut hops = Vec::new();
+        assert_eq!(net.walk_flow(probe, &mut hops), Some(WalkOutcome::Reached));
+        let path = net.trace_path(probe);
+        assert_eq!(path.len(), 7, "host, five switches, host: {path:?}");
+        // Each hop's link leads to the next node of the path.
+        for (hop, &next) in hops.iter().zip(&path[1..]) {
+            assert_eq!(net.topology().link(hop.link).other_end(hop.node), next);
+        }
+        let down = hops[4];
+        let ms = |v| SimTime::ZERO + SimDuration::from_millis(v);
+        // Detection takes 60 ms.
+        net.fail_link_at(ms(10), down.link);
+        net.run_until(ms(30));
+        let outcome = net.walk_flow(probe, &mut hops);
+        assert_eq!(outcome, Some(WalkOutcome::DeadLink(down.link)));
+        assert_eq!(hops.last(), Some(&down));
+        assert_eq!(net.trace_path(probe), path[..6]);
+        net.run_until(ms(100));
+        let outcome = net.walk_flow(probe, &mut hops);
+        assert_eq!(outcome, Some(WalkOutcome::NoRoute(down.node)));
+        assert_eq!(net.trace_path(probe), path[..5]);
     }
 }

@@ -574,7 +574,7 @@ fn no_packet_outlives_its_last_event() {
     // A long transfer across the C7 links: its segments run into the dead
     // links until detection, then ping-pong to TTL death until the control
     // plane (LSA floods) converges, then finish.
-    let (src, dst) = bed.probe_endpoints();
+    let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
     let long = bed.net.add_transfer(src, dst, 20_000_000, SimTime::ZERO);
     let anatomy = bed.path_anatomy(long);
     for link in bed.scenario_links(&anatomy, Condition::C7) {

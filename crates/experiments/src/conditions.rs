@@ -21,12 +21,11 @@ use dcn_routing::RecoveryMode;
 use dcn_sim::{timers, SimDuration, SimTime};
 use dcn_sweep::{ExperimentSpec, Workers};
 use f2tree::{Design, TestBed};
-use serde::{Deserialize, Serialize};
 
 use crate::plot::sparkline;
 
 /// Parameters of the condition sweep (defaults match the paper: k = 8).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ConditionConfig {
     /// Switch port count (paper: 8).
     pub k: u32,
@@ -78,7 +77,7 @@ impl ConditionConfig {
 }
 
 /// The measured outcome of one (design, condition) cell.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConditionResult {
     /// Which design.
     pub design: Design,

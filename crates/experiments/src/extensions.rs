@@ -3,7 +3,7 @@
 //!
 //! * **Wide rings** (§II-C): "if we reserve more ports (e.g. 4) for
 //!   across links … it is able to deal with this extreme condition
-//!   [C7] as well" — [`run_c7_wide`] verifies it on the same rewiring at
+//!   \[C7\] as well" — [`run_c7_wide`] verifies it on the same rewiring at
 //!   reach 2.
 //! * **Unidirectional failures** (§IV-A future work) —
 //!   [`run_unidirectional`].
@@ -18,7 +18,6 @@ use dcn_net::{AspenTree, FatTree, Layer, NodeId};
 use dcn_routing::RouterConfig;
 use dcn_sim::{SimDuration, SimTime};
 use f2tree::{rewire_fat_tree, Design, TestBed};
-use serde::{Deserialize, Serialize};
 
 fn ms(v: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(v)
@@ -36,7 +35,9 @@ pub(crate) fn probe_loss(
     fail: impl FnOnce(&mut TestBed, FlowId, SimTime),
 ) -> (SimDuration, u64) {
     let fail_at = ms(100);
-    let (src, dst) = bed.probe_endpoints();
+    let (src, dst) = bed
+        .probe_endpoints()
+        .expect("probe-loss cells run on beds with hosts");
     let probe = probe(bed, src, dst);
     fail(bed, probe, fail_at);
     bed.net.run_until(ms(horizon_ms));
@@ -68,7 +69,7 @@ fn c1_loss(design: Design, config: EmuConfig) -> SimDuration {
 // ---------------------------------------------------------------------
 
 /// Outcome of the C7 comparison between 2 and 4 across ports.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct C7WideResult {
     /// Across ports per switch.
     pub across_ports: u32,
@@ -127,7 +128,7 @@ pub fn format_c7_wide(results: &[C7WideResult]) -> String {
 // ---------------------------------------------------------------------
 
 /// Outcome of a unidirectional downward-link failure.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UnidirectionalResult {
     /// Which design.
     pub design: Design,
@@ -159,7 +160,7 @@ pub fn run_unidirectional(design: Design) -> UnidirectionalResult {
 // ---------------------------------------------------------------------
 
 /// Outcome of one Aspen-tree failure cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AspenResult {
     /// Which layer's link failed.
     pub failed_layer: &'static str,
@@ -177,19 +178,13 @@ pub fn run_aspen_baseline() -> [AspenResult; 2] {
         let topo = AspenTree::new(8, 1).expect("valid aspen dims").build();
         let mut bed = TestBed::from_topology(topo, EmuConfig::default()).expect("addressable");
         let fail = |bed: &mut TestBed, probe, at| {
-            let path: [NodeId; 7] = bed
-                .net
-                .trace_path(probe)
-                .try_into()
-                .expect("a cross-pod path");
-            let [_host, _tor, up_agg, core, down_agg, down_tor, _dst] = path;
-            let (a, b) = if fail_top {
-                (up_agg, core)
-            } else {
-                (down_agg, down_tor)
+            let mut hops = Vec::new();
+            bed.net.walk_flow(probe, &mut hops);
+            let [_host, _tor, up_agg, _core, down_agg, _down_tor] = *hops.as_slice() else {
+                panic!("a cross-pod path, got {hops:?}");
             };
-            let link = bed.topology().link_between(a, b).expect("link on path");
-            bed.net.fail_link_at(at, link);
+            let taken = if fail_top { up_agg } else { down_agg };
+            bed.net.fail_link_at(at, taken.link);
         };
         let (loss, _) = probe_loss(&mut bed, unpinned, 2000, fail);
         loss.as_micros()
@@ -228,7 +223,7 @@ pub fn format_aspen(results: &[AspenResult]) -> String {
 // ---------------------------------------------------------------------
 
 /// Outcome of one centralized-control-plane cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CentralizedResult {
     /// Which design.
     pub design: Design,
@@ -286,7 +281,7 @@ pub fn format_centralized(rows: &[CentralizedResult]) -> String {
 // ---------------------------------------------------------------------
 
 /// Outcome of the bisection-bandwidth stress test.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BisectionResult {
     /// Which design.
     pub design: Design,
@@ -358,7 +353,7 @@ pub fn format_bisection(rows: &[BisectionResult]) -> String {
 // ---------------------------------------------------------------------
 
 /// One ablation cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AblationRow {
     /// Which design.
     pub design: Design,

@@ -9,17 +9,16 @@
 //! ring's backup routes; the cell then runs through
 //! `extensions::probe_loss`, like the extension targets.
 
-use dcn_emu::EmuConfig;
-use dcn_net::{LeafSpine, NodeId, Protocol, Vl2};
+use dcn_emu::{EmuConfig, Hop};
+use dcn_net::{LeafSpine, Protocol, Vl2};
 use dcn_sim::SimTime;
 use dcn_sweep::{ExperimentSpec, Workers};
 use f2tree::{f2_leaf_spine, f2_vl2, Design, TestBed, TestBedError};
-use serde::{Deserialize, Serialize};
 
 use crate::extensions::probe_loss;
 
 /// The fabrics of Fig. 7.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Fabric {
     /// Two-layer Leaf-Spine (Fig. 7(a)).
     LeafSpine,
@@ -44,7 +43,7 @@ const D_A: u32 = 6;
 const D_I: u32 = 6;
 
 /// One Fig. 7 measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig7Result {
     /// Which fabric.
     pub fabric: Fabric,
@@ -98,19 +97,19 @@ pub fn run_fig7_cell(fabric: Fabric, design: Design) -> Fig7Result {
             home.expect("one home's right neighbor is the other home")
         });
         let through_via =
-            |path: &[NodeId]| matches!(*path, [.., upper, _, _] if via.is_none_or(|v| v == upper));
+            |hops: &[Hop]| matches!(*hops, [.., upper, _] if via.is_none_or(|v| v == upper.node));
         let sport = bed.source_port(src, dst, Protocol::Udp, through_via);
         let sport = sport.unwrap_or_else(|| panic!("no source port routes the probe via {via:?}"));
         bed.net
             .add_udp_probe_with_port(src, dst, sport, SimTime::ZERO)
     };
     let fail = |bed: &mut TestBed, probe, at| {
-        let path = bed.net.trace_path(probe);
-        let &[.., via, dest_tor, _dst] = path.as_slice() else {
+        let mut hops = Vec::new();
+        bed.net.walk_flow(probe, &mut hops);
+        let &[.., down, _access] = hops.as_slice() else {
             panic!("the probe crosses the fabric");
         };
-        let link = bed.topology().link_between(via, dest_tor);
-        bed.net.fail_link_at(at, link.expect("path link exists"));
+        bed.net.fail_link_at(at, down.link);
     };
     let (loss, packets_lost) = probe_loss(&mut bed, pinned, 2000, fail);
     Fig7Result {

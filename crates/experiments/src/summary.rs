@@ -9,7 +9,6 @@
 use dcn_failure::Condition;
 use dcn_routing::RecoveryMode;
 use f2tree::Design;
-use serde::{Deserialize, Serialize};
 
 use crate::conditions::ConditionGrid;
 use crate::extensions::{AspenResult, C7WideResult, CentralizedResult};
@@ -18,7 +17,7 @@ use crate::table1::f2tree_node_deficit;
 use crate::testbed::TestbedResult;
 
 /// One scorecard row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SummaryRow {
     /// Which paper artifact the number belongs to.
     pub artifact: &'static str,

@@ -6,10 +6,9 @@
 use dcn_net::scalability::{table1, F2TreeDimensions, ScalabilityRow, Solution};
 use dcn_net::{AspenTree, FatTree};
 use f2tree::F2TreeNetwork;
-use serde::{Deserialize, Serialize};
 
 /// One Table I row, with optional construction-based verification.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Row {
     /// Solution name (as the paper prints it).
     pub solution: String,

@@ -8,10 +8,9 @@
 use dcn_routing::RouteOrigin;
 use dcn_sim::SimTime;
 use f2tree::{Design, TestBed};
-use serde::{Deserialize, Serialize};
 
 /// One rendered routing-table row.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Table2Row {
     /// Destination prefix.
     pub destination: String,

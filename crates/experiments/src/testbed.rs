@@ -16,12 +16,11 @@ use dcn_metrics::ThroughputSeries;
 use dcn_sim::{SimDuration, SimTime};
 use dcn_transport::PROBE_BYTES;
 use f2tree::Design;
-use serde::{Deserialize, Serialize};
 
 use crate::conditions::{run_condition_bed, ConditionConfig};
 
 /// One Table III row plus the Fig. 2 series for one design.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TestbedResult {
     /// Which design produced the row.
     pub design: Design,

@@ -16,10 +16,9 @@ use dcn_transport::{
     generate_background, generate_requests, BackgroundConfig, PartitionAggregateConfig,
 };
 use f2tree::{Design, TestBed};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the workload experiment (defaults match the paper).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadConfig {
     /// Switch port count (paper: 8).
     pub k: u32,
@@ -33,7 +32,7 @@ pub struct WorkloadConfig {
     pub background_flows: u32,
     /// Concurrent-failure regime (paper: 1 and 5).
     pub concurrent_failures: usize,
-    /// Completion deadline in ms (paper: 250, per [23]).
+    /// Completion deadline in ms (paper: 250, per \[23\]).
     pub deadline_ms: u64,
     /// Drain time after the horizon before unfinished requests are
     /// declared.
@@ -78,7 +77,7 @@ impl WorkloadConfig {
 }
 
 /// The outcome of one workload run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct WorkloadResult {
     /// Which design.
     pub design: Design,
@@ -260,7 +259,7 @@ impl Fig6Sweep {
 }
 
 /// Multi-seed statistics for one (design, regime) cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig6Statistics {
     /// Which design.
     pub design: Design,

@@ -29,7 +29,7 @@ impl RandomFailureConfig {
     /// The paper's 1-concurrent-failure regime: ~40 failures over 600 s.
     ///
     /// The high sigmas reflect the heavy-tailed, bursty failure processes
-    /// measured in production DCNs ([1]): failures cluster in time, which
+    /// measured in production DCNs (\[1\]): failures cluster in time, which
     /// is what drives the routing protocol's SPF backoff into the
     /// multi-second range in Fig. 6(b).
     ///

@@ -1,10 +1,9 @@
 //! Request completion times, deadline-miss ratios, and CDFs (Fig. 6).
 
 use dcn_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Completion statistics for a set of requests.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct CompletionStats {
     completions: Vec<SimDuration>,
     unfinished: u64,

@@ -7,16 +7,15 @@
 //! loss" — and lost packets are the sender/receiver census difference.
 
 use dcn_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Receiver-side record of a constant-rate probe flow.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ConnectivityTracker {
     arrivals: Vec<(SimTime, u64)>,
 }
 
 /// The measured outcome around one failure.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ConnectivityLoss {
     /// Arrival time of the last packet before the gap.
     pub last_before: SimTime,

@@ -6,10 +6,9 @@
 //! connectivity is lost.
 
 use dcn_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One delay sample.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DelaySample {
     /// When the packet was sent.
     pub sent_at: SimTime,
@@ -18,7 +17,7 @@ pub struct DelaySample {
 }
 
 /// A time series of per-packet one-way delays.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DelaySeries {
     samples: Vec<DelaySample>,
 }

@@ -5,10 +5,9 @@
 //! partition-aggregate results.
 
 use dcn_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A five-number summary of a duration sample.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DurationSummary {
     /// Sample count.
     pub count: u64,

@@ -6,10 +6,9 @@
 //! TCP throughput stays below half the pre-failure average.
 
 use dcn_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Receiver-side byte arrival log binned into a throughput series.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ThroughputSeries {
     samples: Vec<(SimTime, u32)>,
 }

@@ -9,8 +9,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// An IPv4 address stored as a host-order `u32`.
 ///
 /// # Examples
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.to_string(), "10.11.0.1");
 /// assert_eq!(a.octets(), [10, 11, 0, 1]);
 /// ```
-#[derive(Copy, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Ipv4Addr(u32);
 
 impl Ipv4Addr {
@@ -177,7 +175,7 @@ impl std::error::Error for PrefixError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
     addr: Ipv4Addr,
     len: u8,

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{Ipv4Addr, Prefix};
 use crate::id::NodeId;
 use crate::topology::{Layer, NodeKind, Topology};
@@ -78,7 +76,7 @@ impl std::error::Error for AddressingError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AddressPlan {
     /// The prefix containing every host in the DCN (`10.11.0.0/16`).
     pub dcn_prefix: Prefix,
@@ -89,7 +87,7 @@ pub struct AddressPlan {
 }
 
 /// One ToR's rack subnet.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RackSubnet {
     /// The ToR that originates the subnet.
     pub tor: NodeId,

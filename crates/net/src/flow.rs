@@ -5,12 +5,10 @@
 //! routing crate (hash input), the transport crate (flow state keys), and
 //! the emulator (packet headers).
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::Ipv4Addr;
 
 /// Transport protocol of a flow.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Protocol {
     /// Transmission Control Protocol.
     Tcp,
@@ -37,7 +35,7 @@ pub enum Protocol {
 /// );
 /// assert_eq!(key.reversed().src, key.dst);
 /// ```
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowKey {
     /// Source address.
     pub src: Ipv4Addr,

@@ -6,13 +6,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! index_newtype {
     ($(#[$meta:meta])* $name:ident, $tag:literal) => {
         $(#[$meta])*
         #[derive(
-            Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+            Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash,
         )]
         pub struct $name(u32);
 

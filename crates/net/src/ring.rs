@@ -7,8 +7,6 @@
 //! more across ports (§II-C) the ring also carries *chords* to the members
 //! two or more steps away.
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::{LinkId, NodeId};
 
 /// One pod's across-link ring, in ring order, with chords out to distance
@@ -19,7 +17,7 @@ use crate::id::{LinkId, NodeId};
 /// the target's *leftward* one. `chords[0]` is the plain ring; a
 /// two-member ring has two parallel links there (as in the paper's k=4
 /// testbed, Fig. 1(b)).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PodRing {
     /// Ring members in order.
     pub members: Vec<NodeId>,

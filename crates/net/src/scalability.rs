@@ -8,10 +8,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The fault-tolerance solutions compared in Table I.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Solution {
     /// Standard fat tree (Al-Fares et al.).
     FatTree,
@@ -45,7 +43,7 @@ impl fmt::Display for Solution {
 }
 
 /// One row of Table I.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ScalabilityRow {
     /// The solution this row describes.
     pub solution: Solution,
@@ -139,7 +137,7 @@ pub fn table1(n: u32) -> Vec<ScalabilityRow> {
 /// reservation (2 across ports per aggregation and core switch):
 /// `N-2` pods, `(N-2)/2` ToRs and `N/2` aggs per pod, `N/2` core groups of
 /// `(N-2)/2` cores.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct F2TreeDimensions {
     /// Switch port count.
     pub n: u32,

@@ -9,13 +9,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::Ipv4Addr;
 use crate::id::{LinkId, NodeId, PodId};
 
 /// The switching layer of a node in a multi-rooted tree.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Layer {
     /// Top-of-rack (leaf) switch; hosts attach here.
     Tor,
@@ -48,7 +46,7 @@ impl fmt::Display for Layer {
 }
 
 /// Whether a node is an end host or a switch at some layer.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// An end host (server).
     Host,
@@ -72,7 +70,7 @@ impl NodeKind {
 }
 
 /// Classification of a link by its role in the topology.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum LinkClass {
     /// Host-to-ToR access link.
     HostAccess,
@@ -83,7 +81,7 @@ pub enum LinkClass {
 }
 
 /// A node (host or switch) in the topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Node {
     id: NodeId,
     kind: NodeKind,
@@ -146,7 +144,7 @@ impl Node {
 }
 
 /// A bidirectional link between two nodes.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Link {
     id: LinkId,
     a: NodeId,
@@ -254,7 +252,7 @@ impl std::error::Error for TopologyError {}
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Topology {
     name: String,
     ports_per_switch: Option<u32>,

@@ -405,7 +405,7 @@ impl RouterProcess {
     }
 
     /// The scheduled FIB install completed: apply the delta. Deltas
-    /// arrive in generation order ([`Self::queue_install`]), so the guard
+    /// arrive in generation order (`queue_install`), so the guard
     /// only drops exact replays.
     ///
     /// On a router holding a fast-reroute plan, an OSPF-origin install is

@@ -107,7 +107,7 @@ pub enum TcpSenderOutput {
     ArmRto {
         /// Expiry instant.
         at: SimTime,
-        /// Validity token — deliver back via [`TcpSender::on_rto`].
+        /// Validity token — deliver back via [`TcpSender::on_rto_into`].
         token: u64,
     },
     /// Schedule the next application pacing tick.

@@ -39,7 +39,7 @@ pub struct PartitionAggregateConfig {
     pub request_bytes: u64,
     /// Response payload bytes (paper: 2 KB).
     pub response_bytes: u64,
-    /// Completion deadline (paper: 250 ms per [23]).
+    /// Completion deadline (paper: 250 ms per \[23\]).
     pub deadline: SimDuration,
     /// Experiment horizon over which requests arrive.
     pub duration: SimDuration,
@@ -115,7 +115,7 @@ pub struct BackgroundFlow {
     pub bytes: u64,
 }
 
-/// Background traffic parameters (log-normal, per [25]).
+/// Background traffic parameters (log-normal, per \[25\]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct BackgroundConfig {
     /// Number of flows (paper: 1500 over 600 s).

@@ -36,18 +36,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. At t=380ms, tear down the downward ToR-agg link on the probe's
     //    path — the failure the paper's Fig. 2 injects.
-    let path = net.trace_path(probe);
-    let names: Vec<&str> = path
+    let mut hops = Vec::new();
+    net.walk_flow(probe, &mut hops);
+    let names: Vec<&str> = hops
         .iter()
-        .map(|&n| net.topology().node(n).name())
+        .map(|hop| hop.node)
+        .chain([dst])
+        .map(|n| net.topology().node(n).name())
         .collect();
     println!("probe path: {}", names.join(" -> "));
-    let link = net
-        .topology()
-        .link_between(path[path.len() - 3], path[path.len() - 2])
-        .expect("downward path link");
+    let &[.., down, _access] = hops.as_slice() else {
+        panic!("the probe crosses the fabric");
+    };
     let fail_at = SimTime::ZERO + SimDuration::from_millis(380);
-    net.fail_link_at(fail_at, link);
+    net.fail_link_at(fail_at, down.link);
 
     // 6. Run for two simulated seconds and report.
     net.run_until(SimTime::ZERO + SimDuration::from_secs(2));
@@ -78,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 7. The deployability artifact: the exact Quagga config block an
     //    operator would paste onto the rerouting switch.
-    let agg = path[path.len() - 3];
+    let agg = down.node;
     let block = backups.iter().find(|&&(owner, _)| owner == agg);
     println!(
         "\n--- {} configuration ---",

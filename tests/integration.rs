@@ -36,7 +36,7 @@ fn the_full_pipeline_from_fat_tree_to_running_f2tree() {
     // 4. ...and brought up in the emulator, those routes installed, with
     // working forwarding.
     let mut bed = TestBed::from_f2tree(f2, EmuConfig::default()).unwrap();
-    let (src, dst) = bed.probe_endpoints();
+    let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
     let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
     bed.net.run_until(ms(100));
     let report = bed.net.udp_probe_report(probe);
@@ -48,7 +48,7 @@ fn across_links_are_invisible_until_failure() {
     // Baseline routing must be identical to an un-rewired fabric: the
     // probe's path never uses across links while healthy (§II-D).
     let mut bed = TestBed::build(Design::F2Tree, 8, 4).expect("valid k");
-    let (src, dst) = bed.probe_endpoints();
+    let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
     let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
     let path = bed.net.trace_path(probe);
     assert_eq!(path.len(), 7, "host-tor-agg-core-agg-tor-host");
@@ -88,7 +88,7 @@ fn structural_and_behavioural_backup_counts_agree() {
     assert_eq!(summary.downward_min, 2);
 
     let mut bed = TestBed::build(Design::F2Tree, 8, 4).expect("valid k");
-    let (src, dst) = bed.probe_endpoints();
+    let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
     let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
     let link = bed.probe_path_link(probe, Layer::Agg).unwrap();
     bed.net.fail_link_at(ms(100), link);
@@ -111,7 +111,7 @@ fn fat_tree_and_f2tree_share_baseline_performance() {
     // Without failures, the rewiring must cost nothing observable.
     let run = |design| {
         let mut bed = TestBed::build(design, 8, 4).expect("valid k");
-        let (src, dst) = bed.probe_endpoints();
+        let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
         let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
         bed.net.run_until(ms(200));
         let report = bed.net.udp_probe_report(probe);
@@ -135,7 +135,7 @@ fn whole_core_switch_failure_recovers_via_ecmp_within_detection_time() {
     // core on the path leaves the source-side agg with live ECMP members,
     // so recovery is detection-bounded.
     let mut bed = TestBed::build(Design::F2Tree, 8, 4).expect("valid k");
-    let (src, dst) = bed.probe_endpoints();
+    let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
     let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
     let anatomy = bed.path_anatomy(probe);
     let links: Vec<_> = bed
