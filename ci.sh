@@ -4,8 +4,8 @@
 #   ./ci.sh
 #
 # 0. `cargo fmt --all -- --check`: every workspace crate and the path
-#    crates it builds from are rustfmt-clean (bench/ is its own
-#    workspace and is not checked),
+#    crates it builds from are rustfmt-clean, and so is the benchmark
+#    (bench/ is its own workspace, checked through its own manifest),
 # 1. release build of every workspace member (warnings from the
 #    [workspace.lints] table are part of the build), then the five
 #    examples run in release — `cargo test` only compiles them, and the
@@ -45,8 +45,9 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "==> cargo fmt --all -- --check"
+echo "==> cargo fmt --all -- --check (the workspace, then bench/)"
 cargo fmt --all -- --check
+cargo fmt --manifest-path bench/Cargo.toml --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release

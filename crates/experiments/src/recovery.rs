@@ -34,7 +34,7 @@ pub fn format_recovery(grid: &ConditionGrid) -> String {
     let mut out = String::new();
     out.push_str(
         "Recovery-mode comparison on the rewired k=8 DCN (C1-C7)\n\
-         loss = connectivity-loss duration in us; '-' = no loss observed\n\
+         loss = connectivity-loss duration in us; '-' = the probe never recovered\n\
          maxload = mid-failover max fabric-edge load (multiples of one access link)\n",
     );
     let healthy = grid

@@ -173,38 +173,17 @@ pub fn compute_distances(topo: &Topology, passive: &BTreeSet<LinkId>) -> OspfDis
     }
 }
 
-/// Which tier produced an alternate.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum AlternateKind {
+/// Which tier produced an alternate; ordered so that the minimum over a
+/// tier is its [`FrrStats`] label ([`AlternateKind::Lfa`] wins a mixed
+/// tier).
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum AlternateKind {
     /// A non-passive (OSPF-visible) neighbor passing the loop-freedom
     /// inequality.
     Lfa,
     /// A PQ node behind an OSPF-passive across link — the one-hop
     /// remote-LFA relay F²Tree's rewiring provides.
     RemoteLfa,
-}
-
-impl fmt::Display for AlternateKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AlternateKind::Lfa => "lfa",
-            AlternateKind::RemoteLfa => "rlfa",
-        })
-    }
-}
-
-/// A precomputed loop-free alternate for one (switch, failed link,
-/// destination origin) triple.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Alternate {
-    /// The repair next hops (every qualifying neighbor at the nearest
-    /// distance tier; ties become an ECMP set).
-    pub next_hops: Vec<NextHop>,
-    /// `dist(N, D)` of the chosen tier.
-    pub distance: u32,
-    /// Which tier qualified ([`AlternateKind::Lfa`] wins the label when
-    /// the tier mixes both).
-    pub kind: AlternateKind,
 }
 
 /// Aggregate coverage counters over (switch, failed link, destination
@@ -238,31 +217,14 @@ impl FrrStats {
 /// the repair [`FibDelta`] to install when that link is detected dead.
 pub struct FailureMap {
     plans: BTreeMap<NodeId, FrrPlan>,
-    alternates: BTreeMap<(NodeId, LinkId, NodeId), Alternate>,
     stats: FrrStats,
 }
 
 impl FailureMap {
-    /// The repair plan for one switch (empty map if it never needs one).
-    pub fn plan(&self, node: NodeId) -> Option<&FrrPlan> {
-        self.plans.get(&node)
-    }
-
     /// Consumes the map into per-switch plans for
     /// [`dcn_routing::RouterProcess::set_frr_plan`].
     pub fn into_plans(self) -> BTreeMap<NodeId, FrrPlan> {
         self.plans
-    }
-
-    /// The alternate chosen for (switch, failed link, destination
-    /// origin), if that triple needed and found one.
-    pub fn alternate(&self, node: NodeId, link: LinkId, origin: NodeId) -> Option<&Alternate> {
-        self.alternates.get(&(node, link, origin))
-    }
-
-    /// Every precomputed alternate, in deterministic key order.
-    pub fn alternates(&self) -> impl Iterator<Item = (&(NodeId, LinkId, NodeId), &Alternate)> + '_ {
-        self.alternates.iter()
     }
 
     /// Coverage counters.
@@ -275,7 +237,6 @@ impl fmt::Debug for FailureMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FailureMap")
             .field("switches", &self.plans.len())
-            .field("alternates", &self.alternates.len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -297,7 +258,6 @@ pub fn compute_failure_map(
 ) -> FailureMap {
     let dist = compute_distances(topo, passive);
     let mut plans: BTreeMap<NodeId, FrrPlan> = BTreeMap::new();
-    let mut alternates = BTreeMap::new();
     let mut stats = FrrStats::default();
 
     // The destinations a switch can hold a primary path to: live switches
@@ -336,7 +296,7 @@ pub fn compute_failure_map(
         // Per failed link, the repair routes keyed by prefix.
         let mut repairs: BTreeMap<LinkId, BTreeMap<Prefix, Route>> = BTreeMap::new();
         // The switch's repair sets, one allocation each, and the buffer
-        // an alternate's hops are sorted into to find theirs.
+        // a tier's hops are gathered and sorted in to find theirs.
         let mut sets: Vec<Arc<[NextHop]>> = Vec::new();
         let mut set: Vec<NextHop> = Vec::new();
         for &(origin, oi, prefixes) in &targets {
@@ -366,9 +326,9 @@ pub fn compute_failure_map(
             // `failed` is the sole primary — the one adjacent link whose
             // failure cuts S off from D. Tiers 2–3: any adjacent switch
             // (OSPF or across) that passes the loop-freedom inequality,
-            // nearest tier wins.
+            // nearest tier wins; its hops gather in `set`.
             let failed = failed.hop.link;
-            let mut best: Option<(u32, Vec<(NextHop, AlternateKind)>)> = None;
+            let mut best: Option<(u32, AlternateKind)> = None;
             for port in adjacent.iter().filter(|port| port.hop.link != failed) {
                 let (Some(&d_nd), Some(&d_ns)) = (port.row.get(oi), port.row.get(si)) else {
                     continue;
@@ -381,30 +341,24 @@ pub fn compute_failure_map(
                 } else {
                     AlternateKind::Lfa
                 };
-                let hop = (port.hop, kind);
                 match &mut best {
-                    Some((d, hops)) if *d == d_nd => hops.push(hop),
-                    Some((d, hops)) if *d > d_nd => {
-                        *d = d_nd;
-                        *hops = vec![hop];
+                    Some((d, tier)) if *d == d_nd => *tier = (*tier).min(kind),
+                    Some((d, _)) if *d < d_nd => continue,
+                    _ => {
+                        best = Some((d_nd, kind));
+                        set.clear();
                     }
-                    None => best = Some((d_nd, vec![hop])),
-                    _ => {}
                 }
+                set.push(port.hop);
             }
-            let Some((distance, hops)) = best else {
+            let Some((distance, kind)) = best else {
                 stats.uncovered += 1;
                 continue;
             };
-            let kind = if hops.iter().any(|(_, k)| *k == AlternateKind::Lfa) {
-                stats.lfa += 1;
-                AlternateKind::Lfa
-            } else {
-                stats.remote_lfa += 1;
-                AlternateKind::RemoteLfa
-            };
-            let next_hops: Vec<NextHop> = hops.into_iter().map(|(h, _)| h).collect();
-            set.clone_from(&next_hops);
+            match kind {
+                AlternateKind::Lfa => stats.lfa += 1,
+                AlternateKind::RemoteLfa => stats.remote_lfa += 1,
+            }
             set.sort();
             set.dedup();
             let shared = match sets.iter().find(|have| ***have == *set) {
@@ -415,14 +369,6 @@ pub fn compute_failure_map(
                     new
                 }
             };
-            alternates.insert(
-                (s, failed, origin),
-                Alternate {
-                    next_hops,
-                    distance,
-                    kind,
-                },
-            );
             let routes = repairs.entry(failed).or_default();
             for &prefix in prefixes {
                 let route = Route {
@@ -453,11 +399,7 @@ pub fn compute_failure_map(
         plans.insert(s, plan);
     }
 
-    FailureMap {
-        plans,
-        alternates,
-        stats,
-    }
+    FailureMap { plans, stats }
 }
 
 #[cfg(test)]
@@ -517,21 +459,23 @@ mod tests {
         // a0's downlink to t0 has no OSPF alternate (t1 and the LSDB
         // route back through the failure), but the across relay a1 is a
         // PQ node: dist(a1, t0)=1 < dist(a1, a0)=2 + dist(a0, t0)=1.
+        // The emitted plan carries it as a ready-to-install delta, one
+        // hop past dist(a1, t0); a1's downlink is repaired the same way.
         let failed = topo.link_between(a0, t0).unwrap();
-        let alt = map.alternate(a0, failed, t0).expect("across covers a0");
-        assert_eq!(alt.kind, AlternateKind::RemoteLfa);
+        let delta = map.plans[&a0].get(&failed).unwrap();
+        assert_eq!(delta.origin, RouteOrigin::Frr);
+        let [FibOp::Insert(route)] = &delta.ops[..] else {
+            panic!("one repair route, got {delta:?}");
+        };
+        assert_eq!((route.prefix, route.metric), (prefix, 2));
         assert_eq!(
-            alt.next_hops,
-            vec![NextHop {
+            *route.next_hops,
+            [NextHop {
                 node: a1,
                 link: across
             }]
         );
-        // And the emitted plan carries it as a ready-to-install delta.
-        let plan = map.plan(a0).unwrap();
-        let delta = plan.get(&failed).unwrap();
-        assert_eq!(delta.origin, RouteOrigin::Frr);
-        assert_eq!(delta.ops.len(), 1);
+        assert_eq!((map.stats().lfa, map.stats().remote_lfa), (0, 2));
         // Without the across link, the same failure is uncovered.
         let bare = compute_failure_map(&topo, &passive, &origins);
         assert_eq!(bare.stats().remote_lfa, map.stats().remote_lfa);
@@ -547,9 +491,7 @@ mod tests {
         }
         let origins = BTreeMap::from([(bt0, vec![prefix])]);
         let map = compute_failure_map(&no_across, &BTreeSet::new(), &origins);
-        assert!(map
-            .alternate(ba0, no_across.link_between(ba0, bt0).unwrap(), bt0)
-            .is_none());
+        assert!(!map.plans.contains_key(&ba0));
         assert!(map.stats().uncovered > 0);
     }
 
@@ -560,9 +502,7 @@ mod tests {
         let a = compute_failure_map(&topo, &BTreeSet::new(), &origins);
         let b = compute_failure_map(&topo, &BTreeSet::new(), &origins);
         assert_eq!(a.stats(), b.stats());
-        let pa: Vec<_> = a.alternates().collect();
-        let pb: Vec<_> = b.alternates().collect();
-        assert_eq!(pa, pb);
+        assert_eq!(a.into_plans(), b.into_plans());
     }
 
     #[test]

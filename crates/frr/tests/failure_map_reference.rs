@@ -3,10 +3,11 @@
 //! flat matrix — must equal the loop nest it replaced, value for value.
 //!
 //! The [`reference`] module is `compute_failure_map` + `compute_distances`
-//! as `dcn-frr` shipped them before, kept verbatim as test-only code (its
-//! `FailureMap` has public fields, nothing else differs). It shares
-//! nothing with the crate but the value types, so agreement under random
-//! damage is evidence about the new loop, not about a common helper.
+//! as `dcn-frr` shipped them before, kept as test-only code (its
+//! `FailureMap` has public fields and no longer records each alternate
+//! beside its plan route, nothing else differs). It shares nothing with
+//! the crate but the value types, so agreement under random damage is
+//! evidence about the new loop, not about a common helper.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -14,13 +15,14 @@ use dcn_frr::{compute_distances, compute_failure_map};
 use dcn_net::{
     assign_addresses, FatTree, Layer, LinkClass, LinkId, NodeId, PodId, Prefix, Topology,
 };
+use dcn_routing::FibOp;
 use f2tree::F2TreeNetwork;
 use proptest::prelude::*;
 
 mod reference {
     use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-    use dcn_frr::{Alternate, AlternateKind, FrrStats};
+    use dcn_frr::FrrStats;
     use dcn_net::{LinkId, NodeId, Prefix, Topology};
     use dcn_routing::{FibDelta, FibOp, FrrPlan, NextHop, Route, RouteOrigin};
 
@@ -37,10 +39,16 @@ mod reference {
         }
     }
 
+    /// Which tier produced an alternate.
+    #[derive(Copy, Clone, PartialEq, Eq)]
+    enum AlternateKind {
+        Lfa,
+        RemoteLfa,
+    }
+
     /// What the old `FailureMap` held, with its fields in the open.
     pub struct FailureMap {
         pub plans: BTreeMap<NodeId, FrrPlan>,
-        pub alternates: BTreeMap<(NodeId, LinkId, NodeId), Alternate>,
         pub stats: FrrStats,
     }
 
@@ -79,7 +87,6 @@ mod reference {
     ) -> FailureMap {
         let dist = compute_distances(topo, passive);
         let mut plans: BTreeMap<NodeId, FrrPlan> = BTreeMap::new();
-        let mut alternates = BTreeMap::new();
         let mut stats = FrrStats::default();
 
         let switches: Vec<NodeId> = topo
@@ -167,22 +174,12 @@ mod reference {
                         stats.uncovered += 1;
                         continue;
                     };
-                    let kind = if hops.iter().any(|(_, k)| *k == AlternateKind::Lfa) {
+                    if hops.iter().any(|(_, k)| *k == AlternateKind::Lfa) {
                         stats.lfa += 1;
-                        AlternateKind::Lfa
                     } else {
                         stats.remote_lfa += 1;
-                        AlternateKind::RemoteLfa
-                    };
+                    }
                     let next_hops: Vec<NextHop> = hops.into_iter().map(|(h, _)| h).collect();
-                    alternates.insert(
-                        (s, failed, origin),
-                        Alternate {
-                            next_hops: next_hops.clone(),
-                            distance,
-                            kind,
-                        },
-                    );
                     let routes = repairs.entry(failed).or_default();
                     for &prefix in prefixes {
                         routes.insert(
@@ -211,11 +208,7 @@ mod reference {
             plans.insert(s, plan);
         }
 
-        FailureMap {
-            plans,
-            alternates,
-            stats,
-        }
+        FailureMap { plans, stats }
     }
 }
 
@@ -250,9 +243,9 @@ fn fabric_links(topo: &Topology) -> Vec<LinkId> {
         .collect()
 }
 
-/// Equal plans for every node slot, equal alternates, equal counters,
-/// and equal distances between every pair of node slots (hosts and
-/// removed slots included: both sides must say `None`).
+/// Equal plans, equal counters, and equal distances between every pair
+/// of node slots (hosts and removed slots included: both sides must say
+/// `None`).
 fn assert_same_map(
     topo: &Topology,
     passive: &BTreeSet<LinkId>,
@@ -261,18 +254,11 @@ fn assert_same_map(
     let got = compute_failure_map(topo, passive, origins);
     let want = reference::compute_failure_map(topo, passive, origins);
     assert_eq!(got.stats(), want.stats);
-    assert_eq!(
-        got.alternates().collect::<Vec<_>>(),
-        want.alternates.iter().collect::<Vec<_>>()
-    );
-    let slots = (0..topo.node_slots() as u32).map(NodeId::new);
-    for node in slots.clone() {
-        assert_eq!(got.plan(node), want.plans.get(&node), "plan of {node}");
-    }
     assert_eq!(got.into_plans(), want.plans);
 
     let got = compute_distances(topo, passive);
     let want = reference::compute_distances(topo, passive);
+    let slots = (0..topo.node_slots() as u32).map(NodeId::new);
     for from in slots.clone() {
         for to in slots.clone() {
             assert_eq!(got.get(from, to), want.get(from, to), "{from} → {to}");
@@ -354,21 +340,19 @@ fn k16_fabrics_match_the_reference() {
 // Degenerate inputs: an empty map, never a panic.
 // ----------------------------------------------------------------------
 
-fn assert_empty(map: &dcn_frr::FailureMap) {
+fn assert_empty(map: dcn_frr::FailureMap) {
     assert_eq!(map.stats().total(), 0);
-    assert_eq!(map.alternates().count(), 0);
+    assert!(map.into_plans().is_empty());
 }
 
 #[test]
 fn no_origins_is_an_empty_map() {
     let (topo, passive, _) = fabric(true, 4);
-    let map = compute_failure_map(&topo, &passive, &BTreeMap::new());
-    assert_empty(&map);
-    assert!(map.into_plans().is_empty());
+    assert_empty(compute_failure_map(&topo, &passive, &BTreeMap::new()));
     // Keys without a prefix are no destinations either.
     let (topo, passive, mut origins) = fabric(true, 4);
     origins.values_mut().for_each(Vec::clear);
-    assert_empty(&compute_failure_map(&topo, &passive, &origins));
+    assert_empty(compute_failure_map(&topo, &passive, &origins));
     assert_same_map(&topo, &passive, &origins);
 }
 
@@ -376,8 +360,7 @@ fn no_origins_is_an_empty_map() {
 fn every_link_passive_is_an_empty_map() {
     let (topo, _, origins) = fabric(false, 4);
     let passive: BTreeSet<LinkId> = topo.links().map(|l| l.id()).collect();
-    let map = compute_failure_map(&topo, &passive, &origins);
-    assert_empty(&map);
+    assert_empty(compute_failure_map(&topo, &passive, &origins));
     let dist = compute_distances(&topo, &passive);
     let tors: Vec<NodeId> = topo.layer_switches(Layer::Tor).collect();
     assert_eq!(dist.get(tors[0], tors[0]), Some(0));
@@ -399,12 +382,16 @@ fn a_tor_with_every_uplink_removed_has_no_plan_and_is_no_destination() {
         topo.remove_link(link).unwrap();
     }
     let map = compute_failure_map(&topo, &passive, &origins);
-    assert!(map.plan(tor).is_none());
-    assert!(map.alternates().all(|(&(s, _, d), _)| s != tor && d != tor));
     assert!(
         map.stats().total() > 0,
         "the rest of the fabric is still mapped"
     );
+    let plans = map.into_plans();
+    assert!(!plans.contains_key(&tor));
+    let repaired = plans.values().flat_map(|plan| plan.values());
+    assert!(repaired
+        .flat_map(|delta| &delta.ops)
+        .all(|op| matches!(op, FibOp::Insert(r) if !origins[&tor].contains(&r.prefix))));
     assert_same_map(&topo, &passive, &origins);
 }
 
@@ -436,8 +423,8 @@ fn an_origin_that_is_not_a_switch_is_skipped() {
     cell.add_link(a, t, LinkClass::Vertical).unwrap();
     cell.add_link(t, h, LinkClass::HostAccess).unwrap();
     let only_host = BTreeMap::from([(h, vec![prefix])]);
-    assert_empty(&compute_failure_map(&cell, &BTreeSet::new(), &only_host));
-    assert_empty(&compute_failure_map(
+    assert_empty(compute_failure_map(&cell, &BTreeSet::new(), &only_host));
+    assert_empty(compute_failure_map(
         &Topology::new("void", None),
         &BTreeSet::new(),
         &only_host,

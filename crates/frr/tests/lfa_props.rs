@@ -1,7 +1,8 @@
 //! Property suite for the precomputed failure map (ISSUE 8 satellite):
 //!
-//! 1. every precomputed alternate satisfies the LFA loop-freedom
-//!    inequality `dist(N, D) < dist(N, S) + dist(S, D)`, and
+//! 1. every next hop of every repair route in the map's plans satisfies
+//!    the LFA loop-freedom inequality `dist(N, D) < dist(N, S) + dist(S, D)`
+//!    at the distance the route's metric names, and
 //! 2. under every single-link failure, the post-failure forwarding graph
 //!    toward each destination — primary ECMP hops with dead-hop pruning,
 //!    plus the map's repair hops where every primary died — is acyclic.
@@ -12,11 +13,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dcn_frr::{compute_distances, compute_failure_map, FailureMap, OspfDistances};
+use dcn_frr::{compute_distances, compute_failure_map, OspfDistances};
 use dcn_net::{
     assign_addresses, FatTree, Layer, LeafSpine, LinkClass, LinkId, NodeId, PodId, Prefix,
     Topology, Vl2,
 };
+use dcn_routing::{FibOp, FrrPlan, NextHop};
 use proptest::prelude::*;
 
 /// Builds one of the three sampled topology families.
@@ -54,22 +56,66 @@ fn fabric_links(topo: &Topology) -> Vec<LinkId> {
         .collect()
 }
 
-/// Asserts the loop-freedom inequality for every alternate in the map.
-fn assert_inequality(topo: &Topology, passive: &BTreeSet<LinkId>, map: &FailureMap) {
+/// The map's per-switch plans.
+type Plans = BTreeMap<NodeId, FrrPlan>;
+
+/// The destination prefixes and the plans that repair routes to them.
+type Repairs<'a> = (&'a BTreeMap<NodeId, Vec<Prefix>>, &'a Plans);
+
+/// The repair next hops `plans` hold at `s` toward `origin` for the
+/// failure of `failed`: every prefix of one origin carries the same
+/// hops, so its first prefix stands for all.
+fn repair<'a>(
+    plans: &'a Plans,
+    origins: &BTreeMap<NodeId, Vec<Prefix>>,
+    s: NodeId,
+    failed: LinkId,
+    origin: NodeId,
+) -> Option<&'a [NextHop]> {
+    let prefix = origins.get(&origin)?.first()?;
+    let delta = plans.get(&s)?.get(&failed)?;
+    delta.ops.iter().find_map(|op| match op {
+        FibOp::Insert(r) if r.prefix == *prefix => Some(&*r.next_hops),
+        _ => None,
+    })
+}
+
+/// Asserts the loop-freedom inequality for every repair route's next
+/// hops, each at the distance `metric − 1` the route was written with;
+/// the route's prefix names its origin through `origins`.
+fn assert_inequality(
+    topo: &Topology,
+    passive: &BTreeSet<LinkId>,
+    origins: &BTreeMap<NodeId, Vec<Prefix>>,
+    plans: &Plans,
+) {
     let dist = compute_distances(topo, passive);
-    for (&(s, failed, origin), alt) in map.alternates() {
-        assert!(!alt.next_hops.is_empty());
-        for hop in &alt.next_hops {
-            assert_ne!(hop.link, failed, "alternate must avoid the failed link");
-            let d_nd = dist.get(hop.node, origin).expect("alternate reaches D");
-            let d_ns = dist.get(hop.node, s).expect("alternate reaches S");
-            let d_sd = dist.get(s, origin).expect("S reaches D pre-failure");
-            assert!(
-                d_nd < d_ns + d_sd,
-                "LFA inequality violated at {s}→{origin} via {}: \
-                 dist(N,D)={d_nd} !< dist(N,S)={d_ns} + dist(S,D)={d_sd}",
-                hop.node,
-            );
+    let origin_of: BTreeMap<Prefix, NodeId> = origins
+        .iter()
+        .flat_map(|(&origin, prefixes)| prefixes.iter().map(move |&p| (p, origin)))
+        .collect();
+    for (&s, plan) in plans {
+        for (&failed, delta) in plan {
+            for op in &delta.ops {
+                let FibOp::Insert(route) = op else {
+                    panic!("a repair plan only installs, got {op:?}");
+                };
+                let origin = origin_of[&route.prefix];
+                assert!(!route.next_hops.is_empty());
+                for hop in route.next_hops.iter() {
+                    assert_ne!(hop.link, failed, "alternate must avoid the failed link");
+                    let d_nd = dist.get(hop.node, origin).expect("alternate reaches D");
+                    let d_ns = dist.get(hop.node, s).expect("alternate reaches S");
+                    let d_sd = dist.get(s, origin).expect("S reaches D pre-failure");
+                    assert_eq!(d_nd, route.metric - 1, "the metric is one past dist(N, D)");
+                    assert!(
+                        d_nd < d_ns + d_sd,
+                        "LFA inequality violated at {s}→{origin} via {}: \
+                         dist(N,D)={d_nd} !< dist(N,S)={d_ns} + dist(S,D)={d_sd}",
+                        hop.node,
+                    );
+                }
+            }
         }
     }
 }
@@ -81,7 +127,7 @@ fn successors(
     topo: &Topology,
     passive: &BTreeSet<LinkId>,
     dist: &OspfDistances,
-    map: &FailureMap,
+    (origins, plans): Repairs<'_>,
     x: NodeId,
     origin: NodeId,
     failed: LinkId,
@@ -108,8 +154,8 @@ fn successors(
     if !live.is_empty() || !any_primary {
         return live;
     }
-    match map.alternate(x, failed, origin) {
-        Some(alt) => alt.next_hops.iter().map(|h| h.node).collect(),
+    match repair(plans, origins, x, failed, origin) {
+        Some(hops) => hops.iter().map(|h| h.node).collect(),
         None => Vec::new(),
     }
 }
@@ -119,7 +165,7 @@ fn assert_acyclic_toward(
     topo: &Topology,
     passive: &BTreeSet<LinkId>,
     dist: &OspfDistances,
-    map: &FailureMap,
+    repairs: Repairs<'_>,
     origin: NodeId,
     failed: LinkId,
 ) {
@@ -135,7 +181,7 @@ fn assert_acyclic_toward(
         let mut stack = vec![(start.id(), 0usize)];
         color[start.id().index()] = GRAY;
         while let Some(&mut (at, ref mut child)) = stack.last_mut() {
-            let succ = successors(topo, passive, dist, map, at, origin, failed);
+            let succ = successors(topo, passive, dist, repairs, at, origin, failed);
             if *child >= succ.len() {
                 color[at.index()] = BLACK;
                 stack.pop();
@@ -162,7 +208,7 @@ fn check_every_destination(
     topo: &Topology,
     passive: &BTreeSet<LinkId>,
     origins: &BTreeMap<NodeId, Vec<Prefix>>,
-    map: &FailureMap,
+    plans: &Plans,
     failed: LinkId,
 ) {
     let dist = compute_distances(topo, passive);
@@ -170,7 +216,7 @@ fn check_every_destination(
         if prefixes.is_empty() {
             continue;
         }
-        assert_acyclic_toward(topo, passive, &dist, map, origin, failed);
+        assert_acyclic_toward(topo, passive, &dist, (origins, plans), origin, failed);
     }
 }
 
@@ -186,12 +232,12 @@ proptest! {
         let mut topo = build_topology(family, a, b);
         let origins = switch_origins(&mut topo);
         let passive = BTreeSet::new();
-        let map = compute_failure_map(&topo, &passive, &origins);
-        assert_inequality(&topo, &passive, &map);
+        let plans = compute_failure_map(&topo, &passive, &origins).into_plans();
+        assert_inequality(&topo, &passive, &origins, &plans);
         let links = fabric_links(&topo);
         prop_assert!(!links.is_empty());
         let failed = links[(link_pick % links.len() as u64) as usize];
-        check_every_destination(&topo, &passive, &origins, &map, failed);
+        check_every_destination(&topo, &passive, &origins, &plans, failed);
     }
 }
 
@@ -200,10 +246,10 @@ fn fat_tree_k4_exhaustive_all_links() {
     let mut topo = FatTree::new(4).unwrap().hosts_per_tor(1).build();
     let origins = switch_origins(&mut topo);
     let passive = BTreeSet::new();
-    let map = compute_failure_map(&topo, &passive, &origins);
-    assert_inequality(&topo, &passive, &map);
+    let plans = compute_failure_map(&topo, &passive, &origins).into_plans();
+    assert_inequality(&topo, &passive, &origins, &plans);
     for failed in fabric_links(&topo) {
-        check_every_destination(&topo, &passive, &origins, &map, failed);
+        check_every_destination(&topo, &passive, &origins, &plans, failed);
     }
 }
 
@@ -243,22 +289,23 @@ fn across_ring_exhaustive_remote_lfa_loop_free() {
     }
     let origins = switch_origins(&mut topo);
     let map = compute_failure_map(&topo, &passive, &origins);
-    assert_inequality(&topo, &passive, &map);
     // The ring must repair every agg→ToR downlink (the uncovered class
     // on plain fat trees).
     assert!(map.stats().remote_lfa > 0);
+    let plans = map.into_plans();
+    assert_inequality(&topo, &passive, &origins, &plans);
     for (pod, pair) in aggs.chunks(2).enumerate() {
         for &agg in pair {
             for &tor in &tors[2 * pod..2 * pod + 2] {
                 let failed = topo.link_between(agg, tor).unwrap();
                 assert!(
-                    map.alternate(agg, failed, tor).is_some(),
+                    repair(&plans, &origins, agg, failed, tor).is_some(),
                     "across ring must cover {agg}→{tor}"
                 );
             }
         }
     }
     for failed in fabric_links(&topo) {
-        check_every_destination(&topo, &passive, &origins, &map, failed);
+        check_every_destination(&topo, &passive, &origins, &plans, failed);
     }
 }

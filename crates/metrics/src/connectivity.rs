@@ -14,7 +14,11 @@ pub struct ConnectivityTracker {
     arrivals: Vec<(SimTime, u64)>,
 }
 
-/// The measured outcome around one failure.
+/// The measured outcome around one failure: the largest arrival gap that
+/// ends after it (see [`ConnectivityTracker::loss_around`]). A failure
+/// that cost the probe nothing still has one — its pacing gap (100 µs at
+/// the probe rate of the paper's testbed) — so the presence of a loss
+/// says the probe recovered, not that it lost anything.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ConnectivityLoss {
     /// Arrival time of the last packet before the gap.
@@ -63,6 +67,12 @@ impl ConnectivityTracker {
     /// already in flight at the failure instant may still land a few
     /// microseconds later, so the loss window opens at the last packet
     /// that made it through, wherever that falls relative to the failure.
+    ///
+    /// The result is `Some` as soon as a packet arrives after the failure
+    /// (with any arrival before it in the log): a failure that cost
+    /// nothing reads as the probe's pacing gap, not as `None`. `None`
+    /// means no packet arrived after the failure — the probe never
+    /// recovered.
     pub fn loss_around(&self, failure_at: SimTime) -> Option<ConnectivityLoss> {
         let mut best: Option<ConnectivityLoss> = None;
         for pair in self.arrivals.windows(2) {
@@ -145,6 +155,20 @@ mod tests {
         t.record(us(0), 0);
         assert!(t.loss_around(us(50)).is_none());
         assert!(ConnectivityTracker::new().loss_around(us(0)).is_none());
+    }
+
+    #[test]
+    fn a_failure_that_costs_nothing_reads_as_the_pacing_gap() {
+        // Steady arrivals every 100us straight through a failure at
+        // 5.05ms: `Some`, and the loss is one pacing gap.
+        let mut t = ConnectivityTracker::new();
+        for seq in 0..100 {
+            t.record(us(seq * 100), seq);
+        }
+        let loss = t.loss_around(us(5_050)).expect("the probe kept arriving");
+        assert_eq!(loss.duration.as_micros(), 100);
+        assert_eq!(loss.first_after.since(loss.last_before), loss.duration);
+        assert_eq!(t.lost(100), 0);
     }
 
     #[test]

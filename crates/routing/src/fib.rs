@@ -23,7 +23,6 @@ use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 use dcn_net::{FlowKey, Ipv4Addr, LinkId, Prefix};
 
@@ -38,28 +37,17 @@ use crate::route::{NextHop, Route, RouteOrigin};
 /// prefixes a newer delta already wrote.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FibOp {
-    /// Install this route (upsert: replaces any same-prefix route of the
-    /// delta's origin).
+    /// Install this route (upsert: overwrites any same-prefix route of the
+    /// delta's origin in place).
     Insert(Route),
     /// Remove the delta-origin route for this prefix, if present.
     Remove(Prefix),
-    /// Rewrite the metric and next-hop set of the existing delta-origin
-    /// route for `prefix` in place — the common convergence case, which
-    /// skips the insert path's route-vector churn.
-    Patch {
-        /// The prefix whose route is rewritten.
-        prefix: Prefix,
-        /// New path metric.
-        metric: u32,
-        /// New ECMP next-hop set (sorted, deduplicated), shared with the
-        /// route it was read from.
-        next_hops: Arc<[NextHop]>,
-    },
 }
 
 /// A batch of per-prefix FIB mutations for one route origin — the only
-/// currency [`Fib::apply`] accepts: SPF runs (a controller push among
-/// them) and precomputed repairs all install through it.
+/// currency [`Fib::apply`] accepts: connected and static routes, SPF runs
+/// (a controller push among them) and precomputed repairs all install
+/// through it.
 ///
 /// # Ordering law
 ///
@@ -75,20 +63,11 @@ pub enum FibOp {
 pub struct FibDelta {
     /// The origin whose routes the ops mutate.
     pub origin: RouteOrigin,
-    /// Mutations in ascending-prefix order (removes/patches before
-    /// inserts is not required — ops touch disjoint prefixes).
+    /// Mutations; ops touch disjoint prefixes, so their order is free.
     pub ops: Vec<FibOp>,
 }
 
 impl FibDelta {
-    /// An empty delta for `origin`.
-    pub fn empty(origin: RouteOrigin) -> Self {
-        FibDelta {
-            origin,
-            ops: Vec::new(),
-        }
-    }
-
     /// Whether the delta performs no mutations.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
@@ -100,8 +79,8 @@ impl FibDelta {
     }
 
     /// The minimal delta that turns the `origin` route set `current` into
-    /// exactly `desired`: removes and patches in `current`'s prefix order,
-    /// then inserts in `desired`'s. Equal routes produce no op.
+    /// exactly `desired`: removes and changed routes in `current`'s prefix
+    /// order, then new routes in `desired`'s. Equal routes produce no op.
     pub fn diff<R: Borrow<Route>>(
         origin: RouteOrigin,
         current: &BTreeMap<Prefix, R>,
@@ -112,20 +91,16 @@ impl FibDelta {
             match desired.get(&prefix) {
                 None => ops.push(FibOp::Remove(prefix)),
                 Some(want) if want == cur.borrow() => {}
-                Some(want) => ops.push(FibOp::Patch {
-                    prefix,
-                    metric: want.metric,
-                    // Delta ops share their data: they outlive this borrow
-                    // of the desired map (FIB installs are delayed events),
-                    // and a next-hop set costs a reference count, not a copy.
-                    next_hops: want.next_hops.clone(),
-                }),
+                // Delta ops share their data: they outlive this borrow of
+                // the desired map (FIB installs are delayed events), and a
+                // next-hop set costs a reference count, not a copy.
+                Some(want) => ops.push(FibOp::Insert(want.clone())),
             }
         }
         for (prefix, want) in desired {
             debug_assert_eq!(want.origin, origin);
             if !current.contains_key(prefix) {
-                ops.push(FibOp::Insert(want.clone())); // ops share their data
+                ops.push(FibOp::Insert(want.clone()));
             }
         }
         FibDelta { origin, ops }
@@ -141,14 +116,18 @@ impl FibDelta {
 ///
 /// ```
 /// use dcn_net::{FlowKey, Ipv4Addr, LinkId, NodeId, Protocol};
-/// use dcn_routing::{Fib, NextHop, Route, RouteOrigin};
+/// use dcn_routing::{Fib, FibDelta, FibOp, NextHop, Route, RouteOrigin};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut fib = Fib::new(0);
 /// let down = NextHop { node: NodeId::new(0), link: LinkId::new(0) };
 /// let right = NextHop { node: NodeId::new(9), link: LinkId::new(1) };
-/// fib.insert(Route::new("10.11.0.0/24".parse()?, RouteOrigin::Ospf, 1, vec![down]));
-/// fib.insert(Route::new("10.11.0.0/16".parse()?, RouteOrigin::Static, 0, vec![right]));
+/// for route in [
+///     Route::new("10.11.0.0/24".parse()?, RouteOrigin::Ospf, 1, vec![down]),
+///     Route::new("10.11.0.0/16".parse()?, RouteOrigin::Static, 0, vec![right]),
+/// ] {
+///     fib.apply(FibDelta { origin: route.origin, ops: vec![FibOp::Insert(route)] });
+/// }
 ///
 /// let flow = FlowKey::new(
 ///     Ipv4Addr::new(10, 11, 4, 2), Ipv4Addr::new(10, 11, 0, 2),
@@ -212,95 +191,39 @@ impl Fib {
         }
     }
 
-    fn upsert(&mut self, route: Route) {
-        match self.position(route.prefix, route.origin) {
-            Ok(i) => {
-                if let Some(existing) = self.routes.get_mut(i) {
-                    *existing = route;
-                }
-            }
-            Err(i) => self.routes.insert(i, route),
-        }
-    }
-
-    fn take(&mut self, prefix: Prefix, origin: RouteOrigin) -> Option<Route> {
-        let i = self.position(prefix, origin).ok()?;
-        Some(self.routes.remove(i))
-    }
-
-    /// Installs a route, replacing any same-prefix route of the same
-    /// origin.
-    pub fn insert(&mut self, route: Route) {
-        self.upsert(route);
-        self.reindex();
-    }
-
-    /// Removes the route for `prefix` of the given origin, returning it.
-    /// An absent route is a no-op.
-    pub fn remove(&mut self, prefix: Prefix, origin: RouteOrigin) -> Option<Route> {
-        let removed = self.take(prefix, origin)?;
-        self.reindex();
-        Some(removed)
-    }
-
-    /// Applies a [`FibDelta`]: per-prefix inserts, removes, and in-place
-    /// next-hop patches, one binary search each.
+    /// Applies a [`FibDelta`], op by op, each found by binary search —
+    /// the only way a route enters or leaves the table.
     pub fn apply(&mut self, delta: FibDelta) {
         let origin = delta.origin;
-        // Room for every insert at once: grown one insert at a time, a
-        // k = 16 ToR's 129 routes took 256 slots.
-        let inserts = delta.ops.iter().filter(|op| matches!(op, FibOp::Insert(_)));
-        self.routes.reserve(inserts.count());
+        // Room for exactly the new routes, at once (grown one insert at a
+        // time, a k = 16 ToR's 129 routes took 256 slots), and none for
+        // overwrites: a bootstrapped table's capacity is its length, and
+        // neither reconverging nor a later static route may double it.
+        let added = delta.ops.iter().filter(
+            |op| matches!(op, FibOp::Insert(route) if self.position(route.prefix, origin).is_err()),
+        );
+        self.routes.reserve_exact(added.count());
         for op in delta.ops {
             match op {
                 FibOp::Insert(route) => {
                     debug_assert_eq!(route.origin, origin);
-                    self.upsert(route);
+                    match self.position(route.prefix, origin) {
+                        Ok(i) => {
+                            if let Some(existing) = self.routes.get_mut(i) {
+                                *existing = route;
+                            }
+                        }
+                        Err(i) => self.routes.insert(i, route),
+                    }
                 }
                 FibOp::Remove(prefix) => {
-                    self.take(prefix, origin);
-                }
-                FibOp::Patch {
-                    prefix,
-                    metric,
-                    next_hops,
-                } => match self.position(prefix, origin) {
-                    Ok(i) => {
-                        if let Some(existing) = self.routes.get_mut(i) {
-                            existing.metric = metric;
-                            existing.next_hops = next_hops;
-                        }
+                    if let Ok(i) = self.position(prefix, origin) {
+                        self.routes.remove(i);
                     }
-                    // Ops are absolute, so a patch against a missing
-                    // entry upserts (tolerates replayed sequences); its
-                    // set arrives sorted and deduplicated.
-                    Err(i) => self.routes.insert(
-                        i,
-                        Route {
-                            prefix,
-                            origin,
-                            metric,
-                            next_hops,
-                        },
-                    ),
-                },
+                }
             }
         }
         self.reindex();
-    }
-
-    /// The [`FibDelta`] that transforms this FIB's installed `origin`
-    /// routes into exactly `desired` ([`FibDelta::diff`] against the live
-    /// table). Walks the whole table: it serves the FRR reconcile, which
-    /// must supersede whatever is in flight, not the per-SPF path.
-    pub fn diff_origin(&self, origin: RouteOrigin, desired: &BTreeMap<Prefix, Route>) -> FibDelta {
-        let current: BTreeMap<Prefix, &Route> = self
-            .routes
-            .iter()
-            .filter(|r| r.origin == origin)
-            .map(|r| (r.prefix, r))
-            .collect();
-        FibDelta::diff(origin, &current, desired)
     }
 
     /// Looks up the forwarding decision for `flow`.
@@ -381,26 +304,20 @@ impl Fib {
             .copied()
     }
 
+    /// The installed routes of `origin`, in table order: one scan, no
+    /// sort.
+    pub(crate) fn routes_of(&self, origin: RouteOrigin) -> impl Iterator<Item = &Route> {
+        self.routes.iter().filter(move |r| r.origin == origin)
+    }
+
     /// Borrowing iterator over every installed route, in deterministic
     /// (address, length, origin) order — parent prefixes before the
     /// prefixes they cover. No routes are cloned; collect and sort if a
     /// display order (e.g. Table II's longest-first) is wanted.
-    pub fn routes(&self) -> RoutesIter<'_> {
+    pub fn routes(&self) -> impl Iterator<Item = &Route> {
         let mut sorted: Vec<&Route> = self.routes.iter().collect();
         sorted.sort_by_key(|r| (r.prefix, r.origin));
-        RoutesIter(sorted.into_iter())
-    }
-}
-
-/// Borrowing iterator over a [`Fib`]'s routes (see [`Fib::routes`]).
-#[derive(Debug)]
-pub struct RoutesIter<'a>(std::vec::IntoIter<&'a Route>);
-
-impl<'a> Iterator for RoutesIter<'a> {
-    type Item = &'a Route;
-
-    fn next(&mut self) -> Option<&'a Route> {
-        self.0.next()
+        sorted.into_iter()
     }
 }
 
@@ -429,33 +346,45 @@ mod tests {
         FlowKey::new(Ipv4Addr::new(10, 11, 4, 2), dst, sport, 5001, Protocol::Udp)
     }
 
+    /// Installs `route` alone, as a one-op delta of its origin.
+    fn put(fib: &mut Fib, route: Route) {
+        fib.apply(FibDelta {
+            origin: route.origin,
+            ops: vec![FibOp::Insert(route)],
+        });
+    }
+
+    /// Removes the `origin` route for `prefix`, as a one-op delta.
+    fn drop_route(fib: &mut Fib, prefix: Prefix, origin: RouteOrigin) {
+        fib.apply(FibDelta {
+            origin,
+            ops: vec![FibOp::Remove(prefix)],
+        });
+    }
+
     fn table2_fib() -> Fib {
         // S8's routing table from Table II of the paper.
         let mut fib = Fib::new(8);
-        fib.insert(Route::new(
-            "10.11.0.0/24".parse().unwrap(),
-            RouteOrigin::Ospf,
-            1,
-            vec![hop(0, 0)], // S0, downward
-        ));
-        fib.insert(Route::new(
-            "10.11.4.0/24".parse().unwrap(),
-            RouteOrigin::Ospf,
-            2,
-            vec![hop(20, 5), hop(21, 6)], // S20/S21 upward ECMP
-        ));
-        fib.insert(Route::new(
-            "10.11.0.0/16".parse().unwrap(),
-            RouteOrigin::Static,
-            0,
-            vec![hop(9, 1)], // right across neighbor S9
-        ));
-        fib.insert(Route::new(
-            "10.10.0.0/15".parse().unwrap(),
-            RouteOrigin::Static,
-            0,
-            vec![hop(10, 2)], // left across neighbor S10
-        ));
+        for (prefix, origin, metric, hops) in [
+            // S0, downward
+            ("10.11.0.0/24", RouteOrigin::Ospf, 1, vec![hop(0, 0)]),
+            // S20/S21 upward ECMP
+            (
+                "10.11.4.0/24",
+                RouteOrigin::Ospf,
+                2,
+                vec![hop(20, 5), hop(21, 6)],
+            ),
+            // right across neighbor S9
+            ("10.11.0.0/16", RouteOrigin::Static, 0, vec![hop(9, 1)]),
+            // left across neighbor S10
+            ("10.10.0.0/15", RouteOrigin::Static, 0, vec![hop(10, 2)]),
+        ] {
+            put(
+                &mut fib,
+                Route::new(prefix.parse().unwrap(), origin, metric, hops),
+            );
+        }
         fib
     }
 
@@ -537,12 +466,23 @@ mod tests {
         routes.into_iter().map(|r| (r.prefix, r)).collect()
     }
 
+    /// The installed routes of `origin`, keyed by prefix.
+    fn installed(fib: &Fib, origin: RouteOrigin) -> BTreeMap<Prefix, Route> {
+        by_prefix(
+            fib.routes()
+                .filter(|r| r.origin == origin)
+                .cloned()
+                .collect(),
+        )
+    }
+
     #[test]
     fn apply_diff_swaps_ospf_routes_only() {
         let mut fib = table2_fib();
         assert_eq!(fib.len(), 4);
-        let delta = fib.diff_origin(
+        let delta = FibDelta::diff(
             RouteOrigin::Ospf,
+            &installed(&fib, RouteOrigin::Ospf),
             &by_prefix(vec![Route::new(
                 "10.11.0.0/24".parse().unwrap(),
                 RouteOrigin::Ospf,
@@ -566,8 +506,14 @@ mod tests {
     fn insert_same_prefix_same_origin_replaces() {
         let mut fib = Fib::new(0);
         let p: Prefix = "10.11.0.0/24".parse().unwrap();
-        fib.insert(Route::new(p, RouteOrigin::Ospf, 1, vec![hop(1, 1)]));
-        fib.insert(Route::new(p, RouteOrigin::Ospf, 2, vec![hop(2, 2)]));
+        put(
+            &mut fib,
+            Route::new(p, RouteOrigin::Ospf, 1, vec![hop(1, 1)]),
+        );
+        put(
+            &mut fib,
+            Route::new(p, RouteOrigin::Ospf, 2, vec![hop(2, 2)]),
+        );
         assert_eq!(fib.len(), 1);
         let f = flow_to(Ipv4Addr::new(10, 11, 0, 9), 1);
         assert_eq!(fib.lookup(&f, |_| false).unwrap().node, NodeId::new(2));
@@ -577,9 +523,18 @@ mod tests {
     fn connected_beats_static_beats_ospf_at_equal_prefix() {
         let mut fib = Fib::new(0);
         let p: Prefix = "10.11.0.0/24".parse().unwrap();
-        fib.insert(Route::new(p, RouteOrigin::Ospf, 1, vec![hop(3, 3)]));
-        fib.insert(Route::new(p, RouteOrigin::Connected, 0, vec![hop(1, 1)]));
-        fib.insert(Route::new(p, RouteOrigin::Static, 0, vec![hop(2, 2)]));
+        put(
+            &mut fib,
+            Route::new(p, RouteOrigin::Ospf, 1, vec![hop(3, 3)]),
+        );
+        put(
+            &mut fib,
+            Route::new(p, RouteOrigin::Connected, 0, vec![hop(1, 1)]),
+        );
+        put(
+            &mut fib,
+            Route::new(p, RouteOrigin::Static, 0, vec![hop(2, 2)]),
+        );
         let f = flow_to(Ipv4Addr::new(10, 11, 0, 9), 1);
         assert_eq!(fib.lookup(&f, |_| false).unwrap().node, NodeId::new(1));
         // Connected hop dead -> static takes over at the same prefix.
@@ -591,10 +546,20 @@ mod tests {
     fn remove_deletes_exactly_one_origin() {
         let mut fib = table2_fib();
         let p: Prefix = "10.11.0.0/16".parse().unwrap();
-        let removed = fib.remove(p, RouteOrigin::Static).unwrap();
-        assert_eq!(removed.next_hops, vec![hop(9, 1)].into());
-        assert!(fib.remove(p, RouteOrigin::Static).is_none());
+        let mut want: Vec<Route> = fib.routes().filter(|r| r.prefix != p).cloned().collect();
+        drop_route(&mut fib, p, RouteOrigin::Static);
+        assert_eq!(fib.routes().cloned().collect::<Vec<_>>(), want);
+        drop_route(&mut fib, p, RouteOrigin::Static);
         assert_eq!(fib.len(), 3);
+        // An OSPF route beside a static one at its prefix: only it goes.
+        let p24: Prefix = "10.11.0.0/24".parse().unwrap();
+        let backup = Route::new(p24, RouteOrigin::Static, 0, vec![hop(9, 1)]);
+        put(&mut fib, backup.clone());
+        drop_route(&mut fib, p24, RouteOrigin::Ospf);
+        want.retain(|r| r.prefix != p24);
+        want.push(backup);
+        want.sort_by_key(|r| (r.prefix, r.origin));
+        assert_eq!(fib.routes().cloned().collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -605,19 +570,14 @@ mod tests {
         let hop_before = fib.lookup(&flow_to(dst, 1), |_| false);
         // A prefix nobody installed, at a length nobody populated, and an
         // installed prefix under an origin it does not have.
-        assert!(fib
-            .remove("10.11.7.0/24".parse().unwrap(), RouteOrigin::Ospf)
-            .is_none());
-        assert!(fib
-            .remove(Prefix::host(dst), RouteOrigin::Connected)
-            .is_none());
-        assert!(fib
-            .remove("10.11.0.0/24".parse().unwrap(), RouteOrigin::Static)
-            .is_none());
-        fib.apply(FibDelta {
-            origin: RouteOrigin::Ospf,
-            ops: vec![FibOp::Remove("10.12.0.0/16".parse().unwrap())],
-        });
+        drop_route(&mut fib, "10.11.7.0/24".parse().unwrap(), RouteOrigin::Ospf);
+        drop_route(&mut fib, Prefix::host(dst), RouteOrigin::Connected);
+        drop_route(
+            &mut fib,
+            "10.11.0.0/24".parse().unwrap(),
+            RouteOrigin::Static,
+        );
+        drop_route(&mut fib, "10.12.0.0/16".parse().unwrap(), RouteOrigin::Ospf);
         assert_eq!(fib.len(), 4);
         assert_eq!(fib.routes().cloned().collect::<Vec<_>>(), before);
         assert_eq!(fib.lookup(&flow_to(dst, 1), |_| false), hop_before);
@@ -628,7 +588,10 @@ mod tests {
         let mut fib = table2_fib();
         let installed: Vec<Route> = fib.routes().cloned().collect();
         for route in &installed {
-            assert_eq!(fib.remove(route.prefix, route.origin).as_ref(), Some(route));
+            let len = fib.len();
+            drop_route(&mut fib, route.prefix, route.origin);
+            assert_eq!(fib.len(), len - 1);
+            assert!(!fib.routes().any(|r| r == route));
         }
         assert!(fib.is_empty());
         assert_eq!(fib.routes().count(), 0);
@@ -648,70 +611,98 @@ mod tests {
     }
 
     #[test]
-    fn apply_patches_in_place_and_upserts_missing() {
+    fn apply_overwrites_in_place_and_adds_missing() {
         let mut fib = table2_fib();
         let p24: Prefix = "10.11.0.0/24".parse().unwrap();
         let p_new: Prefix = "10.11.9.0/24".parse().unwrap();
         fib.apply(FibDelta {
             origin: RouteOrigin::Ospf,
             ops: vec![
-                FibOp::Patch {
-                    prefix: p24,
-                    metric: 7,
-                    next_hops: vec![hop(9, 1)].into(),
-                },
+                FibOp::Insert(Route::new(p24, RouteOrigin::Ospf, 7, vec![hop(9, 1)])),
                 FibOp::Remove("10.11.4.0/24".parse().unwrap()),
                 FibOp::Insert(Route::new(p_new, RouteOrigin::Ospf, 2, vec![hop(20, 5)])),
-                // Patch against a prefix with no OSPF route: absolute ops
-                // upsert instead of dropping the write.
-                FibOp::Patch {
-                    prefix: "10.11.8.0/24".parse().unwrap(),
-                    metric: 3,
-                    next_hops: vec![hop(21, 6)].into(),
-                },
             ],
         });
-        assert_eq!(fib.len(), 5); // 4 - 1 removed + 1 insert + 1 upsert
-        let patched = fib
+        assert_eq!(fib.len(), 4); // 4 - 1 removed + 1 added
+        let rewritten = fib
             .routes()
             .find(|r| r.prefix == p24 && r.origin == RouteOrigin::Ospf)
             .unwrap();
-        assert_eq!(patched.metric, 7);
-        assert_eq!(patched.next_hops, vec![hop(9, 1)].into());
+        assert_eq!(rewritten.metric, 7);
+        assert_eq!(rewritten.next_hops, vec![hop(9, 1)].into());
         assert!(!fib.routes().any(|r| r.prefix.to_string() == "10.11.4.0/24"));
+        assert!(fib.routes().any(|r| r.prefix == p_new));
+    }
+
+    /// `apply` reserves room only for routes that are new to the table:
+    /// overwrites leave the capacity alone, and additions grow it by no
+    /// more than they need.
+    #[test]
+    fn apply_reserves_only_for_new_routes() {
+        let mut fib = Fib::new(0);
+        let prefixes: Vec<Prefix> = (0..40u8)
+            .map(|i| Prefix::truncating(Ipv4Addr::new(10, 11, i, 0), 24))
+            .collect();
+        let delta = |metric: u32, prefixes: &[Prefix]| FibDelta {
+            origin: RouteOrigin::Ospf,
+            ops: prefixes
+                .iter()
+                .map(|&p| FibOp::Insert(Route::new(p, RouteOrigin::Ospf, metric, vec![hop(1, 1)])))
+                .collect(),
+        };
+        fib.apply(delta(1, &prefixes));
+        fib.routes.shrink_to_fit();
+        let full = fib.routes.capacity();
+        assert_eq!(full, prefixes.len());
+
+        // Every op overwrites an installed route: not one slot more.
+        fib.apply(delta(2, &prefixes));
+        assert_eq!(fib.routes.capacity(), full);
+        assert!(fib.routes().all(|r| r.metric == 2));
+
+        // Three new prefixes beside three overwrites: room for three.
+        let extra: Vec<Prefix> = (40..43u8)
+            .map(|i| Prefix::truncating(Ipv4Addr::new(10, 11, i, 0), 24))
+            .collect();
+        let mixed: Vec<Prefix> = extra.iter().chain(&prefixes[..3]).copied().collect();
+        fib.apply(delta(3, &mixed));
+        assert_eq!(fib.len(), full + extra.len());
+        assert!(fib.routes.capacity() <= full + extra.len());
     }
 
     #[test]
-    fn diff_origin_emits_minimal_ops_and_round_trips() {
+    fn diff_emits_minimal_ops_and_round_trips() {
         let fib = table2_fib();
+        let current = installed(&fib, RouteOrigin::Ospf);
         // Same desired state -> empty delta.
-        let unchanged = by_prefix(
-            fib.routes()
-                .filter(|r| r.origin == RouteOrigin::Ospf)
-                .cloned()
-                .collect(),
-        );
-        assert!(fib.diff_origin(RouteOrigin::Ospf, &unchanged).is_empty());
+        assert!(FibDelta::diff(RouteOrigin::Ospf, &current, &current).is_empty());
 
-        // One changed, one dropped, one added -> exactly three ops, and
-        // applying them leaves exactly the desired OSPF set beside the
-        // untouched statics.
-        let desired = vec![
-            Route::new(
-                "10.11.0.0/24".parse().unwrap(),
-                RouteOrigin::Ospf,
-                9,
-                vec![hop(9, 1)],
-            ),
-            Route::new(
-                "10.11.9.0/24".parse().unwrap(),
-                RouteOrigin::Ospf,
-                2,
-                vec![hop(20, 5)],
-            ),
-        ];
-        let delta = fib.diff_origin(RouteOrigin::Ospf, &by_prefix(desired.clone()));
-        assert_eq!(delta.len(), 3);
+        // One changed, one dropped, one added -> exactly three ops, in
+        // order (the change and the drop by current prefix, then the
+        // addition), and applying them leaves exactly the desired OSPF
+        // set beside the untouched statics.
+        let changed = Route::new(
+            "10.11.0.0/24".parse().unwrap(),
+            RouteOrigin::Ospf,
+            9,
+            vec![hop(9, 1)],
+        );
+        let added = Route::new(
+            "10.11.9.0/24".parse().unwrap(),
+            RouteOrigin::Ospf,
+            2,
+            vec![hop(20, 5)],
+        );
+        let desired = vec![changed.clone(), added.clone()];
+        let delta = FibDelta::diff(RouteOrigin::Ospf, &current, &by_prefix(desired.clone()));
+        assert_eq!(
+            delta.ops,
+            vec![
+                FibOp::Insert(changed),
+                FibOp::Remove("10.11.4.0/24".parse().unwrap()),
+                FibOp::Insert(added),
+            ]
+        );
         let statics: Vec<Route> = fib
             .routes()
             .filter(|r| r.origin == RouteOrigin::Static)
@@ -729,12 +720,10 @@ mod tests {
     #[test]
     fn default_route_catches_all() {
         let mut fib = Fib::new(0);
-        fib.insert(Route::new(
-            Prefix::DEFAULT,
-            RouteOrigin::Static,
-            0,
-            vec![hop(1, 1)],
-        ));
+        put(
+            &mut fib,
+            Route::new(Prefix::DEFAULT, RouteOrigin::Static, 0, vec![hop(1, 1)]),
+        );
         let f = flow_to(Ipv4Addr::new(203, 0, 113, 5), 1);
         assert_eq!(fib.lookup(&f, |_| false).unwrap().node, NodeId::new(1));
     }

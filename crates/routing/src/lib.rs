@@ -13,10 +13,10 @@
 //! * [`compute_routes`] — unit-cost (breadth-first) SPF with full ECMP
 //!   next-hop sets, and [`SpfTable`] — one snapshot's distances, shared by
 //!   every router whose SPF runs read the same LSDB,
-//! * [`FibDelta`] — the one FIB install currency: every SPF run, repair
-//!   activation and controller push is a delta through [`Fib::apply`] (a
-//!   push is an SPF run over the LSAs the switches reported to the
-//!   controller),
+//! * [`FibDelta`] — the one FIB install currency: every connected or
+//!   static route, SPF run, repair activation and controller push is a
+//!   delta through [`Fib::apply`] (a push is an SPF run over the LSAs the
+//!   switches reported to the controller),
 //! * [`SpfThrottle`] — Cisco-style SPF throttling with exponential
 //!   backoff (the source of the paper's multi-second recovery tail),
 //! * [`RecoveryMode`] — the pluggable recovery seam: wait for OSPF, fall
@@ -57,7 +57,7 @@ mod spf;
 mod throttle;
 
 pub use ecmp::{ecmp_hash, ecmp_select};
-pub use fib::{Fib, FibDelta, FibOp, RoutesIter};
+pub use fib::{Fib, FibDelta, FibOp};
 pub use lsdb::{Adjacency, Lsa, Lsdb};
 pub use process::{RouterAction, RouterConfig, RouterProcess};
 pub use recovery::{FrrPlan, RecoveryMode};

@@ -26,14 +26,14 @@
 //! `Vec<RouterAction>` so the emulator's hot loop reuses one allocation
 //! across all dispatches.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use dcn_net::{FlowKey, Ipv4Addr, LinkId, NodeId, Prefix};
 use dcn_sim::{timers, SimDuration, SimTime};
 
-use crate::fib::{Fib, FibDelta};
+use crate::fib::{Fib, FibDelta, FibOp};
 use crate::lsdb::{Adjacency, Lsa, Lsdb};
 use crate::recovery::FrrPlan;
 use crate::route::{NextHop, Route, RouteOrigin};
@@ -174,7 +174,7 @@ impl RouterProcess {
 
     /// Advances whenever an answer of [`Self::forward`] or [`Self::live_hops`]
     /// may change: a non-empty FIB delta lands (FRR repairs retired too),
-    /// the dead set changes, or a route is installed directly.
+    /// the dead set changes, or a permanent route is installed.
     pub fn forwarding_version(&self) -> u64 {
         self.version
     }
@@ -223,8 +223,8 @@ impl RouterProcess {
     // Bootstrap (warm start)
     // ------------------------------------------------------------------
 
-    /// Installs a connected or static route directly (startup
-    /// configuration; F²Tree's backup routes use this).
+    /// Installs a connected or static route at once, as a one-op delta of
+    /// its origin (startup configuration; F²Tree's backup routes use this).
     ///
     /// # Panics
     ///
@@ -236,8 +236,10 @@ impl RouterProcess {
             RouteOrigin::Ospf,
             "OSPF routes must go through SPF"
         );
-        self.fib.insert(route);
-        self.version += 1;
+        self.apply(FibDelta {
+            origin: route.origin,
+            ops: vec![FibOp::Insert(route)],
+        });
     }
 
     /// The router's own LSA at the current sequence number.
@@ -422,8 +424,13 @@ impl RouterProcess {
         let reconcile = !self.frr_plan.is_empty() && delta.origin == RouteOrigin::Ospf;
         self.apply(delta);
         if reconcile {
-            let retire = self.fib.diff_origin(RouteOrigin::Frr, &BTreeMap::new());
-            self.apply(retire);
+            // Every repair route the live table holds, whichever plan
+            // installed it: the retire supersedes whatever is in flight.
+            let ops = self.fib.routes_of(RouteOrigin::Frr);
+            self.apply(FibDelta {
+                origin: RouteOrigin::Frr,
+                ops: ops.map(|r| FibOp::Remove(r.prefix)).collect(),
+            });
         }
     }
 

@@ -54,8 +54,8 @@ pub fn compute_routes(lsdb: &Lsdb, root: NodeId) -> Vec<Route> {
 /// prefix-sorted route set the previous run left behind — returning the
 /// delta between the two. Equal, op for op, to [`FibDelta::diff`] of
 /// `emitted` against [`compute_routes`] keyed by prefix (removes and
-/// patches in ascending prefix order, then inserts in ascending prefix
-/// order), without building the table: a prefix whose route did not
+/// changed routes in ascending prefix order, then new routes in ascending
+/// prefix order), without building the table: a prefix whose route did not
 /// change costs one comparison against the tree and allocates nothing.
 /// The tree comes out of `table`, rebuilt first unless it holds `lsdb`.
 pub(crate) fn emit_delta(
@@ -92,11 +92,7 @@ pub(crate) fn emit_delta(
             && have.next_hops.iter().copied().eq(tree.hops(mask));
         if !same {
             *have = tree.route((have.prefix, metric, mask), &mut sets);
-            ops.push(FibOp::Patch {
-                prefix: have.prefix,
-                metric,
-                next_hops: have.next_hops.clone(),
-            });
+            ops.push(FibOp::Insert(have.clone()));
         }
         true
     });

@@ -2,11 +2,12 @@
 //! lookup, and list its routes, exactly as the binary trie it replaced.
 //!
 //! The [`reference`] module is the boxed bit trie `dcn-routing` shipped
-//! before the sorted-run table, kept verbatim as test-only code (the
-//! `spf_reference.rs` precedent). It shares nothing with the table but
-//! [`ecmp_select`] and [`FibDelta::diff`], so agreement under arbitrary
-//! insert/remove/apply sequences is evidence about the table, not about
-//! a common helper.
+//! before the sorted-run table, kept as test-only code (the
+//! `spf_reference.rs` precedent) with the delta ops the table accepts:
+//! `Insert` and `Remove`. It shares nothing with the table but
+//! [`ecmp_select`] and the [`FibDelta`] type, so agreement under
+//! arbitrary insert/remove/apply sequences is evidence about the table,
+//! not about a common helper.
 
 use dcn_net::{FlowKey, Ipv4Addr, LinkId, NodeId, Prefix, Protocol};
 use dcn_routing::{Fib, FibDelta, FibOp, NextHop, Route, RouteOrigin};
@@ -14,7 +15,6 @@ use proptest::prelude::*;
 
 #[allow(dead_code)] // verbatim: not every trie method has a caller here
 mod reference {
-    use std::collections::BTreeMap;
     use std::fmt;
 
     use dcn_net::{FlowKey, Ipv4Addr, LinkId, Prefix};
@@ -85,9 +85,8 @@ mod reference {
             Some(removed)
         }
 
-        /// Applies a [`FibDelta`]: per-prefix inserts, removes, and in-place
-        /// next-hop patches. Cost scales with the number of *changed*
-        /// prefixes, not the FIB size.
+        /// Applies a [`FibDelta`]: per-prefix inserts and removes. Cost
+        /// scales with the number of *changed* prefixes, not the FIB size.
         pub fn apply(&mut self, delta: FibDelta) {
             let origin = delta.origin;
             for op in delta.ops {
@@ -99,42 +98,8 @@ mod reference {
                     FibOp::Remove(prefix) => {
                         self.remove(prefix, origin);
                     }
-                    FibOp::Patch {
-                        prefix,
-                        metric,
-                        next_hops,
-                    } => {
-                        let node = self.node_mut(prefix);
-                        if let Some(existing) = node.routes.iter_mut().find(|r| r.origin == origin)
-                        {
-                            existing.metric = metric;
-                            existing.next_hops = next_hops;
-                        } else {
-                            // Ops are absolute, so a patch against a missing
-                            // entry upserts (tolerates replayed sequences).
-                            self.insert(Route::new(prefix, origin, metric, next_hops.to_vec()));
-                        }
-                    }
                 }
             }
-        }
-
-        /// The [`FibDelta`] that transforms this FIB's installed `origin`
-        /// routes into exactly `desired` ([`FibDelta::diff`] against the live
-        /// table). Walks the whole trie: it serves the installs that must
-        /// supersede whatever is in flight (controller pushes, the FRR
-        /// reconcile), not the per-SPF path.
-        pub fn diff_origin(
-            &self,
-            origin: RouteOrigin,
-            desired: &BTreeMap<Prefix, Route>,
-        ) -> FibDelta {
-            let current: BTreeMap<Prefix, &Route> = self
-                .routes()
-                .filter(|r| r.origin == origin)
-                .map(|r| (r.prefix, r))
-                .collect();
-            FibDelta::diff(origin, &current, desired)
         }
 
         /// Looks up the forwarding decision for `flow`.
@@ -365,6 +330,14 @@ fn decode(raw: RawRoute) -> Route {
     Route::new(prefix, ORIGINS[origin as usize], metric, hops(hop_mask))
 }
 
+/// Installs `route` alone, as a one-op delta of its origin.
+fn put(fib: &mut Fib, route: Route) {
+    fib.apply(FibDelta {
+        origin: route.origin,
+        ops: vec![FibOp::Insert(route)],
+    });
+}
+
 /// Every observable of the two tables, side by side.
 fn assert_same(flat: &Fib, trie: &reference::Fib, extra_dsts: &[Ipv4Addr], dead_masks: &[u8]) {
     assert_eq!(flat.len(), trie.len());
@@ -396,8 +369,8 @@ fn assert_same(flat: &Fib, trie: &reference::Fib, extra_dsts: &[Ipv4Addr], dead_
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Random `insert` / `remove` / `apply(FibDelta)` sequences leave the
-    /// two tables indistinguishable after every step.
+    /// Random sequences of one-route inserts, one-route removes and mixed
+    /// deltas leave the two tables indistinguishable after every step.
     #[test]
     fn flat_table_equals_the_trie_under_random_mutation(
         steps in prop::collection::vec(
@@ -416,13 +389,14 @@ proptest! {
             let first = decode(raws[0].1);
             match kind {
                 0 => {
-                    flat.insert(first.clone());
+                    put(&mut flat, first.clone());
                     trie.insert(first);
                 }
-                1 => prop_assert_eq!(
-                    flat.remove(first.prefix, first.origin),
-                    trie.remove(first.prefix, first.origin)
-                ),
+                1 => {
+                    let (prefix, origin) = (first.prefix, first.origin);
+                    flat.apply(FibDelta { origin, ops: vec![FibOp::Remove(prefix)] });
+                    trie.remove(prefix, origin);
+                }
                 _ => {
                     let origin = first.origin;
                     let ops: Vec<FibOp> = raws
@@ -430,13 +404,8 @@ proptest! {
                         .map(|(op, raw)| {
                             let route = Route { origin, ..decode(raw) };
                             match op {
-                                0 => FibOp::Insert(route),
-                                1 => FibOp::Remove(route.prefix),
-                                _ => FibOp::Patch {
-                                    prefix: route.prefix,
-                                    metric: route.metric,
-                                    next_hops: route.next_hops,
-                                },
+                                0 => FibOp::Remove(route.prefix),
+                                _ => FibOp::Insert(route),
                             }
                         })
                         .collect();
@@ -487,7 +456,7 @@ fn all_hops_dead_falls_through_at_every_level() {
     // Install shortest-first and least-preferred-first: order of arrival
     // must not matter.
     for route in in_lookup_order.iter().rev() {
-        flat.insert(route.clone());
+        put(&mut flat, route.clone());
         trie.insert(route.clone());
     }
     // Siblings that never match `dst`.
@@ -501,7 +470,7 @@ fn all_hops_dead_falls_through_at_every_level() {
                 link: LinkId::new(99),
             }],
         );
-        flat.insert(route.clone());
+        put(&mut flat, route.clone());
         trie.insert(route);
     }
     let flow = FlowKey::new(Ipv4Addr::new(10, 0, 0, 1), dst, 7, 5001, Protocol::Udp);

@@ -1,7 +1,7 @@
 //! Property-based tests for the FIB and ECMP.
 
 use dcn_net::{FlowKey, Ipv4Addr, LinkId, NodeId, Prefix, Protocol};
-use dcn_routing::{ecmp_select, Fib, NextHop, Route, RouteOrigin};
+use dcn_routing::{ecmp_select, Fib, FibDelta, FibOp, NextHop, Route, RouteOrigin};
 use proptest::prelude::*;
 
 fn hop(n: u32) -> NextHop {
@@ -34,7 +34,7 @@ proptest! {
     ) {
         let mut fib = Fib::new(9);
         for r in &routes {
-            fib.insert(r.clone());
+            fib.apply(FibDelta { origin: r.origin, ops: vec![FibOp::Insert(r.clone())] });
         }
         let dst = Ipv4Addr::from_u32(dst);
         let flow = FlowKey::new(Ipv4Addr::new(10, 0, 0, 1), dst, sport, 80, Protocol::Udp);
@@ -98,7 +98,7 @@ proptest! {
     ) {
         let mut fib = Fib::new(3);
         for r in &routes {
-            fib.insert(r.clone());
+            fib.apply(FibDelta { origin: r.origin, ops: vec![FibOp::Insert(r.clone())] });
         }
         let flow = FlowKey::new(
             Ipv4Addr::new(10, 0, 0, 1),

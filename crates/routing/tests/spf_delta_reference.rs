@@ -264,11 +264,12 @@ proptest! {
 }
 
 /// The walk above is not vacuous: over a fixed set of seeds it emits
-/// removes, patches and inserts, mixed in one delta, in `diff`'s order,
-/// and its controller pushes change routes too.
+/// removes, rewrites of a route the table holds and new routes, mixed in
+/// one delta, in `diff`'s order, and its controller pushes change routes
+/// too.
 #[test]
 fn the_random_walk_emits_every_kind_of_op() {
-    let (mut removes, mut patches, mut inserts, mut mixed, mut pushed) = (0, 0, 0, 0, 0);
+    let (mut removes, mut rewrites, mut inserts, mut mixed, mut pushed) = (0, 0, 0, 0, 0);
     for case in 0..64 {
         let mut rng = TestRng::for_case(case);
         let mut harness = Harness::new(&mut rng);
@@ -277,21 +278,23 @@ fn the_random_walk_emits_every_kind_of_op() {
             harness.random_step(&mut rng);
             let after = harness.current_table();
             let delta = FibDelta::diff(RouteOrigin::Ospf, &before, &after);
-            let count = |f: fn(&FibOp) -> bool| delta.ops.iter().filter(|op| f(op)).count();
-            let r = count(|op| matches!(op, FibOp::Remove(_)));
-            let p = count(|op| matches!(op, FibOp::Patch { .. }));
-            let i = count(|op| matches!(op, FibOp::Insert(_)));
+            let count = |f: &dyn Fn(&FibOp) -> bool| delta.ops.iter().filter(|op| f(op)).count();
+            let held =
+                |op: &FibOp| matches!(op, FibOp::Insert(r) if before.contains_key(&r.prefix));
+            let r = count(&|op| matches!(op, FibOp::Remove(_)));
+            let w = count(&held);
+            let i = count(&|op| matches!(op, FibOp::Insert(_)) && !held(op));
             removes += r;
-            patches += p;
+            rewrites += w;
             inserts += i;
-            mixed += usize::from(r > 0 && p > 0 && i > 0);
+            mixed += usize::from(r > 0 && w > 0 && i > 0);
         }
         harness.spf();
         pushed += harness.pushed_ops;
     }
     assert!(
-        removes > 50 && patches > 50 && inserts > 50 && mixed > 0 && pushed > 50,
-        "{removes} removes, {patches} patches, {inserts} inserts, {mixed} mixed, \
+        removes > 50 && rewrites > 50 && inserts > 50 && mixed > 0 && pushed > 50,
+        "{removes} removes, {rewrites} rewrites, {inserts} inserts, {mixed} mixed, \
          {pushed} pushed"
     );
 }
@@ -327,8 +330,8 @@ fn of_two_origins_advertising_one_prefix_the_later_wins() {
         "node 6 stands later in the LSDB"
     );
 
-    // Node 6 drops off the graph: the prefix falls back to node 1 — a
-    // patch, not a remove + insert.
+    // Node 6 drops off the graph: the prefix falls back to node 1 — one
+    // insert that overwrites the route, not a remove + insert.
     harness.lsa(Arc::new(Lsa {
         origin: NodeId::new(6),
         seq: 12,

@@ -7,8 +7,8 @@
 //! (`cargo run -p xtask -- lint`) bans hard-coded `from_millis`/
 //! `from_secs` literals — and `from_micros` literals equal to one of
 //! these timers — in the non-test code of the simulation crates,
-//! everywhere except this module and `crates/core/src/config.rs`;
-//! defaults elsewhere must reference these names.
+//! everywhere except this module; defaults elsewhere must reference
+//! these names.
 //!
 //! This module lives in `dcn-sim` (not `dcn-core`) because the
 //! dependency arrow points the other way: `core → routing → sim`, and

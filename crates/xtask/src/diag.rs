@@ -165,8 +165,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              The paper's recovery-time budget is pure timer arithmetic\n\
              (detection + SPF schedule + FIB update); every protocol timer\n\
              literal must live in `dcn_sim::timers`\n\
-             (crates/sim/src/timers.rs) or the top-level `f2tree::config`,\n\
-             so the budget stays auditable in one place. Flags, in\n\
+             (crates/sim/src/timers.rs), so the budget stays auditable in\n\
+             one place. Flags, in\n\
              crates/{sim,routing,emu,core,sweep,chaos,metrics,xtask}/src,\n\
              every literal `from_millis(..)`/`from_secs(..)` argument; and\n\
              there and in crates/experiments/src a literal\n\

@@ -89,8 +89,8 @@ fn literal_first_arg(toks: &[Token], open: usize) -> Option<(Option<u64>, String
 
 /// `from_millis(200)` / `from_secs(60)` / `from_micros(200_000)` with a
 /// literal argument: protocol timer values must flow from
-/// `dcn_sim::timers` (or the top-level `f2tree::config`) so the paper's
-/// recovery-time budget stays auditable in one place. `from_micros` and
+/// `dcn_sim::timers` so the paper's recovery-time budget stays auditable
+/// in one place. `from_micros` and
 /// `from_nanos` are packet-level arithmetic, so a microsecond literal is
 /// flagged only when it equals a protocol timer.
 fn timer_constants_at(
