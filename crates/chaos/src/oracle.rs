@@ -367,6 +367,50 @@ mod tests {
         assert!(same_lsa(base, reordered) && !same_lsa(base, newer));
     }
 
+    /// Mid-hold — the failure's LSA has flooded, the held SPF has not
+    /// run — every router's FIB still lists the pre-failure routes.
+    #[test]
+    fn divergence_names_the_missing_and_extra_routes() {
+        let mut bed = f2tree::TestBed::build(f2tree::Design::FatTree, 4, 1).unwrap();
+        let link = bed.fabric_links()[0];
+        bed.net
+            .fail_link_at(SimTime::ZERO + SimDuration::from_millis(100), link);
+        bed.net
+            .run_until(SimTime::ZERO + SimDuration::from_millis(250));
+        let found: Vec<String> = bed
+            .topology()
+            .nodes()
+            .filter_map(|n| fib_spf_divergence(&bed.net, n.id()))
+            .collect();
+        // 14 of the 20 switches: each one with a best path over the
+        // failed link.
+        assert_eq!(found.len(), 14, "{found:#?}");
+        let n0 = concat!(
+            "n0: 7 FIB route(s) missing vs SPF [",
+            "\"10.11.1.0/24 metric=2 hops=[NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.2.0/24 metric=4 hops=[NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.3.0/24 metric=4 hops=[NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.4.0/24 metric=4 hops=[NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.5.0/24 metric=4 hops=[NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.6.0/24 metric=4 hops=[NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.7.0/24 metric=4 hops=[NextHop { node: n3, link: l1 }]\"",
+            "], 7 extra [",
+            "\"10.11.1.0/24 metric=2 hops=[NextHop { node: n2, link: l0 }, NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.2.0/24 metric=4 hops=[NextHop { node: n2, link: l0 }, NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.3.0/24 metric=4 hops=[NextHop { node: n2, link: l0 }, NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.4.0/24 metric=4 hops=[NextHop { node: n2, link: l0 }, NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.5.0/24 metric=4 hops=[NextHop { node: n2, link: l0 }, NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.6.0/24 metric=4 hops=[NextHop { node: n2, link: l0 }, NextHop { node: n3, link: l1 }]\", ",
+            "\"10.11.7.0/24 metric=4 hops=[NextHop { node: n2, link: l0 }, NextHop { node: n3, link: l1 }]\"",
+            "]",
+        );
+        let n1 = concat!(
+            "n1: 1 FIB route(s) missing vs SPF [\"10.11.0.0/24 metric=2 hops=[NextHop { node: n3, link: l3 }]\"]",
+            ", 1 extra [\"10.11.0.0/24 metric=2 hops=[NextHop { node: n2, link: l2 }, NextHop { node: n3, link: l3 }]\"]"
+        );
+        assert_eq!(found[..2], [n0, n1]);
+    }
+
     #[test]
     fn bound_scales_with_events_and_hold() {
         let cfg = EngineConfig::default();

@@ -101,6 +101,45 @@ mod tests {
         assert!(a < 4 && b < 4);
     }
 
+    /// The hash itself, not just the paths it picks: every ECMP choice
+    /// and golden downstream rests on these exact values.
+    #[test]
+    fn hash_values_are_pinned() {
+        let udp = FlowKey::new(
+            Ipv4Addr::new(192, 168, 1, 42),
+            Ipv4Addr::new(10, 10, 255, 1),
+            53,
+            65_535,
+            Protocol::Udp,
+        );
+        let control = FlowKey::new(
+            Ipv4Addr::new(10, 12, 0, 1),
+            Ipv4Addr::new(10, 12, 3, 4),
+            0,
+            0,
+            Protocol::Control,
+        );
+        let got = [
+            ecmp_hash(&flow(40_000), 0),
+            ecmp_hash(&flow(40_000), 7),
+            ecmp_hash(&flow(1), u64::MAX),
+            ecmp_hash(&flow(40_000).reversed(), 7),
+            ecmp_hash(&udp, 0x5eed),
+            ecmp_hash(&control, 3),
+        ];
+        assert_eq!(
+            got,
+            [
+                655_531_456_478_411_108,
+                3_775_364_842_509_176_608,
+                15_667_922_661_167_774_592,
+                13_430_626_653_818_826_333,
+                11_897_699_329_278_649_686,
+                12_084_538_820_242_327_124,
+            ]
+        );
+    }
+
     #[test]
     #[should_panic(expected = "empty set")]
     fn empty_set_panics() {
