@@ -237,14 +237,14 @@ pub fn blackhole_bound(cfg: &EngineConfig, n_events: u64, max_hold: SimDuration)
     SLACK + per_event * n_events.max(1)
 }
 
-/// Compares a router's OSPF FIB entries with a fresh SPF over its LSDB
-/// as sorted `(prefix, metric, next_hops)` sets; on a mismatch, renders
-/// both as line sets and returns the divergence.
+/// Compares a router's OSPF FIB entries with a fresh SPF over its LSDB,
+/// both in prefix order; on a mismatch, renders both as sorted line sets
+/// and returns the divergence.
 pub fn fib_spf_divergence(net: &Network, node: NodeId) -> Option<String> {
     let router = net.router(node)?;
     let computed = compute_routes(router.lsdb(), node);
-    let expected = sorted_ospf_routes(computed.iter());
-    let actual = sorted_ospf_routes(router.fib().routes());
+    let expected = ospf_routes(computed.iter());
+    let actual = ospf_routes(router.fib().routes());
     if expected == actual {
         return None;
     }
@@ -258,10 +258,10 @@ pub fn fib_spf_divergence(net: &Network, node: NodeId) -> Option<String> {
     ))
 }
 
-fn sorted_ospf_routes<'a>(routes: impl Iterator<Item = &'a Route>) -> Vec<&'a Route> {
-    let mut routes: Vec<&Route> = routes.filter(|r| r.origin == RouteOrigin::Ospf).collect();
-    routes.sort_unstable_by_key(|r| (r.prefix, r.metric, &r.next_hops));
-    routes
+/// The OSPF routes of a prefix-ordered route list, in its order: both
+/// `compute_routes` and `Fib::routes` list by prefix already.
+fn ospf_routes<'a>(routes: impl Iterator<Item = &'a Route>) -> Vec<&'a Route> {
+    routes.filter(|r| r.origin == RouteOrigin::Ospf).collect()
 }
 
 fn sorted_route_lines(routes: &[&Route]) -> Vec<String> {

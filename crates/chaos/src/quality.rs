@@ -39,11 +39,6 @@ impl QualityTrace {
         self.epochs.push(EpochQuality { at, epoch, report });
     }
 
-    /// The pre-failure baseline snapshot, if recorded.
-    pub fn baseline(&self) -> Option<&EpochQuality> {
-        self.epochs.first()
-    }
-
     /// The worst (maximum) fabric-edge load seen across the trace.
     pub fn peak_load(&self) -> u64 {
         self.epochs
@@ -100,7 +95,6 @@ mod tests {
         t.push(SimTime::ZERO, 5, report(2 * LOAD_SCALE, 0));
         assert_eq!(t.peak_load(), 3 * LOAD_SCALE);
         assert_eq!(t.peak_undeliverable(), LOAD_SCALE / 2);
-        assert_eq!(t.baseline().map(|e| e.report.max_load), Some(LOAD_SCALE));
     }
 
     #[test]

@@ -60,22 +60,6 @@ pub fn switch_config(
     out
 }
 
-/// Renders the configuration for every switch in the network, pairing
-/// ring members with their backup blocks.
-pub fn network_config(
-    topo: &Topology,
-    plan: &AddressPlan,
-    backups: &[SwitchBackup],
-) -> Vec<(NodeId, String)> {
-    topo.nodes()
-        .filter(|n| n.kind().is_switch())
-        .map(|n| {
-            let block = backups.iter().find(|(owner, _)| *owner == n.id());
-            (n.id(), switch_config(topo, plan, n.id(), block))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,15 +98,19 @@ mod tests {
     }
 
     #[test]
-    fn network_config_covers_every_switch() {
+    fn switch_config_covers_every_switch() {
         let (topo, plan, backups) = addressed();
-        let configs = network_config(&topo, &plan, &backups);
+        let configs: Vec<String> = topo
+            .nodes()
+            .filter(|n| n.kind().is_switch())
+            .map(|n| {
+                let block = backups.iter().find(|(owner, _)| *owner == n.id());
+                switch_config(&topo, &plan, n.id(), block)
+            })
+            .collect();
         assert_eq!(configs.len(), topo.switch_count());
         // Every ring member's block carries backups; ToRs carry none.
-        let with_backups = configs
-            .iter()
-            .filter(|(_, c)| c.contains("ip route "))
-            .count();
+        let with_backups = configs.iter().filter(|c| c.contains("ip route ")).count();
         assert_eq!(with_backups, backups.len());
     }
 

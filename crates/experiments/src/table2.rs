@@ -5,7 +5,6 @@
 //! graduated prefix lengths — by dumping the live FIB of a warm-started
 //! aggregation switch.
 
-use dcn_routing::RouteOrigin;
 use dcn_sim::SimTime;
 use f2tree::{Design, TestBed};
 
@@ -74,58 +73,36 @@ pub fn format_table2(rows: &[Table2Row]) -> String {
     out
 }
 
-/// Structural check of the `k`-port F²Tree's Table II, run by this
-/// module's unit test: the table must contain OSPF /24 rack routes and
-/// exactly the two static backups with graduated prefix lengths.
-pub fn verify_table2_shape(k: u32) -> Result<(), String> {
-    let mut bed = TestBed::build(Design::F2Tree, k, 1).map_err(|e| e.to_string())?;
-    bed.net.run_until(SimTime::ZERO);
-    let agg = bed.agg_rings[0].members[0];
-    let router = bed.net.router(agg).expect("agg router");
-    let fib = router.fib();
-
-    let ospf24 = fib
-        .routes()
-        .filter(|r| r.origin == RouteOrigin::Ospf && r.prefix.len() == 24)
-        .count();
-    let statics: Vec<_> = fib
-        .routes()
-        .filter(|r| r.origin == RouteOrigin::Static)
-        .collect();
-    let expected_racks = bed
-        .topology()
-        .pods(dcn_net::Layer::Tor)
-        .iter()
-        .flatten()
-        .count()
-        - bed.topology().downward_links(agg).len();
-    if ospf24 < expected_racks {
-        return Err(format!(
-            "expected at least {expected_racks} OSPF /24 routes, found {ospf24}"
-        ));
-    }
-    if statics.len() != 2 {
-        return Err(format!(
-            "expected 2 static backups, found {}",
-            statics.len()
-        ));
-    }
-    let mut lens: Vec<u8> = statics.iter().map(|r| r.prefix.len()).collect();
-    lens.sort_unstable();
-    if lens != [15, 16] {
-        return Err(format!("expected /15 and /16 backups, found {lens:?}"));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcn_net::Layer;
+    use dcn_routing::RouteOrigin;
 
+    /// The table holds the OSPF /24 rack routes and exactly the two
+    /// static backups, with graduated prefix lengths.
     #[test]
     fn table2_shape_holds_at_k6_and_k8() {
-        verify_table2_shape(6).unwrap();
-        verify_table2_shape(8).unwrap();
+        for k in [6, 8] {
+            let mut bed = TestBed::build(Design::F2Tree, k, 1).unwrap();
+            bed.net.run_until(SimTime::ZERO);
+            let agg = bed.agg_rings[0].members[0];
+            let fib = bed.net.router(agg).unwrap().fib();
+            let ospf24 = fib
+                .routes()
+                .filter(|r| r.origin == RouteOrigin::Ospf && r.prefix.len() == 24)
+                .count();
+            let racks = bed.topology().pods(Layer::Tor).iter().flatten().count();
+            let expected_racks = racks - bed.topology().downward_links(agg).len();
+            assert!(ospf24 >= expected_racks, "k={k}: {ospf24} OSPF /24 routes");
+            let mut lens: Vec<u8> = fib
+                .routes()
+                .filter(|r| r.origin == RouteOrigin::Static)
+                .map(|r| r.prefix.len())
+                .collect();
+            lens.sort_unstable();
+            assert_eq!(lens, [15, 16], "k={k}: static backups");
+        }
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use dcn_sim::{SimDuration, SimTime};
 
+use crate::nearest_rank;
+
 /// Completion statistics for a set of requests.
 #[derive(Clone, Debug, Default)]
 pub struct CompletionStats {
@@ -69,12 +71,7 @@ impl CompletionStats {
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Option<SimDuration> {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let sorted = self.sorted();
-        if sorted.is_empty() {
-            return None;
-        }
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        Some(sorted[idx])
+        nearest_rank(&self.sorted(), q)
     }
 
     /// The CDF of completion times as `(duration, cumulative_fraction)`
@@ -94,15 +91,10 @@ impl CompletionStats {
     }
 
     /// The complementary view the paper plots in Fig. 6(b): the fraction
-    /// of requests with completion time exceeding `threshold`.
+    /// of requests with completion time exceeding `threshold` — the
+    /// deadline-miss count, unfinished requests included.
     pub fn fraction_longer_than(&self, threshold: SimDuration) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let longer =
-            self.completions.iter().filter(|&&d| d > threshold).count() as u64 + self.unfinished;
-        longer as f64 / total as f64
+        self.deadline_miss_ratio(threshold)
     }
 }
 

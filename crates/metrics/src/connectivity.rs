@@ -43,11 +43,6 @@ impl ConnectivityTracker {
         self.arrivals.push((at, seq));
     }
 
-    /// Number of packets received.
-    pub fn received(&self) -> u64 {
-        self.arrivals.len() as u64
-    }
-
     /// Distinct sequence numbers received (duplicates collapse).
     pub fn received_distinct(&self) -> u64 {
         let mut seqs: Vec<u64> = self.arrivals.iter().map(|&(_, s)| s).collect();
@@ -135,7 +130,7 @@ mod tests {
         let t = with_gap();
         // Sender emitted 800 packets (0..800); receiver saw 200.
         assert_eq!(t.lost(800), 600);
-        assert_eq!(t.received(), 200);
+        assert_eq!(t.received_distinct(), 200);
     }
 
     #[test]
@@ -144,7 +139,6 @@ mod tests {
         t.record(us(0), 0);
         t.record(us(100), 0);
         t.record(us(200), 1);
-        assert_eq!(t.received(), 3);
         assert_eq!(t.received_distinct(), 2);
         assert_eq!(t.lost(5), 3);
     }

@@ -6,6 +6,8 @@
 
 use dcn_sim::SimDuration;
 
+use crate::nearest_rank;
+
 /// A five-number summary of a duration sample.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DurationSummary {
@@ -24,23 +26,17 @@ pub struct DurationSummary {
 impl DurationSummary {
     /// Summarizes a sample; `None` when it is empty.
     pub fn of(samples: &[SimDuration]) -> Option<Self> {
-        if samples.is_empty() {
-            return None;
-        }
         let mut sorted: Vec<SimDuration> = samples.to_vec();
         sorted.sort();
+        let max = *sorted.last()?;
         let count = sorted.len() as u64;
         let sum: u64 = sorted.iter().map(|d| d.as_nanos()).sum();
-        let at = |q: f64| {
-            let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-            sorted[idx]
-        };
         Some(DurationSummary {
             count,
             mean: SimDuration::from_nanos(sum / count),
-            median: at(0.5),
-            p99: at(0.99),
-            max: *sorted.last().expect("nonempty"),
+            median: nearest_rank(&sorted, 0.5)?,
+            p99: nearest_rank(&sorted, 0.99)?,
+            max,
         })
     }
 }

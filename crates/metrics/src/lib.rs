@@ -45,3 +45,10 @@ pub use quality::{
     DiversitySummary, LinkLoads, LoadSummary, NextHopDag, QualityInput, QualityReport,
 };
 pub use throughput::ThroughputSeries;
+
+/// The `q`-quantile of an ascending sample by nearest rank — the element
+/// at `round((len - 1) * q)` — or `None` when the sample is empty.
+fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let idx = (sorted.len().saturating_sub(1) as f64 * q).round() as usize;
+    sorted.get(idx).copied()
+}

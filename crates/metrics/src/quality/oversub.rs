@@ -1,12 +1,13 @@
 //! Oversubscription summaries over quantized fabric-edge loads.
 //!
-//! Mirrors `DurationSummary` in the fct module: nearest-rank
-//! percentiles over a sorted copy, so the summary is a pure function
-//! of the multiset of loads and byte-stable to render.
+//! Nearest-rank percentiles over a sorted copy, the same rule as
+//! `DurationSummary`'s, so the summary is a pure function of the
+//! multiset of loads and byte-stable to render.
 
 use std::fmt;
 
 use super::format_load;
+use crate::nearest_rank;
 
 /// Stable summary of quantized link loads: count, max, and
 /// nearest-rank p50/p90/p99.
@@ -27,21 +28,14 @@ pub struct LoadSummary {
 impl LoadSummary {
     /// Summarizes a set of quantized loads; `None` when empty.
     pub fn of(loads: &[u64]) -> Option<Self> {
-        if loads.is_empty() {
-            return None;
-        }
         let mut sorted = loads.to_vec();
         sorted.sort_unstable();
-        let at = |q: f64| {
-            let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-            sorted.get(idx).copied().unwrap_or(0)
-        };
         Some(LoadSummary {
             count: sorted.len() as u64,
-            max: sorted.last().copied().unwrap_or(0),
-            p50: at(0.50),
-            p90: at(0.90),
-            p99: at(0.99),
+            max: *sorted.last()?,
+            p50: nearest_rank(&sorted, 0.50)?,
+            p90: nearest_rank(&sorted, 0.90)?,
+            p99: nearest_rank(&sorted, 0.99)?,
         })
     }
 }

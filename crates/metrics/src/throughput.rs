@@ -32,11 +32,6 @@ impl ThroughputSeries {
         self.samples.sort_by_key(|&(t, _)| t);
     }
 
-    /// Total bytes recorded.
-    pub fn total_bytes(&self) -> u64 {
-        self.samples.iter().map(|&(_, b)| b as u64).sum()
-    }
-
     /// Throughput per bin in bits/second over `[start, end)`.
     pub fn bins(&self, start: SimTime, end: SimTime, bin: SimDuration) -> Vec<f64> {
         assert!(bin > SimDuration::ZERO, "bin width must be positive");
@@ -168,8 +163,7 @@ mod tests {
     fn extend_from_log_sorts() {
         let mut s = ThroughputSeries::new();
         s.extend_from_log(&[(ms(10), 100), (ms(5), 50)]);
-        assert_eq!(s.total_bytes(), 150);
         let bins = s.bins(SimTime::ZERO, ms(20), BIN);
-        assert_eq!(bins.len(), 1);
+        assert_eq!(bins, [150.0 * 8.0 / BIN.as_secs_f64()]);
     }
 }

@@ -1,88 +1,24 @@
-//! IPv4 addresses and prefixes with longest-prefix-match semantics.
+//! IPv4 prefixes with longest-prefix-match semantics.
 //!
 //! The simulator forwards packets by looking up destination addresses in
-//! per-switch FIBs, exactly as the paper's Quagga/Linux switches do. We use
-//! our own compact [`Ipv4Addr`] newtype (a `u32`) rather than
-//! `std::net::Ipv4Addr` so that prefix arithmetic, masking, and hashing stay
-//! branch-free and allocation-free on the simulation hot path.
+//! per-switch FIBs, exactly as the paper's Quagga/Linux switches do.
+//! Addresses are `std::net::Ipv4Addr`. A [`Prefix`] keeps its network
+//! bits as a `u32`, not as an address: the FIB's binary searches compare
+//! prefixes, and with a std address inside, a cold k = 16 set-up
+//! (`flap_k16` `setup_s`) took 0.0243 s against 0.0203 s (median of 10
+//! alternating pairs).
 
 use std::fmt;
+use std::net::AddrParseError;
+pub use std::net::Ipv4Addr;
 use std::str::FromStr;
 
-/// An IPv4 address stored as a host-order `u32`.
-///
-/// # Examples
-///
-/// ```
-/// use dcn_net::Ipv4Addr;
-///
-/// let a = Ipv4Addr::new(10, 11, 0, 1);
-/// assert_eq!(a.to_string(), "10.11.0.1");
-/// assert_eq!(a.octets(), [10, 11, 0, 1]);
-/// ```
-#[derive(Copy, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Ipv4Addr(u32);
-
-impl Ipv4Addr {
-    /// The unspecified address `0.0.0.0`.
-    pub const UNSPECIFIED: Ipv4Addr = Ipv4Addr(0);
-
-    /// Creates an address from four dotted-quad octets.
-    pub const fn new(a: u8, b: u8, c: u8, d: u8) -> Self {
-        Ipv4Addr(((a as u32) << 24) | ((b as u32) << 16) | ((c as u32) << 8) | d as u32)
-    }
-
-    /// Creates an address from a host-order `u32`.
-    pub const fn from_u32(bits: u32) -> Self {
-        Ipv4Addr(bits)
-    }
-
-    /// Returns the address as a host-order `u32`.
-    pub const fn to_u32(self) -> u32 {
-        self.0
-    }
-
-    /// Returns the four dotted-quad octets.
-    pub const fn octets(self) -> [u8; 4] {
-        [
-            (self.0 >> 24) as u8,
-            (self.0 >> 16) as u8,
-            (self.0 >> 8) as u8,
-            self.0 as u8,
-        ]
-    }
-}
-
-impl fmt::Display for Ipv4Addr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let [a, b, c, d] = self.octets();
-        write!(f, "{a}.{b}.{c}.{d}")
-    }
-}
-
-impl fmt::Debug for Ipv4Addr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(self, f)
-    }
-}
-
-impl From<[u8; 4]> for Ipv4Addr {
-    fn from(o: [u8; 4]) -> Self {
-        Ipv4Addr::new(o[0], o[1], o[2], o[3])
-    }
-}
-
-impl From<u32> for Ipv4Addr {
-    fn from(bits: u32) -> Self {
-        Ipv4Addr(bits)
-    }
-}
-
-/// The error returned when parsing an [`Ipv4Addr`] or [`Prefix`] fails.
+/// The error returned when parsing a [`Prefix`] fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseAddrError {
     input: String,
     reason: &'static str,
+    source: Option<AddrParseError>,
 }
 
 impl ParseAddrError {
@@ -90,36 +26,20 @@ impl ParseAddrError {
         ParseAddrError {
             input: input.to_owned(),
             reason,
+            source: None,
         }
     }
 }
 
 impl fmt::Display for ParseAddrError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid address {:?}: {}", self.input, self.reason)
+        write!(f, "invalid prefix {:?}: {}", self.input, self.reason)
     }
 }
 
-impl std::error::Error for ParseAddrError {}
-
-impl FromStr for Ipv4Addr {
-    type Err = ParseAddrError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut octets = [0u8; 4];
-        let mut parts = s.split('.');
-        for slot in &mut octets {
-            let part = parts
-                .next()
-                .ok_or_else(|| ParseAddrError::new(s, "expected four octets"))?;
-            *slot = part
-                .parse::<u8>()
-                .map_err(|_| ParseAddrError::new(s, "octet is not a number in 0..=255"))?;
-        }
-        if parts.next().is_some() {
-            return Err(ParseAddrError::new(s, "expected exactly four octets"));
-        }
-        Ok(Ipv4Addr::from(octets))
+impl std::error::Error for ParseAddrError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        self.source.as_ref().map(|e| e as _)
     }
 }
 
@@ -158,7 +78,7 @@ impl std::error::Error for PrefixError {}
 /// An IPv4 prefix (`address/len`) used for routing lookups.
 ///
 /// Prefixes are always stored in canonical form: bits below the prefix
-/// length are guaranteed to be zero.
+/// length are guaranteed to be zero. They order by address, then length.
 ///
 /// # Examples
 ///
@@ -177,17 +97,14 @@ impl std::error::Error for PrefixError {}
 /// ```
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Prefix {
-    addr: Ipv4Addr,
+    bits: u32,
     len: u8,
 }
 
 #[allow(clippy::len_without_is_empty)] // a prefix length of 0 is the default route, not emptiness
 impl Prefix {
     /// The default route `0.0.0.0/0`.
-    pub const DEFAULT: Prefix = Prefix {
-        addr: Ipv4Addr::UNSPECIFIED,
-        len: 0,
-    };
+    pub const DEFAULT: Prefix = Prefix { bits: 0, len: 0 };
 
     /// Creates a prefix, validating that `len <= 32` and that no host bits
     /// are set.
@@ -200,11 +117,11 @@ impl Prefix {
         if len > 32 {
             return Err(PrefixError::LengthOutOfRange { len });
         }
-        let masked = addr.to_u32() & mask(len);
-        if masked != addr.to_u32() {
+        let bits = addr.to_bits();
+        if bits & mask(len) != bits {
             return Err(PrefixError::HostBitsSet { addr, len });
         }
-        Ok(Prefix { addr, len })
+        Ok(Prefix { bits, len })
     }
 
     /// Creates a prefix by truncating `addr` to `len` bits.
@@ -218,19 +135,22 @@ impl Prefix {
     pub const fn truncating(addr: Ipv4Addr, len: u8) -> Self {
         assert!(len <= 32, "prefix length exceeds 32");
         Prefix {
-            addr: Ipv4Addr::from_u32(addr.to_u32() & mask(len)),
+            bits: addr.to_bits() & mask(len),
             len,
         }
     }
 
     /// A host prefix (`/32`) for a single address.
     pub fn host(addr: Ipv4Addr) -> Self {
-        Prefix { addr, len: 32 }
+        Prefix {
+            bits: addr.to_bits(),
+            len: 32,
+        }
     }
 
     /// The network address of the prefix.
     pub fn addr(self) -> Ipv4Addr {
-        self.addr
+        Ipv4Addr::from_bits(self.bits)
     }
 
     /// The prefix length in bits.
@@ -238,20 +158,15 @@ impl Prefix {
         self.len
     }
 
-    /// Whether this is the zero-length default prefix.
-    pub fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// Whether `addr` falls inside this prefix.
     pub fn contains(self, addr: Ipv4Addr) -> bool {
-        (addr.to_u32() & mask(self.len)) == self.addr.to_u32()
+        addr.to_bits() & mask(self.len) == self.bits
     }
 
     /// Whether this prefix fully covers `other` (is equal or shorter and
     /// contains its network address).
     pub fn covers(self, other: Prefix) -> bool {
-        self.len <= other.len && self.contains(other.addr)
+        self.len <= other.len && self.contains(other.addr())
     }
 
     /// The `n`-th address within the prefix.
@@ -266,13 +181,13 @@ impl Prefix {
             "host index {n} out of range for /{}",
             self.len
         );
-        Ipv4Addr::from_u32(self.addr.to_u32() | n)
+        Ipv4Addr::from_bits(self.bits | n)
     }
 }
 
 impl fmt::Display for Prefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.addr, self.len)
+        write!(f, "{}/{}", self.addr(), self.len)
     }
 }
 
@@ -289,7 +204,10 @@ impl FromStr for Prefix {
         let (addr_str, len_str) = s
             .split_once('/')
             .ok_or_else(|| ParseAddrError::new(s, "expected address/len"))?;
-        let addr: Ipv4Addr = addr_str.parse()?;
+        let addr: Ipv4Addr = addr_str.parse().map_err(|e| ParseAddrError {
+            source: Some(e),
+            ..ParseAddrError::new(s, "invalid IPv4 address")
+        })?;
         let len: u8 = len_str
             .parse()
             .map_err(|_| ParseAddrError::new(s, "prefix length is not a number"))?;
@@ -298,7 +216,7 @@ impl FromStr for Prefix {
 }
 
 /// Returns the netmask for a prefix length.
-pub(crate) const fn mask(len: u8) -> u32 {
+const fn mask(len: u8) -> u32 {
     if len == 0 {
         0
     } else {
@@ -311,26 +229,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn addr_roundtrip_display_parse() {
-        let a = Ipv4Addr::new(10, 11, 4, 200);
-        let parsed: Ipv4Addr = a.to_string().parse().unwrap();
-        assert_eq!(a, parsed);
-    }
-
-    #[test]
     fn addr_octets_and_u32_agree() {
+        // The prefix's bits are the address's octets, big-endian.
         let a = Ipv4Addr::new(192, 168, 1, 42);
-        assert_eq!(a.to_u32(), 0xC0A8_012A);
-        assert_eq!(Ipv4Addr::from_u32(a.to_u32()), a);
-        assert_eq!(Ipv4Addr::from(a.octets()), a);
+        assert_eq!(Prefix::host(a).addr(), a);
+        assert_eq!(
+            Prefix::truncating(a, 16).addr(),
+            Ipv4Addr::new(192, 168, 0, 0)
+        );
+        assert!(Prefix::truncating(a, 24) < Prefix::truncating(Ipv4Addr::new(192, 168, 2, 0), 24));
+        assert_eq!(Prefix::truncating(a, 24).nth(42), a);
     }
 
     #[test]
     fn addr_parse_rejects_garbage() {
-        assert!("10.0.0".parse::<Ipv4Addr>().is_err());
-        assert!("10.0.0.0.1".parse::<Ipv4Addr>().is_err());
-        assert!("10.0.0.256".parse::<Ipv4Addr>().is_err());
-        assert!("ten.0.0.1".parse::<Ipv4Addr>().is_err());
+        for bad in ["10.0.0/8", "10.0.0.0.1/8", "10.0.0.256/24", "ten.0.0.1/32"] {
+            let err = bad.parse::<Prefix>().unwrap_err();
+            assert!(std::error::Error::source(&err).is_some(), "{bad}: {err}");
+        }
+        assert!("10.0.0.0/33".parse::<Prefix>().is_err());
+        assert!("10.0.0.1/24".parse::<Prefix>().is_err());
+        assert!("10.0.0.0".parse::<Prefix>().is_err());
     }
 
     #[test]
@@ -365,7 +284,6 @@ mod tests {
     fn default_prefix_contains_everything() {
         assert!(Prefix::DEFAULT.contains(Ipv4Addr::new(255, 255, 255, 255)));
         assert!(Prefix::DEFAULT.contains(Ipv4Addr::UNSPECIFIED));
-        assert!(Prefix::DEFAULT.is_default());
     }
 
     #[test]

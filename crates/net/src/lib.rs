@@ -3,8 +3,8 @@
 //! This crate provides the structural foundation for the F²Tree
 //! reproduction (*Rewiring 2 Links is Enough*, ICDCS 2015):
 //!
-//! * compact [`Ipv4Addr`]/[`Prefix`] types with longest-prefix-match
-//!   semantics,
+//! * the [`Prefix`] type with longest-prefix-match semantics, over
+//!   `std::net::Ipv4Addr` (re-exported as [`Ipv4Addr`]),
 //! * the [`Topology`] multigraph with layer/pod bookkeeping and the
 //!   mutation operations the rewiring recipe needs,
 //! * builders for the multi-rooted trees the paper discusses:

@@ -621,11 +621,6 @@ impl Topology {
         }
         count == live.len()
     }
-
-    /// Finds a node by name.
-    pub fn find_by_name(&self, name: &str) -> Option<NodeId> {
-        self.nodes().find(|n| n.name == name).map(Node::id)
-    }
 }
 
 #[cfg(test)]
@@ -729,10 +724,8 @@ mod tests {
     }
 
     #[test]
-    fn find_by_name_and_other_end() {
+    fn other_end_names_the_far_node() {
         let (t, h, tor, _) = tiny();
-        assert_eq!(t.find_by_name("tor0"), Some(tor));
-        assert_eq!(t.find_by_name("nope"), None);
         let l = t.link_between(h, tor).unwrap();
         assert_eq!(t.link(l).other_end(h), tor);
         assert_eq!(t.link(l).other_end(tor), h);

@@ -7,7 +7,7 @@ proptest! {
     /// Display/parse is a lossless round trip for any address.
     #[test]
     fn addr_display_parse_roundtrip(bits: u32) {
-        let a = Ipv4Addr::from_u32(bits);
+        let a = Ipv4Addr::from_bits(bits);
         let parsed: Ipv4Addr = a.to_string().parse().unwrap();
         prop_assert_eq!(a, parsed);
     }
@@ -16,10 +16,10 @@ proptest! {
     /// contains the original address.
     #[test]
     fn prefix_truncating_is_idempotent(bits: u32, len in 0u8..=32) {
-        let p = Prefix::truncating(Ipv4Addr::from_u32(bits), len);
+        let p = Prefix::truncating(Ipv4Addr::from_bits(bits), len);
         let again = Prefix::truncating(p.addr(), len);
         prop_assert_eq!(p, again);
-        prop_assert!(p.contains(Ipv4Addr::from_u32(bits)));
+        prop_assert!(p.contains(Ipv4Addr::from_bits(bits)));
         prop_assert!(Prefix::new(p.addr(), len).is_ok());
     }
 
@@ -28,8 +28,8 @@ proptest! {
     #[test]
     fn shorter_prefixes_cover_longer_ones(bits: u32, a in 0u8..=32, b in 0u8..=32) {
         let (short, long) = if a <= b { (a, b) } else { (b, a) };
-        let ps = Prefix::truncating(Ipv4Addr::from_u32(bits), short);
-        let pl = Prefix::truncating(Ipv4Addr::from_u32(bits), long);
+        let ps = Prefix::truncating(Ipv4Addr::from_bits(bits), short);
+        let pl = Prefix::truncating(Ipv4Addr::from_bits(bits), long);
         prop_assert!(ps.covers(pl));
         // And covering implies containment of every member address.
         prop_assert!(ps.contains(pl.addr()));
@@ -38,11 +38,11 @@ proptest! {
     /// `contains` agrees with interval arithmetic.
     #[test]
     fn contains_matches_interval(bits: u32, len in 0u8..=32, probe: u32) {
-        let p = Prefix::truncating(Ipv4Addr::from_u32(bits), len);
+        let p = Prefix::truncating(Ipv4Addr::from_bits(bits), len);
         let size: u64 = 1u64 << (32 - len as u32);
-        let lo = p.addr().to_u32() as u64;
+        let lo = p.addr().to_bits() as u64;
         let expected = (probe as u64) >= lo && (probe as u64) < lo + size;
-        prop_assert_eq!(p.contains(Ipv4Addr::from_u32(probe)), expected);
+        prop_assert_eq!(p.contains(Ipv4Addr::from_bits(probe)), expected);
     }
 
     /// Every fat tree is connected, uses every switch port, and has the

@@ -21,8 +21,8 @@ pub fn ecmp_hash(flow: &FlowKey, salt: u64) -> u64 {
             h = h.wrapping_mul(PRIME);
         }
     };
-    feed(&flow.src.to_u32().to_be_bytes());
-    feed(&flow.dst.to_u32().to_be_bytes());
+    feed(&flow.src.octets());
+    feed(&flow.dst.octets());
     feed(&flow.src_port.to_be_bytes());
     feed(&flow.dst_port.to_be_bytes());
     feed(&[match flow.proto {

@@ -175,8 +175,8 @@ impl Fib {
     /// Where the `origin` route for `prefix` is (`Ok`) or belongs (`Err`).
     fn position(&self, prefix: Prefix, origin: RouteOrigin) -> Result<usize, usize> {
         self.routes
-            .binary_search_by_key(&(Reverse(prefix.len()), prefix.addr(), origin), |r| {
-                (Reverse(r.prefix.len()), r.prefix.addr(), r.origin)
+            .binary_search_by_key(&(Reverse(prefix.len()), prefix, origin), |r| {
+                (Reverse(r.prefix.len()), r.prefix, r.origin)
             })
     }
 
@@ -265,7 +265,7 @@ impl Fib {
             let run = self.routes.get(start..end).unwrap_or_default();
             start = end;
             let want = Prefix::truncating(dst, len);
-            let first = run.partition_point(|r| r.prefix.addr() < want.addr());
+            let first = run.partition_point(|r| r.prefix < want);
             let hit = run
                 .get(first..)
                 .unwrap_or_default()

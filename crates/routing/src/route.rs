@@ -26,18 +26,6 @@ pub enum RouteOrigin {
     Frr,
 }
 
-impl RouteOrigin {
-    /// Classic administrative distance, for display purposes.
-    pub fn admin_distance(self) -> u8 {
-        match self {
-            RouteOrigin::Connected => 0,
-            RouteOrigin::Static => 1,
-            RouteOrigin::Ospf => 110,
-            RouteOrigin::Frr => 254,
-        }
-    }
-}
-
 impl fmt::Display for RouteOrigin {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -121,8 +109,6 @@ mod tests {
         assert!(RouteOrigin::Connected < RouteOrigin::Static);
         assert!(RouteOrigin::Static < RouteOrigin::Ospf);
         assert!(RouteOrigin::Ospf < RouteOrigin::Frr);
-        assert!(RouteOrigin::Connected.admin_distance() < RouteOrigin::Ospf.admin_distance());
-        assert!(RouteOrigin::Ospf.admin_distance() < RouteOrigin::Frr.admin_distance());
     }
 
     #[test]

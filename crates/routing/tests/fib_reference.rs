@@ -54,7 +54,7 @@ mod reference {
         }
 
         fn node_mut(&mut self, prefix: Prefix) -> &mut TrieNode {
-            let bits = prefix.addr().to_u32();
+            let bits = prefix.addr().to_bits();
             let mut node = &mut self.root;
             for depth in 0..prefix.len() {
                 let bit = ((bits >> (31 - depth)) & 1) as usize;
@@ -116,7 +116,7 @@ mod reference {
         /// This backs the per-packet path, so it must not heap-allocate: the
         /// chain lives in a fixed stack array (root + 32 bits of prefix).
         fn prefix_chain(&self, dst: Ipv4Addr) -> ([Option<&TrieNode>; 33], usize) {
-            let bits = dst.to_u32();
+            let bits = dst.to_bits();
             let mut chain: [Option<&TrieNode>; 33] = [None; 33];
             let mut len = 0usize;
             let mut node = &self.root;
@@ -323,7 +323,7 @@ fn decode(raw: RawRoute) -> Route {
     let (pick, bits, origin, metric, hop_mask) = raw;
     let universe = nested_universe();
     let prefix = if pick % 4 == 0 {
-        Prefix::truncating(Ipv4Addr::from_u32(bits), ((pick >> 2) % 33) as u8)
+        Prefix::truncating(Ipv4Addr::from_bits(bits), ((pick >> 2) % 33) as u8)
     } else {
         universe[(pick >> 2) as usize % universe.len()]
     };
@@ -382,7 +382,7 @@ proptest! {
     ) {
         let mut flat = Fib::new(9);
         let mut trie = reference::Fib::new(9);
-        let extra: Vec<Ipv4Addr> = dsts.into_iter().map(Ipv4Addr::from_u32).collect();
+        let extra: Vec<Ipv4Addr> = dsts.into_iter().map(Ipv4Addr::from_bits).collect();
         // Nothing dead, everything dead, and the drawn sets in between.
         let dead_masks: Vec<u8> = [0, 0xFF].into_iter().chain(masks).collect();
         for (kind, raws) in steps {

@@ -14,7 +14,7 @@ fn hop(n: u32) -> NextHop {
 fn route_strategy() -> impl Strategy<Value = Route> {
     (any::<u32>(), 8u8..=28, 1u32..=6).prop_map(|(bits, len, hops)| {
         Route::new(
-            Prefix::truncating(Ipv4Addr::from_u32(bits), len),
+            Prefix::truncating(Ipv4Addr::from_bits(bits), len),
             RouteOrigin::Ospf,
             1,
             (0..hops).map(hop).collect(),
@@ -36,7 +36,7 @@ proptest! {
         for r in &routes {
             fib.apply(FibDelta { origin: r.origin, ops: vec![FibOp::Insert(r.clone())] });
         }
-        let dst = Ipv4Addr::from_u32(dst);
+        let dst = Ipv4Addr::from_bits(dst);
         let flow = FlowKey::new(Ipv4Addr::new(10, 0, 0, 1), dst, sport, 80, Protocol::Udp);
         let is_dead = |l: LinkId| (dead_mask >> (l.index() % 64)) & 1 == 1;
 
@@ -76,8 +76,8 @@ proptest! {
         src: u32, dst: u32, sport: u16, dport: u16, salt: u64, n in 1usize..=64,
     ) {
         let flow = FlowKey::new(
-            Ipv4Addr::from_u32(src),
-            Ipv4Addr::from_u32(dst),
+            Ipv4Addr::from_bits(src),
+            Ipv4Addr::from_bits(dst),
             sport,
             dport,
             Protocol::Tcp,
@@ -102,7 +102,7 @@ proptest! {
         }
         let flow = FlowKey::new(
             Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::from_u32(dst),
+            Ipv4Addr::from_bits(dst),
             1,
             2,
             Protocol::Udp,
