@@ -264,6 +264,7 @@ impl Fib {
         for &(len, end) in &self.runs {
             let run = self.routes.get(start..end).unwrap_or_default();
             start = end;
+            // One length per run, so prefixes order by address here.
             let want = Prefix::truncating(dst, len);
             let first = run.partition_point(|r| r.prefix < want);
             let hit = run
