@@ -9,7 +9,8 @@
 # 1. release build of every workspace member (warnings from the
 #    [workspace.lints] table are part of the build), then the five
 #    examples run in release — `cargo test` only compiles them, and the
-#    quickstart is README's first command — each must exit 0 — and the
+#    quickstart is README's first command — each must exit 0 and print
+#    exactly its golden, tests/golden/examples/<name>.txt — and the
 #    API docs of every workspace member build without a rustdoc warning
 #    (`cargo test` checks no intra-doc link; a renamed or removed item
 #    leaves the docs that name it dangling),
@@ -55,9 +56,13 @@ cargo build --release
 echo "==> cargo doc, warnings denied"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
-echo "==> the five examples, release"
+echo "==> the five examples, release, stdout against tests/golden/examples/"
+# Each run's stdout goes to a file before the diff: POSIX sh has no
+# pipefail, so a pipe would hide the example's own exit status.
+mkdir -p target/examples-out
 for example in quickstart failure_drill topology_explorer extensions_tour partition_aggregate; do
-    cargo run -q --release --example "$example" >/dev/null
+    cargo run -q --release --example "$example" >"target/examples-out/$example.txt"
+    diff -u "tests/golden/examples/$example.txt" "target/examples-out/$example.txt"
 done
 
 echo "==> cargo test -q (+ the release-only k=16 SPF, shared-table and failure-map equivalences, the fig6seeds golden and repro's worker-count determinism)"
