@@ -253,19 +253,28 @@ pub(crate) fn add_ring(
 mod tests {
     use super::*;
     use crate::config::network_backup_routes;
-    use dcn_net::scalability::F2TreeDimensions;
 
     /// Rewires a default-fill `k`-port fat tree with `across_ports`.
     fn wide(k: u32, across_ports: u32) -> Result<F2TreeNetwork, TopologyError> {
         rewire_fat_tree(FatTree::new(k)?.build(), across_ports)
     }
 
+    /// `(switches, hosts)` counted from a built F²Tree.
+    fn counts(f2: &F2TreeNetwork) -> (u64, u64) {
+        let topo = &f2.topology;
+        (topo.switch_count() as u64, topo.host_count() as u64)
+    }
+
+    /// Table I's F²Tree closed forms at `n` ports, in integers:
+    /// `(5N² − 14N + 8)/4` switches and `N³/4 − N² + N` hosts.
+    fn table1_counts(n: u64) -> (u64, u64) {
+        ((5 * n * n - 14 * n + 8) / 4, n * n * n / 4 - n * n + n)
+    }
+
     #[test]
     fn k8_counts_match_table1() {
         let f2 = F2TreeNetwork::build(8).unwrap();
-        let dims = F2TreeDimensions::for_ports(8);
-        assert_eq!(f2.topology.switch_count() as u64, dims.switches());
-        assert_eq!(f2.topology.host_count() as u64, dims.nodes());
+        assert_eq!(counts(&f2), table1_counts(8));
         assert_eq!(f2.topology.name(), "f2tree-k8");
     }
 
@@ -273,17 +282,7 @@ mod tests {
     fn counts_match_table1_across_sizes() {
         for k in [4u32, 6, 8, 10, 12] {
             let f2 = F2TreeNetwork::build(k).unwrap();
-            let dims = F2TreeDimensions::for_ports(k);
-            assert_eq!(
-                f2.topology.switch_count() as u64,
-                dims.switches(),
-                "switches at k={k}"
-            );
-            assert_eq!(
-                f2.topology.host_count() as u64,
-                dims.nodes(),
-                "hosts at k={k}"
-            );
+            assert_eq!(counts(&f2), table1_counts(k.into()), "k={k}");
         }
     }
 

@@ -1,6 +1,5 @@
 //! Property-based tests of the F²Tree rewiring invariants across sizes.
 
-use dcn_net::scalability::F2TreeDimensions;
 use dcn_net::{Layer, LinkClass};
 use f2tree::{layer_backup_summary, network_backup_routes, F2TreeNetwork};
 use proptest::prelude::*;
@@ -15,9 +14,10 @@ proptest! {
     fn rewiring_invariants(k in (2u32..=8).prop_map(|h| h * 2)) {
         let net = F2TreeNetwork::build(k).unwrap();
         let topo = &net.topology;
-        let dims = F2TreeDimensions::for_ports(k);
-        prop_assert_eq!(topo.switch_count() as u64, dims.switches());
-        prop_assert_eq!(topo.host_count() as u64, dims.nodes());
+        // Table I's closed forms: (5N² − 14N + 8)/4 switches, N³/4 − N² + N hosts.
+        let n = u64::from(k);
+        prop_assert_eq!(topo.switch_count() as u64, (5 * n * n - 14 * n + 8) / 4);
+        prop_assert_eq!(topo.host_count() as u64, n * n * n / 4 - n * n + n);
         prop_assert!(topo.is_connected());
         for node in topo.nodes().filter(|n| n.kind().is_switch()) {
             prop_assert!(topo.degree(node.id()) <= k as usize);

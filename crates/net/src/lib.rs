@@ -8,11 +8,9 @@
 //! * the [`Topology`] multigraph with layer/pod bookkeeping and the
 //!   mutation operations the rewiring recipe needs,
 //! * builders for the multi-rooted trees the paper discusses:
-//!   [`FatTree`], [`LeafSpine`] and [`Vl2`],
+//!   [`FatTree`], [`LeafSpine`] and [`Vl2`], and
 //! * the paper's production-DCN address assignment
-//!   ([`assign_addresses`], Fig. 3(d)), and
-//! * the closed-form scalability comparison of Table I
-//!   ([`scalability`]).
+//!   ([`assign_addresses`], Fig. 3(d)).
 //!
 //! # Examples
 //!
@@ -46,7 +44,6 @@ mod flow;
 mod id;
 mod leafspine;
 mod ring;
-pub mod scalability;
 mod topology;
 mod vl2;
 

@@ -2,7 +2,7 @@
 //! emulation, verified end to end.
 
 use dcn_emu::EmuConfig;
-use dcn_net::{scalability::F2TreeDimensions, FatTree, Layer, LinkClass};
+use dcn_net::{FatTree, Layer, LinkClass};
 use dcn_routing::RouteOrigin;
 use dcn_sim::{SimDuration, SimTime};
 use f2tree::{
@@ -19,11 +19,15 @@ fn the_full_pipeline_from_fat_tree_to_running_f2tree() {
     let fat = FatTree::new(8).unwrap().build();
     assert_eq!(fat.switch_count(), 80);
 
-    // 2. ...rewired by the core crate into an F2Tree matching Table I...
+    // 2. ...rewired by the core crate into an F2Tree matching Table I's
+    // (5N² − 14N + 8)/4 switches and N³/4 − N² + N hosts...
     let f2 = rewire_fat_tree(fat, 2).unwrap();
-    let dims = F2TreeDimensions::for_ports(8);
-    assert_eq!(f2.topology.switch_count() as u64, dims.switches());
-    assert_eq!(f2.topology.host_count() as u64, dims.nodes());
+    let n = 8u64;
+    assert_eq!(
+        f2.topology.switch_count() as u64,
+        (5 * n * n - 14 * n + 8) / 4
+    );
+    assert_eq!(f2.topology.host_count() as u64, n * n * n / 4 - n * n + n);
 
     // 3. ...configured with Table II backup routes...
     let backups = network_backup_routes(&f2);
