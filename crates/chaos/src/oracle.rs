@@ -28,6 +28,7 @@
 //!    completes with exactly `total` bytes delivered (no duplicated or
 //!    lost-forever segments).
 
+use std::cmp::Reverse;
 use std::fmt;
 
 use dcn_emu::{Hop, Network, WalkOutcome};
@@ -238,12 +239,14 @@ pub fn blackhole_bound(cfg: &EngineConfig, n_events: u64, max_hold: SimDuration)
 }
 
 /// Compares a router's OSPF FIB entries with a fresh SPF over its LSDB,
-/// both in prefix order; on a mismatch, renders both as sorted line sets
-/// and returns the divergence.
+/// both in the FIB's lookup order; on a mismatch, renders both as sorted
+/// line sets and returns the divergence.
 pub fn fib_spf_divergence(net: &Network, node: NodeId) -> Option<String> {
     let router = net.router(node)?;
     let computed = compute_routes(router.lsdb(), node);
-    let expected = ospf_routes(computed.iter());
+    // SPF lists by prefix; the FIB by (length descending, prefix).
+    let mut expected = ospf_routes(computed.iter());
+    expected.sort_by_key(|r| (Reverse(r.prefix.len()), r.prefix));
     let actual = ospf_routes(router.fib().routes());
     if expected == actual {
         return None;
@@ -258,8 +261,7 @@ pub fn fib_spf_divergence(net: &Network, node: NodeId) -> Option<String> {
     ))
 }
 
-/// The OSPF routes of a prefix-ordered route list, in its order: both
-/// `compute_routes` and `Fib::routes` list by prefix already.
+/// The OSPF routes of a route list, in its order.
 fn ospf_routes<'a>(routes: impl Iterator<Item = &'a Route>) -> Vec<&'a Route> {
     routes.filter(|r| r.origin == RouteOrigin::Ospf).collect()
 }

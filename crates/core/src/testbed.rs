@@ -454,7 +454,7 @@ mod tests {
                         .cloned()
                         .collect();
                     let mut routes = want.remove(&switch.id()).unwrap_or_default();
-                    routes.sort_by_key(|r| r.prefix);
+                    routes.sort_by_key(|r| (std::cmp::Reverse(r.prefix.len()), r.prefix));
                     assert_eq!(statics, routes, "{name} {recovery:?} {}", switch.name());
                 }
                 assert!(want.is_empty(), "{name}: every ring member is a switch");

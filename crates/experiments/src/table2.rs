@@ -32,17 +32,10 @@ pub fn run_table2(k: u32) -> Vec<Table2Row> {
     let agg = bed.agg_rings[0].members[0];
     let router = bed.net.router(agg).expect("agg switch has a router");
     let topo = bed.topology();
-    let mut routes: Vec<_> = router.fib().routes().collect();
-    // The FIB iterator yields (address, length) order; the table reads
-    // top-down in lookup order, so sort longest prefixes first.
-    routes.sort_by(|a, b| {
-        b.prefix
-            .len()
-            .cmp(&a.prefix.len())
-            .then(a.prefix.cmp(&b.prefix))
-    });
-    routes
-        .into_iter()
+    // The FIB lists its routes in lookup order, which is the table's.
+    router
+        .fib()
+        .routes()
         .map(|route| Table2Row {
             destination: route.prefix.to_string(),
             origin: route.origin.to_string(),

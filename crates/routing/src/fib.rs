@@ -305,20 +305,12 @@ impl Fib {
             .copied()
     }
 
-    /// The installed routes of `origin`, in table order: one scan, no
-    /// sort.
-    pub(crate) fn routes_of(&self, origin: RouteOrigin) -> impl Iterator<Item = &Route> {
-        self.routes.iter().filter(move |r| r.origin == origin)
-    }
-
-    /// Borrowing iterator over every installed route, in deterministic
-    /// (address, length, origin) order — parent prefixes before the
-    /// prefixes they cover. No routes are cloned; collect and sort if a
-    /// display order (e.g. Table II's longest-first) is wanted.
+    /// Borrowing iterator over every installed route, in lookup order:
+    /// prefix length descending, then address, then origin preference —
+    /// the order [`Fib::lookup`] tries them in, and Table II's. No route
+    /// is cloned and nothing is sorted.
     pub fn routes(&self) -> impl Iterator<Item = &Route> {
-        let mut sorted: Vec<&Route> = self.routes.iter().collect();
-        sorted.sort_by_key(|r| (r.prefix, r.origin));
-        sorted.into_iter()
+        self.routes.iter()
     }
 }
 
@@ -559,7 +551,7 @@ mod tests {
         drop_route(&mut fib, p24, RouteOrigin::Ospf);
         want.retain(|r| r.prefix != p24);
         want.push(backup);
-        want.sort_by_key(|r| (r.prefix, r.origin));
+        want.sort_by_key(|r| (Reverse(r.prefix.len()), r.prefix, r.origin));
         assert_eq!(fib.routes().cloned().collect::<Vec<_>>(), want);
     }
 

@@ -426,7 +426,7 @@ impl RouterProcess {
         if reconcile {
             // Every repair route the live table holds, whichever plan
             // installed it: the retire supersedes whatever is in flight.
-            let ops = self.fib.routes_of(RouteOrigin::Frr);
+            let ops = self.fib.routes().filter(|r| r.origin == RouteOrigin::Frr);
             self.apply(FibDelta {
                 origin: RouteOrigin::Frr,
                 ops: ops.map(|r| FibOp::Remove(r.prefix)).collect(),

@@ -1,5 +1,6 @@
 //! The FIB reference oracle: the flat sorted-run [`Fib`] must answer every
-//! lookup, and list its routes, exactly as the binary trie it replaced.
+//! lookup, and list the same routes (in lookup order), exactly as the
+//! binary trie it replaced.
 //!
 //! The [`reference`] module is the boxed bit trie `dcn-routing` shipped
 //! before the sorted-run table, kept as test-only code (the
@@ -8,6 +9,8 @@
 //! [`ecmp_select`] and the [`FibDelta`] type, so agreement under
 //! arbitrary insert/remove/apply sequences is evidence about the table,
 //! not about a common helper.
+
+use std::cmp::Reverse;
 
 use dcn_net::{FlowKey, Ipv4Addr, LinkId, NodeId, Prefix, Protocol};
 use dcn_routing::{Fib, FibDelta, FibOp, NextHop, Route, RouteOrigin};
@@ -343,7 +346,9 @@ fn assert_same(flat: &Fib, trie: &reference::Fib, extra_dsts: &[Ipv4Addr], dead_
     assert_eq!(flat.len(), trie.len());
     assert_eq!(flat.is_empty(), trie.is_empty());
     let flat_routes: Vec<&Route> = flat.routes().collect();
-    let trie_routes: Vec<&Route> = trie.routes().collect();
+    // The trie lists in pre-order; the flat table in lookup order.
+    let mut trie_routes: Vec<&Route> = trie.routes().collect();
+    trie_routes.sort_by_key(|r| (Reverse(r.prefix.len()), r.prefix, r.origin));
     assert_eq!(flat_routes, trie_routes, "routes() content and order");
     for &dst in probe_destinations().iter().chain(extra_dsts) {
         for &mask in dead_masks {

@@ -12,6 +12,8 @@
 //! own BFS from the root. The fleet walks below have several routers
 //! share one table while their LSDBs drift apart and back together.
 
+use std::borrow::Borrow;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -32,6 +34,13 @@ fn by_prefix(routes: Vec<Route>) -> BTreeMap<Prefix, Route> {
 
 const ROOT: NodeId = NodeId::new(0);
 const NODES: u32 = 8;
+
+/// A prefix-ordered list of one route per prefix, put in the order
+/// `Fib::routes` lists: prefix length descending, then prefix.
+fn lookup_order<R: Borrow<Route>>(mut routes: Vec<R>) -> Vec<R> {
+    routes.sort_by_key(|r| (Reverse(r.borrow().prefix.len()), r.borrow().prefix));
+    routes
+}
 
 /// The edge universe `(a, b, link)`: the root has four interfaces (two of
 /// them parallel links to node 1), the rest is a small mesh with a
@@ -155,8 +164,7 @@ impl Harness {
             .routes()
             .filter(|r| r.origin == RouteOrigin::Ospf)
             .collect();
-        // `Fib::routes` yields (address, length) order — `Prefix`'s own.
-        let want: Vec<&Route> = self.table.values().collect();
+        let want = lookup_order(self.table.values().collect());
         assert_eq!(have, want);
     }
 
@@ -442,7 +450,7 @@ impl Fleet {
             .routes()
             .filter(|r| r.origin == RouteOrigin::Ospf)
             .collect();
-        let want: Vec<&Route> = self.tables[at].values().collect();
+        let want = lookup_order(self.tables[at].values().collect());
         assert_eq!(have, want, "router {}", self.routers[at].node());
     }
 
@@ -772,7 +780,7 @@ fn assert_every_fib_is_spf(routers: &[Option<RouterProcess>], context: &str) {
             .filter(|r| r.origin == RouteOrigin::Ospf)
             .cloned()
             .collect();
-        let want = compute_routes(router.lsdb(), router.node());
+        let want = lookup_order(compute_routes(router.lsdb(), router.node()));
         assert_eq!(have, want, "{context}, router {}", router.node());
     }
 }
