@@ -56,12 +56,6 @@ pub use workers::Workers;
 
 use dcn_sim::SimRng;
 
-/// The derived seed of cell `cell_index` under `master_seed`: the seed of
-/// [`cell_rng`]'s stream.
-pub fn cell_seed(master_seed: u64, cell_index: usize) -> u64 {
-    cell_rng(master_seed, cell_index).seed()
-}
-
 /// The deterministic RNG stream of cell `cell_index` under `master_seed`:
 /// fork `cell_index` of the master seed ([`SimRng::fork`]). It depends
 /// only on the master seed and the cell's position in the plan, never on

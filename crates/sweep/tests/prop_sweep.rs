@@ -3,7 +3,7 @@
 //! pairwise independent of which cells run, in what order, on how many
 //! workers.
 
-use dcn_sweep::{cell_rng, cell_seed, ExperimentSpec, Workers};
+use dcn_sweep::{cell_rng, ExperimentSpec, Workers};
 use proptest::prelude::*;
 
 /// The first `n` draws of cell `index`'s stream.
@@ -38,7 +38,7 @@ proptest! {
     #[test]
     fn distinct_cells_get_distinct_streams(master_seed: u64, a in 0usize..256, b in 0usize..256) {
         if a != b {
-            prop_assert_ne!(cell_seed(master_seed, a), cell_seed(master_seed, b));
+            prop_assert_ne!(cell_rng(master_seed, a).seed(), cell_rng(master_seed, b).seed());
             prop_assert_ne!(stream_prefix(master_seed, a, 4), stream_prefix(master_seed, b, 4));
         }
     }

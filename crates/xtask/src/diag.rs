@@ -150,7 +150,7 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              \n\
              Every RNG constructed outside test code must derive its\n\
              stream from the experiment's master seed — via\n\
-             `SimRng::fork(stream)` or `cell_seed(master_seed, cell_index)`\n\
+             `SimRng::fork(stream)` or `cell_rng(master_seed, cell_index)`\n\
              — never from a literal seed. A literal seed pins a private\n\
              random stream that silently decouples from the sweep plan:\n\
              results stop depending on the master seed, and two cells can\n\

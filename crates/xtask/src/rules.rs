@@ -165,7 +165,7 @@ fn rng_stream_at(
         format!(
             "literal seed {seed} passed to `{owner}::{name}`; non-test RNG streams must \
              derive from the master seed via `SimRng::fork(stream)` or \
-             `cell_seed(master, index)`"
+             `cell_rng(master, index)`"
         ),
     ));
 }
