@@ -19,9 +19,10 @@
 //! the interface dead, [`RouterProcess::forward`] falls through to the
 //! pre-installed static backup routes.
 //!
-//! Every SPF run is a full shortest-path tree over the LSDB, read out of
-//! the caller's [`SpfTable`] and merged into the route set the router
-//! last emitted to yield a [`FibDelta`].
+//! Every SPF run reads the router's routes out of the caller's
+//! [`SpfTable`] — only those of origins whose distance rows changed since
+//! the router's last run — and merges them into the route set it last
+//! emitted to yield a [`FibDelta`].
 //! Event handlers append into a caller-provided scratch
 //! `Vec<RouterAction>` so the emulator's hot loop reuses one allocation
 //! across all dispatches.
@@ -37,7 +38,7 @@ use crate::fib::{Fib, FibDelta, FibOp};
 use crate::lsdb::{Adjacency, Lsa, Lsdb};
 use crate::recovery::FrrPlan;
 use crate::route::{NextHop, Route, RouteOrigin};
-use crate::spf::{emit_delta, SpfTable};
+use crate::spf::{emit_delta, Emitted, SpfTable};
 use crate::throttle::SpfThrottle;
 
 /// Router timer configuration.
@@ -113,8 +114,8 @@ pub struct RouterProcess {
     /// The OSPF route set as of the last emitted SPF delta, sorted by
     /// prefix — what the FIB will hold once every in-flight install has
     /// landed, and what the next SPF run diffs against (the [`FibDelta`]
-    /// ordering law).
-    emitted: Vec<Route>,
+    /// ordering law) — and the table build it was read out of.
+    emitted: Emitted,
     seq: u64,
     install_gen: u64,
     installed_gen: u64,
@@ -146,7 +147,7 @@ impl RouterProcess {
             fib: Fib::new(node.as_u32() as u64),
             lsdb: Lsdb::new(),
             throttle: SpfThrottle::new(config.spf_initial_delay),
-            emitted: Vec::new(),
+            emitted: Emitted::default(),
             seq: 0,
             install_gen: 0,
             installed_gen: 0,
@@ -477,8 +478,10 @@ impl fmt::Debug for RouterProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spf::compute_routes;
     use dcn_net::Ipv4Addr;
     use dcn_net::Protocol;
+    use std::collections::BTreeMap;
 
     fn adj(n: u32, l: u32) -> Adjacency {
         Adjacency {
@@ -490,6 +493,11 @@ mod tests {
     /// A 4-node diamond: r0 -(0)- r1 -(2)- r3, r0 -(1)- r2 -(3)- r3.
     /// r3 advertises 10.11.0.0/24.
     fn diamond() -> Vec<RouterProcess> {
+        diamond_through(&mut SpfTable::default())
+    }
+
+    /// [`diamond`], warm-started through `table`.
+    fn diamond_through(table: &mut SpfTable) -> Vec<RouterProcess> {
         let cfg = RouterConfig::default();
         let mut routers = vec![
             RouterProcess::new(NodeId::new(0), cfg, vec![adj(1, 0), adj(2, 1)], vec![]),
@@ -503,9 +511,8 @@ mod tests {
             ),
         ];
         let lsas: Vec<Arc<Lsa>> = routers.iter_mut().map(|r| r.originate_lsa()).collect();
-        let mut table = SpfTable::default();
         for r in &mut routers {
-            r.bootstrap(lsas.clone(), &mut table);
+            r.bootstrap(lsas.clone(), table);
         }
         routers
     }
@@ -1005,6 +1012,81 @@ mod tests {
         assert!(!advanced(r), "a push installs nothing yet");
         r.on_install(g3, d3);
         assert!(advanced(r), "the controller withdrew every OSPF route");
+    }
+
+    /// One SPF run through `table`, its delta checked against full
+    /// re-derivation: the diff of what `compute_routes` makes of the LSDB
+    /// the router's previous run read, `before`, and of its LSDB now.
+    fn checked_run(router: &mut RouterProcess, before: &Lsdb, table: &mut SpfTable) -> FibDelta {
+        let actions = collected(|a| router.on_spf_timer(SimTime::ZERO, table, a));
+        let [RouterAction::Install { delta, .. }] = &actions[..] else {
+            panic!("expected one install, got {actions:?}");
+        };
+        let routes = |db: &Lsdb| -> BTreeMap<Prefix, Route> {
+            let routes = compute_routes(db, router.node());
+            routes.into_iter().map(|r| (r.prefix, r)).collect()
+        };
+        let full = FibDelta::diff(RouteOrigin::Ospf, &routes(before), &routes(router.lsdb()));
+        assert_eq!(*delta, full, "router {}", router.node());
+        full
+    }
+
+    /// The router last read one table at build 1, and runs through a fresh
+    /// one that reaches build 1 too: a stamp of another table matches
+    /// nothing, so the run re-derives every route.
+    #[test]
+    fn a_run_through_another_table_at_the_same_build_rederives_every_route() {
+        let mut routers = diamond();
+        let before = routers[0].lsdb().clone();
+        let mut scratch = Vec::new();
+        routers[0].on_link_detected(SimTime::ZERO, LinkId::new(0), false, &mut scratch);
+        let mut fresh = SpfTable::default();
+        let delta = checked_run(&mut routers[0], &before, &mut fresh);
+        assert_eq!(fresh.builds(), 1);
+        assert!(!delta.is_empty(), "the route to r3 lost its r1 arm");
+    }
+
+    /// r0 and r2 share one table. It is rebuilt for r2's LSDB (r1 lost
+    /// link 2), back for r0's (r0 heard only r3 refresh its LSA: the
+    /// changed row changes back), for r0's once it hears r1 too, and read
+    /// by r2 once it hears the refresh: each run's delta is what full
+    /// re-derivation emits.
+    #[test]
+    fn a_table_rebuilt_for_another_lsdb_and_back_rederives_what_changed() {
+        let mut table = SpfTable::default();
+        let mut routers = diamond_through(&mut table);
+        let mut scratch = Vec::new();
+        routers[1].on_link_detected(SimTime::ZERO, LinkId::new(2), false, &mut scratch);
+        let Some(RouterAction::FloodLsa { lsa: cut, .. }) = scratch.first().cloned() else {
+            panic!("expected a flood, got {scratch:?}");
+        };
+        let r3 = routers[3].report().expect("originated at warm start");
+        let refresh = Arc::new(Lsa {
+            seq: r3.seq + 1,
+            ..Lsa::clone(&r3)
+        });
+        let [r0, _, r2, _] = &mut routers[..] else {
+            unreachable!()
+        };
+        let mut hear = |router: &mut RouterProcess, lsa: &Arc<Lsa>| {
+            let before = router.lsdb().clone();
+            router.on_lsa(SimTime::ZERO, Arc::clone(lsa), LinkId::new(0), &mut scratch);
+            before
+        };
+
+        let before = hear(r2, &cut);
+        let delta = checked_run(r2, &before, &mut table);
+        assert!(delta.is_empty(), "r2 reaches r3 over link 3 still");
+        assert_eq!(table.builds(), 2);
+        let before = hear(r0, &refresh);
+        assert!(checked_run(r0, &before, &mut table).is_empty());
+        assert_eq!(table.builds(), 3, "back to r0's distances");
+        let before = hear(r0, &cut);
+        assert!(!checked_run(r0, &before, &mut table).is_empty());
+        assert_eq!(table.builds(), 4, "r2's distances again");
+        let before = hear(r2, &refresh);
+        assert!(checked_run(r2, &before, &mut table).is_empty());
+        assert_eq!(table.builds(), 4, "r0 and r2 hold one LSDB");
     }
 
     #[test]

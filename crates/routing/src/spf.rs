@@ -4,20 +4,23 @@
 //! cost field), so Dijkstra degenerates to a level-order breadth-first
 //! search: a node's distance is final the first time it is seen, and
 //! every tying predecessor sits exactly one level above it. That makes
-//! the full recompute exact with no priority queue, and no router keeps
-//! SPF state between runs.
+//! the full recompute exact with no priority queue. What a router keeps
+//! between runs is the route set it emitted and the table build it read
+//! that set out of ([`Emitted`]).
 //!
 //! All state is dense arrays indexed by `NodeId::index()`. A node's ECMP
 //! first-hop set is a bit mask over the root's usable interfaces; ties
 //! union masks with `|=`, and a mask is complete when its node is
 //! dequeued because BFS settles level *d* before it expands level
-//! *d + 1*. That tree feeds two emitters: [`compute_routes`] writes the
-//! whole table, `emit_delta` merges the tree into the route set a router
-//! last emitted and writes only what changed. `emit_delta` reads its tree
-//! out of an [`SpfTable`] instead of searching: per-network state, one
-//! BFS per prefix origin for each LSDB snapshot the routers hold. Both
-//! emitters write each distinct next-hop set once and share it among
-//! the routes that have it.
+//! *d + 1*. That tree feeds [`compute_routes`], which writes the whole
+//! table. `emit_delta` searches nothing: it reads each origin's metric and
+//! mask out of an [`SpfTable`] — per-network state, one BFS per prefix
+//! origin for each LSDB snapshot the routers hold — merges them into the
+//! route set a router last emitted and writes only what changed. The
+//! table stamps each row with the build it last changed at, so a run
+//! re-derives only the origins whose rows changed since the router's
+//! last one. Both emitters write each distinct next-hop set once and
+//! share it among the routes that have it.
 //!
 //! [`Adjacency`]: crate::Adjacency
 
@@ -42,33 +45,88 @@ const FAR: u16 = u16::MAX; // `UNREACHED` in an `SpfTable`
 /// check, which keeps SPF off half-dead links.
 pub fn compute_routes(lsdb: &Lsdb, root: NodeId) -> Vec<Route> {
     let tree = SpfTree::build(lsdb, root);
-    let listed = tree.listed(lsdb);
     let mut sets = Sets::default();
-    listed
+    tree.listed(lsdb)
         .into_iter()
-        .map(|want| tree.route(want, &mut sets))
+        .map(|(prefix, want)| route(&tree.ifaces, prefix, want, &mut sets))
         .collect()
 }
 
-/// Runs SPF for `root` and merges its result into `emitted` — the
-/// prefix-sorted route set the previous run left behind — returning the
-/// delta between the two. Equal, op for op, to [`FibDelta::diff`] of
-/// `emitted` against [`compute_routes`] keyed by prefix (removes and
-/// changed routes in ascending prefix order, then new routes in ascending
-/// prefix order), without building the table: a prefix whose route did not
-/// change costs one comparison against the tree and allocates nothing.
-/// The tree comes out of `table`, rebuilt first unless it holds `lsdb`.
+/// What a router's SPF runs leave behind: the route set the last one
+/// emitted, sorted by prefix, and the table build it was read out of.
+#[derive(Default)]
+pub(crate) struct Emitted {
+    routes: Vec<Route>,
+    /// The table's identity and its build count at that run; `None`
+    /// before the first.
+    from: Option<(Arc<()>, u64)>,
+}
+
+/// Runs SPF for `root` and merges its result into `emitted`, returning
+/// the delta between the two. Equal, op for op, to [`FibDelta::diff`] of
+/// the emitted routes against [`compute_routes`] keyed by prefix (removes
+/// and changed routes in ascending prefix order, then new routes in
+/// ascending prefix order), without building the table: a prefix whose
+/// route did not change costs one comparison against the table at most
+/// and allocates nothing. The metrics and masks come out of `table`,
+/// rebuilt first unless it holds `lsdb`, and only for the origins whose
+/// rows changed since the build `emitted` was read out of — all of them
+/// when that build is another table's, the shape changed since, or the
+/// root's own interfaces did ([`SpfTable::unchanged_since`]).
 pub(crate) fn emit_delta(
     lsdb: &Lsdb,
     root: NodeId,
     table: &mut SpfTable,
-    emitted: &mut Vec<Route>,
+    emitted: &mut Emitted,
 ) -> FibDelta {
     table.serve(lsdb);
-    let tree = SpfTree::from_table(table, root);
-    // Of two origins advertising one prefix the later stands last in the
-    // list — the one a table keyed by prefix keeps.
-    let listed = tree.listed(lsdb);
+    // `Some(b)`: every route but those of origins stamped after build `b`
+    // is as the table has it; `None`: no route is known to be.
+    let since = table.unchanged_since(emitted.from.as_ref(), root);
+    match &mut emitted.from {
+        Some((id, build)) if Arc::ptr_eq(id, &table.identity) => *build = table.builds,
+        from => *from = Some((Arc::clone(&table.identity), table.builds)),
+    }
+    let ifaces = table.adjacent(root);
+    let words = ifaces.len().div_ceil(64);
+    let n = table.snapshot.len();
+    // Each origin to re-derive, with its metric — none when it is
+    // unreached or the root (connected routes) — and its first-hop mask at
+    // `masks[j * words..]`: interface (v, l) starts a shortest path to the
+    // origin iff dist(origin, v) = m − 1 (the adjacency is two-way).
+    let stale = |changed: &u64| since.is_none_or(|build| *changed > build);
+    let count = table.row_changed.iter().filter(|c| stale(c)).count();
+    let mut metrics = Vec::with_capacity(count);
+    let mut masks = Vec::with_capacity(count * words);
+    let rows = table.dist.chunks(n.max(1)).zip(&table.row_changed);
+    for (&origin, (row, changed)) in table.origins.iter().zip(rows) {
+        if !stale(changed) {
+            continue;
+        }
+        let metric = row
+            .get(root.index())
+            .copied()
+            .filter(|&m| m != FAR && m != 0);
+        let at = masks.len();
+        masks.resize(at + words, 0);
+        if let Some(m) = metric {
+            for (i, hop) in ifaces.iter().enumerate() {
+                if let Some(word) = masks.get_mut(at + i / 64) {
+                    *word |= u64::from(row.get(hop.node.index()) == Some(&(m - 1))) << (i % 64);
+                }
+            }
+        }
+        metrics.push((origin, metric.map(u32::from)));
+    }
+    // Of two origins advertising one prefix the later reached one stands
+    // last in its run — the one a table keyed by prefix keeps.
+    let mut listed: Vec<(Prefix, Option<Want<'_>>)> = Vec::with_capacity(count);
+    for (j, &(origin, metric)) in metrics.iter().enumerate() {
+        let mask = masks.get(j * words..(j + 1) * words).unwrap_or_default();
+        let prefixes = lsdb.get(origin).into_iter().flat_map(|lsa| &lsa.prefixes);
+        listed.extend(prefixes.map(|&prefix| (prefix, metric.map(|m| (m, mask)))));
+    }
+    listed.sort_by_key(|&(prefix, want)| (prefix, want.is_some()));
     let mut desired = listed
         .iter()
         .enumerate()
@@ -78,29 +136,44 @@ pub(crate) fn emit_delta(
 
     let mut ops = Vec::new();
     let mut inserts = Vec::new();
-    let mut sets = Sets::holding(emitted);
-    emitted.retain_mut(|have| {
-        while let Some(want) = desired.next_if(|want| want.0 < have.prefix) {
-            inserts.push(tree.route(want, &mut sets));
+    // A run that writes no route needs none of the router's sets.
+    let held: &[Route] = if listed.is_empty() {
+        &[]
+    } else {
+        &emitted.routes
+    };
+    let mut sets = Sets::holding(held);
+    emitted.routes.retain_mut(|have| {
+        while let Some((prefix, want)) = desired.next_if(|want| want.0 < have.prefix) {
+            inserts.extend(want.map(|want| route(ifaces, prefix, want, &mut sets)));
         }
-        let Some((_, metric, mask)) = desired.next_if(|want| want.0 == have.prefix) else {
-            ops.push(FibOp::Remove(have.prefix));
-            return false;
-        };
-        let same = have.origin == RouteOrigin::Ospf
-            && have.metric == metric
-            && have.next_hops.iter().copied().eq(tree.hops(mask));
-        if !same {
-            *have = tree.route((have.prefix, metric, mask), &mut sets);
-            ops.push(FibOp::Insert(have.clone()));
+        match desired.next_if(|want| want.0 == have.prefix) {
+            // An origin whose row did not change.
+            None if since.is_some() => true,
+            // No origin, or an unreached one, advertises the prefix.
+            None | Some((_, None)) => {
+                ops.push(FibOp::Remove(have.prefix));
+                false
+            }
+            Some((prefix, Some(want @ (metric, mask)))) => {
+                let same = have.origin == RouteOrigin::Ospf
+                    && have.metric == metric
+                    && have.next_hops.iter().copied().eq(hops(ifaces, mask));
+                if !same {
+                    *have = route(ifaces, prefix, want, &mut sets);
+                    ops.push(FibOp::Insert(have.clone()));
+                }
+                true
+            }
         }
-        true
     });
-    inserts.extend(desired.map(|want| tree.route(want, &mut sets)));
+    for (prefix, want) in desired {
+        inserts.extend(want.map(|want| route(ifaces, prefix, want, &mut sets)));
+    }
     if !inserts.is_empty() {
         // Two sorted runs with disjoint prefixes: the merge sort's best case.
-        emitted.extend(inserts.iter().cloned());
-        emitted.sort_by_key(|r| r.prefix);
+        emitted.routes.extend(inserts.iter().cloned());
+        emitted.routes.sort_by_key(|r| r.prefix);
         ops.extend(inserts.into_iter().map(FibOp::Insert));
     }
     FibDelta {
@@ -109,8 +182,33 @@ pub(crate) fn emit_delta(
     }
 }
 
-/// A route before it is written: prefix, metric, first-hop mask.
-type Listed<'a> = (Prefix, u32, &'a [u64]);
+/// A route's metric and first-hop mask, before it is written.
+type Want<'a> = (u32, &'a [u64]);
+
+/// Writes one route out, its next-hop set taken from `sets`.
+fn route<'a>(
+    ifaces: &[NextHop],
+    prefix: Prefix,
+    (metric, mask): Want<'a>,
+    sets: &mut Sets<'a>,
+) -> Route {
+    Route {
+        prefix,
+        origin: RouteOrigin::Ospf,
+        metric,
+        next_hops: sets.share(mask, hops(ifaces, mask)),
+    }
+}
+
+/// The next hops a first-hop mask over `ifaces` stands for, in next-hop
+/// order.
+fn hops<'a>(ifaces: &'a [NextHop], mask: &'a [u64]) -> impl Iterator<Item = NextHop> + 'a {
+    ifaces
+        .iter()
+        .enumerate()
+        .filter(move |(i, _)| mask.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
+        .map(|(_, hop)| *hop)
+}
 
 /// The next-hop sets a run hands out, one allocation per distinct set. A
 /// fat-tree router has about k/2 + 1 of them, so scans find them.
@@ -237,46 +335,12 @@ impl SpfTree {
         }
     }
 
-    /// The tree of `root` as `table` knows it, for the prefix origins
-    /// [`Self::listed`] reads: the metric is the origin's distance `m` to
-    /// the root, and the root's interface to `n` starts a shortest path to
-    /// it iff dist(origin, n) = m − 1 (the adjacency is two-way).
-    fn from_table(table: &SpfTable, root: NodeId) -> SpfTree {
-        let ifaces = table.adjacent(root).to_vec();
-        let (n, words) = (table.snapshot.len(), ifaces.len().div_ceil(64));
-        let mut dist = vec![UNREACHED; n];
-        let mut masks = vec![0u64; n * words];
-        for (origin, row) in table.origins.iter().zip(table.dist.chunks(n.max(1))) {
-            // 0: the root's own prefixes, connected routes.
-            let Some(&m) = row.get(root.index()).filter(|&&m| m != FAR && m != 0) else {
-                continue;
-            };
-            let at = origin.index();
-            let span = at * words..(at + 1) * words;
-            if let (Some(d), Some(mask)) = (dist.get_mut(at), masks.get_mut(span)) {
-                *d = u32::from(m);
-                for (i, hop) in ifaces.iter().enumerate() {
-                    if let Some(word) = mask.get_mut(i / 64) {
-                        *word |= u64::from(row.get(hop.node.index()) == Some(&(m - 1))) << (i % 64);
-                    }
-                }
-            }
-        }
-        SpfTree {
-            ifaces,
-            root,
-            words,
-            dist,
-            masks,
-        }
-    }
-
     /// Every route the LSDB gives rise to, in table order: by prefix, and
     /// within one prefix in LSDB (origin) order — the sort is stable.
     /// The root's own LSA (connected routes), LSAs without prefixes and
     /// unreachable origins list nothing.
-    fn listed<'a>(&'a self, lsdb: &'a Lsdb) -> Vec<Listed<'a>> {
-        let mut listed: Vec<Listed<'a>> = lsdb
+    fn listed<'a>(&'a self, lsdb: &'a Lsdb) -> Vec<(Prefix, Want<'a>)> {
+        let mut listed: Vec<(Prefix, Want<'a>)> = lsdb
             .iter()
             .filter(|lsa| lsa.origin != self.root)
             .filter_map(|lsa| {
@@ -286,32 +350,13 @@ impl SpfTree {
                 Some(
                     lsa.prefixes
                         .iter()
-                        .map(move |&prefix| (prefix, metric, mask)),
+                        .map(move |&prefix| (prefix, (metric, mask))),
                 )
             })
             .flatten()
             .collect();
         listed.sort_by_key(|&(prefix, ..)| prefix);
         listed
-    }
-
-    /// Writes one listed route out, its next-hop set taken from `sets`.
-    fn route<'a>(&self, (prefix, metric, mask): Listed<'a>, sets: &mut Sets<'a>) -> Route {
-        Route {
-            prefix,
-            origin: RouteOrigin::Ospf,
-            metric,
-            next_hops: sets.share(mask, self.hops(mask)),
-        }
-    }
-
-    /// The next hops a first-hop mask stands for, in next-hop order.
-    fn hops<'a>(&'a self, mask: &'a [u64]) -> impl Iterator<Item = NextHop> + 'a {
-        self.ifaces
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| mask.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
-            .map(|(_, hop)| *hop)
     }
 }
 
@@ -328,17 +373,34 @@ impl SpfTree {
 /// same content in another allocation). It keeps those `Arc`s, so no
 /// address it compares can be freed and reused by another LSA. Distances
 /// are `u16`: a node more than 65 534 hops out counts as unreachable.
+///
+/// **Row stamps.** A rebuild stamps each origin's distance row and each
+/// node's interface list with the build it last differed from the build
+/// before at, and a change of shape — the node count, an origin's prefix
+/// list, one prefix advertised twice — stamps all of them. A row stamped
+/// at or before build `b` has held the same values since `b`, so a run
+/// that last read this table at `b` re-derives only the origins stamped
+/// after it.
 #[derive(Default)]
 pub struct SpfTable {
+    /// The table's identity: a stamp taken from another table names
+    /// another allocation, however many builds that table has had.
+    identity: Arc<()>,
     /// The LSDB slots the table was built from.
     snapshot: Vec<Option<Arc<Lsa>>>,
     /// Node `u`'s [`usable`] interfaces: `adjacent[start[u]..start[u + 1]]`.
     start: Vec<usize>,
     adjacent: Vec<NextHop>,
+    /// Per node: the build its `adjacent` row last changed at.
+    adjacent_changed: Vec<u64>,
     /// The prefix origins in LSDB order; origin `i`'s distance to node `v`
     /// is `dist[i * snapshot.len() + v]`.
     origins: Vec<NodeId>,
     dist: Vec<u16>,
+    /// Per origin: the build its `dist` row last changed at.
+    row_changed: Vec<u64>,
+    /// The build the shape last changed at.
+    reshaped: u64,
     builds: u64,
 }
 
@@ -349,7 +411,8 @@ impl SpfTable {
     }
 
     /// Makes the table describe `lsdb`: kept when every slot is the `Arc`
-    /// it was built from, rebuilt otherwise.
+    /// it was built from, rebuilt otherwise, each row searched into one
+    /// scratch row and stamped if it differs from the row it replaces.
     fn serve(&mut self, lsdb: &Lsdb) {
         let slots = lsdb.slots();
         let same = self.snapshot.len() == slots.len()
@@ -361,27 +424,55 @@ impl SpfTable {
             return;
         }
         self.builds += 1;
+        let build = self.builds;
+        fn prefixes(slot: &Option<Arc<Lsa>>) -> &[Prefix] {
+            slot.as_deref().map_or(&[], |lsa| &lsa.prefixes)
+        }
+        if self.snapshot.len() != slots.len()
+            || self
+                .snapshot
+                .iter()
+                .zip(slots)
+                .any(|(have, want)| prefixes(have) != prefixes(want))
+            || advertised_twice(lsdb)
+        {
+            self.reshaped = build;
+        }
+        let reshaped = self.reshaped == build;
         self.snapshot.clear();
-        self.snapshot.extend_from_slice(lsdb.slots());
-        self.start.clear();
-        self.start.push(0);
-        self.adjacent.clear();
+        self.snapshot.extend_from_slice(slots);
+        let n = self.snapshot.len();
+
+        let mut start = Vec::with_capacity(n + 1);
+        let mut adjacent = Vec::with_capacity(self.adjacent.len());
+        start.push(0);
+        self.adjacent_changed.resize(n, build);
         self.origins.clear();
-        for lsa in &self.snapshot {
+        let nodes = self.snapshot.iter().zip(&mut self.adjacent_changed);
+        for (u, (lsa, changed)) in nodes.enumerate() {
+            let from = adjacent.len();
             if let Some(lsa) = lsa {
-                self.adjacent.extend(usable(lsdb, lsa.origin));
+                adjacent.extend(usable(lsdb, lsa.origin));
                 if !lsa.prefixes.is_empty() {
                     self.origins.push(lsa.origin);
                 }
             }
-            self.start.push(self.adjacent.len());
+            if reshaped || adjacent.get(from..) != Some(csr_row(&self.start, &self.adjacent, u)) {
+                *changed = build;
+            }
+            start.push(adjacent.len());
         }
-        let n = self.snapshot.len();
+        self.start = start;
+        self.adjacent = adjacent;
+
         let mut dist = std::mem::take(&mut self.dist);
-        dist.clear();
         dist.resize(self.origins.len() * n, FAR);
+        self.row_changed.resize(self.origins.len(), build);
+        let mut row = vec![FAR; n];
         let mut queue = Vec::with_capacity(n);
-        for (&origin, row) in self.origins.iter().zip(dist.chunks_mut(n.max(1))) {
+        let rows = dist.chunks_mut(n.max(1)).zip(&mut self.row_changed);
+        for (&origin, (have, changed)) in self.origins.iter().zip(rows) {
+            row.fill(FAR);
             queue.clear();
             queue.push(origin);
             if let Some(d) = row.get_mut(origin.index()) {
@@ -393,24 +484,57 @@ impl SpfTable {
                 let Some(next) = row.get(u.index()).map(|d| d + 1).filter(|d| *d != FAR) else {
                     continue; // 65 534 hops out: the rest stays unreached
                 };
-                for hop in self.adjacent(u) {
+                for hop in csr_row(&self.start, &self.adjacent, u.index()) {
                     if let Some(d) = row.get_mut(hop.node.index()).filter(|d| **d == FAR) {
                         *d = next;
                         queue.push(hop.node);
                     }
                 }
             }
+            if reshaped || *have != *row {
+                have.copy_from_slice(&row);
+                *changed = build;
+            }
         }
         self.dist = dist;
     }
 
+    /// The build `from` names, if every route it left whose origin's row
+    /// has not changed since is still what the table makes of it at
+    /// `root`: `from` is this table's, and neither the shape nor `root`'s
+    /// interfaces changed after it.
+    fn unchanged_since(&self, from: Option<&(Arc<()>, u64)>, root: NodeId) -> Option<u64> {
+        let (identity, build) = from?;
+        let ifaces = self.adjacent_changed.get(root.index())?;
+        (Arc::ptr_eq(identity, &self.identity) && self.reshaped <= *build && ifaces <= build)
+            .then_some(*build)
+    }
+
     /// `u`'s usable interfaces, sorted.
     fn adjacent(&self, u: NodeId) -> &[NextHop] {
-        match self.start.get(u.index()..u.index() + 2) {
-            Some(&[from, to]) => self.adjacent.get(from..to).unwrap_or_default(),
-            _ => &[],
-        }
+        csr_row(&self.start, &self.adjacent, u.index())
     }
+}
+
+/// Row `u` of the compressed sparse rows `adjacent[start[u]..start[u + 1]]`.
+fn csr_row<'a>(start: &[usize], adjacent: &'a [NextHop], u: usize) -> &'a [NextHop] {
+    match start.get(u..u + 2) {
+        Some(&[from, to]) => adjacent.get(from..to).unwrap_or_default(),
+        _ => &[],
+    }
+}
+
+/// Whether one prefix is advertised twice: which route it gets then hangs
+/// on more than one row.
+fn advertised_twice(lsdb: &Lsdb) -> bool {
+    let mut prefixes: Vec<Prefix> = lsdb
+        .iter()
+        .flat_map(|lsa| lsa.prefixes.iter().copied())
+        .collect();
+    prefixes.sort_unstable();
+    prefixes
+        .windows(2)
+        .any(|pair| matches!(pair, [a, b] if a == b))
 }
 
 impl fmt::Debug for SpfTable {
@@ -456,7 +580,7 @@ fn advertises(lsdb: &Lsdb, from: NodeId, to: NodeId, link: LinkId) -> bool {
 mod tests {
     use super::*;
     use crate::lsdb::{Adjacency, Lsa};
-    use dcn_net::{LinkId, Prefix};
+    use dcn_net::{Ipv4Addr, LinkId, Prefix};
 
     fn adj(n: u32, l: u32) -> Adjacency {
         Adjacency {
@@ -615,5 +739,79 @@ mod tests {
             [LinkId::new(7)],
             "link 8 is advertised by one end only"
         );
+    }
+
+    /// Root 0 over nodes 1 and 2 to three origins, 3, 4 and 5, each
+    /// attached to both: 3 over links 2 and 3, 4 over 4 and 5, 5 over 6
+    /// and 7. `dropped` is a link neither end advertises.
+    fn two_tier(db: &mut Lsdb, seq: u64, dropped: Option<u32>) {
+        let links: [(u32, u32, u32); 8] = [
+            (0, 1, 0),
+            (0, 2, 1),
+            (3, 1, 2),
+            (3, 2, 3),
+            (4, 1, 4),
+            (4, 2, 5),
+            (5, 1, 6),
+            (5, 2, 7),
+        ];
+        for node in 0..6 {
+            let neighbors = links
+                .iter()
+                .filter(|&&(.., l)| Some(l) != dropped)
+                .filter_map(|&(a, b, l)| match node {
+                    _ if node == a => Some(adj(b, l)),
+                    _ if node == b => Some(adj(a, l)),
+                    _ => None,
+                })
+                .collect();
+            let prefixes = match node {
+                3.. => vec![Prefix::truncating(Ipv4Addr::new(10, 11, node as u8, 0), 24)],
+                _ => vec![],
+            };
+            db.install(Lsa {
+                origin: NodeId::new(node),
+                seq,
+                neighbors,
+                prefixes,
+            });
+        }
+    }
+
+    /// Link 3 (3–2) fails: only origin 3's distances change (its
+    /// distance to node 2, 1 → 3), so the run rewrites its route alone and
+    /// every other route keeps its next-hop allocation.
+    #[test]
+    fn a_run_rewrites_only_the_routes_of_changed_rows() {
+        let root = NodeId::new(0);
+        let (mut db, mut table, mut emitted) =
+            (Lsdb::new(), SpfTable::default(), Emitted::default());
+        two_tier(&mut db, 1, None);
+        emit_delta(&db, root, &mut table, &mut emitted);
+        let before = emitted.routes.clone();
+        assert_eq!(before, compute_routes(&db, root));
+
+        two_tier(&mut db, 2, Some(3));
+        let delta = emit_delta(&db, root, &mut table, &mut emitted);
+        let stamped: Vec<NodeId> = table
+            .origins
+            .iter()
+            .zip(&table.row_changed)
+            .filter(|&(_, &build)| build == table.builds())
+            .map(|(&origin, _)| origin)
+            .collect();
+        assert_eq!(stamped, [NodeId::new(3)], "one row changed");
+        let after = compute_routes(&db, root);
+        assert_eq!(emitted.routes, after);
+        assert_eq!(delta.ops, [FibOp::Insert(after[0].clone())]);
+        assert_eq!(after[0].next_hops.len(), 1, "only the 1-arm is left");
+        for (old, new) in before.iter().zip(&emitted.routes).skip(1) {
+            assert_eq!(old.prefix, new.prefix);
+            assert!(
+                Arc::ptr_eq(&old.next_hops, &new.next_hops),
+                "{} rewritten",
+                new.prefix
+            );
+        }
     }
 }

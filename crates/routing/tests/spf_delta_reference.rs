@@ -113,10 +113,27 @@ fn random_lsa(rng: &mut TestRng, origin: u32, seq: u64, keep: u64) -> Arc<Lsa> {
     })
 }
 
+/// `lsa`, advertising its origin's own prefix instead of pool prefixes
+/// when `own` is set: then no prefix is advertised twice and no LSA
+/// changes a prefix list, so the table's shape holds and a run re-derives
+/// only the origins whose distances changed.
+fn own_prefix(lsa: Arc<Lsa>, own: bool) -> Arc<Lsa> {
+    if !own {
+        return lsa;
+    }
+    let at = Ipv4Addr::new(10, 20, lsa.origin.as_u32() as u8, 0);
+    Arc::new(Lsa {
+        prefixes: vec![Prefix::truncating(at, 24)],
+        ..Lsa::clone(&lsa)
+    })
+}
+
 /// The router under test plus the reference's memory of the table the
 /// last run (an SPF run or a controller push) left behind.
 struct Harness {
     router: RouterProcess,
+    /// Every remote origin advertises one prefix of its own ([`own_prefix`]).
+    own_prefixes: bool,
     spf: SpfTable,
     table: BTreeMap<Prefix, Route>,
     now: SimTime,
@@ -127,7 +144,7 @@ struct Harness {
 }
 
 impl Harness {
-    fn new(rng: &mut TestRng) -> Self {
+    fn new(rng: &mut TestRng, own_prefixes: bool) -> Self {
         let mut router = RouterProcess::new(
             ROOT,
             RouterConfig::default(),
@@ -135,11 +152,14 @@ impl Harness {
             vec!["10.13.0.0/24".parse().unwrap()],
         );
         let own = router.originate_lsa();
-        let lsas: Vec<Arc<Lsa>> = (1..NODES).map(|o| random_lsa(rng, o, 1, 7)).collect();
+        let lsas: Vec<Arc<Lsa>> = (1..NODES)
+            .map(|o| own_prefix(random_lsa(rng, o, 1, 7), own_prefixes))
+            .collect();
         let mut spf = SpfTable::default();
         router.bootstrap(lsas.into_iter().chain([own]), &mut spf);
         let mut harness = Harness {
             router,
+            own_prefixes,
             spf,
             table: BTreeMap::new(),
             now: SimTime::ZERO,
@@ -221,7 +241,7 @@ impl Harness {
                 let origin = 1 + rng.next_below(u64::from(NODES) - 1) as u32;
                 let keep = 2 + rng.next_below(7);
                 let lsa = random_lsa(rng, origin, self.seq, keep);
-                self.lsa(lsa);
+                self.lsa(own_prefix(lsa, self.own_prefixes));
             }
             5 | 6 => {
                 let link = LinkId::new(rng.next_below(4) as u32);
@@ -242,7 +262,8 @@ impl Harness {
                     if rng.next_below(2) == 0 {
                         self.seq += 1;
                         let keep = 2 + rng.next_below(7);
-                        reports.push(random_lsa(rng, origin, self.seq, keep));
+                        let lsa = random_lsa(rng, origin, self.seq, keep);
+                        reports.push(own_prefix(lsa, self.own_prefixes));
                     }
                 }
                 self.now += SimDuration::from_millis(250);
@@ -261,12 +282,28 @@ proptest! {
     #[test]
     fn every_emitted_delta_is_the_diff_of_two_successive_tables(walk: u32, steps in 8usize..60) {
         let mut rng = TestRng::for_case(walk);
-        let mut harness = Harness::new(&mut rng);
+        let mut harness = Harness::new(&mut rng, false);
         for _ in 0..steps {
             harness.random_step(&mut rng);
         }
         harness.spf();
         // An unchanged LSDB emits the empty delta.
+        prop_assert_eq!(harness.spf(), 0);
+    }
+
+    /// The same walk with one prefix per origin: most runs re-derive only
+    /// the origins whose rows changed.
+    #[test]
+    fn every_delta_of_a_walk_with_one_prefix_per_origin_is_the_diff_of_two_successive_tables(
+        walk: u32,
+        steps in 8usize..60,
+    ) {
+        let mut rng = TestRng::for_case(walk);
+        let mut harness = Harness::new(&mut rng, true);
+        for _ in 0..steps {
+            harness.random_step(&mut rng);
+        }
+        harness.spf();
         prop_assert_eq!(harness.spf(), 0);
     }
 }
@@ -280,7 +317,7 @@ fn the_random_walk_emits_every_kind_of_op() {
     let (mut removes, mut rewrites, mut inserts, mut mixed, mut pushed) = (0, 0, 0, 0, 0);
     for case in 0..64 {
         let mut rng = TestRng::for_case(case);
-        let mut harness = Harness::new(&mut rng);
+        let mut harness = Harness::new(&mut rng, false);
         for _ in 0..40 {
             let before = harness.table.clone();
             harness.random_step(&mut rng);
@@ -313,7 +350,7 @@ fn the_random_walk_emits_every_kind_of_op() {
 #[test]
 fn of_two_origins_advertising_one_prefix_the_later_wins() {
     let mut rng = TestRng::for_case(0);
-    let mut harness = Harness::new(&mut rng);
+    let mut harness = Harness::new(&mut rng, false);
     let shared: Prefix = "10.11.9.0/24".parse().unwrap();
     let lsa = |origin: u32, seq, prefixes| {
         Arc::new(Lsa {
@@ -355,7 +392,7 @@ fn of_two_origins_advertising_one_prefix_the_later_wins() {
 #[test]
 fn a_router_that_loses_every_interface_removes_every_route() {
     let mut rng = TestRng::for_case(1);
-    let mut harness = Harness::new(&mut rng);
+    let mut harness = Harness::new(&mut rng, false);
     for origin in 1..NODES {
         let lsa = random_lsa(&mut rng, origin, 50, 8);
         harness.lsa(lsa);
@@ -790,9 +827,11 @@ fn assert_every_fib_is_spf(routers: &[Option<RouterProcess>], context: &str) {
 /// failure detected at both ends and flooded everywhere, then every
 /// router's SPF run through one shared table — which must build once for
 /// the warm start and once for the failure — leaves its FIB holding
-/// exactly `compute_routes` of its LSDB. Release-only and `#[ignore]`d;
-/// `ci.sh` runs it beside the other two k = 16 oracles. Link failures are
-/// spread over the available cores.
+/// exactly `compute_routes` of its LSDB; so does the repair after it,
+/// detected, flooded and run the same way, a third build whose changed
+/// rows change back. Release-only and `#[ignore]`d; `ci.sh` runs it
+/// beside the other two k = 16 oracles. Link failures are spread over
+/// the available cores.
 #[test]
 #[ignore = "a minute in release, far longer in debug; run by ci.sh"]
 fn k16_every_router_every_single_link_failure_through_one_table() {
@@ -818,49 +857,56 @@ fn k16_every_router_every_single_link_failure_through_one_table() {
             for share in links.chunks(links.len().div_ceil(workers)) {
                 scope.spawn(move || {
                     for &link in share {
-                        let context = format!("k=16 {name} minus {link}");
                         let mut spf = SpfTable::default();
                         let mut routers = fabric_routers(topo, &mut spf);
-                        let now = SimTime::ZERO + SimDuration::from_millis(100);
-                        let mut actions = Vec::new();
-                        let (a, b) = topo.link(link).endpoints();
-                        for end in [a, b] {
-                            let router = routers[end.index()].as_mut().unwrap();
-                            router.on_link_detected(now, link, false, &mut actions);
-                        }
-                        let floods: Vec<Arc<Lsa>> = actions
-                            .drain(..)
-                            .filter_map(|action| match action {
-                                RouterAction::FloodLsa { lsa, .. } => Some(lsa),
-                                _ => None,
-                            })
-                            .collect();
-                        for router in routers.iter_mut().flatten() {
-                            for lsa in &floods {
-                                router.on_lsa(now, Arc::clone(lsa), link, &mut actions);
+                        let mut snapshots = 1;
+                        for (up, ms, event) in [(false, 100, "minus"), (true, 1_000, "repairing")] {
+                            let context = format!("k=16 {name} {event} {link}");
+                            let now = SimTime::ZERO + SimDuration::from_millis(ms);
+                            let mut actions = Vec::new();
+                            let (a, b) = topo.link(link).endpoints();
+                            for end in [a, b] {
+                                let router = routers[end.index()].as_mut().unwrap();
+                                router.on_link_detected(now, link, up, &mut actions);
                             }
-                        }
-                        for router in routers.iter_mut().flatten() {
-                            // A passive link's failure stays local: no
-                            // flood, no run, nothing to re-check.
-                            let Some(at) = router.throttle().scheduled() else {
-                                assert!(floods.is_empty(), "{context}: unscheduled router");
-                                continue;
-                            };
-                            actions.clear();
-                            router.on_spf_timer(at, &mut spf, &mut actions);
-                            for action in actions.drain(..) {
-                                if let RouterAction::Install {
-                                    generation, delta, ..
-                                } = action
-                                {
-                                    router.on_install(generation, delta);
+                            let floods: Vec<Arc<Lsa>> = actions
+                                .drain(..)
+                                .filter_map(|action| match action {
+                                    RouterAction::FloodLsa { lsa, .. } => Some(lsa),
+                                    _ => None,
+                                })
+                                .collect();
+                            for router in routers.iter_mut().flatten() {
+                                for lsa in &floods {
+                                    router.on_lsa(now, Arc::clone(lsa), link, &mut actions);
                                 }
                             }
+                            for router in routers.iter_mut().flatten() {
+                                // A passive link's failure stays local: no
+                                // flood, no run, nothing to re-check.
+                                let Some(at) = router.throttle().scheduled() else {
+                                    assert!(floods.is_empty(), "{context}: unscheduled router");
+                                    continue;
+                                };
+                                actions.clear();
+                                router.on_spf_timer(at, &mut spf, &mut actions);
+                                for action in actions.drain(..) {
+                                    if let RouterAction::Install {
+                                        generation, delta, ..
+                                    } = action
+                                    {
+                                        router.on_install(generation, delta);
+                                    }
+                                }
+                            }
+                            snapshots += u64::from(!floods.is_empty());
+                            assert_eq!(spf.builds(), snapshots, "{context}");
+                            assert_every_fib_is_spf(&routers, &context);
                         }
-                        let snapshots = if floods.is_empty() { 1 } else { 2 };
-                        assert_eq!(spf.builds(), snapshots, "{context}");
-                        assert_every_fib_is_spf(&routers, &context);
+                        assert!(
+                            [1, 3].contains(&snapshots),
+                            "k=16 {name} {link}: a flap floods at both edges or neither"
+                        );
                     }
                 });
             }
