@@ -24,7 +24,9 @@
 #    fabric-link failure of the k=16 F²Tree (~2 min on 2 cores; hopeless
 #    in a debug build), every router's routes read out of one shared
 #    SpfTable vs its own compute_routes after every single fabric-link
-#    failure of the k=16 fat tree and F²Tree (~1 min on 2 cores), and
+#    failure of the k=16 fat tree and F²Tree and again after its repair,
+#    when only the rows that changed are re-derived (~1.5 min on 2
+#    cores), and
 #    the failure map vs the loop nest it replaced on the k=16 fat tree
 #    and F²Tree, intact and damaged (< 1 s), the `repro fig6seeds
 #    --quick` golden (about 14 s in a debug build, 1 s in release), and

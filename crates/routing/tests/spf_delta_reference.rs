@@ -905,7 +905,7 @@ fn k16_every_router_every_single_link_failure_through_one_table() {
                         }
                         assert!(
                             [1, 3].contains(&snapshots),
-                            "k=16 {name} {link}: a flap floods at both edges or neither"
+                            "k=16 {name} {link}: failure and repair flood alike"
                         );
                     }
                 });
