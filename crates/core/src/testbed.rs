@@ -10,7 +10,7 @@
 //! two for a `k`-port fat tree.
 
 use dcn_emu::{EmuConfig, FlowId, Hop, Network};
-use dcn_failure::{condition_links, Condition, ScenarioContext};
+use dcn_failure::Condition;
 use dcn_net::{
     AddressingError, FatTree, Layer, LinkId, NodeId, PodRing, Protocol, Topology, TopologyError,
 };
@@ -238,9 +238,10 @@ impl TestBed {
         })
     }
 
-    /// The path anatomy of a probe flow: destination ToR, the aggregation
-    /// switch on its downward path (`Sx`), and the core on the path — the
-    /// last three switches its walk leaves.
+    /// The path anatomy of a probe flow: the last three switches its walk
+    /// leaves — the destination ToR, the aggregation switch on its
+    /// downward path (`Sx`) and the core — and the two links it takes out
+    /// of `Sx` and the core.
     ///
     /// # Panics
     ///
@@ -248,58 +249,77 @@ impl TestBed {
     pub fn path_anatomy(&self, probe: FlowId) -> PathAnatomy {
         let mut hops = Vec::new();
         self.net.walk_flow(probe, &mut hops);
-        let n = hops.len();
-        assert!(n >= 5, "expected an inter-pod path, got {hops:?}");
-        let nth_last = |i: usize| hops[n - i].node;
-        let (dest_tor, path_agg, path_core) = (nth_last(1), nth_last(2), nth_last(3));
-        assert_eq!(self.topology().node(dest_tor).layer(), Some(Layer::Tor));
-        assert_eq!(self.topology().node(path_agg).layer(), Some(Layer::Agg));
-        assert_eq!(self.topology().node(path_core).layer(), Some(Layer::Core));
+        let [_, _, .., core, agg, tor] = hops.as_slice() else {
+            panic!("expected an inter-pod path, got {hops:?}");
+        };
+        let layer = |hop: &Hop| self.topology().node(hop.node).layer();
+        assert_eq!(layer(tor), Some(Layer::Tor));
+        assert_eq!(layer(agg), Some(Layer::Agg));
+        assert_eq!(layer(core), Some(Layer::Core));
         PathAnatomy {
-            dest_tor,
-            path_agg,
-            path_core,
+            dest_tor: tor.node,
+            path_agg: agg.node,
+            path_core: core.node,
+            down_link: agg.link,
+            core_link: core.link,
         }
     }
 
-    /// The link a probe's walk takes **down** out of the last node at
-    /// `layer` it leaves. With `Layer::Agg` this is the agg→ToR link on
-    /// the downward path — the link the paper's testbed experiment fails.
-    ///
-    /// Returns `None` if the walk leaves no node at `layer`.
-    pub fn probe_path_link(&self, probe: FlowId, layer: Layer) -> Option<LinkId> {
-        let mut hops = Vec::new();
-        self.net.walk_flow(probe, &mut hops)?;
-        let at_layer = |hop: &&Hop| self.topology().node(hop.node).layer() == Some(layer);
-        hops.iter().rev().find(at_layer).map(|hop| hop.link)
-    }
-
-    /// Resolves a Table IV condition to concrete links for a probe.
+    /// Resolves a Table IV condition to the links its cell fails, in the
+    /// order it fails them. C1 and C2 are the links the probe's walk takes
+    /// out of `Sx` and the core; C4, C5 and C7 add the links down to the
+    /// destination ToR from `Sx`'s neighbours in pod order; C6 and C7 the
+    /// right across link of the pod's ring (Fig. 3).
     ///
     /// # Panics
     ///
-    /// Panics if the condition cannot be resolved (e.g. C6/C7 on a fat
-    /// tree).
+    /// Panics if the condition cannot be resolved: C6/C7 on a bed whose
+    /// destination pod has no across ring, such as a fat tree.
     pub fn scenario_links(&self, anatomy: &PathAnatomy, condition: Condition) -> Vec<LinkId> {
-        let dest_pod = self
-            .topology()
-            .node(anatomy.path_agg)
-            .pod()
-            .expect("agg has a pod");
-        let pod_aggs = self.topology().pods(Layer::Agg)[dest_pod.index()].clone();
-        let agg_ring = self
-            .agg_rings
-            .iter()
-            .find(|r| r.position(anatomy.path_agg).is_some());
-        let ctx = ScenarioContext {
-            topo: self.topology(),
-            dest_tor: anatomy.dest_tor,
-            path_agg: anatomy.path_agg,
-            path_core: anatomy.path_core,
-            pod_aggs,
-            agg_ring,
+        self.resolve(anatomy, condition)
+            .expect("the condition resolves on this bed (C6 and C7 need an across ring)")
+    }
+
+    /// [`TestBed::scenario_links`], or `None` if a link it names is missing.
+    fn resolve(&self, anatomy: &PathAnatomy, condition: Condition) -> Option<Vec<LinkId>> {
+        let topo = self.topology();
+        let PathAnatomy {
+            dest_tor: tor,
+            path_agg: sx,
+            down_link,
+            core_link,
+            ..
+        } = *anatomy;
+        let aggs = topo.pods(Layer::Agg).get(topo.node(sx).pod()?.index())?;
+        let n = aggs.len();
+        let i = aggs.iter().position(|&agg| agg == sx)?;
+        let right = *aggs.get((i + 1) % n)?;
+        let left = *aggs.get((i + n - 1) % n)?;
+        // An agg's link down to the destination ToR: Sx's is the walk's.
+        let down = |agg: NodeId| {
+            if agg == sx {
+                Some(down_link)
+            } else {
+                topo.link_between(agg, tor)
+            }
         };
-        condition_links(&ctx, condition).expect("condition resolvable")
+        let across = |agg: NodeId| {
+            let ring = self.agg_rings.iter().find(|r| r.position(sx).is_some())?;
+            ring.right(agg, 1).map(|(_, link)| link)
+        };
+        Some(match condition {
+            Condition::C1 => vec![down_link],
+            Condition::C2 => vec![core_link],
+            Condition::C3 => vec![down_link, core_link],
+            Condition::C4 => vec![down_link, down(right)?],
+            Condition::C5 => aggs
+                .iter()
+                .filter(|&&agg| agg != left)
+                .map(|&agg| down(agg))
+                .collect::<Option<_>>()?,
+            Condition::C6 => vec![down_link, across(sx)?],
+            Condition::C7 => vec![down_link, down(right)?, across(right)?],
+        })
     }
 
     /// All switch-to-switch links (the candidate set for random failure
@@ -319,6 +339,11 @@ pub struct PathAnatomy {
     pub path_agg: NodeId,
     /// The core switch on the path.
     pub path_core: NodeId,
+    /// The link the walk takes from `Sx` down to the destination ToR:
+    /// C1's link.
+    pub down_link: LinkId,
+    /// The link the walk takes from the core down to `Sx`: C2's link.
+    pub core_link: LinkId,
 }
 
 #[cfg(test)]
@@ -346,40 +371,72 @@ mod tests {
         assert!(std::error::Error::source(&err).is_some());
     }
 
-    #[test]
-    fn path_anatomy_finds_the_downward_path() {
-        let mut bed = TestBed::build(Design::F2Tree, 8, 4).expect("valid k");
+    /// A k = 8 bed with four hosts per rack (Fig. 4's) and the anatomy of
+    /// its UDP probe's path.
+    fn probed(design: Design) -> (TestBed, PathAnatomy) {
+        let mut bed = TestBed::build(design, 8, 4).expect("valid k");
         let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
         let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
         let anatomy = bed.path_anatomy(probe);
+        (bed, anatomy)
+    }
+
+    /// Whether `link` joins `a` and `b`, either way round.
+    fn joins(bed: &TestBed, link: LinkId, a: NodeId, b: NodeId) -> bool {
+        let ends = bed.topology().link(link).endpoints();
+        ends == (a, b) || ends == (b, a)
+    }
+
+    /// `Sx`'s neighbours in its pod's order: (left, right).
+    fn pod_neighbours(bed: &TestBed, anatomy: &PathAnatomy) -> (NodeId, NodeId) {
+        let pod = bed
+            .topology()
+            .node(anatomy.path_agg)
+            .pod()
+            .expect("aggs sit in pods");
+        let aggs = &bed.topology().pods(Layer::Agg)[pod.index()];
+        let i = aggs
+            .iter()
+            .position(|&a| a == anatomy.path_agg)
+            .expect("Sx is a pod agg");
+        let n = aggs.len();
+        (aggs[(i + n - 1) % n], aggs[(i + 1) % n])
+    }
+
+    #[test]
+    fn path_anatomy_finds_the_downward_path() {
+        let (bed, anatomy) = probed(Design::F2Tree);
         assert!(bed
             .topology()
             .link_between(anatomy.path_agg, anatomy.dest_tor)
             .is_some());
     }
 
+    /// Each link the anatomy records joins the two anatomy nodes it runs
+    /// between.
     #[test]
     fn probe_path_link_matches_the_anatomy() {
-        let mut bed = TestBed::build(Design::F2Tree, 8, 4).expect("valid k");
-        let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
-        let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
-        let anatomy = bed.path_anatomy(probe);
-        assert_eq!(
-            bed.probe_path_link(probe, Layer::Agg),
-            bed.topology()
-                .link_between(anatomy.path_agg, anatomy.dest_tor)
-        );
-        assert_eq!(
-            bed.probe_path_link(probe, Layer::Core),
-            bed.topology()
-                .link_between(anatomy.path_core, anatomy.path_agg)
-        );
+        for design in [Design::FatTree, Design::F2Tree] {
+            let (bed, anatomy) = probed(design);
+            assert!(joins(
+                &bed,
+                anatomy.down_link,
+                anatomy.path_agg,
+                anatomy.dest_tor
+            ));
+            assert!(joins(
+                &bed,
+                anatomy.core_link,
+                anatomy.path_core,
+                anatomy.path_agg
+            ));
+        }
     }
 
     /// Aspen ⟨1, 0⟩ joins every agg–core pair by two parallel links and
-    /// the ECMP hash picks one per flow: the probe's core-layer link is
-    /// the one its walk took, not the pair's first, and failing it opens
-    /// a connectivity-loss window.
+    /// the ECMP hash picks one per flow: the anatomy's core link is the
+    /// one the probe's walk took, not the pair's first, and failing it
+    /// opens a connectivity-loss window.
     #[test]
     fn probe_path_link_is_the_parallel_link_the_walk_took() {
         use dcn_net::AspenTree;
@@ -396,8 +453,8 @@ mod tests {
             bed.net.walk_flow(probe, &mut hops);
             let core = |hop: &&Hop| bed.topology().node(hop.node).layer() == Some(Layer::Core);
             let taken = hops.iter().find(core).expect("a cross-pod walk").link;
-            let link = bed.probe_path_link(probe, Layer::Core);
-            assert_eq!(link, Some(taken), "sport {sport}");
+            let link = bed.path_anatomy(probe).core_link;
+            assert_eq!(link, taken, "sport {sport}");
             bed.net.fail_link_at(at(100), taken);
             bed.net.run_until(at(400));
             let report = bed.net.udp_probe_report(probe);
@@ -412,11 +469,67 @@ mod tests {
     }
 
     #[test]
+    fn c1_fails_exactly_the_downward_path_link() {
+        let (bed, anatomy) = probed(Design::FatTree);
+        let links = bed.scenario_links(&anatomy, Condition::C1);
+        assert_eq!(links, [anatomy.down_link]);
+        assert!(joins(&bed, links[0], anatomy.path_agg, anatomy.dest_tor));
+    }
+
+    #[test]
+    fn c3_is_the_union_of_c1_and_c2() {
+        let (bed, anatomy) = probed(Design::FatTree);
+        let c1 = bed.scenario_links(&anatomy, Condition::C1);
+        let c2 = bed.scenario_links(&anatomy, Condition::C2);
+        assert_eq!(c2, [anatomy.core_link]);
+        let c3 = bed.scenario_links(&anatomy, Condition::C3);
+        assert_eq!(c3, [c1, c2].concat());
+    }
+
+    #[test]
+    fn c4_fails_two_adjacent_downward_links() {
+        let (bed, anatomy) = probed(Design::FatTree);
+        let links = bed.scenario_links(&anatomy, Condition::C4);
+        let (_, right) = pod_neighbours(&bed, &anatomy);
+        assert_eq!(links.len(), 2);
+        assert_eq!(links[0], anatomy.down_link);
+        assert!(joins(&bed, links[1], right, anatomy.dest_tor));
+    }
+
+    #[test]
+    fn c5_spares_only_the_left_neighbor() {
+        let (bed, anatomy) = probed(Design::FatTree);
+        let links = bed.scenario_links(&anatomy, Condition::C5);
+        // k=8 pod has 4 aggs; all but one lose their ToR link.
+        assert_eq!(links.len(), 3);
+        let (spared, _) = pod_neighbours(&bed, &anatomy);
+        let spared_link = bed
+            .topology()
+            .link_between(spared, anatomy.dest_tor)
+            .unwrap();
+        assert!(!links.contains(&spared_link));
+        assert!(links.contains(&anatomy.down_link));
+    }
+
+    /// C6 and C7 fail an across link, which a fat tree lacks: resolving
+    /// them there is the documented panic.
+    #[test]
+    #[should_panic(expected = "C6 and C7 need an across ring")]
+    fn c6_panics_on_a_fat_tree() {
+        let (bed, anatomy) = probed(Design::FatTree);
+        bed.scenario_links(&anatomy, Condition::C6);
+    }
+
+    #[test]
+    #[should_panic(expected = "C6 and C7 need an across ring")]
+    fn c7_panics_on_a_fat_tree() {
+        let (bed, anatomy) = probed(Design::FatTree);
+        bed.scenario_links(&anatomy, Condition::C7);
+    }
+
+    #[test]
     fn all_conditions_resolve_on_f2tree() {
-        let mut bed = TestBed::build(Design::F2Tree, 8, 4).expect("valid k");
-        let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
-        let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
-        let anatomy = bed.path_anatomy(probe);
+        let (bed, anatomy) = probed(Design::F2Tree);
         for condition in Condition::ALL {
             let links = bed.scenario_links(&anatomy, condition);
             assert!(!links.is_empty(), "{condition} resolves");

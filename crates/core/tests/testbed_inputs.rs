@@ -10,6 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use dcn_emu::EmuConfig;
 use dcn_net::{AspenTree, LeafSpine, Vl2};
 use f2tree::{f2_leaf_spine, f2_vl2, Design, TestBed, TestBedError};
+use proptest::prelude::*;
 
 const DESIGNS: [Design; 2] = [Design::FatTree, Design::F2Tree];
 
@@ -93,6 +94,24 @@ fn small_even_fabrics_build_with_and_without_hosts() {
                 assert_eq!(bed.probe_endpoints().is_none(), hosts == 0);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Any small port count and rack size gets an answer, never a panic:
+    /// a bed exactly when `k` is even and at least 4, a `Topology` error
+    /// otherwise, and probe endpoints exactly when the racks hold hosts.
+    #[test]
+    fn every_small_scale_gets_a_typed_answer(
+        design in (0..DESIGNS.len()).prop_map(|i| DESIGNS[i]),
+        k in 0u32..=12,
+        hosts in 0u32..=3,
+    ) {
+        let what = format!("{design} k = {k}, {hosts} hosts per rack");
+        let built = check(&what, hosts, || TestBed::build(design, k, hosts));
+        prop_assert_eq!(built, k % 2 == 0 && k >= 4, "{}", what);
     }
 }
 

@@ -15,7 +15,6 @@
 //! control plane converges (fat tree, so ~270 ms):
 //!
 //! ```
-//! use dcn_net::Layer;
 //! use dcn_sim::{SimDuration, SimTime};
 //! use f2tree::{Design, TestBed};
 //!
@@ -24,8 +23,8 @@
 //! let (src, dst) = bed.probe_endpoints().ok_or("the bed has hosts")?;
 //! let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
 //!
-//! // Find the agg->ToR link on the probe's current path and fail it.
-//! let link = bed.probe_path_link(probe, Layer::Agg).unwrap();
+//! // Fail the agg->ToR link the probe's current path takes down.
+//! let link = bed.path_anatomy(probe).down_link;
 //! bed.net.fail_link_at(SimTime::ZERO + SimDuration::from_millis(380), link);
 //!
 //! bed.net.run_until(SimTime::ZERO + SimDuration::from_secs(2));

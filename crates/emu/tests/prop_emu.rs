@@ -7,7 +7,7 @@
 //! both across links of one switch, and the 3-link fourth condition).
 
 use dcn_emu::Network;
-use dcn_net::{LinkId, Topology};
+use dcn_failure::fabric_links;
 use dcn_sim::{SimDuration, SimTime};
 use f2tree::{Design, TestBed};
 use proptest::prelude::*;
@@ -18,13 +18,6 @@ fn ms(v: u64) -> SimTime {
 
 fn f2_network(k: u32) -> Network {
     TestBed::build(Design::F2Tree, k, 1).expect("valid k").net
-}
-
-fn fabric_links(topo: &Topology) -> Vec<LinkId> {
-    topo.links()
-        .filter(|l| topo.node(l.a()).kind().is_switch() && topo.node(l.b()).kind().is_switch())
-        .map(|l| l.id())
-        .collect()
 }
 
 proptest! {

@@ -16,20 +16,14 @@
 //! load symmetry on an undamaged fat tree.
 
 use dcn_emu::{EmuConfig, Network};
+use dcn_failure::fabric_links;
 use dcn_metrics::quality::{quantize, LinkLoads, QualityInput, QualityReport};
-use dcn_net::{FatTree, LeafSpine, LinkId, Topology, Vl2};
+use dcn_net::{FatTree, LeafSpine, Topology, Vl2};
 use dcn_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn ms(v: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_millis(v)
-}
-
-fn fabric_links(topo: &Topology) -> Vec<LinkId> {
-    topo.links()
-        .filter(|l| topo.node(l.a()).kind().is_switch() && topo.node(l.b()).kind().is_switch())
-        .map(|l| l.id())
-        .collect()
 }
 
 /// Independent oracle: enumerate every ECMP path recursively, splitting

@@ -14,7 +14,7 @@
 
 use dcn_emu::{ControlPlaneMode, EmuConfig, FlowId};
 use dcn_failure::Condition;
-use dcn_net::{AspenTree, FatTree, Layer, NodeId};
+use dcn_net::{AspenTree, FatTree, NodeId};
 use dcn_routing::RouterConfig;
 use dcn_sim::{SimDuration, SimTime};
 use f2tree::{rewire_fat_tree, Design, TestBed};
@@ -58,7 +58,7 @@ fn c1_loss(design: Design, config: EmuConfig) -> SimDuration {
     #[expect(clippy::expect_used, reason = "the k=8 scales used here always build")]
     let mut bed = TestBed::build_with_config(design, 8, 4, config).expect("testbed builds");
     let fail = |bed: &mut TestBed, probe, at| {
-        let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
+        let link = bed.path_anatomy(probe).down_link;
         bed.net.fail_link_at(at, link);
     };
     probe_loss(&mut bed, unpinned, 3000, fail).0
@@ -145,8 +145,8 @@ pub fn run_unidirectional(design: Design) -> UnidirectionalResult {
     let mut bed = TestBed::build(design, 8, 4).expect("testbed builds");
     let fail = |bed: &mut TestBed, probe, at| {
         let anatomy = bed.path_anatomy(probe);
-        let link = bed.probe_path_link(probe, Layer::Agg).expect("path link");
-        bed.net.fail_link_direction_at(at, link, anatomy.path_agg);
+        bed.net
+            .fail_link_direction_at(at, anatomy.down_link, anatomy.path_agg);
     };
     let (loss, _) = probe_loss(&mut bed, unpinned, 2000, fail);
     UnidirectionalResult {

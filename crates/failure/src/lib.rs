@@ -4,9 +4,9 @@
 //!
 //! * [`FailureSchedule`]/[`FailureEvent`] — timed bidirectional link
 //!   up/down schedules,
-//! * [`Condition`]/[`condition_links`] — the deterministic C1–C7
-//!   scenarios of Table IV, resolved against a concrete topology and the
-//!   probe flow's path, and
+//! * [`Condition`] — the deterministic C1–C7 scenarios of Table IV,
+//!   defined relative to the probe flow's path (`f2tree::TestBed::scenario_links`
+//!   resolves one to concrete links off the probe's walk), and
 //! * [`generate_random_failures`] — the §IV-B log-normal random failure
 //!   process (1- and 5-concurrent regimes).
 //!
@@ -36,6 +36,6 @@ mod schedule;
 mod switch;
 
 pub use random::{generate_random_failures, RandomFailureConfig};
-pub use scenarios::{condition_links, Condition, ScenarioContext, ScenarioError};
+pub use scenarios::Condition;
 pub use schedule::{FailureEvent, FailureSchedule};
 pub use switch::{fabric_links, switch_links};

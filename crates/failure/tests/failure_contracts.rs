@@ -1,20 +1,15 @@
 //! Integration contracts for the failure-injection substrate.
 //!
-//! Three families, matching the crate's public surface:
+//! Two families, matching the crate's public surface:
 //!
 //! * [`FailureSchedule`] ordering — `into_sorted` is a *stable*
 //!   chronological sort and never invents or drops events,
 //! * [`generate_random_failures`] — byte-for-byte deterministic under a
 //!   fixed seed, seed-sensitive otherwise, and always well formed
-//!   (alternating down/up per link, everything repaired by the end),
-//! * [`ScenarioError`] — every variant is reachable through
-//!   [`condition_links`] and reports the offending entity.
+//!   (alternating down/up per link, everything repaired by the end).
 
-use dcn_failure::{
-    condition_links, generate_random_failures, Condition, FailureEvent, FailureSchedule,
-    RandomFailureConfig, ScenarioContext, ScenarioError,
-};
-use dcn_net::{FatTree, Layer, LinkId, NodeId, PodRing, Topology};
+use dcn_failure::{generate_random_failures, FailureEvent, FailureSchedule, RandomFailureConfig};
+use dcn_net::LinkId;
 use dcn_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
@@ -145,108 +140,4 @@ fn different_seeds_give_different_schedules() {
     let a = generate_random_failures(&mut SimRng::new(1), &links, &config).into_sorted();
     let b = generate_random_failures(&mut SimRng::new(2), &links, &config).into_sorted();
     assert_ne!(a, b, "seeds 1 and 2 should not collide over a full horizon");
-}
-
-// ---------------------------------------------------------------------
-// ScenarioError paths
-// ---------------------------------------------------------------------
-
-/// A context over `topo` whose path fields can be mis-wired per test.
-fn ctx<'a>(
-    topo: &'a Topology,
-    pod: usize,
-    path_agg: NodeId,
-    ring: Option<&'a PodRing>,
-) -> ScenarioContext<'a> {
-    let pod_aggs = topo.pods(Layer::Agg)[pod].clone();
-    let dest_tor = topo.pods(Layer::Tor)[pod][0];
-    let path_core = topo
-        .neighbors(pod_aggs[0])
-        .map(|(_, n)| n)
-        .find(|&n| topo.node(n).layer() == Some(Layer::Core))
-        .expect("agg has a core uplink");
-    ScenarioContext {
-        topo,
-        dest_tor,
-        path_agg,
-        path_core,
-        pod_aggs,
-        agg_ring: ring,
-    }
-}
-
-#[test]
-fn missing_link_reports_both_endpoints() {
-    let topo = FatTree::new(4).unwrap().build();
-    // Sx from pod 1, destination ToR from pod 0: no ToR–agg link exists.
-    let foreign_agg = topo.pods(Layer::Agg)[1][0];
-    let c = ctx(&topo, 0, foreign_agg, None);
-    let err = condition_links(&c, Condition::C1).unwrap_err();
-    assert_eq!(err, ScenarioError::MissingLink(foreign_agg, c.dest_tor));
-    let msg = err.to_string();
-    assert!(msg.contains("no link"), "unexpected message: {msg}");
-}
-
-#[test]
-fn agg_outside_the_pod_is_rejected() {
-    let topo = FatTree::new(4).unwrap().build();
-    let foreign_agg = topo.pods(Layer::Agg)[1][0];
-    let c = ctx(&topo, 0, foreign_agg, None);
-    // C4 needs Sx's right neighbor in the pod, so the lookup fails before
-    // any link resolution.
-    let err = condition_links(&c, Condition::C4).unwrap_err();
-    assert_eq!(err, ScenarioError::AggNotInRing(foreign_agg));
-}
-
-#[test]
-fn ring_conditions_fail_without_a_ring() {
-    let topo = FatTree::new(4).unwrap().build();
-    let c = ctx(&topo, 0, topo.pods(Layer::Agg)[0][0], None);
-    for condition in [Condition::C6, Condition::C7] {
-        assert_eq!(
-            condition_links(&c, condition).unwrap_err(),
-            ScenarioError::MissingRing(condition),
-        );
-    }
-    // Every non-ring condition still resolves on the plain fat tree.
-    for condition in Condition::ALL {
-        if !condition.requires_across_links() {
-            assert!(condition_links(&c, condition).is_ok(), "{condition} failed");
-        }
-    }
-}
-
-#[test]
-fn ring_membership_is_checked_even_with_a_ring() {
-    let topo = FatTree::new(4).unwrap().build();
-    let sx = topo.pods(Layer::Agg)[0][0];
-    // A ring over unrelated node ids: Sx resolves its pod neighbors fine
-    // but is not a ring member, so the across-link lookup must fail.
-    let ring = PodRing {
-        members: vec![NodeId::new(9000), NodeId::new(9001)],
-        chords: vec![vec![LinkId::new(9000), LinkId::new(9001)]],
-    };
-    let c = ctx(&topo, 0, sx, Some(&ring));
-    assert_eq!(
-        condition_links(&c, Condition::C6).unwrap_err(),
-        ScenarioError::AggNotInRing(sx),
-    );
-}
-
-#[test]
-fn scenario_error_messages_are_distinct() {
-    let errors = [
-        ScenarioError::MissingLink(NodeId::new(1), NodeId::new(2)),
-        ScenarioError::MissingRing(Condition::C6),
-        ScenarioError::AggNotInRing(NodeId::new(3)),
-    ];
-    let mut seen = std::collections::BTreeSet::new();
-    for e in &errors {
-        let msg = e.to_string();
-        assert!(!msg.is_empty());
-        assert!(seen.insert(msg.clone()), "duplicate message: {msg}");
-        // The Display form doubles as the std::error::Error description.
-        let dynamic: &dyn std::error::Error = e;
-        assert_eq!(dynamic.to_string(), msg);
-    }
 }

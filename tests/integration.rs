@@ -94,7 +94,7 @@ fn structural_and_behavioural_backup_counts_agree() {
     let mut bed = TestBed::build(Design::F2Tree, 8, 4).expect("valid k");
     let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
     let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
-    let link = bed.probe_path_link(probe, Layer::Agg).unwrap();
+    let link = bed.path_anatomy(probe).down_link;
     bed.net.fail_link_at(ms(100), link);
     bed.net.run_until(ms(200));
     let path = bed.net.trace_path(probe);

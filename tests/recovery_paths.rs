@@ -4,7 +4,7 @@
 
 use dcn_emu::WalkOutcome;
 use dcn_failure::Condition;
-use dcn_net::{Layer, NodeId};
+use dcn_net::NodeId;
 use dcn_sim::{SimDuration, SimTime};
 use f2tree::{Design, TestBed};
 
@@ -168,8 +168,7 @@ fn fat_tree_blackholes_during_the_same_window() {
     let (src, dst) = bed.probe_endpoints().expect("the bed has hosts");
     let probe = bed.net.add_udp_probe(src, dst, SimTime::ZERO);
     let anatomy = bed.path_anatomy(probe);
-    let link = bed.probe_path_link(probe, Layer::Agg).unwrap();
-    bed.net.fail_link_at(ms(FAIL_AT), link);
+    bed.net.fail_link_at(ms(FAIL_AT), anatomy.down_link);
     bed.net.run_until(ms(DURING_REROUTE));
     let path = bed.net.trace_path(probe);
     // The trace dead-ends at the detecting aggregation switch.
