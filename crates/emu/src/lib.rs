@@ -47,4 +47,5 @@ mod quality;
 pub use config::{ControlPlaneMode, EmuConfig, EmuConfigBuilder};
 pub use network::{
     DropCounters, FlowId, Hop, Network, RequestId, TcpFlowStats, UdpProbeReport, WalkOutcome,
+    DEFAULT_TTL,
 };

@@ -22,12 +22,12 @@ use dcn_routing::{
     RouterProcess, SpfTable,
 };
 use dcn_sim::{
-    timers, Direction, EventKey, EventQueue, LinkSpec, LinkState, Packet, PacketArena, PacketSlot,
-    SimDuration, SimTime, TransmitVerdict, DEFAULT_TTL,
+    timers, Direction, EventKey, EventQueue, LinkSpec, LinkState, PacketArena, PacketSlot,
+    SimDuration, SimTime, TransmitVerdict,
 };
 use dcn_transport::{
     TcpAck, TcpApp, TcpConfig, TcpReceiver, TcpSegment, TcpSender, TcpSenderOutput, UdpDatagram,
-    UdpSource,
+    UdpSource, PROBE_BYTES, PROBE_INTERVAL,
 };
 
 use crate::config::{ControlPlaneMode, EmuConfig};
@@ -50,6 +50,10 @@ const HEADER_BYTES: u32 = 52;
 const ACK_BYTES: u32 = 52;
 /// UDP/IP header overhead for probe datagrams.
 const UDP_HEADER_BYTES: u32 = 28;
+/// The IP TTL every packet starts with. Condition 4 of §II-C (the C7
+/// scenario) relies on TTL expiry to kill packets ping-ponging between two
+/// switches whose backup routes point at each other.
+pub const DEFAULT_TTL: u8 = 64;
 
 /// Identifies a flow within one [`Network`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -116,6 +120,34 @@ impl Payload {
             Payload::Lsa(_) => None,
         }
     }
+
+    /// Bytes on the wire, headers included.
+    fn wire_bytes(&self) -> u32 {
+        match self {
+            Payload::Udp { .. } => PROBE_BYTES + UDP_HEADER_BYTES,
+            Payload::TcpData { seg, .. } => seg.len + HEADER_BYTES,
+            Payload::TcpAckSeg { .. } => ACK_BYTES,
+            Payload::Lsa(_) => LSA_PACKET_BYTES,
+        }
+    }
+}
+
+/// A packet in flight: its remaining hops and its payload. Nothing else
+/// rides along: the five-tuple is the flow record's `key` (reversed for an
+/// ACK; an LSA needs none), the wire size follows from the payload, and a
+/// probe datagram's send time from its sequence number.
+struct Packet {
+    ttl: u8,
+    payload: Payload,
+}
+
+impl Packet {
+    /// Decrements the TTL for one switch hop; returns `false` when the
+    /// packet must be dropped (TTL exhausted).
+    fn hop(&mut self) -> bool {
+        self.ttl = self.ttl.saturating_sub(1);
+        self.ttl > 0
+    }
 }
 
 /// Packets stay in [`Network::packets`] and the one rare bulky variant is
@@ -173,6 +205,7 @@ enum Event {
 }
 
 const _: () = assert!(std::mem::size_of::<Event>() <= 16);
+const _: () = assert!(std::mem::size_of::<Packet>() <= 32);
 const _: () = assert!(std::mem::size_of::<FlowState>() <= 160);
 
 /// What every flow has, and what its kind adds.
@@ -196,6 +229,9 @@ enum FlowKind {
 /// The constant-rate UDP probe; arrivals feed connectivity metrics.
 struct UdpProbe {
     source: UdpSource,
+    /// When datagram 0 was sent: datagram `seq` left at
+    /// `start + seq × PROBE_INTERVAL`.
+    start: SimTime,
     connectivity: ConnectivityTracker,
     delay: DelaySeries,
 }
@@ -330,7 +366,7 @@ pub struct Network {
     queue: EventQueue<Event>,
     /// Every packet in flight. The one queued event that names a slot owns
     /// it; the handler the packet dies in (or is delivered by) releases it.
-    packets: PacketArena<Payload>,
+    packets: PacketArena<Packet>,
     links: Vec<LinkState>,
     routers: Vec<Option<RouterProcess>>,
     host_uplink: Vec<Option<(LinkId, NodeId)>>,
@@ -351,7 +387,6 @@ pub struct Network {
     live_packets: Vec<u32>,
     requests: Vec<RequestState>,
     next_port: u16,
-    packet_seq: u64,
     drops: DropCounters,
     delivered_packets: u64,
     /// Centralized mode: a controller recomputation is already pending.
@@ -484,7 +519,6 @@ impl Network {
             live_packets: Vec::new(),
             requests: Vec::new(),
             next_port: 40_000,
-            packet_seq: 0,
             drops: DropCounters::default(),
             delivered_packets: 0,
             recompute_pending: false,
@@ -648,7 +682,8 @@ impl Network {
     ) -> FlowId {
         let key = self.flow_key_with_port(src, dst, sport, Protocol::Udp);
         let probe = UdpProbe {
-            source: UdpSource::paper_probe(key),
+            source: UdpSource::default(),
+            start,
             connectivity: ConnectivityTracker::new(),
             delay: DelaySeries::new(),
         };
@@ -1021,42 +1056,28 @@ impl Network {
                 .copied(),
         );
         for &adj in &targets {
-            let key = FlowKey::new(
-                self.topo.node(node).addr(),
-                self.topo.node(adj.neighbor).addr(),
-                0,
-                0,
-                Protocol::Control,
-            );
-            let packet =
-                self.make_packet(key, LSA_PACKET_BYTES, now, Payload::Lsa(Arc::clone(lsa)));
+            let packet = self.make_packet(Payload::Lsa(Arc::clone(lsa)));
             self.transmit(now, adj.link, node, packet);
         }
         self.flood_scratch = targets;
     }
 
     /// Writes a new packet into the arena, the one time it is written.
-    fn make_packet(
-        &mut self,
-        key: FlowKey,
-        size: u32,
-        now: SimTime,
-        payload: Payload,
-    ) -> PacketSlot {
-        let id = self.packet_seq;
-        self.packet_seq += 1;
+    fn make_packet(&mut self, payload: Payload) -> PacketSlot {
         let live = payload
             .flow()
             .and_then(|flow| self.live_packets.get_mut(flow.index()));
         if let Some(live) = live {
             *live += 1;
         }
-        let packet = Packet::new(id, key, size, now, payload);
-        self.packets.insert(packet)
+        self.packets.insert(Packet {
+            ttl: DEFAULT_TTL,
+            payload,
+        })
     }
 
     /// Takes a packet out of the arena, the one way a packet dies.
-    fn take_packet(&mut self, slot: PacketSlot) -> Packet<Payload> {
+    fn take_packet(&mut self, slot: PacketSlot) -> Packet {
         let packet = self.packets.remove(slot);
         if let Some(flow) = packet.payload.flow() {
             if let Some(live) = self.live_packets.get_mut(flow.index()) {
@@ -1116,7 +1137,7 @@ impl Network {
         } else {
             (Direction::BToA, entry.a())
         };
-        let bytes = self.packets.get_mut(packet).size;
+        let bytes = self.packets.get_mut(packet).payload.wire_bytes();
         match self.links[link.index()].transmit(&LinkSpec::PAPER_EMULATION, dir, now, bytes) {
             TransmitVerdict::Deliver { arrival } => {
                 let event = Event::Arrive { link, to, packet };
@@ -1179,13 +1200,18 @@ impl Network {
             self.take_packet(slot);
             return;
         }
-        let (key, hops_taken) = (packet.flow, usize::from(DEFAULT_TTL - 1 - packet.ttl));
+        let hops_taken = usize::from(DEFAULT_TTL - 1 - packet.ttl);
+        let state = record(&mut self.flows, flow).expect("packet of a live flow");
+        let key = if is_ack {
+            state.key.reversed()
+        } else {
+            state.key
+        };
         let decide = || {
             let router = self.routers.get(node.index()).and_then(Option::as_ref);
             let hop = router.expect("forwarding switch").forward(&key);
             hop.map(|h| h.link)
         };
-        let state = record(&mut self.flows, flow).expect("packet of a live flow");
         let memo = state.path_memo.get_or_insert_with(Box::default);
         if memo.epoch != self.fib_epoch {
             memo.epoch = self.fib_epoch;
@@ -1215,15 +1241,19 @@ impl Network {
         }
     }
 
-    fn deliver_to_host(&mut self, now: SimTime, host: NodeId, packet: Packet<Payload>) {
-        debug_assert_eq!(packet.flow.dst, self.topo.node(host).addr());
+    fn deliver_to_host(&mut self, now: SimTime, host: NodeId, packet: Packet) {
+        if let Some(flow) = packet.payload.flow() {
+            let ack = matches!(packet.payload, Payload::TcpAckSeg { .. });
+            let receiver = self.flow(flow).map(|f| if ack { f.src } else { f.dst });
+            debug_assert_eq!(receiver, Some(host), "{flow:?} delivered to another host");
+        }
         self.delivered_packets += 1;
-        let sent_at = packet.sent_at;
         match packet.payload {
             Payload::Udp { flow, dgram } => {
                 let kind = record(&mut self.flows, flow).map(|f| &mut f.kind);
                 if let Some(FlowKind::UdpProbe(probe)) = kind {
                     probe.connectivity.record(now, dgram.seq);
+                    let sent_at = probe.start + PROBE_INTERVAL * dgram.seq;
                     probe.delay.record(sent_at, now);
                 }
             }
@@ -1249,10 +1279,9 @@ impl Network {
                     }
                     _ => None,
                 };
-                let (reverse, src, dst) = (f.key.reversed(), f.src, f.dst);
+                let (src, dst) = (f.src, f.dst);
                 // Send the ACK back from this host.
-                let ack_packet =
-                    self.make_packet(reverse, ACK_BYTES, now, Payload::TcpAckSeg { flow, ack });
+                let ack_packet = self.make_packet(Payload::TcpAckSeg { flow, ack });
                 self.send_from_host(now, host, ack_packet);
                 if let Some(role) = role {
                     self.on_flow_delivered(now, src, dst, role);
@@ -1330,15 +1359,13 @@ impl Network {
     /// Realizes (and drains) the outputs the sender left in `tcp_scratch`.
     fn handle_tcp_outputs(&mut self, now: SimTime, flow: FlowId) {
         let mut outputs = std::mem::take(&mut self.tcp_scratch);
-        let Some(state) = record(&mut self.flows, flow) else {
+        let Some(src) = self.flow(flow).map(|f| f.src) else {
             return;
         };
-        let (key, src) = (state.key, state.src);
         for output in outputs.drain(..) {
             match output {
                 TcpSenderOutput::Send(seg) => {
-                    let size = seg.len + HEADER_BYTES;
-                    let packet = self.make_packet(key, size, now, Payload::TcpData { flow, seg });
+                    let packet = self.make_packet(Payload::TcpData { flow, seg });
                     self.send_from_host(now, src, packet);
                 }
                 TcpSenderOutput::ArmRto { at, token } => self.arm_rto(flow, at, token),
@@ -1410,9 +1437,8 @@ impl Network {
             return;
         };
         let (dgram, next) = probe.source.on_tick(now);
-        let (key, src) = (f.key, f.src);
-        let size = dgram.bytes + UDP_HEADER_BYTES;
-        let packet = self.make_packet(key, size, now, Payload::Udp { flow, dgram });
+        let src = f.src;
+        let packet = self.make_packet(Payload::Udp { flow, dgram });
         self.send_from_host(now, src, packet);
         self.queue.schedule(next, Event::UdpTick { flow });
     }
@@ -1653,7 +1679,58 @@ pub struct UdpProbeReport<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_net::{FatTree, Ipv4Addr};
+    use dcn_net::FatTree;
+
+    /// A packet's wire size is its payload's plus the headers: a probe
+    /// datagram 1448 + 28 bytes, a data segment its length + 52, an ACK 52
+    /// and an LSA 100.
+    #[test]
+    fn wire_bytes_follow_from_the_payload() {
+        let flow = FlowId(0);
+        let seg = |len| TcpSegment {
+            seq: 7,
+            len,
+            retransmit: false,
+        };
+        let lsa = Arc::new(Lsa {
+            origin: NodeId::new(0),
+            seq: 1,
+            neighbors: vec![],
+            prefixes: vec![],
+        });
+        let dgram = UdpDatagram { seq: 3 };
+        assert_eq!(Payload::Udp { flow, dgram }.wire_bytes(), 1476);
+        for len in [0, 1, 1_448, 1_460] {
+            let data = Payload::TcpData {
+                flow,
+                seg: seg(len),
+            };
+            assert_eq!(data.wire_bytes(), len + 52);
+        }
+        let ack = TcpAck { ack: 1_460 };
+        assert_eq!(Payload::TcpAckSeg { flow, ack }.wire_bytes(), 52);
+        assert_eq!(Payload::Lsa(lsa).wire_bytes(), 100);
+    }
+
+    #[test]
+    fn hop_decrements_until_exhausted() {
+        let dgram = UdpDatagram { seq: 0 };
+        let payload = Payload::Udp {
+            flow: FlowId(0),
+            dgram,
+        };
+        let mut p = Packet {
+            ttl: DEFAULT_TTL,
+            payload,
+        };
+        for _ in 0..DEFAULT_TTL - 1 {
+            assert!(p.hop());
+        }
+        assert_eq!(p.ttl, 1);
+        assert!(!p.hop());
+        assert_eq!(p.ttl, 0);
+        assert!(!p.hop());
+    }
 
     /// Router events are only ever scheduled for switches; should one
     /// name a host or a node of some other topology, nothing happens —
@@ -1672,9 +1749,7 @@ mod tests {
                 neighbors: vec![],
                 prefixes: vec![],
             });
-            let addr = Ipv4Addr::new(10, 0, 0, 1);
-            let key = FlowKey::new(addr, addr, 0, 0, Protocol::Control);
-            let packet = net.make_packet(key, LSA_PACKET_BYTES, SimTime::ZERO, Payload::Lsa(lsa));
+            let packet = net.make_packet(Payload::Lsa(lsa));
             let delta = FibDelta {
                 origin: RouteOrigin::Ospf,
                 ops: vec![],
@@ -1798,7 +1873,6 @@ mod tests {
             tcp_of(&mut net.flows, flow).map(|tcp| &tcp.ends),
             Some(TcpEnds::Closed { .. })
         ));
-        let key = net.flow(flow).unwrap().key;
         let now = net.now();
         let (queued, in_flight) = (net.queue.len(), net.packets_in_flight().0);
 
@@ -1807,8 +1881,7 @@ mod tests {
             len: 1_460,
             retransmit: true,
         };
-        let size = seg.len + HEADER_BYTES;
-        let dup = net.make_packet(key, size, now, Payload::TcpData { flow, seg });
+        let dup = net.make_packet(Payload::TcpData { flow, seg });
         let dup = net.take_packet(dup);
         net.deliver_to_host(now, dst, dup);
         assert_eq!(net.queue.len(), queued + 1, "exactly one packet queued");
@@ -1859,8 +1932,8 @@ mod tests {
         while !closed(&mut net) {
             net.step(end).expect("the request completes");
         }
-        let state = net.flow(flow).expect("its timer entry is still queued");
-        let (key, now) = (state.key, net.now());
+        net.flow(flow).expect("its timer entry is still queued");
+        let now = net.now();
         assert_eq!(net.live_packets[flow.index()], 0);
         assert!(net.is_delivered(flow));
         // Its one timer entry is spent; only a packet can reach it now.
@@ -1871,8 +1944,7 @@ mod tests {
             len: 1_460,
             retransmit: true,
         };
-        let size = seg.len + HEADER_BYTES;
-        let dup = net.make_packet(key, size, now, Payload::TcpData { flow, seg });
+        let dup = net.make_packet(Payload::TcpData { flow, seg });
         let (link, _) = net.host_uplink[dst.index()].unwrap();
         let at = net.queue.draw_key(now);
         let (live, slots) = net.flow_records();

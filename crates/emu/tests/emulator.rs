@@ -1,11 +1,11 @@
 //! End-to-end emulator tests: the paper's recovery behaviour, replayed.
 
-use dcn_emu::{DropCounters, EmuConfig, FlowId, Network};
+use dcn_emu::{DropCounters, EmuConfig, FlowId, Network, DEFAULT_TTL};
 use dcn_failure::Condition;
 use dcn_metrics::ThroughputSeries;
 use dcn_net::{AddressingError, FatTree, LinkClass, LinkId, NodeId, Prefix, Topology};
 use dcn_routing::{NextHop, Route, RouteOrigin};
-use dcn_sim::{SimDuration, SimTime, DEFAULT_TTL};
+use dcn_sim::{SimDuration, SimTime};
 use dcn_transport::TcpConfig;
 use f2tree::{Design, F2TreeNetwork, TestBed, TestBedError};
 

@@ -21,14 +21,14 @@
 //!
 //! `repro chaos` runs a deterministic failure-injection campaign under
 //! the `dcn-chaos` invariant oracles instead of the paper artifacts:
-//! `--campaigns M` scenarios (default 200) are generated from `--seed N`
-//! (default 20150701), alternating designs, and run on the sweep worker
-//! pool. With `--recovery frr` every cell runs F²Tree with the
-//! precomputed fast-reroute map under the tightened (SPF-free) blackhole
-//! bound. Exit status 0 means every invariant held; on a violation the
-//! offending scenario is shrunk to a minimal reproducer, printed (and
-//! written to `--out DIR` as a replayable `.scenario` file), and the exit
-//! status is 1.
+//! `--campaigns M` scenarios (default 200, at most 1 000 000) are
+//! generated from `--seed N` (default 20150701), alternating designs, and
+//! run on the sweep worker pool. With `--recovery frr` every cell runs
+//! F²Tree with the precomputed fast-reroute map under the tightened
+//! (SPF-free) blackhole bound. Exit status 0 means every invariant held;
+//! on a violation the offending scenario is shrunk to a minimal
+//! reproducer, printed (and written to `--out DIR` as a replayable
+//! `.scenario` file), and the exit status is 1.
 
 use std::cell::LazyCell;
 use std::fmt;
@@ -91,7 +91,7 @@ flags:
                          output is byte-identical for every N)
   --recovery VALUE       recovery mode: ospf | f2tree | frr (alias: lfa)
   --seed N               chaos: master seed (default 20150701)
-  --campaigns M          chaos: scenario count (default 200)
+  --campaigns M          chaos: scenario count (default 200, at most 1000000)
   --quality              chaos: score routing quality at every FIB epoch
                          and print the per-campaign traces
   -h, --help             this text
@@ -133,6 +133,10 @@ const FLAGS: &[&str] = &[
     "--quality",
     "--help",
 ];
+
+/// The most scenarios one `repro chaos` call runs: the report holds every
+/// campaign's result, so a count far beyond any sweep only exhausts memory.
+const MAX_CAMPAIGNS: usize = 1_000_000;
 
 /// Accepted `--recovery` values.
 const RECOVERY_VALUES: &[&str] = &["ospf", "f2tree", "frr", "lfa"];
@@ -217,12 +221,14 @@ struct Cli {
 
 /// Parses every argument strictly: nothing is skipped or defaulted over.
 fn parse_cli(args: &[String]) -> Result<Cli, CliError> {
+    fn bad_number(flag: &'static str, wants: &'static str, value: &str) -> CliError {
+        let value = value.to_string();
+        CliError::BadNumber { flag, wants, value }
+    }
     fn number<T: std::str::FromStr>(flag: &'static str, value: &str) -> Result<T, CliError> {
-        value.parse().map_err(|_| CliError::BadNumber {
-            flag,
-            wants: "a non-negative integer",
-            value: value.to_string(),
-        })
+        value
+            .parse()
+            .map_err(|_| bad_number(flag, "a non-negative integer", value))
     }
     let mut cli = Cli {
         quick: false,
@@ -243,11 +249,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, CliError> {
             "--out" => cli.out_dir = Some(PathBuf::from(value("--out")?)),
             "--workers" => {
                 let v = value("--workers")?;
-                cli.workers = Workers::parse(v).ok_or_else(|| CliError::BadNumber {
-                    flag: "--workers",
-                    wants: "a positive integer",
-                    value: v.clone(),
-                })?;
+                cli.workers = Workers::parse(v)
+                    .ok_or_else(|| bad_number("--workers", "a positive integer", v))?;
             }
             "--recovery" => {
                 let v = value("--recovery")?;
@@ -258,7 +261,15 @@ fn parse_cli(args: &[String]) -> Result<Cli, CliError> {
                 })?;
             }
             "--seed" => cli.seed = Some(number("--seed", value("--seed")?)?),
-            "--campaigns" => cli.campaigns = Some(number("--campaigns", value("--campaigns")?)?),
+            "--campaigns" => {
+                let v = value("--campaigns")?;
+                let campaigns = number("--campaigns", v)?;
+                if campaigns > MAX_CAMPAIGNS {
+                    let wants = "a non-negative integer up to 1000000";
+                    return Err(bad_number("--campaigns", wants, v));
+                }
+                cli.campaigns = Some(campaigns);
+            }
             flag if flag.starts_with('-') => return Err(CliError::UnknownFlag(arg.clone())),
             word => match TARGETS.iter().find(|t| **t == word) {
                 Some(target) => cli.targets.push(target),

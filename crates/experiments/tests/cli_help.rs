@@ -81,6 +81,21 @@ fn non_numeric_seed_and_campaigns_are_rejected_not_defaulted() {
     assert!(err.contains("--seed needs a value"), "{err}");
 }
 
+/// A count past the bound is refused before any campaign is generated,
+/// rather than overflowing an allocation's capacity.
+#[test]
+fn campaign_counts_past_the_bound_are_rejected() {
+    for count in ["1000001", "18446744073709551615"] {
+        let err = rejected(&["chaos", "--campaigns", count]);
+        assert!(
+            err.contains(&format!(
+                "--campaigns takes a non-negative integer up to 1000000, got '{count}'"
+            )),
+            "{err}"
+        );
+    }
+}
+
 #[test]
 fn uncreatable_out_directory_is_an_error_not_a_panic() {
     // A path below a regular file (the binary itself) can never be created.

@@ -3,7 +3,7 @@
 //! ECMP in production DCNs hashes the five-tuple so that each flow pins to
 //! one equal-cost path (paper §II-A). The [`FlowKey`] type is shared by the
 //! routing crate (hash input), the transport crate (flow state keys), and
-//! the emulator (packet headers).
+//! the emulator (each flow's record).
 
 use crate::addr::Ipv4Addr;
 
@@ -14,9 +14,6 @@ pub enum Protocol {
     Tcp,
     /// User Datagram Protocol.
     Udp,
-    /// Routing-protocol control traffic (LSAs); never ECMP-hashed in
-    /// practice but keyed for uniformity.
-    Control,
 }
 
 /// The classic five-tuple identifying a flow.

@@ -28,7 +28,6 @@ pub fn ecmp_hash(flow: &FlowKey, salt: u64) -> u64 {
     feed(&[match flow.proto {
         Protocol::Tcp => 6,
         Protocol::Udp => 17,
-        Protocol::Control => 89, // OSPF protocol number
     }]);
     // Final avalanche (splitmix-style) so modulo by small counts is fair.
     let mut z = h;
@@ -112,20 +111,12 @@ mod tests {
             65_535,
             Protocol::Udp,
         );
-        let control = FlowKey::new(
-            Ipv4Addr::new(10, 12, 0, 1),
-            Ipv4Addr::new(10, 12, 3, 4),
-            0,
-            0,
-            Protocol::Control,
-        );
         let got = [
             ecmp_hash(&flow(40_000), 0),
             ecmp_hash(&flow(40_000), 7),
             ecmp_hash(&flow(1), u64::MAX),
             ecmp_hash(&flow(40_000).reversed(), 7),
             ecmp_hash(&udp, 0x5eed),
-            ecmp_hash(&control, 3),
         ];
         assert_eq!(
             got,
@@ -135,7 +126,6 @@ mod tests {
                 15_667_922_661_167_774_592,
                 13_430_626_653_818_826_333,
                 11_897_699_329_278_649_686,
-                12_084_538_820_242_327_124,
             ]
         );
     }

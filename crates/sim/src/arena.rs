@@ -2,9 +2,7 @@
 //! the network; every event that moves it names its 4-byte [`PacketSlot`],
 //! and the handler of the event it dies in releases the slot. Freed slots
 //! are reused last-in first-out, so the arena is as small as the peak in
-//! flight.
-
-use crate::packet::Packet;
+//! flight. The arena is a slab of any `T`: the packet type is its user's.
 
 /// Names one live packet of a [`PacketArena`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -12,12 +10,12 @@ pub struct PacketSlot(u32);
 
 /// A slab of in-flight packets with a LIFO free list.
 #[derive(Debug)]
-pub struct PacketArena<P> {
-    slots: Vec<Option<Packet<P>>>,
+pub struct PacketArena<T> {
+    slots: Vec<Option<T>>,
     free: Vec<PacketSlot>,
 }
 
-impl<P> Default for PacketArena<P> {
+impl<T> Default for PacketArena<T> {
     fn default() -> Self {
         PacketArena {
             slots: Vec::new(),
@@ -26,9 +24,9 @@ impl<P> Default for PacketArena<P> {
     }
 }
 
-impl<P> PacketArena<P> {
+impl<T> PacketArena<T> {
     /// Stores `packet` and returns the slot that names it from now on.
-    pub fn insert(&mut self, packet: Packet<P>) -> PacketSlot {
+    pub fn insert(&mut self, packet: T) -> PacketSlot {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
             PacketSlot(self.slots.len() as u32 - 1)
@@ -44,7 +42,7 @@ impl<P> PacketArena<P> {
         clippy::expect_used,
         reason = "an event only names a slot it keeps live"
     )]
-    pub fn get_mut(&mut self, slot: PacketSlot) -> &mut Packet<P> {
+    pub fn get_mut(&mut self, slot: PacketSlot) -> &mut T {
         let cell = self.slots.get_mut(slot.0 as usize);
         cell.and_then(Option::as_mut).expect("packet slot is live")
     }
@@ -55,7 +53,7 @@ impl<P> PacketArena<P> {
         clippy::expect_used,
         reason = "an event only names a slot it keeps live"
     )]
-    pub fn remove(&mut self, slot: PacketSlot) -> Packet<P> {
+    pub fn remove(&mut self, slot: PacketSlot) -> T {
         let cell = self.slots.get_mut(slot.0 as usize);
         let packet = cell.and_then(Option::take).expect("packet slot is live");
         self.free.push(slot);
@@ -76,31 +74,22 @@ impl<P> PacketArena<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_net::{FlowKey, Ipv4Addr, Protocol};
-
-    use crate::time::SimTime;
-
-    fn packet(id: u64) -> Packet<u64> {
-        let a = Ipv4Addr::new(10, 11, 0, 2);
-        let key = FlowKey::new(a, a, 1, 2, Protocol::Udp);
-        Packet::new(id, key, 100, SimTime::ZERO, id)
-    }
 
     #[test]
     fn freed_slots_are_reused_last_in_first_out() {
         let mut arena = PacketArena::default();
-        let a = arena.insert(packet(1));
-        let b = arena.insert(packet(2));
-        let c = arena.insert(packet(3));
+        let a = arena.insert(1u64);
+        let b = arena.insert(2);
+        let c = arena.insert(3);
         assert_eq!((arena.live(), arena.slots()), (3, 3));
-        assert_eq!(arena.remove(a).id, 1);
-        assert_eq!(arena.remove(c).id, 3);
+        assert_eq!(arena.remove(a), 1);
+        assert_eq!(arena.remove(c), 3);
         assert_eq!(arena.live(), 1);
         // `c` was freed last, so it is handed out first.
-        assert_eq!(arena.insert(packet(4)), c);
-        assert_eq!(arena.insert(packet(5)), a);
-        assert_eq!(arena.get_mut(b).id, 2);
-        assert_eq!(arena.get_mut(c).payload, 4);
+        assert_eq!(arena.insert(4), c);
+        assert_eq!(arena.insert(5), a);
+        assert_eq!(*arena.get_mut(b), 2);
+        assert_eq!(*arena.get_mut(c), 4);
         assert_eq!((arena.live(), arena.slots()), (3, 3));
     }
 
@@ -108,7 +97,7 @@ mod tests {
     #[should_panic(expected = "packet slot is live")]
     fn a_released_slot_cannot_be_read() {
         let mut arena = PacketArena::default();
-        let slot = arena.insert(packet(1));
+        let slot = arena.insert(1u64);
         arena.remove(slot);
         arena.get_mut(slot);
     }

@@ -9,8 +9,8 @@
 //!   workloads use,
 //! * [`LinkSpec`]/[`LinkState`] — the bandwidth/propagation/drop-tail link
 //!   transmission model, and
-//! * [`Packet`] — the generic packet carried through the network, and
-//!   [`PacketArena`] — where packets in flight are stored.
+//! * [`PacketArena`] — a slab where packets in flight are stored, generic
+//!   over the packet type its user defines.
 //!
 //! Identical seeds replay identical traces, which is what lets the
 //! experiment suite assert the paper's numbers exactly.
@@ -39,7 +39,6 @@
 
 mod arena;
 mod link;
-mod packet;
 mod queue;
 mod rng;
 mod time;
@@ -47,7 +46,6 @@ pub mod timers;
 
 pub use arena::{PacketArena, PacketSlot};
 pub use link::{Direction, LinkSpec, LinkState, TransmitVerdict};
-pub use packet::{Packet, DEFAULT_TTL};
 pub use queue::{EventKey, EventQueue};
 pub use rng::{LogNormal, SimRng};
 pub use time::{SimDuration, SimTime};
