@@ -67,9 +67,9 @@ fn render(out: &mut String, design: Design, mode: RecoveryMode, condition: Condi
             report.sent, report.received, report.lost
         ),
     );
-    let samples = report.delay.samples();
-    let sum: u64 = samples.iter().map(|s| s.delay.as_nanos()).sum();
-    w(out, format!("delay samples={} sum_ns={sum}", samples.len()));
+    let samples = report.delay.samples().len();
+    let sum: u64 = report.delay.samples().map(|s| s.delay.as_nanos()).sum();
+    w(out, format!("delay samples={samples} sum_ns={sum}"));
     let points: Vec<String> = report
         .delay
         .downsample(ms(300), ms(800), SimDuration::from_millis(10))

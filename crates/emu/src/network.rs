@@ -26,8 +26,8 @@ use dcn_sim::{
     SimDuration, SimTime, TransmitVerdict,
 };
 use dcn_transport::{
-    TcpAck, TcpApp, TcpConfig, TcpReceiver, TcpSegment, TcpSender, TcpSenderOutput, UdpDatagram,
-    UdpSource, PROBE_BYTES, PROBE_INTERVAL,
+    TcpAck, TcpApp, TcpConfig, TcpReceiver, TcpSegment, TcpSender, TcpSenderOutput, PROBE_BYTES,
+    PROBE_INTERVAL,
 };
 
 use crate::config::{ControlPlaneMode, EmuConfig};
@@ -104,7 +104,7 @@ enum FlowRole {
 }
 
 enum Payload {
-    Udp { flow: FlowId, dgram: UdpDatagram },
+    Udp { flow: FlowId, seq: u64 },
     TcpData { flow: FlowId, seg: TcpSegment },
     TcpAckSeg { flow: FlowId, ack: TcpAck },
     Lsa(Arc<Lsa>),
@@ -226,14 +226,15 @@ enum FlowKind {
     Tcp(TcpConnection),
 }
 
-/// The constant-rate UDP probe; arrivals feed connectivity metrics.
+/// The constant-rate UDP probe: its start, its sent count and one
+/// arrival log, off which its loss, census and delays are all read.
 struct UdpProbe {
-    source: UdpSource,
     /// When datagram 0 was sent: datagram `seq` left at
     /// `start + seq × PROBE_INTERVAL`.
     start: SimTime,
-    connectivity: ConnectivityTracker,
-    delay: DelaySeries,
+    /// Datagrams sent so far; the next one's `seq`.
+    sent: u64,
+    arrivals: ConnectivityTracker,
 }
 
 /// The paced TCP probe of the testbed experiments, or a fixed-size flow.
@@ -682,10 +683,9 @@ impl Network {
     ) -> FlowId {
         let key = self.flow_key_with_port(src, dst, sport, Protocol::Udp);
         let probe = UdpProbe {
-            source: UdpSource::default(),
             start,
-            connectivity: ConnectivityTracker::new(),
-            delay: DelaySeries::new(),
+            sent: 0,
+            arrivals: ConnectivityTracker::new(),
         };
         let flow = self.push_flow(key, src, dst, FlowKind::UdpProbe(probe));
         self.queue.schedule(start, Event::UdpTick { flow });
@@ -1249,12 +1249,10 @@ impl Network {
         }
         self.delivered_packets += 1;
         match packet.payload {
-            Payload::Udp { flow, dgram } => {
+            Payload::Udp { flow, seq } => {
                 let kind = record(&mut self.flows, flow).map(|f| &mut f.kind);
                 if let Some(FlowKind::UdpProbe(probe)) = kind {
-                    probe.connectivity.record(now, dgram.seq);
-                    let sent_at = probe.start + PROBE_INTERVAL * dgram.seq;
-                    probe.delay.record(sent_at, now);
+                    probe.arrivals.record(now, seq);
                 }
             }
             Payload::TcpData { flow, seg } => {
@@ -1436,11 +1434,13 @@ impl Network {
         let FlowKind::UdpProbe(probe) = &mut f.kind else {
             return;
         };
-        let (dgram, next) = probe.source.on_tick(now);
+        let seq = probe.sent;
+        probe.sent += 1;
         let src = f.src;
-        let packet = self.make_packet(Payload::Udp { flow, dgram });
+        let packet = self.make_packet(Payload::Udp { flow, seq });
         self.send_from_host(now, src, packet);
-        self.queue.schedule(next, Event::UdpTick { flow });
+        self.queue
+            .schedule(now + PROBE_INTERVAL, Event::UdpTick { flow });
     }
 
     // ------------------------------------------------------------------
@@ -1520,13 +1520,13 @@ impl Network {
         let Some(FlowKind::UdpProbe(probe)) = self.flow(flow).map(|f| &f.kind) else {
             panic!("{flow:?} is not a UDP probe");
         };
-        let sent = probe.source.sent();
+        let arrivals = &probe.arrivals;
         UdpProbeReport {
-            sent,
-            received: probe.connectivity.received_distinct(),
-            lost: probe.connectivity.lost(sent),
-            connectivity: &probe.connectivity,
-            delay: &probe.delay,
+            sent: probe.sent,
+            received: arrivals.received_distinct(),
+            lost: arrivals.lost(probe.sent),
+            connectivity: arrivals,
+            delay: DelaySeries::new(arrivals.arrivals(), probe.start, PROBE_INTERVAL),
         }
     }
 
@@ -1672,8 +1672,8 @@ pub struct UdpProbeReport<'a> {
     pub lost: u64,
     /// The arrival record (gap analysis).
     pub connectivity: &'a ConnectivityTracker,
-    /// Per-packet delays.
-    pub delay: &'a DelaySeries,
+    /// Per-packet delays, read off the same arrival record.
+    pub delay: DelaySeries<'a>,
 }
 
 #[cfg(test)]
@@ -1698,8 +1698,7 @@ mod tests {
             neighbors: vec![],
             prefixes: vec![],
         });
-        let dgram = UdpDatagram { seq: 3 };
-        assert_eq!(Payload::Udp { flow, dgram }.wire_bytes(), 1476);
+        assert_eq!(Payload::Udp { flow, seq: 3 }.wire_bytes(), 1476);
         for len in [0, 1, 1_448, 1_460] {
             let data = Payload::TcpData {
                 flow,
@@ -1714,10 +1713,9 @@ mod tests {
 
     #[test]
     fn hop_decrements_until_exhausted() {
-        let dgram = UdpDatagram { seq: 0 };
         let payload = Payload::Udp {
             flow: FlowId(0),
-            dgram,
+            seq: 0,
         };
         let mut p = Packet {
             ttl: DEFAULT_TTL,

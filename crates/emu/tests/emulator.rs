@@ -104,6 +104,30 @@ fn f2tree_reroute_adds_exactly_one_hop_of_delay() {
     assert!((95..=105).contains(&after.as_micros()), "{after}");
 }
 
+/// A probe's send times count from its own start: one that starts 10 ms
+/// into a run reads its first datagram as sent at 10 ms, and the same
+/// delays as the same probe started at zero — not 10 ms more.
+#[test]
+fn a_probe_that_starts_late_measures_its_delays_from_its_start() {
+    const SPORT: u16 = 40_000;
+    let run = |start: SimTime| {
+        let mut net = fat_network(4, 1);
+        let (src, dst) = probe_endpoints(net.topology());
+        let probe = net.add_udp_probe_with_port(src, dst, SPORT, start);
+        net.run_until(ms(200));
+        let report = net.udp_probe_report(probe);
+        let first = report.delay.samples().next().expect("the probe arrived");
+        (first.sent_at, report.delay.mean_in(SimTime::ZERO, ms(200)))
+    };
+    let (first_late, late) = run(ms(10));
+    let (first_zero, zero) = run(SimTime::ZERO);
+    assert_eq!(first_late, ms(10));
+    assert_eq!(first_zero, SimTime::ZERO);
+    let late = late.expect("the late probe has delays");
+    assert!((95..=105).contains(&late.as_micros()), "{late}");
+    assert_eq!(Some(late), zero);
+}
+
 #[test]
 fn packets_lost_shrink_by_about_three_quarters() {
     let run = |mut net: Network| {

@@ -87,7 +87,7 @@ targets (default: everything except fig6seeds):
 flags:
   --quick                shrink fig6 workload 10x
   --out DIR              also write CSV/JSON artifacts into DIR
-  --workers N            sweep worker count (positive integer;
+  --workers N            sweep worker count (positive integer up to 256;
                          output is byte-identical for every N)
   --recovery VALUE       recovery mode: ospf | f2tree | frr (alias: lfa)
   --seed N               chaos: master seed (default 20150701)
@@ -249,8 +249,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, CliError> {
             "--out" => cli.out_dir = Some(PathBuf::from(value("--out")?)),
             "--workers" => {
                 let v = value("--workers")?;
-                cli.workers = Workers::parse(v)
-                    .ok_or_else(|| bad_number("--workers", "a positive integer", v))?;
+                let wants = "a positive integer up to 256";
+                cli.workers = Workers::parse(v).ok_or_else(|| bad_number("--workers", wants, v))?;
             }
             "--recovery" => {
                 let v = value("--recovery")?;

@@ -27,6 +27,7 @@ fn help_documents_every_flag_and_its_accepted_values() {
             "--recovery",
             "ospf | f2tree | frr (alias: lfa)",
             "--workers",
+            "positive integer up to 256",
             "--seed",
             "--campaigns",
             "recovery",
@@ -94,6 +95,16 @@ fn campaign_counts_past_the_bound_are_rejected() {
             "{err}"
         );
     }
+}
+
+/// A worker count past the bound is refused before any thread starts.
+#[test]
+fn worker_counts_past_the_bound_are_rejected() {
+    let err = rejected(&["table4", "--workers", "257"]);
+    assert!(
+        err.contains("--workers takes a positive integer up to 256, got '257'"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -71,8 +71,9 @@ impl ConnectivityTracker {
     pub fn loss_around(&self, failure_at: SimTime) -> Option<ConnectivityLoss> {
         let mut best: Option<ConnectivityLoss> = None;
         for pair in self.arrivals.windows(2) {
-            let (t0, _) = pair[0];
-            let (t1, _) = pair[1];
+            let &[(t0, _), (t1, _)] = pair else {
+                continue;
+            };
             if t1 <= failure_at {
                 continue;
             }

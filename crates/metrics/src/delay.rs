@@ -3,7 +3,8 @@
 //! The paper plots per-packet end-to-end delay over time during recovery:
 //! ~100 µs baseline, ~117 µs during F²Tree fast reroute (one extra hop),
 //! higher plateaus for multi-hop ring detours (C4/C5), and gaps where
-//! connectivity is lost.
+//! connectivity is lost. The probe is constant-rate, so the delays are a
+//! view over its `(arrival, seq)` log, not a second record of it.
 
 use dcn_sim::{SimDuration, SimTime};
 
@@ -16,48 +17,43 @@ pub struct DelaySample {
     pub delay: SimDuration,
 }
 
-/// A time series of per-packet one-way delays.
-#[derive(Clone, Debug, Default)]
-pub struct DelaySeries {
-    samples: Vec<DelaySample>,
+/// The per-packet one-way delays of a constant-rate probe, read off its
+/// arrival log: datagram `seq` left at `start + interval × seq`.
+#[derive(Copy, Clone, Debug)]
+pub struct DelaySeries<'a> {
+    arrivals: &'a [(SimTime, u64)],
+    start: SimTime,
+    interval: SimDuration,
 }
 
-impl DelaySeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        DelaySeries::default()
+impl<'a> DelaySeries<'a> {
+    /// The delays of a probe whose datagram 0 left at `start`, one every
+    /// `interval`, that arrived as `arrivals` records (`(arrival, seq)`).
+    pub fn new(arrivals: &'a [(SimTime, u64)], start: SimTime, interval: SimDuration) -> Self {
+        DelaySeries {
+            arrivals,
+            start,
+            interval,
+        }
     }
 
-    /// Records a packet sent at `sent_at` and received at `received_at`.
-    pub fn record(&mut self, sent_at: SimTime, received_at: SimTime) {
-        self.samples.push(DelaySample {
-            sent_at,
-            delay: received_at.since(sent_at),
-        });
-    }
-
-    /// All samples in arrival order (`record` runs on delivery, so a
-    /// reroute can put a later-sent packet first).
-    pub fn samples(&self) -> &[DelaySample] {
-        &self.samples
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+    /// All samples in arrival order (a reroute can put a later-sent packet
+    /// first).
+    pub fn samples(self) -> impl ExactSizeIterator<Item = DelaySample> + 'a {
+        self.arrivals.iter().map(move |&(arrival, seq)| {
+            let sent_at = self.start + self.interval * seq;
+            DelaySample {
+                sent_at,
+                delay: arrival.since(sent_at),
+            }
+        })
     }
 
     /// Mean delay of samples sent within `[start, end)` — `None` when the
     /// window holds none (a connectivity gap in Fig. 5).
     pub fn mean_in(&self, start: SimTime, end: SimTime) -> Option<SimDuration> {
         let window = self
-            .samples
-            .iter()
+            .samples()
             .filter(|s| s.sent_at >= start && s.sent_at < end);
         let (sum, count) = window.fold((0, 0), |(sum, count), s| {
             (sum + s.delay.as_nanos(), count + 1)
@@ -79,7 +75,7 @@ impl DelaySeries {
         assert!(window > SimDuration::ZERO, "window must be positive");
         let windows = end.since(start).as_nanos().div_ceil(window.as_nanos());
         let mut bins = vec![(0u64, 0u64); windows as usize];
-        for s in self.samples.iter().filter(|s| s.sent_at >= start) {
+        for s in self.samples().filter(|s| s.sent_at >= start) {
             let index = s.sent_at.since(start).as_nanos() / window.as_nanos();
             if let Some((sum, count)) = bins.get_mut(index as usize) {
                 *sum += s.delay.as_nanos();
@@ -105,12 +101,12 @@ mod tests {
         SimTime::ZERO + SimDuration::from_micros(v)
     }
 
+    const INTERVAL: SimDuration = SimDuration::from_micros(100);
+
     #[test]
     fn records_and_averages() {
-        let mut s = DelaySeries::new();
-        s.record(us(0), us(100));
-        s.record(us(100), us(200));
-        s.record(us(200), us(317)); // rerouted: one extra hop
+        let arrivals = [(us(100), 0), (us(200), 1), (us(317), 2)]; // 2 rerouted: one extra hop
+        let s = DelaySeries::new(&arrivals, SimTime::ZERO, INTERVAL);
         let m = s.mean_in(us(0), us(200)).unwrap();
         assert_eq!(m.as_micros(), 100);
         let m = s.mean_in(us(200), us(300)).unwrap();
@@ -119,25 +115,42 @@ mod tests {
 
     #[test]
     fn empty_window_is_a_gap() {
-        let mut s = DelaySeries::new();
-        s.record(us(0), us(100));
+        let arrivals = [(us(100), 0)];
+        let s = DelaySeries::new(&arrivals, SimTime::ZERO, INTERVAL);
         assert!(s.mean_in(us(1_000), us(2_000)).is_none());
+    }
+
+    /// Datagram 3 overtakes datagram 2 on a probe that starts at 5 ms:
+    /// each sample is still `(start + seq × interval, arrival − that)`,
+    /// in arrival order.
+    #[test]
+    fn reordered_arrivals_of_a_late_probe_read_their_own_send_times() {
+        let start = us(5_000);
+        let arrivals = [
+            (us(5_100), 0),
+            (us(5_200), 1),
+            (us(5_390), 3),
+            (us(5_450), 2),
+        ];
+        let s = DelaySeries::new(&arrivals, start, INTERVAL);
+        assert_eq!(s.samples().len(), 4);
+        for (sample, &(arrival, seq)) in s.samples().zip(&arrivals) {
+            let sent_at = start + INTERVAL * seq;
+            assert_eq!(sample.sent_at, sent_at);
+            assert_eq!(sample.delay, arrival.since(sent_at));
+        }
+        let delays: Vec<u64> = s.samples().map(|d| d.delay.as_micros()).collect();
+        assert_eq!(delays, [100, 100, 90, 250]);
     }
 
     #[test]
     fn downsample_produces_gaps_and_plateaus() {
-        let mut s = DelaySeries::new();
         // 0-10ms: 100us delay; 10-20ms: silence; 20-30ms: 117us.
-        let mut t = 0;
-        while t < 10_000 {
-            s.record(us(t), us(t + 100));
-            t += 100;
-        }
-        let mut t = 20_000;
-        while t < 30_000 {
-            s.record(us(t), us(t + 117));
-            t += 100;
-        }
+        let arrivals: Vec<(SimTime, u64)> = (0..100)
+            .map(|seq| (us(seq * 100 + 100), seq))
+            .chain((200..300).map(|seq| (us(seq * 100 + 117), seq)))
+            .collect();
+        let s = DelaySeries::new(&arrivals, SimTime::ZERO, INTERVAL);
         let points = s.downsample(us(0), us(30_000), SimDuration::from_millis(10));
         assert_eq!(points.len(), 3);
         assert_eq!(points[0].1.unwrap().as_micros(), 100);

@@ -9,6 +9,7 @@
 //!   *duration of throughput collapse* (< ½ pre-failure average;
 //!   Fig. 2, Fig. 4(c)),
 //! * [`DelaySeries`] — per-packet end-to-end delay over time (Fig. 5),
+//!   read off the same probe's arrival log,
 //! * [`CompletionStats`] — request completion times, deadline-miss
 //!   ratios and CDFs (Fig. 6),
 //! * [`QualityReport`] — per-FIB-epoch routing-quality scoring

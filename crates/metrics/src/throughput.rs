@@ -41,7 +41,9 @@ impl ThroughputSeries {
         for &(t, b) in &self.samples {
             if t >= start && t < end {
                 let idx = (t.since(start).as_nanos() / bin.as_nanos()) as usize;
-                bytes[idx] += b as u64;
+                if let Some(total) = bytes.get_mut(idx) {
+                    *total += b as u64;
+                }
             }
         }
         let bin_secs = bin.as_secs_f64();

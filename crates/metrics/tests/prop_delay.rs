@@ -1,5 +1,9 @@
 //! `DelaySeries::downsample` buckets every sample in one pass; it must
 //! return what the per-window rescan it replaced returned.
+//!
+//! The series is read off an arrival log in which one datagram leaves per
+//! nanosecond from t = 0, so a datagram's sequence number is its send time
+//! in ns.
 
 use dcn_metrics::DelaySeries;
 use dcn_sim::{SimDuration, SimTime};
@@ -8,7 +12,7 @@ use proptest::prelude::*;
 /// `downsample` as shipped before the single pass: one `mean_in` filter
 /// over all samples per window.
 fn reference_downsample(
-    series: &DelaySeries,
+    series: &DelaySeries<'_>,
     start: SimTime,
     end: SimTime,
     window: SimDuration,
@@ -16,7 +20,6 @@ fn reference_downsample(
     let mean_in = |from: SimTime, to: SimTime| {
         let window: Vec<u64> = series
             .samples()
-            .iter()
             .filter(|s| s.sent_at >= from && s.sent_at < to)
             .map(|s| s.delay.as_nanos())
             .collect();
@@ -36,13 +39,18 @@ fn reference_downsample(
     out
 }
 
-fn series(samples: &[(u64, u64)]) -> DelaySeries {
-    let mut series = DelaySeries::new();
-    for &(sent_ns, delay_ns) in samples {
-        let sent_at = SimTime::from_nanos(sent_ns);
-        series.record(sent_at, sent_at + SimDuration::from_nanos(delay_ns));
-    }
-    series
+/// The `(arrival, seq)` log of datagrams sent at `sent_ns` and delayed by
+/// `delay_ns`, one `(sent_ns, delay_ns)` pair each, in the given order.
+fn arrival_log(samples: &[(u64, u64)]) -> Vec<(SimTime, u64)> {
+    samples
+        .iter()
+        .map(|&(sent_ns, delay_ns)| (SimTime::from_nanos(sent_ns + delay_ns), sent_ns))
+        .collect()
+}
+
+/// The delays of a probe that sends datagram `seq` at `seq` ns.
+fn series(log: &[(SimTime, u64)]) -> DelaySeries<'_> {
+    DelaySeries::new(log, SimTime::ZERO, SimDuration::from_nanos(1))
 }
 
 /// A last window that overhangs `end` still counts what falls in it, and
@@ -50,7 +58,7 @@ fn series(samples: &[(u64, u64)]) -> DelaySeries {
 #[test]
 fn the_overhanging_last_window_counts_what_falls_in_it() {
     // Windows [10, 40), [40, 70), [70, 100) over start = 10, end = 75.
-    let s = series(&[
+    let log = arrival_log(&[
         (9, 1),
         (10, 100),
         (39, 300),
@@ -59,6 +67,7 @@ fn the_overhanging_last_window_counts_what_falls_in_it() {
         (99, 90),
         (100, 7),
     ]);
+    let s = series(&log);
     let (start, end) = (SimTime::from_nanos(10), SimTime::from_nanos(75));
     let points = s.downsample(start, end, SimDuration::from_nanos(30));
     let means: Vec<Option<u64>> = points.iter().map(|p| p.1.map(|d| d.as_nanos())).collect();
@@ -83,7 +92,8 @@ proptest! {
         end_before_start in any::<bool>(),
         window in 1u64..700,
     ) {
-        let s = series(&samples);
+        let log = arrival_log(&samples);
+        let s = series(&log);
         let start_at = SimTime::from_nanos(start);
         let end = if end_before_start {
             SimTime::from_nanos(start.saturating_sub(span))

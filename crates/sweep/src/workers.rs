@@ -20,6 +20,11 @@ impl Workers {
     /// One worker: the serial baseline.
     pub const SERIAL: Workers = Workers(NonZeroUsize::MIN);
 
+    /// The most workers [`Self::parse`] and [`Self::from_env`] accept: the
+    /// pool starts one OS thread per worker (up to one per cell), so a
+    /// count far beyond any machine's cores only exhausts its threads.
+    pub const MAX: usize = 256;
+
     /// An explicit worker count; zero is clamped to one.
     pub fn new(n: usize) -> Workers {
         Workers(NonZeroUsize::new(n).unwrap_or(NonZeroUsize::MIN))
@@ -34,22 +39,18 @@ impl Workers {
         }
     }
 
-    /// The `DCN_WORKERS` override, if set to a positive integer.
+    /// The `DCN_WORKERS` override, if [`Self::parse`] accepts it.
     pub fn from_env() -> Option<Workers> {
-        std::env::var(WORKERS_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .map(Workers::new)
+        Self::parse(&std::env::var(WORKERS_ENV).ok()?)
     }
 
-    /// Parses a `--workers` flag value.
+    /// Parses a `--workers` flag value: an integer from 1 to [`Self::MAX`].
     pub fn parse(value: &str) -> Option<Workers> {
         value
             .trim()
             .parse::<usize>()
             .ok()
-            .filter(|&n| n > 0)
+            .filter(|n| (1..=Self::MAX).contains(n))
             .map(Workers::new)
     }
 
@@ -82,6 +83,13 @@ mod tests {
         assert_eq!(Workers::parse("0"), None);
         assert_eq!(Workers::parse("-1"), None);
         assert_eq!(Workers::parse("many"), None);
+    }
+
+    #[test]
+    fn parse_rejects_counts_past_the_bound() {
+        assert_eq!(Workers::parse("256"), Some(Workers::new(Workers::MAX)));
+        assert_eq!(Workers::parse("257"), None);
+        assert_eq!(Workers::parse(&usize::MAX.to_string()), None);
     }
 
     #[test]

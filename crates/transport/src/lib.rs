@@ -2,9 +2,9 @@
 //!
 //! The end-host stack for the F²Tree reproduction:
 //!
-//! * [`UdpSource`] — the paper's constant-rate probe flow
-//!   ([`PROBE_BYTES`] every [`PROBE_INTERVAL`]: 1448 B / 100 µs), whose
-//!   receiver-side gap measures connectivity loss,
+//! * [`PROBE_BYTES`] and [`PROBE_INTERVAL`] — the paper's probe rate,
+//!   1448 B every 100 µs, at which the emulator's UDP probe and the paced
+//!   TCP app send,
 //! * [`TcpSender`]/[`TcpReceiver`] — a NewReno-style TCP with 200 ms
 //!   minimum RTO, exponential backoff, fast retransmit, and RFC 2861
 //!   cwnd validation (see the module docs for why each matters to the
@@ -33,7 +33,6 @@
 #![warn(missing_debug_implementations)]
 
 mod tcp;
-mod udp;
 mod workload;
 
 use dcn_sim::SimDuration;
@@ -45,7 +44,6 @@ pub const PROBE_BYTES: u32 = 1448;
 pub const PROBE_INTERVAL: SimDuration = SimDuration::from_micros(100);
 
 pub use tcp::{TcpAck, TcpApp, TcpConfig, TcpReceiver, TcpSegment, TcpSender, TcpSenderOutput};
-pub use udp::{UdpDatagram, UdpSource};
 pub use workload::{
     generate_background, generate_requests, BackgroundConfig, BackgroundFlow,
     PartitionAggregateConfig, Request,
